@@ -3,11 +3,14 @@
 Every check runs one mathematical claim to ground and returns a CheckReport.
 Symbolic checks compare rational functions with tolerance zero; numeric
 checks evaluate at deterministic sampled points.  Check ids are stable
-strings, so report streams sort reproducibly.
+strings, so report streams sort reproducibly.  The per-n objects the checks
+share (the chart, q, the symbolic Phi_c and partial1) come from one
+process-wide cache, artifacts(n), so each is built once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -27,27 +30,14 @@ from .deform import (
     transformation_check,
     unscaled_flow_factor_check,
 )
-from .exactalg import (
-    RationalFunction,
-    UsageError,
-    degree_info,
-    fd_check,
-)
+from .exactalg import UsageError, degree_info, fd_check, flat_index
 from .linalg import membership, span_subspace
-from .model import (
-    Chart,
-    ChartPoint,
-    SymbolicMatrix,
-    flow_point,
-    flow_point_split_form,
-    holonomy,
-)
+from .model import Chart, ChartPoint, flow_point, flow_point_split_form, holonomy
 from .sampling import ball_sweep, generic_off_singular, sample_points
-from .torsion import TorsionAssembler, flat_index, lemma_criterion, torsion_component
+from .torsion import TorsionAssembler, lemma_criterion, torsion_component
 
 PASS = "pass"
 FAIL = "fail"
-SKIPPED = "skipped"
 
 SYMBOLIC = "symbolicIdentity"
 ORACLE = "oracleAgreement"
@@ -94,13 +84,53 @@ def sort_reports(reports: Sequence[CheckReport]) -> list[CheckReport]:
     return sorted(reports, key=lambda r: r.check_id)
 
 
+class Artifacts:
+    """The per-n objects that several suites share, each built on first use.
+
+    The second derivatives of Phi are left out on purpose: they are the
+    largest per-n object, only the curvature suites read them, and keeping
+    them for the life of the process raises the peak memory of every run.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+
+    @functools.cached_property
+    def chart(self) -> Chart:
+        return Chart(self.n)
+
+    @functools.cached_property
+    def q(self):
+        return build_q(self.chart)
+
+    @functools.cached_property
+    def phi(self) -> EndomorphismField:
+        """Phi_c with the parameters c kept symbolic."""
+        return build_Phi(self.chart)
+
+    @functools.cached_property
+    def spec(self) -> rep_mod.GradedAlgebraSpec:
+        return rep_mod.GradedAlgebraSpec(self.n)
+
+    @functools.cached_property
+    def partial1(self) -> rep_mod.Partial1Map:
+        return rep_mod.build_partial1(self.n, self.spec)
+
+
+@functools.cache
+def artifacts(n: int) -> Artifacts:
+    """The process-wide Artifacts for chart size n."""
+    return Artifacts(n)
+
+
 # -- flow ------------------------------------------------------------------------------
 
 
 def flow_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
     reports = []
     for n in ns:
-        chart = Chart(n)
+        art = artifacts(n)
+        chart = art.chart
         X = ChartPoint.generic(chart)
         t = chart.param("t")
         s = chart.param("s")
@@ -124,8 +154,8 @@ def flow_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
                 None,
             )
 
-        def q_transformation(chart=chart, X=X, t=t):
-            q = build_q(chart)
+        def q_transformation(art=art, X=X, t=t):
+            chart, q = art.chart, art.q
             u = chart.const(1) + t * chart.x(1, 1)
             moved = q.substitute(flow_point(X, t).substitution())
             return (
@@ -143,29 +173,20 @@ def flow_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
 
 # -- eigen-section transformation laws -------------------------------------------------
 
-_LAW_FAMILY = {
-    "v": "v",
-    "iota": "iota",
-    "v_tilde": "v_tilde",
-    "iota_tilde": "iota_tilde",
-    "w": "w",
-    "w_tilde": "w_tilde",
-}
-
 
 def eigen_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
     reports = []
     for n in ns:
-        chart = Chart(n)
-        laws = transformation_check(chart)
+        laws = transformation_check(artifacts(n).chart)
         families: dict[str, list] = {}
         for law in laws:
-            if law.name in _LAW_FAMILY:
-                family = _LAW_FAMILY[law.name]
-            elif law.name.startswith("kappa_tilde"):
+            # kappa_i and kappa_tilde^i fall into one family each over i
+            if law.name.startswith("kappa_tilde"):
                 family = "kappa_tilde"
-            else:
+            elif law.name.startswith("kappa"):
                 family = "kappa"
+            else:
+                family = law.name
             families.setdefault(family, []).append(law)
         for family in ("v", "iota", "v_tilde", "iota_tilde", "w", "kappa", "w_tilde", "kappa_tilde"):
             group = families.get(family, [])
@@ -187,7 +208,7 @@ def eigen_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
 
 def _expected_coefficient(chart: Chart, i_prime: int, ell: int, j_prime: int, k: int):
     """Sum_i c_i phi'[i'][j'] phi_i[k][ell] / q, assembled from the displays."""
-    q = build_q(chart)
+    q = artifacts(chart.n).q
     mprime = phi_prime_matrix(chart)
     total = chart.const(0)
     for i in range(2, chart.n + 1):
@@ -201,8 +222,9 @@ def _expected_coefficient(chart: Chart, i_prime: int, ell: int, j_prime: int, k:
 def phi_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
     reports = []
     for n in ns:
-        chart = Chart(n)
-        phi = build_Phi(chart)
+        art = artifacts(n)
+        chart = art.chart
+        phi = art.phi
 
         def coefficients(chart=chart, phi=phi, n=n):
             for ip in (1, 2):
@@ -268,11 +290,9 @@ def phi_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
                 None,
             )
 
-        def degree_ledger(phi=phi, chart=chart, n=n):
-            from .deform import q_polynomial
-
-            q_poly = q_polynomial(chart)
-            table = chart.table
+        def degree_ledger(phi=phi, art=art, n=n):
+            q_poly = art.q.num
+            table = art.chart.table
             checked = 0
             zero_derivatives = 0
             for ip in (1, 2):
@@ -336,9 +356,8 @@ def phi_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
 def torsion_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
     reports = []
     for n in ns:
-        chart = Chart(n)
-        phi = build_Phi(chart)
-        q = build_q(chart)
+        art = artifacts(n)
+        chart, phi, q = art.chart, art.phi, art.q
         x11 = chart.x(1, 1)
         x12 = chart.x(1, 2)
         for s in range(2, n + 1):
@@ -391,7 +410,7 @@ def torsion_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
 def torsion_zero_suite(ns: Sequence[int] = (3,)) -> list[CheckReport]:
     reports = []
     for n in ns:
-        chart = Chart(n)
+        chart = artifacts(n).chart
 
         def zero_deformation(chart=chart, n=n):
             phi = build_Phi(chart, [0] * (n - 1))
@@ -419,23 +438,21 @@ def density_check(
     per_radius: int = 100,
 ) -> tuple[CheckReport, list[dict]]:
     """Sampled nonvanishing sweep; also returns the per-point verdict table."""
-    start = time.perf_counter_ns()
-    check_id = f"torsion.density.n{n}.s{s}.c{_c_tag(c)}"
     records: list[dict] = []
-    try:
+
+    def sweep():
         if not (2 <= s <= n):
             raise UsageError(f"s must be in 2..{n}")
         if c[s - 2] == 0:
             raise UsageError("the sweep needs c_s != 0")
-        chart = Chart(n)
-        phi = build_Phi(chart, c)
-        assembler = TorsionAssembler(phi)
-        image = rep_mod.build_partial1(n).image()
+        art = artifacts(n)
+        assembler = TorsionAssembler(build_Phi(art.chart, c))
+        image = art.partial1.image()
         failures = 0
         first_bad = None
         total = 0
         for radius_exp, point in ball_sweep(
-            chart, s, per_radius, range(1, ball_count + 1), seed
+            art.chart, s, per_radius, range(1, ball_count + 1), seed
         ):
             value = assembler.evaluate(point)
             lemma = lemma_criterion(value, s)
@@ -459,13 +476,9 @@ def density_check(
             if ok
             else f"{failures} of {total} sampled points fail the nonvanishing criterion"
         )
-        point_text = first_bad
-    except Exception as exc:
-        ok, detail, point_text = False, f"error: {exc}", None
-    elapsed = (time.perf_counter_ns() - start) // 1_000_000
-    report = CheckReport(
-        check_id, PASS if ok else FAIL, NUMERIC, detail, point_text, int(elapsed)
-    )
+        return ok, detail, first_bad
+
+    report = _run(f"torsion.density.n{n}.s{s}.c{_c_tag(c)}", NUMERIC, sweep)
     return report, records
 
 
@@ -479,8 +492,8 @@ def reptheory_suite(
 ) -> list[CheckReport]:
     reports = []
     for n in ns:
-        spec = rep_mod.GradedAlgebraSpec(n)
-        p1 = rep_mod.build_partial1(n, spec)
+        art = artifacts(n)
+        spec, p1 = art.spec, art.partial1
         dims = rep_mod.decomposition_dims(n)
         target_dim = p1.target_dim
 
@@ -564,8 +577,8 @@ def reptheory_suite(
             for trial in range(20):
                 a_idx = rng.randrange(dim0)
                 f_vec = [Fraction(rng.randint(-3, 3)) for _ in range(domain_dim)]
-                lhs = p1.matrix.apply(rep_mod.act_on_domain(spec, a_idx, f_vec))
-                rhs = rep_mod.act_on_target(spec, a_idx, p1.matrix.apply(f_vec))
+                lhs = p1.apply(rep_mod.act_on_domain(spec, a_idx, f_vec))
+                rhs = rep_mod.act_on_target(spec, a_idx, p1.apply(f_vec))
                 if tuple(lhs) != tuple(rhs):
                     return False, f"equivariance fails for basis element {a_idx}", None
             return True, "partial1(a.f) = a.partial1(f) on 20 sampled pairs", None
@@ -593,7 +606,7 @@ def reptheory_suite(
 
 
 def rank_certificate(n: int) -> dict:
-    p1 = rep_mod.build_partial1(n)
+    p1 = artifacts(n).partial1
     return {
         "n": n,
         "domainDim": p1.domain_dim,
@@ -606,12 +619,13 @@ def rank_certificate(n: int) -> dict:
 
 
 def dimension_table(n: int) -> dict:
+    spec = artifacts(n).spec
     dims = rep_mod.decomposition_dims(n)
     return {
         "n": n,
-        "dimGminus": 2 * n,
-        "dimGzero": n * n + 3,
-        "dimGplus": 2 * n,
+        "dimGminus": spec.dim_gminus,
+        "dimGzero": spec.dim_gzero,
+        "dimGplus": spec.dim_gplus,
         "lambdaSplit": list(dims.lambda_split),
         "torsionModuleDim": dims.torsion_module_dim,
         "traceFamilyDims": list(dims.trace_family_dims),
@@ -626,7 +640,7 @@ def dimension_table(n: int) -> dict:
 def _display_second_derivatives(chart: Chart, r: int):
     """The three printed second-derivative formulas, built independently."""
     n = chart.n
-    q = build_q(chart)
+    q = artifacts(n).q
     x11 = chart.x(1, 1)
     x12 = chart.x(1, 2)
     xr1 = chart.x(r, 1)
@@ -655,8 +669,8 @@ def _display_second_derivatives(chart: Chart, r: int):
 def curvature_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
     reports = []
     for n in ns:
-        chart = Chart(n)
-        phi = build_Phi(chart)
+        art = artifacts(n)
+        chart, phi = art.chart, art.phi
         d2 = curvature_mod.nabla2_phi(phi)
         projection = curvature_mod.project_kappa(d2)
 
@@ -727,9 +741,10 @@ def curvature_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
 
 def curvature_numeric_suite(n: int = 3, seed: int = 0, samples: int = 25) -> list[CheckReport]:
     reports = []
-    chart = Chart(n)
-    phi = build_Phi(chart)
-    projection = curvature_mod.project_kappa(curvature_mod.nabla2_phi(phi))
+    art = artifacts(n)
+    chart = art.chart
+    d2 = curvature_mod.nabla2_phi(art.phi)
+    projection = curvature_mod.project_kappa(d2)
     subspace = curvature_mod.trace_subspace(n)
     c_unit = [Fraction(1)] + [Fraction(0)] * (n - 2)
 
@@ -756,7 +771,6 @@ def curvature_numeric_suite(n: int = 3, seed: int = 0, samples: int = 25) -> lis
         )
 
     def mixed_partials():
-        d2 = curvature_mod.nabla2_phi(build_Phi(chart))
         return (
             d2.swap_symmetric(),
             "second derivatives are symmetric in the two derivative slots (flat connection)",
@@ -781,7 +795,7 @@ def fd_oracle_suite(
     metric is only meaningful away from zero crossings of the derivative,
     and a wrong symbolic derivative would still differ by order one there.
     """
-    chart = Chart(n)
+    chart = artifacts(n).chart
     c_values = [Fraction(1), Fraction(2)] + [Fraction(1)] * (n - 3)
     phi = build_Phi(chart, c_values)
     step = Fraction(1, 10_000)

@@ -33,8 +33,6 @@ from .exactalg import (
 )
 from .model import Chart, ChartPoint, flow_point
 
-SCHEMA_PATH = "src/agdeform/schemas/report.schema.json"
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -43,11 +41,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, n_default: int = 3) -> None:
-        p.add_argument("--n", type=int, default=n_default, help="number of rows n")
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--n", type=int, default=3, help="number of rows n")
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--emit", choices=("latex", "none"), default="none")
-        p.add_argument("--seed", type=int, default=0, help="sampling seed")
         p.add_argument("--timings", action="store_true", help="include elapsedMs")
 
     p_flow = sub.add_parser("flow", help="apply the flow or check its identities")
@@ -58,10 +54,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_phi = sub.add_parser("phi", help="deformation-family checks")
     common(p_phi)
-    p_phi.add_argument("--c", help="deformation parameters c_2..c_n, comma separated")
+    p_phi.add_argument("--emit", choices=("latex", "none"), default="none")
 
     p_tor = sub.add_parser("torsion", help="torsion identities and density sweep")
     common(p_tor)
+    p_tor.add_argument("--seed", type=int, default=0, help="sampling seed")
     p_tor.add_argument("--c", help="deformation parameters c_2..c_n, comma separated")
     p_tor.add_argument("--sindex", type=int, default=2, help="component index s")
     p_tor.add_argument(
@@ -70,15 +67,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_curv = sub.add_parser("curvature", help="second derivatives and kappa")
     common(p_curv)
+    p_curv.add_argument("--emit", choices=("latex", "none"), default="none")
     p_curv.add_argument("--c", help="deformation parameters c_2..c_n, comma separated")
     p_curv.add_argument("--r", type=int, default=2, help="kappa component index r")
 
     p_rep = sub.add_parser("reptheory", help="algebraic dimension certificates")
-    common(p_rep, n_default=3)
+    common(p_rep)
+    p_rep.add_argument("--seed", type=int, default=0, help="sampling seed")
     p_rep.add_argument("--check", choices=("surjective",), help="single named check")
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     common(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0, help="sampling seed")
     p_verify.add_argument("--all", action="store_true", help="full acceptance suite")
     p_verify.add_argument(
         "--sample-balls", type=int, default=8, help="number of radii 2^-1..2^-k"
@@ -144,8 +144,6 @@ def _cmd_flow(args) -> int:
 def _cmd_phi(args) -> int:
     _require_n(args.n)
     chart = Chart(args.n)
-    if args.c is not None:
-        parse_c(chart, args.c)  # validated; the identity checks stay symbolic
     reports = checks.phi_suite((args.n,)) + checks.eigen_suite((args.n,))
     extras: dict = {}
     if args.emit == "latex":

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import (
-    Polynomial,
-    RationalFunction,
-    UsageError,
-    VariableTable,
-)
+from .exactalg import Polynomial, RationalFunction, UsageError
 from .model import BundleActionMatrices, Chart, ChartPoint, SymbolicMatrix, bundle_actions, flow_point
 
 

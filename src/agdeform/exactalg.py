@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 #: Exact scalar type: arbitrary-precision rationals with canonical
 #: (coprime, positive-denominator) representation guaranteed by the stdlib.
@@ -51,6 +51,16 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"invalid rational literal {text!r}") from exc
+
+
+def flat_index(i: int, j_prime: int) -> int:
+    """0-based position of the slot (i, j'), both arguments 1-based.
+
+    This is the chart variable order x11, x12, x21, ..., so the same index
+    addresses the coordinate x_{i j'}, the coordinate field d/dx_{i j'}, the
+    frame vector E^{j'}_i and the g_{-1} basis matrix unit at (i, j').
+    """
+    return 2 * (i - 1) + (j_prime - 1)
 
 
 class VariableTable:
@@ -99,7 +109,7 @@ class VariableTable:
         """Index of the chart coordinate x_{ij'} (1-based i in 1..n, j in 1..2)."""
         if not (1 <= i <= self.n and 1 <= j <= 2):
             raise UsageError(f"coordinate x[{i}][{j}] outside n x 2 chart")
-        return 2 * (i - 1) + (j - 1)
+        return flat_index(i, j)
 
     @property
     def t_index(self) -> int:
@@ -633,28 +643,6 @@ class RationalFunction:
         for factor, exponent in self.den:
             result = result * factor.substitute(mapping).inverse() ** exponent
         return result
-
-
-# -- module-level operation wrappers ---------------------------------------------
-
-
-def arith(a: RationalFunction, b: RationalFunction, op: str) -> RationalFunction:
-    """Exact field arithmetic; op is one of add, sub, mul."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise UsageError(f"unknown arithmetic op {op!r}")
-
-
-def differentiate(f: RationalFunction, var: int | str) -> RationalFunction:
-    return f.differentiate(var)
-
-
-def evaluate(f: RationalFunction, point: Sequence[Fraction]) -> Fraction:
-    return f.evaluate(point)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q: RREF, ranks, image subspaces, membership.
+"""Exact linear algebra over Q: RREF, ranks, spanned subspaces, membership.
 
 Everything here works on fractions.Fraction entries, so results are exact;
 there are no tolerances anywhere.  Two independent elimination routines are
@@ -15,18 +15,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
+from .exactalg import _coerce
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise ValueError(f"cannot interpret {value!r} as an exact rational")
 
 
 class MatrixQ:
@@ -99,13 +91,6 @@ class MatrixQ:
             ]
         )
 
-    def apply(self, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if len(vector) != self.ncols:
-            raise ValueError("shape mismatch")
-        return tuple(
-            sum((a * b for a, b in zip(row, vector)), _ZERO) for row in self.rows
-        )
-
 
 @dataclass(frozen=True)
 class RrefResult:
@@ -140,34 +125,6 @@ def rref(matrix: MatrixQ) -> RrefResult:
 
 def rank(matrix: MatrixQ) -> int:
     return rref(matrix).rank
-
-
-def kernel_dim(matrix: MatrixQ) -> int:
-    """Nullity via rank-nullity; the kernel itself is never materialized."""
-    return matrix.ncols - rref(matrix).rank
-
-
-def det(matrix: MatrixQ) -> Fraction:
-    """Determinant of a square matrix by exact Gaussian elimination."""
-    if matrix.nrows != matrix.ncols:
-        raise ValueError("determinant of a non-square matrix")
-    rows = [list(row) for row in matrix.rows]
-    size = matrix.nrows
-    out = Fraction(1)
-    for col in range(size):
-        pivot_row = next((i for i in range(col, size) if rows[i][col]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            out = -out
-        pivot = rows[col][col]
-        out *= pivot
-        for i in range(col + 1, size):
-            if rows[i][col]:
-                factor = rows[i][col] / pivot
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
-    return out
 
 
 @dataclass(frozen=True)
@@ -222,15 +179,6 @@ class Subspace:
                 row = self.basis.rows[k]
                 work = [w - coeff * r for w, r in zip(work, row)]
         return not any(work)
-
-
-def image_subspace(matrix: MatrixQ) -> Subspace:
-    """Column space of matrix as a canonical Subspace of Q^nrows."""
-    result = rref(matrix.transpose())
-    basis = MatrixQ(result.reduced.rows[: result.rank])
-    return Subspace(
-        ambient_dim=matrix.nrows, basis=basis, pivot_columns=result.pivot_columns
-    )
 
 
 def span_subspace(vectors: Sequence[Sequence[Fraction]], ambient_dim: int) -> Subspace:
@@ -324,16 +272,3 @@ def sparse_rank(
         for j in pivot_row:
             col_use[j] -= 1
     return rank_count
-
-
-def sparse_rank_of_matrix(matrix: MatrixQ) -> int:
-    """sparse_rank applied to a MatrixQ after clearing denominators per row."""
-    entries: dict[tuple[int, int], int] = {}
-    for i, row in enumerate(matrix.rows):
-        scale = 1
-        for v in row:
-            scale = scale * v.denominator // gcd(scale, v.denominator)
-        for j, v in enumerate(row):
-            if v:
-                entries[(i, j)] = int(v * scale)
-    return sparse_rank(entries, matrix.nrows, matrix.ncols)

@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactalg import (
-    Polynomial,
     PoleAtPoint,
     RationalFunction,
     UsageError,
@@ -67,9 +66,6 @@ class Chart:
 
     def const(self, value) -> RationalFunction:
         return RationalFunction.constant(self.table, value)
-
-    def one_poly(self) -> Polynomial:
-        return Polynomial.constant(self.table, 1)
 
     def lift(self, value) -> RationalFunction:
         """Coerce scalars/strings to constants; pass rational functions through."""

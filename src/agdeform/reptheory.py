@@ -4,7 +4,7 @@ g = g_{-1} + g_0 + g_1 sits inside sl(2+n) by block structure: g_{-1} the
 lower-left n x 2 block, g_1 the upper-right, g_0 the pairs (A, B) of diagonal
 blocks with tr A + tr B = 0 acting on g_{-1} by X -> BX - XA.  The
 differential partial1 : g_{-1}* (x) g_0 -> Lambda^2 g_{-1}* (x) g_{-1},
-(partial1 f)(w, v) = f(w).v - f(v).w, is realized as one exact integer
+(partial1 f)(w, v) = f(w).v - f(v).w, is realized as one sparse integer
 matrix per n; its image is the obstruction space behind the rank-one torsion
 criterion.
 """
@@ -15,14 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import UsageError
-from .linalg import MatrixQ, Subspace, image_subspace, sparse_rank
-
-
-def flat_basis_index(i: int, j_prime: int) -> int:
-    """Position of the g_{-1} basis matrix unit at (row i, column j'), 1-based in,
-    0-based out; identical to the chart variable order."""
-    return 2 * (i - 1) + (j_prime - 1)
+from .exactalg import UsageError, flat_index
+from .linalg import MatrixQ, Subspace, span_subspace, sparse_rank
 
 
 def pair_index(b: int, c: int, size: int) -> int:
@@ -243,10 +237,11 @@ class GradedAlgebraSpec:
 
 @dataclass
 class Partial1Map:
-    """The differential as an exact matrix, with cached image data."""
+    """The differential as sparse integer entries {(row, col): value}, with
+    cached image data."""
 
     n: int
-    matrix: MatrixQ
+    entries: dict[tuple[int, int], int]
     rank: int
     domain_dim: int
     target_dim: int
@@ -256,10 +251,25 @@ class Partial1Map:
     def kernel_dim(self) -> int:
         return self.domain_dim - self.rank
 
+    def apply(self, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        """partial1 applied to a domain vector, as a target vector."""
+        if len(vector) != self.domain_dim:
+            raise UsageError("vector dimension mismatch")
+        out = [Fraction(0)] * self.target_dim
+        for (r, col), value in self.entries.items():
+            if vector[col]:
+                out[r] += value * vector[col]
+        return tuple(out)
+
     def image(self) -> Subspace:
-        """Column space as a Subspace; computed densely on first use."""
+        """Column space as a Subspace: the span of the columns, reduced
+        densely on first use."""
         if self._image is None:
-            self._image = image_subspace(self.matrix)
+            zero = Fraction(0)
+            columns = [[zero] * self.target_dim for _ in range(self.domain_dim)]
+            for (r, col), value in self.entries.items():
+                columns[col][r] = Fraction(value)
+            self._image = span_subspace(columns, self.target_dim)
             assert self._image.dim == self.rank
         return self._image
 
@@ -268,9 +278,10 @@ def build_partial1(n: int, spec: GradedAlgebraSpec | None = None) -> Partial1Map
     """Exact matrix of (partial1 f)(w_b, w_c) = f(w_b).w_c - f(w_c).w_b.
 
     Columns indexed by (a, m) -> a*dim_gzero + m for f = xi^a (x) g_m; rows
-    by pair_index(b, c)*2n + d over pairs b < c and outputs d.  The rank is
-    computed by fraction-free sparse elimination, so this stays fast through
-    n = 5; the dense image subspace is deferred to Partial1Map.image().
+    by pair_index(b, c)*2n + d over pairs b < c and outputs d.  The entries
+    are integers; the rank is computed by fraction-free sparse elimination,
+    so this stays fast through n = 5, and the dense image subspace is
+    deferred to Partial1Map.image().
     """
     spec = spec or GradedAlgebraSpec(n)
     size = 2 * n
@@ -280,7 +291,7 @@ def build_partial1(n: int, spec: GradedAlgebraSpec | None = None) -> Partial1Map
     target = npairs * size
     actions = [spec.action_matrix(m) for m in range(dim0)]
 
-    entries: dict[tuple[int, int], Fraction] = {}
+    entries: dict[tuple[int, int], int] = {}
     for a in range(size):
         for m in range(dim0):
             col = a * dim0 + m
@@ -294,16 +305,11 @@ def build_partial1(n: int, spec: GradedAlgebraSpec | None = None) -> Partial1Map
                 for d in range(size):
                     value = action[(d, other)]
                     if value:
-                        entries[(base + d, col)] = sign * value
-    rows = [[Fraction(0)] * domain for _ in range(target)]
-    for (r, col), value in entries.items():
-        rows[r][col] = Fraction(value)
-    matrix = MatrixQ(rows)
-    rank = sparse_rank(
-        {key: value.numerator for key, value in entries.items()}, target, domain
-    )
+                        assert value.denominator == 1, "partial1 entries are integers"
+                        entries[(base + d, col)] = sign * value.numerator
+    rank = sparse_rank(entries, target, domain)
     return Partial1Map(
-        n=n, matrix=matrix, rank=rank, domain_dim=domain, target_dim=target
+        n=n, entries=entries, rank=rank, domain_dim=domain, target_dim=target
     )
 
 
@@ -462,13 +468,13 @@ def rank_one_span_test(
     size = 2 * n
     xi = [Fraction(0)] * size
     eta = [Fraction(0)] * size
-    xi[flat_basis_index(s, 2)] = Fraction(1)
-    eta[flat_basis_index(1, 2)] = Fraction(1)
+    xi[flat_index(s, 2)] = Fraction(1)
+    eta[flat_index(1, 2)] = Fraction(1)
     value = evaluate_two_form(t_vec, xi, eta, n)
     for k in range(1, n + 1):
         if k in (1, s):
             continue
-        if value[flat_basis_index(k, 1)] != 0:
+        if value[flat_index(k, 1)] != 0:
             return False
     return True
 

@@ -12,19 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import RationalFunction, UsageError
+from .exactalg import RationalFunction, UsageError, flat_index
 from .deform import EndomorphismField
 from .model import Chart, ChartPoint
-
-
-def flat_index(i: int, j_prime: int) -> int:
-    """0-based position of the frame slot (i, j'), both arguments 1-based.
-
-    Matches the chart variable order x11, x12, x21, ..., so the same index
-    addresses the coordinate x_{i j'}, the coordinate field d/dx_{i j'}, and
-    the basis vector E^{j'}_i of the model tangent space.
-    """
-    return 2 * (i - 1) + (j_prime - 1)
 
 
 def unflatten_index(a: int) -> tuple[int, int]:
@@ -236,22 +226,13 @@ class TorsionAssembler:
                 )
 
     def evaluate(self, point: ChartPoint, c: Sequence[Fraction] | None = None) -> TorsionValue:
+        """Torsion at a numeric point; q(point) = 0 raises PoleAtPoint."""
         vec = point.evaluation_vector(c=c)
         entries = {
             key: tuple(comp.evaluate(vec) for comp in comps)
             for key, comps in self.symbolic.items()
         }
         return TorsionValue(self.chart.n, point, entries)
-
-
-def assemble_full_torsion(
-    phi: EndomorphismField, point: ChartPoint, c: Sequence[Fraction] | None = None
-) -> TorsionValue:
-    """One-shot torsion at a numeric point; q(point) = 0 raises PoleAtPoint.
-
-    For sweeps over many points build a TorsionAssembler once instead.
-    """
-    return TorsionAssembler(phi).evaluate(point, c=c)
 
 
 def lemma_criterion(value: TorsionValue, s: int) -> bool:

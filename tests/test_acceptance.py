@@ -7,9 +7,17 @@ differences at rel. error < 1e-6.  One test per criterion keeps the -v output
 at one line each.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from agdeform import checks
+
+#: sha256 of json.dumps([r.as_dict() for r in reports], indent=2,
+#: sort_keys=True) for the fixture below.  A refactor must keep these bytes;
+#: a change to a check id, verdict or detail text must update the digest.
+REPORTS_SHA256 = "0d159727832117c4552d864ff20657ac53c291d4d43206fc32e1ae86ba4d4f87"
 
 CRITERIA = {
     1: ("flow group law, holonomy cocycle, and split form",
@@ -110,3 +118,8 @@ def test_every_check_green(reports):
                 covered.add(r.check_id)
     missing = [r.check_id for r in reports if r.check_id not in covered]
     assert not missing, f"checks outside every criterion: {missing}"
+
+
+def test_reports_byte_identical(reports):
+    text = json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORTS_SHA256

@@ -1,0 +1,51 @@
+"""The per-n artifact cache: each shared object is built once per process."""
+
+import pytest
+
+from agdeform import checks, cli
+from agdeform import curvature as curvature_mod
+from agdeform import reptheory as rep_mod
+
+
+@pytest.fixture
+def fresh_cache():
+    checks.artifacts.cache_clear()
+    yield
+    checks.artifacts.cache_clear()
+
+
+def counting(monkeypatch, module, name, keep=lambda *args, **kwargs: True):
+    """Replace module.name with a wrapper; returns the list of counted calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        if keep(*args, **kwargs):
+            calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_quick_suite_builds_symbolic_phi_once(monkeypatch, fresh_cache):
+    symbolic = counting(
+        monkeypatch, checks, "build_Phi", lambda chart, c=None: c is None
+    )
+    reports = checks.quick_suite(3)
+    assert all(r.status == checks.PASS for r in reports)
+    assert len(symbolic) == 1
+
+
+def test_reptheory_command_builds_partial1_once(monkeypatch, capsys, fresh_cache):
+    calls = counting(monkeypatch, rep_mod, "build_partial1")
+    assert cli.main(["reptheory", "--n", "3", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_curvature_numeric_suite_builds_second_derivatives_once(monkeypatch, fresh_cache):
+    calls = counting(monkeypatch, curvature_mod, "nabla2_phi")
+    reports = checks.curvature_numeric_suite(3)
+    assert all(r.status == checks.PASS for r in reports)
+    assert len(calls) == 1

@@ -175,3 +175,23 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flow", "--emit", "latex"],
+        ["torsion", "--emit", "latex"],
+        ["reptheory", "--emit", "latex"],
+        ["verify", "--emit", "latex"],
+        ["phi", "--c", "1,0"],
+        ["flow", "--seed", "1"],
+        ["phi", "--seed", "1"],
+        ["curvature", "--seed", "1"],
+    ],
+)
+def test_removed_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

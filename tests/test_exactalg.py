@@ -18,6 +18,7 @@ from agdeform.exactalg import (
     VariableTable,
     degree_info,
     fd_check,
+    flat_index,
     parse_rational,
     render_polynomial,
     render_rational_function,
@@ -79,6 +80,16 @@ def test_variable_table_layout():
         "x11", "x12", "x21", "x22", "x31", "x32",
     ]
     assert table.is_chart(0) and not table.is_chart(table.t_index)
+
+
+def test_flat_index_matches_chart_order():
+    table = VariableTable(3)
+    slots = [(i, jp) for i in (1, 2, 3) for jp in (1, 2)]
+    assert [flat_index(i, jp) for i, jp in slots] == list(range(6))
+    assert [table.names[flat_index(i, jp)] for i, jp in slots] == [
+        f"x{i}{jp}" for i, jp in slots
+    ]
+    assert all(table.x_index(i, jp) == flat_index(i, jp) for i, jp in slots)
 
 
 def test_mismatched_tables_rejected():

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals: rref, rank, membership, det."""
+"""Exact linear algebra over the rationals: rref, rank, spans, membership, sparse rank."""
 
 import random
 from fractions import Fraction
@@ -8,15 +8,11 @@ import pytest
 from agdeform.linalg import (
     MatrixQ,
     Subspace,
-    det,
-    image_subspace,
-    kernel_dim,
     membership,
     rank,
     rref,
     span_subspace,
     sparse_rank,
-    sparse_rank_of_matrix,
 )
 
 
@@ -34,7 +30,6 @@ def test_matrix_basics():
     assert m * ident == m
     assert m + MatrixQ.zero(2, 2) == m
     assert (m - m) == MatrixQ.zero(2, 2)
-    assert m.apply([Fraction(1), Fraction(1)]) == (Fraction(3), Fraction(7))
 
 
 def test_shape_mismatch():
@@ -63,28 +58,20 @@ def test_rank_of_product_bounded():
 
 
 def test_rank_nullity():
+    """Each free column of the rref gives a kernel vector: ncols - rank of them."""
     rng = random.Random(4)
     for _ in range(20):
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        assert rank(m) + kernel_dim(m) == m.ncols
-
-
-def test_det_known_values():
-    assert det(MatrixQ.identity(3)) == 1
-    m = MatrixQ.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 5]])
-    assert det(m) == 30
-    singular = MatrixQ.from_rows([[1, 2], [2, 4]])
-    assert det(singular) == 0
-    with pytest.raises(ValueError):
-        det(MatrixQ.from_rows([[1, 2]]))
-
-
-def test_det_product_law():
-    rng = random.Random(13)
-    for _ in range(20):
-        a = random_matrix(rng, 3, 3)
-        b = random_matrix(rng, 3, 3)
-        assert det(a * b) == det(a) * det(b)
+        result = rref(m)
+        free = [j for j in range(m.ncols) if j not in result.pivot_columns]
+        assert result.rank + len(free) == m.ncols
+        for f in free:
+            v = [Fraction(0)] * m.ncols
+            v[f] = Fraction(1)
+            for k, p in enumerate(result.pivot_columns):
+                v[p] = -result.reduced[k, f]
+            product = m * MatrixQ([[x] for x in v])
+            assert all(entry == 0 for (entry,) in product.rows)
 
 
 def test_membership_and_residual():
@@ -120,8 +107,9 @@ def test_contains_matches_residual_on_random_vectors():
 
 
 def test_image_subspace():
+    """The column space of m is the span of the rows of its transpose."""
     m = MatrixQ.from_rows([[1, 0], [0, 1], [1, 1]])
-    space = image_subspace(m)
+    space = span_subspace(m.transpose().rows, m.nrows)
     assert space.dim == 2
     assert space.ambient_dim == 3
     assert membership(space, (Fraction(2), Fraction(3), Fraction(5)))
@@ -140,11 +128,6 @@ def test_sparse_rank_agrees_with_dense():
         for (r, c), v in entries.items():
             dense[r][c] = Fraction(v)
         assert sparse_rank(entries, nrows, ncols) == rank(MatrixQ.from_rows(dense))
-
-
-def test_sparse_rank_of_matrix():
-    m = MatrixQ.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 0]])
-    assert sparse_rank_of_matrix(m) == rank(m) == 2
 
 
 def test_subspace_pivot_structure():

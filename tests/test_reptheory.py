@@ -14,7 +14,6 @@ from agdeform.reptheory import (
     build_partial1,
     decomposition_dims,
     evaluate_two_form,
-    flat_basis_index,
     pair_index,
     rank_one_span_test,
     trace_embedding_vectors,
@@ -29,10 +28,6 @@ def test_pair_index_bijection():
         pair_index(2, 2, 6)
     with pytest.raises(UsageError):
         pair_index(3, 1, 6)
-
-
-def test_flat_basis_index_matches_chart_order():
-    assert [flat_basis_index(i, jp) for i in (1, 2, 3) for jp in (1, 2)] == list(range(6))
 
 
 def test_algebra_spec_dimensions_and_guard():
@@ -101,7 +96,7 @@ def test_partial1_matrix_matches_definition():
         rng = random.Random(n)
         for _ in range(3):
             f_vec = [Fraction(rng.randint(-3, 3)) for _ in range(p1.domain_dim)]
-            t_vec = p1.matrix.apply(f_vec)
+            t_vec = p1.apply(f_vec)
             for b in range(size):
                 e_b = [Fraction(1 if d == b else 0) for d in range(size)]
                 for c in range(b + 1, size):
@@ -193,8 +188,8 @@ def test_equivariance():
         for _ in range(8):
             a_idx = rng.randrange(spec.dim_gzero)
             f_vec = [Fraction(rng.randint(-2, 2)) for _ in range(p1.domain_dim)]
-            lhs = p1.matrix.apply(act_on_domain(spec, a_idx, f_vec))
-            rhs = act_on_target(spec, a_idx, p1.matrix.apply(f_vec))
+            lhs = p1.apply(act_on_domain(spec, a_idx, f_vec))
+            rhs = act_on_target(spec, a_idx, p1.apply(f_vec))
             assert tuple(lhs) == tuple(rhs)
 
 

@@ -6,14 +6,12 @@ from fractions import Fraction
 import pytest
 
 from agdeform.deform import build_Phi, build_q
-from agdeform.exactalg import PoleAtPoint, RationalFunction, UsageError
+from agdeform.exactalg import PoleAtPoint, RationalFunction, UsageError, flat_index
 from agdeform.model import Chart, ChartPoint
 from agdeform.reptheory import pair_index
 from agdeform.torsion import (
     TorsionAssembler,
     VectorField,
-    assemble_full_torsion,
-    flat_index,
     lemma_criterion,
     lie_bracket,
     pulled_frame,
@@ -127,7 +125,7 @@ def test_torsion_component_closed_forms():
 def test_torsion_value_antisymmetry_and_vectorize():
     phi = build_Phi(CHART)
     point = ChartPoint.parse(CHART, "1,2;3,4;5,6")
-    value = assemble_full_torsion(phi, point, c=(Fraction(1), Fraction(0)))
+    value = TorsionAssembler(phi).evaluate(point, c=(Fraction(1), Fraction(0)))
     size = 2 * CHART.n
     assert all(v == 0 for v in value.entry(3, 3))
     flat = value.vectorize()
@@ -143,13 +141,14 @@ def test_torsion_value_antisymmetry_and_vectorize():
 
 
 def test_assembler_matches_one_shot():
-    phi = build_Phi(CHART)
-    assembler = TorsionAssembler(phi)
+    """Symbolic c bound at evaluation agrees with Phi built at the numeric c."""
+    assembler = TorsionAssembler(build_Phi(CHART))
     c = (Fraction(2), Fraction(-3))
+    one_shot = TorsionAssembler(build_Phi(CHART, c))
     for text in ("1,2;3,4;5,6", "1,1;1,0;0,1"):
         point = ChartPoint.parse(CHART, text)
         a = assembler.evaluate(point, c=c)
-        b = assemble_full_torsion(phi, point, c=c)
+        b = one_shot.evaluate(point)
         assert a.vectorize() == b.vectorize()
 
 
@@ -159,13 +158,13 @@ def test_zero_deformation_torsion_free():
 
 
 def test_lemma_criterion():
-    phi = build_Phi(CHART)
+    assembler = TorsionAssembler(build_Phi(CHART))
     point = ChartPoint.parse(CHART, "1,2;3,4;5,6")
-    value = assemble_full_torsion(phi, point, c=(Fraction(1), Fraction(0)))
+    value = assembler.evaluate(point, c=(Fraction(1), Fraction(0)))
     assert lemma_criterion(value, 2)
     with pytest.raises(UsageError):
         lemma_criterion(value, 1)
-    flat_value = assemble_full_torsion(phi, point, c=(Fraction(0), Fraction(0)))
+    flat_value = assembler.evaluate(point, c=(Fraction(0), Fraction(0)))
     assert flat_value.is_zero()
     assert not lemma_criterion(flat_value, 2)
 
@@ -174,4 +173,4 @@ def test_pole_on_singular_set():
     phi = build_Phi(CHART)
     point = ChartPoint.parse(CHART, "0,0;0,1;0,1")  # q = 0 there
     with pytest.raises(PoleAtPoint):
-        assemble_full_torsion(phi, point, c=(Fraction(1), Fraction(0)))
+        TorsionAssembler(phi).evaluate(point, c=(Fraction(1), Fraction(0)))

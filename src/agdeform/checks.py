@@ -437,14 +437,20 @@ def density_check(
     ball_count: int = 8,
     per_radius: int = 100,
 ) -> tuple[CheckReport, list[dict]]:
-    """Sampled nonvanishing sweep; also returns the per-point verdict table."""
+    """Sampled nonvanishing sweep; also returns the per-point verdict table.
+
+    A request that cannot sample a meaningful point raises UsageError before
+    any check runs, so it is never reported as a FAIL or a vacuous PASS.
+    """
+    if not (2 <= s <= n):
+        raise UsageError(f"s must be in 2..{n}")
+    if c[s - 2] == 0:
+        raise UsageError("the sweep needs c_s != 0")
+    if ball_count < 1 or per_radius < 1:
+        raise UsageError("the sweep needs at least one radius and one point per radius")
     records: list[dict] = []
 
     def sweep():
-        if not (2 <= s <= n):
-            raise UsageError(f"s must be in 2..{n}")
-        if c[s - 2] == 0:
-            raise UsageError("the sweep needs c_s != 0")
         art = artifacts(n)
         assembler = TorsionAssembler(build_Phi(art.chart, c))
         image = art.partial1.image()

@@ -34,6 +34,16 @@ from .exactalg import (
 from .model import Chart, ChartPoint, flow_point
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="agdeform",
@@ -62,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tor.add_argument("--c", help="deformation parameters c_2..c_n, comma separated")
     p_tor.add_argument("--sindex", type=int, default=2, help="component index s")
     p_tor.add_argument(
-        "--sample-balls", type=int, default=8, help="number of radii 2^-1..2^-k"
+        "--sample-balls", type=_positive_int, default=8, help="number of radii 2^-1..2^-k"
     )
 
     p_curv = sub.add_parser("curvature", help="second derivatives and kappa")
@@ -81,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0, help="sampling seed")
     p_verify.add_argument("--all", action="store_true", help="full acceptance suite")
     p_verify.add_argument(
-        "--sample-balls", type=int, default=8, help="number of radii 2^-1..2^-k"
+        "--sample-balls", type=_positive_int, default=8, help="number of radii 2^-1..2^-k"
     )
 
     return parser

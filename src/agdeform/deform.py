@@ -2,10 +2,14 @@
 
 Phi_c = sum_i c_i Phi_i with Phi_i = (1/q) phi' (x) phi_i is a section of
 End_0(E*) (x) End_0(F); it is nilpotent of order two and invariant under the
-flow.  Coefficients are stored in the frame E^{i'l}_{j'k} = E^{i'}_{j'} (x)
-E_k^l, where E^{i'}_{j'} sends E^{j'} to E^{i'} and E_k^l sends E_l to E_k,
-so the action on a section psi of E* (x) F reads
+flow.  Coefficients Phi^{i'l}_{j'k} are taken in the frame
+E^{i'l}_{j'k} = E^{i'}_{j'} (x) E_k^l, where E^{i'}_{j'} sends E^{j'} to E^{i'}
+and E_k^l sends E_l to E_k, so the action on a section psi of E* (x) F reads
 (Phi psi)^{i'}_k = sum_{j',l} Phi^{i'l}_{j'k} psi^{j'}_l.
+
+A field is stored as its operator matrix on E* (x) F = g_{-1} in the flat
+basis of exactalg.flat_index, the chart variable order x11, x12, x21, ...;
+EndomorphismField.coefficient maps Phi^{i'l}_{j'k} to its matrix entry.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import Polynomial, RationalFunction, UsageError
+from .exactalg import Polynomial, RationalFunction, UsageError, flat_index
 from .model import BundleActionMatrices, Chart, ChartPoint, SymbolicMatrix, bundle_actions, flow_point
 
 
@@ -179,187 +183,65 @@ def phi_i_matrix(chart: Chart, i: int) -> SymbolicMatrix:
 
 
 class EndomorphismField:
-    """Section of End(E*) (x) End(F) as coefficients Phi^{i'l}_{j'k}.
+    """Section of End(E*) (x) End(F) as its operator matrix on E* (x) F.
 
-    Internal storage coeffs[ip][jp][l][k] is 0-based: ip, jp over the primed
-    frame (1', 2'), l, k over 1..n.
+    The 2n x 2n matrix acts in the flat basis of E* (x) F = g_{-1}, where
+    the slot (k, i') sits at flat_index(k, i').  Entry
+    [flat_index(k, i'), flat_index(l, j')] is Phi^{i'l}_{j'k}, so composition
+    is the matrix product and the action on a section is the matrix applied
+    to its flat components.
     """
 
-    __slots__ = ("chart", "coeffs")
+    __slots__ = ("chart", "matrix")
 
-    def __init__(self, chart: Chart, coeffs):
-        n = chart.n
+    def __init__(self, chart: Chart, matrix: SymbolicMatrix):
         self.chart = chart
-        self.coeffs = tuple(
-            tuple(
-                tuple(tuple(coeffs[ip][jp][l][k] for k in range(n)) for l in range(n))
-                for jp in range(2)
-            )
-            for ip in range(2)
-        )
+        self.matrix = matrix
 
     def coefficient(self, i_prime: int, ell: int, j_prime: int, k: int) -> RationalFunction:
         """Coefficient of E^{i'l}_{j'k}; all arguments 1-based."""
-        return self.coeffs[i_prime - 1][j_prime - 1][ell - 1][k - 1]
-
-    @staticmethod
-    def zero(chart: Chart) -> "EndomorphismField":
-        z = RationalFunction.zero(chart.table)
-        n = chart.n
-        return EndomorphismField(
-            chart,
-            [[[[z] * n for _ in range(n)] for _ in range(2)] for _ in range(2)],
-        )
+        return self.matrix[flat_index(k, i_prime), flat_index(ell, j_prime)]
 
     @staticmethod
     def identity(chart: Chart) -> "EndomorphismField":
-        z = RationalFunction.zero(chart.table)
-        one = chart.const(1)
-        n = chart.n
-        coeffs = [[[[z] * n for _ in range(n)] for _ in range(2)] for _ in range(2)]
-        for ip in range(2):
-            for l in range(n):
-                row = list(coeffs[ip][ip][l])
-                row[l] = one
-                coeffs[ip][ip][l] = row
-        return EndomorphismField(chart, coeffs)
+        return EndomorphismField(chart, SymbolicMatrix.identity(chart.table, 2 * chart.n))
 
     def is_zero(self) -> bool:
-        return all(
-            v.is_zero()
-            for plane in self.coeffs
-            for block in plane
-            for row in block
-            for v in row
-        )
+        return all(v.is_zero() for row in self.matrix.rows for v in row)
 
     def __add__(self, other: "EndomorphismField") -> "EndomorphismField":
-        n = self.chart.n
-        return EndomorphismField(
-            self.chart,
-            [
-                [
-                    [
-                        [
-                            self.coeffs[ip][jp][l][k] + other.coeffs[ip][jp][l][k]
-                            for k in range(n)
-                        ]
-                        for l in range(n)
-                    ]
-                    for jp in range(2)
-                ]
-                for ip in range(2)
-            ],
-        )
+        return EndomorphismField(self.chart, self.matrix + other.matrix)
 
-    def __neg__(self) -> "EndomorphismField":
-        n = self.chart.n
-        return EndomorphismField(
-            self.chart,
-            [
-                [
-                    [[-self.coeffs[ip][jp][l][k] for k in range(n)] for l in range(n)]
-                    for jp in range(2)
-                ]
-                for ip in range(2)
-            ],
-        )
+    def __sub__(self, other: "EndomorphismField") -> "EndomorphismField":
+        return EndomorphismField(self.chart, self.matrix - other.matrix)
 
     def compose(self, other: "EndomorphismField") -> "EndomorphismField":
         """(self o other)^{i'l}_{j'k} = sum_{a',b} self^{i'b}_{a'k} other^{a'l}_{j'b}."""
-        n = self.chart.n
-        zero = RationalFunction.zero(self.chart.table)
-        out = [[[[zero] * n for _ in range(n)] for _ in range(2)] for _ in range(2)]
-        for ip in range(2):
-            for jp in range(2):
-                for l in range(n):
-                    for k in range(n):
-                        acc = zero
-                        for ap in range(2):
-                            for b in range(n):
-                                left = self.coeffs[ip][ap][b][k]
-                                right = other.coeffs[ap][jp][l][b]
-                                if not (left.is_zero() or right.is_zero()):
-                                    acc = acc + left * right
-                        out[ip][jp][l][k] = acc
-        return EndomorphismField(self.chart, out)
+        return EndomorphismField(self.chart, self.matrix * other.matrix)
 
-    def apply(self, psi) -> tuple[tuple[RationalFunction, ...], ...]:
-        """Action on section components psi[j'][l]: returns (Phi psi)[i'][k]."""
-        n = self.chart.n
-        zero = RationalFunction.zero(self.chart.table)
-        out = []
-        for ip in range(2):
-            row = []
-            for k in range(n):
-                acc = zero
-                for jp in range(2):
-                    for l in range(n):
-                        coeff = self.coeffs[ip][jp][l][k]
-                        if not (coeff.is_zero() or psi[jp][l].is_zero()):
-                            acc = acc + coeff * psi[jp][l]
-                row.append(acc)
-            out.append(tuple(row))
-        return tuple(out)
+    def apply(self, psi: Sequence[RationalFunction]) -> tuple[RationalFunction, ...]:
+        """Action on a section with flat components psi: (Phi psi)^{i'}_k is at
+        flat_index(k, i') and equals sum_{j',l} Phi^{i'l}_{j'k} psi^{j'}_l."""
+        return self.matrix.apply(psi)
 
     def partial_trace_primed(self, ell: int, k: int) -> RationalFunction:
         """sum_{i'} Phi^{i'l}_{i'k} (1-based l, k); vanishes for Phi_c."""
-        return (
-            self.coeffs[0][0][ell - 1][k - 1] + self.coeffs[1][1][ell - 1][k - 1]
-        )
+        return self.coefficient(1, ell, 1, k) + self.coefficient(2, ell, 2, k)
 
     def partial_trace_unprimed(self, i_prime: int, j_prime: int) -> RationalFunction:
         """sum_l Phi^{i'l}_{j'l}; vanishes for Phi_c."""
         acc = RationalFunction.zero(self.chart.table)
-        for l in range(self.chart.n):
-            acc = acc + self.coeffs[i_prime - 1][j_prime - 1][l][l]
+        for l in range(1, self.chart.n + 1):
+            acc = acc + self.coefficient(i_prime, l, j_prime, l)
         return acc
 
-    def operator_matrix(self) -> SymbolicMatrix:
-        """Matrix on E* (x) F in the flat basis (l, j') -> 2 l + j' (0-based).
-
-        The flattening matches the chart variable order x11, x12, x21, ...,
-        which is also the g_{-1} ordering used by the torsion and the
-        representation-theory modules.
-        """
-        n = self.chart.n
-        size = 2 * n
-        zero = RationalFunction.zero(self.chart.table)
-        rows = [[zero] * size for _ in range(size)]
-        for ip in range(2):
-            for jp in range(2):
-                for l in range(n):
-                    for k in range(n):
-                        rows[2 * k + ip][2 * l + jp] = self.coeffs[ip][jp][l][k]
-        return SymbolicMatrix(self.chart.table, rows)
-
     def substitute(self, mapping) -> "EndomorphismField":
-        n = self.chart.n
-        return EndomorphismField(
-            self.chart,
-            [
-                [
-                    [
-                        [self.coeffs[ip][jp][l][k].substitute(mapping) for k in range(n)]
-                        for l in range(n)
-                    ]
-                    for jp in range(2)
-                ]
-                for ip in range(2)
-            ],
-        )
+        return EndomorphismField(self.chart, self.matrix.substitute(mapping))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EndomorphismField):
             return NotImplemented
-        n = self.chart.n
-        return all(
-            self.coeffs[ip][jp][l][k] == other.coeffs[ip][jp][l][k]
-            for ip in range(2)
-            for jp in range(2)
-            for l in range(n)
-            for k in range(n)
-        )
+        return self.matrix == other.matrix
 
 
 def build_Phi(chart: Chart, c: Sequence | None = None) -> EndomorphismField:
@@ -388,36 +270,24 @@ def build_Phi(chart: Chart, c: Sequence | None = None) -> EndomorphismField:
     m = ((-x11 * x12, x11 * x11), (-x12 * x12, x11 * x12))
     q = q_polynomial(chart)
 
-    zero_poly = Polynomial.zero(table)
-    nums = [
-        [[[zero_poly] * n for _ in range(n)] for _ in range(2)] for _ in range(2)
-    ]
-    for idx, ci in enumerate(c_polys):
-        i = idx + 2
+    nums = [[Polynomial.zero(table)] * (2 * n) for _ in range(2 * n)]
+    for i, ci in enumerate(c_polys, start=2):
         if ci.is_zero():
             continue
         xi1 = x(i, 1)
         for k in range(1, n + 1):
             xk1 = x(k, 1)
             # phi_i columns: l = 1 carries -x_{i1} x_{k1}, l = i carries x11 x_{k1}
-            col_entries = ((0, -(xi1 * xk1)), (i - 1, x11 * xk1))
-            for l, n_entry in col_entries:
+            for l, n_entry in ((1, -(xi1 * xk1)), (i, x11 * xk1)):
                 scaled = ci * n_entry
-                for ip in range(2):
-                    for jp in range(2):
-                        nums[ip][jp][l][k - 1] = nums[ip][jp][l][k - 1] + m[ip][jp] * scaled
+                for ip in (1, 2):
+                    row = nums[flat_index(k, ip)]
+                    for jp in (1, 2):
+                        col = flat_index(l, jp)
+                        row[col] = row[col] + m[ip - 1][jp - 1] * scaled
 
-    coeffs = [
-        [
-            [
-                [RationalFunction(nums[ip][jp][l][k], ((q, 1),)) for k in range(n)]
-                for l in range(n)
-            ]
-            for jp in range(2)
-        ]
-        for ip in range(2)
-    ]
-    return EndomorphismField(chart, coeffs)
+    rows = [[RationalFunction(num, ((q, 1),)) for num in row] for row in nums]
+    return EndomorphismField(chart, SymbolicMatrix(table, rows))
 
 
 @dataclass(frozen=True)
@@ -433,40 +303,33 @@ def deformed_theta(phi: EndomorphismField) -> DeformedTheta:
     if not phi.compose(phi).is_zero():
         raise InvalidDeformation("endomorphism field is not nilpotent of order two")
     ident = EndomorphismField.identity(phi.chart)
-    return DeformedTheta(forward=ident + phi, inverse=ident + (-phi))
+    return DeformedTheta(forward=ident + phi, inverse=ident - phi)
 
 
 # -- flow invariance ---------------------------------------------------------------
 
 
+def _kron(e_part: SymbolicMatrix, f_part: SymbolicMatrix) -> SymbolicMatrix:
+    """A (x) B on E* (x) F in the flat basis: entry [(k, i'), (l, j')] = A[i', j'] B[k, l]."""
+    n = f_part.nrows
+    return SymbolicMatrix(
+        e_part.table,
+        [
+            [e_part[ip, jp] * f_part[k, l] for l in range(n) for jp in range(2)]
+            for k in range(n)
+            for ip in range(2)
+        ],
+    )
+
+
 def _conjugation(field_matrix: SymbolicMatrix, actions: BundleActionMatrices) -> SymbolicMatrix:
-    """(A (x) B) M (A (x) B)^{-1} in the flat (l,j') basis, A = on_estar, B = on_f.
+    """(A (x) B) M (A (x) B)^{-1} in the flat basis, A = on_estar, B = on_f.
 
     The inverses come from the stored duals: on_estar^{-1} = on_e^T and
     on_f^{-1} = on_fstar^T, so no symbolic matrix inversion is needed.
     """
-    table = field_matrix.table
-    a = actions.on_estar
-    b = actions.on_f
-    a_inv = actions.on_e.transpose()
-    b_inv = actions.on_fstar.transpose()
-    n = b.nrows
-    size = 2 * n
-
-    def kron(e_part: SymbolicMatrix, f_part: SymbolicMatrix) -> SymbolicMatrix:
-        rows = []
-        for k in range(n):
-            for ip in range(2):
-                row = []
-                for l in range(n):
-                    for jp in range(2):
-                        row.append(e_part[ip, jp] * f_part[k, l])
-                rows.append(row)
-        return SymbolicMatrix(table, rows)
-
-    t_mat = kron(a, b)
-    t_inv = kron(a_inv, b_inv)
-    assert t_mat.nrows == size
+    t_mat = _kron(actions.on_estar, actions.on_f)
+    t_inv = _kron(actions.on_e.transpose(), actions.on_fstar.transpose())
     return t_mat * field_matrix * t_inv
 
 
@@ -476,9 +339,9 @@ def invariance_check(phi: EndomorphismField, t=None) -> bool:
     t = chart.param("t") if t is None else chart.lift(t)
     generic = ChartPoint.generic(chart)
     actions = bundle_actions(generic, t)
-    conjugated = _conjugation(phi.operator_matrix(), actions)
+    conjugated = _conjugation(phi.matrix, actions)
     flowed = flow_point(generic, t).substitution()
-    target = phi.substitute(flowed).operator_matrix()
+    target = phi.substitute(flowed).matrix
     return conjugated == target
 
 
@@ -489,19 +352,7 @@ def unscaled_flow_factor_check(chart: Chart, i: int, t=None) -> bool:
     cancels against q(z^t X) = (1 + t x11)^{-2} q(X).
     """
     t = chart.param("t") if t is None else chart.lift(t)
-    n = chart.n
-    table = chart.table
-    m = phi_prime_matrix(chart)
-    nm = phi_i_matrix(chart, i)
-    zero = RationalFunction.zero(table)
-    size = 2 * n
-    rows = [[zero] * size for _ in range(size)]
-    for ip in range(2):
-        for jp in range(2):
-            for l in range(n):
-                for k in range(n):
-                    rows[2 * k + ip][2 * l + jp] = m[ip, jp] * nm[k, l]
-    unscaled = SymbolicMatrix(table, rows)
+    unscaled = _kron(phi_prime_matrix(chart), phi_i_matrix(chart, i))
 
     generic = ChartPoint.generic(chart)
     actions = bundle_actions(generic, t)
@@ -511,7 +362,7 @@ def unscaled_flow_factor_check(chart: Chart, i: int, t=None) -> bool:
     factor = u * u
     moved = unscaled.substitute(flowed)
     scaled = SymbolicMatrix(
-        table, [[factor * v for v in row] for row in moved.rows]
+        chart.table, [[factor * v for v in row] for row in moved.rows]
     )
     return conjugated == scaled
 

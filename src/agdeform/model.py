@@ -362,32 +362,6 @@ def flow_point_split_form(X: ChartPoint, t) -> ChartPoint:
     return ChartPoint(chart, entries)
 
 
-@dataclass(frozen=True)
-class LocusFlags:
-    in_f1: bool
-    in_f2: bool
-    in_sf: bool
-    in_h0: bool
-
-
-def locus(X: ChartPoint) -> LocusFlags:
-    """Fixed-locus predicates: F1 = {XZ=0}, F2 = {ZX=0}, SF = F1 n F2, H0 = {x11=0}.
-
-    XZ = 0 iff the first column vanishes; ZX = 0 iff the first row vanishes.
-    """
-    if not X.is_numeric:
-        raise UsageError("locus flags need a numeric point")
-    col1_zero = all(not row[0] for row in X.entries)
-    row1_zero = not X.entries[0][0] and not X.entries[0][1]
-    x12_zero = not X.entries[0][1]
-    return LocusFlags(
-        in_f1=col1_zero,
-        in_f2=row1_zero,
-        in_sf=col1_zero and x12_zero,
-        in_h0=not X.entries[0][0],
-    )
-
-
 # -- holonomy and bundle actions ---------------------------------------------------
 
 
@@ -456,16 +430,3 @@ def holonomy(X: ChartPoint, t) -> SymbolicMatrix:
     for i in range(n):
         rows.append([zero, zero] + list(actions.on_f.rows[i]))
     return SymbolicMatrix(table, rows)
-
-
-def det_on_e(actions: BundleActionMatrices) -> RationalFunction:
-    m = actions.on_e
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-
-
-def det_on_f(actions: BundleActionMatrices) -> RationalFunction:
-    # on_f is lower-triangular by construction
-    out = actions.on_f[0, 0]
-    for i in range(1, actions.on_f.nrows):
-        out = out * actions.on_f[i, i]
-    return out

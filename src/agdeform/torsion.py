@@ -17,11 +17,6 @@ from .deform import EndomorphismField
 from .model import Chart, ChartPoint
 
 
-def unflatten_index(a: int) -> tuple[int, int]:
-    """Inverse of flat_index: returns (i, j'), both 1-based."""
-    return a // 2 + 1, a % 2 + 1
-
-
 class VectorField:
     """First-order operator sum_a f_a d/dx_a over the 2n chart coordinates."""
 
@@ -101,25 +96,12 @@ def lie_bracket(xi: VectorField, eta: VectorField) -> VectorField:
 def pulled_frame(phi: EndomorphismField) -> tuple[VectorField, ...]:
     """The 2n fields E-tilde^{j'}_i = theta^{-1} (Id+Phi)^{-1} E^{j'}_i.
 
-    Since Phi is nilpotent of order two, (Id+Phi)^{-1} E^{j'}_i has
-    coefficients delta - Phi^{p'i}_{j'k}, giving
+    Since Phi is nilpotent of order two, (Id+Phi)^{-1} = Id - Phi, and the
+    field at flat_index(i, j') is that column of its matrix:
     E-tilde^{j'}_i = d^{j'}_i - sum_{p',k} Phi^{p'i}_{j'k} d^{p'}_k.
     """
-    chart = phi.chart
-    n = chart.n
-    frame = []
-    for a in range(2 * n):
-        i, jp = unflatten_index(a)
-        comps = [RationalFunction.zero(chart.table)] * (2 * n)
-        comps[a] = chart.const(1)
-        for pp in (1, 2):
-            for k in range(1, n + 1):
-                coeff = phi.coefficient(pp, i, jp, k)
-                if not coeff.is_zero():
-                    b = flat_index(k, pp)
-                    comps[b] = comps[b] - coeff
-        frame.append(VectorField(chart, comps))
-    return tuple(frame)
+    inverse = EndomorphismField.identity(phi.chart) - phi
+    return tuple(VectorField(phi.chart, col) for col in zip(*inverse.matrix.rows))
 
 
 @dataclass(frozen=True)
@@ -139,21 +121,16 @@ class TorsionComponent:
 
 def torsion_component(phi: EndomorphismField, s: int) -> TorsionComponent:
     chart = phi.chart
-    n = chart.n
-    if not (2 <= s <= n):
-        raise UsageError(f"component index s must be in 2..{n}")
+    if not (2 <= s <= chart.n):
+        raise UsageError(f"component index s must be in 2..{chart.n}")
     frame = pulled_frame(phi)
     bracket = lie_bracket(frame[flat_index(s, 2)], frame[flat_index(1, 2)])
-    tilde = -bracket
-    # theta: coefficient of d^{p'}_k becomes the (p', k) component of a section
-    psi = tuple(
-        tuple(tilde.components[flat_index(k, pp)] for k in range(1, n + 1))
-        for pp in (1, 2)
-    )
-    correction = phi.apply(psi)
-    d_section = tuple(
-        tuple(psi[ip][k] + correction[ip][k] for k in range(n)) for ip in range(2)
-    )
+    # theta sends the coefficient of d^{p'}_k to the section slot (k, p'),
+    # which has the same flat index.  psi + Phi psi is D without building
+    # Id + Phi and multiplying by its diagonal, once per s.
+    psi = (-bracket).components
+    d = tuple(a + b for a, b in zip(psi, phi.apply(psi)))
+    d_section = (d[0::2], d[1::2])
     return TorsionComponent(
         s=s, bracket=bracket, d_section=d_section, d_of_e1prime=d_section[0]
     )
@@ -205,25 +182,14 @@ class TorsionAssembler:
     def __init__(self, phi: EndomorphismField):
         self.phi = phi
         self.chart = phi.chart
-        n = self.chart.n
+        size = 2 * self.chart.n
         frame = pulled_frame(phi)
-        size = 2 * n
-        ident = EndomorphismField.identity(self.chart)
-        forward = ident + phi
+        forward = EndomorphismField.identity(self.chart) + phi
         self.symbolic: dict[tuple[int, int], tuple[RationalFunction, ...]] = {}
         for a in range(size):
             for b in range(a + 1, size):
                 tilde = -lie_bracket(frame[a], frame[b])
-                psi = tuple(
-                    tuple(
-                        tilde.components[flat_index(k, pp)] for k in range(1, n + 1)
-                    )
-                    for pp in (1, 2)
-                )
-                mapped = forward.apply(psi)
-                self.symbolic[(a, b)] = tuple(
-                    mapped[d % 2][d // 2] for d in range(size)
-                )
+                self.symbolic[(a, b)] = forward.apply(tilde.components)
 
     def evaluate(self, point: ChartPoint, c: Sequence[Fraction] | None = None) -> TorsionValue:
         """Torsion at a numeric point; q(point) = 0 raises PoleAtPoint."""

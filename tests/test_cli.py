@@ -108,10 +108,37 @@ def test_torsion_sweep_json(capsys):
     assert all(r["status"] == "pass" for r in payload["reports"])
 
 
-def test_torsion_bad_c_exit_2(capsys):
-    code, _, err = run_cli(capsys, "torsion", "--n", "3", "--c", "1,zzz")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["torsion", "--n", "3", "--c", "1,zzz"],
+        ["torsion", "--n", "3", "--sindex", "5"],
+        ["torsion", "--n", "3", "--sindex", "1"],
+        ["torsion", "--n", "3", "--c=0,1"],
+        ["torsion", "--n", "3", "--sample-balls", "0"],
+        ["torsion", "--n", "3", "--sample-balls=-2"],
+        ["verify", "--all", "--sample-balls", "0"],
+    ],
+    ids=[
+        "c_not_rational",
+        "sindex_above_n",
+        "sindex_below_2",
+        "c_s_zero",
+        "no_balls",
+        "negative_balls",
+        "verify_no_balls",
+    ],
+)
+def test_bad_sweep_request_exit_2(capsys, argv):
+    """A sweep that cannot run is a usage error, never a FAIL or a vacuous PASS."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the option itself
+        code = exc.code
+    captured = capsys.readouterr()
     assert code == 2
-    assert "error:" in err
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 def test_curvature_kappa_output(capsys):

@@ -1,5 +1,6 @@
 """Deformation family Phi_c: eigen-sections, nilpotency, flow invariance."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,8 +22,8 @@ from agdeform.deform import (
     transformation_check,
     unscaled_flow_factor_check,
 )
-from agdeform.exactalg import UsageError, degree_info
-from agdeform.model import Chart
+from agdeform.exactalg import UsageError, degree_info, flat_index
+from agdeform.model import Chart, SymbolicMatrix
 
 CHART = Chart(3)
 
@@ -114,25 +115,55 @@ def test_phi_rank_one_structure():
                     assert phi.coefficient(ip, l, jp, k) == expected
 
 
-def test_operator_matrix_flattening():
-    phi = build_Phi(CHART)
-    matrix = phi.operator_matrix()
-    assert matrix.nrows == matrix.ncols == 6
-    # row 2(k-1)+(i'-1), column 2(l-1)+(j'-1)
-    assert matrix[2 * 1 + 0, 2 * 0 + 1] == phi.coefficient(1, 1, 2, 2)
-    assert matrix[2 * 2 + 1, 2 * 2 + 0] == phi.coefficient(2, 3, 1, 3)
+def _constant_field(rng):
+    size = 2 * CHART.n
+    rows = [[CHART.const(rng.randint(-3, 3)) for _ in range(size)] for _ in range(size)]
+    return EndomorphismField(CHART, SymbolicMatrix(CHART.table, rows))
+
+
+def test_compose_and_apply_layout():
+    """compose and apply against the index formulas, on non-commuting fields."""
+    rng = random.Random(5)
+    phi, other = _constant_field(rng), _constant_field(rng)
+    assert phi.compose(other) != other.compose(phi)
+    composed = phi.compose(other)
+    for ip in (1, 2):
+        for jp in (1, 2):
+            for l in range(1, 4):
+                for k in range(1, 4):
+                    want = sum(
+                        (
+                            phi.coefficient(ip, b, ap, k) * other.coefficient(ap, l, jp, b)
+                            for ap in (1, 2)
+                            for b in range(1, 4)
+                        ),
+                        CHART.const(0),
+                    )
+                    assert composed.coefficient(ip, l, jp, k) == want
+    psi = [CHART.const(rng.randint(-3, 3)) for _ in range(2 * CHART.n)]
+    image = phi.apply(psi)
+    for ip in (1, 2):
+        for k in range(1, 4):
+            want = sum(
+                (
+                    phi.coefficient(ip, l, jp, k) * psi[flat_index(l, jp)]
+                    for jp in (1, 2)
+                    for l in range(1, 4)
+                ),
+                CHART.const(0),
+            )
+            assert image[flat_index(k, ip)] == want
 
 
 def test_endomorphism_algebra():
     ident = EndomorphismField.identity(CHART)
-    zero = EndomorphismField.zero(CHART)
     phi = build_Phi(CHART)
     assert ident.compose(phi) == phi
     assert phi.compose(ident) == phi
-    assert (phi + (-phi)) == zero
-    assert zero.is_zero()
-    psi = [[CHART.const(1)] * 3, [CHART.const(0)] * 3]
-    assert ident.apply(psi)[0] == tuple(psi[0])
+    assert (phi - phi).is_zero()
+    assert not phi.is_zero()
+    psi = [CHART.const(1), CHART.const(0)] * 3
+    assert ident.apply(psi) == tuple(psi)
 
 
 def test_nilpotency_and_traces_symbolic():

@@ -127,6 +127,19 @@ def test_cross_multiplied_equality_randomized():
         checked += 1
 
 
+def test_equal_values_are_unhashable():
+    """x11^2/(x11 x12) and x11/x12 are equal but stored differently, so no
+    hash could agree with ==; RationalFunction refuses to hash."""
+    x11, x12 = rf_var(1, 1), rf_var(1, 2)
+    lhs = (x11 * x11) / (x11 * x12)
+    rhs = x11 / x12
+    assert lhs == rhs
+    assert lhs.den != rhs.den
+    for value in (lhs, rhs):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
 def test_inverse_and_division():
     rng = random.Random(3)
     one = RationalFunction.constant(TABLE, 1)

@@ -11,12 +11,9 @@ from agdeform.model import (
     NotDecomposable,
     SymbolicMatrix,
     bundle_actions,
-    det_on_e,
-    det_on_f,
     flow_point,
     flow_point_split_form,
     holonomy,
-    locus,
     split_fixed_plus_rank1,
 )
 
@@ -84,7 +81,9 @@ def test_flow_group_law_symbolic_n2():
 def test_split_fixed_plus_rank1():
     X = ChartPoint.parse(CHART, "2,3;4,-1;0,5")
     fixed, direction = split_fixed_plus_rank1(X)
-    assert locus(fixed).in_sf
+    # strongly fixed: the first column and x12 vanish
+    assert all(row[0] == 0 for row in fixed.entries)
+    assert fixed.entries[0][1] == 0
     # direction has rank one: all 2x2 minors vanish
     d = direction.entries
     for i in range(3):
@@ -107,18 +106,6 @@ def test_split_form_matches_flow():
     X = ChartPoint.parse(CHART, "2,3;4,-1;0,5")
     t = Fraction(1, 5)
     assert flow_point_split_form(X, t) == flow_point(X, t)
-
-
-def test_locus_flags():
-    assert locus(ChartPoint.parse(CHART, "0,0;0,1;0,2")).in_sf
-    flags = locus(ChartPoint.parse(CHART, "0,3;0,0;0,0"))
-    assert flags.in_f1 and not flags.in_f2 and not flags.in_sf and flags.in_h0
-    flags = locus(ChartPoint.parse(CHART, "0,0;5,0;0,0"))
-    assert flags.in_f2 and not flags.in_f1
-    generic = locus(ChartPoint.parse(CHART, "1,1;1,1;1,1"))
-    assert not (generic.in_f1 or generic.in_f2 or generic.in_sf or generic.in_h0)
-    with pytest.raises(UsageError):
-        locus(ChartPoint.generic(CHART))
 
 
 def test_bundle_actions_dual_consistency():
@@ -154,14 +141,19 @@ def test_bundle_actions_displayed_entries():
 
 
 def test_volume_compatibility():
-    """det on E equals det on F: both (1 + t x11)^0 ... the product is 1."""
+    """det on E is 1 + t x11 and det on F is its inverse, so the product is 1."""
     X = ChartPoint.generic(CHART)
     t = CHART.param("t")
     actions = bundle_actions(X, t)
     u = CHART.const(1) + t * CHART.x(1, 1)
-    assert det_on_e(actions) == u
-    assert det_on_f(actions) == u.inverse()
-    assert det_on_e(actions) * det_on_f(actions) == CHART.const(1)
+    e, f = actions.on_e, actions.on_f
+    det_e = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
+    # on_f is lower-triangular, so its determinant is the diagonal product
+    assert all(f[i, j].is_zero() for i in range(3) for j in range(i + 1, 3))
+    det_f = f[0, 0] * f[1, 1] * f[2, 2]
+    assert det_e == u
+    assert det_f == u.inverse()
+    assert det_e * det_f == CHART.const(1)
 
 
 def test_holonomy_cocycle_numeric():

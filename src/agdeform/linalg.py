@@ -1,18 +1,22 @@
 """Exact linear algebra over Q: RREF, ranks, spanned subspaces, membership.
 
-Everything here works on fractions.Fraction entries, so results are exact;
-there are no tolerances anywhere.  Two independent elimination routines are
+Everything here is exact: entries are fractions.Fraction or int, and there
+are no tolerances anywhere.  Two independent elimination routines are
 provided: dense Gauss-Jordan (`rref`) producing canonical reduced bases,
 and a sparse integer fraction-free elimination (`sparse_rank`) used both as
 a fast path for large combinatorial matrices and as a cross-check oracle
-for ranks.
+for ranks.  Membership follows the same fraction-free idiom: `membership`
+evaluates integer residual functionals (the annihilator of a Subspace) on
+the vector cleared of denominators, and `Subspace.contains` and
+`Subspace.residual` stay as its Fraction oracles.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .exactalg import _coerce
@@ -148,6 +152,27 @@ class Subspace:
         pivot_set = set(self.pivot_columns)
         return tuple(j for j in range(self.ambient_dim) if j not in pivot_set)
 
+    @functools.cached_property
+    def annihilator(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Integer residual functionals, one per free column, as sparse rows.
+
+        The functional of free column j is e_j - sum_k B[k][j] e_{p_k},
+        read off the reduced basis B with pivot columns p_k and multiplied
+        by the lcm of its denominators.  Each row is a tuple of
+        (index, coefficient) pairs; a vector lies in the subspace iff every
+        row pairs with it to zero, since the pairing is the residual at j.
+        """
+        rows = self.basis.rows
+        out = []
+        for j in self.free_columns:
+            terms = [(p, -rows[k][j]) for k, p in enumerate(self.pivot_columns) if rows[k][j]]
+            scale = lcm(*(v.denominator for _, v in terms))
+            out.append(
+                ((j, scale),)
+                + tuple((p, v.numerator * (scale // v.denominator)) for p, v in terms)
+            )
+        return tuple(out)
+
     def residual(self, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Coordinates of vector - (its projection onto the basis rows).
 
@@ -157,7 +182,6 @@ class Subspace:
         """
         if len(vector) != self.ambient_dim:
             raise ValueError("vector dimension mismatch")
-        out: tuple[Fraction, ...] = ()
         rows = self.basis.rows
         return tuple(
             vector[j]
@@ -196,8 +220,20 @@ def span_subspace(vectors: Sequence[Sequence[Fraction]], ambient_dim: int) -> Su
     )
 
 
-def membership(subspace: Subspace, vector: Sequence[Fraction]) -> bool:
-    return subspace.contains(vector)
+def membership(subspace: Subspace, vector: Sequence[Fraction | int]) -> bool:
+    """Exact membership on integers: the annihilator of the subspace paired
+    with the vector scaled by the lcm of its denominators.
+
+    Membership is unchanged by a nonzero scale, so the answer equals
+    subspace.contains(vector) (the Fraction oracle).
+    """
+    if len(vector) != subspace.ambient_dim:
+        raise ValueError("vector dimension mismatch")
+    scale = lcm(*(v.denominator for v in vector))
+    ints = [v.numerator * (scale // v.denominator) for v in vector]
+    return not any(
+        sum(coeff * ints[i] for i, coeff in row) for row in subspace.annihilator
+    )
 
 
 def sparse_rank(

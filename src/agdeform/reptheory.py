@@ -140,41 +140,44 @@ class GradedAlgebraSpec:
                     rows[2 + i][2 + j] = bn[(i, j)]
         return MatrixQ(rows)
 
-    def grade_of_blocks(self, mat: MatrixQ) -> set[int]:
-        """Which graded pieces a block matrix touches (subset of {-1, 0, 1})."""
+    def sparse_pieces(self) -> dict[int, list[dict[tuple[int, int], int]]]:
+        """The bases of g_{-1}, g_0, g_1 as sparse integer block matrices.
+
+        Each element is {(row, col): value} over the nonzero entries of its
+        (2+n) x (2+n) block matrix, laid out as embed lays it out.
+        """
         n = self.n
-        grades = set()
-        if any(mat[(2 + i, j)] for i in range(n) for j in range(2)):
-            grades.add(-1)
-        if any(mat[(i, 2 + j)] for i in range(2) for j in range(n)):
-            grades.add(1)
-        diag = any(mat[(i, j)] for i in range(2) for j in range(2)) or any(
-            mat[(2 + i, 2 + j)] for i in range(n) for j in range(n)
-        )
-        if diag:
-            grades.add(0)
-        return grades
+
+        def entries(mat: MatrixQ, offset: int) -> dict[tuple[int, int], int]:
+            out = {}
+            for i, row in enumerate(mat.rows):
+                for j, value in enumerate(row):
+                    if value:
+                        if value.denominator != 1:
+                            raise ValueError("g_0 basis entries must be integers")
+                        out[(offset + i, offset + j)] = value.numerator
+            return out
+
+        return {
+            -1: [{(2 + a // 2, a % 2): 1} for a in range(self.dim_gminus)],
+            0: [entries(a2, 0) | entries(bn, 2) for a2, bn in self.gzero_basis],
+            1: [{(a // n, 2 + a % n): 1} for a in range(self.dim_gplus)],
+        }
 
     def verify_grading(self) -> bool:
-        """[g_i, g_j] lands in g_{i+j} (zero when |i+j| > 1) on all basis pairs."""
-        pieces = {
-            -1: [self.embed(None, None, self.gminus_basis_matrix(a), None)
-                 for a in range(self.dim_gminus)],
-            0: [self.embed(a2, bn, None, None) for a2, bn in self.gzero_basis],
-            1: [self.embed(None, None, None, self.gplus_basis_matrix(a))
-                for a in range(self.dim_gplus)],
-        }
+        """[g_i, g_j] lands in g_{i+j} (zero when |i+j| > 1) on all basis pairs.
+
+        The brackets are taken on the sparse integer units of sparse_pieces,
+        built here so that their cost is part of the check.
+        """
+        pieces = self.sparse_pieces()
         for gi, lefts in pieces.items():
             for gj, rights in pieces.items():
                 target = gi + gj
+                allowed = {target} if target in (-1, 0, 1) else set()
                 for lm in lefts:
                     for rm in rights:
-                        comm = lm * rm - rm * lm
-                        grades = self.grade_of_blocks(comm)
-                        if target in (-1, 0, 1):
-                            if not grades <= {target}:
-                                return False
-                        elif grades:
+                        if not _block_grades(_commutator(lm, rm)) <= allowed:
                             return False
         return True
 
@@ -233,6 +236,26 @@ class GradedAlgebraSpec:
         a1, b1 = self.gzero_basis[m1]
         a2, b2 = self.gzero_basis[m2]
         return self.gzero_coordinates(a1 * a2 - a2 * a1, b1 * b2 - b2 * b1)
+
+
+def _commutator(
+    left: dict[tuple[int, int], int], right: dict[tuple[int, int], int]
+) -> dict[tuple[int, int], int]:
+    """left*right - right*left for sparse integer matrices, zeros dropped."""
+    out: dict[tuple[int, int], int] = {}
+    for first, second, sign in ((left, right, 1), (right, left, -1)):
+        for (i, k), a in first.items():
+            for (k2, j), b in second.items():
+                if k == k2:
+                    out[(i, j)] = out.get((i, j), 0) + sign * a * b
+    return {key: value for key, value in out.items() if value}
+
+
+def _block_grades(mat: dict[tuple[int, int], int]) -> set[int]:
+    """Which graded pieces the nonzero entries of a block matrix touch:
+    -1 for the lower-left n x 2 block, 1 for the upper-right, 0 for the
+    diagonal blocks."""
+    return {(c >= 2) - (r >= 2) for r, c in mat}
 
 
 @dataclass

@@ -8,11 +8,20 @@ identification theta sends the coordinate field d/dx_{k p'} to E^{p'}_k.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .exactalg import RationalFunction, UsageError, flat_index
+from .exactalg import (
+    PoleAtPoint,
+    Polynomial,
+    RationalFunction,
+    UsageError,
+    flat_index,
+    render_polynomial,
+)
 from .deform import EndomorphismField
 from .model import Chart, ChartPoint
 
@@ -161,6 +170,18 @@ class TorsionValue:
     def is_zero(self) -> bool:
         return all(all(v == 0 for v in vec) for vec in self._entries.values())
 
+    @staticmethod
+    def from_vector(n: int, point: ChartPoint, vector: Sequence) -> "TorsionValue":
+        """Inverse of vectorize: regroup a vector in that order into entries."""
+        size = 2 * n
+        entries = {}
+        offset = 0
+        for a in range(size):
+            for b in range(a + 1, size):
+                entries[(a, b)] = tuple(vector[offset : offset + size])
+                offset += size
+        return TorsionValue(n, point, entries)
+
     def vectorize(self) -> tuple[Fraction, ...]:
         """Flatten to the row order used by the partial1 matrix: pairs (a<b)
         lexicographic, each contributing its 2n output components."""
@@ -172,11 +193,51 @@ class TorsionValue:
         return tuple(out)
 
 
+class _IntegerPolynomials:
+    """Polynomials in the chart variables, evaluated in integer arithmetic.
+
+    At a rational point x = X / D with integer X and D > 0, values(X, D) is
+    the list of integers scale * D**degree * p(x), where scale > 0 clears
+    every coefficient denominator and degree is the largest total degree:
+    one positive multiple of all the values p(x).
+    """
+
+    def __init__(self, polys: Sequence[Polynomial], nvars: int):
+        scale = lcm(*(c.denominator for p in polys for c in p.coeffs.values()))
+        monomials: dict[tuple[int, ...], int] = {}
+        terms = []
+        for p in polys:
+            row = []
+            for mono, coeff in p.coeffs.items():
+                if any(mono[nvars:]):
+                    raise ValueError("a torsion polynomial uses a variable outside the chart")
+                idx = monomials.setdefault(mono[:nvars], len(monomials))
+                row.append((idx, coeff.numerator * (scale // coeff.denominator)))
+            terms.append(tuple(row))
+        self.terms = tuple(terms)
+        self.degree = max((sum(m) for m in monomials), default=0)
+        self.monomials = tuple(
+            (self.degree - sum(m), tuple((v, e) for v, e in enumerate(m) if e))
+            for m in monomials
+        )
+
+    def values(self, X: Sequence[int], D: int) -> list[int]:
+        mono_values = []
+        for d_power, factors in self.monomials:
+            value = D**d_power
+            for v, e in factors:
+                value *= X[v] ** e
+            mono_values.append(value)
+        return [sum(c * mono_values[i] for i, c in row) for row in self.terms]
+
+
 class TorsionAssembler:
     """Precomputes the symbolic torsion entries once; evaluates per point.
 
     Evaluation at many sample points only costs rational-function evaluation,
-    not re-differentiation.
+    not re-differentiation.  evaluate gives the exact torsion; evaluate_scaled
+    gives a positive multiple of its vectorized form in integer arithmetic,
+    which is all that the scale-invariant sweep verdicts need.
     """
 
     def __init__(self, phi: EndomorphismField):
@@ -199,6 +260,48 @@ class TorsionAssembler:
             for key, comps in self.symbolic.items()
         }
         return TorsionValue(self.chart.n, point, entries)
+
+    @functools.cached_property
+    def _integer_tables(self):
+        """The shared denominator as (factor, exponent, integer form) triples,
+        and the numerators in vectorize() order as one integer form.
+
+        Built on first use, not in __init__: an assembler whose c stays
+        symbolic has numerators in c and only serves evaluate.
+        """
+        nvars = 2 * self.chart.n
+        components = [f for comps in self.symbolic.values() for f in comps]
+        nonzero = [f for f in components if not f.is_zero()]
+        shared = nonzero[0].den if nonzero else ()
+        if any(f.den != shared for f in nonzero):
+            raise ValueError("the torsion components do not share one denominator")
+        factors = tuple(
+            (factor, exponent, _IntegerPolynomials((factor,), nvars))
+            for factor, exponent in shared
+        )
+        return factors, _IntegerPolynomials([f.num for f in components], nvars)
+
+    def evaluate_scaled(self, point: ChartPoint) -> tuple[int, ...]:
+        """A positive integer multiple of evaluate(point).vectorize().
+
+        The point is cleared of its (dyadic) denominators, the numerators over
+        the shared denominator are evaluated in integers, and the sign of the
+        denominator is divided out; q(point) = 0 raises PoleAtPoint.
+        """
+        if not point.is_numeric:
+            raise UsageError("integer evaluation requires a numeric point")
+        factors, numerators = self._integer_tables
+        coords = [v for row in point.entries for v in row]
+        D = lcm(*(v.denominator for v in coords))
+        X = [v.numerator * (D // v.denominator) for v in coords]
+        negative = False
+        for factor, exponent, form in factors:
+            (value,) = form.values(X, D)
+            if not value:
+                raise PoleAtPoint(render_polynomial(factor), point.evaluation_vector())
+            negative ^= value < 0 and exponent % 2 == 1
+        values = numerators.values(X, D)
+        return tuple(-v for v in values) if negative else tuple(values)
 
 
 def lemma_criterion(value: TorsionValue, s: int) -> bool:

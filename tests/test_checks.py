@@ -49,3 +49,20 @@ def test_curvature_numeric_suite_builds_second_derivatives_once(monkeypatch, fre
     reports = checks.curvature_numeric_suite(3)
     assert all(r.status == checks.PASS for r in reports)
     assert len(calls) == 1
+
+
+def test_torsion_suite_builds_each_component_once_inside_checks(monkeypatch, fresh_cache):
+    calls = counting(monkeypatch, checks, "torsion_component")
+    reports = checks.torsion_suite((3,))
+    assert all(r.status == checks.PASS for r in reports)
+    assert sorted(s for _, s in calls) == [2, 3]
+
+
+def test_torsion_component_error_is_a_fail_report(monkeypatch, fresh_cache):
+    def broken(phi, s):
+        raise ZeroDivisionError("bracket blew up")
+
+    monkeypatch.setattr(checks, "torsion_component", broken)
+    reports = checks.torsion_suite((3,))
+    assert len(reports) == 4
+    assert all(r.status == checks.FAIL and "bracket blew up" in r.detail for r in reports)

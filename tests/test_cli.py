@@ -6,7 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from agdeform import cli
+from agdeform import checks, cli
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src/agdeform/schemas/report.schema.json").read_text()
@@ -129,8 +129,15 @@ def test_torsion_sweep_json(capsys):
         "verify_no_balls",
     ],
 )
-def test_bad_sweep_request_exit_2(capsys, argv):
-    """A sweep that cannot run is a usage error, never a FAIL or a vacuous PASS."""
+def test_bad_sweep_request_exit_2(capsys, monkeypatch, argv):
+    """A sweep that cannot run is a usage error, never a FAIL or a vacuous PASS,
+    and it is refused before any symbolic work starts."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("symbolic work started before the usage check")
+
+    for name in ("torsion_suite", "torsion_zero_suite", "acceptance_suite"):
+        monkeypatch.setattr(checks, name, refuse)
     try:
         code = cli.main(argv)
     except SystemExit as exc:  # argparse rejects the option itself

@@ -88,22 +88,43 @@ def test_membership_and_residual():
 
 
 def test_contains_matches_residual_on_random_vectors():
+    """The integer functionals agree with contains and residual, also on
+    vectors with denominators and on a basis with denominators."""
     rng = random.Random(31)
     vectors = [
-        tuple(Fraction(rng.randint(-3, 3)) for _ in range(8)) for _ in range(4)
+        tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(8))
+        for _ in range(4)
     ]
     space = span_subspace(vectors, 8)
-    for _ in range(50):
+    assert any(v.denominator > 1 for row in space.basis.rows for v in row)
+    members = 0
+    for _ in range(60):
         if rng.random() < 0.5:
-            coeffs = [Fraction(rng.randint(-2, 2)) for _ in vectors]
+            coeffs = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in vectors]
             candidate = tuple(
                 sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(8)
             )
-            assert membership(space, candidate)
         else:
-            candidate = tuple(Fraction(rng.randint(-3, 3)) for _ in range(8))
-            res = space.residual(candidate)
-            assert membership(space, candidate) == (not any(res))
+            candidate = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(8))
+        verdict = membership(space, candidate)
+        assert verdict is space.contains(candidate)
+        assert verdict == (not any(space.residual(candidate)))
+        members += verdict
+    assert 0 < members < 60
+
+
+def test_annihilator_rows_are_integer_residuals():
+    """Row j pairs with any vector to a positive multiple of its residual at j."""
+    rng = random.Random(5)
+    vectors = [tuple(Fraction(rng.randint(-3, 3), 2) for _ in range(6)) for _ in range(3)]
+    space = span_subspace(vectors, 6)
+    assert len(space.annihilator) == 6 - space.dim
+    for _ in range(10):
+        v = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(6)]
+        for row, j, res in zip(space.annihilator, space.free_columns, space.residual(v)):
+            assert row[0] == (j, row[0][1]) and row[0][1] > 0
+            assert all(isinstance(c, int) for _, c in row)
+            assert sum(c * v[i] for i, c in row) == row[0][1] * res
 
 
 def test_image_subspace():

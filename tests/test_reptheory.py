@@ -9,6 +9,7 @@ from agdeform.exactalg import UsageError
 from agdeform.linalg import MatrixQ, membership, span_subspace
 from agdeform.reptheory import (
     GradedAlgebraSpec,
+    _commutator,
     act_on_domain,
     act_on_target,
     build_partial1,
@@ -53,9 +54,103 @@ def test_gzero_coordinate_roundtrip():
         spec.gzero_coordinates(MatrixQ.identity(2), MatrixQ.zero(3, 3))
 
 
+def _dense_pieces(spec):
+    """The graded bases as dense Fraction block matrices, built by embed."""
+    return {
+        -1: [spec.embed(None, None, spec.gminus_basis_matrix(a), None)
+             for a in range(spec.dim_gminus)],
+        0: [spec.embed(a2, bn, None, None) for a2, bn in spec.gzero_basis],
+        1: [spec.embed(None, None, None, spec.gplus_basis_matrix(a))
+            for a in range(spec.dim_gplus)],
+    }
+
+
+def _dense_grading_holds(pieces, n):
+    """The dense oracle for verify_grading: MatrixQ commutators, graded by block."""
+
+    def grades(mat):
+        out = set()
+        if any(mat[(2 + i, j)] for i in range(n) for j in range(2)):
+            out.add(-1)
+        if any(mat[(i, 2 + j)] for i in range(2) for j in range(n)):
+            out.add(1)
+        if any(mat[(i, j)] for i in range(2) for j in range(2)) or any(
+            mat[(2 + i, 2 + j)] for i in range(n) for j in range(n)
+        ):
+            out.add(0)
+        return out
+
+    for gi, lefts in pieces.items():
+        for gj, rights in pieces.items():
+            target = gi + gj
+            allowed = {target} if target in (-1, 0, 1) else set()
+            for lm in lefts:
+                for rm in rights:
+                    if not grades(lm * rm - rm * lm) <= allowed:
+                        return False
+    return True
+
+
+def test_sparse_commutator():
+    e01, e10, e12 = {(0, 1): 1}, {(1, 0): 1}, {(1, 2): 2}
+    assert _commutator(e01, e10) == {(0, 0): 1, (1, 1): -1}
+    assert _commutator(e01, e12) == {(0, 2): 2}
+    assert _commutator(e12, e01) == {(0, 2): -2}
+    assert _commutator(e01, e01) == {}
+
+
 def test_verify_grading():
-    assert GradedAlgebraSpec(2).verify_grading()
-    assert GradedAlgebraSpec(3).verify_grading()
+    """The sparse units are the dense blocks, and both paths agree for n = 2..4."""
+    for n in (2, 3, 4):
+        spec = GradedAlgebraSpec(n)
+        dense = _dense_pieces(spec)
+        sparse = spec.sparse_pieces()
+        for grade, mats in dense.items():
+            assert [
+                {(r, c): v for r, row in enumerate(m.rows) for c, v in enumerate(row) if v}
+                for m in mats
+            ] == sparse[grade]
+        assert spec.verify_grading() is True
+        assert _dense_grading_holds(dense, n) is True
+
+
+def test_verify_grading_rejects_a_g1_block_in_g0(monkeypatch):
+    """Negative control: a g_0 basis element with a g_1 entry breaks the grading."""
+    n = 3
+    spec = GradedAlgebraSpec(n)
+    dense = _dense_pieces(spec)
+    rows = [list(row) for row in dense[0][4].rows]
+    rows[0][2] = Fraction(1)
+    dense[0][4] = MatrixQ(rows)
+    assert _dense_grading_holds(dense, n) is False
+
+    sparse = spec.sparse_pieces()
+    sparse[0][4] = {**sparse[0][4], (0, 2): 1}
+    monkeypatch.setattr(spec, "sparse_pieces", lambda: sparse)
+    assert spec.verify_grading() is False
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_membership_positive_control(n):
+    """Image vectors of partial1 and their multiples are members on both the
+    integer path and the Fraction oracle; adding 1 at a free coordinate is not."""
+    p1 = build_partial1(n)
+    image = p1.image()
+    rng = random.Random(40 + n)
+    for _ in range(3):
+        v = [Fraction(rng.randint(-3, 3)) for _ in range(p1.domain_dim)]
+        member = p1.apply(v)
+        assert any(member)
+        for multiple in (1, -1, 7):
+            scaled = tuple(multiple * x for x in member)
+            assert membership(image, scaled)
+            assert image.contains(scaled)
+        assert membership(image, tuple(int(x) for x in member))
+        j = rng.choice(image.free_columns)
+        bumped = list(member)
+        bumped[j] += 1
+        assert not membership(image, bumped)
+        assert not image.contains(bumped)
 
 
 def test_action_matrix_matches_block_commutator():

@@ -1,17 +1,21 @@
 """Torsion of the deformed structure: brackets, D-expansion, rank-one lemma."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
 from agdeform.deform import build_Phi, build_q
-from agdeform.exactalg import PoleAtPoint, RationalFunction, UsageError, flat_index
+from agdeform.exactalg import PoleAtPoint, Polynomial, RationalFunction, UsageError, flat_index
 from agdeform.model import Chart, ChartPoint
 from agdeform.reptheory import pair_index
+from agdeform.sampling import ball_sweep
 from agdeform.torsion import (
     TorsionAssembler,
+    TorsionValue,
     VectorField,
+    _IntegerPolynomials,
     lemma_criterion,
     lie_bracket,
     pulled_frame,
@@ -167,3 +171,79 @@ def test_pole_on_singular_set():
     point = ChartPoint.parse(CHART, "0,0;0,1;0,1")  # q = 0 there
     with pytest.raises(PoleAtPoint):
         TorsionAssembler(phi).evaluate(point, c=(Fraction(1), Fraction(0)))
+
+
+@functools.cache
+def _numeric_assembler(n, c):
+    return TorsionAssembler(build_Phi(Chart(n), [Fraction(v) for v in c]))
+
+
+@pytest.mark.parametrize(
+    "n, s, c, per_radius",
+    [
+        (3, 2, (2, -3), 10),
+        (3, 3, (2, -3), 10),
+        (3, 2, (1, 0), 10),
+        (3, 3, (1, 0), 10),
+        (4, 2, (1, 0, 0), 2),
+        (4, 3, (0, 1, 0), 2),
+    ],
+)
+def test_evaluate_scaled_matches_exact(n, s, c, per_radius):
+    """The integer vector is a positive multiple of the exact one at seeded
+    sweep points, and the lemma criterion gives the same verdict on both."""
+    assembler = _numeric_assembler(n, c)
+    chart = assembler.chart
+    for _, point in ball_sweep(chart, s, per_radius, range(1, 4), seed=n + s):
+        exact = assembler.evaluate(point)
+        scaled = assembler.evaluate_scaled(point)
+        assert all(isinstance(v, int) for v in scaled)
+        pivot = next(i for i, v in enumerate(exact.vectorize()) if v)
+        factor = scaled[pivot] / exact.vectorize()[pivot]
+        assert factor > 0
+        assert scaled == tuple(factor * v for v in exact.vectorize())
+        assert lemma_criterion(TorsionValue.from_vector(n, point, scaled), s) == (
+            lemma_criterion(exact, s)
+        )
+
+
+def test_from_vector_inverts_vectorize():
+    point = ChartPoint.parse(CHART, "1,2;3,4;5,6")
+    value = _numeric_assembler(3, (2, -3)).evaluate(point)
+    again = TorsionValue.from_vector(3, point, value.vectorize())
+    assert all(again.entry(a, b) == value.entry(a, b) for a in range(6) for b in range(6))
+
+
+def test_scaled_pole_on_singular_set():
+    assembler = _numeric_assembler(3, (1, 0))
+    point = ChartPoint.parse(CHART, "0,0;0,1;0,1")  # q = 0 there
+    with pytest.raises(PoleAtPoint):
+        assembler.evaluate(point)
+    with pytest.raises(PoleAtPoint):
+        assembler.evaluate_scaled(point)
+
+
+def test_scaled_needs_numeric_c():
+    """Numerators in a symbolic c have no integer value at a chart point."""
+    point = ChartPoint.parse(CHART, "1,2;3,4;5,6")
+    with pytest.raises(ValueError):
+        TorsionAssembler(build_Phi(CHART)).evaluate_scaled(point)
+
+
+def test_integer_polynomials_scale_mixed_degrees():
+    """values(X, D) = scale * D**degree * p(X / D) with one scale for all p,
+    also when the degrees and coefficient denominators differ."""
+    table = CHART.table
+    x11 = Polynomial.variable(table, flat_index(1, 1))
+    x21 = Polynomial.variable(table, flat_index(2, 1))
+    polys = [
+        x11 * x11 * x21 + Polynomial.constant(table, Fraction(1, 3)),
+        x21.scale(Fraction(5, 2)),
+    ]
+    form = _IntegerPolynomials(polys, 2 * CHART.n)
+    X, D = [3, 0, -4, 0, 0, 0], 8
+    point = table.point(x=[[Fraction(3, 8), 0], [Fraction(-4, 8), 0], [0, 0]])
+    values = form.values(X, D)
+    exact = [p.evaluate(point) for p in polys]
+    factor = values[0] / exact[0]
+    assert factor > 0 and values == [factor * v for v in exact]

@@ -34,7 +34,7 @@ from .exactalg import UsageError, degree_info, fd_check, flat_index
 from .linalg import membership, span_subspace
 from .model import Chart, ChartPoint, flow_point, flow_point_split_form, holonomy
 from .sampling import ball_sweep, generic_off_singular, sample_points
-from .torsion import TorsionAssembler, TorsionValue, lemma_criterion, torsion_component
+from .torsion import TorsionAssembler, lemma_criterion, torsion_component
 
 PASS = "pass"
 FAIL = "fail"
@@ -44,8 +44,15 @@ ORACLE = "oracleAgreement"
 DIMENSION = "dimension"
 NUMERIC = "numeric"
 
-#: Sweep points sampled in each ball unless a caller asks otherwise.
+#: Sweep points sampled in each ball of the nonvanishing sweep.
 PER_RADIUS = 100
+#: Chart sizes at which reptheory_suite checks the equivariance of partial1.
+EQUIVARIANCE_NS = (2, 3)
+#: Points at which curvature_numeric_suite evaluates the kappa slice.
+KAPPA_SAMPLES = 25
+#: Sampled triples and the relative-error bound of the finite-difference oracle.
+FD_TRIPLES = 200
+FD_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -177,24 +184,23 @@ def flow_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
 # -- eigen-section transformation laws -------------------------------------------------
 
 
+def _law_family(name: str) -> str:
+    """kappa_i and kappa_tilde^i fall into one family each over i."""
+    for family in ("kappa_tilde", "kappa"):
+        if name.startswith(family):
+            return family
+    return name
+
+
 def eigen_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
     reports = []
     for n in ns:
-        laws = transformation_check(artifacts(n).chart)
-        families: dict[str, list] = {}
-        for law in laws:
-            # kappa_i and kappa_tilde^i fall into one family each over i
-            if law.name.startswith("kappa_tilde"):
-                family = "kappa_tilde"
-            elif law.name.startswith("kappa"):
-                family = "kappa"
-            else:
-                family = law.name
-            families.setdefault(family, []).append(law)
+        # Built inside the first check that reads it, and shared with the rest.
+        laws = functools.cache(functools.partial(transformation_check, artifacts(n).chart))
         for family in ("v", "iota", "v_tilde", "iota_tilde", "w", "kappa", "w_tilde", "kappa_tilde"):
-            group = families.get(family, [])
 
-            def law_check(group=group, family=family):
+            def law_check(laws=laws, family=family):
+                group = [law for law in laws() if _law_family(law.name) == family]
                 if not group:
                     return False, f"no laws found for family {family}", None
                 bad = [law.name for law in group if not law.holds]
@@ -394,8 +400,8 @@ def torsion_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
                 for k in range(1, n + 1):
                     xk1 = chart.x(k, 1)
                     lead = two * cs * x11 * x11 * x11 * x12 * xk1 / (q * q)
-                    d1 = comp.d_section[0][k - 1]
-                    d2 = comp.d_section[1][k - 1]
+                    d1 = comp.d[flat_index(k, 1)]
+                    d2 = comp.d[flat_index(k, 2)]
                     want2 = -(cs * x11 * x11 * xk1) / q + two * cs * x11 * x11 * x12 * x12 * xk1 / (
                         q * q
                     )
@@ -422,10 +428,9 @@ def torsion_zero_suite(ns: Sequence[int] = (3,)) -> list[CheckReport]:
         def zero_deformation(chart=chart, n=n):
             phi = build_Phi(chart, [0] * (n - 1))
             assembler = TorsionAssembler(phi)
-            for entry in assembler.symbolic.values():
-                for component in entry:
-                    if not component.num.is_zero():
-                        return False, "a torsion entry is nonzero at c = 0", None
+            for component in assembler.symbolic:
+                if not component.num.is_zero():
+                    return False, "a torsion entry is nonzero at c = 0", None
             return True, "c = 0 gives identically zero torsion in the pulled frame", None
 
         reports.append(_run(f"torsion.zero_deformation.n{n}", SYMBOLIC, zero_deformation))
@@ -436,26 +441,19 @@ def _c_tag(c: Sequence[Fraction]) -> str:
     return "_".join(str(v).replace("/", "over").replace("-", "m") for v in c)
 
 
-def validate_sweep(
-    n: int, c: Sequence[Fraction], s: int, ball_count: int, per_radius: int
-) -> None:
+def validate_sweep(n: int, c: Sequence[Fraction], s: int, ball_count: int) -> None:
     """Raise UsageError unless the sweep can sample a meaningful point:
-    2 <= s <= n, c_s != 0, and at least one radius and one point per radius."""
+    2 <= s <= n, c_s != 0, and at least one radius."""
     if not (2 <= s <= n):
         raise UsageError(f"s must be in 2..{n}")
     if c[s - 2] == 0:
         raise UsageError("the sweep needs c_s != 0")
-    if ball_count < 1 or per_radius < 1:
-        raise UsageError("the sweep needs at least one radius and one point per radius")
+    if ball_count < 1:
+        raise UsageError("the sweep needs at least one radius")
 
 
 def density_check(
-    n: int,
-    c: Sequence[Fraction],
-    s: int,
-    seed: int = 0,
-    ball_count: int = 8,
-    per_radius: int = PER_RADIUS,
+    n: int, c: Sequence[Fraction], s: int, seed: int = 0, ball_count: int = 8
 ) -> tuple[CheckReport, list[dict]]:
     """Sampled nonvanishing sweep; also returns the per-point verdict table.
 
@@ -465,7 +463,7 @@ def density_check(
     they run on the integer vector of TorsionAssembler.evaluate_scaled; its
     tables and the annihilator of Im(partial1) are built inside the check.
     """
-    validate_sweep(n, c, s, ball_count, per_radius)
+    validate_sweep(n, c, s, ball_count)
     records: list[dict] = []
 
     def sweep():
@@ -476,10 +474,10 @@ def density_check(
         first_bad = None
         total = 0
         for radius_exp, point in ball_sweep(
-            art.chart, s, per_radius, range(1, ball_count + 1), seed
+            art.chart, s, PER_RADIUS, range(1, ball_count + 1), seed
         ):
             vector = assembler.evaluate_scaled(point)
-            lemma = lemma_criterion(TorsionValue.from_vector(n, point, vector), s)
+            lemma = lemma_criterion(vector, s, n)
             member = membership(image, vector)
             records.append(
                 {
@@ -495,7 +493,7 @@ def density_check(
             total += 1
         ok = failures == 0
         detail = (
-            f"{total} points ({per_radius} per radius 2^-1..2^-{ball_count}):"
+            f"{total} points ({PER_RADIUS} per radius 2^-1..2^-{ball_count}):"
             " lemma criterion holds and the torsion class avoids Im(partial1)"
             if ok
             else f"{failures} of {total} sampled points fail the nonvanishing criterion"
@@ -509,26 +507,22 @@ def density_check(
 # -- representation theory -------------------------------------------------------------
 
 
-def reptheory_suite(
-    ns: Sequence[int] = (2, 3, 4, 5),
-    seed: int = 0,
-    equivariance_ns: Sequence[int] = (2, 3),
-) -> list[CheckReport]:
+def reptheory_suite(ns: Sequence[int] = (2, 3, 4, 5), seed: int = 0) -> list[CheckReport]:
     reports = []
     for n in ns:
+        # spec and partial1 are built inside the first check that reads them.
         art = artifacts(n)
-        spec, p1 = art.spec, art.partial1
         dims = rep_mod.decomposition_dims(n)
-        target_dim = p1.target_dim
 
-        def grading(spec=spec):
+        def grading(art=art):
             return (
-                spec.verify_grading(),
+                art.spec.verify_grading(),
                 "[g_i, g_j] lands in g_(i+j) for all basis pairs",
                 None,
             )
 
-        def rank_value(p1=p1, n=n):
+        def rank_value(art=art, n=n):
+            p1 = art.partial1
             expected = 2 * n * (n * n + 3) - 2 * n
             return (
                 p1.rank == expected,
@@ -536,15 +530,17 @@ def reptheory_suite(
                 None,
             )
 
-        def kernel(p1=p1, n=n):
+        def kernel(art=art, n=n):
+            p1 = art.partial1
             return (
                 p1.kernel_dim == 2 * n,
                 f"ker(partial1) has dimension {p1.kernel_dim} = 2n (the first prolongation)",
                 None,
             )
 
-        def complement(p1=p1, n=n, target_dim=target_dim, dims=dims):
-            got = target_dim - p1.rank
+        def complement(art=art, dims=dims):
+            p1 = art.partial1
+            got = p1.target_dim - p1.rank
             return (
                 got == dims.torsion_module_dim,
                 f"coker(partial1) has dimension {got} = 2n(n-2)(n+1)",
@@ -561,8 +557,8 @@ def reptheory_suite(
                 None,
             )
 
-        def trace_members(p1=p1, n=n):
-            image = p1.image()
+        def trace_members(art=art, n=n):
+            image = art.partial1.image()
             vectors = rep_mod.trace_embedding_vectors(n).all_vectors()
             for idx, vec in enumerate(vectors):
                 if not membership(image, vec):
@@ -573,20 +569,20 @@ def reptheory_suite(
                 None,
             )
 
-        def trace_span(n=n, dims=dims, target_dim=target_dim):
+        def trace_span(art=art, n=n, dims=dims):
             vectors = rep_mod.trace_embedding_vectors(n).all_vectors()
-            span = span_subspace(vectors, target_dim)
+            span = span_subspace(vectors, art.partial1.target_dim)
             return (
                 span.dim == dims.trace_span_dim,
                 f"trace embeddings span dimension {span.dim} = n(n^2 - n + 4)",
                 None,
             )
 
-        def lemma_image(p1=p1, n=n):
-            image = p1.image()
+        def lemma_image(art=art, n=n):
+            image = art.partial1.image()
             for row in image.basis.rows:
                 for s in range(2, n + 1):
-                    if not rep_mod.rank_one_span_test(row, s, n):
+                    if lemma_criterion(row, s, n):
                         return False, f"an Im(partial1) basis vector violates the span property (s={s})", None
             return (
                 True,
@@ -594,7 +590,8 @@ def reptheory_suite(
                 None,
             )
 
-        def equivariance(spec=spec, p1=p1, n=n, seed=seed):
+        def equivariance(art=art, n=n, seed=seed):
+            spec, p1 = art.spec, art.partial1
             rng = random.Random(seed + n)
             dim0 = spec.dim_gzero
             domain_dim = p1.domain_dim
@@ -615,13 +612,14 @@ def reptheory_suite(
         reports.append(_run(f"reptheory.trace_membership.n{n}", DIMENSION, trace_members))
         reports.append(_run(f"reptheory.trace_span.n{n}", DIMENSION, trace_span))
         reports.append(_run(f"reptheory.lemma_image.n{n}", ORACLE, lemma_image))
-        if n in equivariance_ns:
+        if n in EQUIVARIANCE_NS:
             reports.append(_run(f"reptheory.equivariance.n{n}", ORACLE, equivariance))
         if n == 2:
-            def surjective(p1=p1, target_dim=target_dim):
+            def surjective(art=art):
+                p1 = art.partial1
                 return (
-                    p1.rank == target_dim,
-                    f"partial1 is onto: rank {p1.rank} = dim target {target_dim}",
+                    p1.rank == p1.target_dim,
+                    f"partial1 is onto: rank {p1.rank} = dim target {p1.target_dim}",
                     None,
                 )
 
@@ -690,15 +688,24 @@ def _display_second_derivatives(chart: Chart, r: int):
     return a, b, cc
 
 
+def _second_derivatives(phi: EndomorphismField):
+    """nabla2_phi(phi) and its kappa projection as two memoized thunks, so
+    that the first check that reads one builds it inside its timing and the
+    other checks of the suite share it."""
+    d2 = functools.cache(functools.partial(curvature_mod.nabla2_phi, phi))
+    projection = functools.cache(lambda: curvature_mod.project_kappa(d2()))
+    return d2, projection
+
+
 def curvature_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
     reports = []
     for n in ns:
         art = artifacts(n)
         chart, phi = art.chart, art.phi
-        d2 = curvature_mod.nabla2_phi(phi)
-        projection = curvature_mod.project_kappa(d2)
+        build_d2, build_projection = _second_derivatives(phi)
 
-        def displays(chart=chart, d2=d2, n=n):
+        def displays(chart=chart, build_d2=build_d2, n=n):
+            d2 = build_d2()
             for r in range(2, n + 1):
                 a_want, b_want, c_want = _display_second_derivatives(chart, r)
                 a_got = d2.entry(2, 1, 1, 1, 1, 1, 1, r)
@@ -716,7 +723,8 @@ def curvature_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
                 None,
             )
 
-        def trace_free(d2=d2, n=n):
+        def trace_free(build_d2=build_d2, n=n):
+            d2 = build_d2()
             for r in range(1, n + 1):
                 lhs = d2.entry(2, 1, 1, 1, 1, 1, 1, r)
                 rhs = -d2.entry(1, 1, 2, 1, 2, 1, 2, r)
@@ -728,7 +736,8 @@ def curvature_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
                 None,
             )
 
-        def reduction(chart=chart, d2=d2, projection=projection, n=n):
+        def reduction(build_d2=build_d2, build_projection=build_projection, n=n):
+            d2, projection = build_d2(), build_projection()
             half = Fraction(1, 2)
             for r in range(1, n + 1):
                 a = d2.entry(2, 1, 1, 1, 1, 1, 1, r)
@@ -744,7 +753,8 @@ def curvature_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
                 None,
             )
 
-        def kappa_match(phi=phi, projection=projection, n=n):
+        def kappa_match(phi=phi, build_projection=build_projection, n=n):
+            projection = build_projection()
             for r in range(2, n + 1):
                 result = curvature_mod.kappa_closed_form_check(phi, r, projection=projection)
                 if not result.matches_closed_form:
@@ -763,23 +773,23 @@ def curvature_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
     return reports
 
 
-def curvature_numeric_suite(n: int = 3, seed: int = 0, samples: int = 25) -> list[CheckReport]:
+def curvature_numeric_suite(n: int = 3, seed: int = 0) -> list[CheckReport]:
     reports = []
     art = artifacts(n)
     chart = art.chart
-    d2 = curvature_mod.nabla2_phi(art.phi)
-    projection = curvature_mod.project_kappa(d2)
-    subspace = curvature_mod.trace_subspace(n)
+    build_d2, build_projection = _second_derivatives(art.phi)
     c_unit = [Fraction(1)] + [Fraction(0)] * (n - 2)
 
     def accept(entries):
         return generic_off_singular(entries, 2) and entries[1][0] != 0
 
     def not_pure_trace_samples():
+        projection = build_projection()
+        subspace = curvature_mod.trace_subspace(n)
         rng = random.Random(seed)
         checked = 0
         for radius_exp in range(1, 6):
-            for point in sample_points(chart, radius_exp, samples // 5, rng, accept):
+            for point in sample_points(chart, radius_exp, KAPPA_SAMPLES // 5, rng, accept):
                 values = projection.evaluate_slice(point, c=c_unit)
                 if not curvature_mod.not_pure_trace(values, n, subspace):
                     return (
@@ -796,7 +806,7 @@ def curvature_numeric_suite(n: int = 3, seed: int = 0, samples: int = 25) -> lis
 
     def mixed_partials():
         return (
-            d2.swap_symmetric(),
+            build_d2().swap_symmetric(),
             "second derivatives are symmetric in the two derivative slots (flat connection)",
             None,
         )
@@ -809,9 +819,7 @@ def curvature_numeric_suite(n: int = 3, seed: int = 0, samples: int = 25) -> lis
 # -- finite-difference oracle ----------------------------------------------------------
 
 
-def fd_oracle_suite(
-    n: int = 3, seed: int = 0, triples: int = 200, tolerance: float = 1e-6
-) -> list[CheckReport]:
+def fd_oracle_suite(n: int = 3, seed: int = 0) -> list[CheckReport]:
     """Central-difference agreement on sampled (coefficient, variable, point) triples.
 
     Points have dyadic coordinates with magnitude in [1/4, 1], and triples
@@ -821,7 +829,6 @@ def fd_oracle_suite(
     """
     chart = artifacts(n).chart
     c_values = [Fraction(1), Fraction(2)] + [Fraction(1)] * (n - 3)
-    phi = build_Phi(chart, c_values)
     step = Fraction(1, 10_000)
     floor = Fraction(1, 4)
 
@@ -830,14 +837,15 @@ def fd_oracle_suite(
         return mag if rng.random() < 0.5 else -mag
 
     def oracle():
+        phi = build_Phi(chart, c_values)
         rng = random.Random(seed)
         worst = 0.0
         worst_where = None
         count = 0
         attempts = 0
-        while count < triples:
+        while count < FD_TRIPLES:
             attempts += 1
-            if attempts > 100 * triples:
+            if attempts > 100 * FD_TRIPLES:
                 return False, "conditioning filter rejects too many triples", None
             point = ChartPoint(
                 chart, [[draw_coord(rng) for _ in range(2)] for _ in range(n)]
@@ -855,16 +863,16 @@ def fd_oracle_suite(
             if result.rel_error > worst:
                 worst = result.rel_error
                 worst_where = point.format()
-            if result.rel_error >= tolerance:
+            if result.rel_error >= FD_TOLERANCE:
                 return (
                     False,
-                    f"relative error {result.rel_error:.3e} exceeds {tolerance:.0e}",
+                    f"relative error {result.rel_error:.3e} exceeds {FD_TOLERANCE:.0e}",
                     point.format(),
                 )
             count += 1
         return (
             True,
-            f"central differences match exact derivatives on {triples} triples;"
+            f"central differences match exact derivatives on {FD_TRIPLES} triples;"
             f" worst relative error {worst:.3e}",
             worst_where,
         )
@@ -875,9 +883,7 @@ def fd_oracle_suite(
 # -- assembled suites ------------------------------------------------------------------
 
 
-def acceptance_suite(
-    seed: int = 0, ball_count: int = 8, per_radius: int = PER_RADIUS
-) -> list[CheckReport]:
+def acceptance_suite(seed: int = 0, ball_count: int = 8) -> list[CheckReport]:
     """Every check backing the acceptance gate, in deterministic order."""
     reports: list[CheckReport] = []
     reports += flow_suite((3, 4))
@@ -886,7 +892,7 @@ def acceptance_suite(
     reports += torsion_suite((3, 4))
     reports += torsion_zero_suite((3,))
     for c in ([Fraction(1), Fraction(0)], [Fraction(2), Fraction(-3)]):
-        report, _ = density_check(3, c, 2, seed, ball_count, per_radius)
+        report, _ = density_check(3, c, 2, seed, ball_count)
         reports.append(report)
     reports += reptheory_suite((2, 3, 4, 5), seed)
     reports += curvature_suite((3, 4))

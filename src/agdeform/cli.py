@@ -178,7 +178,7 @@ def _cmd_torsion(args) -> int:
         )
     else:
         c = parse_c(chart, args.c)
-    checks.validate_sweep(args.n, c, args.sindex, args.sample_balls, checks.PER_RADIUS)
+    checks.validate_sweep(args.n, c, args.sindex, args.sample_balls)
     reports = checks.torsion_suite((args.n,)) + checks.torsion_zero_suite((args.n,))
     density_report, records = checks.density_check(
         args.n, c, args.sindex, args.seed, args.sample_balls

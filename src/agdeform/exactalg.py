@@ -63,6 +63,17 @@ def flat_index(i: int, j_prime: int) -> int:
     return 2 * (i - 1) + (j_prime - 1)
 
 
+def pair_index(b: int, c: int, size: int) -> int:
+    """Position of the ordered pair b < c in the lexicographic pair list.
+
+    A two-form valued in g_{-1} is stored pair-major: the 2n outputs of the
+    pair (b, c) start at pair_index(b, c, 2n) * 2n.
+    """
+    if not (0 <= b < c < size):
+        raise UsageError(f"need 0 <= b < c < {size}")
+    return b * size - b * (b + 1) // 2 + (c - b - 1)
+
+
 class VariableTable:
     """Fixed, ordered list of variable identifiers for one chart size n.
 

@@ -15,15 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import UsageError, flat_index
+from .exactalg import UsageError, pair_index
 from .linalg import MatrixQ, Subspace, span_subspace, sparse_rank
-
-
-def pair_index(b: int, c: int, size: int) -> int:
-    """Position of the ordered pair b < c in the lexicographic pair list."""
-    if not (0 <= b < c < size):
-        raise UsageError(f"need 0 <= b < c < {size}")
-    return b * size - b * (b + 1) // 2 + (c - b - 1)
 
 
 class GradedAlgebraSpec:
@@ -455,51 +448,6 @@ def trace_embedding_vectors(n: int) -> TraceEmbeddings:
                     family_two.append(_target_vector_from_values(values, n))
 
     return TraceEmbeddings(n=n, family_one=tuple(family_one), family_two=tuple(family_two))
-
-
-def evaluate_two_form(
-    t_vec: Sequence[Fraction],
-    xi: Sequence[Fraction],
-    eta: Sequence[Fraction],
-    n: int,
-) -> tuple[Fraction, ...]:
-    """Value T(xi, eta) in g_{-1} for T given in pair-major coordinates."""
-    size = 2 * n
-    out = [Fraction(0)] * size
-    for b in range(size):
-        for c in range(b + 1, size):
-            weight = xi[b] * eta[c] - xi[c] * eta[b]
-            if weight:
-                base = pair_index(b, c, size) * size
-                for d in range(size):
-                    if t_vec[base + d]:
-                        out[d] += weight * t_vec[base + d]
-    return tuple(out)
-
-
-def rank_one_span_test(
-    t_vec: Sequence[Fraction], s: int, n: int
-) -> bool:
-    """The Lemma conclusion for xi = e^{2'} (x) e_s, eta = e^{2'} (x) e_1.
-
-    Both inputs kill e_{1'}; returns True iff T(xi, eta)(e_{1'}) stays inside
-    span{e_1, e_s}, i.e. every component along E_k with k outside {1, s}
-    vanishes.  Image vectors of partial1 must all return True.
-    """
-    if not (2 <= s <= n):
-        raise UsageError(f"index s must be in 2..{n}")
-    size = 2 * n
-    xi = [Fraction(0)] * size
-    eta = [Fraction(0)] * size
-    xi[flat_index(s, 2)] = Fraction(1)
-    eta[flat_index(1, 2)] = Fraction(1)
-    value = evaluate_two_form(t_vec, xi, eta, n)
-    for k in range(1, n + 1):
-        if k in (1, s):
-            continue
-        if value[flat_index(k, 1)] != 0:
-            return False
-    return True
 
 
 def act_on_domain(

@@ -20,6 +20,7 @@ from .exactalg import (
     RationalFunction,
     UsageError,
     flat_index,
+    pair_index,
     render_polynomial,
 )
 from .deform import EndomorphismField
@@ -40,11 +41,6 @@ class VectorField:
         self.components = tuple(components)
 
     @staticmethod
-    def zero(chart: Chart) -> "VectorField":
-        z = RationalFunction.zero(chart.table)
-        return VectorField(chart, (z,) * (2 * chart.n))
-
-    @staticmethod
     def coordinate(chart: Chart, i: int, j_prime: int) -> "VectorField":
         """The field d/dx_{i j'} = partial^{j'}_i."""
         comps = [RationalFunction.zero(chart.table)] * (2 * chart.n)
@@ -62,19 +58,10 @@ class VectorField:
     def __neg__(self) -> "VectorField":
         return VectorField(self.chart, [-a for a in self.components])
 
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return self + (-other)
-
-    def scale(self, factor: RationalFunction) -> "VectorField":
-        return VectorField(self.chart, [factor * a for a in self.components])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VectorField):
             return NotImplemented
         return all(a == b for a, b in zip(self.components, other.components))
-
-    def evaluate(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(comp.evaluate(point) for comp in self.components)
 
 
 def lie_bracket(xi: VectorField, eta: VectorField) -> VectorField:
@@ -113,19 +100,28 @@ def pulled_frame(phi: EndomorphismField) -> tuple[VectorField, ...]:
     return tuple(VectorField(phi.chart, col) for col in zip(*inverse.matrix.rows))
 
 
+def _structure_map(phi: EndomorphismField, bracket: VectorField) -> tuple[RationalFunction, ...]:
+    """(Id + Phi) theta(-bracket) on the flat basis, computed as psi + Phi psi.
+
+    theta sends the coefficient of d^{p'}_k to the section slot (k, p'),
+    which has the same flat index, so psi is the flat components of -bracket.
+    Adding psi skips building Id + Phi and multiplying psi by its diagonal.
+    """
+    psi = (-bracket).components
+    return tuple(a + b for a, b in zip(psi, phi.apply(psi)))
+
+
 @dataclass(frozen=True)
 class TorsionComponent:
     """The section-level data of one torsion component T(E-tilde^{2'}_s, E-tilde^{2'}_1).
 
-    bracket is the raw Lie bracket; d_section holds the components D^{i'}_k
-    of D = (Id+Phi) theta(-bracket); d_of_e1prime is the n-vector D(E_1')
-    = (D^{1'}_k)_k.
+    bracket is the raw Lie bracket; d holds the flat components of
+    D = (Id+Phi) theta(-bracket), so D(E_{j'})_k = d[flat_index(k, j')].
     """
 
     s: int
     bracket: VectorField
-    d_section: tuple[tuple[RationalFunction, ...], ...]
-    d_of_e1prime: tuple[RationalFunction, ...]
+    d: tuple[RationalFunction, ...]
 
 
 def torsion_component(phi: EndomorphismField, s: int) -> TorsionComponent:
@@ -134,63 +130,7 @@ def torsion_component(phi: EndomorphismField, s: int) -> TorsionComponent:
         raise UsageError(f"component index s must be in 2..{chart.n}")
     frame = pulled_frame(phi)
     bracket = lie_bracket(frame[flat_index(s, 2)], frame[flat_index(1, 2)])
-    # theta sends the coefficient of d^{p'}_k to the section slot (k, p'),
-    # which has the same flat index.  psi + Phi psi is D without building
-    # Id + Phi and multiplying by its diagonal, once per s.
-    psi = (-bracket).components
-    d = tuple(a + b for a, b in zip(psi, phi.apply(psi)))
-    d_section = (d[0::2], d[1::2])
-    return TorsionComponent(
-        s=s, bracket=bracket, d_section=d_section, d_of_e1prime=d_section[0]
-    )
-
-
-class TorsionValue:
-    """Full torsion at a numeric point as a trilinear array over g_{-1}.
-
-    entry(a, b) is the 2n-vector T(m_a, m_b) where m_a is the pulled frame
-    field with flat index a; values are expressed in the flat basis via the
-    deformed structure map at the point.  Antisymmetric in (a, b).
-    """
-
-    __slots__ = ("n", "point", "_entries")
-
-    def __init__(self, n: int, point: ChartPoint, entries: dict):
-        self.n = n
-        self.point = point
-        self._entries = entries
-
-    def entry(self, a: int, b: int) -> tuple[Fraction, ...]:
-        if a == b:
-            return (Fraction(0),) * (2 * self.n)
-        if a < b:
-            return self._entries[(a, b)]
-        return tuple(-v for v in self._entries[(b, a)])
-
-    def is_zero(self) -> bool:
-        return all(all(v == 0 for v in vec) for vec in self._entries.values())
-
-    @staticmethod
-    def from_vector(n: int, point: ChartPoint, vector: Sequence) -> "TorsionValue":
-        """Inverse of vectorize: regroup a vector in that order into entries."""
-        size = 2 * n
-        entries = {}
-        offset = 0
-        for a in range(size):
-            for b in range(a + 1, size):
-                entries[(a, b)] = tuple(vector[offset : offset + size])
-                offset += size
-        return TorsionValue(n, point, entries)
-
-    def vectorize(self) -> tuple[Fraction, ...]:
-        """Flatten to the row order used by the partial1 matrix: pairs (a<b)
-        lexicographic, each contributing its 2n output components."""
-        out = []
-        size = 2 * self.n
-        for a in range(size):
-            for b in range(a + 1, size):
-                out.extend(self._entries[(a, b)])
-        return tuple(out)
+    return TorsionComponent(s=s, bracket=bracket, d=_structure_map(phi, bracket))
 
 
 class _IntegerPolynomials:
@@ -232,12 +172,15 @@ class _IntegerPolynomials:
 
 
 class TorsionAssembler:
-    """Precomputes the symbolic torsion entries once; evaluates per point.
+    """Precomputes the symbolic torsion once; evaluates per point.
 
-    Evaluation at many sample points only costs rational-function evaluation,
-    not re-differentiation.  evaluate gives the exact torsion; evaluate_scaled
-    gives a positive multiple of its vectorized form in integer arithmetic,
-    which is all that the scale-invariant sweep verdicts need.
+    symbolic is the torsion in pair-major order: T(m_a, m_b) for the pulled
+    frame fields m_a, m_b at flat indices a < b, in the flat basis, starts at
+    pair_index(a, b, 2n) * 2n.  Evaluation at many sample points only costs
+    rational-function evaluation, not re-differentiation.  evaluate gives the
+    exact torsion vector; evaluate_scaled gives a positive multiple of it in
+    integer arithmetic, which is all that the scale-invariant sweep verdicts
+    need.
     """
 
     def __init__(self, phi: EndomorphismField):
@@ -245,33 +188,30 @@ class TorsionAssembler:
         self.chart = phi.chart
         size = 2 * self.chart.n
         frame = pulled_frame(phi)
-        forward = EndomorphismField.identity(self.chart) + phi
-        self.symbolic: dict[tuple[int, int], tuple[RationalFunction, ...]] = {}
-        for a in range(size):
-            for b in range(a + 1, size):
-                tilde = -lie_bracket(frame[a], frame[b])
-                self.symbolic[(a, b)] = forward.apply(tilde.components)
+        self.symbolic: tuple[RationalFunction, ...] = tuple(
+            f
+            for a in range(size)
+            for b in range(a + 1, size)
+            for f in _structure_map(phi, lie_bracket(frame[a], frame[b]))
+        )
 
-    def evaluate(self, point: ChartPoint, c: Sequence[Fraction] | None = None) -> TorsionValue:
-        """Torsion at a numeric point; q(point) = 0 raises PoleAtPoint."""
+    def evaluate(
+        self, point: ChartPoint, c: Sequence[Fraction] | None = None
+    ) -> tuple[Fraction, ...]:
+        """Torsion vector at a numeric point; q(point) = 0 raises PoleAtPoint."""
         vec = point.evaluation_vector(c=c)
-        entries = {
-            key: tuple(comp.evaluate(vec) for comp in comps)
-            for key, comps in self.symbolic.items()
-        }
-        return TorsionValue(self.chart.n, point, entries)
+        return tuple(comp.evaluate(vec) for comp in self.symbolic)
 
     @functools.cached_property
     def _integer_tables(self):
         """The shared denominator as (factor, exponent, integer form) triples,
-        and the numerators in vectorize() order as one integer form.
+        and the numerators in symbolic order as one integer form.
 
         Built on first use, not in __init__: an assembler whose c stays
         symbolic has numerators in c and only serves evaluate.
         """
         nvars = 2 * self.chart.n
-        components = [f for comps in self.symbolic.values() for f in comps]
-        nonzero = [f for f in components if not f.is_zero()]
+        nonzero = [f for f in self.symbolic if not f.is_zero()]
         shared = nonzero[0].den if nonzero else ()
         if any(f.den != shared for f in nonzero):
             raise ValueError("the torsion components do not share one denominator")
@@ -279,10 +219,10 @@ class TorsionAssembler:
             (factor, exponent, _IntegerPolynomials((factor,), nvars))
             for factor, exponent in shared
         )
-        return factors, _IntegerPolynomials([f.num for f in components], nvars)
+        return factors, _IntegerPolynomials([f.num for f in self.symbolic], nvars)
 
     def evaluate_scaled(self, point: ChartPoint) -> tuple[int, ...]:
-        """A positive integer multiple of evaluate(point).vectorize().
+        """A positive integer multiple of evaluate(point).
 
         The point is cleared of its (dyadic) denominators, the numerators over
         the shared denominator are evaluated in integers, and the sign of the
@@ -304,21 +244,20 @@ class TorsionAssembler:
         return tuple(-v for v in values) if negative else tuple(values)
 
 
-def lemma_criterion(value: TorsionValue, s: int) -> bool:
+def lemma_criterion(t_vec: Sequence, s: int, n: int) -> bool:
     """Rank-one test certifying nonzero harmonic torsion.
 
-    With xi, eta the frame values at flat indices (s,2') and (1,2'), both
-    rank one with kernel spanned by E_1', any torsion in the image of the
-    algebraic differential maps E_1' into span{E_1, E_s}.  Returns true iff
-    T(xi, eta)(E_1') has a component along some E_k with k outside {1, s}.
+    t_vec is a torsion value in pair-major order.  With xi, eta the frame
+    values at flat indices (1,2') and (s,2'), both rank one with kernel
+    spanned by E_1', every torsion in the image of the algebraic differential
+    partial1 maps E_1' into span{E_1, E_s}.  Returns true iff T(xi, eta)(E_1')
+    has a component along some E_k with k outside {1, s}; the verdict does
+    not change when t_vec is scaled by a nonzero factor.
     """
-    if not (2 <= s <= value.n):
-        raise UsageError(f"component index s must be in 2..{value.n}")
-    vec = value.entry(flat_index(s, 2), flat_index(1, 2))
-    for k in range(1, value.n + 1):
-        if k in (1, s):
-            continue
-        # component along E_k of the E^{1'} part of the output
-        if vec[flat_index(k, 1)] != 0:
-            return True
-    return False
+    size = 2 * n
+    if not (2 <= s <= n):
+        raise UsageError(f"component index s must be in 2..{n}")
+    if len(t_vec) != n * (2 * n - 1) * size:
+        raise UsageError(f"a torsion vector at n={n} has {n * (2 * n - 1) * size} entries")
+    base = pair_index(flat_index(1, 2), flat_index(s, 2), size) * size
+    return any(t_vec[base + flat_index(k, 1)] for k in range(2, n + 1) if k != s)

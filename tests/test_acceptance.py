@@ -49,7 +49,7 @@ CRITERIA = {
 
 @pytest.fixture(scope="module")
 def reports():
-    return checks.acceptance_suite(seed=0, ball_count=8, per_radius=100)
+    return checks.acceptance_suite(seed=0, ball_count=8)
 
 
 def _criterion(reports, number):

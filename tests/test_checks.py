@@ -66,3 +66,34 @@ def test_torsion_component_error_is_a_fail_report(monkeypatch, fresh_cache):
     reports = checks.torsion_suite((3,))
     assert len(reports) == 4
     assert all(r.status == checks.FAIL and "bracket blew up" in r.detail for r in reports)
+
+
+def test_curvature_suite_builds_second_derivatives_once(monkeypatch, fresh_cache):
+    calls = counting(monkeypatch, curvature_mod, "nabla2_phi")
+    reports = checks.curvature_suite((3,))
+    assert all(r.status == checks.PASS for r in reports)
+    assert len(calls) == 1
+
+
+def _broken(*args):
+    raise ZeroDivisionError("builder blew up")
+
+
+@pytest.mark.parametrize(
+    "module, name, suite, failing",
+    [
+        (curvature_mod, "nabla2_phi", lambda: checks.curvature_suite((3,)), 4),
+        (curvature_mod, "nabla2_phi", lambda: checks.curvature_numeric_suite(3), 2),
+        (rep_mod, "build_partial1", lambda: checks.reptheory_suite((3,)), 7),
+        (checks, "transformation_check", lambda: checks.eigen_suite((3,)), 8),
+    ],
+    ids=["curvature", "curvature_numeric", "reptheory", "eigen"],
+)
+def test_builder_error_is_a_fail_report(monkeypatch, fresh_cache, module, name, suite, failing):
+    """A per-n builder runs inside the checks that read it, so an exception
+    in it becomes a fail report of each such check."""
+    monkeypatch.setattr(module, name, _broken)
+    reports = suite()
+    failed = [r for r in reports if r.status == checks.FAIL]
+    assert len(failed) == failing
+    assert all("builder blew up" in r.detail for r in failed)

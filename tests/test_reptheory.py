@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from agdeform.exactalg import UsageError
+from agdeform.deform import build_Phi
+from agdeform.exactalg import UsageError, flat_index, pair_index
 from agdeform.linalg import MatrixQ, membership, span_subspace
+from agdeform.model import Chart
 from agdeform.reptheory import (
     GradedAlgebraSpec,
     _commutator,
@@ -14,11 +16,10 @@ from agdeform.reptheory import (
     act_on_target,
     build_partial1,
     decomposition_dims,
-    evaluate_two_form,
-    pair_index,
-    rank_one_span_test,
     trace_embedding_vectors,
 )
+from agdeform.sampling import ball_sweep
+from agdeform.torsion import TorsionAssembler, lemma_criterion
 
 
 def test_pair_index_bijection():
@@ -182,6 +183,30 @@ def _apply_f(spec, f_vec, b, c):
     return out
 
 
+def _two_form(t_vec, xi, eta, n):
+    """T(xi, eta) in g_{-1} for T in pair-major coordinates, summed over
+    every pair: the general evaluation that the lemma criterion specializes."""
+    size = 2 * n
+    out = [Fraction(0)] * size
+    for b in range(size):
+        for c in range(b + 1, size):
+            weight = xi[b] * eta[c] - xi[c] * eta[b]
+            base = pair_index(b, c, size) * size
+            for d in range(size):
+                out[d] += weight * t_vec[base + d]
+    return tuple(out)
+
+
+def _lemma_oracle(t_vec, s, n):
+    """Some component along E_k, k outside {1, s}, of T(xi, eta)(E_1') is
+    nonzero, with xi = e^{2'} (x) e_s and eta = e^{2'} (x) e_1."""
+    size = 2 * n
+    xi = [Fraction(1 if d == flat_index(s, 2) else 0) for d in range(size)]
+    eta = [Fraction(1 if d == flat_index(1, 2) else 0) for d in range(size)]
+    value = _two_form(t_vec, xi, eta, n)
+    return any(value[flat_index(k, 1)] for k in range(1, n + 1) if k not in (1, s))
+
+
 def test_partial1_matrix_matches_definition():
     """Column oracle: (partial1 f)(w_b, w_c) = f(w_b).w_c - f(w_c).w_b."""
     for n in (2, 3):
@@ -196,7 +221,7 @@ def test_partial1_matrix_matches_definition():
                 e_b = [Fraction(1 if d == b else 0) for d in range(size)]
                 for c in range(b + 1, size):
                     e_c = [Fraction(1 if d == c else 0) for d in range(size)]
-                    got = evaluate_two_form(t_vec, e_b, e_c, n)
+                    got = _two_form(t_vec, e_b, e_c, n)
                     fb = _apply_f(spec, f_vec, b, c)
                     fc = _apply_f(spec, f_vec, c, b)
                     assert got == tuple(x - y for x, y in zip(fb, fc))
@@ -247,14 +272,18 @@ def test_trace_embeddings_counts_membership_span():
 
 
 def test_rank_one_span_on_image():
+    """Every Im(partial1) basis row keeps T(xi, eta)E_1' in span{E_1, E_s}."""
     for n in (2, 3):
         p1 = build_partial1(n)
         image = p1.image()
         for row in image.basis.rows:
             for s in range(2, n + 1):
-                assert rank_one_span_test(row, s, n)
+                assert not lemma_criterion(row, s, n)
+                assert not _lemma_oracle(row, s, n)
     with pytest.raises(UsageError):
-        rank_one_span_test([Fraction(0)] * (15 * 6), 1, 3)
+        lemma_criterion([Fraction(0)] * (15 * 6), 1, 3)
+    with pytest.raises(UsageError):
+        lemma_criterion([Fraction(0)] * (15 * 6), 2, 2)
 
 
 def test_rank_one_span_on_random_image_elements():
@@ -271,7 +300,34 @@ def test_rank_one_span_on_random_image_elements():
                     if row[d]:
                         vec[d] += w * row[d]
         for s in (2, 3):
-            assert rank_one_span_test(vec, s, n)
+            assert not lemma_criterion(vec, s, n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_lemma_criterion_matches_two_form_oracle(n):
+    """The one-block lemma criterion equals the general two-form evaluation
+    on seeded sparse integer vectors, with both verdicts reached for every s."""
+    size = 2 * n
+    rng = random.Random(n)
+    seen = {s: set() for s in range(2, n + 1)}
+    for _ in range(60):
+        t_vec = [rng.choice((0, 0, 0, 0, 0, 0, 1, -2)) for _ in range(n * (size - 1) * size)]
+        for s in range(2, n + 1):
+            verdict = lemma_criterion(t_vec, s, n)
+            assert verdict == _lemma_oracle(t_vec, s, n)
+            seen[s].add(verdict)
+    assert all(verdicts == {True, False} for verdicts in seen.values())
+
+
+def test_lemma_criterion_on_sweep_vectors():
+    """Positive control: the sweep's torsion vectors leave span{E_1, E_s}."""
+    chart = Chart(3)
+    assembler = TorsionAssembler(build_Phi(chart, [Fraction(2), Fraction(-3)]))
+    for s in (2, 3):
+        for _, point in ball_sweep(chart, s, 5, range(1, 4), seed=s):
+            vector = assembler.evaluate_scaled(point)
+            assert lemma_criterion(vector, s, 3)
+            assert _lemma_oracle(vector, s, 3)
 
 
 def test_equivariance():

@@ -6,16 +6,22 @@ from fractions import Fraction
 
 import pytest
 
-from agdeform.deform import build_Phi, build_q
-from agdeform.exactalg import PoleAtPoint, Polynomial, RationalFunction, UsageError, flat_index
+from agdeform.deform import EndomorphismField, build_Phi, build_q
+from agdeform.exactalg import (
+    PoleAtPoint,
+    Polynomial,
+    RationalFunction,
+    UsageError,
+    flat_index,
+    pair_index,
+)
 from agdeform.model import Chart, ChartPoint
-from agdeform.reptheory import pair_index
 from agdeform.sampling import ball_sweep
 from agdeform.torsion import (
     TorsionAssembler,
-    TorsionValue,
     VectorField,
     _IntegerPolynomials,
+    _structure_map,
     lemma_criterion,
     lie_bracket,
     pulled_frame,
@@ -36,15 +42,15 @@ def test_flat_index_roundtrip():
 
 
 def test_vector_field_algebra():
-    zero = VectorField.zero(CHART)
     e = VectorField.coordinate(CHART, 2, 1)
-    assert zero.is_zero()
-    assert (e - e).is_zero()
+    assert e.components[flat_index(2, 1)] == CHART.const(1)
+    assert sum(not f.is_zero() for f in e.components) == 1
+    assert not e.is_zero()
     assert (e + (-e)).is_zero()
-    scaled = e.scale(CHART.x(1, 1))
-    assert scaled.components[flat_index(2, 1)] == CHART.x(1, 1)
-    point = ChartPoint.parse(CHART, "1,2;3,4;5,6")
-    assert e.evaluate(point.evaluation_vector())[flat_index(2, 1)] == 1
+    assert e == VectorField.coordinate(CHART, 2, 1)
+    assert e != VectorField.coordinate(CHART, 1, 2)
+    with pytest.raises(UsageError):
+        VectorField(CHART, e.components[:-1])
 
 
 def _random_field(chart, rng):
@@ -106,10 +112,10 @@ def test_torsion_component_closed_forms():
         assert all(f.is_zero() for f in phi.apply((-comp.bracket).components))
         for k in range(1, 4):
             xk1 = CHART.x(k, 1)
-            assert comp.d_of_e1prime[k - 1] == (
+            assert comp.d[flat_index(k, 1)] == (
                 CHART.const(2) * cs * x11 ** 3 * x12 * xk1 / (q * q)
             )
-            assert comp.d_section[1][k - 1] == (
+            assert comp.d[flat_index(k, 2)] == (
                 -cs * x11 * x11 * xk1 / q
                 + CHART.const(2) * cs * x11 * x11 * x12 * x12 * xk1 / (q * q)
             )
@@ -119,22 +125,39 @@ def test_torsion_component_closed_forms():
         torsion_component(phi, 4)
 
 
-def test_torsion_value_antisymmetry_and_vectorize():
+def test_structure_map_matches_id_plus_phi():
+    """psi + Phi psi equals (Id + Phi) applied to psi = -field, stored form
+    and all, on fields that Phi does not annihilate (the coordinate fields)
+    and on the pulled-frame brackets (which it does)."""
+    phi = build_Phi(CHART, [2, -3])
+    forward = EndomorphismField.identity(CHART) + phi
+    frame = pulled_frame(phi)
+    fields = [VectorField.coordinate(CHART, i, jp) for i in range(1, 4) for jp in (1, 2)]
+    fields.append(lie_bracket(frame[flat_index(2, 2)], frame[flat_index(1, 2)]))
+    assert not all(f.is_zero() for f in phi.apply(fields[0].components))
+    for field in fields:
+        got = _structure_map(phi, field)
+        want = forward.apply((-field).components)
+        assert got == want
+        assert [f.den for f in got] == [f.den for f in want]
+
+
+def test_evaluate_block_is_minus_d():
+    """Pair-major layout: the block of the pair ((1,2'), (s,2')) holds
+    T(E~^2'_1, E~^2'_s), which is -D for the component bracket taken in the
+    other order."""
     phi = build_Phi(CHART)
+    c = (Fraction(2), Fraction(-3))
     point = ChartPoint.parse(CHART, "1,2;3,4;5,6")
-    value = TorsionAssembler(phi).evaluate(point, c=(Fraction(1), Fraction(0)))
+    values = TorsionAssembler(phi).evaluate(point, c=c)
     size = 2 * CHART.n
-    assert all(v == 0 for v in value.entry(3, 3))
-    flat = value.vectorize()
-    assert len(flat) == (size * (size - 1) // 2) * size
-    for a in range(size):
-        for b in range(size):
-            ab = value.entry(a, b)
-            ba = value.entry(b, a)
-            assert ab == tuple(-v for v in ba)
-            if a < b:
-                offset = pair_index(a, b, size) * size
-                assert flat[offset : offset + size] == ab
+    assert len(values) == (size * (size - 1) // 2) * size
+    vec = point.evaluation_vector(c=c)
+    for s in (2, 3):
+        base = pair_index(flat_index(1, 2), flat_index(s, 2), size) * size
+        block = values[base : base + size]
+        assert any(block)
+        assert block == tuple(-f.evaluate(vec) for f in torsion_component(phi, s).d)
 
 
 def test_assembler_matches_one_shot():
@@ -144,26 +167,29 @@ def test_assembler_matches_one_shot():
     one_shot = TorsionAssembler(build_Phi(CHART, c))
     for text in ("1,2;3,4;5,6", "1,1;1,0;0,1"):
         point = ChartPoint.parse(CHART, text)
-        a = assembler.evaluate(point, c=c)
-        b = one_shot.evaluate(point)
-        assert a.vectorize() == b.vectorize()
+        assert assembler.evaluate(point, c=c) == one_shot.evaluate(point)
 
 
 def test_zero_deformation_torsion_free():
     assembler = TorsionAssembler(build_Phi(CHART, [0, 0]))
-    assert all(f.is_zero() for comps in assembler.symbolic.values() for f in comps)
+    assert all(f.is_zero() for f in assembler.symbolic)
 
 
 def test_lemma_criterion():
     assembler = TorsionAssembler(build_Phi(CHART))
     point = ChartPoint.parse(CHART, "1,2;3,4;5,6")
     value = assembler.evaluate(point, c=(Fraction(1), Fraction(0)))
-    assert lemma_criterion(value, 2)
+    assert lemma_criterion(value, 2, 3)
+    for s in (1, 4):
+        with pytest.raises(UsageError):
+            lemma_criterion(value, s, 3)
     with pytest.raises(UsageError):
-        lemma_criterion(value, 1)
+        lemma_criterion(value[:-1], 2, 3)
+    with pytest.raises(UsageError):
+        lemma_criterion(value, 2, 4)
     flat_value = assembler.evaluate(point, c=(Fraction(0), Fraction(0)))
-    assert flat_value.is_zero()
-    assert not lemma_criterion(flat_value, 2)
+    assert not any(flat_value)
+    assert not lemma_criterion(flat_value, 2, 3)
 
 
 def test_pole_on_singular_set():
@@ -198,20 +224,11 @@ def test_evaluate_scaled_matches_exact(n, s, c, per_radius):
         exact = assembler.evaluate(point)
         scaled = assembler.evaluate_scaled(point)
         assert all(isinstance(v, int) for v in scaled)
-        pivot = next(i for i, v in enumerate(exact.vectorize()) if v)
-        factor = scaled[pivot] / exact.vectorize()[pivot]
+        pivot = next(i for i, v in enumerate(exact) if v)
+        factor = scaled[pivot] / exact[pivot]
         assert factor > 0
-        assert scaled == tuple(factor * v for v in exact.vectorize())
-        assert lemma_criterion(TorsionValue.from_vector(n, point, scaled), s) == (
-            lemma_criterion(exact, s)
-        )
-
-
-def test_from_vector_inverts_vectorize():
-    point = ChartPoint.parse(CHART, "1,2;3,4;5,6")
-    value = _numeric_assembler(3, (2, -3)).evaluate(point)
-    again = TorsionValue.from_vector(3, point, value.vectorize())
-    assert all(again.entry(a, b) == value.entry(a, b) for a in range(6) for b in range(6))
+        assert scaled == tuple(factor * v for v in exact)
+        assert lemma_criterion(scaled, s, n) == lemma_criterion(exact, s, n)
 
 
 def test_scaled_pole_on_singular_set():

@@ -469,7 +469,7 @@ def density_check(
     def sweep():
         art = artifacts(n)
         assembler = TorsionAssembler(build_Phi(art.chart, c))
-        image = art.partial1.image()
+        image = art.partial1.image
         failures = 0
         first_bad = None
         total = 0
@@ -558,7 +558,7 @@ def reptheory_suite(ns: Sequence[int] = (2, 3, 4, 5), seed: int = 0) -> list[Che
             )
 
         def trace_members(art=art, n=n):
-            image = art.partial1.image()
+            image = art.partial1.image
             vectors = rep_mod.trace_embedding_vectors(n).all_vectors()
             for idx, vec in enumerate(vectors):
                 if not membership(image, vec):
@@ -579,7 +579,7 @@ def reptheory_suite(ns: Sequence[int] = (2, 3, 4, 5), seed: int = 0) -> list[Che
             )
 
         def lemma_image(art=art, n=n):
-            image = art.partial1.image()
+            image = art.partial1.image
             for row in image.basis.rows:
                 for s in range(2, n + 1):
                     if lemma_criterion(row, s, n):

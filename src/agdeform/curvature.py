@@ -204,7 +204,8 @@ def kappa_closed_form_check(
 
 def trace_subspace(n: int) -> Subspace:
     """Span of S (x) Id symmetrized: vectors T(S)^{jmo}_r = S^{jm} d^o_r +
-    S^{jo} d^m_r + S^{mo} d^j_r over the S^2 basis, in slice coordinates."""
+    S^{jo} d^m_r + S^{mo} d^j_r over the S^2 basis, in slice coordinates,
+    passed to span_subspace as sparse rows."""
     triples = sorted_triples(n)
     index = {t: i for i, t in enumerate(triples)}
     ambient = len(triples) * n
@@ -212,7 +213,7 @@ def trace_subspace(n: int) -> Subspace:
     for a in range(1, n + 1):
         for b in range(a, n + 1):
             # S = e^a . e^b symmetric basis element: S^{jm} = [{j,m} == {a,b}]
-            vec = [Fraction(0)] * ambient
+            vec = {}
             for (j, m, o) in triples:
                 for r in range(1, n + 1):
                     value = 0
@@ -223,7 +224,7 @@ def trace_subspace(n: int) -> Subspace:
                     if tuple(sorted((m, o))) == (a, b) and j == r:
                         value += 1
                     if value:
-                        vec[index[(j, m, o)] * n + (r - 1)] = Fraction(value)
+                        vec[index[(j, m, o)] * n + (r - 1)] = value
             vectors.append(vec)
     return span_subspace(vectors, ambient)
 

@@ -1,14 +1,15 @@
-"""Exact linear algebra over Q: RREF, ranks, spanned subspaces, membership.
+"""Exact linear algebra over Q: spanned subspaces, ranks, membership.
 
 Everything here is exact: entries are fractions.Fraction or int, and there
-are no tolerances anywhere.  Two independent elimination routines are
-provided: dense Gauss-Jordan (`rref`) producing canonical reduced bases,
-and a sparse integer fraction-free elimination (`sparse_rank`) used both as
-a fast path for large combinatorial matrices and as a cross-check oracle
-for ranks.  Membership follows the same fraction-free idiom: `membership`
-evaluates integer residual functionals (the annihilator of a Subspace) on
-the vector cleared of denominators, and `Subspace.contains` and
-`Subspace.residual` stay as its Fraction oracles.
+are no tolerances anywhere.  There is one eliminator, `sparse_rref`: sparse
+Gauss-Jordan on {column: value} rows, giving the canonical reduced basis.
+`span_subspace` (dense or sparse rows) and `sparse_rank` are thin entry
+points to it.  Membership is fraction-free: `membership` evaluates integer
+residual functionals (the annihilator of a Subspace) on the vector cleared
+of denominators, and `Subspace.contains` and `Subspace.residual` stay as
+its Fraction oracles.  The dense Gauss-Jordan `rref` (with `rank` and
+`RrefResult`) has no caller at runtime: it is the tests' oracle for the
+eliminator, kept here because the benchmark's tracer wraps it by name.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .exactalg import _coerce
@@ -36,10 +37,6 @@ class MatrixQ:
         self.ncols = len(self.rows[0]) if self.rows else 0
         if any(len(row) != self.ncols for row in self.rows):
             raise ValueError("ragged rows")
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "MatrixQ":
-        return MatrixQ([[_coerce(v) for v in row] for row in rows])
 
     @staticmethod
     def identity(n: int) -> "MatrixQ":
@@ -104,7 +101,9 @@ class RrefResult:
 
 
 def rref(matrix: MatrixQ) -> RrefResult:
-    """Reduced row echelon form: pivots 1, zeros above and below pivots."""
+    """Reduced row echelon form: pivots 1, zeros above and below pivots.
+
+    Dense Gauss-Jordan, the test oracle for `sparse_rref`."""
     rows = [list(row) for row in matrix.rows]
     nrows, ncols = matrix.nrows, matrix.ncols
     pivots: list[int] = []
@@ -205,19 +204,72 @@ class Subspace:
         return not any(work)
 
 
-def span_subspace(vectors: Sequence[Sequence[Fraction]], ambient_dim: int) -> Subspace:
-    """Span of row vectors as a canonical Subspace."""
-    if not vectors:
-        return Subspace(ambient_dim, MatrixQ([]), ())
-    matrix = MatrixQ.from_rows(vectors)
-    if matrix.ncols != ambient_dim:
+def _row_dict(
+    vector: Sequence[Fraction | int] | Mapping[int, Fraction | int], ambient_dim: int
+) -> dict[int, Fraction]:
+    """The nonzero entries of a dense row or of a sparse {column: value} row."""
+    if isinstance(vector, Mapping):
+        if not all(isinstance(j, int) and 0 <= j < ambient_dim for j in vector):
+            raise ValueError(f"sparse row has a column outside 0..{ambient_dim - 1}")
+        return {j: _coerce(v) for j, v in vector.items() if v}
+    if len(vector) != ambient_dim:
         raise ValueError("vector dimension mismatch")
-    result = rref(matrix)
-    return Subspace(
-        ambient_dim=ambient_dim,
-        basis=MatrixQ(result.reduced.rows[: result.rank]),
-        pivot_columns=result.pivot_columns,
-    )
+    return {j: _coerce(v) for j, v in enumerate(vector) if v}
+
+
+def _axpy(target: dict[int, Fraction], factor: Fraction, source: Mapping[int, Fraction]) -> None:
+    """target += factor * source in place, dropping the zeros."""
+    for j, v in source.items():
+        acc = target.get(j, 0) + factor * v
+        if acc:
+            target[j] = acc
+        else:
+            del target[j]
+
+
+def sparse_rref(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """Sparse Gauss-Jordan over Q: the reduced row echelon form of the rows,
+    as {pivot column: reduced row}.
+
+    Each incoming {column: value} row is reduced by the pivot rows so far.
+    What is left, if anything, pivots on its least column: it is scaled so
+    that entry is 1, and that column is cleared from the earlier pivot rows.
+    Every pivot row then holds 1 at its pivot and 0 at every other pivot
+    column, so the rows sorted by pivot are the canonical RREF basis of the
+    row space, the same one the dense rref gives.  The input is not changed.
+    """
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for incoming in rows:
+        row = {j: v for j, v in incoming.items() if v}
+        # a pivot row is zero at every other pivot column, so the factors
+        # are the entries of the incoming row itself
+        for p in [j for j in row if j in pivots]:
+            _axpy(row, -row[p], pivots[p])
+        if not row:
+            continue
+        lead = min(row)
+        inv = _ONE / row[lead]
+        row = {j: v * inv for j, v in row.items()}
+        for other in pivots.values():
+            if lead in other:
+                _axpy(other, -other[lead], row)
+        pivots[lead] = row
+    return pivots
+
+
+def span_subspace(
+    vectors: Sequence[Sequence[Fraction] | Mapping[int, Fraction]], ambient_dim: int
+) -> Subspace:
+    """Span of row vectors as a canonical Subspace.  Rows may be dense, of
+    length ambient_dim, or sparse {column: value} dicts with columns in
+    0..ambient_dim-1; any other row raises ValueError."""
+    pivots = sparse_rref([_row_dict(v, ambient_dim) for v in vectors])
+    order = sorted(pivots)
+    basis = [[_ZERO] * ambient_dim for _ in order]
+    for dense, p in zip(basis, order):
+        for j, v in pivots[p].items():
+            dense[j] = v
+    return Subspace(ambient_dim, MatrixQ(basis), tuple(order))
 
 
 def membership(subspace: Subspace, vector: Sequence[Fraction | int]) -> bool:
@@ -241,70 +293,13 @@ def sparse_rank(
     nrows: int,
     ncols: int,
 ) -> int:
-    """Rank of an integer matrix by sparse fraction-free elimination.
-
-    Rows are stored as column->value dicts.  Pivots are chosen to keep
-    fill-in small (shortest row, then least-used column), updates use the
-    two-row integer combination  new = a*other - b*pivot_row, and every
-    updated row is divided by the gcd of its entries so growth stays tame.
-    Row operations preserve row space, so the count of nonempty rows
-    consumed as pivots is the rank.
-    """
-    if isinstance(entries, Mapping):
-        items = entries.items()
-    else:
-        items = ((key[:2], key[2]) for key in entries)
+    """Rank of a sparse matrix given as {(row, col): value} or as
+    (row, col, value) triples: the pivot count of `sparse_rref` on its rows."""
+    if not isinstance(entries, Mapping):
+        entries = {(i, j): v for i, j, v in entries}
     rows: dict[int, dict[int, int]] = {}
-    for (i, j), value in items:
+    for (i, j), value in entries.items():
         if not (0 <= i < nrows and 0 <= j < ncols):
             raise ValueError(f"entry ({i},{j}) outside {nrows}x{ncols}")
-        if value:
-            rows.setdefault(i, {})[j] = value
-
-    col_use: dict[int, int] = {}
-    for row in rows.values():
-        for j in row:
-            col_use[j] = col_use.get(j, 0) + 1
-
-    rank_count = 0
-    active = set(rows)
-    while active:
-        pivot_i = min(active, key=lambda i: (len(rows[i]), i))
-        pivot_row = rows[pivot_i]
-        pivot_j = min(pivot_row, key=lambda j: (col_use[j], j))
-        pivot_val = pivot_row[pivot_j]
-        active.discard(pivot_i)
-        rank_count += 1
-        for i in list(active):
-            row = rows[i]
-            other_val = row.get(pivot_j)
-            if not other_val:
-                continue
-            for j in row:
-                col_use[j] -= 1
-            new_row: dict[int, int] = {}
-            for j, v in row.items():
-                new_row[j] = v * pivot_val
-            for j, v in pivot_row.items():
-                acc = new_row.get(j, 0) - v * other_val
-                if acc:
-                    new_row[j] = acc
-                else:
-                    new_row.pop(j, None)
-            if new_row:
-                content = 0
-                for v in new_row.values():
-                    content = gcd(content, v)
-                    if content == 1:
-                        break
-                if content > 1:
-                    new_row = {j: v // content for j, v in new_row.items()}
-                rows[i] = new_row
-                for j in new_row:
-                    col_use[j] = col_use.get(j, 0) + 1
-            else:
-                rows[i] = {}
-                active.discard(i)
-        for j in pivot_row:
-            col_use[j] -= 1
-    return rank_count
+        rows.setdefault(i, {})[j] = value
+    return len(sparse_rref(rows.values()))

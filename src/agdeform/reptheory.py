@@ -11,12 +11,13 @@ criterion.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .exactalg import UsageError, pair_index
-from .linalg import MatrixQ, Subspace, span_subspace, sparse_rank
+from .linalg import MatrixQ, Subspace, span_subspace
 
 
 class GradedAlgebraSpec:
@@ -251,17 +252,28 @@ def _block_grades(mat: dict[tuple[int, int], int]) -> set[int]:
     return {(c >= 2) - (r >= 2) for r, c in mat}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Partial1Map:
-    """The differential as sparse integer entries {(row, col): value}, with
-    cached image data."""
+    """The differential as sparse integer entries {(row, col): value}; its
+    image is reduced once, on first use, and the rank read off it."""
 
     n: int
     entries: dict[tuple[int, int], int]
-    rank: int
     domain_dim: int
     target_dim: int
-    _image: Subspace | None = None
+
+    @functools.cached_property
+    def image(self) -> Subspace:
+        """Column space as a Subspace: the columns, as sparse rows, through
+        the sparse exact eliminator."""
+        columns: list[dict[int, int]] = [{} for _ in range(self.domain_dim)]
+        for (r, col), value in self.entries.items():
+            columns[col][r] = value
+        return span_subspace(columns, self.target_dim)
+
+    @property
+    def rank(self) -> int:
+        return self.image.dim
 
     @property
     def kernel_dim(self) -> int:
@@ -277,27 +289,14 @@ class Partial1Map:
                 out[r] += value * vector[col]
         return tuple(out)
 
-    def image(self) -> Subspace:
-        """Column space as a Subspace: the span of the columns, reduced
-        densely on first use."""
-        if self._image is None:
-            zero = Fraction(0)
-            columns = [[zero] * self.target_dim for _ in range(self.domain_dim)]
-            for (r, col), value in self.entries.items():
-                columns[col][r] = Fraction(value)
-            self._image = span_subspace(columns, self.target_dim)
-            assert self._image.dim == self.rank
-        return self._image
-
 
 def build_partial1(n: int, spec: GradedAlgebraSpec | None = None) -> Partial1Map:
     """Exact matrix of (partial1 f)(w_b, w_c) = f(w_b).w_c - f(w_c).w_b.
 
     Columns indexed by (a, m) -> a*dim_gzero + m for f = xi^a (x) g_m; rows
     by pair_index(b, c)*2n + d over pairs b < c and outputs d.  The entries
-    are integers; the rank is computed by fraction-free sparse elimination,
-    so this stays fast through n = 5, and the dense image subspace is
-    deferred to Partial1Map.image().
+    are integers.  Nothing is eliminated here: the image and the rank come
+    from one sparse reduction, on first use of Partial1Map.image.
     """
     spec = spec or GradedAlgebraSpec(n)
     size = 2 * n
@@ -323,10 +322,7 @@ def build_partial1(n: int, spec: GradedAlgebraSpec | None = None) -> Partial1Map
                     if value:
                         assert value.denominator == 1, "partial1 entries are integers"
                         entries[(base + d, col)] = sign * value.numerator
-    rank = sparse_rank(entries, target, domain)
-    return Partial1Map(
-        n=n, entries=entries, rank=rank, domain_dim=domain, target_dim=target
-    )
+    return Partial1Map(n=n, entries=entries, domain_dim=domain, target_dim=target)
 
 
 @dataclass(frozen=True)

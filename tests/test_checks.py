@@ -75,6 +75,15 @@ def test_curvature_suite_builds_second_derivatives_once(monkeypatch, fresh_cache
     assert len(calls) == 1
 
 
+def test_reptheory_suite_passes_at_n6(fresh_cache):
+    """Rank, kernel, cokernel, trace membership, trace span and lemma_image
+    at n = 6, which the sparse eliminator makes cheap enough for tier 1."""
+    reports = checks.reptheory_suite((6,))
+    names = {r.check_id.split(".")[1] for r in reports}
+    assert {"rank", "kernel", "complement", "trace_membership", "trace_span", "lemma_image"} <= names
+    assert all(r.status == checks.PASS for r in reports), [r.detail for r in reports]
+
+
 def _broken(*args):
     raise ZeroDivisionError("builder blew up")
 

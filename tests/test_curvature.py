@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from agdeform import curvature as curvature_mod
 from agdeform.curvature import (
     kappa_closed_form,
     kappa_closed_form_check,
@@ -15,6 +16,7 @@ from agdeform.curvature import (
 )
 from agdeform.deform import build_Phi, build_q
 from agdeform.exactalg import UsageError
+from agdeform.linalg import MatrixQ, rref
 from agdeform.model import Chart, ChartPoint
 
 CHART = Chart(3)
@@ -139,6 +141,27 @@ def test_projection_zero_at_zero_deformation():
 def test_trace_subspace_dimension():
     assert trace_subspace(3).dim == 6
     assert trace_subspace(2).dim == 3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_trace_subspace_matches_dense_rref(n, monkeypatch):
+    """The sparse rows trace_subspace spans, densified and put through the
+    dense rref oracle, give the same basis and pivot columns."""
+    seen = []
+    real = curvature_mod.span_subspace
+
+    def recording(vectors, ambient):
+        seen.append((vectors, ambient))
+        return real(vectors, ambient)
+
+    monkeypatch.setattr(curvature_mod, "span_subspace", recording)
+    sub = trace_subspace(n)
+    (vectors, ambient), = seen
+    dense = [[Fraction(v.get(j, 0)) for j in range(ambient)] for v in vectors]
+    result = rref(MatrixQ(dense))
+    assert sub.basis.rows == result.reduced.rows[: result.rank]
+    assert sub.pivot_columns == result.pivot_columns
+    assert sub.dim == n * (n + 1) // 2
 
 
 def test_not_pure_trace():

@@ -1,9 +1,12 @@
-"""Exact linear algebra over the rationals: rref, rank, spans, membership, sparse rank."""
+"""Exact linear algebra over the rationals: the sparse eliminator against
+the dense rref oracle, spans, membership, sparse rank."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agdeform.linalg import (
     MatrixQ,
@@ -13,17 +16,20 @@ from agdeform.linalg import (
     rref,
     span_subspace,
     sparse_rank,
+    sparse_rref,
 )
 
 
+def _matrix(rows):
+    return MatrixQ([[Fraction(v) for v in row] for row in rows])
+
+
 def random_matrix(rng, nrows, ncols, lo=-4, hi=4):
-    return MatrixQ.from_rows(
-        [[Fraction(rng.randint(lo, hi)) for _ in range(ncols)] for _ in range(nrows)]
-    )
+    return _matrix([[rng.randint(lo, hi) for _ in range(ncols)] for _ in range(nrows)])
 
 
 def test_matrix_basics():
-    m = MatrixQ.from_rows([[1, 2], [3, 4]])
+    m = _matrix([[1, 2], [3, 4]])
     assert m[0, 1] == Fraction(2)
     assert m.transpose()[1, 0] == Fraction(2)
     ident = MatrixQ.identity(2)
@@ -33,7 +39,7 @@ def test_matrix_basics():
 
 
 def test_shape_mismatch():
-    m = MatrixQ.from_rows([[1, 2]])
+    m = _matrix([[1, 2]])
     with pytest.raises(ValueError):
         m * m
 
@@ -129,7 +135,7 @@ def test_annihilator_rows_are_integer_residuals():
 
 def test_image_subspace():
     """The column space of m is the span of the rows of its transpose."""
-    m = MatrixQ.from_rows([[1, 0], [0, 1], [1, 1]])
+    m = _matrix([[1, 0], [0, 1], [1, 1]])
     space = span_subspace(m.transpose().rows, m.nrows)
     assert space.dim == 2
     assert space.ambient_dim == 3
@@ -148,7 +154,85 @@ def test_sparse_rank_agrees_with_dense():
         dense = [[Fraction(0)] * ncols for _ in range(nrows)]
         for (r, c), v in entries.items():
             dense[r][c] = Fraction(v)
-        assert sparse_rank(entries, nrows, ncols) == rank(MatrixQ.from_rows(dense))
+        expected = rank(_matrix(dense))
+        assert sparse_rank(entries, nrows, ncols) == expected
+        triples = [(r, c, v) for (r, c), v in entries.items()]
+        assert sparse_rank(triples, nrows, ncols) == expected
+    with pytest.raises(ValueError):
+        sparse_rank({(2, 0): 1}, 2, 2)
+    with pytest.raises(ValueError):
+        sparse_rank([(0, -1, 1)], 2, 2)
+
+
+def _oracle_subspace(rows, ncols):
+    """The Subspace read off the dense rref of the rows."""
+    result = rref(_matrix(rows))
+    return Subspace(ncols, MatrixQ(result.reduced.rows[: result.rank]), result.pivot_columns)
+
+
+_RATIONALS = st.builds(
+    Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 1, 2, 3])
+)
+
+
+@st.composite
+def _row_sets(draw):
+    """Random rational rows with zero rows and repeats, each given dense or
+    sparse; returns (dense rows, the mixed input, ncols)."""
+    ncols = draw(st.integers(1, 7))
+    row = st.lists(_RATIONALS, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=7))
+    if draw(st.booleans()):
+        rows.append([Fraction(0)] * ncols)
+    for _ in range(draw(st.integers(0, 2))):
+        rows.append(list(draw(st.sampled_from(rows))))
+    order = draw(st.permutations(range(len(rows))))
+    rows = [rows[i] for i in order]
+    mixed = []
+    for r in rows:
+        if draw(st.booleans()):
+            mixed.append({j: v for j, v in enumerate(r) if v})
+        else:
+            mixed.append(tuple(r))
+    return rows, mixed, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_sets())
+def test_sparse_rref_matches_dense_oracle(case):
+    """Basis, pivot columns and annihilator of the sparse eliminator equal
+    those read off the dense rref, for dense, sparse and mixed input."""
+    rows, mixed, ncols = case
+    oracle = _oracle_subspace(rows, ncols)
+    space = span_subspace(mixed, ncols)
+    assert space == oracle
+    assert space.basis.rows == oracle.basis.rows
+    assert space.pivot_columns == oracle.pivot_columns
+    assert space.annihilator == oracle.annihilator
+    assert all(isinstance(v, Fraction) for row in space.basis.rows for v in row)
+    sparse_in = [{j: v for j, v in enumerate(r) if v} for r in rows]
+    before = [dict(r) for r in sparse_in]
+    reduced = sparse_rref(sparse_in)
+    assert sparse_in == before
+    assert tuple(sorted(reduced)) == oracle.pivot_columns
+    for p, row in zip(oracle.pivot_columns, oracle.basis.rows):
+        assert reduced[p] == {j: v for j, v in enumerate(row) if v}
+
+
+def test_span_guards_dimension_on_dense_and_sparse_rows():
+    """A dense row of the wrong length and a sparse row with a column outside
+    0..ambient_dim-1 both raise; neither widens the space."""
+    with pytest.raises(ValueError):
+        span_subspace([(Fraction(1), Fraction(2))], 3)
+    with pytest.raises(ValueError):
+        span_subspace([(1, 0, 0, 0)], 3)
+    for bad in ({3: Fraction(1)}, {-1: 1}, {0: 1, 7: 2}, {1.0: 1}):
+        with pytest.raises(ValueError):
+            span_subspace([{0: 1}, bad], 3)
+    space = span_subspace([{2: 5}, (0, 1, 0)], 3)
+    assert space.ambient_dim == 3
+    assert space.basis.ncols == 3
+    assert space.pivot_columns == (1, 2)
 
 
 def test_subspace_pivot_structure():

@@ -7,7 +7,7 @@ import pytest
 
 from agdeform.deform import build_Phi
 from agdeform.exactalg import UsageError, flat_index, pair_index
-from agdeform.linalg import MatrixQ, membership, span_subspace
+from agdeform.linalg import MatrixQ, membership, rref, span_subspace, sparse_rank
 from agdeform.model import Chart
 from agdeform.reptheory import (
     GradedAlgebraSpec,
@@ -136,7 +136,7 @@ def test_membership_positive_control(n):
     """Image vectors of partial1 and their multiples are members on both the
     integer path and the Fraction oracle; adding 1 at a free coordinate is not."""
     p1 = build_partial1(n)
-    image = p1.image()
+    image = p1.image
     rng = random.Random(40 + n)
     for _ in range(3):
         v = [Fraction(rng.randint(-3, 3)) for _ in range(p1.domain_dim)]
@@ -236,6 +236,58 @@ def test_rank_and_kernel():
         assert p1.kernel_dim == 2 * n
 
 
+def _dense_span(rows):
+    """Basis rows and pivot columns of the dense rref oracle."""
+    result = rref(MatrixQ(rows))
+    return result.reduced.rows[: result.rank], result.pivot_columns
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_image_matches_dense_rref(n):
+    """Im(partial1) from the sparse eliminator has the basis and pivot
+    columns of the dense rref of the columns of partial1."""
+    p1 = build_partial1(n)
+    columns = [[Fraction(0)] * p1.target_dim for _ in range(p1.domain_dim)]
+    for (r, col), value in p1.entries.items():
+        columns[col][r] = Fraction(value)
+    basis, pivots = _dense_span(columns)
+    assert p1.image.basis.rows == basis
+    assert p1.image.pivot_columns == pivots
+    assert p1.rank == len(pivots) == sparse_rank(p1.entries, p1.target_dim, p1.domain_dim)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_trace_span_matches_dense_rref(n):
+    vectors = trace_embedding_vectors(n).all_vectors()
+    span = span_subspace(vectors, n * (2 * n - 1) * 2 * n)
+    basis, pivots = _dense_span(vectors)
+    assert span.basis.rows == basis
+    assert span.pivot_columns == pivots
+
+
+def test_image_certified_at_n6():
+    """At n = 6, past the reach of the dense oracle, the image is certified
+    on its own: every annihilator row pairs to zero with every column of
+    partial1, and the dimension is the closed-form rank 2n(n^2 + 3) - 2n."""
+    n = 6
+    p1 = build_partial1(n)
+    image = p1.image
+    assert p1.image is image
+    assert image.dim == p1.rank == 2 * n * (n * n + 3) - 2 * n
+    assert len(image.annihilator) == p1.target_dim - image.dim
+    columns: dict[int, dict[int, int]] = {}
+    for (r, col), value in p1.entries.items():
+        columns.setdefault(col, {})[r] = value
+    assert len(columns) == p1.domain_dim
+    for row in image.annihilator:
+        functional = dict(row)
+        for column in columns.values():
+            assert sum(functional.get(r, 0) * v for r, v in column.items()) == 0
+    # the cached image is not a field: it takes no part in == or repr
+    assert p1 == build_partial1(n)
+    assert "image" not in repr(p1)
+
+
 def test_decomposition_dims_table():
     expected_torsion = {2: 0, 3: 24, 4: 80, 5: 180}
     for n in (2, 3, 4, 5):
@@ -264,7 +316,7 @@ def test_trace_embeddings_counts_membership_span():
         assert len(emb.family_one) == n * n * (n - 1)
         assert len(emb.family_two) == 6 * n
         p1 = build_partial1(n)
-        image = p1.image()
+        image = p1.image
         for vec in emb.all_vectors():
             assert membership(image, vec)
         span = span_subspace(emb.all_vectors(), p1.target_dim)
@@ -275,7 +327,7 @@ def test_rank_one_span_on_image():
     """Every Im(partial1) basis row keeps T(xi, eta)E_1' in span{E_1, E_s}."""
     for n in (2, 3):
         p1 = build_partial1(n)
-        image = p1.image()
+        image = p1.image
         for row in image.basis.rows:
             for s in range(2, n + 1):
                 assert not lemma_criterion(row, s, n)
@@ -290,7 +342,7 @@ def test_rank_one_span_on_random_image_elements():
     n = 3
     p1 = build_partial1(n)
     rng = random.Random(11)
-    rows = p1.image().basis.rows
+    rows = p1.image.basis.rows
     for _ in range(100):
         weights = [Fraction(rng.randint(-3, 3)) for _ in rows]
         vec = [Fraction(0)] * p1.target_dim

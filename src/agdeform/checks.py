@@ -126,6 +126,11 @@ class Artifacts:
     def partial1(self) -> rep_mod.Partial1Map:
         return rep_mod.build_partial1(self.n, self.spec)
 
+    @functools.cached_property
+    def trace_vectors(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Both trace-embedding families, in the target space of partial1."""
+        return rep_mod.trace_embedding_vectors(self.n).all_vectors()
+
 
 @functools.cache
 def artifacts(n: int) -> Artifacts:
@@ -557,9 +562,9 @@ def reptheory_suite(ns: Sequence[int] = (2, 3, 4, 5), seed: int = 0) -> list[Che
                 None,
             )
 
-        def trace_members(art=art, n=n):
+        def trace_members(art=art):
             image = art.partial1.image
-            vectors = rep_mod.trace_embedding_vectors(n).all_vectors()
+            vectors = art.trace_vectors
             for idx, vec in enumerate(vectors):
                 if not membership(image, vec):
                     return False, f"trace embedding vector {idx} escapes Im(partial1)", None
@@ -569,9 +574,8 @@ def reptheory_suite(ns: Sequence[int] = (2, 3, 4, 5), seed: int = 0) -> list[Che
                 None,
             )
 
-        def trace_span(art=art, n=n, dims=dims):
-            vectors = rep_mod.trace_embedding_vectors(n).all_vectors()
-            span = span_subspace(vectors, art.partial1.target_dim)
+        def trace_span(art=art, dims=dims):
+            span = span_subspace(art.trace_vectors, art.partial1.target_dim)
             return (
                 span.dim == dims.trace_span_dim,
                 f"trace embeddings span dimension {span.dim} = n(n^2 - n + 4)",
@@ -615,16 +619,20 @@ def reptheory_suite(ns: Sequence[int] = (2, 3, 4, 5), seed: int = 0) -> list[Che
         if n in EQUIVARIANCE_NS:
             reports.append(_run(f"reptheory.equivariance.n{n}", ORACLE, equivariance))
         if n == 2:
-            def surjective(art=art):
-                p1 = art.partial1
-                return (
-                    p1.rank == p1.target_dim,
-                    f"partial1 is onto: rank {p1.rank} = dim target {p1.target_dim}",
-                    None,
-                )
-
-            reports.append(_run("reptheory.surjective.n2", DIMENSION, surjective))
+            reports.append(surjective_check(n))
     return reports
+
+
+def surjective_check(n: int) -> CheckReport:
+    """Whether partial1 is onto at n (it is exactly at n = 2)."""
+
+    def surjective():
+        p1 = artifacts(n).partial1
+        if p1.rank == p1.target_dim:
+            return True, f"partial1 is onto: rank {p1.rank} = dim target {p1.target_dim}", None
+        return False, f"partial1 is not onto: rank {p1.rank} < dim target {p1.target_dim}", None
+
+    return _run(f"reptheory.surjective.n{n}", DIMENSION, surjective)
 
 
 def rank_certificate(n: int) -> dict:

@@ -223,16 +223,10 @@ def _cmd_curvature(args) -> int:
 def _cmd_reptheory(args) -> int:
     _require_n(args.n)
     if args.check == "surjective":
+        report = checks.surjective_check(args.n)
         certificate = checks.rank_certificate(args.n)
-        ok = certificate["surjective"]
-        report = checks.CheckReport(
-            f"reptheory.surjective.n{args.n}",
-            checks.PASS if ok else checks.FAIL,
-            checks.DIMENSION,
-            f"rank {certificate['rank']} of target dimension {certificate['targetDim']}",
-        )
         _emit("reptheory", [report], {"rank": certificate}, args.format, args.timings)
-        return 0 if ok else 1
+        return 0 if report.status == checks.PASS else 1
     reports = checks.reptheory_suite((args.n,), args.seed)
     extras = {
         "dimensions": checks.dimension_table(args.n),

@@ -135,9 +135,6 @@ class VariableTable:
             raise UsageError(f"deformation parameter c{i} outside c2..c{self.n}")
         return 2 * self.n + 2 + (i - 2)
 
-    def is_chart(self, idx: int) -> bool:
-        return self.chart_weights[idx] == 1
-
     def render(self, idx: int, latex: bool = False) -> str:
         name = self.names[idx]
         if not latex:

@@ -7,7 +7,7 @@ Gauss-Jordan on {column: value} rows, giving the canonical reduced basis.
 points to it.  Membership is fraction-free: `membership` evaluates integer
 residual functionals (the annihilator of a Subspace) on the vector cleared
 of denominators, and `Subspace.contains` and `Subspace.residual` stay as
-its Fraction oracles.  The dense Gauss-Jordan `rref` (with `rank` and
+its Fraction oracles.  The dense Gauss-Jordan `rref` (with its
 `RrefResult`) has no caller at runtime: it is the tests' oracle for the
 eliminator, kept here because the benchmark's tracer wraps it by name.
 """
@@ -124,10 +124,6 @@ def rref(matrix: MatrixQ) -> RrefResult:
         if r == nrows:
             break
     return RrefResult(MatrixQ(rows), r, tuple(pivots))
-
-
-def rank(matrix: MatrixQ) -> int:
-    return rref(matrix).rank
 
 
 @dataclass(frozen=True)

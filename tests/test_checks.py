@@ -44,6 +44,13 @@ def test_reptheory_command_builds_partial1_once(monkeypatch, capsys, fresh_cache
     assert len(calls) == 1
 
 
+def test_reptheory_command_builds_trace_embeddings_once(monkeypatch, capsys, fresh_cache):
+    calls = counting(monkeypatch, rep_mod, "trace_embedding_vectors")
+    assert cli.main(["reptheory", "--n", "3", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_curvature_numeric_suite_builds_second_derivatives_once(monkeypatch, fresh_cache):
     calls = counting(monkeypatch, curvature_mod, "nabla2_phi")
     reports = checks.curvature_numeric_suite(3)

@@ -170,6 +170,21 @@ def test_reptheory_surjective_exit_codes(capsys):
     assert code3 == 1
     assert payload3["rank"]["surjective"] is False
     assert payload3["rank"]["complementDim"] == 24
+    assert payload2["reports"][0]["detail"] == "partial1 is onto: rank 24 = dim target 24"
+    assert payload3["reports"][0]["detail"] == "partial1 is not onto: rank 66 < dim target 90"
+    assert [r["status"] for r in payload2["reports"] + payload3["reports"]] == ["pass", "fail"]
+
+
+def test_reptheory_surjective_is_timed(monkeypatch, capsys):
+    """--check surjective runs through checks._run, the one path that times
+    a check, so --timings reports the time spent in it."""
+    timed = []
+    original = checks._run
+    monkeypatch.setattr(checks, "_run", lambda *args: timed.append(args[0]) or original(*args))
+    code, payload, _ = run_json(capsys, "reptheory", "--n", "2", "--check", "surjective", "--timings")
+    assert code == 0
+    assert timed == ["reptheory.surjective.n2"]
+    assert "elapsedMs" in payload["reports"][0]
 
 
 def test_reptheory_suite_with_dimensions(capsys):

@@ -79,7 +79,7 @@ def test_variable_table_layout():
     assert [table.render(i) for i in range(6)] == [
         "x11", "x12", "x21", "x22", "x31", "x32",
     ]
-    assert table.is_chart(0) and not table.is_chart(table.t_index)
+    assert table.chart_weights[0] == 1 and table.chart_weights[table.t_index] == 0
 
 
 def test_flat_index_matches_chart_order():

@@ -12,7 +12,6 @@ from agdeform.linalg import (
     MatrixQ,
     Subspace,
     membership,
-    rank,
     rref,
     span_subspace,
     sparse_rank,
@@ -52,7 +51,7 @@ def test_rref_idempotent_and_rank():
         again = rref(result.reduced)
         assert again.reduced == result.reduced
         assert again.rank == result.rank
-        assert rank(m) == rank(m.transpose())
+        assert rref(m).rank == rref(m.transpose()).rank
 
 
 def test_rank_of_product_bounded():
@@ -60,7 +59,7 @@ def test_rank_of_product_bounded():
     for _ in range(20):
         a = random_matrix(rng, 4, 3)
         b = random_matrix(rng, 3, 5)
-        assert rank(a * b) <= min(rank(a), rank(b))
+        assert rref(a * b).rank <= min(rref(a).rank, rref(b).rank)
 
 
 def test_rank_nullity():
@@ -154,7 +153,7 @@ def test_sparse_rank_agrees_with_dense():
         dense = [[Fraction(0)] * ncols for _ in range(nrows)]
         for (r, c), v in entries.items():
             dense[r][c] = Fraction(v)
-        expected = rank(_matrix(dense))
+        expected = rref(_matrix(dense)).rank
         assert sparse_rank(entries, nrows, ncols) == expected
         triples = [(r, c, v) for (r, c), v in entries.items()]
         assert sparse_rank(triples, nrows, ncols) == expected

@@ -1,10 +1,12 @@
 """Graded algebra, the differential partial1, and the trace-part bookkeeping."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
+from agdeform import checks
 from agdeform.deform import build_Phi
 from agdeform.exactalg import UsageError, flat_index, pair_index
 from agdeform.linalg import MatrixQ, membership, rref, span_subspace, sparse_rank
@@ -43,27 +45,113 @@ def test_algebra_spec_dimensions_and_guard():
         GradedAlgebraSpec(1)
 
 
-def test_gzero_coordinate_roundtrip():
-    spec = GradedAlgebraSpec(3)
-    rng = random.Random(3)
-    for _ in range(20):
-        coeffs = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(spec.dim_gzero))
-        a2, bn = spec.gzero_from_coordinates(coeffs)
-        assert sum(a2[(i, i)] for i in range(2)) + sum(bn[(j, j)] for j in range(3)) == 0
-        assert spec.gzero_coordinates(a2, bn) == coeffs
-    with pytest.raises(UsageError):
-        spec.gzero_coordinates(MatrixQ.identity(2), MatrixQ.zero(3, 3))
+# -- the dense oracle: the graded bases as MatrixQ blocks, with their own indexing ----
 
 
-def _dense_pieces(spec):
-    """The graded bases as dense Fraction block matrices, built by embed."""
+def _unit(nrows, ncols, r, c, value=1):
+    return MatrixQ([[value if (i, j) == (r, c) else 0 for j in range(ncols)] for i in range(nrows)])
+
+
+def _dense_gzero_pairs(n):
+    """The g_0 basis as (A, B) pairs of dense 2 x 2 and n x n blocks."""
+    zero2, zeron = MatrixQ.zero(2, 2), MatrixQ.zero(n, n)
+    basis = [(_unit(2, 2, 0, 1), zeron), (_unit(2, 2, 1, 0), zeron)]
+    basis += [(zero2, _unit(n, n, j, k)) for j in range(n) for k in range(n) if j != k]
+    basis.append((MatrixQ([[1, 0], [0, -1]]), zeron))
+    basis += [(zero2, _unit(n, n, j, j) - _unit(n, n, j + 1, j + 1)) for j in range(n - 1)]
+    basis.append((_unit(2, 2, 0, 0), _unit(n, n, 0, 0, -1)))
+    return basis
+
+
+def _gminus_unit(n, a):
+    """The n x 2 matrix unit at flat index a = 2i + j'."""
+    return _unit(n, 2, a // 2, a % 2)
+
+
+def _gplus_unit(n, a):
+    """The 2 x n matrix unit at flat index a = n j' + i."""
+    return _unit(2, n, a // n, a % n)
+
+
+def _embed(n, a2=None, bn=None, x=None, z=None):
+    """Block matrix [[A, Z], [X, B]] in sl(2+n)."""
+    rows = [[Fraction(0)] * (2 + n) for _ in range(2 + n)]
+    for block, r0, c0 in ((a2, 0, 0), (z, 0, 2), (x, 2, 0), (bn, 2, 2)):
+        if block is not None:
+            for i, row in enumerate(block.rows):
+                for j, value in enumerate(row):
+                    rows[r0 + i][c0 + j] = value
+    return MatrixQ(rows)
+
+
+def _dense_pieces(n):
+    """The graded bases as dense Fraction block matrices."""
     return {
-        -1: [spec.embed(None, None, spec.gminus_basis_matrix(a), None)
-             for a in range(spec.dim_gminus)],
-        0: [spec.embed(a2, bn, None, None) for a2, bn in spec.gzero_basis],
-        1: [spec.embed(None, None, None, spec.gplus_basis_matrix(a))
-            for a in range(spec.dim_gplus)],
+        -1: [_embed(n, x=_gminus_unit(n, a)) for a in range(2 * n)],
+        0: [_embed(n, a2, bn) for a2, bn in _dense_gzero_pairs(n)],
+        1: [_embed(n, z=_gplus_unit(n, a)) for a in range(2 * n)],
     }
+
+
+def _sparse(mat):
+    """The nonzero entries {(row, col): value} of a dense matrix."""
+    return {(r, c): v for r, row in enumerate(mat.rows) for c, v in enumerate(row) if v}
+
+
+@functools.cache
+def _dense_rho(n, m):
+    """rho(g_m) on g_{-1} by the defining formula: column b holds B m_b - m_b A,
+    flattened by 2i + j'."""
+    a_mat, b_mat = _dense_gzero_pairs(n)[m]
+    cols = [b_mat * _gminus_unit(n, b) - _gminus_unit(n, b) * a_mat for b in range(2 * n)]
+    return MatrixQ([[cols[b][(d // 2, d % 2)] for b in range(2 * n)] for d in range(2 * n)])
+
+
+def _gzero_from_coordinates(n, coeffs):
+    """The (A, B) pair with the given g_0 coordinates, assembled densely."""
+    a_rows = [[Fraction(0)] * 2 for _ in range(2)]
+    b_rows = [[Fraction(0)] * n for _ in range(n)]
+    a_rows[0][1], a_rows[1][0] = Fraction(coeffs[0]), Fraction(coeffs[1])
+    pos = 2
+    for j in range(n):
+        for k in range(n):
+            if j != k:
+                b_rows[j][k] = Fraction(coeffs[pos])
+                pos += 1
+    u = Fraction(coeffs[pos])
+    pos += 1
+    for j in range(n - 1):
+        w = Fraction(coeffs[pos])
+        b_rows[j][j] += w
+        b_rows[j + 1][j + 1] -= w
+        pos += 1
+    v = Fraction(coeffs[pos])
+    a_rows[0][0] += u + v
+    a_rows[1][1] -= u
+    b_rows[0][0] -= v
+    return MatrixQ(a_rows), MatrixQ(b_rows)
+
+
+def test_gzero_coordinate_roundtrip():
+    """Dense coordinates -> sparse block -> gzero_coordinates is the identity,
+    and each g_0 basis element has unit coordinates."""
+    for n in (2, 3, 4):
+        spec = GradedAlgebraSpec(n)
+        rng = random.Random(n)
+        for _ in range(20):
+            coeffs = tuple(
+                Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(spec.dim_gzero)
+            )
+            a2, bn = _gzero_from_coordinates(n, coeffs)
+            assert sum(a2[(i, i)] for i in range(2)) + sum(bn[(j, j)] for j in range(n)) == 0
+            assert spec.gzero_coordinates(_sparse(_embed(n, a2, bn))) == coeffs
+        for m, unit in enumerate(spec.gzero_basis):
+            assert spec.gzero_coordinates(unit) == tuple(int(k == m) for k in range(spec.dim_gzero))
+    spec = GradedAlgebraSpec(3)
+    with pytest.raises(UsageError):
+        spec.gzero_coordinates(_sparse(_embed(3, MatrixQ.identity(2), MatrixQ.zero(3, 3))))
+    with pytest.raises(UsageError):
+        spec.gzero_coordinates({(0, 0): 1, (1, 1): -1, (2, 0): 1})
 
 
 def _dense_grading_holds(pieces, n):
@@ -101,33 +189,30 @@ def test_sparse_commutator():
 
 
 def test_verify_grading():
-    """The sparse units are the dense blocks, and both paths agree for n = 2..4."""
+    """The sparse bases are the dense embedded blocks entry by entry, with int
+    values, and both grading paths agree for n = 2..4."""
     for n in (2, 3, 4):
         spec = GradedAlgebraSpec(n)
-        dense = _dense_pieces(spec)
-        sparse = spec.sparse_pieces()
+        dense = _dense_pieces(n)
+        sparse = {-1: spec.gminus_basis, 0: spec.gzero_basis, 1: spec.gplus_basis}
         for grade, mats in dense.items():
-            assert [
-                {(r, c): v for r, row in enumerate(m.rows) for c, v in enumerate(row) if v}
-                for m in mats
-            ] == sparse[grade]
+            assert [_sparse(m) for m in mats] == sparse[grade]
+            assert all(type(v) is int for unit in sparse[grade] for v in unit.values())
         assert spec.verify_grading() is True
         assert _dense_grading_holds(dense, n) is True
 
 
-def test_verify_grading_rejects_a_g1_block_in_g0(monkeypatch):
+def test_verify_grading_rejects_a_g1_block_in_g0():
     """Negative control: a g_0 basis element with a g_1 entry breaks the grading."""
     n = 3
-    spec = GradedAlgebraSpec(n)
-    dense = _dense_pieces(spec)
+    dense = _dense_pieces(n)
     rows = [list(row) for row in dense[0][4].rows]
     rows[0][2] = Fraction(1)
     dense[0][4] = MatrixQ(rows)
     assert _dense_grading_holds(dense, n) is False
 
-    sparse = spec.sparse_pieces()
-    sparse[0][4] = {**sparse[0][4], (0, 2): 1}
-    monkeypatch.setattr(spec, "sparse_pieces", lambda: sparse)
+    spec = GradedAlgebraSpec(n)
+    spec.gzero_basis[4] = {**spec.gzero_basis[4], (0, 2): 1}
     assert spec.verify_grading() is False
 
 
@@ -155,29 +240,46 @@ def test_membership_positive_control(n):
 
 
 def test_action_matrix_matches_block_commutator():
-    """rho(g_m) m_b must be the g_{-1} block of [embed(g_m), embed(m_b)]."""
+    """rho(g_m) m_b is the g_{-1} block of the dense [embed(g_m), embed(m_b)],
+    and spec.rho holds exactly its nonzero entries, as ints."""
     for n in (2, 3):
         spec = GradedAlgebraSpec(n)
-        for m, (a2, bn) in enumerate(spec.gzero_basis):
-            g0 = spec.embed(a2, bn, None, None)
-            rho = spec.action_matrix(m)
+        for m, (a2, bn) in enumerate(_dense_gzero_pairs(n)):
+            g0 = _embed(n, a2, bn)
+            rho = _dense_rho(n, m)
             for b in range(2 * n):
-                mb = spec.embed(None, None, spec.gminus_basis_matrix(b), None)
+                mb = _embed(n, x=_gminus_unit(n, b))
                 comm = g0 * mb - mb * g0
                 for i in range(n):
                     for jp in range(2):
                         assert comm[(2 + i, jp)] == rho[(2 * i + jp, b)]
+            assert spec.rho[m] == _sparse(rho)
+            assert all(type(v) is int for v in spec.rho[m].values())
 
 
-def _apply_f(spec, f_vec, b, c):
-    """f(w_b).w_c as a flat g_{-1} vector."""
-    size = 2 * spec.n
-    dim0 = spec.dim_gzero
+def test_structure_constants_match_dense_brackets():
+    """[g_m1, g_m2] rebuilt densely from its tabulated coordinates is the
+    dense commutator of the (A, B) pairs."""
+    for n in (2, 3):
+        spec = GradedAlgebraSpec(n)
+        pairs = _dense_gzero_pairs(n)
+        for m1, (a1, b1) in enumerate(pairs):
+            for m2, (a2, b2) in enumerate(pairs):
+                table = spec.structure_constants[m1][m2]
+                assert all(type(v) is int and v for v in table.values())
+                coeffs = [table.get(m, 0) for m in range(spec.dim_gzero)]
+                assert _gzero_from_coordinates(n, coeffs) == (a1 * a2 - a2 * a1, b1 * b2 - b2 * b1)
+
+
+def _apply_f(n, f_vec, b, c):
+    """f(w_b).w_c as a flat g_{-1} vector, through the dense rho."""
+    size = 2 * n
+    dim0 = n * n + 3
     out = [Fraction(0)] * size
     for m in range(dim0):
         coeff = f_vec[b * dim0 + m]
         if coeff:
-            action = spec.action_matrix(m)
+            action = _dense_rho(n, m)
             for d in range(size):
                 out[d] += coeff * action[(d, c)]
     return out
@@ -210,8 +312,7 @@ def _lemma_oracle(t_vec, s, n):
 def test_partial1_matrix_matches_definition():
     """Column oracle: (partial1 f)(w_b, w_c) = f(w_b).w_c - f(w_c).w_b."""
     for n in (2, 3):
-        spec = GradedAlgebraSpec(n)
-        p1 = build_partial1(n, spec)
+        p1 = build_partial1(n)
         size = 2 * n
         rng = random.Random(n)
         for _ in range(3):
@@ -222,8 +323,8 @@ def test_partial1_matrix_matches_definition():
                 for c in range(b + 1, size):
                     e_c = [Fraction(1 if d == c else 0) for d in range(size)]
                     got = _two_form(t_vec, e_b, e_c, n)
-                    fb = _apply_f(spec, f_vec, b, c)
-                    fc = _apply_f(spec, f_vec, c, b)
+                    fb = _apply_f(n, f_vec, b, c)
+                    fc = _apply_f(n, f_vec, c, b)
                     assert got == tuple(x - y for x, y in zip(fb, fc))
 
 
@@ -394,6 +495,28 @@ def test_equivariance():
             lhs = p1.apply(act_on_domain(spec, a_idx, f_vec))
             rhs = act_on_target(spec, a_idx, p1.apply(f_vec))
             assert tuple(lhs) == tuple(rhs)
+
+
+@pytest.fixture
+def fresh_artifacts():
+    checks.artifacts.cache_clear()
+    yield
+    checks.artifacts.cache_clear()
+
+
+def test_equivariance_check_rejects_a_flipped_structure_constant(fresh_artifacts):
+    """Negative control: with one g_0 structure constant negated, the
+    equivariance check fails and every other reptheory check still passes."""
+    n = 3
+    spec = checks.artifacts(n).spec
+    # the basis element that the seeded check (seed 0) draws first
+    a_idx = random.Random(n).randrange(spec.dim_gzero)
+    table = next(t for t in spec.structure_constants[a_idx] if t)
+    m = next(iter(table))
+    table[m] = -table[m]
+    reports = {r.check_id: r.status for r in checks.reptheory_suite((n,))}
+    assert reports.pop(f"reptheory.equivariance.n{n}") == checks.FAIL
+    assert set(reports.values()) == {checks.PASS}
 
 
 def test_surjective_only_at_n2():

@@ -127,9 +127,10 @@ class Artifacts:
         return rep_mod.build_partial1(self.n, self.spec)
 
     @functools.cached_property
-    def trace_vectors(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Both trace-embedding families, in the target space of partial1."""
-        return rep_mod.trace_embedding_vectors(self.n).all_vectors()
+    def trace_vectors(self) -> tuple[dict[int, Fraction], ...]:
+        """Both trace-embedding families, as sparse rows in the target space
+        of partial1."""
+        return rep_mod.trace_embedding_vectors(self.n)
 
 
 @functools.cache
@@ -584,7 +585,7 @@ def reptheory_suite(ns: Sequence[int] = (2, 3, 4, 5), seed: int = 0) -> list[Che
 
         def lemma_image(art=art, n=n):
             image = art.partial1.image
-            for row in image.basis.rows:
+            for row in image.basis.values():
                 for s in range(2, n + 1):
                     if lemma_criterion(row, s, n):
                         return False, f"an Im(partial1) basis vector violates the span property (s={s})", None
@@ -699,93 +700,89 @@ def _display_second_derivatives(chart: Chart, r: int):
 def _second_derivatives(phi: EndomorphismField):
     """nabla2_phi(phi) and its kappa projection as two memoized thunks, so
     that the first check that reads one builds it inside its timing and the
-    other checks of the suite share it."""
+    other checks that get the thunks share it."""
     d2 = functools.cache(functools.partial(curvature_mod.nabla2_phi, phi))
     projection = functools.cache(lambda: curvature_mod.project_kappa(d2()))
     return d2, projection
 
 
-def curvature_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
-    reports = []
-    for n in ns:
-        art = artifacts(n)
-        chart, phi = art.chart, art.phi
-        build_d2, build_projection = _second_derivatives(phi)
+def _symbolic_curvature(art: Artifacts, build_d2, build_projection) -> list[CheckReport]:
+    """The four checks of curvature_suite at one n, reading the thunks."""
+    n, chart, phi = art.n, art.chart, art.phi
 
-        def displays(chart=chart, build_d2=build_d2, n=n):
-            d2 = build_d2()
-            for r in range(2, n + 1):
-                a_want, b_want, c_want = _display_second_derivatives(chart, r)
-                a_got = d2.entry(2, 1, 1, 1, 1, 1, 1, r)
-                b_got = d2.entry(2, 1, 2, 1, 2, 1, 1, r)
-                c_got = d2.entry(1, 1, 1, 1, 1, 1, 2, r)
-                if a_got != a_want:
-                    return False, f"grad^1_2' grad^1_1' Phi^1'1_1'r differs at r={r}", None
-                if b_got != b_want:
-                    return False, f"(grad^1_2')^2 Phi^2'1_1'r differs at r={r}", None
-                if c_got != c_want:
-                    return False, f"(grad^1_1')^2 Phi^1'1_2'r differs at r={r}", None
-            return (
-                True,
-                "the three displayed second-derivative formulas hold for r = 2..n, symbolic c",
-                None,
-            )
+    def displays():
+        d2 = build_d2()
+        for r in range(2, n + 1):
+            a_want, b_want, c_want = _display_second_derivatives(chart, r)
+            a_got = d2.entry(2, 1, 1, 1, 1, 1, 1, r)
+            b_got = d2.entry(2, 1, 2, 1, 2, 1, 1, r)
+            c_got = d2.entry(1, 1, 1, 1, 1, 1, 2, r)
+            if a_got != a_want:
+                return False, f"grad^1_2' grad^1_1' Phi^1'1_1'r differs at r={r}", None
+            if b_got != b_want:
+                return False, f"(grad^1_2')^2 Phi^2'1_1'r differs at r={r}", None
+            if c_got != c_want:
+                return False, f"(grad^1_1')^2 Phi^1'1_2'r differs at r={r}", None
+        return (
+            True,
+            "the three displayed second-derivative formulas hold for r = 2..n, symbolic c",
+            None,
+        )
 
-        def trace_free(build_d2=build_d2, n=n):
-            d2 = build_d2()
-            for r in range(1, n + 1):
-                lhs = d2.entry(2, 1, 1, 1, 1, 1, 1, r)
-                rhs = -d2.entry(1, 1, 2, 1, 2, 1, 2, r)
-                if lhs != rhs:
-                    return False, f"trace-freeness identity fails at r={r}", None
-            return (
-                True,
-                "grad^1_2' grad^1_1' Phi^1'1_1'r = -grad^1_1' grad^1_2' Phi^2'1_2'r for all r",
-                None,
-            )
+    def trace_free():
+        d2 = build_d2()
+        for r in range(1, n + 1):
+            lhs = d2.entry(2, 1, 1, 1, 1, 1, 1, r)
+            rhs = -d2.entry(1, 1, 2, 1, 2, 1, 2, r)
+            if lhs != rhs:
+                return False, f"trace-freeness identity fails at r={r}", None
+        return (
+            True,
+            "grad^1_2' grad^1_1' Phi^1'1_1'r = -grad^1_1' grad^1_2' Phi^2'1_2'r for all r",
+            None,
+        )
 
-        def reduction(build_d2=build_d2, build_projection=build_projection, n=n):
-            d2, projection = build_d2(), build_projection()
-            half = Fraction(1, 2)
-            for r in range(1, n + 1):
-                a = d2.entry(2, 1, 1, 1, 1, 1, 1, r)
-                b = d2.entry(2, 1, 2, 1, 2, 1, 1, r)
-                cc = d2.entry(1, 1, 1, 1, 1, 1, 2, r)
-                want = (a + a + b - cc).scale(half)
-                got = projection.component(2, 1, 1, 1, 1, r)
-                if got != want:
-                    return False, f"projected component differs from (1/2)(2A + B - C) at r={r}", None
-            return (
-                True,
-                "kappa^111_2'1'r = (1/2)(2A + B - C) for all r after steps 1-3",
-                None,
-            )
+    def reduction():
+        d2, projection = build_d2(), build_projection()
+        half = Fraction(1, 2)
+        for r in range(1, n + 1):
+            a = d2.entry(2, 1, 1, 1, 1, 1, 1, r)
+            b = d2.entry(2, 1, 2, 1, 2, 1, 1, r)
+            cc = d2.entry(1, 1, 1, 1, 1, 1, 2, r)
+            want = (a + a + b - cc).scale(half)
+            got = projection.component(2, 1, 1, 1, 1, r)
+            if got != want:
+                return False, f"projected component differs from (1/2)(2A + B - C) at r={r}", None
+        return (
+            True,
+            "kappa^111_2'1'r = (1/2)(2A + B - C) for all r after steps 1-3",
+            None,
+        )
 
-        def kappa_match(phi=phi, build_projection=build_projection, n=n):
-            projection = build_projection()
-            for r in range(2, n + 1):
-                result = curvature_mod.kappa_closed_form_check(phi, r, projection=projection)
-                if not result.matches_closed_form:
-                    return False, f"kappa closed form fails at r={r}", None
-            return (
-                True,
-                "kappa^111_2'1'r = sum_i c_i x_i1 x_r1 (3/q - 7e/q^2 + 4e^2/q^3),"
-                " e = x11^2 + x12^2, for r = 2..n",
-                None,
-            )
+    def kappa_match():
+        projection = build_projection()
+        for r in range(2, n + 1):
+            result = curvature_mod.kappa_closed_form_check(phi, r, projection=projection)
+            if not result.matches_closed_form:
+                return False, f"kappa closed form fails at r={r}", None
+        return (
+            True,
+            "kappa^111_2'1'r = sum_i c_i x_i1 x_r1 (3/q - 7e/q^2 + 4e^2/q^3),"
+            " e = x11^2 + x12^2, for r = 2..n",
+            None,
+        )
 
-        reports.append(_run(f"curvature.displays.n{n}", SYMBOLIC, displays))
-        reports.append(_run(f"curvature.trace_free.n{n}", SYMBOLIC, trace_free))
-        reports.append(_run(f"curvature.reduction.n{n}", SYMBOLIC, reduction))
-        reports.append(_run(f"curvature.kappa.n{n}", SYMBOLIC, kappa_match))
-    return reports
+    return [
+        _run(f"curvature.displays.n{n}", SYMBOLIC, displays),
+        _run(f"curvature.trace_free.n{n}", SYMBOLIC, trace_free),
+        _run(f"curvature.reduction.n{n}", SYMBOLIC, reduction),
+        _run(f"curvature.kappa.n{n}", SYMBOLIC, kappa_match),
+    ]
 
 
-def curvature_numeric_suite(n: int = 3, seed: int = 0) -> list[CheckReport]:
-    reports = []
-    art = artifacts(n)
-    chart = art.chart
-    build_d2, build_projection = _second_derivatives(art.phi)
+def _numeric_curvature(art: Artifacts, seed: int, build_d2, build_projection) -> list[CheckReport]:
+    """The two checks of curvature_numeric_suite, reading the thunks."""
+    n, chart = art.n, art.chart
     c_unit = [Fraction(1)] + [Fraction(0)] * (n - 2)
 
     def accept(entries):
@@ -819,9 +816,31 @@ def curvature_numeric_suite(n: int = 3, seed: int = 0) -> list[CheckReport]:
             None,
         )
 
-    reports.append(_run(f"curvature.not_pure_trace.n{n}", NUMERIC, not_pure_trace_samples))
-    reports.append(_run(f"curvature.mixed_partials.n{n}", SYMBOLIC, mixed_partials))
+    return [
+        _run(f"curvature.not_pure_trace.n{n}", NUMERIC, not_pure_trace_samples),
+        _run(f"curvature.mixed_partials.n{n}", SYMBOLIC, mixed_partials),
+    ]
+
+
+def curvature_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
+    reports = []
+    for n in ns:
+        art = artifacts(n)
+        reports += _symbolic_curvature(art, *_second_derivatives(art.phi))
     return reports
+
+
+def curvature_numeric_suite(n: int = 3, seed: int = 0) -> list[CheckReport]:
+    art = artifacts(n)
+    return _numeric_curvature(art, seed, *_second_derivatives(art.phi))
+
+
+def _curvature_with_numeric(n: int, seed: int) -> list[CheckReport]:
+    """curvature_suite((n,)) plus curvature_numeric_suite(n, seed) on one
+    build of the second derivatives, which is released when this returns."""
+    art = artifacts(n)
+    shared = _second_derivatives(art.phi)
+    return _symbolic_curvature(art, *shared) + _numeric_curvature(art, seed, *shared)
 
 
 # -- finite-difference oracle ----------------------------------------------------------
@@ -903,8 +922,8 @@ def acceptance_suite(seed: int = 0, ball_count: int = 8) -> list[CheckReport]:
         report, _ = density_check(3, c, 2, seed, ball_count)
         reports.append(report)
     reports += reptheory_suite((2, 3, 4, 5), seed)
-    reports += curvature_suite((3, 4))
-    reports += curvature_numeric_suite(3, seed)
+    reports += _curvature_with_numeric(3, seed)
+    reports += curvature_suite((4,))
     reports += fd_oracle_suite(3, seed)
     return sort_reports(reports)
 

@@ -1,15 +1,18 @@
 """Exact linear algebra over Q: spanned subspaces, ranks, membership.
 
 Everything here is exact: entries are fractions.Fraction or int, and there
-are no tolerances anywhere.  There is one eliminator, `sparse_rref`: sparse
-Gauss-Jordan on {column: value} rows, giving the canonical reduced basis.
-`span_subspace` (dense or sparse rows) and `sparse_rank` are thin entry
-points to it.  Membership is fraction-free: `membership` evaluates integer
-residual functionals (the annihilator of a Subspace) on the vector cleared
-of denominators, and `Subspace.contains` and `Subspace.residual` stay as
-its Fraction oracles.  The dense Gauss-Jordan `rref` (with its
-`RrefResult`) has no caller at runtime: it is the tests' oracle for the
-eliminator, kept here because the benchmark's tracer wraps it by name.
+are no tolerances anywhere.  A vector comes in one of two forms, dense (a
+sequence) or sparse ({index: value}), and every entry point takes both.
+There is one eliminator, `sparse_rref`: sparse Gauss-Jordan on
+{column: value} rows, giving the canonical reduced basis.  A Subspace holds
+that basis as it comes, {pivot column: sparse row}; `span_subspace` and
+`sparse_rank` are thin entry points to the eliminator.  Membership is
+fraction-free: `membership` evaluates integer residual functionals (the
+annihilator of a Subspace) on the vector cleared of denominators, and
+`Subspace.contains` and `Subspace.residual` stay as its Fraction oracles.
+The dense `MatrixQ` and its Gauss-Jordan `rref` (with `RrefResult`) have no
+caller at runtime: they are the tests' oracle for the eliminator, kept here
+because the benchmark's tracer wraps `rref` and `MatrixQ.__mul__` by name.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .exactalg import _coerce
+from .exactalg import UsageError, _coerce
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -128,89 +131,100 @@ def rref(matrix: MatrixQ) -> RrefResult:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of Q^ambient_dim with a canonical RREF basis.
+    """Subspace of Q^ambient_dim with its canonical RREF basis.
 
-    Basis rows are in reduced echelon form, so two Subspace objects
-    describe the same space iff their bases are equal entrywise.
+    basis is what `sparse_rref` returns: {pivot column: reduced row}, each
+    row a sparse {column: Fraction} dict that holds 1 at its own pivot and
+    nothing at any other pivot column.  The reduced basis of a space is
+    unique, so two Subspace objects describe the same space iff they are ==.
     """
 
     ambient_dim: int
-    basis: MatrixQ
-    pivot_columns: tuple[int, ...]
+    basis: dict[int, dict[int, Fraction]]
+
+    # The basis is a dict, so there is no hash to agree with __eq__.
+    __hash__ = None
+
+    @property
+    def pivot_columns(self) -> tuple[int, ...]:
+        return tuple(sorted(self.basis))
 
     @property
     def dim(self) -> int:
-        return len(self.pivot_columns)
+        return len(self.basis)
 
     @property
     def free_columns(self) -> tuple[int, ...]:
-        pivot_set = set(self.pivot_columns)
-        return tuple(j for j in range(self.ambient_dim) if j not in pivot_set)
+        return tuple(j for j in range(self.ambient_dim) if j not in self.basis)
 
     @functools.cached_property
     def annihilator(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Integer residual functionals, one per free column, as sparse rows.
 
-        The functional of free column j is e_j - sum_k B[k][j] e_{p_k},
-        read off the reduced basis B with pivot columns p_k and multiplied
-        by the lcm of its denominators.  Each row is a tuple of
-        (index, coefficient) pairs; a vector lies in the subspace iff every
-        row pairs with it to zero, since the pairing is the residual at j.
+        The functional of free column j is e_j - sum_p B[p][j] e_p over the
+        basis rows B[p], multiplied by the lcm of its denominators; it is
+        read off in one pass over the nonzeros of the basis.  Each row is a
+        tuple of (index, coefficient) pairs; a vector lies in the subspace
+        iff every row pairs with it to zero, since the pairing is the
+        residual at j.
         """
-        rows = self.basis.rows
+        terms: dict[int, list[tuple[int, Fraction]]] = {j: [] for j in self.free_columns}
+        for p in self.pivot_columns:
+            for j, v in self.basis[p].items():
+                if j != p:
+                    terms[j].append((p, -v))
         out = []
-        for j in self.free_columns:
-            terms = [(p, -rows[k][j]) for k, p in enumerate(self.pivot_columns) if rows[k][j]]
-            scale = lcm(*(v.denominator for _, v in terms))
+        for j, row in terms.items():
+            scale = lcm(*(v.denominator for _, v in row))
             out.append(
                 ((j, scale),)
-                + tuple((p, v.numerator * (scale // v.denominator)) for p, v in terms)
+                + tuple((p, v.numerator * (scale // v.denominator)) for p, v in row)
             )
         return tuple(out)
 
-    def residual(self, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Coordinates of vector - (its projection onto the basis rows).
-
-        Computed by subtracting vector[p_k] times basis row k for every
-        pivot column p_k.  The result is supported on the free columns;
-        the vector lies in the subspace iff the residual vanishes there.
-        """
-        if len(vector) != self.ambient_dim:
-            raise ValueError("vector dimension mismatch")
-        rows = self.basis.rows
-        return tuple(
-            vector[j]
-            - sum(
-                (vector[p] * rows[k][j] for k, p in enumerate(self.pivot_columns)),
-                _ZERO,
-            )
-            for j in self.free_columns
-        )
-
-    def contains(self, vector: Sequence[Fraction]) -> bool:
-        """Exact membership; cheap when few pivot coordinates are nonzero."""
-        if len(vector) != self.ambient_dim:
-            raise ValueError("vector dimension mismatch")
-        work = list(vector)
-        for k, p in enumerate(self.pivot_columns):
-            coeff = work[p]
+    def _reduce(self, vector: Vector) -> dict[int, Fraction]:
+        """The vector, dense or sparse, minus vector[p] times basis row p for
+        every pivot p: what is left is supported on the free columns."""
+        work = _row_dict(vector, self.ambient_dim)
+        for p, row in self.basis.items():
+            coeff = work.get(p)
             if coeff:
-                row = self.basis.rows[k]
-                work = [w - coeff * r for w, r in zip(work, row)]
-        return not any(work)
+                _axpy(work, -coeff, row)
+        return work
+
+    def residual(self, vector: Vector) -> tuple[Fraction, ...]:
+        """Coordinates, on the free columns, of vector - (its projection
+        onto the basis rows); the vector lies in the subspace iff they all
+        vanish."""
+        left = self._reduce(vector)
+        return tuple(left.get(j, _ZERO) for j in self.free_columns)
+
+    def contains(self, vector: Vector) -> bool:
+        """Exact membership in Fractions, the oracle for `membership`."""
+        return not self._reduce(vector)
 
 
-def _row_dict(
-    vector: Sequence[Fraction | int] | Mapping[int, Fraction | int], ambient_dim: int
-) -> dict[int, Fraction]:
-    """The nonzero entries of a dense row or of a sparse {column: value} row."""
+#: A vector in either of its two forms: dense, or sparse {index: value}.
+Vector = Sequence[Fraction | int] | Mapping[int, Fraction | int]
+
+
+def nonzero_entries(vector: Vector, dim: int) -> dict[int, Fraction | int]:
+    """The nonzero entries {index: value} of a dense vector of length dim
+    or of a sparse {index: value} mapping with int indices in 0..dim-1;
+    any other vector raises UsageError (a ValueError).  The values are
+    returned as given."""
     if isinstance(vector, Mapping):
-        if not all(isinstance(j, int) and 0 <= j < ambient_dim for j in vector):
-            raise ValueError(f"sparse row has a column outside 0..{ambient_dim - 1}")
-        return {j: _coerce(v) for j, v in vector.items() if v}
-    if len(vector) != ambient_dim:
-        raise ValueError("vector dimension mismatch")
-    return {j: _coerce(v) for j, v in enumerate(vector) if v}
+        if not all(isinstance(j, int) and 0 <= j < dim for j in vector):
+            raise UsageError(f"sparse vector has an index outside 0..{dim - 1}")
+        return {j: v for j, v in vector.items() if v}
+    if len(vector) != dim:
+        raise UsageError(f"vector has {len(vector)} entries, not {dim}")
+    return {j: v for j, v in enumerate(vector) if v}
+
+
+def _row_dict(vector: Vector, ambient_dim: int) -> dict[int, Fraction]:
+    """The nonzero entries of a dense or sparse row, as Fractions."""
+    return {j: _coerce(v) for j, v in nonzero_entries(vector, ambient_dim).items()}
 
 
 def _axpy(target: dict[int, Fraction], factor: Fraction, source: Mapping[int, Fraction]) -> None:
@@ -253,34 +267,26 @@ def sparse_rref(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, F
     return pivots
 
 
-def span_subspace(
-    vectors: Sequence[Sequence[Fraction] | Mapping[int, Fraction]], ambient_dim: int
-) -> Subspace:
+def span_subspace(vectors: Sequence[Vector], ambient_dim: int) -> Subspace:
     """Span of row vectors as a canonical Subspace.  Rows may be dense, of
     length ambient_dim, or sparse {column: value} dicts with columns in
     0..ambient_dim-1; any other row raises ValueError."""
-    pivots = sparse_rref([_row_dict(v, ambient_dim) for v in vectors])
-    order = sorted(pivots)
-    basis = [[_ZERO] * ambient_dim for _ in order]
-    for dense, p in zip(basis, order):
-        for j, v in pivots[p].items():
-            dense[j] = v
-    return Subspace(ambient_dim, MatrixQ(basis), tuple(order))
+    return Subspace(ambient_dim, sparse_rref([_row_dict(v, ambient_dim) for v in vectors]))
 
 
-def membership(subspace: Subspace, vector: Sequence[Fraction | int]) -> bool:
+def membership(subspace: Subspace, vector: Vector) -> bool:
     """Exact membership on integers: the annihilator of the subspace paired
     with the vector scaled by the lcm of its denominators.
 
-    Membership is unchanged by a nonzero scale, so the answer equals
+    The vector is dense or sparse, as in span_subspace; int entries stay
+    ints.  Membership is unchanged by a nonzero scale, so the answer equals
     subspace.contains(vector) (the Fraction oracle).
     """
-    if len(vector) != subspace.ambient_dim:
-        raise ValueError("vector dimension mismatch")
-    scale = lcm(*(v.denominator for v in vector))
-    ints = [v.numerator * (scale // v.denominator) for v in vector]
+    entries = nonzero_entries(vector, subspace.ambient_dim)
+    scale = lcm(*(v.denominator for v in entries.values()))
+    ints = {i: v.numerator * (scale // v.denominator) for i, v in entries.items()}
     return not any(
-        sum(coeff * ints[i] for i, coeff in row) for row in subspace.annihilator
+        sum(coeff * ints.get(i, 0) for i, coeff in row) for row in subspace.annihilator
     )
 
 

@@ -9,7 +9,9 @@ partial1 : g_{-1}* (x) g_0 -> Lambda^2 g_{-1}* (x) g_{-1},
 (partial1 f)(w, v) = f(w).v - f(v).w, are all read off commutators of these
 block units, so their entries are integers by construction.  partial1 is one
 sparse integer matrix per n; its image is the obstruction space behind the
-rank-one torsion criterion.
+rank-one torsion criterion.  The trace embeddings, which lie in that image,
+are sparse {index: value} rows of the same target space, addressed through
+exactalg.flat_index and pair_index only.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import UsageError, pair_index
+from .exactalg import UsageError, flat_index, pair_index
 from .linalg import Subspace, span_subspace
 
 #: A sparse block matrix in sl(2+n): {(row, col): value} over its nonzero entries.
@@ -236,30 +238,7 @@ def decomposition_dims(n: int) -> DecompositionDims:
     )
 
 
-@dataclass(frozen=True)
-class TraceEmbeddings:
-    """Embedded basis vectors of the two trace families, flattened to the
-    pair-major coordinate order of Partial1Map."""
-
-    n: int
-    family_one: tuple[tuple[Fraction, ...], ...]
-    family_two: tuple[tuple[Fraction, ...], ...]
-
-    def all_vectors(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self.family_one + self.family_two
-
-
-def _target_vector_from_values(values, n: int) -> tuple[Fraction, ...]:
-    """values[(b, c)] for b < c is a 2n output vector; flatten pair-major."""
-    size = 2 * n
-    out = []
-    for b in range(size):
-        for c in range(b + 1, size):
-            out.extend(values[(b, c)])
-    return tuple(out)
-
-
-def trace_embedding_vectors(n: int) -> TraceEmbeddings:
+def trace_embedding_vectors(n: int) -> tuple[dict[int, Fraction], ...]:
     """The two families of identity-contracted trace vectors in the target space.
 
     Family one, indexed by (p', i < j, k): the R^2 vector e_{p'} tensored
@@ -272,64 +251,56 @@ def trace_embedding_vectors(n: int) -> TraceEmbeddings:
     value is (e_{j'} . e_{k'})(alpha, beta) e^{l'} (x) (1/2)(a_m b - b_m a).
 
     The normalizations are the naive symmetrization and alternation constants;
-    only the spanned subspace is meaningful downstream.
+    only the spanned subspace is meaningful downstream.  Returns the
+    n^2(n-1) vectors of family one, then the 6n of family two, each a sparse
+    {index: value} row in the pair-major order of Partial1Map, filled in
+    over its nonzero slot pairs only.
     """
     if n < 2:
         raise UsageError("needs n >= 2")
     size = 2 * n
     half = Fraction(1, 2)
 
-    def basis_data(a: int) -> tuple[int, int]:
-        # returns (row index i, primed index j'), both 0-based
-        return a // 2, a % 2
+    def add(vec: dict[int, Fraction], b: int, c: int, d: int, value: Fraction) -> None:
+        """vec += value at output d of T(w_b, w_c), with T(w_c, w_b) = -T(w_b, w_c)."""
+        if b > c:
+            b, c, value = c, b, -value
+        key = pair_index(b, c, size) * size + d
+        vec[key] = vec.get(key, 0) + value
 
-    family_one = []
-    for p_prime in range(2):
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    values = {}
-                    for b in range(size):
-                        ib, jb = basis_data(b)
-                        for c in range(b + 1, size):
-                            ic, jc = basis_data(c)
-                            wedge = (
-                                (1 if (ib, ic) == (i, j) else 0)
-                                - (1 if (ib, ic) == (j, i) else 0)
-                            )
-                            vec = [Fraction(0)] * size
-                            if wedge:
-                                if jb == p_prime:
-                                    vec[2 * k + jc] += half * wedge
-                                if jc == p_prime:
-                                    vec[2 * k + jb] += half * wedge
-                            values[(b, c)] = vec
-                    family_one.append(_target_vector_from_values(values, n))
+    vectors = []
+    for p_prime in (1, 2):
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                for k in range(1, n + 1):
+                    # the wedge is nonzero only on the slots (i, b') < (j, c')
+                    vec: dict[int, Fraction] = {}
+                    for b_prime in (1, 2):
+                        for c_prime in (1, 2):
+                            b, c = flat_index(i, b_prime), flat_index(j, c_prime)
+                            if b_prime == p_prime:
+                                add(vec, b, c, flat_index(k, c_prime), half)
+                            if c_prime == p_prime:
+                                add(vec, b, c, flat_index(k, b_prime), half)
+                    vectors.append(vec)
 
-    family_two = []
-    for j_prime in range(2):
-        for k_prime in range(j_prime, 2):
-            for l_prime in range(2):
-                for m in range(n):
-                    values = {}
-                    for b in range(size):
-                        ib, jb = basis_data(b)
-                        for c in range(b + 1, size):
-                            ic, jc = basis_data(c)
-                            sym = half * (
-                                (1 if (jb, jc) == (j_prime, k_prime) else 0)
-                                + (1 if (jb, jc) == (k_prime, j_prime) else 0)
-                            )
-                            vec = [Fraction(0)] * size
-                            if sym:
-                                if ib == m:
-                                    vec[2 * ic + l_prime] += sym * half
-                                if ic == m:
-                                    vec[2 * ib + l_prime] -= sym * half
-                            values[(b, c)] = vec
-                    family_two.append(_target_vector_from_values(values, n))
-
-    return TraceEmbeddings(n=n, family_one=tuple(family_one), family_two=tuple(family_two))
+    for j_prime in (1, 2):
+        for k_prime in range(j_prime, 3):
+            primed = sorted({(j_prime, k_prime), (k_prime, j_prime)})
+            # half the symmetrized pairing: 1 on (j', j'), 1/2 on each order of j' != k'
+            weight = half if j_prime == k_prime else half * half
+            for l_prime in (1, 2):
+                for m in range(1, n + 1):
+                    # nonzero only where one slot lies in row m and the other
+                    # in a row i != m; two slots in row m cancel
+                    vec = {}
+                    for b_prime, c_prime in primed:
+                        for i in range(1, n + 1):
+                            if i != m:
+                                add(vec, flat_index(m, b_prime), flat_index(i, c_prime),
+                                    flat_index(i, l_prime), weight)
+                    vectors.append(vec)
+    return tuple(vectors)
 
 
 def act_on_domain(

@@ -24,6 +24,7 @@ from .exactalg import (
     render_polynomial,
 )
 from .deform import EndomorphismField
+from .linalg import Vector, nonzero_entries
 from .model import Chart, ChartPoint
 
 
@@ -244,7 +245,7 @@ class TorsionAssembler:
         return tuple(-v for v in values) if negative else tuple(values)
 
 
-def lemma_criterion(t_vec: Sequence, s: int, n: int) -> bool:
+def lemma_criterion(t_vec: Vector, s: int, n: int) -> bool:
     """Rank-one test certifying nonzero harmonic torsion.
 
     t_vec is a torsion value in pair-major order.  With xi, eta the frame
@@ -252,12 +253,12 @@ def lemma_criterion(t_vec: Sequence, s: int, n: int) -> bool:
     spanned by E_1', every torsion in the image of the algebraic differential
     partial1 maps E_1' into span{E_1, E_s}.  Returns true iff T(xi, eta)(E_1')
     has a component along some E_k with k outside {1, s}; the verdict does
-    not change when t_vec is scaled by a nonzero factor.
+    not change when t_vec is scaled by a nonzero factor.  t_vec is dense or
+    a sparse {index: value} mapping, as in linalg.membership.
     """
     size = 2 * n
     if not (2 <= s <= n):
         raise UsageError(f"component index s must be in 2..{n}")
-    if len(t_vec) != n * (2 * n - 1) * size:
-        raise UsageError(f"a torsion vector at n={n} has {n * (2 * n - 1) * size} entries")
+    entries = nonzero_entries(t_vec, n * (2 * n - 1) * size)
     base = pair_index(flat_index(1, 2), flat_index(s, 2), size) * size
-    return any(t_vec[base + flat_index(k, 1)] for k in range(2, n + 1) if k != s)
+    return any(base + flat_index(k, 1) in entries for k in range(2, n + 1) if k != s)

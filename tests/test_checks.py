@@ -82,6 +82,25 @@ def test_curvature_suite_builds_second_derivatives_once(monkeypatch, fresh_cache
     assert len(calls) == 1
 
 
+def test_acceptance_suite_builds_n3_second_derivatives_once(monkeypatch, fresh_cache):
+    """verify --all runs curvature_suite and curvature_numeric_suite at n = 3
+    on one build of nabla2_phi.  The other suites and the n = 4 curvature
+    checks are stubbed out to keep the test small."""
+    stub = checks.CheckReport("stub", checks.PASS, checks.NUMERIC, "")
+    for name in ("flow_suite", "eigen_suite", "phi_suite", "torsion_suite",
+                 "torsion_zero_suite", "reptheory_suite", "fd_oracle_suite"):
+        monkeypatch.setattr(checks, name, lambda *args: [])
+    monkeypatch.setattr(checks, "density_check", lambda *args: (stub, []))
+    real_suite = checks.curvature_suite
+    monkeypatch.setattr(checks, "curvature_suite", lambda ns: real_suite([n for n in ns if n != 4]))
+    calls = counting(monkeypatch, curvature_mod, "nabla2_phi")
+    reports = [r for r in checks.acceptance_suite() if r is not stub]
+    assert len(calls) == 1
+    names = ("displays", "trace_free", "reduction", "kappa", "not_pure_trace", "mixed_partials")
+    assert sorted(r.check_id for r in reports) == sorted(f"curvature.{x}.n3" for x in names)
+    assert all(r.status == checks.PASS for r in reports)
+
+
 def test_reptheory_suite_passes_at_n6(fresh_cache):
     """Rank, kernel, cokernel, trace membership, trace span and lemma_image
     at n = 6, which the sparse eliminator makes cheap enough for tier 1."""

@@ -159,7 +159,8 @@ def test_trace_subspace_matches_dense_rref(n, monkeypatch):
     (vectors, ambient), = seen
     dense = [[Fraction(v.get(j, 0)) for j in range(ambient)] for v in vectors]
     result = rref(MatrixQ(dense))
-    assert sub.basis.rows == result.reduced.rows[: result.rank]
+    rows = tuple(tuple(sub.basis[p].get(j, 0) for j in range(ambient)) for p in sub.pivot_columns)
+    assert rows == result.reduced.rows[: result.rank]
     assert sub.pivot_columns == result.pivot_columns
     assert sub.dim == n * (n + 1) // 2
 

@@ -2,6 +2,7 @@
 the dense rref oracle, spans, membership, sparse rank."""
 
 import random
+from collections.abc import Hashable
 from fractions import Fraction
 
 import pytest
@@ -17,10 +18,20 @@ from agdeform.linalg import (
     sparse_rank,
     sparse_rref,
 )
+from agdeform.exactalg import flat_index, pair_index
+from agdeform.torsion import lemma_criterion
 
 
 def _matrix(rows):
     return MatrixQ([[Fraction(v) for v in row] for row in rows])
+
+
+def _dense_rows(space):
+    """The sparse RREF basis of a Subspace as dense rows, in pivot order."""
+    return tuple(
+        tuple(space.basis[p].get(j, Fraction(0)) for j in range(space.ambient_dim))
+        for p in space.pivot_columns
+    )
 
 
 def random_matrix(rng, nrows, ncols, lo=-4, hi=4):
@@ -101,7 +112,7 @@ def test_contains_matches_residual_on_random_vectors():
         for _ in range(4)
     ]
     space = span_subspace(vectors, 8)
-    assert any(v.denominator > 1 for row in space.basis.rows for v in row)
+    assert any(v.denominator > 1 for row in space.basis.values() for v in row.values())
     members = 0
     for _ in range(60):
         if rng.random() < 0.5:
@@ -164,9 +175,14 @@ def test_sparse_rank_agrees_with_dense():
 
 
 def _oracle_subspace(rows, ncols):
-    """The Subspace read off the dense rref of the rows."""
+    """The Subspace read off the dense rref of the rows, and its dense rows."""
     result = rref(_matrix(rows))
-    return Subspace(ncols, MatrixQ(result.reduced.rows[: result.rank]), result.pivot_columns)
+    dense = result.reduced.rows[: result.rank]
+    basis = {
+        p: {j: v for j, v in enumerate(row) if v}
+        for p, row in zip(result.pivot_columns, dense)
+    }
+    return Subspace(ncols, basis), dense
 
 
 _RATIONALS = st.builds(
@@ -202,20 +218,19 @@ def test_sparse_rref_matches_dense_oracle(case):
     """Basis, pivot columns and annihilator of the sparse eliminator equal
     those read off the dense rref, for dense, sparse and mixed input."""
     rows, mixed, ncols = case
-    oracle = _oracle_subspace(rows, ncols)
+    oracle, dense = _oracle_subspace(rows, ncols)
     space = span_subspace(mixed, ncols)
     assert space == oracle
-    assert space.basis.rows == oracle.basis.rows
+    assert _dense_rows(space) == dense
     assert space.pivot_columns == oracle.pivot_columns
     assert space.annihilator == oracle.annihilator
-    assert all(isinstance(v, Fraction) for row in space.basis.rows for v in row)
+    assert all(isinstance(v, Fraction) for row in space.basis.values() for v in row.values())
     sparse_in = [{j: v for j, v in enumerate(r) if v} for r in rows]
     before = [dict(r) for r in sparse_in]
     reduced = sparse_rref(sparse_in)
     assert sparse_in == before
     assert tuple(sorted(reduced)) == oracle.pivot_columns
-    for p, row in zip(oracle.pivot_columns, oracle.basis.rows):
-        assert reduced[p] == {j: v for j, v in enumerate(row) if v}
+    assert reduced == oracle.basis
 
 
 def test_span_guards_dimension_on_dense_and_sparse_rows():
@@ -230,7 +245,7 @@ def test_span_guards_dimension_on_dense_and_sparse_rows():
             span_subspace([{0: 1}, bad], 3)
     space = span_subspace([{2: 5}, (0, 1, 0)], 3)
     assert space.ambient_dim == 3
-    assert space.basis.ncols == 3
+    assert _dense_rows(space) == ((0, 1, 0), (0, 0, 1))
     assert space.pivot_columns == (1, 2)
 
 
@@ -244,5 +259,88 @@ def test_subspace_pivot_structure():
     assert space.free_columns == (0, 2)
     # rows are reduced: each pivot column holds 1 in its own row, 0 elsewhere
     for k, p in enumerate(space.pivot_columns):
-        for row_idx, row in enumerate(space.basis.rows):
+        for row_idx, row in enumerate(_dense_rows(space)):
             assert row[p] == (Fraction(1) if row_idx == k else Fraction(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_sets(), st.data())
+def test_membership_on_dense_and_sparse_vectors_matches_contains(case, data):
+    """membership on the dense and on the sparse form of a member, of a
+    random rational vector and of a random integer vector equals
+    Subspace.contains; the sparse form may carry explicit zeros."""
+    rows, mixed, ncols = case
+    space = span_subspace(mixed, ncols)
+    coeffs = data.draw(st.lists(_RATIONALS, min_size=len(rows), max_size=len(rows)))
+    member = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0)) for j in range(ncols)]
+    other = data.draw(st.lists(_RATIONALS, min_size=ncols, max_size=ncols))
+    ints = data.draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))
+    assert space.contains(member)
+    for dense in (member, other, ints):
+        keep_zeros = data.draw(st.booleans())
+        sparse = {j: v for j, v in enumerate(dense) if v or keep_zeros}
+        expected = space.contains(dense)
+        assert membership(space, dense) is expected
+        assert membership(space, tuple(dense)) is expected
+        assert membership(space, sparse) is expected
+        assert space.contains(sparse) is expected
+        assert space.residual(sparse) == space.residual(dense)
+
+
+@st.composite
+def _torsion_vectors(draw):
+    """(n, s, sparse vector) at n = 2..4, with the entries the lemma
+    criterion reads drawn as often as the others."""
+    n = draw(st.integers(2, 4))
+    s = draw(st.integers(2, n))
+    size = 2 * n
+    base = pair_index(flat_index(1, 2), flat_index(s, 2), size) * size
+    read = [base + flat_index(k, 1) for k in range(1, n + 1)]
+    index = st.one_of(st.sampled_from(read), st.integers(0, n * (size - 1) * size - 1))
+    vector = draw(st.dictionaries(index, st.one_of(_RATIONALS, st.integers(-2, 2)), max_size=6))
+    return n, s, vector
+
+
+@settings(max_examples=200, deadline=None)
+@given(_torsion_vectors())
+def test_lemma_criterion_agrees_on_dense_and_sparse_forms(case):
+    n, s, sparse = case
+    dim = n * (2 * n - 1) * 2 * n
+    dense = [sparse.get(j, 0) for j in range(dim)]
+    assert lemma_criterion(sparse, s, n) is lemma_criterion(dense, s, n)
+
+
+_BAD_INDEX = st.one_of(
+    st.integers(max_value=-1),
+    st.integers(min_value=90),
+    st.floats(allow_nan=False),
+    st.text(max_size=2),
+    st.just(None),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(0, 89), _RATIONALS, max_size=3), _BAD_INDEX)
+def test_sparse_vector_with_a_bad_index_raises(good, bad):
+    """A sparse vector with a non-int index or one outside 0..dim-1 raises
+    ValueError in membership and lemma_criterion, as in span_subspace."""
+    vector = {**good, bad: Fraction(1)}
+    space = span_subspace([{0: 1}, {5: 2}], 90)
+    with pytest.raises(ValueError):
+        membership(space, vector)
+    with pytest.raises(ValueError):
+        lemma_criterion(vector, 2, 3)
+    with pytest.raises(ValueError):
+        span_subspace([vector], 90)
+
+
+def test_subspace_equality_is_equality_of_spaces_and_it_is_unhashable():
+    """== compares the canonical bases, so it means the same space; the
+    basis is a dict, so a Subspace is unhashable, like RationalFunction."""
+    space = span_subspace([(1, 2, 0), (0, 1, 1)], 3)
+    assert space == span_subspace([{1: 3, 2: 3}, {0: 2, 1: 4}], 3)
+    assert space != span_subspace([(1, 2, 0)], 3)
+    assert space != span_subspace([(1, 2, 0, 0), (0, 1, 1, 0)], 4)
+    assert not isinstance(space, Hashable)
+    with pytest.raises(TypeError):
+        hash(space)

@@ -343,6 +343,16 @@ def _dense_span(rows):
     return result.reduced.rows[: result.rank], result.pivot_columns
 
 
+def _dense(vector, dim):
+    """A sparse {index: value} vector as a dense tuple of length dim."""
+    return tuple(vector.get(j, Fraction(0)) for j in range(dim))
+
+
+def _dense_rows(space):
+    """The sparse RREF basis of a Subspace as dense rows, in pivot order."""
+    return tuple(_dense(space.basis[p], space.ambient_dim) for p in space.pivot_columns)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_image_matches_dense_rref(n):
     """Im(partial1) from the sparse eliminator has the basis and pivot
@@ -352,17 +362,17 @@ def test_image_matches_dense_rref(n):
     for (r, col), value in p1.entries.items():
         columns[col][r] = Fraction(value)
     basis, pivots = _dense_span(columns)
-    assert p1.image.basis.rows == basis
+    assert _dense_rows(p1.image) == basis
     assert p1.image.pivot_columns == pivots
     assert p1.rank == len(pivots) == sparse_rank(p1.entries, p1.target_dim, p1.domain_dim)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_trace_span_matches_dense_rref(n):
-    vectors = trace_embedding_vectors(n).all_vectors()
-    span = span_subspace(vectors, n * (2 * n - 1) * 2 * n)
-    basis, pivots = _dense_span(vectors)
-    assert span.basis.rows == basis
+    span = span_subspace(trace_embedding_vectors(n), n * (2 * n - 1) * 2 * n)
+    family_one, family_two = _dense_trace_embedding_vectors(n)
+    basis, pivots = _dense_span(family_one + family_two)
+    assert _dense_rows(span) == basis
     assert span.pivot_columns == pivots
 
 
@@ -411,16 +421,87 @@ def test_cokernel_matches_torsion_module():
         assert p1.target_dim - p1.rank == decomposition_dims(n).torsion_module_dim
 
 
+# -- the dense oracle of the trace embeddings, with its own index arithmetic --------
+
+
+def _dense_trace_embedding_vectors(n):
+    """The two trace families as dense Fraction vectors, filled in over every
+    pair b < c of g_{-1} slots with the slot (i, j') at 2i + j' (0-based)."""
+    size = 2 * n
+    half = Fraction(1, 2)
+
+    def flatten(values):
+        return tuple(x for b in range(size) for c in range(b + 1, size) for x in values[(b, c)])
+
+    family_one = []
+    for p_prime in range(2):
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(n):
+                    values = {}
+                    for b in range(size):
+                        ib, jb = b // 2, b % 2
+                        for c in range(b + 1, size):
+                            ic, jc = c // 2, c % 2
+                            wedge = int((ib, ic) == (i, j)) - int((ib, ic) == (j, i))
+                            vec = [Fraction(0)] * size
+                            if wedge:
+                                if jb == p_prime:
+                                    vec[2 * k + jc] += half * wedge
+                                if jc == p_prime:
+                                    vec[2 * k + jb] += half * wedge
+                            values[(b, c)] = vec
+                    family_one.append(flatten(values))
+
+    family_two = []
+    for j_prime in range(2):
+        for k_prime in range(j_prime, 2):
+            for l_prime in range(2):
+                for m in range(n):
+                    values = {}
+                    for b in range(size):
+                        ib, jb = b // 2, b % 2
+                        for c in range(b + 1, size):
+                            ic, jc = c // 2, c % 2
+                            sym = half * (
+                                int((jb, jc) == (j_prime, k_prime))
+                                + int((jb, jc) == (k_prime, j_prime))
+                            )
+                            vec = [Fraction(0)] * size
+                            if sym:
+                                if ib == m:
+                                    vec[2 * ic + l_prime] += sym * half
+                                if ic == m:
+                                    vec[2 * ib + l_prime] -= sym * half
+                            values[(b, c)] = vec
+                    family_two.append(flatten(values))
+    return tuple(family_one), tuple(family_two)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_trace_embeddings_match_dense_oracle(n):
+    """The sparse trace vectors equal the dense oracle entry by entry, in
+    order, and store no zeros; the families have n^2(n-1) and 6n members."""
+    family_one, family_two = _dense_trace_embedding_vectors(n)
+    assert len(family_one) == n * n * (n - 1)
+    assert len(family_two) == 6 * n
+    assert (len(family_one), len(family_two)) == decomposition_dims(n).trace_family_dims
+    vectors = trace_embedding_vectors(n)
+    dim = n * (2 * n - 1) * 2 * n
+    assert tuple(_dense(v, dim) for v in vectors) == family_one + family_two
+    assert all(value for v in vectors for value in v.values())
+
+
 def test_trace_embeddings_counts_membership_span():
     for n in (2, 3):
-        emb = trace_embedding_vectors(n)
-        assert len(emb.family_one) == n * n * (n - 1)
-        assert len(emb.family_two) == 6 * n
+        vectors = trace_embedding_vectors(n)
+        assert len(vectors) == n * n * (n - 1) + 6 * n
         p1 = build_partial1(n)
         image = p1.image
-        for vec in emb.all_vectors():
+        for vec in vectors:
             assert membership(image, vec)
-        span = span_subspace(emb.all_vectors(), p1.target_dim)
+            assert membership(image, _dense(vec, p1.target_dim))
+        span = span_subspace(vectors, p1.target_dim)
         assert span.dim == decomposition_dims(n).trace_span_dim
 
 
@@ -429,10 +510,10 @@ def test_rank_one_span_on_image():
     for n in (2, 3):
         p1 = build_partial1(n)
         image = p1.image
-        for row in image.basis.rows:
+        for row in image.basis.values():
             for s in range(2, n + 1):
                 assert not lemma_criterion(row, s, n)
-                assert not _lemma_oracle(row, s, n)
+                assert not _lemma_oracle(_dense(row, image.ambient_dim), s, n)
     with pytest.raises(UsageError):
         lemma_criterion([Fraction(0)] * (15 * 6), 1, 3)
     with pytest.raises(UsageError):
@@ -443,7 +524,7 @@ def test_rank_one_span_on_random_image_elements():
     n = 3
     p1 = build_partial1(n)
     rng = random.Random(11)
-    rows = p1.image.basis.rows
+    rows = _dense_rows(p1.image)
     for _ in range(100):
         weights = [Fraction(rng.randint(-3, 3)) for _ in rows]
         vec = [Fraction(0)] * p1.target_dim

@@ -128,9 +128,17 @@ def _emit(
     sys.stdout.write("\n".join(out) + "\n")
 
 
-def _require_n(n: int, minimum: int = 2) -> None:
+#: The largest n accepted by the commands that build Phi_c symbolically
+#: (phi, torsion, curvature, verify): `verify --n 6` takes 14-17 s on a
+#: 2-vCPU VM with CPython 3.11, and n = 7 is untested.
+MAX_SYMBOLIC_N = 6
+
+
+def _require_n(n: int, minimum: int = 2, maximum: int | None = None) -> None:
     if n < minimum:
         raise UsageError(f"n must be at least {minimum}")
+    if maximum is not None and n > maximum:
+        raise UsageError(f"n must be at most {maximum} for a symbolic build")
 
 
 def _cmd_flow(args) -> int:
@@ -152,7 +160,7 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_phi(args) -> int:
-    _require_n(args.n)
+    _require_n(args.n, maximum=MAX_SYMBOLIC_N)
     chart = Chart(args.n)
     reports = checks.phi_suite((args.n,)) + checks.eigen_suite((args.n,))
     extras: dict = {}
@@ -170,7 +178,7 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_torsion(args) -> int:
-    _require_n(args.n, 3)
+    _require_n(args.n, 3, maximum=MAX_SYMBOLIC_N)
     chart = Chart(args.n)
     if args.c is None:
         c = tuple(
@@ -195,7 +203,7 @@ def _cmd_torsion(args) -> int:
 
 
 def _cmd_curvature(args) -> int:
-    _require_n(args.n, 3)
+    _require_n(args.n, 3, maximum=MAX_SYMBOLIC_N)
     chart = Chart(args.n)
     if not (2 <= args.r <= args.n):
         raise UsageError(f"r must be in 2..{args.n}")
@@ -237,7 +245,7 @@ def _cmd_reptheory(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _require_n(args.n)
+    _require_n(args.n, maximum=MAX_SYMBOLIC_N)
     if args.all:
         reports = checks.acceptance_suite(args.seed, args.sample_balls)
     else:

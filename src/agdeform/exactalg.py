@@ -10,12 +10,22 @@ attempted; every computation in this package stays inside the localization
 generated by the factors that actually occur (q, 1 + t*x11 and friends,
 x11), so this is enough to reach canonical zero.
 
+Most trial divisions fail, and a certified modular test rules them out
+before any long division: each divisor caches a zero of its primitive
+integer associate mod p = 2^61 - 1, and a dividend with denominators prime
+to p that is nonzero there is not divisible, because by Gauss's lemma the
+quotient of a divisible dividend is p-integral, so the dividend vanishes
+wherever the divisor does mod p.  Quotients are unchanged; plain long
+division decides every other case.
+
 All values are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -385,12 +395,120 @@ class Polynomial:
         return min(degrees), max(degrees)
 
 
+#: The Mersenne prime 2^61 - 1.  As p = 3 mod 4, a quadratic residue a mod p
+#: has the square root a^((p+1)/4).
+_P = (1 << 61) - 1
+
+
+class _ZeroPoint:
+    """A point mod p on the zero set of one divisor, with its power tables.
+
+    powers[idx][e] is point[idx]**e mod p; the tables grow as dividends ask
+    for higher exponents and are shared by every later test against the
+    same divisor.
+    """
+
+    __slots__ = ("powers",)
+
+    def __init__(self, point: Sequence[int]):
+        self.powers = [[1, v] for v in point]
+
+    def residue(self, coeffs: Mapping[Monomial, Fraction]) -> int | None:
+        """The value mod p at this point, or None if a denominator is divisible by p.
+
+        The sum is kept as one fraction num/den mod p, so no inverse is taken;
+        den is the product of the denominators, 0 mod p iff one of them is.
+        """
+        powers = self.powers
+        num, den = 0, 1
+        for mono, coeff in coeffs.items():
+            term = coeff.numerator
+            for idx, e in enumerate(mono):
+                if e:
+                    cache = powers[idx]
+                    while len(cache) <= e:
+                        cache.append(cache[-1] * cache[1] % _P)
+                    term = term * cache[e] % _P
+            d = coeff.denominator
+            if d == 1:
+                num = (num + term * den) % _P
+            else:
+                num = (num * d + term * den) % _P
+                den = den * d % _P
+        return num if den else None
+
+
+@functools.lru_cache(maxsize=256)
+def _zero_point(key: tuple) -> _ZeroPoint | None:
+    """A certified zero mod p of the divisor with canonical form `key`, or None.
+
+    The divisor is first made a primitive integer polynomial f.  A variable v
+    in which f has degree 1 or 2 is solved for after the other coordinates
+    are drawn from a fixed-seed generator, so the point depends only on the
+    divisor.  The point is kept only once f vanishes there mod p.  None means
+    f has no such variable (the expanded q^2, for instance) or none of eight
+    draws gave a root (a quadratic's discriminant is a square mod p about
+    half the time).
+    """
+    common = math.lcm(*(c.denominator for _, c in key))
+    ints = [(mono, c.numerator * (common // c.denominator)) for mono, c in key]
+    content = math.gcd(*(c for _, c in ints))
+    f = [(mono, c // content % _P) for mono, c in ints]
+    size = len(key[0][0])
+    degrees = [max(mono[idx] for mono, _ in f) for idx in range(size)]
+    solvable = [idx for d in (1, 2) for idx in range(size) if degrees[idx] == d]
+    if not solvable:
+        return None
+    v = solvable[0]
+    rng = random.Random(0)
+    for _ in range(8):
+        point = [rng.randrange(_P) for _ in range(size)]
+        # f = a*v^2 + b*v + c with a, b, c read at the drawn coordinates.
+        abc = [0, 0, 0]
+        for mono, coeff in f:
+            for idx, e in enumerate(mono):
+                if e and idx != v:
+                    coeff = coeff * pow(point[idx], e, _P) % _P
+            abc[mono[v]] += coeff
+        c, b, a = (x % _P for x in abc)
+        if a:
+            disc = (b * b - 4 * a * c) % _P
+            root = pow(disc, (_P + 1) // 4, _P)
+            if root * root % _P != disc:
+                continue
+            point[v] = (root - b) * pow(2 * a, -1, _P) % _P
+        elif b:
+            point[v] = -c * pow(b, -1, _P) % _P
+        else:
+            continue
+        zero = _ZeroPoint(point)
+        if zero.residue(dict(f)) == 0:
+            return zero
+    return None
+
+
 def _divide_exact(dividend: Polynomial, divisor: Polynomial) -> Polynomial | None:
-    """Exact multivariate division; None if divisor does not divide evenly."""
+    """Exact multivariate division; None if divisor does not divide evenly.
+
+    The certified modular test of the module docstring runs first, against
+    the divisor's cached zero (see _zero_point); every case it does not
+    decide runs _long_division.
+    """
     if divisor.is_zero():
         raise UsageError("division by the zero polynomial")
     if dividend.is_zero():
         return dividend
+    zero = _zero_point(divisor.key())
+    if zero is not None and zero.residue(dividend.coeffs):
+        return None
+    return _long_division(dividend, divisor)
+
+
+def _long_division(dividend: Polynomial, divisor: Polynomial) -> Polynomial | None:
+    """Plain multivariate long division by the lex-leading term over Q.
+
+    The one division routine; None if the divisor does not divide evenly.
+    """
     lead_mono, lead_coeff = divisor.leading()
     remainder = dict(dividend.coeffs)
     quotient: dict[Monomial, Fraction] = {}

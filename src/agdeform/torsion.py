@@ -256,9 +256,19 @@ def lemma_criterion(t_vec: Vector, s: int, n: int) -> bool:
     not change when t_vec is scaled by a nonzero factor.  t_vec is dense or
     a sparse {index: value} mapping, as in linalg.membership.
     """
-    size = 2 * n
     if not (2 <= s <= n):
         raise UsageError(f"component index s must be in 2..{n}")
+    return s in lemma_components(t_vec, n)
+
+
+def lemma_components(t_vec: Vector, n: int) -> tuple[int, ...]:
+    """The indices s in 2..n, ascending, at which lemma_criterion(t_vec, s, n)
+    holds; t_vec is validated once for all of them."""
+    size = 2 * n
     entries = nonzero_entries(t_vec, n * (2 * n - 1) * size)
-    base = pair_index(flat_index(1, 2), flat_index(s, 2), size) * size
-    return any(base + flat_index(k, 1) in entries for k in range(2, n + 1) if k != s)
+    hits = []
+    for s in range(2, n + 1):
+        base = pair_index(flat_index(1, 2), flat_index(s, 2), size) * size
+        if any(base + flat_index(k, 1) in entries for k in range(2, n + 1) if k != s):
+            hits.append(s)
+    return tuple(hits)

@@ -26,6 +26,11 @@ def run_json(capsys, *argv):
     return code, payload, err
 
 
+def test_schema_status_enum_is_pass_and_fail():
+    status = SCHEMA["definitions"]["checkReport"]["properties"]["status"]
+    assert set(status["enum"]) == {checks.PASS, checks.FAIL}
+
+
 def test_flow_point_text(capsys):
     code, out, err = run_cli(capsys, "flow", "--point", "1,3;2,0;0,0", "--t", "1")
     assert code == 0
@@ -146,6 +151,34 @@ def test_bad_sweep_request_exit_2(capsys, monkeypatch, argv):
     assert code == 2
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("command", ["phi", "torsion", "curvature", "verify"])
+def test_symbolic_n_above_maximum_exit_2(capsys, monkeypatch, command):
+    """An n above MAX_SYMBOLIC_N is a usage error, refused before any
+    symbolic work starts."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("symbolic work started before the usage check")
+
+    for name in ("phi_suite", "eigen_suite", "torsion_suite", "torsion_zero_suite",
+                 "density_check", "curvature_suite", "quick_suite", "acceptance_suite"):
+        monkeypatch.setattr(checks, name, refuse)
+    monkeypatch.setattr(cli, "Chart", refuse)
+    monkeypatch.setattr(cli, "kappa_closed_form", refuse)
+    code, out, err = run_cli(capsys, command, "--n", str(cli.MAX_SYMBOLIC_N + 1))
+    assert code == 2
+    assert out == ""
+    assert f"at most {cli.MAX_SYMBOLIC_N}" in err
+
+
+def test_reptheory_has_no_symbolic_maximum(capsys, monkeypatch):
+    monkeypatch.setattr(checks, "reptheory_suite", lambda ns, seed: [])
+    monkeypatch.setattr(checks, "dimension_table", lambda n: {"n": n})
+    monkeypatch.setattr(checks, "rank_certificate", lambda n: {})
+    code, _, err = run_cli(capsys, "reptheory", "--n", str(cli.MAX_SYMBOLIC_N + 1))
+    assert code == 0
+    assert err == ""
 
 
 def test_curvature_kappa_output(capsys):

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agdeform import exactalg
+from agdeform.curvature import nabla2_phi
+from agdeform.deform import build_Phi, q_polynomial
 from agdeform.exactalg import (
     DegreeInfo,
     MismatchedTables,
@@ -23,6 +26,8 @@ from agdeform.exactalg import (
     render_polynomial,
     render_rational_function,
 )
+from agdeform.model import Chart
+from agdeform.torsion import TorsionAssembler
 
 TABLE = VariableTable(3)
 
@@ -333,3 +338,116 @@ def test_product_rule_hypothesis(p, r):
     lhs = (fp * fr).differentiate(var)
     rhs = fp.differentiate(var) * fr + fp * fr.differentiate(var)
     assert lhs == rhs
+
+
+# -- the certified modular early-out of trial division ------------------------
+
+P = (1 << 61) - 1
+
+
+def _poly_var(name):
+    return Polynomial.variable(TABLE, TABLE.index(name))
+
+
+def _divisor_families():
+    one = Polynomial.constant(TABLE, 1)
+    q = q_rf().num
+    x11, t, s = _poly_var("x11"), _poly_var("t"), _poly_var("s")
+    # Monic in lex order with non-integer lower coefficients.
+    fractional = (
+        x11 * _poly_var("x12")
+        + _poly_var("x21").scale(Fraction(1, 3))
+        + Polynomial.constant(TABLE, Fraction(2, 5))
+    )
+    return {
+        "q": q,
+        "3q/2": q.scale(Fraction(3, 2)),
+        "1+t*x11": one + t * x11,
+        "1+t*x11+s*x11": one + t * x11 + s * x11,
+        "x11": x11,
+        "fractional": fractional,
+    }
+
+
+DIVISORS = _divisor_families()
+
+
+@st.composite
+def p_adic_polys(draw):
+    """Polynomials whose denominators are sometimes divisible by p."""
+    coeffs = {}
+    nvars = len(TABLE.names)
+    for _ in range(draw(st.integers(0, 4))):
+        mono = [0] * nvars
+        for _ in range(draw(st.integers(0, 3))):
+            mono[draw(st.integers(0, nvars - 1))] += 1
+        den = draw(st.sampled_from((1, 1, 2, 3, P)))
+        coeffs[tuple(mono)] = Fraction(draw(st.integers(-6, 6)), den)
+    return Polynomial(TABLE, coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(DIVISORS)), p_adic_polys())
+def test_early_out_never_rejects_a_multiple_and_agrees_with_long_division(name, g):
+    f = DIVISORS[name]
+    product = f * g
+    assert exactalg._divide_exact(product, f) == g
+    if not g.is_zero():
+        assert exactalg._divide_exact(g, f) == exactalg._long_division(g, f)
+
+
+def test_early_out_agrees_with_long_division_on_recorded_calls(monkeypatch):
+    """Every trial division made while building Phi_c (symbolic c), the
+    torsion assembler and nabla2_phi at n = 3 returns what plain long
+    division returns, and most of them are decided by the early-out."""
+    calls = []
+    fast = exactalg._divide_exact
+
+    def record(dividend, divisor):
+        result = fast(dividend, divisor)
+        calls.append((dividend, divisor, result))
+        return result
+
+    monkeypatch.setattr(exactalg, "_divide_exact", record)
+    phi = build_Phi(Chart(3))
+    TorsionAssembler(phi)
+    nabla2_phi(phi)
+    monkeypatch.undo()
+    skipped = 0
+    for dividend, divisor, result in calls:
+        assert result == exactalg._long_division(dividend, divisor)
+        zero = exactalg._zero_point(divisor.key())
+        skipped += zero is not None and bool(zero.residue(dividend.coeffs))
+    assert skipped > len(calls) // 2
+
+
+def _value_mod_p(f, point):
+    total = 0
+    for mono, coeff in f.coeffs.items():
+        term = coeff.numerator * pow(coeff.denominator, -1, P)
+        for x, e in zip(point, mono):
+            term = term * pow(x, e, P)
+        total += term
+    return total % P
+
+
+@pytest.mark.parametrize("name", sorted(DIVISORS))
+def test_cached_zero_point_zeroes_its_divisor(name):
+    f = DIVISORS[name]
+    zero = exactalg._zero_point(f.key())
+    point = [powers[1] for powers in zero.powers]
+    assert _value_mod_p(f, point) == 0
+    shifted = f + Polynomial.constant(TABLE, 1)
+    assert _value_mod_p(shifted, point) != 0
+    # A denominator divisible by p leaves the value mod p undefined.
+    assert zero.residue(shifted.scale(Fraction(1, P)).coeffs) is None
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_zero_point_of_q_and_none_for_its_powers(n):
+    q = q_polynomial(Chart(n))
+    zero = exactalg._zero_point(q.key())
+    assert _value_mod_p(q, [powers[1] for powers in zero.powers]) == 0
+    # The expanded q^2 and q^3 have degree 4 and 6 in every variable.
+    assert exactalg._zero_point((q * q).key()) is None
+    assert exactalg._zero_point((q * q * q).key()) is None

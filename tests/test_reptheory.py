@@ -21,7 +21,7 @@ from agdeform.reptheory import (
     trace_embedding_vectors,
 )
 from agdeform.sampling import ball_sweep
-from agdeform.torsion import TorsionAssembler, lemma_criterion
+from agdeform.torsion import TorsionAssembler, lemma_components, lemma_criterion
 
 
 def test_pair_index_bijection():
@@ -540,16 +540,21 @@ def test_rank_one_span_on_random_image_elements():
 @pytest.mark.parametrize("n", [3, 4])
 def test_lemma_criterion_matches_two_form_oracle(n):
     """The one-block lemma criterion equals the general two-form evaluation
-    on seeded sparse integer vectors, with both verdicts reached for every s."""
+    on seeded sparse integer vectors, with both verdicts reached for every s,
+    and lemma_components lists exactly the s at which it holds."""
     size = 2 * n
     rng = random.Random(n)
     seen = {s: set() for s in range(2, n + 1)}
     for _ in range(60):
         t_vec = [rng.choice((0, 0, 0, 0, 0, 0, 1, -2)) for _ in range(n * (size - 1) * size)]
+        hits = []
         for s in range(2, n + 1):
             verdict = lemma_criterion(t_vec, s, n)
             assert verdict == _lemma_oracle(t_vec, s, n)
             seen[s].add(verdict)
+            if verdict:
+                hits.append(s)
+        assert lemma_components(t_vec, n) == tuple(hits)
     assert all(verdicts == {True, False} for verdicts in seen.values())
 
 

@@ -48,7 +48,7 @@ NUMERIC = "numeric"
 PER_RADIUS = 100
 #: Chart sizes at which reptheory_suite checks the equivariance of partial1.
 EQUIVARIANCE_NS = (2, 3)
-#: Points at which curvature_numeric_suite evaluates the kappa slice.
+#: Points at which curvature.not_pure_trace evaluates the kappa slice.
 KAPPA_SAMPLES = 25
 #: Sampled triples and the relative-error bound of the finite-difference oracle.
 FD_TRIPLES = 200
@@ -97,9 +97,10 @@ def sort_reports(reports: Sequence[CheckReport]) -> list[CheckReport]:
 class Artifacts:
     """The per-n objects that several suites share, each built on first use.
 
-    The second derivatives of Phi are left out on purpose: they are the
-    largest per-n object, only the curvature suites read them, and keeping
-    them for the life of the process raises the peak memory of every run.
+    The second derivatives of Phi are left out on purpose: the n = 3
+    checks read all of them, which makes them the largest per-n object,
+    only the curvature suites read them, and keeping them for the life of
+    the process raises the peak memory of every run.
     """
 
     def __init__(self, n: int):
@@ -403,14 +404,14 @@ def torsion_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
             def d_expansion(component=component, cs=cs, n=n, chart=chart, q=q, x11=x11, x12=x12):
                 comp = component()
                 two = chart.const(2)
+                qi = q.inverse()
+                qi2 = qi * qi
                 for k in range(1, n + 1):
                     xk1 = chart.x(k, 1)
-                    lead = two * cs * x11 * x11 * x11 * x12 * xk1 / (q * q)
+                    lead = two * cs * x11 * x11 * x11 * x12 * xk1 * qi2
                     d1 = comp.d[flat_index(k, 1)]
                     d2 = comp.d[flat_index(k, 2)]
-                    want2 = -(cs * x11 * x11 * xk1) / q + two * cs * x11 * x11 * x12 * x12 * xk1 / (
-                        q * q
-                    )
+                    want2 = -(cs * x11 * x11 * xk1) * qi + two * cs * x11 * x11 * x12 * x12 * xk1 * qi2
                     if d1 != lead or d2 != want2:
                         return False, f"D component k={k} differs", None
                 return (
@@ -671,7 +672,9 @@ def dimension_table(n: int) -> dict:
 def _display_second_derivatives(chart: Chart, r: int):
     """The three printed second-derivative formulas, built independently."""
     n = chart.n
-    q = artifacts(n).q
+    qi = artifacts(n).q.inverse()
+    qi2 = qi * qi
+    qi3 = qi2 * qi
     x11 = chart.x(1, 1)
     x12 = chart.x(1, 2)
     xr1 = chart.x(r, 1)
@@ -683,24 +686,27 @@ def _display_second_derivatives(chart: Chart, r: int):
     for i in range(2, n + 1):
         ci = chart.param(f"c{i}")
         base = ci * chart.x(i, 1) * xr1
-        a = a + base / q - chart.const(2) * base * e / (q * q) + chart.const(
-            8
-        ) * base * x12 * x12 * x11 * x11 / (q * q * q)
-        b = b + chart.const(2) * base / q - chart.const(10) * base * x12 * x12 / (
-            q * q
-        ) + chart.const(8) * base * x12 * x12 * x12 * x12 / (q * q * q)
-        cc = cc - (
-            chart.const(2) * base / q
-            - chart.const(10) * base * x11 * x11 / (q * q)
-            + chart.const(8) * base * x11 * x11 * x11 * x11 / (q * q * q)
+        a = a + base * (
+            qi - chart.const(2) * e * qi2 + chart.const(8) * x12 * x12 * x11 * x11 * qi3
+        )
+        b = b + base * (
+            chart.const(2) * qi
+            - chart.const(10) * x12 * x12 * qi2
+            + chart.const(8) * x12 * x12 * x12 * x12 * qi3
+        )
+        cc = cc - base * (
+            chart.const(2) * qi
+            - chart.const(10) * x11 * x11 * qi2
+            + chart.const(8) * x11 * x11 * x11 * x11 * qi3
         )
     return a, b, cc
 
 
 def _second_derivatives(phi: EndomorphismField):
     """nabla2_phi(phi) and its kappa projection as two memoized thunks, so
-    that the first check that reads one builds it inside its timing and the
-    other checks that get the thunks share it."""
+    that the checks that get the thunks share one tensor and one projection,
+    and each entry is built inside the timing of the first check that reads
+    it."""
     d2 = functools.cache(functools.partial(curvature_mod.nabla2_phi, phi))
     projection = functools.cache(lambda: curvature_mod.project_kappa(d2()))
     return d2, projection
@@ -781,7 +787,7 @@ def _symbolic_curvature(art: Artifacts, build_d2, build_projection) -> list[Chec
 
 
 def _numeric_curvature(art: Artifacts, seed: int, build_d2, build_projection) -> list[CheckReport]:
-    """The two checks of curvature_numeric_suite, reading the thunks."""
+    """The numeric-sample and mixed-partial checks, reading the thunks."""
     n, chart = art.n, art.chart
     c_unit = [Fraction(1)] + [Fraction(0)] * (n - 2)
 
@@ -830,14 +836,9 @@ def curvature_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
     return reports
 
 
-def curvature_numeric_suite(n: int = 3, seed: int = 0) -> list[CheckReport]:
-    art = artifacts(n)
-    return _numeric_curvature(art, seed, *_second_derivatives(art.phi))
-
-
 def _curvature_with_numeric(n: int, seed: int) -> list[CheckReport]:
-    """curvature_suite((n,)) plus curvature_numeric_suite(n, seed) on one
-    build of the second derivatives, which is released when this returns."""
+    """curvature_suite((n,)) plus the two numeric-sample and mixed-partial
+    checks, on one set of second derivatives, released when this returns."""
     art = artifacts(n)
     shared = _second_derivatives(art.phi)
     return _symbolic_curvature(art, *shared) + _numeric_curvature(art, seed, *shared)

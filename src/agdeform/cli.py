@@ -129,9 +129,9 @@ def _emit(
 
 
 #: The largest n accepted by the commands that build Phi_c symbolically
-#: (phi, torsion, curvature, verify): `verify --n 6` takes 14-17 s on a
-#: 2-vCPU VM with CPython 3.11, and n = 7 is untested.
-MAX_SYMBOLIC_N = 6
+#: (phi, torsion, curvature, verify): `verify --n 7` takes about 9 s on a
+#: 2-vCPU VM with CPython 3.11, and n = 8 is untested.
+MAX_SYMBOLIC_N = 7
 
 
 def _require_n(n: int, minimum: int = 2, maximum: int | None = None) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .exactalg import RationalFunction, UsageError
 from .linalg import Subspace, span_subspace, membership
@@ -23,21 +23,36 @@ from .deform import EndomorphismField, build_q
 
 
 class SecondDerivativeTensor:
-    """components[(ip, j, lp, m, pp, o, qp, r)] = nabla^j_{i'} nabla^m_{l'} Phi^{p'o}_{q'r}.
+    """entry(ip, j, lp, m, pp, o, qp, r) = nabla^j_{i'} nabla^m_{l'} Phi^{p'o}_{q'r}.
 
-    Primed indices and the unprimed j, m, o, r are all 1-based.  Both
-    derivative orders are computed independently; the mixed-partial symmetry
-    (i',j) <-> (l',m) is a checkable property, not an assumption.
+    Primed indices and the unprimed j, m, o, r are all 1-based.  Entries are
+    built on first read and memoised, each first derivative per
+    (l', m, p', o, q', r) and each second derivative per key, so a check
+    that reads a few entries builds only those.  Both derivative orders are
+    computed independently; the mixed-partial symmetry (i',j) <-> (l',m) is
+    a checkable property, not an assumption.
     """
 
-    __slots__ = ("chart", "components")
+    __slots__ = ("phi", "chart", "first", "second")
 
-    def __init__(self, chart: Chart, components: Mapping[tuple, RationalFunction]):
-        self.chart = chart
-        self.components = dict(components)
+    def __init__(self, phi: EndomorphismField):
+        self.phi = phi
+        self.chart = phi.chart
+        self.first: dict[tuple, RationalFunction] = {}
+        self.second: dict[tuple, RationalFunction] = {}
 
     def entry(self, ip: int, j: int, lp: int, m: int, pp: int, o: int, qp: int, r: int) -> RationalFunction:
-        return self.components[(ip, j, lp, m, pp, o, qp, r)]
+        key = (ip, j, lp, m, pp, o, qp, r)
+        value = self.second.get(key)
+        if value is None:
+            inner_key = key[2:]
+            inner = self.first.get(inner_key)
+            x_index = self.chart.table.x_index
+            if inner is None:
+                inner = self.phi.coefficient(pp, o, qp, r).differentiate(x_index(m, lp))
+                self.first[inner_key] = inner
+            value = self.second[key] = inner.differentiate(x_index(j, ip))
+        return value
 
     def swap_symmetric(self) -> bool:
         """Exact (i',j) <-> (l',m) symmetry over every index combination."""
@@ -60,26 +75,8 @@ class SecondDerivativeTensor:
 
 
 def nabla2_phi(phi: EndomorphismField) -> SecondDerivativeTensor:
-    chart = phi.chart
-    n = chart.n
-    table = chart.table
-    first: dict[tuple, RationalFunction] = {}
-    for pp in (1, 2):
-        for o in range(1, n + 1):
-            for qp in (1, 2):
-                for r in range(1, n + 1):
-                    coeff = phi.coefficient(pp, o, qp, r)
-                    for lp in (1, 2):
-                        for m in range(1, n + 1):
-                            first[(lp, m, pp, o, qp, r)] = coeff.differentiate(
-                                table.x_index(m, lp)
-                            )
-    components: dict[tuple, RationalFunction] = {}
-    for key, inner in first.items():
-        for ip in (1, 2):
-            for j in range(1, n + 1):
-                components[(ip, j) + key] = inner.differentiate(table.x_index(j, ip))
-    return SecondDerivativeTensor(chart, components)
+    """The second derivatives of phi; entries are built as they are read."""
+    return SecondDerivativeTensor(phi)
 
 
 def sorted_triples(n: int) -> tuple[tuple[int, int, int], ...]:
@@ -92,24 +89,55 @@ def sorted_triples(n: int) -> tuple[tuple[int, int, int], ...]:
     )
 
 
+_HALF = Fraction(1, 2)
+_SIXTH = Fraction(1, 6)
+
+
 class KappaProjection:
     """Result of contraction, skew-symmetrization, and symmetrization.
 
-    Only the independent skew slot (2', 1') is stored; component() applies
+    Only the independent skew slot (2', 1') is kept; component() applies
     the sign for the swapped slot and returns zero on the diagonal.  The
-    unprimed slots are stored on sorted triples.
+    unprimed slots are kept on sorted triples.  Each (triple, r) value is
+    projected from the second derivatives on first read and memoised.
     """
 
-    __slots__ = ("chart", "values")
+    __slots__ = ("d2", "chart", "values")
 
-    def __init__(self, chart: Chart, values: Mapping[tuple, RationalFunction]):
-        self.chart = chart
-        self.values = dict(values)
+    def __init__(self, d2: SecondDerivativeTensor):
+        self.d2 = d2
+        self.chart = d2.chart
+        self.values: dict[tuple, RationalFunction] = {}
+
+    def value(self, triple: tuple[int, int, int], r: int) -> RationalFunction:
+        """The (2', 1') component on a sorted triple, steps 1..3 in order.
+
+        (1) contract p' with l'; (2) skew-symmetrize (i', q') with factor 1/2;
+        (3) symmetrize (j, m, o) by averaging over all six permutations.
+        """
+        key = (triple, r)
+        value = self.values.get(key)
+        if value is None:
+            table = self.chart.table
+            entry = self.d2.entry
+
+            def contracted(ip: int, j: int, m: int, o: int, qp: int) -> RationalFunction:
+                acc = RationalFunction.zero(table)
+                for lp in (1, 2):
+                    acc = acc + entry(ip, j, lp, m, lp, o, qp, r)
+                return acc
+
+            acc = RationalFunction.zero(table)
+            for j, m, o in permutations(triple):
+                skew = contracted(2, j, m, o, 1) - contracted(1, j, m, o, 2)
+                acc = acc + skew.scale(_HALF)
+            value = self.values[key] = acc.scale(_SIXTH)
+        return value
 
     def component(self, ip: int, qp: int, j: int, m: int, o: int, r: int) -> RationalFunction:
         if ip == qp:
             return RationalFunction.zero(self.chart.table)
-        value = self.values[(tuple(sorted((j, m, o))), r)]
+        value = self.value(tuple(sorted((j, m, o))), r)
         return value if (ip, qp) == (2, 1) else -value
 
     def evaluate_slice(
@@ -119,37 +147,14 @@ class KappaProjection:
         vec = point.evaluation_vector(c=c)
         n = self.chart.n
         return tuple(
-            tuple(self.values[(triple, r)].evaluate(vec) for r in range(1, n + 1))
+            tuple(self.value(triple, r).evaluate(vec) for r in range(1, n + 1))
             for triple in sorted_triples(n)
         )
 
 
 def project_kappa(d2: SecondDerivativeTensor) -> KappaProjection:
-    """Steps 1..3 of the projection recipe, in order.
-
-    (1) contract p' with l'; (2) skew-symmetrize (i', q') with factor 1/2;
-    (3) symmetrize (j, m, o) by averaging over all six permutations.
-    """
-    chart = d2.chart
-    n = chart.n
-
-    def contracted(ip: int, j: int, m: int, o: int, qp: int, r: int) -> RationalFunction:
-        acc = RationalFunction.zero(chart.table)
-        for lp in (1, 2):
-            acc = acc + d2.entry(ip, j, lp, m, lp, o, qp, r)
-        return acc
-
-    half = Fraction(1, 2)
-    sixth = Fraction(1, 6)
-    values: dict[tuple, RationalFunction] = {}
-    for triple in sorted_triples(n):
-        for r in range(1, n + 1):
-            acc = RationalFunction.zero(chart.table)
-            for j, m, o in permutations(triple):
-                skew = contracted(2, j, m, o, 1, r) - contracted(1, j, m, o, 2, r)
-                acc = acc + skew.scale(half)
-            values[(triple, r)] = acc.scale(sixth)
-    return KappaProjection(chart, values)
+    """The kappa projection of d2; values are projected as they are read."""
+    return KappaProjection(d2)
 
 
 def kappa_closed_form(chart: Chart, r: int) -> RationalFunction:

@@ -36,6 +36,8 @@ RationalScalar = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+#: Marks a cached slot not yet filled.
+_UNSET = object()
 
 
 class UsageError(ValueError):
@@ -200,12 +202,15 @@ class Polynomial:
     table order, which keeps every rendering deterministic.
     """
 
-    __slots__ = ("table", "coeffs", "_key")
+    __slots__ = ("table", "coeffs", "_key", "_zero")
 
     def __init__(self, table: VariableTable, coeffs: dict[Monomial, Fraction]):
         self.table = table
         self.coeffs = {m: c for m, c in coeffs.items() if c}
         self._key: tuple | None = None
+        # The zero mod p used when this divides (see _divide_exact); like
+        # _key it is derived from coeffs, and __eq__ and __hash__ ignore it.
+        self._zero = _UNSET
 
     # -- constructors ------------------------------------------------------
 
@@ -491,14 +496,17 @@ def _divide_exact(dividend: Polynomial, divisor: Polynomial) -> Polynomial | Non
     """Exact multivariate division; None if divisor does not divide evenly.
 
     The certified modular test of the module docstring runs first, against
-    the divisor's cached zero (see _zero_point); every case it does not
-    decide runs _long_division.
+    the divisor's zero (see _zero_point), which the divisor keeps once it is
+    looked up, so later calls skip hashing its key; every case the test
+    does not decide runs _long_division.
     """
     if divisor.is_zero():
         raise UsageError("division by the zero polynomial")
     if dividend.is_zero():
         return dividend
-    zero = _zero_point(divisor.key())
+    zero = divisor._zero
+    if zero is _UNSET:
+        zero = divisor._zero = _zero_point(divisor.key())
     if zero is not None and zero.residue(dividend.coeffs):
         return None
     return _long_division(dividend, divisor)

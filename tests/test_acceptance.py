@@ -12,12 +12,17 @@ import json
 
 import pytest
 
-from agdeform import checks
+from agdeform import checks, cli
 
 #: sha256 of json.dumps([r.as_dict() for r in reports], indent=2,
 #: sort_keys=True) for the fixture below.  A refactor must keep these bytes;
 #: a change to a check id, verdict or detail text must update the digest.
 REPORTS_SHA256 = "0d159727832117c4552d864ff20657ac53c291d4d43206fc32e1ae86ba4d4f87"
+
+#: sha256 of the stdout of `agdeform verify --n 5 --format json`.  The
+#: fixture runs curvature at n = 3 and 4 only; at n = 5 the checks read the
+#: kappa triple (1, 1, 1) alone, so its bytes are pinned separately.
+VERIFY_N5_SHA256 = "52431afdf8977ac14af5e126c65aff9072d57fbee08342f4811f3efbab3338b5"
 
 CRITERIA = {
     1: ("flow group law, holonomy cocycle, and split form",
@@ -123,3 +128,9 @@ def test_every_check_green(reports):
 def test_reports_byte_identical(reports):
     text = json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == REPORTS_SHA256
+
+
+def test_verify_n5_output_byte_identical(capsys):
+    assert cli.main(["verify", "--n", "5", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_N5_SHA256

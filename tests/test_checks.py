@@ -52,8 +52,10 @@ def test_reptheory_command_builds_trace_embeddings_once(monkeypatch, capsys, fre
 
 
 def test_curvature_numeric_suite_builds_second_derivatives_once(monkeypatch, fresh_cache):
+    """The symbolic and the numeric curvature checks at n = 3 share one build."""
     calls = counting(monkeypatch, curvature_mod, "nabla2_phi")
-    reports = checks.curvature_numeric_suite(3)
+    reports = checks._curvature_with_numeric(3, 0)
+    assert len(reports) == 6
     assert all(r.status == checks.PASS for r in reports)
     assert len(calls) == 1
 
@@ -83,8 +85,8 @@ def test_curvature_suite_builds_second_derivatives_once(monkeypatch, fresh_cache
 
 
 def test_acceptance_suite_builds_n3_second_derivatives_once(monkeypatch, fresh_cache):
-    """verify --all runs curvature_suite and curvature_numeric_suite at n = 3
-    on one build of nabla2_phi.  The other suites and the n = 4 curvature
+    """verify --all runs the symbolic and the numeric curvature checks at
+    n = 3 on one build of nabla2_phi.  The other suites and the n = 4 curvature
     checks are stubbed out to keep the test small."""
     stub = checks.CheckReport("stub", checks.PASS, checks.NUMERIC, "")
     for name in ("flow_suite", "eigen_suite", "phi_suite", "torsion_suite",
@@ -118,7 +120,7 @@ def _broken(*args):
     "module, name, suite, failing",
     [
         (curvature_mod, "nabla2_phi", lambda: checks.curvature_suite((3,)), 4),
-        (curvature_mod, "nabla2_phi", lambda: checks.curvature_numeric_suite(3), 2),
+        (curvature_mod, "nabla2_phi", lambda: checks._curvature_with_numeric(3, 0), 6),
         (rep_mod, "build_partial1", lambda: checks.reptheory_suite((3,)), 7),
         (checks, "transformation_check", lambda: checks.eigen_suite((3,)), 8),
     ],

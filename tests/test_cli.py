@@ -172,6 +172,16 @@ def test_symbolic_n_above_maximum_exit_2(capsys, monkeypatch, command):
     assert f"at most {cli.MAX_SYMBOLIC_N}" in err
 
 
+def test_verify_accepts_n_at_maximum(capsys, monkeypatch):
+    """MAX_SYMBOLIC_N itself passes the usage check and reaches the suite."""
+    seen = []
+    monkeypatch.setattr(checks, "quick_suite", lambda n, seed: seen.append(n) or [])
+    code, _, err = run_cli(capsys, "verify", "--n", str(cli.MAX_SYMBOLIC_N))
+    assert code == 0
+    assert err == ""
+    assert seen == [cli.MAX_SYMBOLIC_N]
+
+
 def test_reptheory_has_no_symbolic_maximum(capsys, monkeypatch):
     monkeypatch.setattr(checks, "reptheory_suite", lambda ns, seed: [])
     monkeypatch.setattr(checks, "dimension_table", lambda n: {"n": n})

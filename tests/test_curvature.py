@@ -1,9 +1,11 @@
 """Second chart derivatives, the projection to kappa, and trace-part tests."""
 
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
+from agdeform import checks
 from agdeform import curvature as curvature_mod
 from agdeform.curvature import (
     kappa_closed_form,
@@ -15,11 +17,52 @@ from agdeform.curvature import (
     trace_subspace,
 )
 from agdeform.deform import build_Phi, build_q
-from agdeform.exactalg import UsageError
+from agdeform.exactalg import RationalFunction, UsageError
 from agdeform.linalg import MatrixQ, rref
 from agdeform.model import Chart, ChartPoint
 
 CHART = Chart(3)
+
+
+def eager_nabla2_phi(phi):
+    """Oracle: every second derivative of phi, built up front from every
+    first derivative, keyed (ip, j, lp, m, pp, o, qp, r) like entry()."""
+    chart = phi.chart
+    n = chart.n
+    table = chart.table
+    slots = [(p, k) for p in (1, 2) for k in range(1, n + 1)]
+    first = {}
+    for (pp, o), (qp, r), (lp, m) in product(slots, repeat=3):
+        coeff = phi.coefficient(pp, o, qp, r)
+        first[(lp, m, pp, o, qp, r)] = coeff.differentiate(table.x_index(m, lp))
+    components = {}
+    for key, inner in first.items():
+        for ip, j in slots:
+            components[(ip, j) + key] = inner.differentiate(table.x_index(j, ip))
+    return components
+
+
+def eager_project_kappa(components, chart):
+    """Oracle: the (2', 1') kappa value of every (sorted triple, r), by steps
+    1..3 over the eager components."""
+    table = chart.table
+    n = chart.n
+
+    def contracted(ip, j, m, o, qp, r):
+        acc = RationalFunction.zero(table)
+        for lp in (1, 2):
+            acc = acc + components[(ip, j, lp, m, lp, o, qp, r)]
+        return acc
+
+    values = {}
+    for triple in sorted_triples(n):
+        for r in range(1, n + 1):
+            acc = RationalFunction.zero(table)
+            for j, m, o in permutations(triple):
+                skew = contracted(2, j, m, o, 1, r) - contracted(1, j, m, o, 2, r)
+                acc = acc + skew.scale(Fraction(1, 2))
+            values[(triple, r)] = acc.scale(Fraction(1, 6))
+    return values
 
 
 def _phi_and_projection():
@@ -135,7 +178,49 @@ def test_kappa_spot_values():
 
 def test_projection_zero_at_zero_deformation():
     proj0 = project_kappa(nabla2_phi(build_Phi(CHART, [0, 0])))
-    assert all(value.is_zero() for value in proj0.values.values())
+    assert all(proj0.value(t, r).is_zero() for t in sorted_triples(3) for r in (1, 2, 3))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_lazy_tensor_and_projection_match_eager_oracle(n):
+    """Every entry and every projected value built on demand equals the one
+    the eager oracles build up front."""
+    chart = CHART if n == 3 else Chart(n)
+    phi = PHI if n == 3 else build_Phi(chart)
+    components = eager_nabla2_phi(phi)
+    assert len(components) == 16 * n**4
+    lazy = nabla2_phi(phi)
+    for key, value in components.items():
+        assert lazy.entry(*key) == value, key
+    # A fresh tensor under the projection, so its entries are built on
+    # demand by the projection itself.
+    projection = project_kappa(nabla2_phi(phi))
+    for (triple, r), value in eager_project_kappa(components, chart).items():
+        assert projection.value(triple, r) == value, (triple, r)
+        j, m, o = triple
+        assert projection.component(2, 1, o, j, m, r) == value
+        assert projection.component(1, 2, m, o, j, r) == -value
+
+
+def test_curvature_suite_builds_few_second_derivatives(monkeypatch):
+    """At n = 4 the four symbolic checks read 4n second derivatives and the
+    n values of kappa on the triple (1, 1, 1); nothing else is built."""
+    n = 4
+    tensors, projections = [], []
+    for name, seen in (("nabla2_phi", tensors), ("project_kappa", projections)):
+        real = getattr(curvature_mod, name)
+
+        def keep(arg, real=real, seen=seen):
+            seen.append(real(arg))
+            return seen[-1]
+
+        monkeypatch.setattr(curvature_mod, name, keep)
+    reports = checks.curvature_suite((n,))
+    assert [r.status for r in reports] == [checks.PASS] * 4
+    (d2,), (projection,) = tensors, projections
+    assert 0 < len(d2.second) <= 4 * n
+    assert 0 < len(d2.first) <= 4 * n
+    assert sorted(projection.values) == [((1, 1, 1), r) for r in range(1, n + 1)]
 
 
 def test_trace_subspace_dimension():

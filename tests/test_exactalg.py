@@ -1,5 +1,6 @@
 """Exact rational-function arithmetic: ring laws, calculus, degree facts."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -398,8 +399,9 @@ def test_early_out_never_rejects_a_multiple_and_agrees_with_long_division(name, 
 
 def test_early_out_agrees_with_long_division_on_recorded_calls(monkeypatch):
     """Every trial division made while building Phi_c (symbolic c), the
-    torsion assembler and nabla2_phi at n = 3 returns what plain long
-    division returns, and most of them are decided by the early-out."""
+    torsion assembler and every entry of nabla2_phi at n = 3 returns what
+    plain long division returns, and most of them are decided by the
+    early-out."""
     calls = []
     fast = exactalg._divide_exact
 
@@ -411,7 +413,10 @@ def test_early_out_agrees_with_long_division_on_recorded_calls(monkeypatch):
     monkeypatch.setattr(exactalg, "_divide_exact", record)
     phi = build_Phi(Chart(3))
     TorsionAssembler(phi)
-    nabla2_phi(phi)
+    d2 = nabla2_phi(phi)
+    slots = [(p, k) for p in (1, 2) for k in range(1, 4)]
+    for (ip, j), (lp, m), (pp, o), (qp, r) in itertools.product(slots, repeat=4):
+        d2.entry(ip, j, lp, m, pp, o, qp, r)
     monkeypatch.undo()
     skipped = 0
     for dividend, divisor, result in calls:
@@ -451,3 +456,16 @@ def test_zero_point_of_q_and_none_for_its_powers(n):
     # The expanded q^2 and q^3 have degree 4 and 6 in every variable.
     assert exactalg._zero_point((q * q).key()) is None
     assert exactalg._zero_point((q * q * q).key()) is None
+
+
+def test_divisor_keeps_its_zero_point_outside_eq_and_hash():
+    """The first division by q stores q's zero point on q itself; the slot
+    takes no part in equality or hashing."""
+    q = q_polynomial(Chart(4))
+    fresh = Polynomial(q.table, dict(q.coeffs))
+    x11 = Polynomial.variable(q.table, 0)
+    assert exactalg._divide_exact(q * x11, q) == x11
+    assert q._zero is exactalg._zero_point(q.key())
+    assert q._zero is not None
+    assert fresh._zero is exactalg._UNSET
+    assert q == fresh and hash(q) == hash(fresh)

@@ -4,8 +4,9 @@ Every check runs one mathematical claim to ground and returns a CheckReport.
 Symbolic checks compare rational functions with tolerance zero; numeric
 checks evaluate at deterministic sampled points.  Check ids are stable
 strings, so report streams sort reproducibly.  The per-n objects the checks
-share (the chart, q, the symbolic Phi_c and partial1) come from one
-process-wide cache, artifacts(n), so each is built once per process.
+share (the chart, q, the symbolic Phi_c, its second derivatives and partial1)
+come from one process-wide cache, artifacts(n), so each is built once per
+process.
 """
 
 from __future__ import annotations
@@ -95,12 +96,10 @@ def sort_reports(reports: Sequence[CheckReport]) -> list[CheckReport]:
 
 
 class Artifacts:
-    """The per-n objects that several suites share, each built on first use.
-
-    The second derivatives of Phi are left out on purpose: the n = 3
-    checks read all of them, which makes them the largest per-n object,
-    only the curvature suites read them, and keeping them for the life of
-    the process raises the peak memory of every run.
+    """The per-n objects that several suites share, each built on first use:
+    chart, q, phi, second_derivatives, kappa, spec, partial1 and
+    trace_vectors.  second_derivatives and kappa are lazy in turn, so each
+    of their entries is built inside the first check that reads it.
     """
 
     def __init__(self, n: int):
@@ -118,6 +117,14 @@ class Artifacts:
     def phi(self) -> EndomorphismField:
         """Phi_c with the parameters c kept symbolic."""
         return build_Phi(self.chart)
+
+    @functools.cached_property
+    def second_derivatives(self) -> curvature_mod.SecondDerivativeTensor:
+        return curvature_mod.nabla2_phi(self.phi)
+
+    @functools.cached_property
+    def kappa(self) -> curvature_mod.KappaProjection:
+        return curvature_mod.project_kappa(self.second_derivatives)
 
     @functools.cached_property
     def spec(self) -> rep_mod.GradedAlgebraSpec:
@@ -222,17 +229,20 @@ def eigen_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
 # -- deformation family ----------------------------------------------------------------
 
 
-def _expected_coefficient(chart: Chart, i_prime: int, ell: int, j_prime: int, k: int):
-    """Sum_i c_i phi'[i'][j'] phi_i[k][ell] / q, assembled from the displays."""
+def _expected_coefficients(chart: Chart):
+    """(i', l, j', k) -> Sum_i c_i phi'[i'][j'] phi_i[k][l] / q, assembled
+    from the displays, which are built once per call."""
     q = artifacts(chart.n).q
     mprime = phi_prime_matrix(chart)
-    total = chart.const(0)
-    for i in range(2, chart.n + 1):
-        ci = chart.param(f"c{i}")
-        total = total + ci * mprime[i_prime - 1, j_prime - 1] * phi_i_matrix(chart, i)[
-            k - 1, ell - 1
-        ]
-    return total / q
+    terms = [(chart.param(f"c{i}"), phi_i_matrix(chart, i)) for i in range(2, chart.n + 1)]
+
+    def expected(i_prime: int, ell: int, j_prime: int, k: int):
+        total = chart.const(0)
+        for ci, phi_i in terms:
+            total = total + ci * mprime[i_prime - 1, j_prime - 1] * phi_i[k - 1, ell - 1]
+        return total / q
+
+    return expected
 
 
 def phi_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
@@ -243,12 +253,13 @@ def phi_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
         phi = art.phi
 
         def coefficients(chart=chart, phi=phi, n=n):
+            expected = _expected_coefficients(chart)
             for ip in (1, 2):
                 for jp in (1, 2):
                     for l in range(1, n + 1):
                         for k in range(1, n + 1):
                             got = phi.coefficient(ip, l, jp, k)
-                            want = _expected_coefficient(chart, ip, l, jp, k)
+                            want = expected(ip, l, jp, k)
                             if got != want:
                                 return (
                                     False,
@@ -702,106 +713,97 @@ def _display_second_derivatives(chart: Chart, r: int):
     return a, b, cc
 
 
-def _second_derivatives(phi: EndomorphismField):
-    """nabla2_phi(phi) and its kappa projection as two memoized thunks, so
-    that the checks that get the thunks share one tensor and one projection,
-    and each entry is built inside the timing of the first check that reads
-    it."""
-    d2 = functools.cache(functools.partial(curvature_mod.nabla2_phi, phi))
-    projection = functools.cache(lambda: curvature_mod.project_kappa(d2()))
-    return d2, projection
+def curvature_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
+    reports = []
+    for n in ns:
+        art = artifacts(n)
+
+        def displays(art=art, n=n):
+            d2 = art.second_derivatives
+            for r in range(2, n + 1):
+                a_want, b_want, c_want = _display_second_derivatives(art.chart, r)
+                a_got = d2.entry(2, 1, 1, 1, 1, 1, 1, r)
+                b_got = d2.entry(2, 1, 2, 1, 2, 1, 1, r)
+                c_got = d2.entry(1, 1, 1, 1, 1, 1, 2, r)
+                if a_got != a_want:
+                    return False, f"grad^1_2' grad^1_1' Phi^1'1_1'r differs at r={r}", None
+                if b_got != b_want:
+                    return False, f"(grad^1_2')^2 Phi^2'1_1'r differs at r={r}", None
+                if c_got != c_want:
+                    return False, f"(grad^1_1')^2 Phi^1'1_2'r differs at r={r}", None
+            return (
+                True,
+                "the three displayed second-derivative formulas hold for r = 2..n, symbolic c",
+                None,
+            )
+
+        def trace_free(art=art, n=n):
+            d2 = art.second_derivatives
+            for r in range(1, n + 1):
+                lhs = d2.entry(2, 1, 1, 1, 1, 1, 1, r)
+                rhs = -d2.entry(1, 1, 2, 1, 2, 1, 2, r)
+                if lhs != rhs:
+                    return False, f"trace-freeness identity fails at r={r}", None
+            return (
+                True,
+                "grad^1_2' grad^1_1' Phi^1'1_1'r = -grad^1_1' grad^1_2' Phi^2'1_2'r for all r",
+                None,
+            )
+
+        def reduction(art=art, n=n):
+            d2, kappa = art.second_derivatives, art.kappa
+            half = Fraction(1, 2)
+            for r in range(1, n + 1):
+                a = d2.entry(2, 1, 1, 1, 1, 1, 1, r)
+                b = d2.entry(2, 1, 2, 1, 2, 1, 1, r)
+                cc = d2.entry(1, 1, 1, 1, 1, 1, 2, r)
+                want = (a + a + b - cc).scale(half)
+                if kappa.component(2, 1, 1, 1, 1, r) != want:
+                    detail = f"projected component differs from (1/2)(2A + B - C) at r={r}"
+                    return False, detail, None
+            return (
+                True,
+                "kappa^111_2'1'r = (1/2)(2A + B - C) for all r after steps 1-3",
+                None,
+            )
+
+        def kappa_match(art=art, n=n):
+            kappa = art.kappa
+            for r in range(2, n + 1):
+                want = curvature_mod.kappa_closed_form(art.chart, r)
+                if kappa.component(2, 1, 1, 1, 1, r) != want:
+                    return False, f"kappa closed form fails at r={r}", None
+            return (
+                True,
+                "kappa^111_2'1'r = sum_i c_i x_i1 x_r1 (3/q - 7e/q^2 + 4e^2/q^3),"
+                " e = x11^2 + x12^2, for r = 2..n",
+                None,
+            )
+
+        reports.append(_run(f"curvature.displays.n{n}", SYMBOLIC, displays))
+        reports.append(_run(f"curvature.trace_free.n{n}", SYMBOLIC, trace_free))
+        reports.append(_run(f"curvature.reduction.n{n}", SYMBOLIC, reduction))
+        reports.append(_run(f"curvature.kappa.n{n}", SYMBOLIC, kappa_match))
+    return reports
 
 
-def _symbolic_curvature(art: Artifacts, build_d2, build_projection) -> list[CheckReport]:
-    """The four checks of curvature_suite at one n, reading the thunks."""
-    n, chart, phi = art.n, art.chart, art.phi
-
-    def displays():
-        d2 = build_d2()
-        for r in range(2, n + 1):
-            a_want, b_want, c_want = _display_second_derivatives(chart, r)
-            a_got = d2.entry(2, 1, 1, 1, 1, 1, 1, r)
-            b_got = d2.entry(2, 1, 2, 1, 2, 1, 1, r)
-            c_got = d2.entry(1, 1, 1, 1, 1, 1, 2, r)
-            if a_got != a_want:
-                return False, f"grad^1_2' grad^1_1' Phi^1'1_1'r differs at r={r}", None
-            if b_got != b_want:
-                return False, f"(grad^1_2')^2 Phi^2'1_1'r differs at r={r}", None
-            if c_got != c_want:
-                return False, f"(grad^1_1')^2 Phi^1'1_2'r differs at r={r}", None
-        return (
-            True,
-            "the three displayed second-derivative formulas hold for r = 2..n, symbolic c",
-            None,
-        )
-
-    def trace_free():
-        d2 = build_d2()
-        for r in range(1, n + 1):
-            lhs = d2.entry(2, 1, 1, 1, 1, 1, 1, r)
-            rhs = -d2.entry(1, 1, 2, 1, 2, 1, 2, r)
-            if lhs != rhs:
-                return False, f"trace-freeness identity fails at r={r}", None
-        return (
-            True,
-            "grad^1_2' grad^1_1' Phi^1'1_1'r = -grad^1_1' grad^1_2' Phi^2'1_2'r for all r",
-            None,
-        )
-
-    def reduction():
-        d2, projection = build_d2(), build_projection()
-        half = Fraction(1, 2)
-        for r in range(1, n + 1):
-            a = d2.entry(2, 1, 1, 1, 1, 1, 1, r)
-            b = d2.entry(2, 1, 2, 1, 2, 1, 1, r)
-            cc = d2.entry(1, 1, 1, 1, 1, 1, 2, r)
-            want = (a + a + b - cc).scale(half)
-            got = projection.component(2, 1, 1, 1, 1, r)
-            if got != want:
-                return False, f"projected component differs from (1/2)(2A + B - C) at r={r}", None
-        return (
-            True,
-            "kappa^111_2'1'r = (1/2)(2A + B - C) for all r after steps 1-3",
-            None,
-        )
-
-    def kappa_match():
-        projection = build_projection()
-        for r in range(2, n + 1):
-            result = curvature_mod.kappa_closed_form_check(phi, r, projection=projection)
-            if not result.matches_closed_form:
-                return False, f"kappa closed form fails at r={r}", None
-        return (
-            True,
-            "kappa^111_2'1'r = sum_i c_i x_i1 x_r1 (3/q - 7e/q^2 + 4e^2/q^3),"
-            " e = x11^2 + x12^2, for r = 2..n",
-            None,
-        )
-
-    return [
-        _run(f"curvature.displays.n{n}", SYMBOLIC, displays),
-        _run(f"curvature.trace_free.n{n}", SYMBOLIC, trace_free),
-        _run(f"curvature.reduction.n{n}", SYMBOLIC, reduction),
-        _run(f"curvature.kappa.n{n}", SYMBOLIC, kappa_match),
-    ]
-
-
-def _numeric_curvature(art: Artifacts, seed: int, build_d2, build_projection) -> list[CheckReport]:
-    """The numeric-sample and mixed-partial checks, reading the thunks."""
-    n, chart = art.n, art.chart
+def curvature_numeric_suite(n: int, seed: int = 0) -> list[CheckReport]:
+    """The sampled not-pure-trace check and the mixed-partial symmetry at n,
+    on the second derivatives and kappa that curvature_suite reads."""
+    art = artifacts(n)
     c_unit = [Fraction(1)] + [Fraction(0)] * (n - 2)
 
     def accept(entries):
         return generic_off_singular(entries, 2) and entries[1][0] != 0
 
     def not_pure_trace_samples():
-        projection = build_projection()
+        kappa = art.kappa
         subspace = curvature_mod.trace_subspace(n)
         rng = random.Random(seed)
         checked = 0
         for radius_exp in range(1, 6):
-            for point in sample_points(chart, radius_exp, KAPPA_SAMPLES // 5, rng, accept):
-                values = projection.evaluate_slice(point, c=c_unit)
+            for point in sample_points(art.chart, radius_exp, KAPPA_SAMPLES // 5, rng, accept):
+                values = kappa.evaluate_slice(point, c=c_unit)
                 if not curvature_mod.not_pure_trace(values, n, subspace):
                     return (
                         False,
@@ -817,7 +819,7 @@ def _numeric_curvature(art: Artifacts, seed: int, build_d2, build_projection) ->
 
     def mixed_partials():
         return (
-            build_d2().swap_symmetric(),
+            art.second_derivatives.swap_symmetric(),
             "second derivatives are symmetric in the two derivative slots (flat connection)",
             None,
         )
@@ -826,22 +828,6 @@ def _numeric_curvature(art: Artifacts, seed: int, build_d2, build_projection) ->
         _run(f"curvature.not_pure_trace.n{n}", NUMERIC, not_pure_trace_samples),
         _run(f"curvature.mixed_partials.n{n}", SYMBOLIC, mixed_partials),
     ]
-
-
-def curvature_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
-    reports = []
-    for n in ns:
-        art = artifacts(n)
-        reports += _symbolic_curvature(art, *_second_derivatives(art.phi))
-    return reports
-
-
-def _curvature_with_numeric(n: int, seed: int) -> list[CheckReport]:
-    """curvature_suite((n,)) plus the two numeric-sample and mixed-partial
-    checks, on one set of second derivatives, released when this returns."""
-    art = artifacts(n)
-    shared = _second_derivatives(art.phi)
-    return _symbolic_curvature(art, *shared) + _numeric_curvature(art, seed, *shared)
 
 
 # -- finite-difference oracle ----------------------------------------------------------
@@ -923,8 +909,8 @@ def acceptance_suite(seed: int = 0, ball_count: int = 8) -> list[CheckReport]:
         report, _ = density_check(3, c, 2, seed, ball_count)
         reports.append(report)
     reports += reptheory_suite((2, 3, 4, 5), seed)
-    reports += _curvature_with_numeric(3, seed)
-    reports += curvature_suite((4,))
+    reports += curvature_suite((3, 4))
+    reports += curvature_numeric_suite(3, seed)
     reports += fd_oracle_suite(3, seed)
     return sort_reports(reports)
 

@@ -11,7 +11,6 @@ against the explicitly embedded trace subspace of S^3 R^{n*} (x) R^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
@@ -158,7 +157,11 @@ def project_kappa(d2: SecondDerivativeTensor) -> KappaProjection:
 
 
 def kappa_closed_form(chart: Chart, r: int) -> RationalFunction:
-    """Sum over i > 1 of c_i x_{i1} x_{r1} (3/q - 7(x11^2+x12^2)/q^2 + 4(x11^2+x12^2)^2/q^3)."""
+    """Sum over i > 1 of c_i x_{i1} x_{r1} (3/q - 7(x11^2+x12^2)/q^2 + 4(x11^2+x12^2)^2/q^3).
+
+    The closed form of kappa^{111}_{2'1'r} for r >= 2 only; at r = 1 the
+    derivative variables collide with x_{r1} and it does not apply.
+    """
     n = chart.n
     if not (2 <= r <= n):
         raise UsageError(f"index r must be in 2..{n}")
@@ -174,37 +177,6 @@ def kappa_closed_form(chart: Chart, r: int) -> RationalFunction:
     for i in range(2, n + 1):
         acc = acc + chart.param(f"c{i}") * chart.x(i, 1) * chart.x(r, 1) * shape
     return acc
-
-
-@dataclass(frozen=True)
-class KappaComponent:
-    r: int
-    value: RationalFunction
-
-
-@dataclass(frozen=True)
-class KappaCheck:
-    computed: KappaComponent
-    matches_closed_form: bool
-
-
-def kappa_closed_form_check(
-    phi: EndomorphismField, r: int, projection: KappaProjection | None = None
-) -> KappaCheck:
-    """Compare the fully projected component kappa^{111}_{2'1'r} with the
-    closed form, as an exact identity in x and c.  Restricted to r >= 2; at
-    r = 1 the derivative variables collide with x_{r1} and the closed form
-    does not apply."""
-    chart = phi.chart
-    if not (2 <= r <= chart.n):
-        raise UsageError(f"index r must be in 2..{chart.n}")
-    if projection is None:
-        projection = project_kappa(nabla2_phi(phi))
-    computed = projection.component(2, 1, 1, 1, 1, r)
-    return KappaCheck(
-        computed=KappaComponent(r=r, value=computed),
-        matches_closed_form=computed == kappa_closed_form(chart, r),
-    )
 
 
 def trace_subspace(n: int) -> Subspace:

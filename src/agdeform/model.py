@@ -261,9 +261,6 @@ class SymbolicMatrix:
             self.table, [[v.substitute(mapping) for v in row] for row in self.rows]
         )
 
-    def evaluate(self, point: Sequence[Fraction]):
-        return tuple(tuple(v.evaluate(point) for v in row) for row in self.rows)
-
     def render(self, latex: bool = False) -> str:
         return "[" + "; ".join(
             ", ".join(render_rational_function(v, latex) for v in row)

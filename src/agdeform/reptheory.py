@@ -61,6 +61,10 @@ class GradedAlgebraSpec:
         self.dim_gzero = len(self.gzero_basis)
         self.dim_gplus = len(self.gplus_basis)
 
+    def domain_index(self, a: int, m: int) -> int:
+        """Flat index of xi^a (x) g_m in the domain g_{-1}* (x) g_0, a outermost."""
+        return a * self.dim_gzero + m
+
     @functools.cached_property
     def rho(self) -> tuple[dict[tuple[int, int], int], ...]:
         """rho(g_m) on g_{-1} for each m, as {(d, b): value}: the g_{-1} block
@@ -188,14 +192,13 @@ class Partial1Map:
 def build_partial1(n: int, spec: GradedAlgebraSpec | None = None) -> Partial1Map:
     """Exact matrix of (partial1 f)(w_b, w_c) = f(w_b).w_c - f(w_c).w_b.
 
-    Columns indexed by (a, m) -> a*dim_gzero + m for f = xi^a (x) g_m; rows
+    Columns indexed by spec.domain_index(a, m) for f = xi^a (x) g_m; rows
     by pair_index(b, c)*2n + d over pairs b < c and outputs d.  The entries
     are the integers of spec.rho.  Nothing is eliminated here: the image and
     the rank come from one sparse reduction, on first use of Partial1Map.image.
     """
     spec = spec or GradedAlgebraSpec(n)
     size = spec.dim_gminus
-    dim0 = spec.dim_gzero
     entries: dict[tuple[int, int], int] = {}
     for a in range(size):
         for m, rho_m in enumerate(spec.rho):
@@ -204,11 +207,12 @@ def build_partial1(n: int, spec: GradedAlgebraSpec | None = None) -> Partial1Map
                     continue
                 # pair containing a: (a, other) ordered; sign - when a sits second
                 b, c, sign = (a, other, 1) if a < other else (other, a, -1)
-                entries[(pair_index(b, c, size) * size + d, a * dim0 + m)] = sign * value
+                row = pair_index(b, c, size) * size + d
+                entries[(row, spec.domain_index(a, m))] = sign * value
     return Partial1Map(
         n=n,
         entries=entries,
-        domain_dim=size * dim0,
+        domain_dim=size * spec.dim_gzero,
         target_dim=size * (size - 1) // 2 * size,
     )
 
@@ -307,18 +311,20 @@ def act_on_domain(
     spec: GradedAlgebraSpec, a_idx: int, f_vec: Sequence[Fraction]
 ) -> tuple[Fraction, ...]:
     """g_0 action on f in g_{-1}* (x) g_0: (a.f)(w) = [a, f(w)] - f(rho(a) w)."""
-    dim0 = spec.dim_gzero
+    index = spec.domain_index
     brackets = spec.structure_constants[a_idx]
     out = [Fraction(0)] * len(f_vec)
-    for idx, coeff in enumerate(f_vec):
-        if coeff:
-            c, m = divmod(idx, dim0)
-            for m2, value in brackets[m].items():
-                out[c * dim0 + m2] += coeff * value
+    for c in range(spec.dim_gminus):
+        for m in range(spec.dim_gzero):
+            coeff = f_vec[index(c, m)]
+            if coeff:
+                for m2, value in brackets[m].items():
+                    out[index(c, m2)] += coeff * value
     for (d, c), weight in spec.rho[a_idx].items():
-        for m in range(dim0):
-            if f_vec[d * dim0 + m]:
-                out[c * dim0 + m] -= weight * f_vec[d * dim0 + m]
+        for m in range(spec.dim_gzero):
+            coeff = f_vec[index(d, m)]
+            if coeff:
+                out[index(c, m)] -= weight * coeff
     return tuple(out)
 
 

@@ -24,6 +24,24 @@ REPORTS_SHA256 = "0d159727832117c4552d864ff20657ac53c291d4d43206fc32e1ae86ba4d4f
 #: kappa triple (1, 1, 1) alone, so its bytes are pinned separately.
 VERIFY_N5_SHA256 = "52431afdf8977ac14af5e126c65aff9072d57fbee08342f4811f3efbab3338b5"
 
+#: sha256 of the `--format json` stdout of the command behind each benchmark
+#: workload (perfbench/workloads.py, which adds --timings), so the tier-1
+#: suite byte-checks the code they run.
+WORKLOAD_SHA256 = {
+    "verify-n4": (
+        "verify --n 4 --seed 1",
+        "6fc4158a3e79414261ff534886c0f1f2cd8e15f0b60182c6a439fc285a1dac38",
+    ),
+    "sweep-n3": (
+        "torsion --n 3 --c=2,-3 --sample-balls 2 --seed 1",
+        "57fbb441cff7ad3bbf8369a7f56114ef6ed211adeaf32e4955c54f93f45aa933",
+    ),
+    "rank-n5": (
+        "reptheory --n 5 --seed 1",
+        "c1309098b6a38a2e7ef0eca9a25f93f456d82a913191f0797baaa2fea3a1ac17",
+    ),
+}
+
 CRITERIA = {
     1: ("flow group law, holonomy cocycle, and split form",
         ("flow.group_law.", "flow.holonomy_cocycle.", "flow.split_form_agreement.")),
@@ -134,3 +152,11 @@ def test_verify_n5_output_byte_identical(capsys):
     assert cli.main(["verify", "--n", "5", "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_N5_SHA256
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_SHA256))
+def test_workload_output_byte_identical(capsys, workload):
+    command, digest = WORKLOAD_SHA256[workload]
+    assert cli.main([*command.split(), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

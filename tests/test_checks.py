@@ -54,10 +54,22 @@ def test_reptheory_command_builds_trace_embeddings_once(monkeypatch, capsys, fre
 def test_curvature_numeric_suite_builds_second_derivatives_once(monkeypatch, fresh_cache):
     """The symbolic and the numeric curvature checks at n = 3 share one build."""
     calls = counting(monkeypatch, curvature_mod, "nabla2_phi")
-    reports = checks._curvature_with_numeric(3, 0)
+    reports = checks.curvature_suite((3,)) + checks.curvature_numeric_suite(3, 0)
     assert len(reports) == 6
     assert all(r.status == checks.PASS for r in reports)
     assert len(calls) == 1
+
+
+def test_curvature_objects_are_built_once_per_process(monkeypatch, fresh_cache):
+    """Three suites in a row at n = 3 read one tensor and one projection."""
+    tensors = counting(monkeypatch, curvature_mod, "nabla2_phi")
+    projections = counting(monkeypatch, curvature_mod, "project_kappa")
+    reports = checks.curvature_suite((3,))
+    reports += checks.curvature_numeric_suite(3)
+    reports += checks.quick_suite(3)
+    assert all(r.status == checks.PASS for r in reports)
+    assert len(tensors) == 1
+    assert len(projections) == 1
 
 
 def test_torsion_suite_builds_each_component_once_inside_checks(monkeypatch, fresh_cache):
@@ -120,7 +132,8 @@ def _broken(*args):
     "module, name, suite, failing",
     [
         (curvature_mod, "nabla2_phi", lambda: checks.curvature_suite((3,)), 4),
-        (curvature_mod, "nabla2_phi", lambda: checks._curvature_with_numeric(3, 0), 6),
+        (curvature_mod, "nabla2_phi",
+         lambda: checks.curvature_suite((3,)) + checks.curvature_numeric_suite(3, 0), 6),
         (rep_mod, "build_partial1", lambda: checks.reptheory_suite((3,)), 7),
         (checks, "transformation_check", lambda: checks.eigen_suite((3,)), 8),
     ],

@@ -97,35 +97,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(
-    command: str,
-    reports: list[checks.CheckReport],
-    extras: dict,
-    fmt: str,
-    timings: bool,
-    text_lines: list[str] | None = None,
-) -> None:
+def _emit(args, reports: list[checks.CheckReport], extras: dict, text_lines=()) -> int:
+    """Write the reports in args.format; the exit code is 0 iff every
+    report passes."""
     reports = checks.sort_reports(reports)
-    if fmt == "json":
-        payload = {"command": command, "reports": [r.as_dict(timings) for r in reports]}
+    if args.format == "json":
+        payload = {
+            "command": args.command,
+            "reports": [r.as_dict(args.timings) for r in reports],
+        }
         payload.update(extras)
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return
-    out = []
-    if text_lines:
-        out.extend(text_lines)
-    for r in reports:
-        line = f"{r.status.upper():4}  {r.check_id}  {r.detail}"
-        if r.point is not None:
-            line += f"  [point {r.point}]"
-        if timings:
-            line += f"  ({r.elapsed_ms} ms)"
-        out.append(line)
-    if reports:
-        passed = sum(r.status == checks.PASS for r in reports)
-        failed = sum(r.status == checks.FAIL for r in reports)
-        out.append(f"{len(reports)} checks: {passed} pass, {failed} fail")
-    sys.stdout.write("\n".join(out) + "\n")
+    else:
+        out = list(text_lines)
+        for r in reports:
+            line = f"{r.status.upper():4}  {r.check_id}  {r.detail}"
+            if r.point is not None:
+                line += f"  [point {r.point}]"
+            if args.timings:
+                line += f"  ({r.elapsed_ms} ms)"
+            out.append(line)
+        if reports:
+            passed = sum(r.status == checks.PASS for r in reports)
+            failed = sum(r.status == checks.FAIL for r in reports)
+            out.append(f"{len(reports)} checks: {passed} pass, {failed} fail")
+        sys.stdout.write("\n".join(out) + "\n")
+    return 0 if all(r.status == checks.PASS for r in reports) else 1
 
 
 #: The largest n accepted by the commands that build Phi_c symbolically
@@ -149,14 +146,9 @@ def _cmd_flow(args) -> int:
         moved = flow_point(point, parse_rational(args.t))
         if args.s is not None:
             moved = flow_point(moved, parse_rational(args.s))
-        if args.format == "json":
-            _emit("flow", [], {"flowed": moved.format()}, "json", args.timings)
-        else:
-            sys.stdout.write(moved.format() + "\n")
-        return 0
-    reports = checks.flow_suite((args.n,))
-    _emit("flow", reports, {}, args.format, args.timings)
-    return 0 if all(r.status == checks.PASS for r in reports) else 1
+        flowed = moved.format()
+        return _emit(args, [], {"flowed": flowed}, [flowed])
+    return _emit(args, checks.flow_suite((args.n,)), {})
 
 
 def _cmd_phi(args) -> int:
@@ -173,8 +165,7 @@ def _cmd_phi(args) -> int:
         for i in range(2, chart.n + 1):
             expressions[f"phi{i}"] = phi_i_matrix(chart, i).render(latex)
         extras["expressions"] = expressions
-    _emit("phi", reports, extras, args.format, args.timings)
-    return 0 if all(r.status == checks.PASS for r in reports) else 1
+    return _emit(args, reports, extras)
 
 
 def _cmd_torsion(args) -> int:
@@ -198,8 +189,7 @@ def _cmd_torsion(args) -> int:
         f"{sum(1 for rec in records if rec['lemmaVerdict'] and not rec['membershipVerdict'])}"
         " satisfy the nonvanishing criterion"
     ]
-    _emit("torsion", reports, extras, args.format, args.timings, text_lines)
-    return 0 if all(r.status == checks.PASS for r in reports) else 1
+    return _emit(args, reports, extras, text_lines)
 
 
 def _cmd_curvature(args) -> int:
@@ -224,24 +214,20 @@ def _cmd_curvature(args) -> int:
     text_lines = [f"kappa^111_2'1'{args.r} = {kappa_info['text']}"]
     if args.emit == "latex":
         text_lines.append(f"latex: {kappa_info['latex']}")
-    _emit("curvature", reports, {"kappa": kappa_info}, args.format, args.timings, text_lines)
-    return 0 if all(r.status == checks.PASS for r in reports) else 1
+    return _emit(args, reports, {"kappa": kappa_info}, text_lines)
 
 
 def _cmd_reptheory(args) -> int:
     _require_n(args.n)
     if args.check == "surjective":
         report = checks.surjective_check(args.n)
-        certificate = checks.rank_certificate(args.n)
-        _emit("reptheory", [report], {"rank": certificate}, args.format, args.timings)
-        return 0 if report.status == checks.PASS else 1
+        return _emit(args, [report], {"rank": checks.rank_certificate(args.n)})
     reports = checks.reptheory_suite((args.n,), args.seed)
     extras = {
         "dimensions": checks.dimension_table(args.n),
         "rank": checks.rank_certificate(args.n),
     }
-    _emit("reptheory", reports, extras, args.format, args.timings)
-    return 0 if all(r.status == checks.PASS for r in reports) else 1
+    return _emit(args, reports, extras)
 
 
 def _cmd_verify(args) -> int:
@@ -250,8 +236,7 @@ def _cmd_verify(args) -> int:
         reports = checks.acceptance_suite(args.seed, args.sample_balls)
     else:
         reports = checks.quick_suite(args.n, args.seed)
-    _emit("verify", reports, {}, args.format, args.timings)
-    return 0 if all(r.status == checks.PASS for r in reports) else 1
+    return _emit(args, reports, {})
 
 
 _HANDLERS = {

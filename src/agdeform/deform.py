@@ -7,9 +7,11 @@ E^{i'l}_{j'k} = E^{i'}_{j'} (x) E_k^l, where E^{i'}_{j'} sends E^{j'} to E^{i'}
 and E_k^l sends E_l to E_k, so the action on a section psi of E* (x) F reads
 (Phi psi)^{i'}_k = sum_{j',l} Phi^{i'l}_{j'k} psi^{j'}_l.
 
-A field is stored as its operator matrix on E* (x) F = g_{-1} in the flat
-basis of exactalg.flat_index, the chart variable order x11, x12, x21, ...;
-EndomorphismField.coefficient maps Phi^{i'l}_{j'k} to its matrix entry.
+A field is its operator matrix on E* (x) F = g_{-1}, a SymbolicMatrix in
+the flat basis of exactalg.flat_index, the chart variable order x11, x12,
+x21, ...; EndomorphismField.coefficient maps Phi^{i'l}_{j'k} to its matrix
+entry.  Nilpotency makes Id - Phi the inverse of the deformed frame map
+Id + Phi.
 """
 
 from __future__ import annotations
@@ -19,11 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactalg import Polynomial, RationalFunction, UsageError, flat_index
-from .model import BundleActionMatrices, Chart, ChartPoint, SymbolicMatrix, bundle_actions, flow_point
-
-
-class InvalidDeformation(ValueError):
-    """The endomorphism field is not nilpotent of order two."""
+from .model import Chart, ChartPoint, SymbolicMatrix, bundle_actions, flow_point
 
 
 # -- eigen-sections ------------------------------------------------------------------
@@ -182,47 +180,29 @@ def phi_i_matrix(chart: Chart, i: int) -> SymbolicMatrix:
     return SymbolicMatrix(chart.table, rows)
 
 
-class EndomorphismField:
+class EndomorphismField(SymbolicMatrix):
     """Section of End(E*) (x) End(F) as its operator matrix on E* (x) F.
 
     The 2n x 2n matrix acts in the flat basis of E* (x) F = g_{-1}, where
     the slot (k, i') sits at flat_index(k, i').  Entry
     [flat_index(k, i'), flat_index(l, j')] is Phi^{i'l}_{j'k}, so composition
-    is the matrix product and the action on a section is the matrix applied
-    to its flat components.
+    (self o other)^{i'l}_{j'k} = sum_{a',b} self^{i'b}_{a'k} other^{a'l}_{j'b}
+    is the matrix product, and the action on a section with flat components
+    psi, (Phi psi)^{i'}_k = sum_{j',l} Phi^{i'l}_{j'k} psi^{j'}_l, is apply.
     """
 
-    __slots__ = ("chart", "matrix")
+    __slots__ = ()
 
-    def __init__(self, chart: Chart, matrix: SymbolicMatrix):
-        self.chart = chart
-        self.matrix = matrix
+    @property
+    def chart(self) -> Chart:
+        return Chart(self.table.n)
 
     def coefficient(self, i_prime: int, ell: int, j_prime: int, k: int) -> RationalFunction:
         """Coefficient of E^{i'l}_{j'k}; all arguments 1-based."""
-        return self.matrix[flat_index(k, i_prime), flat_index(ell, j_prime)]
-
-    @staticmethod
-    def identity(chart: Chart) -> "EndomorphismField":
-        return EndomorphismField(chart, SymbolicMatrix.identity(chart.table, 2 * chart.n))
+        return self.rows[flat_index(k, i_prime)][flat_index(ell, j_prime)]
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for row in self.matrix.rows for v in row)
-
-    def __add__(self, other: "EndomorphismField") -> "EndomorphismField":
-        return EndomorphismField(self.chart, self.matrix + other.matrix)
-
-    def __sub__(self, other: "EndomorphismField") -> "EndomorphismField":
-        return EndomorphismField(self.chart, self.matrix - other.matrix)
-
-    def compose(self, other: "EndomorphismField") -> "EndomorphismField":
-        """(self o other)^{i'l}_{j'k} = sum_{a',b} self^{i'b}_{a'k} other^{a'l}_{j'b}."""
-        return EndomorphismField(self.chart, self.matrix * other.matrix)
-
-    def apply(self, psi: Sequence[RationalFunction]) -> tuple[RationalFunction, ...]:
-        """Action on a section with flat components psi: (Phi psi)^{i'}_k is at
-        flat_index(k, i') and equals sum_{j',l} Phi^{i'l}_{j'k} psi^{j'}_l."""
-        return self.matrix.apply(psi)
+        return all(v.is_zero() for row in self.rows for v in row)
 
     def partial_trace_primed(self, ell: int, k: int) -> RationalFunction:
         """sum_{i'} Phi^{i'l}_{i'k} (1-based l, k); vanishes for Phi_c."""
@@ -230,18 +210,10 @@ class EndomorphismField:
 
     def partial_trace_unprimed(self, i_prime: int, j_prime: int) -> RationalFunction:
         """sum_l Phi^{i'l}_{j'l}; vanishes for Phi_c."""
-        acc = RationalFunction.zero(self.chart.table)
-        for l in range(1, self.chart.n + 1):
+        acc = RationalFunction.zero(self.table)
+        for l in range(1, self.table.n + 1):
             acc = acc + self.coefficient(i_prime, l, j_prime, l)
         return acc
-
-    def substitute(self, mapping) -> "EndomorphismField":
-        return EndomorphismField(self.chart, self.matrix.substitute(mapping))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EndomorphismField):
-            return NotImplemented
-        return self.matrix == other.matrix
 
 
 def build_Phi(chart: Chart, c: Sequence | None = None) -> EndomorphismField:
@@ -287,23 +259,7 @@ def build_Phi(chart: Chart, c: Sequence | None = None) -> EndomorphismField:
                         row[col] = row[col] + m[ip - 1][jp - 1] * scaled
 
     rows = [[RationalFunction(num, ((q, 1),)) for num in row] for row in nums]
-    return EndomorphismField(chart, SymbolicMatrix(table, rows))
-
-
-@dataclass(frozen=True)
-class DeformedTheta:
-    """Frame maps of the deformed structure (Id + Phi) o theta."""
-
-    forward: EndomorphismField
-    inverse: EndomorphismField
-
-
-def deformed_theta(phi: EndomorphismField) -> DeformedTheta:
-    """Forward map Id + Phi and its inverse Id - Phi (exact, by nilpotency)."""
-    if not phi.compose(phi).is_zero():
-        raise InvalidDeformation("endomorphism field is not nilpotent of order two")
-    ident = EndomorphismField.identity(phi.chart)
-    return DeformedTheta(forward=ident + phi, inverse=ident - phi)
+    return EndomorphismField(table, rows)
 
 
 # -- flow invariance ---------------------------------------------------------------
@@ -322,27 +278,29 @@ def _kron(e_part: SymbolicMatrix, f_part: SymbolicMatrix) -> SymbolicMatrix:
     )
 
 
-def _conjugation(field_matrix: SymbolicMatrix, actions: BundleActionMatrices) -> SymbolicMatrix:
-    """(A (x) B) M (A (x) B)^{-1} in the flat basis, A = on_estar, B = on_f.
+def _generic_flow(
+    chart: Chart, field: SymbolicMatrix, t: RationalFunction
+) -> tuple[SymbolicMatrix, SymbolicMatrix]:
+    """(A (x) B) M (A (x) B)^{-1} and M(z^t X) at the generic point X, for
+    the bundle actions A = on_estar and B = on_f of z^t.
 
     The inverses come from the stored duals: on_estar^{-1} = on_e^T and
     on_f^{-1} = on_fstar^T, so no symbolic matrix inversion is needed.
     """
+    generic = ChartPoint.generic(chart)
+    actions = bundle_actions(generic, t)
     t_mat = _kron(actions.on_estar, actions.on_f)
     t_inv = _kron(actions.on_e.transpose(), actions.on_fstar.transpose())
-    return t_mat * field_matrix * t_inv
+    flowed = flow_point(generic, t).substitution()
+    return t_mat * field * t_inv, field.substitute(flowed)
 
 
 def invariance_check(phi: EndomorphismField, t=None) -> bool:
     """Exact identity (A (x) B) Phi(X) (A (x) B)^{-1} = Phi(z^t X) in x, t, c."""
     chart = phi.chart
     t = chart.param("t") if t is None else chart.lift(t)
-    generic = ChartPoint.generic(chart)
-    actions = bundle_actions(generic, t)
-    conjugated = _conjugation(phi.matrix, actions)
-    flowed = flow_point(generic, t).substitution()
-    target = phi.substitute(flowed).matrix
-    return conjugated == target
+    conjugated, moved = _generic_flow(chart, phi, t)
+    return conjugated == moved
 
 
 def unscaled_flow_factor_check(chart: Chart, i: int, t=None) -> bool:
@@ -353,14 +311,9 @@ def unscaled_flow_factor_check(chart: Chart, i: int, t=None) -> bool:
     """
     t = chart.param("t") if t is None else chart.lift(t)
     unscaled = _kron(phi_prime_matrix(chart), phi_i_matrix(chart, i))
-
-    generic = ChartPoint.generic(chart)
-    actions = bundle_actions(generic, t)
-    conjugated = _conjugation(unscaled, actions)
-    flowed = flow_point(generic, t).substitution()
+    conjugated, moved = _generic_flow(chart, unscaled, t)
     u = chart.const(1) + t * chart.x(1, 1)
     factor = u * u
-    moved = unscaled.substitute(flowed)
     scaled = SymbolicMatrix(
         chart.table, [[factor * v for v in row] for row in moved.rows]
     )

@@ -75,15 +75,17 @@ def flat_index(i: int, j_prime: int) -> int:
     return 2 * (i - 1) + (j_prime - 1)
 
 
-def pair_index(b: int, c: int, size: int) -> int:
-    """Position of the ordered pair b < c in the lexicographic pair list.
+def two_form_block(b: int, c: int, size: int) -> tuple[int, int]:
+    """(start, sign) of the pair {b, c} in Lambda^2 g_{-1}* (x) g_{-1}.
 
-    A two-form valued in g_{-1} is stored pair-major: the 2n outputs of the
-    pair (b, c) start at pair_index(b, c, 2n) * 2n.
+    A two-form T valued in g_{-1} (size = 2n) is stored pair-major over the
+    pairs b < c in lexicographic order: the size outputs of T(w_b, w_c)
+    start at start, and T(w_c, w_b) = -T(w_b, w_c) gives sign -1 for b > c.
     """
-    if not (0 <= b < c < size):
-        raise UsageError(f"need 0 <= b < c < {size}")
-    return b * size - b * (b + 1) // 2 + (c - b - 1)
+    if b == c or not (0 <= b < size and 0 <= c < size):
+        raise UsageError(f"need two distinct indices in 0..{size - 1}")
+    lo, hi, sign = (b, c, 1) if b < c else (c, b, -1)
+    return (lo * size - lo * (lo + 1) // 2 + (hi - lo - 1)) * size, sign
 
 
 class VariableTable:
@@ -640,23 +642,9 @@ class RationalFunction:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        if self.table != other.table:
-            raise MismatchedTables("operands use different variable tables")
+        self._check(other)
         # Cross-multiplication after cancelling shared factors.
-        mine = {f.key(): (f, e) for f, e in self.den}
-        theirs = {f.key(): (f, e) for f, e in other.den}
-        left = self.num
-        right = other.num
-        for key, (factor, exponent) in theirs.items():
-            shared = mine.get(key)
-            extra = exponent - (shared[1] if shared else 0)
-            if extra > 0:
-                left = left * factor**extra
-        for key, (factor, exponent) in mine.items():
-            shared = theirs.get(key)
-            extra = exponent - (shared[1] if shared else 0)
-            if extra > 0:
-                right = right * factor**extra
+        left, right, _ = self._align(other)
         return left == right
 
     # Equal values can have different stored forms (x11^2/(x11 x12) and
@@ -678,27 +666,35 @@ class RationalFunction:
             return other
         if other.is_zero():
             return self
+        left, right, union = self._align(other)
+        return RationalFunction(left + right, union)
+
+    def _align(
+        self, other: "RationalFunction"
+    ) -> tuple[Polynomial, Polynomial, DenominatorFactors]:
+        """Both numerators over the lcm of the two factorizations, and the lcm.
+
+        The lcm lists self's factors first, then the factors only other has.
+        """
         mine = {f.key(): (f, e) for f, e in self.den}
         theirs = {f.key(): (f, e) for f, e in other.den}
-        union: dict[tuple, tuple[Polynomial, int]] = {}
-        for key, (factor, exponent) in mine.items():
-            rival = theirs.get(key)
-            union[key] = (factor, max(exponent, rival[1] if rival else 0))
+        union = dict(mine)
         for key, (factor, exponent) in theirs.items():
-            if key not in union:
+            have = union.get(key)
+            if have is None:
                 union[key] = (factor, exponent)
+            elif have[1] < exponent:
+                union[key] = (have[0], exponent)
         left = self.num
         right = other.num
         for key, (factor, exponent) in union.items():
-            have = mine.get(key)
-            lack = exponent - (have[1] if have else 0)
+            lack = exponent - mine.get(key, (None, 0))[1]
             if lack > 0:
                 left = left * factor**lack
-            have = theirs.get(key)
-            lack = exponent - (have[1] if have else 0)
+            lack = exponent - theirs.get(key, (None, 0))[1]
             if lack > 0:
                 right = right * factor**lack
-        return RationalFunction(left + right, tuple(union.values()))
+        return left, right, tuple(union.values())
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction._raw(-self.num, self.den)

@@ -170,7 +170,11 @@ class ChartPoint:
 
 
 class SymbolicMatrix:
-    """Dense matrix of RationalFunction entries over one chart table."""
+    """Dense matrix of RationalFunction entries over one chart table.
+
+    Products, sums, the transpose and substitution keep the type of the
+    left operand, so a subclass stays closed under them.
+    """
 
     __slots__ = ("table", "rows", "nrows", "ncols")
 
@@ -182,11 +186,11 @@ class SymbolicMatrix:
         if any(len(row) != self.ncols for row in self.rows):
             raise UsageError("ragged rows")
 
-    @staticmethod
-    def identity(table: VariableTable, size: int) -> "SymbolicMatrix":
+    @classmethod
+    def identity(cls, table: VariableTable, size: int) -> "SymbolicMatrix":
         one = RationalFunction.constant(table, 1)
         zero = RationalFunction.zero(table)
-        return SymbolicMatrix(
+        return cls(
             table,
             [[one if i == j else zero for j in range(size)] for i in range(size)],
         )
@@ -208,12 +212,12 @@ class SymbolicMatrix:
                         acc = acc + a * b
                 out_row.append(acc)
             out.append(out_row)
-        return SymbolicMatrix(self.table, out)
+        return type(self)(self.table, out)
 
     def __add__(self, other: "SymbolicMatrix") -> "SymbolicMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise UsageError("shape mismatch")
-        return SymbolicMatrix(
+        return type(self)(
             self.table,
             [
                 [a + b for a, b in zip(r1, r2)]
@@ -224,7 +228,7 @@ class SymbolicMatrix:
     def __sub__(self, other: "SymbolicMatrix") -> "SymbolicMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise UsageError("shape mismatch")
-        return SymbolicMatrix(
+        return type(self)(
             self.table,
             [
                 [a - b for a, b in zip(r1, r2)]
@@ -233,7 +237,7 @@ class SymbolicMatrix:
         )
 
     def transpose(self) -> "SymbolicMatrix":
-        return SymbolicMatrix(self.table, list(zip(*self.rows)))
+        return type(self)(self.table, list(zip(*self.rows)))
 
     def apply(self, vector: Sequence[RationalFunction]) -> tuple[RationalFunction, ...]:
         if len(vector) != self.ncols:
@@ -257,7 +261,7 @@ class SymbolicMatrix:
         )
 
     def substitute(self, mapping) -> "SymbolicMatrix":
-        return SymbolicMatrix(
+        return type(self)(
             self.table, [[v.substitute(mapping) for v in row] for row in self.rows]
         )
 

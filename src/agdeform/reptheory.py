@@ -11,7 +11,7 @@ block units, so their entries are integers by construction.  partial1 is one
 sparse integer matrix per n; its image is the obstruction space behind the
 rank-one torsion criterion.  The trace embeddings, which lie in that image,
 are sparse {index: value} rows of the same target space, addressed through
-exactalg.flat_index and pair_index only.
+exactalg.flat_index and exactalg.two_form_block only.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import UsageError, flat_index, pair_index
+from .exactalg import UsageError, flat_index, two_form_block
 from .linalg import Subspace, span_subspace
 
 #: A sparse block matrix in sl(2+n): {(row, col): value} over its nonzero entries.
@@ -193,9 +193,9 @@ def build_partial1(n: int, spec: GradedAlgebraSpec | None = None) -> Partial1Map
     """Exact matrix of (partial1 f)(w_b, w_c) = f(w_b).w_c - f(w_c).w_b.
 
     Columns indexed by spec.domain_index(a, m) for f = xi^a (x) g_m; rows
-    by pair_index(b, c)*2n + d over pairs b < c and outputs d.  The entries
-    are the integers of spec.rho.  Nothing is eliminated here: the image and
-    the rank come from one sparse reduction, on first use of Partial1Map.image.
+    in the pair-major order of two_form_block.  The entries are the
+    integers of spec.rho.  Nothing is eliminated here: the image and the
+    rank come from one sparse reduction, on first use of Partial1Map.image.
     """
     spec = spec or GradedAlgebraSpec(n)
     size = spec.dim_gminus
@@ -205,10 +205,8 @@ def build_partial1(n: int, spec: GradedAlgebraSpec | None = None) -> Partial1Map
             for (d, other), value in rho_m.items():
                 if other == a:
                     continue
-                # pair containing a: (a, other) ordered; sign - when a sits second
-                b, c, sign = (a, other, 1) if a < other else (other, a, -1)
-                row = pair_index(b, c, size) * size + d
-                entries[(row, spec.domain_index(a, m))] = sign * value
+                start, sign = two_form_block(a, other, size)
+                entries[(start + d, spec.domain_index(a, m))] = sign * value
     return Partial1Map(
         n=n,
         entries=entries,
@@ -267,10 +265,9 @@ def trace_embedding_vectors(n: int) -> tuple[dict[int, Fraction], ...]:
 
     def add(vec: dict[int, Fraction], b: int, c: int, d: int, value: Fraction) -> None:
         """vec += value at output d of T(w_b, w_c), with T(w_c, w_b) = -T(w_b, w_c)."""
-        if b > c:
-            b, c, value = c, b, -value
-        key = pair_index(b, c, size) * size + d
-        vec[key] = vec.get(key, 0) + value
+        start, sign = two_form_block(b, c, size)
+        key = start + d
+        vec[key] = vec.get(key, 0) + sign * value
 
     vectors = []
     for p_prime in (1, 2):
@@ -344,15 +341,15 @@ def act_on_target(
         """out[base:base + 2n] -= weight * T(w_b, w_c)."""
         if b == c:
             return
-        lo, hi, weight = (b, c, weight) if b < c else (c, b, -weight)
-        source = pair_index(lo, hi, size) * size
+        source, sign = two_form_block(b, c, size)
+        weight *= sign
         for d in range(size):
             if t_vec[source + d]:
                 out[base + d] -= weight * t_vec[source + d]
 
     for b in range(size):
         for c in range(b + 1, size):
-            base = pair_index(b, c, size) * size
+            base, _ = two_form_block(b, c, size)
             for (e, d), weight in rho_a.items():
                 if t_vec[base + d]:
                     out[base + e] += weight * t_vec[base + d]

@@ -20,8 +20,8 @@ from .exactalg import (
     RationalFunction,
     UsageError,
     flat_index,
-    pair_index,
     render_polynomial,
+    two_form_block,
 )
 from .deform import EndomorphismField
 from .linalg import Vector, nonzero_entries
@@ -40,13 +40,6 @@ class VectorField:
             )
         self.chart = chart
         self.components = tuple(components)
-
-    @staticmethod
-    def coordinate(chart: Chart, i: int, j_prime: int) -> "VectorField":
-        """The field d/dx_{i j'} = partial^{j'}_i."""
-        comps = [RationalFunction.zero(chart.table)] * (2 * chart.n)
-        comps[flat_index(i, j_prime)] = chart.const(1)
-        return VectorField(chart, comps)
 
     def is_zero(self) -> bool:
         return all(comp.is_zero() for comp in self.components)
@@ -97,8 +90,9 @@ def pulled_frame(phi: EndomorphismField) -> tuple[VectorField, ...]:
     field at flat_index(i, j') is that column of its matrix:
     E-tilde^{j'}_i = d^{j'}_i - sum_{p',k} Phi^{p'i}_{j'k} d^{p'}_k.
     """
-    inverse = EndomorphismField.identity(phi.chart) - phi
-    return tuple(VectorField(phi.chart, col) for col in zip(*inverse.matrix.rows))
+    chart = phi.chart
+    inverse = EndomorphismField.identity(phi.table, phi.nrows) - phi
+    return tuple(VectorField(chart, col) for col in zip(*inverse.rows))
 
 
 def _structure_map(phi: EndomorphismField, bracket: VectorField) -> tuple[RationalFunction, ...]:
@@ -177,7 +171,7 @@ class TorsionAssembler:
 
     symbolic is the torsion in pair-major order: T(m_a, m_b) for the pulled
     frame fields m_a, m_b at flat indices a < b, in the flat basis, starts at
-    pair_index(a, b, 2n) * 2n.  Evaluation at many sample points only costs
+    two_form_block(a, b, 2n)[0].  Evaluation at many sample points only costs
     rational-function evaluation, not re-differentiation.  evaluate gives the
     exact torsion vector; evaluate_scaled gives a positive multiple of it in
     integer arithmetic, which is all that the scale-invariant sweep verdicts
@@ -268,7 +262,7 @@ def lemma_components(t_vec: Vector, n: int) -> tuple[int, ...]:
     entries = nonzero_entries(t_vec, n * (2 * n - 1) * size)
     hits = []
     for s in range(2, n + 1):
-        base = pair_index(flat_index(1, 2), flat_index(s, 2), size) * size
+        base, _ = two_form_block(flat_index(1, 2), flat_index(s, 2), size)
         if any(base + flat_index(k, 1) in entries for k in range(2, n + 1) if k != s):
             hits.append(s)
     return tuple(hits)

@@ -42,6 +42,24 @@ WORKLOAD_SHA256 = {
     ),
 }
 
+#: sha256 of the text-mode stdout (no --format) of commands whose text
+#: output has its own layout: the flowed point, the emitted expressions,
+#: the sweep summary line and the check lines with their tally.
+TEXT_SHA256 = {
+    "flow --point 1,3;2,0;0,0 --t 1":
+        "17dbb236e59557995a7987fd530137d2f76172355ad2909c19855f2890701800",
+    "phi --n 3 --emit latex":
+        "08508ed40395abc317e1bafe187ab40e05423f470630594214cee73d2d7e0d9f",
+    "torsion --n 3 --c=2,-3 --sample-balls 1 --seed 1":
+        "c1a793f784c4b28b13b4c86c2b30586b133f998e5095d9dffde924e3ea3afc9f",
+    "curvature --n 3 --emit latex":
+        "49cdb12eee5c946f9d0a4a13da0f6cc77b7c3ac7c829dd3b15cd076b952d5252",
+    "reptheory --n 2 --check surjective":
+        "488b37c46600eba33c5cc8c8d2a6edc678051154d2812457dce238419a332027",
+    "verify --n 3":
+        "9a949363e33dd9fdeecacaa5139a94dc42dbdde37b70ff6f7de632a9b567c28c",
+}
+
 CRITERIA = {
     1: ("flow group law, holonomy cocycle, and split form",
         ("flow.group_law.", "flow.holonomy_cocycle.", "flow.split_form_agreement.")),
@@ -160,3 +178,10 @@ def test_workload_output_byte_identical(capsys, workload):
     assert cli.main([*command.split(), "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", sorted(TEXT_SHA256))
+def test_text_output_byte_identical(capsys, command):
+    assert cli.main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TEXT_SHA256[command]

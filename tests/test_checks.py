@@ -1,5 +1,7 @@
 """The per-n artifact cache: each shared object is built once per process."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from agdeform import checks, cli
@@ -147,3 +149,15 @@ def test_builder_error_is_a_fail_report(monkeypatch, fresh_cache, module, name, 
     failed = [r for r in reports if r.status == checks.FAIL]
     assert len(failed) == failing
     assert all("builder blew up" in r.detail for r in failed)
+
+
+@pytest.mark.parametrize(
+    "elapsed_ns, reported", [(1_600_000, 2), (1_400_000, 1), (400_000, 0), (2_000_000, 2)]
+)
+def test_run_rounds_elapsed_to_nearest_ms(monkeypatch, elapsed_ns, reported):
+    """elapsedMs is the check time rounded, not floored: flooring moved about
+    half a ms per check out of the summed check times."""
+    clock = iter((10**9, 10**9 + elapsed_ns))
+    monkeypatch.setattr(checks, "time", SimpleNamespace(perf_counter_ns=lambda: next(clock)))
+    report = checks._run("x.n3", checks.SYMBOLIC, lambda: (True, "ok", None))
+    assert report.elapsed_ms == reported

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agdeform import checks
 from agdeform.deform import (
     EndomorphismField,
-    InvalidDeformation,
     build_Phi,
     build_q,
-    deformed_theta,
     eigen_sections,
     invariance_check,
     parse_c,
@@ -23,7 +22,7 @@ from agdeform.deform import (
     unscaled_flow_factor_check,
 )
 from agdeform.exactalg import UsageError, degree_info, flat_index
-from agdeform.model import Chart, SymbolicMatrix
+from agdeform.model import Chart
 
 CHART = Chart(3)
 
@@ -118,15 +117,20 @@ def test_phi_rank_one_structure():
 def _constant_field(rng):
     size = 2 * CHART.n
     rows = [[CHART.const(rng.randint(-3, 3)) for _ in range(size)] for _ in range(size)]
-    return EndomorphismField(CHART, SymbolicMatrix(CHART.table, rows))
+    return EndomorphismField(CHART.table, rows)
+
+
+def _identity():
+    return EndomorphismField.identity(CHART.table, 2 * CHART.n)
 
 
 def test_compose_and_apply_layout():
-    """compose and apply against the index formulas, on non-commuting fields."""
+    """The product and apply against the index formulas, on non-commuting fields."""
     rng = random.Random(5)
     phi, other = _constant_field(rng), _constant_field(rng)
-    assert phi.compose(other) != other.compose(phi)
-    composed = phi.compose(other)
+    assert phi * other != other * phi
+    composed = phi * other
+    assert isinstance(composed, EndomorphismField)
     for ip in (1, 2):
         for jp in (1, 2):
             for l in range(1, 4):
@@ -156,10 +160,12 @@ def test_compose_and_apply_layout():
 
 
 def test_endomorphism_algebra():
-    ident = EndomorphismField.identity(CHART)
+    ident = _identity()
     phi = build_Phi(CHART)
-    assert ident.compose(phi) == phi
-    assert phi.compose(ident) == phi
+    assert isinstance(ident, EndomorphismField)
+    assert ident * phi == phi
+    assert phi * ident == phi
+    assert isinstance(ident + phi, EndomorphismField)
     assert (phi - phi).is_zero()
     assert not phi.is_zero()
     psi = [CHART.const(1), CHART.const(0)] * 3
@@ -168,7 +174,7 @@ def test_endomorphism_algebra():
 
 def test_nilpotency_and_traces_symbolic():
     phi = build_Phi(CHART)
-    assert phi.compose(phi).is_zero()
+    assert (phi * phi).is_zero()
     for l in range(1, 4):
         for k in range(1, 4):
             assert phi.partial_trace_primed(l, k).is_zero()
@@ -179,16 +185,30 @@ def test_nilpotency_and_traces_symbolic():
 
 def test_deformed_theta_inverse():
     phi = build_Phi(CHART, [Fraction(1), Fraction(2)])
-    theta = deformed_theta(phi)
-    ident = EndomorphismField.identity(CHART)
-    assert theta.forward.compose(theta.inverse) == ident
-    assert theta.inverse.compose(theta.forward) == ident
+    ident = _identity()
+    assert (ident + phi) * (ident - phi) == ident
+    assert (ident - phi) * (ident + phi) == ident
 
 
-def test_invalid_deformation_rejected():
-    ident = EndomorphismField.identity(CHART)
-    with pytest.raises(InvalidDeformation):
-        deformed_theta(ident)
+def test_inverse_check_fails_for_non_nilpotent_field(monkeypatch):
+    """Control for deform.inverse: a field with Phi o Phi != 0 fails the
+    product identity (Id + Phi)(Id - Phi) = Id - Phi o Phi."""
+    checks.artifacts.cache_clear()
+    table = CHART.table
+    x11 = CHART.x(1, 1)
+    zero = CHART.const(0)
+    # x11 on the diagonal: (x11 Id)^2 = x11^2 Id is nonzero.
+    diagonal = EndomorphismField(
+        table, [[x11 if a == b else zero for b in range(6)] for a in range(6)]
+    )
+    monkeypatch.setattr(checks, "build_Phi", lambda chart: diagonal)
+    try:
+        reports = {r.check_id: r for r in checks.phi_suite((3,))}
+    finally:
+        checks.artifacts.cache_clear()
+    assert reports["deform.nilpotent.n3"].status == checks.FAIL
+    assert reports["deform.inverse.n3"].status == checks.FAIL
+    assert reports["deform.inverse.n3"].detail.startswith("(Id + Phi)(Id - Phi) = Id")
 
 
 def test_invariance_symbolic_and_numeric_t():
@@ -233,6 +253,6 @@ def test_substitute_specializes_c():
 )
 def test_nilpotency_and_inverse_random_c(c):
     phi = build_Phi(CHART, list(c))
-    assert phi.compose(phi).is_zero()
-    theta = deformed_theta(phi)
-    assert theta.forward.compose(theta.inverse) == EndomorphismField.identity(CHART)
+    assert (phi * phi).is_zero()
+    ident = _identity()
+    assert (ident + phi) * (ident - phi) == ident

@@ -18,7 +18,7 @@ from agdeform.linalg import (
     sparse_rank,
     sparse_rref,
 )
-from agdeform.exactalg import flat_index, pair_index
+from agdeform.exactalg import flat_index, two_form_block
 from agdeform.torsion import lemma_criterion
 
 
@@ -294,7 +294,7 @@ def _torsion_vectors(draw):
     n = draw(st.integers(2, 4))
     s = draw(st.integers(2, n))
     size = 2 * n
-    base = pair_index(flat_index(1, 2), flat_index(s, 2), size) * size
+    base = two_form_block(flat_index(1, 2), flat_index(s, 2), size)[0]
     read = [base + flat_index(k, 1) for k in range(1, n + 1)]
     index = st.one_of(st.sampled_from(read), st.integers(0, n * (size - 1) * size - 1))
     vector = draw(st.dictionaries(index, st.one_of(_RATIONALS, st.integers(-2, 2)), max_size=6))

@@ -8,7 +8,7 @@ import pytest
 
 from agdeform import checks
 from agdeform.deform import build_Phi
-from agdeform.exactalg import UsageError, flat_index, pair_index
+from agdeform.exactalg import UsageError, flat_index, two_form_block
 from agdeform.linalg import MatrixQ, membership, rref, span_subspace, sparse_rank
 from agdeform.model import Chart
 from agdeform.reptheory import (
@@ -25,13 +25,18 @@ from agdeform.torsion import TorsionAssembler, lemma_components, lemma_criterion
 
 
 def test_pair_index_bijection():
+    """two_form_block numbers the pairs b < c in order, block by block, and
+    gives the swapped pair the same block with sign -1."""
     for size in (4, 6, 8):
-        seen = [pair_index(b, c, size) for b in range(size) for c in range(b + 1, size)]
-        assert seen == list(range(size * (size - 1) // 2))
-    with pytest.raises(UsageError):
-        pair_index(2, 2, 6)
-    with pytest.raises(UsageError):
-        pair_index(3, 1, 6)
+        pairs = [(b, c) for b in range(size) for c in range(b + 1, size)]
+        assert [two_form_block(b, c, size) for b, c in pairs] == [
+            (k * size, 1) for k in range(len(pairs))
+        ]
+        for b, c in pairs:
+            assert two_form_block(c, b, size) == (two_form_block(b, c, size)[0], -1)
+    for b, c in ((2, 2), (-1, 3), (3, 6), (6, 0)):
+        with pytest.raises(UsageError):
+            two_form_block(b, c, 6)
 
 
 def test_algebra_spec_dimensions_and_guard():
@@ -293,7 +298,7 @@ def _two_form(t_vec, xi, eta, n):
     for b in range(size):
         for c in range(b + 1, size):
             weight = xi[b] * eta[c] - xi[c] * eta[b]
-            base = pair_index(b, c, size) * size
+            base, _ = two_form_block(b, c, size)
             for d in range(size):
                 out[d] += weight * t_vec[base + d]
     return tuple(out)

@@ -1,6 +1,7 @@
 """The runtime is pure standard library: every module that src/agdeform
-imports is a stdlib module or agdeform itself.  And the dense linear
-algebra of linalg is the tests' oracle only: no runtime code uses it."""
+imports is a stdlib module or agdeform itself.  The dense linear algebra
+of linalg is the tests' oracle only: no runtime code uses it.  And every
+other public name in src/agdeform has a runtime reference."""
 
 import ast
 import sys
@@ -69,3 +70,61 @@ def test_dense_oracle_types_have_no_runtime_use():
             if name in ORACLE_ONLY
         ]
     assert not outside, outside
+
+
+#: Public names that no code in src/agdeform refers to, and why each stays.
+UNREFERENCED_ALLOWED = {
+    "contains": "Subspace.contains, the elimination oracle for linalg.membership",
+    "residual": "Subspace.residual, the elimination oracle for linalg.membership",
+    "rref": "a perfbench tracer target (linalg.rref) and the tests' dense oracle",
+    "sparse_rank": "a perfbench tracer target (linalg.sparse_rank)",
+}
+
+
+def _public_definitions(tree):
+    """The module-level function and class definitions, and the method
+    definitions of those classes, whose names do not start with "_"."""
+    for node in tree.body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (sub for sub in node.body if isinstance(sub, ast.FunctionDef))
+
+
+def _definitions_and_references():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    definitions = [
+        (path_name, node.lineno, node.name)
+        for path_name, tree in trees.items()
+        for node in _public_definitions(tree)
+        if not node.name.startswith("_")
+    ]
+    references = {
+        name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        for name in _names(node)
+    }
+    return definitions, references
+
+
+def test_every_public_name_has_a_runtime_reference():
+    """No public function lives only for its own unit test: every public
+    function, class and method defined in src/agdeform is named by some code
+    in src/agdeform (a definition itself is not a reference).  The match is
+    by name, so two definitions that share a name cover each other."""
+    definitions, references = _definitions_and_references()
+    unreferenced = [
+        entry
+        for entry in definitions
+        if entry[2] not in references and entry[2] not in UNREFERENCED_ALLOWED
+    ]
+    assert not unreferenced, unreferenced
+
+
+def test_unreferenced_allowlist_is_current():
+    """Each allowlisted name is still defined and still unreferenced."""
+    definitions, references = _definitions_and_references()
+    assert set(UNREFERENCED_ALLOWED) <= {name for _, _, name in definitions}
+    assert not set(UNREFERENCED_ALLOWED) & references

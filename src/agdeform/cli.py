@@ -126,9 +126,9 @@ def _emit(args, reports: list[checks.CheckReport], extras: dict, text_lines=()) 
 
 
 #: The largest n accepted by the commands that build Phi_c symbolically
-#: (phi, torsion, curvature, verify): `verify --n 7` takes about 9 s on a
-#: 2-vCPU VM with CPython 3.11, and n = 8 is untested.
-MAX_SYMBOLIC_N = 7
+#: (phi, torsion, curvature, verify): `verify --n 8` takes 5.6-7.0 s on a
+#: 2-vCPU VM with CPython 3.11 (three runs), and n = 9 is untested.
+MAX_SYMBOLIC_N = 8
 
 
 def _require_n(n: int, minimum: int = 2, maximum: int | None = None) -> None:

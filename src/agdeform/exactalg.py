@@ -204,14 +204,15 @@ class Polynomial:
     table order, which keeps every rendering deterministic.
     """
 
-    __slots__ = ("table", "coeffs", "_key", "_zero")
+    __slots__ = ("table", "coeffs", "_key", "_hash", "_zero")
 
     def __init__(self, table: VariableTable, coeffs: dict[Monomial, Fraction]):
         self.table = table
         self.coeffs = {m: c for m, c in coeffs.items() if c}
         self._key: tuple | None = None
+        self._hash: int | None = None
         # The zero mod p used when this divides (see _divide_exact); like
-        # _key it is derived from coeffs, and __eq__ and __hash__ ignore it.
+        # _key and _hash it is derived from coeffs, and __eq__ ignores it.
         self._zero = _UNSET
 
     # -- constructors ------------------------------------------------------
@@ -270,7 +271,11 @@ class Polynomial:
         )
 
     def __hash__(self) -> int:
-        return hash((self.table, self.key()))
+        # Cached: factor dicts look a polynomial up many times, and hashing
+        # key() rehashes every Fraction coefficient.
+        if self._hash is None:
+            self._hash = hash((self.table, self.key()))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Polynomial({render_polynomial(self)})"
@@ -371,23 +376,34 @@ class Polynomial:
         return total
 
     def substitute(self, mapping: Mapping[int, "RationalFunction"]) -> "RationalFunction":
-        """Replace variables by rational functions (composition)."""
+        """Replace variables by rational functions (composition).
+
+        Each monomial is one raw term of _sum_terms: its unmapped variables
+        times the powers of the substituted values, which are computed once
+        per call, over their factors.
+        """
         table = self.table
-        result = RationalFunction.zero(table)
+        powers: dict[int, list[Polynomial]] = {}
+        terms = []
         for mono, coeff in self.coeffs.items():
-            term = RationalFunction.constant(table, coeff)
+            kept = list(mono)
+            factors: list[Polynomial] = []
+            den: list[tuple[Polynomial, int]] = []
             for idx, e in enumerate(mono):
-                if not e:
+                if not e or idx not in mapping:
                     continue
-                sub = mapping.get(idx)
-                if sub is None:
-                    term = term * RationalFunction(
-                        Polynomial.variable(table, idx) ** e, ()
-                    )
-                else:
-                    term = term * sub**e
-            result = result + term
-        return result
+                sub = mapping[idx]
+                kept[idx] = 0
+                cache = powers.setdefault(idx, [sub.num])
+                while len(cache) < e:
+                    cache.append(cache[-1] * sub.num)
+                factors.append(cache[e - 1])
+                den.extend((f, k * e) for f, k in sub.den)
+            num = Polynomial(table, {tuple(kept): coeff})
+            for factor in factors:
+                num = num * factor
+            terms.append((num, den))
+        return _sum_terms(table, terms)
 
     # -- degree bookkeeping ----------------------------------------------------
 
@@ -559,7 +575,7 @@ class RationalFunction:
             self.num = num
             self.den = ()
             return
-        merged: dict[tuple, list] = {}
+        merged: dict[Polynomial, list] = {}
         scale = _ONE
         for factor, exponent in den:
             if factor.table != table:
@@ -577,9 +593,9 @@ class RationalFunction:
             if lead != 1:
                 factor = factor.scale(1 / lead)
                 scale = scale * lead**exponent
-            entry = merged.get(factor.key())
+            entry = merged.get(factor)
             if entry is None:
-                merged[factor.key()] = [factor, exponent]
+                merged[factor] = [factor, exponent]
             else:
                 entry[1] += exponent
         if scale != 1:
@@ -644,7 +660,7 @@ class RationalFunction:
             return NotImplemented
         self._check(other)
         # Cross-multiplication after cancelling shared factors.
-        left, right, _ = self._align(other)
+        (left, right), _ = _align(((self.num, self.den), (other.num, other.den)))
         return left == right
 
     # Equal values can have different stored forms (x11^2/(x11 x12) and
@@ -666,35 +682,7 @@ class RationalFunction:
             return other
         if other.is_zero():
             return self
-        left, right, union = self._align(other)
-        return RationalFunction(left + right, union)
-
-    def _align(
-        self, other: "RationalFunction"
-    ) -> tuple[Polynomial, Polynomial, DenominatorFactors]:
-        """Both numerators over the lcm of the two factorizations, and the lcm.
-
-        The lcm lists self's factors first, then the factors only other has.
-        """
-        mine = {f.key(): (f, e) for f, e in self.den}
-        theirs = {f.key(): (f, e) for f, e in other.den}
-        union = dict(mine)
-        for key, (factor, exponent) in theirs.items():
-            have = union.get(key)
-            if have is None:
-                union[key] = (factor, exponent)
-            elif have[1] < exponent:
-                union[key] = (have[0], exponent)
-        left = self.num
-        right = other.num
-        for key, (factor, exponent) in union.items():
-            lack = exponent - mine.get(key, (None, 0))[1]
-            if lack > 0:
-                left = left * factor**lack
-            lack = exponent - theirs.get(key, (None, 0))[1]
-            if lack > 0:
-                right = right * factor**lack
-        return left, right, tuple(union.values())
+        return _sum_terms(self.table, ((self.num, self.den), (other.num, other.den)))
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction._raw(-self.num, self.den)
@@ -774,6 +762,72 @@ class RationalFunction:
         for factor, exponent in self.den:
             result = result * factor.substitute(mapping).inverse() ** exponent
         return result
+
+
+RawTerm = tuple[Polynomial, Iterable[tuple[Polynomial, int]]]
+
+
+def _align(terms: Sequence[RawTerm]) -> tuple[list[Polynomial], DenominatorFactors]:
+    """Every numerator over the lcm of the terms' factorizations, and the lcm.
+
+    A term is a numerator and its monic, non-constant denominator factors,
+    which may repeat (a raw product lists both operands' factors).  The lcm
+    lists the factors in order of first appearance and keeps the first
+    object seen for each; each power f**k is built once per call.
+    """
+    owned: list[dict[Polynomial, int]] = []
+    lcm: dict[Polynomial, int] = {}
+    for _, factors in terms:
+        mine: dict[Polynomial, int] = {}
+        for factor, exponent in factors:
+            mine[factor] = mine.get(factor, 0) + exponent
+        for factor, exponent in mine.items():
+            if lcm.get(factor, 0) < exponent:
+                lcm[factor] = exponent
+        owned.append(mine)
+    powers: dict[tuple[Polynomial, int], Polynomial] = {}
+    numerators = []
+    for (num, _), mine in zip(terms, owned):
+        for factor, exponent in lcm.items():
+            lack = exponent - mine.get(factor, 0)
+            if lack:
+                power = powers.get((factor, lack))
+                if power is None:
+                    power = powers[factor, lack] = factor**lack
+                num = num * power
+        numerators.append(num)
+    return numerators, tuple(lcm.items())
+
+
+def _sum_terms(table: VariableTable, terms: Iterable[RawTerm]) -> RationalFunction:
+    """The sum of raw terms (see _align), normalized once.
+
+    The numerators are brought over the lcm and added into one coefficient
+    map, so trial division runs once for the whole sum rather than once per
+    term and once per partial sum.
+    """
+    terms = [term for term in terms if term[0].coeffs]
+    if not terms:
+        return RationalFunction.zero(table)
+    numerators, lcm = _align(terms)
+    total: dict[Monomial, Fraction] = {}
+    for num in numerators:
+        if num.table != table:
+            raise MismatchedTables("terms use different variable tables")
+        for mono, coeff in num.coeffs.items():
+            acc = total.get(mono)
+            total[mono] = coeff if acc is None else acc + coeff
+    return RationalFunction(Polynomial(table, total), lcm)
+
+
+def dot(
+    table: VariableTable, pairs: Iterable[tuple[RationalFunction, RationalFunction]]
+) -> RationalFunction:
+    """The sum of a * b over the pairs, normalized once (see _sum_terms)."""
+    return _sum_terms(
+        table,
+        [(a.num * b.num, a.den + b.den) for a, b in pairs if a.num.coeffs and b.num.coeffs],
+    )
 
 
 @dataclass(frozen=True)

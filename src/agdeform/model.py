@@ -19,6 +19,7 @@ from .exactalg import (
     RationalFunction,
     UsageError,
     VariableTable,
+    dot,
     parse_rational,
     render_rational_function,
 )
@@ -202,17 +203,9 @@ class SymbolicMatrix:
         if self.ncols != other.nrows:
             raise UsageError("shape mismatch")
         cols = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = RationalFunction.zero(self.table)
-                for a, b in zip(row, col):
-                    if not (a.is_zero() or b.is_zero()):
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return type(self)(self.table, out)
+        return type(self)(
+            self.table, [[dot(self.table, zip(row, col)) for col in cols] for row in self.rows]
+        )
 
     def __add__(self, other: "SymbolicMatrix") -> "SymbolicMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -242,14 +235,7 @@ class SymbolicMatrix:
     def apply(self, vector: Sequence[RationalFunction]) -> tuple[RationalFunction, ...]:
         if len(vector) != self.ncols:
             raise UsageError("shape mismatch")
-        out = []
-        for row in self.rows:
-            acc = RationalFunction.zero(self.table)
-            for a, b in zip(row, vector):
-                if not (a.is_zero() or b.is_zero()):
-                    acc = acc + a * b
-            out.append(acc)
-        return tuple(out)
+        return tuple(dot(self.table, zip(row, vector)) for row in self.rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymbolicMatrix):

@@ -42,6 +42,15 @@ WORKLOAD_SHA256 = {
     ),
 }
 
+#: sha256 of the `--format json` stdout of `curvature --c`, the one output
+#: that renders a substituted stored form (kappa with c bound to numbers).
+CURVATURE_C_SHA256 = {
+    "curvature --n 4 --r 3 --c=1,0,2":
+        "1c34fb1597a414ff3f9bb58b36a7aa53053cc3f10343530b95d50b88acecd8bc",
+    "curvature --n 3 --c=2,-3 --r 2 --emit latex":
+        "d3ddf7bac91827a914aa5c7c57662a31742017123d748e62296ef017dd127dbd",
+}
+
 #: sha256 of the text-mode stdout (no --format) of commands whose text
 #: output has its own layout: the flowed point, the emitted expressions,
 #: the sweep summary line and the check lines with their tally.
@@ -178,6 +187,13 @@ def test_workload_output_byte_identical(capsys, workload):
     assert cli.main([*command.split(), "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", sorted(CURVATURE_C_SHA256))
+def test_curvature_c_output_byte_identical(capsys, command):
+    assert cli.main([*command.split(), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CURVATURE_C_SHA256[command]
 
 
 @pytest.mark.parametrize("command", sorted(TEXT_SHA256))

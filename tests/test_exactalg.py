@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agdeform import exactalg
+from agdeform import checks, exactalg
 from agdeform.curvature import nabla2_phi
 from agdeform.deform import build_Phi, q_polynomial
 from agdeform.exactalg import (
@@ -469,3 +469,95 @@ def test_divisor_keeps_its_zero_point_outside_eq_and_hash():
     assert q._zero is not None
     assert fresh._zero is exactalg._UNSET
     assert q == fresh and hash(q) == hash(fresh)
+    # The hash is cached on the first call, and a polynomial built apart
+    # hashes the same; equality reads neither cached slot.
+    other = Polynomial(q.table, dict(q.coeffs))
+    assert other._hash is None and q._hash is not None
+    assert q == other and other == q
+    assert hash(other) == hash(q) == q._hash == other._hash
+    other._hash, other._zero = -1, None
+    assert q == other and other == fresh
+
+
+# -- the fused sum of raw terms -------------------------------------------------
+
+
+def _pairwise_sum(table, terms):
+    """The oracle for exactalg._sum_terms: normalize every term, then add
+    the terms one at a time, each partial sum normalized again."""
+    acc = RationalFunction.zero(table)
+    for num, den in terms:
+        acc = acc + RationalFunction(num, den)
+    return acc
+
+
+def _stored(f):
+    return f.num.coeffs, [(factor.key(), e) for factor, e in f.den]
+
+
+#: Monic factors of the localization, with q also built apart so that equal
+#: factors arrive as distinct objects.
+KERNEL_FACTORS = (
+    q_rf().num,
+    Polynomial.constant(TABLE, 1) + _poly_var("t") * _poly_var("x11"),
+    _poly_var("x11"),
+    Polynomial(TABLE, dict(q_rf().num.coeffs)),
+)
+
+
+@st.composite
+def raw_terms(draw):
+    """A numerator (zero now and then) over up to three factors, which may
+    repeat, as a raw product lists both operands' factors."""
+    den = draw(
+        st.lists(st.tuples(st.sampled_from(KERNEL_FACTORS), st.integers(1, 2)), max_size=3)
+    )
+    return draw(small_polys()), den
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(raw_terms(), max_size=6))
+def test_sum_terms_matches_pairwise_accumulation(terms):
+    fused = exactalg._sum_terms(TABLE, terms)
+    oracle = _pairwise_sum(TABLE, terms)
+    assert fused == oracle
+    assert _stored(fused) == _stored(oracle)
+
+
+def test_sum_terms_matches_pairwise_on_recorded_calls(monkeypatch):
+    """Every fused sum that quick_suite(3) makes (matrix products and
+    applications, substitution, and + itself) has the stored form of the
+    pairwise accumulation of the same terms."""
+    calls = []
+    fused = exactalg._sum_terms
+
+    def record(table, terms):
+        terms = list(terms)
+        result = fused(table, terms)
+        calls.append((table, terms, result))
+        return result
+
+    checks.artifacts.cache_clear()
+    monkeypatch.setattr(exactalg, "_sum_terms", record)
+    try:
+        assert all(r.status == checks.PASS for r in checks.quick_suite(3))
+    finally:
+        monkeypatch.undo()
+        checks.artifacts.cache_clear()
+    assert sum(len(terms) > 2 for _, terms, _ in calls) > 100
+    for table, terms, result in calls:
+        assert _stored(result) == _stored(_pairwise_sum(table, terms))
+
+
+def test_dot_and_substitute_skip_zero_terms():
+    x11, x12 = rf_var(1, 1), rf_var(1, 2)
+    zero = RationalFunction.zero(TABLE)
+    q = q_rf()
+    assert exactalg.dot(TABLE, []).is_zero()
+    assert exactalg.dot(TABLE, [(zero, q), (q, zero)]).is_zero()
+    assert exactalg.dot(TABLE, [(x11 / q, q), (zero, x12)]) == x11
+    # x11 -> 0 kills every monomial with x11; x12 -> 1/q squares to 1/q^2.
+    p = (x11 * x12 + x12 * x12 + rf_var(2, 1)).num
+    out = p.substitute({0: zero, 1: q.inverse()})
+    assert out == q.inverse() * q.inverse() + rf_var(2, 1)
+    assert _stored(out) == _stored(q.inverse() * q.inverse() + rf_var(2, 1))

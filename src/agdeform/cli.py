@@ -126,8 +126,9 @@ def _emit(args, reports: list[checks.CheckReport], extras: dict, text_lines=()) 
 
 
 #: The largest n accepted by the commands that build Phi_c symbolically
-#: (phi, torsion, curvature, verify): `verify --n 8` takes 5.6-7.0 s on a
-#: 2-vCPU VM with CPython 3.11 (three runs), and n = 9 is untested.
+#: (phi, torsion, curvature, verify): `verify --n 8` takes 4.2-5.6 s on a
+#: 2-vCPU VM with CPython 3.11 (six runs), and quick_suite(9) 7.2-7.9 s
+#: (two runs, 48/48 pass), above the 5.6-7.0 s that set this bound.
 MAX_SYMBOLIC_N = 8
 
 

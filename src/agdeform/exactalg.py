@@ -18,6 +18,11 @@ quotient of a divisible dividend is p-integral, so the dividend vanishes
 wherever the divisor does mod p.  Quotients are unchanged; plain long
 division decides every other case.
 
+A coefficient is stored canonically: as an int when it is integral, and as
+a Fraction only when its denominator is above 1.  Most coefficients are
+integers, so the hot loops run on ints; equal values compare and hash
+alike either way (hash(2) == hash(Fraction(2))).
+
 All values are immutable after construction and all operations are pure.
 """
 
@@ -29,10 +34,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
-
-#: Exact scalar type: arbitrary-precision rationals with canonical
-#: (coprime, positive-denominator) representation guaranteed by the stdlib.
-RationalScalar = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -195,20 +196,33 @@ def _coerce(value: Fraction | int | str) -> Fraction:
 Monomial = tuple[int, ...]
 
 
+def _canonical(value: int | Fraction) -> int | Fraction:
+    """The stored form of a coefficient: an int when integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    if type(value) is Fraction:
+        return value.numerator if value.denominator == 1 else value
+    raise UsageError(f"coefficient {value!r} is neither an int nor a Fraction")
+
+
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients.
 
     Coefficients are keyed by exponent tuples of length table.size; zero
-    coefficients are never stored, so the zero polynomial is the empty map.
+    coefficients are never stored, so the zero polynomial is the empty map,
+    and each stored one is in the canonical form of _canonical.
     Monomial order anywhere ordering matters is lexicographic in the fixed
     table order, which keeps every rendering deterministic.
     """
 
     __slots__ = ("table", "coeffs", "_key", "_hash", "_zero")
 
-    def __init__(self, table: VariableTable, coeffs: dict[Monomial, Fraction]):
+    def __init__(self, table: VariableTable, coeffs: dict[Monomial, int | Fraction]):
         self.table = table
-        self.coeffs = {m: c for m, c in coeffs.items() if c}
+        # Canonical form before the zero test, so a zero float is refused too.
+        self.coeffs = {
+            m: v for m, c in coeffs.items() if (v := c if type(c) is int else _canonical(c))
+        }
         self._key: tuple | None = None
         self._hash: int | None = None
         # The zero mod p used when this divides (see _divide_exact); like
@@ -233,7 +247,7 @@ class Polynomial:
         if not (0 <= idx < table.size):
             raise UsageError(f"variable index {idx} out of range")
         mono = tuple(1 if k == idx else 0 for k in range(table.size))
-        return Polynomial(table, {mono: _ONE})
+        return Polynomial(table, {mono: 1})
 
     # -- basic structure ----------------------------------------------------
 
@@ -243,9 +257,9 @@ class Polynomial:
     def is_constant(self) -> bool:
         return not self.coeffs or self.coeffs.keys() == {(0,) * self.table.size}
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if self.is_zero():
-            return _ZERO
+            return 0
         if not self.is_constant():
             raise UsageError("polynomial is not constant")
         return next(iter(self.coeffs.values()))
@@ -256,7 +270,7 @@ class Polynomial:
             self._key = tuple(sorted(self.coeffs.items()))
         return self._key
 
-    def leading(self) -> tuple[Monomial, Fraction]:
+    def leading(self) -> tuple[Monomial, int | Fraction]:
         """Lexicographically greatest monomial and its coefficient."""
         if self.is_zero():
             raise UsageError("zero polynomial has no leading monomial")
@@ -272,7 +286,7 @@ class Polynomial:
 
     def __hash__(self) -> int:
         # Cached: factor dicts look a polynomial up many times, and hashing
-        # key() rehashes every Fraction coefficient.
+        # key() rehashes every coefficient.
         if self._hash is None:
             self._hash = hash((self.table, self.key()))
         return self._hash
@@ -309,7 +323,7 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int | Fraction] = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
                 mono = tuple(a + b for a, b in zip(m1, m2))
@@ -325,7 +339,7 @@ class Polynomial:
                         del out[mono]
         return Polynomial(self.table, out)
 
-    def scale(self, value: Fraction) -> "Polynomial":
+    def scale(self, value: int | Fraction) -> "Polynomial":
         if not value:
             return Polynomial.zero(self.table)
         return Polynomial(self.table, {m: c * value for m, c in self.coeffs.items()})
@@ -348,16 +362,16 @@ class Polynomial:
     def differentiate(self, idx: int) -> "Polynomial":
         if not (0 <= idx < self.table.size):
             raise UsageError(f"variable index {idx} out of range")
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.coeffs.items():
-            e = mono[idx]
-            if e == 0:
-                continue
-            lowered = mono[:idx] + (e - 1,) + mono[idx + 1:]
-            acc = out.get(lowered)
-            term = coeff * e
-            out[lowered] = term if acc is None else acc + term
-        return Polynomial(self.table, {m: c for m, c in out.items() if c})
+        # Lowering the exponent of idx is injective on the monomials it
+        # keeps, so no two terms meet.
+        return Polynomial(
+            self.table,
+            {
+                mono[:idx] + (e - 1,) + mono[idx + 1:]: coeff * e
+                for mono, coeff in self.coeffs.items()
+                if (e := mono[idx])
+            },
+        )
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         if len(point) != self.table.size:
@@ -436,7 +450,7 @@ class _ZeroPoint:
     def __init__(self, point: Sequence[int]):
         self.powers = [[1, v] for v in point]
 
-    def residue(self, coeffs: Mapping[Monomial, Fraction]) -> int | None:
+    def residue(self, coeffs: Mapping[Monomial, int | Fraction]) -> int | None:
         """The value mod p at this point, or None if a denominator is divisible by p.
 
         The sum is kept as one fraction num/den mod p, so no inverse is taken;
@@ -445,17 +459,18 @@ class _ZeroPoint:
         powers = self.powers
         num, den = 0, 1
         for mono, coeff in coeffs.items():
-            term = coeff.numerator
+            integral = type(coeff) is int
+            term = coeff if integral else coeff.numerator
             for idx, e in enumerate(mono):
                 if e:
                     cache = powers[idx]
                     while len(cache) <= e:
                         cache.append(cache[-1] * cache[1] % _P)
                     term = term * cache[e] % _P
-            d = coeff.denominator
-            if d == 1:
+            if integral:
                 num = (num + term * den) % _P
             else:
+                d = coeff.denominator
                 num = (num * d + term * den) % _P
                 den = den * d % _P
         return num if den else None
@@ -537,17 +552,19 @@ def _long_division(dividend: Polynomial, divisor: Polynomial) -> Polynomial | No
     """
     lead_mono, lead_coeff = divisor.leading()
     remainder = dict(dividend.coeffs)
-    quotient: dict[Monomial, Fraction] = {}
+    quotient: dict[Monomial, int | Fraction] = {}
     while remainder:
         mono = max(remainder)
         diff = tuple(a - b for a, b in zip(mono, lead_mono))
         if any(e < 0 for e in diff):
             return None
-        q = remainder[mono] / lead_coeff
+        q = remainder[mono]
+        if lead_coeff != 1:
+            q = _canonical(Fraction(q, lead_coeff))
         quotient[diff] = q
         for dm, dc in divisor.coeffs.items():
             target = tuple(a + b for a, b in zip(diff, dm))
-            acc = remainder.get(target, _ZERO) - q * dc
+            acc = remainder.get(target, 0) - q * dc
             if acc:
                 remainder[target] = acc
             else:
@@ -576,7 +593,7 @@ class RationalFunction:
             self.den = ()
             return
         merged: dict[Polynomial, list] = {}
-        scale = _ONE
+        scale = 1
         for factor, exponent in den:
             if factor.table != table:
                 raise MismatchedTables("denominator factor uses a different table")
@@ -591,7 +608,7 @@ class RationalFunction:
                 continue
             _, lead = factor.leading()
             if lead != 1:
-                factor = factor.scale(1 / lead)
+                factor = factor.scale(Fraction(1, lead))
                 scale = scale * lead**exponent
             entry = merged.get(factor)
             if entry is None:
@@ -599,7 +616,7 @@ class RationalFunction:
             else:
                 entry[1] += exponent
         if scale != 1:
-            num = num.scale(1 / scale)
+            num = num.scale(Fraction(1, scale))
         # Trial division: the only reduction performed, and enough to reach
         # canonical zero because equality testing never relies on it.
         factors: list[list] = sorted(merged.values(), key=lambda e: e[0].key())
@@ -810,7 +827,7 @@ def _sum_terms(table: VariableTable, terms: Iterable[RawTerm]) -> RationalFuncti
     if not terms:
         return RationalFunction.zero(table)
     numerators, lcm = _align(terms)
-    total: dict[Monomial, Fraction] = {}
+    total: dict[Monomial, int | Fraction] = {}
     for num in numerators:
         if num.table != table:
             raise MismatchedTables("terms use different variable tables")
@@ -904,7 +921,7 @@ def fd_check(
 # -- rendering -----------------------------------------------------------------
 
 
-def _render_scalar(value: Fraction, latex: bool) -> str:
+def _render_scalar(value: int | Fraction, latex: bool) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     if latex:

@@ -561,3 +561,146 @@ def test_dot_and_substitute_skip_zero_terms():
     out = p.substitute({0: zero, 1: q.inverse()})
     assert out == q.inverse() * q.inverse() + rf_var(2, 1)
     assert _stored(out) == _stored(q.inverse() * q.inverse() + rf_var(2, 1))
+
+
+# -- canonical coefficients: int when integral, Fraction otherwise ---------------
+
+
+def _is_canonical(coeff):
+    return type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1)
+
+
+def _fraction_mul(p, r):
+    """The all-Fraction product loop, the oracle for Polynomial.__mul__."""
+    out = {}
+    for m1, c1 in p.coeffs.items():
+        for m2, c2 in r.coeffs.items():
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            out[mono] = out.get(mono, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return {m: c for m, c in out.items() if c}
+
+
+def _fraction_add(p, r):
+    """The all-Fraction sum loop, the oracle for Polynomial.__add__."""
+    out = {m: Fraction(c) for m, c in p.coeffs.items()}
+    for mono, coeff in r.coeffs.items():
+        out[mono] = out.get(mono, Fraction(0)) + Fraction(coeff)
+    return {m: c for m, c in out.items() if c}
+
+
+def _fraction_differentiate(p, idx):
+    out = {}
+    for mono, coeff in p.coeffs.items():
+        if mono[idx]:
+            lowered = mono[:idx] + (mono[idx] - 1,) + mono[idx + 1:]
+            out[lowered] = out.get(lowered, Fraction(0)) + Fraction(coeff) * mono[idx]
+    return {m: c for m, c in out.items() if c}
+
+
+def _fraction_divide(dividend, divisor):
+    """Long division with true division of Fractions; None if not exact."""
+    lead_mono = max(divisor.coeffs)
+    lead = Fraction(divisor.coeffs[lead_mono])
+    remainder = {m: Fraction(c) for m, c in dividend.coeffs.items()}
+    quotient = {}
+    while remainder:
+        mono = max(remainder)
+        diff = tuple(a - b for a, b in zip(mono, lead_mono))
+        if any(e < 0 for e in diff):
+            return None
+        q = quotient[diff] = remainder[mono] / lead
+        for dm, dc in divisor.coeffs.items():
+            target = tuple(a + b for a, b in zip(diff, dm))
+            acc = remainder.get(target, Fraction(0)) - q * Fraction(dc)
+            if acc:
+                remainder[target] = acc
+            else:
+                remainder.pop(target, None)
+    return quotient
+
+
+@st.composite
+def fractional_polys(draw):
+    """Like small_polys, with coefficient denominators 1, 2 or 3."""
+    coeffs = {}
+    nvars = len(TABLE.names)
+    for _ in range(draw(st.integers(0, 3))):
+        mono = [0] * nvars
+        for _ in range(draw(st.integers(0, 2))):
+            mono[draw(st.integers(0, nvars - 1))] += 1
+        coeffs[tuple(mono)] = Fraction(
+            draw(st.integers(-4, 4)), draw(st.sampled_from((1, 2, 3)))
+        )
+    return Polynomial(TABLE, coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    fractional_polys(),
+    fractional_polys(),
+    st.integers(0, len(TABLE.names) - 1),
+    st.sampled_from(("3q/2", "fractional")),
+)
+def test_mixed_coefficients_match_the_fraction_oracle(p, r, var, name):
+    f = DIVISORS[name]
+    results = [
+        (p * r, _fraction_mul(p, r)),
+        (p + r, _fraction_add(p, r)),
+        (p.differentiate(var), _fraction_differentiate(p, var)),
+        (exactalg._divide_exact(p * f, f), _fraction_divide(p * f, f)),
+        (exactalg._divide_exact(p, f), _fraction_divide(p, f)),
+    ]
+    for got, oracle in results:
+        if oracle is None:
+            assert got is None
+            continue
+        assert got.coeffs == oracle
+        assert all(_is_canonical(c) for c in got.coeffs.values())
+
+
+def test_quick_suite_stores_only_canonical_coefficients(monkeypatch):
+    """No polynomial built during quick_suite(3) stores a float, a bool or an
+    integral Fraction; a float coefficient is refused."""
+    built = []
+    bad = []
+    init = Polynomial.__init__
+
+    def record(self, table, coeffs):
+        init(self, table, coeffs)
+        built.append(len(self.coeffs))
+        bad.extend(c for c in self.coeffs.values() if not _is_canonical(c))
+
+    checks.artifacts.cache_clear()
+    monkeypatch.setattr(Polynomial, "__init__", record)
+    try:
+        assert all(r.status == checks.PASS for r in checks.quick_suite(3))
+    finally:
+        monkeypatch.undo()
+        checks.artifacts.cache_clear()
+    assert sum(built) > 10_000
+    assert bad == []
+    mono = (0,) * TABLE.size
+    for value in (0.5, 0.0, True, "1"):
+        with pytest.raises(UsageError):
+            Polynomial(TABLE, {mono: value})
+
+
+def test_integral_fraction_and_int_coefficients_are_one_value():
+    """A polynomial built from Fraction(2) and one built from 2 store the same
+    int, compare and hash equal, share key(), and as divisors fill one
+    _zero_point entry."""
+    x11 = Polynomial.variable(TABLE, 0).coeffs
+    x12 = Polynomial.variable(TABLE, 1).coeffs
+    (m11,), (m12,) = x11, x12
+    from_fraction = Polynomial(TABLE, {m11: Fraction(2), m12: Fraction(1)})
+    from_int = Polynomial(TABLE, {m11: 2, m12: 1})
+    assert from_fraction == from_int
+    assert hash(from_fraction) == hash(from_int)
+    assert from_fraction.key() == from_int.key()
+    assert all(type(c) is int for c in from_fraction.coeffs.values())
+    dividend = from_int * _poly_var("x21")
+    hits = exactalg._zero_point.cache_info().hits
+    for divisor in (from_fraction, from_int):
+        assert exactalg._divide_exact(dividend, divisor) == _poly_var("x21")
+    assert exactalg._zero_point.cache_info().hits > hits
+    assert from_fraction._zero is from_int._zero is not None

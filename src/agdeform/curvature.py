@@ -95,10 +95,11 @@ _SIXTH = Fraction(1, 6)
 class KappaProjection:
     """Result of contraction, skew-symmetrization, and symmetrization.
 
-    Only the independent skew slot (2', 1') is kept; component() applies
-    the sign for the swapped slot and returns zero on the diagonal.  The
-    unprimed slots are kept on sorted triples.  Each (triple, r) value is
-    projected from the second derivatives on first read and memoised.
+    Only the independent skew slot (2', 1') is kept: the swapped slot
+    (1', 2') is its negative and the diagonal slots vanish.  The unprimed
+    slots are symmetric, so they are kept on sorted triples only.  Each
+    (triple, r) value is projected from the second derivatives on first
+    read and memoised.
     """
 
     __slots__ = ("d2", "chart", "values")
@@ -132,12 +133,6 @@ class KappaProjection:
                 acc = acc + skew.scale(_HALF)
             value = self.values[key] = acc.scale(_SIXTH)
         return value
-
-    def component(self, ip: int, qp: int, j: int, m: int, o: int, r: int) -> RationalFunction:
-        if ip == qp:
-            return RationalFunction.zero(self.chart.table)
-        value = self.value(tuple(sorted((j, m, o))), r)
-        return value if (ip, qp) == (2, 1) else -value
 
     def evaluate_slice(
         self, point: ChartPoint, c: Sequence[Fraction] | None = None
@@ -207,15 +202,14 @@ def trace_subspace(n: int) -> Subspace:
 
 
 def not_pure_trace(
-    slice_values: Sequence[Sequence[Fraction]], n: int, subspace: Subspace | None = None
+    slice_values: Sequence[Sequence[Fraction]], subspace: Subspace
 ) -> bool:
-    """True iff the evaluated symmetric slice lies outside the trace subspace.
+    """True iff the evaluated symmetric slice lies outside subspace, the
+    trace subspace that trace_subspace(n) builds.
 
     A zero slice returns False: it lies in every subspace, so nothing is
     certified.  slice_values comes from KappaProjection.evaluate_slice.
     """
-    if subspace is None:
-        subspace = trace_subspace(n)
     flat = [value for row in slice_values for value in row]
     if len(flat) != subspace.ambient_dim:
         raise UsageError("slice shape does not match the trace subspace")

@@ -77,22 +77,22 @@ def eigen_sections(chart: Chart) -> EigenSections:
 
 @dataclass(frozen=True)
 class TransformationLaw:
-    """One eigen-section law: action . sec(X) = factor . sec(z^t X)."""
+    """Whether one eigen-section law action . sec(X) = factor . sec(z^t X) holds."""
 
     name: str
-    factor: RationalFunction
     holds: bool
 
 
-def transformation_check(chart: Chart, t=None) -> tuple[TransformationLaw, ...]:
-    """Verify all eight transformation laws as exact identities in x (and t).
+def transformation_check(chart: Chart) -> tuple[TransformationLaw, ...]:
+    """Verify all eight transformation laws as exact identities in x and a
+    symbolic flow time t.
 
     E-sections transform by the E action, dual sections by the stored
     column-convention dual matrices.  The scale factors are (1 + t x11) for
     v, iota, w_tilde, kappa_tilde^i and 1 for v_tilde, iota_tilde, w,
     kappa_i.
     """
-    t = chart.param("t") if t is None else chart.lift(t)
+    t = chart.param("t")
     sections = eigen_sections(chart)
     generic = ChartPoint.generic(chart)
     actions = bundle_actions(generic, t)
@@ -121,7 +121,6 @@ def transformation_check(chart: Chart, t=None) -> tuple[TransformationLaw, ...]:
         laws.append(
             TransformationLaw(
                 name=name,
-                factor=factor,
                 holds=all(a == b for a, b in zip(moved, target)),
             )
         )
@@ -295,21 +294,20 @@ def _generic_flow(
     return t_mat * field * t_inv, field.substitute(flowed)
 
 
-def invariance_check(phi: EndomorphismField, t=None) -> bool:
+def invariance_check(phi: EndomorphismField) -> bool:
     """Exact identity (A (x) B) Phi(X) (A (x) B)^{-1} = Phi(z^t X) in x, t, c."""
     chart = phi.chart
-    t = chart.param("t") if t is None else chart.lift(t)
-    conjugated, moved = _generic_flow(chart, phi, t)
+    conjugated, moved = _generic_flow(chart, phi, chart.param("t"))
     return conjugated == moved
 
 
-def unscaled_flow_factor_check(chart: Chart, i: int, t=None) -> bool:
+def unscaled_flow_factor_check(chart: Chart, i: int) -> bool:
     """(z^t)_* (phi' (x) phi_i)(X) = (1 + t x11)^2 (phi' (x) phi_i)(z^t X).
 
     This is the intermediate law behind invariance: the (1+t x11)^2 factor
-    cancels against q(z^t X) = (1 + t x11)^{-2} q(X).
+    cancels against q(z^t X) = (1 + t x11)^{-2} q(X); t is symbolic.
     """
-    t = chart.param("t") if t is None else chart.lift(t)
+    t = chart.param("t")
     unscaled = _kron(phi_prime_matrix(chart), phi_i_matrix(chart, i))
     conjugated, moved = _generic_flow(chart, unscaled, t)
     u = chart.const(1) + t * chart.x(1, 1)

@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -141,10 +140,6 @@ class VariableTable:
     def t_index(self) -> int:
         return 2 * self.n
 
-    @property
-    def s_index(self) -> int:
-        return 2 * self.n + 1
-
     def c_index(self, i: int) -> int:
         if not (2 <= i <= self.n):
             raise UsageError(f"deformation parameter c{i} outside c2..c{self.n}")
@@ -160,21 +155,18 @@ class VariableTable:
 
     def point(
         self,
-        x: Sequence[Sequence[Fraction | int | str]] | None = None,
+        x: Sequence[Sequence[Fraction | int | str]],
         t: Fraction | int | str = 0,
-        s: Fraction | int | str = 0,
         c: Sequence[Fraction | int | str] | None = None,
     ) -> tuple[Fraction, ...]:
-        """Build a full evaluation vector; unspecified variables are 0."""
+        """Build a full evaluation vector; s, and c unless given, are 0."""
+        if len(x) != self.n or any(len(row) != 2 for row in x):
+            raise UsageError(f"point must have shape {self.n} x 2")
         values = [_ZERO] * self.size
-        if x is not None:
-            if len(x) != self.n or any(len(row) != 2 for row in x):
-                raise UsageError(f"point must have shape {self.n} x 2")
-            for i, row in enumerate(x):
-                for j, entry in enumerate(row):
-                    values[2 * i + j] = _coerce(entry)
+        for i, row in enumerate(x):
+            for j, entry in enumerate(row):
+                values[2 * i + j] = _coerce(entry)
         values[self.t_index] = _coerce(t)
-        values[self.s_index] = _coerce(s)
         if c is not None:
             if len(c) != self.n - 1:
                 raise UsageError(f"expected {self.n - 1} deformation parameters")
@@ -184,9 +176,11 @@ class VariableTable:
 
 
 def _coerce(value: Fraction | int | str) -> Fraction:
+    """An exact rational from a Fraction, an int or a literal; a bool or a
+    float raises UsageError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
@@ -704,9 +698,9 @@ class RationalFunction:
     def __neg__(self) -> "RationalFunction":
         return RationalFunction._raw(-self.num, self.den)
 
-    def scale(self, value) -> "RationalFunction":
+    def scale(self, value: Fraction | int | str) -> "RationalFunction":
         """Multiply by a rational constant without re-normalizing factors."""
-        value = Fraction(value)
+        value = _coerce(value)
         if not value:
             return RationalFunction.zero(self.table)
         return RationalFunction._raw(self.num.scale(value), self.den)
@@ -731,7 +725,7 @@ class RationalFunction:
 
     def __pow__(self, exponent: int) -> "RationalFunction":
         if exponent < 0:
-            return self.inverse() ** (-exponent)
+            raise UsageError("rational function powers must be nonnegative")
         out = RationalFunction.constant(self.table, 1)
         for _ in range(exponent):
             out = out * self
@@ -739,8 +733,7 @@ class RationalFunction:
 
     # -- calculus, evaluation, composition -----------------------------------------
 
-    def differentiate(self, var: int | str) -> "RationalFunction":
-        idx = self.table.index(var) if isinstance(var, str) else var
+    def differentiate(self, idx: int) -> "RationalFunction":
         if not (0 <= idx < self.table.size):
             raise UsageError(f"variable index {idx} out of range")
         if not self.den:
@@ -847,59 +840,20 @@ def dot(
     )
 
 
-@dataclass(frozen=True)
-class DegreeInfo:
-    """Degree facts counted in chart variables only (t, s, c have weight 0).
-
-    net_degree is numerator total degree minus denominator total degree;
-    min_net_degree uses the numerator's lowest monomial degree instead and
-    is what "vanishes to order >= k at the origin" arguments need.  The
-    zero function reports the +infinity sentinel for both.
-    """
-
-    numerator_total_degree: int | None
-    is_numerator_homogeneous: bool
-    net_degree: float
-    min_net_degree: float
-
-
-def degree_info(f: RationalFunction) -> DegreeInfo:
-    num_range = f.num.chart_degree_range()
-    if num_range is None:
-        return DegreeInfo(None, True, math.inf, math.inf)
-    den_degree = 0
-    for factor, exponent in f.den:
-        frange = factor.chart_degree_range()
-        den_degree += exponent * frange[1]
-    return DegreeInfo(
-        numerator_total_degree=num_range[1],
-        is_numerator_homogeneous=num_range[0] == num_range[1],
-        net_degree=num_range[1] - den_degree,
-        min_net_degree=num_range[0] - den_degree,
-    )
-
-
-@dataclass(frozen=True)
-class FdCheck:
-    symbolic: Fraction
-    central_difference: float
-    rel_error: float
-
-
 def fd_check(
     f: RationalFunction,
-    var: int | str,
+    idx: int,
     point: Sequence[Fraction],
     step: Fraction,
-) -> FdCheck:
-    """Compare the exact derivative against a central finite difference.
+) -> float:
+    """The relative error of a central finite difference against the exact
+    derivative of f by variable idx at point; the absolute value of the
+    difference quotient where the derivative vanishes.
 
-    The stencil values f(point +/- step e_var) are computed exactly and the
-    difference quotient is formed in floats only at the end, so the reported
-    error is pure truncation error of order step**2.
+    The stencil values f(point +/- step e_idx) are computed exactly and the
+    difference quotient is formed in floats only at the end, so the error is
+    pure truncation error of order step**2.
     """
-    table = f.table
-    idx = table.index(var) if isinstance(var, str) else var
     step = _coerce(step)
     if not step:
         raise UsageError("finite-difference step must be nonzero")
@@ -910,12 +864,9 @@ def fd_check(
     plus[idx] = point[idx] + step
     minus[idx] = point[idx] - step
     quotient = (f.evaluate(plus) - f.evaluate(minus)) / (2 * step)
-    central = float(quotient)
     if symbolic:
-        rel_error = abs(float((quotient - symbolic) / symbolic))
-    else:
-        rel_error = abs(central)
-    return FdCheck(symbolic=symbolic, central_difference=central, rel_error=rel_error)
+        return abs(float((quotient - symbolic) / symbolic))
+    return abs(float(quotient))
 
 
 # -- rendering -----------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Everything here is exact: entries are fractions.Fraction or int, and there
 are no tolerances anywhere.  A vector comes in one of two forms, dense (a
-sequence) or sparse ({index: value}), and every entry point takes both.
+sequence) or sparse ({index: value}), and every entry point that takes a
+vector takes both; `sparse_rank` takes a matrix as {(row, col): value}.
 There is one eliminator, `sparse_rref`: sparse Gauss-Jordan on
 {column: value} rows, giving the canonical reduced basis.  A Subspace holds
 that basis as it comes, {pivot column: sparse row}; `span_subspace` and
@@ -291,14 +292,12 @@ def membership(subspace: Subspace, vector: Vector) -> bool:
 
 
 def sparse_rank(
-    entries: Mapping[tuple[int, int], int] | Iterable[tuple[int, int, int]],
+    entries: Mapping[tuple[int, int], int],
     nrows: int,
     ncols: int,
 ) -> int:
-    """Rank of a sparse matrix given as {(row, col): value} or as
-    (row, col, value) triples: the pivot count of `sparse_rref` on its rows."""
-    if not isinstance(entries, Mapping):
-        entries = {(i, j): v for i, j, v in entries}
+    """Rank of a sparse matrix given as {(row, col): value}: the pivot count
+    of `sparse_rref` on its rows."""
     rows: dict[int, dict[int, int]] = {}
     for (i, j), value in entries.items():
         if not (0 <= i < nrows and 0 <= j < ncols):

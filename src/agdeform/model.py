@@ -24,8 +24,6 @@ from .exactalg import (
     render_rational_function,
 )
 
-_ZERO = Fraction(0)
-
 
 class NotDecomposable(ValueError):
     """The fixed-plus-rank-one split is undefined (x11 = 0)."""
@@ -162,12 +160,12 @@ class ChartPoint:
         return out
 
     def evaluation_vector(
-        self, t=0, s=0, c: Sequence | None = None
+        self, c: Sequence | None = None
     ) -> tuple[Fraction, ...]:
-        """Full evaluation point for exactalg, binding t, s, c as given."""
+        """Full evaluation point for exactalg at t = s = 0, binding c if given."""
         if not self.is_numeric:
             raise UsageError("evaluation vector requires a numeric point")
-        return self.chart.table.point(x=self.entries, t=t, s=s, c=c)
+        return self.chart.table.point(x=self.entries, c=c)
 
 
 class SymbolicMatrix:
@@ -311,16 +309,9 @@ def split_fixed_plus_rank1(X: ChartPoint) -> tuple[ChartPoint, ChartPoint]:
 
     X_f has zero first column and second column x_{i2} - (x12/x11) x_{i1};
     X_d has columns (x_{i1}) and ((x12/x11) x_{i1}).  Undefined on x11 = 0.
+    Both parts are symbolic: a numeric X enters as constant entries.
     """
     chart = X.chart
-    if X.is_numeric:
-        x11 = X.entries[0][0]
-        if not x11:
-            raise NotDecomposable("split undefined on x11 = 0")
-        ratio = X.entries[0][1] / x11
-        fixed = [[_ZERO, xi2 - ratio * xi1] for xi1, xi2 in X.entries]
-        direction = [[xi1, ratio * xi1] for xi1, xi2 in X.entries]
-        return ChartPoint(chart, fixed), ChartPoint(chart, direction)
     entries = X.lifted_entries()
     x11 = entries[0][0]
     if x11.is_zero():
@@ -341,10 +332,9 @@ def flow_point_split_form(X: ChartPoint, t) -> ChartPoint:
     chart = X.chart
     X_f, X_d = split_fixed_plus_rank1(X)
     moved = flow_point(X_d, t)
-    fixed = X_f.lifted_entries() if not moved.is_numeric else X_f.entries
     entries = [
         [a + b for a, b in zip(row_f, row_m)]
-        for row_f, row_m in zip(fixed, moved.entries)
+        for row_f, row_m in zip(X_f.entries, moved.entries)
     ]
     return ChartPoint(chart, entries)
 

@@ -156,7 +156,6 @@ class Partial1Map:
     """The differential as sparse integer entries {(row, col): value}; its
     image is reduced once, on first use, and the rank read off it."""
 
-    n: int
     entries: dict[tuple[int, int], int]
     domain_dim: int
     target_dim: int
@@ -189,7 +188,7 @@ class Partial1Map:
         return tuple(out)
 
 
-def build_partial1(n: int, spec: GradedAlgebraSpec | None = None) -> Partial1Map:
+def build_partial1(spec: GradedAlgebraSpec) -> Partial1Map:
     """Exact matrix of (partial1 f)(w_b, w_c) = f(w_b).w_c - f(w_c).w_b.
 
     Columns indexed by spec.domain_index(a, m) for f = xi^a (x) g_m; rows
@@ -197,7 +196,6 @@ def build_partial1(n: int, spec: GradedAlgebraSpec | None = None) -> Partial1Map
     integers of spec.rho.  Nothing is eliminated here: the image and the
     rank come from one sparse reduction, on first use of Partial1Map.image.
     """
-    spec = spec or GradedAlgebraSpec(n)
     size = spec.dim_gminus
     entries: dict[tuple[int, int], int] = {}
     for a in range(size):
@@ -208,7 +206,6 @@ def build_partial1(n: int, spec: GradedAlgebraSpec | None = None) -> Partial1Map
                 start, sign = two_form_block(a, other, size)
                 entries[(start + d, spec.domain_index(a, m))] = sign * value
     return Partial1Map(
-        n=n,
         entries=entries,
         domain_dim=size * spec.dim_gzero,
         target_dim=size * (size - 1) // 2 * size,
@@ -219,7 +216,6 @@ def build_partial1(n: int, spec: GradedAlgebraSpec | None = None) -> Partial1Map
 class DecompositionDims:
     """Dimension bookkeeping of the two-form decomposition at a given n."""
 
-    n: int
     lambda_split: tuple[int, int]
     torsion_module_dim: int
     trace_family_dims: tuple[int, int]
@@ -231,7 +227,6 @@ def decomposition_dims(n: int) -> DecompositionDims:
     if n < 2:
         raise UsageError("needs n >= 2")
     return DecompositionDims(
-        n=n,
         lambda_split=(n * (n + 1) // 2, 3 * n * (n - 1) // 2),
         torsion_module_dim=2 * n * (n - 2) * (n + 1) if n >= 3 else 0,
         trace_family_dims=(n * n * (n - 1), 6 * n),

@@ -44,9 +44,10 @@ def sample_points(
     radius_exp: int,
     count: int,
     rng: random.Random,
-    accept: Callable[[Sequence[Sequence[Fraction]]], bool] | None = None,
+    accept: Callable[[Sequence[Sequence[Fraction]]], bool],
 ) -> list[ChartPoint]:
-    """count accepted points in the ball of radius 2^-radius_exp."""
+    """The first count drawn points in the ball of radius 2^-radius_exp whose
+    entries pass accept."""
     if count < 1 or radius_exp < 1:
         raise UsageError("count and radius exponent must be positive")
     out = []
@@ -56,7 +57,7 @@ def sample_points(
         if attempts > 1000 * count:
             raise UsageError("sampling constraint rejects too many points")
         entries = dyadic_entries(rng, chart, radius_exp)
-        if accept is None or accept(entries):
+        if accept(entries):
             out.append(ChartPoint(chart, entries))
     return out
 

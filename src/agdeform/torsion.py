@@ -25,84 +25,55 @@ from .exactalg import (
 )
 from .deform import EndomorphismField
 from .linalg import Vector, nonzero_entries
-from .model import Chart, ChartPoint
+from .model import ChartPoint
+
+#: A vector field sum_a f_a d/dx_a: its 2n components f_a in the flat order.
+Components = tuple[RationalFunction, ...]
 
 
-class VectorField:
-    """First-order operator sum_a f_a d/dx_a over the 2n chart coordinates."""
-
-    __slots__ = ("chart", "components")
-
-    def __init__(self, chart: Chart, components: Sequence[RationalFunction]):
-        if len(components) != 2 * chart.n:
-            raise UsageError(
-                f"expected {2 * chart.n} components, got {len(components)}"
-            )
-        self.chart = chart
-        self.components = tuple(components)
-
-    def is_zero(self) -> bool:
-        return all(comp.is_zero() for comp in self.components)
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(
-            self.chart, [a + b for a, b in zip(self.components, other.components)]
-        )
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(self.chart, [-a for a in self.components])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return all(a == b for a, b in zip(self.components, other.components))
-
-
-def lie_bracket(xi: VectorField, eta: VectorField) -> VectorField:
+def lie_bracket(xi: Components, eta: Components) -> Components:
     """[xi, eta]^b = sum_a (xi^a d_a eta^b - eta^a d_a xi^b).
 
     Chart coordinate a is table variable a, so differentiation is by flat
     index directly.
     """
-    chart = xi.chart
-    size = 2 * chart.n
-    zero = RationalFunction.zero(chart.table)
+    size = len(xi)
+    zero = RationalFunction.zero(xi[0].table)
     out = []
     for b in range(size):
         acc = zero
         for a in range(size):
-            if not xi.components[a].is_zero():
-                d = eta.components[b].differentiate(a)
+            if not xi[a].is_zero():
+                d = eta[b].differentiate(a)
                 if not d.is_zero():
-                    acc = acc + xi.components[a] * d
-            if not eta.components[a].is_zero():
-                d = xi.components[b].differentiate(a)
+                    acc = acc + xi[a] * d
+            if not eta[a].is_zero():
+                d = xi[b].differentiate(a)
                 if not d.is_zero():
-                    acc = acc - eta.components[a] * d
+                    acc = acc - eta[a] * d
         out.append(acc)
-    return VectorField(chart, out)
+    return tuple(out)
 
 
-def pulled_frame(phi: EndomorphismField) -> tuple[VectorField, ...]:
+def pulled_frame(phi: EndomorphismField) -> tuple[Components, ...]:
     """The 2n fields E-tilde^{j'}_i = theta^{-1} (Id+Phi)^{-1} E^{j'}_i.
 
     Since Phi is nilpotent of order two, (Id+Phi)^{-1} = Id - Phi, and the
     field at flat_index(i, j') is that column of its matrix:
     E-tilde^{j'}_i = d^{j'}_i - sum_{p',k} Phi^{p'i}_{j'k} d^{p'}_k.
     """
-    chart = phi.chart
     inverse = EndomorphismField.identity(phi.table, phi.nrows) - phi
-    return tuple(VectorField(chart, col) for col in zip(*inverse.rows))
+    return tuple(zip(*inverse.rows))
 
 
-def _structure_map(phi: EndomorphismField, bracket: VectorField) -> tuple[RationalFunction, ...]:
+def _structure_map(phi: EndomorphismField, bracket: Components) -> Components:
     """(Id + Phi) theta(-bracket) on the flat basis, computed as psi + Phi psi.
 
     theta sends the coefficient of d^{p'}_k to the section slot (k, p'),
     which has the same flat index, so psi is the flat components of -bracket.
     Adding psi skips building Id + Phi and multiplying psi by its diagonal.
     """
-    psi = (-bracket).components
+    psi = tuple(-f for f in bracket)
     return tuple(a + b for a, b in zip(psi, phi.apply(psi)))
 
 
@@ -110,13 +81,12 @@ def _structure_map(phi: EndomorphismField, bracket: VectorField) -> tuple[Ration
 class TorsionComponent:
     """The section-level data of one torsion component T(E-tilde^{2'}_s, E-tilde^{2'}_1).
 
-    bracket is the raw Lie bracket; d holds the flat components of
-    D = (Id+Phi) theta(-bracket), so D(E_{j'})_k = d[flat_index(k, j')].
+    bracket holds the flat components of the raw Lie bracket; d holds those
+    of D = (Id+Phi) theta(-bracket), so D(E_{j'})_k = d[flat_index(k, j')].
     """
 
-    s: int
-    bracket: VectorField
-    d: tuple[RationalFunction, ...]
+    bracket: Components
+    d: Components
 
 
 def torsion_component(phi: EndomorphismField, s: int) -> TorsionComponent:
@@ -125,7 +95,7 @@ def torsion_component(phi: EndomorphismField, s: int) -> TorsionComponent:
         raise UsageError(f"component index s must be in 2..{chart.n}")
     frame = pulled_frame(phi)
     bracket = lie_bracket(frame[flat_index(s, 2)], frame[flat_index(1, 2)])
-    return TorsionComponent(s=s, bracket=bracket, d=_structure_map(phi, bracket))
+    return TorsionComponent(bracket=bracket, d=_structure_map(phi, bracket))
 
 
 class _IntegerPolynomials:

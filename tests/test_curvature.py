@@ -143,19 +143,18 @@ def test_projection_reduces_to_three_displays():
         b = D2.entry(2, 1, 2, 1, 2, 1, 1, r)
         c = D2.entry(1, 1, 1, 1, 1, 1, 2, r)
         combo = (a + a + b - c).scale(half)
-        assert PROJ.component(2, 1, 1, 1, 1, r) == combo
+        assert PROJ.value((1, 1, 1), r) == combo
 
 
 def test_component_sign_conventions():
-    assert PROJ.component(1, 1, 1, 1, 1, 2).is_zero()
-    assert PROJ.component(2, 2, 1, 1, 1, 2).is_zero()
-    assert PROJ.component(1, 2, 1, 1, 1, 2) == -PROJ.component(2, 1, 1, 1, 1, 2)
-    assert PROJ.component(2, 1, 1, 3, 2, 1) == PROJ.component(2, 1, 3, 1, 2, 1)
+    """The unprimed slots are symmetrized, so a value is kept on the sorted
+    triple only: every order of the triple gives the same value."""
+    assert PROJ.value((3, 1, 2), 1) == PROJ.value((1, 2, 3), 1)
 
 
 def test_kappa_closed_form_identity():
     for r in (2, 3):
-        assert PROJ.component(2, 1, 1, 1, 1, r) == kappa_closed_form(CHART, r)
+        assert PROJ.value((1, 1, 1), r) == kappa_closed_form(CHART, r)
     with pytest.raises(UsageError):
         kappa_closed_form(CHART, 1)
     with pytest.raises(UsageError):
@@ -170,7 +169,7 @@ def test_kappa_spot_values():
     # x21 = 0 kills every term when c = (1, 0)
     degenerate = ChartPoint.parse(CHART, "2,1;0,0;2,0")
     assert formula.evaluate(degenerate.evaluation_vector(c=c)) == 0
-    assert PROJ.component(2, 1, 1, 1, 1, 2).evaluate(degenerate.evaluation_vector(c=c)) == 0
+    assert PROJ.value((1, 1, 1), 2).evaluate(degenerate.evaluation_vector(c=c)) == 0
 
 
 def test_projection_zero_at_zero_deformation():
@@ -194,9 +193,6 @@ def test_lazy_tensor_and_projection_match_eager_oracle(n):
     projection = project_kappa(nabla2_phi(phi))
     for (triple, r), value in eager_project_kappa(components, chart).items():
         assert projection.value(triple, r) == value, (triple, r)
-        j, m, o = triple
-        assert projection.component(2, 1, o, j, m, r) == value
-        assert projection.component(1, 2, m, o, j, r) == -value
 
 
 def test_curvature_suite_builds_few_second_derivatives(monkeypatch):
@@ -253,7 +249,7 @@ def test_not_pure_trace():
     sub = trace_subspace(n)
     triples = sorted_triples(n)
     zero_slice = [[Fraction(0)] * n for _ in triples]
-    assert not not_pure_trace(zero_slice, n, subspace=sub)
+    assert not not_pure_trace(zero_slice, sub)
 
     # a manufactured pure-trace slice must stay inside the subspace
     s_matrix = {(1, 1): Fraction(2), (1, 2): Fraction(-1), (2, 2): Fraction(3),
@@ -271,11 +267,11 @@ def test_not_pure_trace():
         ]
         for (j, m, o) in triples
     ]
-    assert not not_pure_trace(trace_slice, n, subspace=sub)
+    assert not not_pure_trace(trace_slice, sub)
 
     point = ChartPoint.parse(CHART, "2,1;1,0;2,0")
     generic_slice = PROJ.evaluate_slice(point, c=(Fraction(1), Fraction(0)))
-    assert not_pure_trace(generic_slice, n, subspace=sub)
+    assert not_pure_trace(generic_slice, sub)
 
     with pytest.raises(UsageError):
-        not_pure_trace([[Fraction(0)]], n, subspace=sub)
+        not_pure_trace([[Fraction(0)]], sub)

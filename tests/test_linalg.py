@@ -166,12 +166,10 @@ def test_sparse_rank_agrees_with_dense():
             dense[r][c] = Fraction(v)
         expected = rref(_matrix(dense)).rank
         assert sparse_rank(entries, nrows, ncols) == expected
-        triples = [(r, c, v) for (r, c), v in entries.items()]
-        assert sparse_rank(triples, nrows, ncols) == expected
     with pytest.raises(ValueError):
         sparse_rank({(2, 0): 1}, 2, 2)
     with pytest.raises(ValueError):
-        sparse_rank([(0, -1, 1)], 2, 2)
+        sparse_rank({(0, -1): 1}, 2, 2)
 
 
 def _oracle_subspace(rows, ncols):

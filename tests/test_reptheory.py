@@ -225,7 +225,7 @@ def test_verify_grading_rejects_a_g1_block_in_g0():
 def test_membership_positive_control(n):
     """Image vectors of partial1 and their multiples are members on both the
     integer path and the Fraction oracle; adding 1 at a free coordinate is not."""
-    p1 = build_partial1(n)
+    p1 = build_partial1(GradedAlgebraSpec(n))
     image = p1.image
     rng = random.Random(40 + n)
     for _ in range(3):
@@ -317,7 +317,7 @@ def _lemma_oracle(t_vec, s, n):
 def test_partial1_matrix_matches_definition():
     """Column oracle: (partial1 f)(w_b, w_c) = f(w_b).w_c - f(w_c).w_b."""
     for n in (2, 3):
-        p1 = build_partial1(n)
+        p1 = build_partial1(GradedAlgebraSpec(n))
         size = 2 * n
         rng = random.Random(n)
         for _ in range(3):
@@ -335,7 +335,7 @@ def test_partial1_matrix_matches_definition():
 
 def test_rank_and_kernel():
     for n in (2, 3, 4):
-        p1 = build_partial1(n)
+        p1 = build_partial1(GradedAlgebraSpec(n))
         assert p1.domain_dim == 2 * n * (n * n + 3)
         assert p1.target_dim == n * (2 * n - 1) * 2 * n
         assert p1.rank == p1.domain_dim - 2 * n
@@ -362,7 +362,7 @@ def _dense_rows(space):
 def test_image_matches_dense_rref(n):
     """Im(partial1) from the sparse eliminator has the basis and pivot
     columns of the dense rref of the columns of partial1."""
-    p1 = build_partial1(n)
+    p1 = build_partial1(GradedAlgebraSpec(n))
     columns = [[Fraction(0)] * p1.target_dim for _ in range(p1.domain_dim)]
     for (r, col), value in p1.entries.items():
         columns[col][r] = Fraction(value)
@@ -386,7 +386,7 @@ def test_image_certified_at_n6():
     on its own: every annihilator row pairs to zero with every column of
     partial1, and the dimension is the closed-form rank 2n(n^2 + 3) - 2n."""
     n = 6
-    p1 = build_partial1(n)
+    p1 = build_partial1(GradedAlgebraSpec(n))
     image = p1.image
     assert p1.image is image
     assert image.dim == p1.rank == 2 * n * (n * n + 3) - 2 * n
@@ -400,7 +400,7 @@ def test_image_certified_at_n6():
         for column in columns.values():
             assert sum(functional.get(r, 0) * v for r, v in column.items()) == 0
     # the cached image is not a field: it takes no part in == or repr
-    assert p1 == build_partial1(n)
+    assert p1 == build_partial1(GradedAlgebraSpec(n))
     assert "image" not in repr(p1)
 
 
@@ -422,7 +422,7 @@ def test_decomposition_dims_table():
 
 def test_cokernel_matches_torsion_module():
     for n in (2, 3):
-        p1 = build_partial1(n)
+        p1 = build_partial1(GradedAlgebraSpec(n))
         assert p1.target_dim - p1.rank == decomposition_dims(n).torsion_module_dim
 
 
@@ -501,7 +501,7 @@ def test_trace_embeddings_counts_membership_span():
     for n in (2, 3):
         vectors = trace_embedding_vectors(n)
         assert len(vectors) == n * n * (n - 1) + 6 * n
-        p1 = build_partial1(n)
+        p1 = build_partial1(GradedAlgebraSpec(n))
         image = p1.image
         for vec in vectors:
             assert membership(image, vec)
@@ -513,7 +513,7 @@ def test_trace_embeddings_counts_membership_span():
 def test_rank_one_span_on_image():
     """Every Im(partial1) basis row keeps T(xi, eta)E_1' in span{E_1, E_s}."""
     for n in (2, 3):
-        p1 = build_partial1(n)
+        p1 = build_partial1(GradedAlgebraSpec(n))
         image = p1.image
         for row in image.basis.values():
             for s in range(2, n + 1):
@@ -527,7 +527,7 @@ def test_rank_one_span_on_image():
 
 def test_rank_one_span_on_random_image_elements():
     n = 3
-    p1 = build_partial1(n)
+    p1 = build_partial1(GradedAlgebraSpec(n))
     rng = random.Random(11)
     rows = _dense_rows(p1.image)
     for _ in range(100):
@@ -578,7 +578,7 @@ def test_equivariance():
     """partial1 intertwines the g_0 actions on domain and target."""
     for n in (2, 3):
         spec = GradedAlgebraSpec(n)
-        p1 = build_partial1(n, spec)
+        p1 = build_partial1(spec)
         rng = random.Random(n + 10)
         for _ in range(8):
             a_idx = rng.randrange(spec.dim_gzero)
@@ -611,7 +611,7 @@ def test_equivariance_check_rejects_a_flipped_structure_constant(fresh_artifacts
 
 
 def test_surjective_only_at_n2():
-    p1 = build_partial1(2)
+    p1 = build_partial1(GradedAlgebraSpec(2))
     assert p1.rank == p1.target_dim
-    p3 = build_partial1(3)
+    p3 = build_partial1(GradedAlgebraSpec(3))
     assert p3.rank < p3.target_dim

@@ -1,7 +1,9 @@
 """The runtime is pure standard library: every module that src/agdeform
 imports is a stdlib module or agdeform itself.  The dense linear algebra
 of linalg is the tests' oracle only: no runtime code uses it.  And every
-other public name in src/agdeform has a runtime reference."""
+other public name in src/agdeform has a runtime reference, every parameter
+default is passed by some runtime call, and every dataclass field is read
+by some runtime code."""
 
 import ast
 import sys
@@ -91,8 +93,12 @@ def _public_definitions(tree):
                 yield from (sub for sub in node.body if isinstance(sub, ast.FunctionDef))
 
 
+def _trees():
+    return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+
+
 def _definitions_and_references():
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    trees = _trees()
     definitions = [
         (path_name, node.lineno, node.name)
         for path_name, tree in trees.items()
@@ -128,3 +134,147 @@ def test_unreferenced_allowlist_is_current():
     definitions, references = _definitions_and_references()
     assert set(UNREFERENCED_ALLOWED) <= {name for _, _, name in definitions}
     assert not set(UNREFERENCED_ALLOWED) & references
+
+
+def _name(node):
+    """The name a decorator or a called expression goes by, or None."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    names = _names(node)
+    return names[0] if names else None
+
+
+def _defaulted_parameters(tree):
+    """(call name, qualified name, position, parameter) for each parameter
+    with a default of a module-level function or of a method of a
+    module-level class.  A call of __init__ goes by its class's name.  The
+    position is the index among the arguments a call passes, so a method's
+    self or cls is not counted; it is None for a keyword-only parameter."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions = [(node.name, node.name, node, 0)]
+        elif isinstance(node, ast.ClassDef):
+            functions = [
+                (
+                    node.name if sub.name == "__init__" else sub.name,
+                    f"{node.name}.{sub.name}",
+                    sub,
+                    0 if "staticmethod" in map(_name, sub.decorator_list) else 1,
+                )
+                for sub in node.body
+                if isinstance(sub, ast.FunctionDef)
+            ]
+        else:
+            continue
+        for call_name, qualname, function, bound in functions:
+            spec = function.args
+            positional = spec.posonlyargs + spec.args
+            first = len(positional) - len(spec.defaults)
+            for index, arg in enumerate(positional[first:], start=first):
+                yield call_name, qualname, index - bound, arg.arg
+            for arg, default in zip(spec.kwonlyargs, spec.kw_defaults):
+                if default is not None:
+                    yield call_name, qualname, None, arg.arg
+
+
+def _passed_arguments(trees):
+    """{call name: (positions, starred, keywords)} over every call in
+    src/agdeform: the positional indices that some call passes, the indices
+    of starred arguments (each may fill its own and every later position),
+    and the keyword names (None for a ** argument).  A call through
+    functools.partial counts as a call of its first argument."""
+    passed = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if _name(func) == "partial" and args:
+                func, args = args[0], args[1:]
+            positions, starred, keywords = passed.setdefault(_name(func), (set(), set(), set()))
+            for index, arg in enumerate(args):
+                (starred if isinstance(arg, ast.Starred) else positions).add(index)
+            keywords.update(keyword.arg for keyword in node.keywords)
+    return passed
+
+
+#: Parameters with a default that no call in src/agdeform passes, and why each stays.
+UNPASSED_DEFAULTS_ALLOWED = {
+    "main(argv)": "cli.main is the console-script entry point: argv None reads sys.argv",
+    "TorsionAssembler.evaluate(c)": (
+        "evaluate is the tests' Fraction oracle for evaluate_scaled at a numeric c,"
+        " and a perfbench tracer target (torsion.assembler_eval)"
+    ),
+}
+
+
+def _unpassed_defaults():
+    trees = _trees()
+    passed = _passed_arguments(trees)
+    unpassed = []
+    for path_name, tree in trees.items():
+        for call_name, qualname, position, parameter in _defaulted_parameters(tree):
+            positions, starred, keywords = passed.get(call_name, (set(), set(), set()))
+            if parameter in keywords or None in keywords:
+                continue
+            if position is not None and (
+                position in positions or any(index <= position for index in starred)
+            ):
+                continue
+            unpassed.append((path_name, f"{qualname}({parameter})"))
+    return unpassed
+
+
+def test_every_default_is_passed_at_runtime():
+    """No optional parameter lives only for the tests: every parameter with a
+    default, of a module-level function or of a method of a module-level
+    class, is passed by some call in src/agdeform, by position, by keyword
+    or through functools.partial; Class(...) is a call of Class.__init__.
+    The match is by name, so definitions that share a name share their
+    calls."""
+    unpassed = [entry for entry in _unpassed_defaults() if entry[1] not in UNPASSED_DEFAULTS_ALLOWED]
+    assert not unpassed, unpassed
+
+
+def test_unpassed_defaults_allowlist_is_current():
+    """Each allowlisted parameter still has a default and is still unpassed."""
+    assert set(UNPASSED_DEFAULTS_ALLOWED) <= {entry for _, entry in _unpassed_defaults()}
+
+
+#: Dataclass fields that no code in src/agdeform reads, and why each stays.
+UNREAD_FIELDS_ALLOWED: dict[str, str] = {}
+
+
+def _unread_fields():
+    trees = _trees()
+    reads = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        (path_name, f"{node.name}.{field.target.id}")
+        for path_name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and node.name not in ORACLE_ONLY
+        and "dataclass" in map(_name, node.decorator_list)
+        for field in node.body
+        if isinstance(field, ast.AnnAssign)
+        and isinstance(field.target, ast.Name)
+        and field.target.id not in reads
+    ]
+
+
+def test_every_dataclass_field_is_read_at_runtime():
+    """No dataclass field lives only for the tests: every field of a
+    dataclass in src/agdeform, outside the ORACLE_ONLY types, is read as an
+    attribute by some code in src/agdeform.  The match is by name."""
+    unread = [entry for entry in _unread_fields() if entry[1] not in UNREAD_FIELDS_ALLOWED]
+    assert not unread, unread
+
+
+def test_unread_fields_allowlist_is_current():
+    """Each allowlisted field is still defined and still unread."""
+    assert set(UNREAD_FIELDS_ALLOWED) <= {entry for _, entry in _unread_fields()}

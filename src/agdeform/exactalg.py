@@ -18,10 +18,22 @@ quotient of a divisible dividend is p-integral, so the dividend vanishes
 wherever the divisor does mod p.  Quotients are unchanged; plain long
 division decides every other case.
 
+A divisor's zero also keeps the value mod p of every monomial it has been
+asked about, so a monomial that comes up again in a later dividend costs
+one dict lookup.
+
 A coefficient is stored canonically: as an int when it is integral, and as
 a Fraction only when its denominator is above 1.  Most coefficients are
 integers, so the hot loops run on ints; equal values compare and hash
 alike either way (hash(2) == hash(Fraction(2))).
+
+A monomial is one packed int (after Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007): each variable owns an 8-bit field whose top bit is a guard, so an
+exponent is at most 127, and the first table variable owns the most
+significant field, so int order is the lexicographic order of exponent
+tuples.  A product term is then one int add, a division step one int
+subtract after a guard-bit borrow test, and exponent_pairs unpacks the rest.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -30,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -96,7 +109,7 @@ class VariableTable:
     weight 0 (degrees are counted in chart variables only).
     """
 
-    __slots__ = ("n", "names", "size", "chart_weights", "_index")
+    __slots__ = ("n", "names", "size", "chart_weights", "guard", "_index")
 
     def __init__(self, n: int):
         if n < 2:
@@ -113,6 +126,8 @@ class VariableTable:
         self.names = tuple(names)
         self.size = len(names)
         self.chart_weights = tuple(1 if k < 2 * n else 0 for k in range(self.size))
+        #: The guard bit of every field of a packed monomial (see pack_monomial).
+        self.guard = int.from_bytes(bytes([_GUARD_BIT]) * self.size, "big")
         self._index = {name: k for k, name in enumerate(names)}
 
     def __eq__(self, other: object) -> bool:
@@ -187,7 +202,37 @@ def _coerce(value: Fraction | int | str) -> Fraction:
     raise UsageError(f"cannot interpret {value!r} as an exact rational")
 
 
-Monomial = tuple[int, ...]
+#: A monomial packed into one int, as in the module docstring.
+Monomial = int
+
+#: The bits of one variable's field in a packed monomial, their mask, and
+#: the field's guard bit.
+_FIELD_BITS = 8
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_GUARD_BIT = 1 << (_FIELD_BITS - 1)
+# pack_monomial and exponent_pairs read one field per byte of the int.
+assert _FIELD_BITS == 8
+
+
+def pack_monomial(exponents: Sequence[int]) -> Monomial:
+    """The packed monomial with these exponents, one per table variable."""
+    if not all(0 <= e < _GUARD_BIT for e in exponents):
+        raise UsageError(f"exponents must lie in 0..{_GUARD_BIT - 1}")
+    return int.from_bytes(bytes(exponents), "big")
+
+
+def exponent_pairs(mono: Monomial, size: int) -> list[tuple[int, int]]:
+    """The (index, exponent) pairs of the variables in mono, by index; size
+    is the length of the table."""
+    return [(idx, e) for idx, e in enumerate(mono.to_bytes(size, "big")) if e]
+
+
+def _shift(table: "VariableTable", idx: int) -> int:
+    """The bit offset of variable idx's field in a packed monomial."""
+    return _FIELD_BITS * (table.size - 1 - idx)
+
+
+_OVERFLOW = f"an exponent exceeds {_GUARD_BIT - 1}, the packed-monomial limit"
 
 
 def _canonical(value: int | Fraction) -> int | Fraction:
@@ -202,11 +247,12 @@ def _canonical(value: int | Fraction) -> int | Fraction:
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    Coefficients are keyed by exponent tuples of length table.size; zero
+    Coefficients are keyed by packed monomials (see pack_monomial); zero
     coefficients are never stored, so the zero polynomial is the empty map,
     and each stored one is in the canonical form of _canonical.
-    Monomial order anywhere ordering matters is lexicographic in the fixed
-    table order, which keeps every rendering deterministic.
+    Monomial order anywhere ordering matters is int order, which is
+    lexicographic in the fixed table order and keeps every rendering
+    deterministic.
     """
 
     __slots__ = ("table", "coeffs", "_key", "_hash", "_zero")
@@ -234,13 +280,13 @@ class Polynomial:
         value = _coerce(value)
         if not value:
             return Polynomial.zero(table)
-        return Polynomial(table, {(0,) * table.size: value})
+        return Polynomial(table, {0: value})
 
     @staticmethod
     def variable(table: VariableTable, idx: int) -> "Polynomial":
         if not (0 <= idx < table.size):
             raise UsageError(f"variable index {idx} out of range")
-        mono = tuple(1 if k == idx else 0 for k in range(table.size))
+        mono = pack_monomial([1 if k == idx else 0 for k in range(table.size)])
         return Polynomial(table, {mono: 1})
 
     # -- basic structure ----------------------------------------------------
@@ -249,7 +295,7 @@ class Polynomial:
         return not self.coeffs
 
     def is_constant(self) -> bool:
-        return not self.coeffs or self.coeffs.keys() == {(0,) * self.table.size}
+        return not self.coeffs or self.coeffs.keys() == {0}
 
     def constant_value(self) -> int | Fraction:
         if self.is_zero():
@@ -320,7 +366,7 @@ class Polynomial:
         out: dict[Monomial, int | Fraction] = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
+                mono = m1 + m2
                 prod = c1 * c2
                 acc = out.get(mono)
                 if acc is None:
@@ -331,6 +377,10 @@ class Polynomial:
                         out[mono] = acc
                     else:
                         del out[mono]
+        # Each field of m1 + m2 is below 2 * 128, so none carries; a stored
+        # monomial whose guard bit is set has reached the limit.
+        if functools.reduce(operator.or_, out, 0) & self.table.guard:
+            raise UsageError(_OVERFLOW)
         return Polynomial(self.table, out)
 
     def scale(self, value: int | Fraction) -> "Polynomial":
@@ -358,28 +408,30 @@ class Polynomial:
             raise UsageError(f"variable index {idx} out of range")
         # Lowering the exponent of idx is injective on the monomials it
         # keeps, so no two terms meet.
+        shift = _shift(self.table, idx)
+        unit = 1 << shift
         return Polynomial(
             self.table,
             {
-                mono[:idx] + (e - 1,) + mono[idx + 1:]: coeff * e
+                mono - unit: coeff * e
                 for mono, coeff in self.coeffs.items()
-                if (e := mono[idx])
+                if (e := mono >> shift & _FIELD_MASK)
             },
         )
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         if len(point) != self.table.size:
             raise UsageError("evaluation point does not bind every variable")
-        powers: list[list[Fraction]] = [[_ONE] for _ in range(self.table.size)]
+        size = self.table.size
+        powers: list[list[Fraction]] = [[_ONE] for _ in range(size)]
         total = _ZERO
         for mono, coeff in self.coeffs.items():
             term = coeff
-            for idx, e in enumerate(mono):
-                if e:
-                    cache = powers[idx]
-                    while len(cache) <= e:
-                        cache.append(cache[-1] * point[idx])
-                    term = term * cache[e]
+            for idx, e in exponent_pairs(mono, size):
+                cache = powers[idx]
+                while len(cache) <= e:
+                    cache.append(cache[-1] * point[idx])
+                term = term * cache[e]
             total += term
         return total
 
@@ -394,20 +446,20 @@ class Polynomial:
         powers: dict[int, list[Polynomial]] = {}
         terms = []
         for mono, coeff in self.coeffs.items():
-            kept = list(mono)
+            kept = mono
             factors: list[Polynomial] = []
             den: list[tuple[Polynomial, int]] = []
-            for idx, e in enumerate(mono):
-                if not e or idx not in mapping:
+            for idx, e in exponent_pairs(mono, table.size):
+                if idx not in mapping:
                     continue
                 sub = mapping[idx]
-                kept[idx] = 0
+                kept -= e << _shift(table, idx)
                 cache = powers.setdefault(idx, [sub.num])
                 while len(cache) < e:
                     cache.append(cache[-1] * sub.num)
                 factors.append(cache[e - 1])
                 den.extend((f, k * e) for f, k in sub.den)
-            num = Polynomial(table, {tuple(kept): coeff})
+            num = Polynomial(table, {kept: coeff})
             for factor in factors:
                 num = num * factor
             terms.append((num, den))
@@ -419,9 +471,10 @@ class Polynomial:
         """(min, max) total degree in chart variables, or None for zero."""
         if self.is_zero():
             return None
-        weights = self.table.chart_weights
+        weights, size = self.table.chart_weights, self.table.size
         degrees = [
-            sum(e * w for e, w in zip(mono, weights)) for mono in self.coeffs
+            sum(e * weights[idx] for idx, e in exponent_pairs(mono, size))
+            for mono in self.coeffs
         ]
         return min(degrees), max(degrees)
 
@@ -432,47 +485,47 @@ _P = (1 << 61) - 1
 
 
 class _ZeroPoint:
-    """A point mod p on the zero set of one divisor, with its power tables.
+    """A point mod p on the zero set of one divisor.
 
-    powers[idx][e] is point[idx]**e mod p; the tables grow as dividends ask
-    for higher exponents and are shared by every later test against the
-    same divisor.
+    values maps each monomial met so far to its value mod p at the point;
+    it is shared by every later test against the same divisor.
     """
 
-    __slots__ = ("powers",)
+    __slots__ = ("point", "values")
 
     def __init__(self, point: Sequence[int]):
-        self.powers = [[1, v] for v in point]
+        self.point = tuple(point)
+        self.values: dict[Monomial, int] = {}
 
     def residue(self, coeffs: Mapping[Monomial, int | Fraction]) -> int | None:
         """The value mod p at this point, or None if a denominator is divisible by p.
 
-        The sum is kept as one fraction num/den mod p, so no inverse is taken;
-        den is the product of the denominators, 0 mod p iff one of them is.
+        The sum is kept as one fraction (integral * den + num)/den mod p, so
+        no inverse is taken; den is the product of the denominators, 0 mod p
+        iff one of them is.
         """
-        powers = self.powers
-        num, den = 0, 1
+        values, point = self.values, self.point
+        integral, num, den = 0, 0, 1
         for mono, coeff in coeffs.items():
-            integral = type(coeff) is int
-            term = coeff if integral else coeff.numerator
-            for idx, e in enumerate(mono):
-                if e:
-                    cache = powers[idx]
-                    while len(cache) <= e:
-                        cache.append(cache[-1] * cache[1] % _P)
-                    term = term * cache[e] % _P
-            if integral:
-                num = (num + term * den) % _P
+            value = values.get(mono)
+            if value is None:
+                value = 1
+                for idx, e in exponent_pairs(mono, len(point)):
+                    value = value * pow(point[idx], e, _P) % _P
+                values[mono] = value
+            if type(coeff) is int:
+                integral += coeff * value
             else:
                 d = coeff.denominator
-                num = (num * d + term * den) % _P
+                num = (num * d + coeff.numerator * value * den) % _P
                 den = den * d % _P
-        return num if den else None
+        return (integral * den + num) % _P if den else None
 
 
 @functools.lru_cache(maxsize=256)
-def _zero_point(key: tuple) -> _ZeroPoint | None:
-    """A certified zero mod p of the divisor with canonical form `key`, or None.
+def _zero_point(key: tuple, size: int) -> _ZeroPoint | None:
+    """A certified zero mod p of the divisor with canonical form `key` over a
+    table of `size` variables, or None.
 
     The divisor is first made a primitive integer polynomial f.  A variable v
     in which f has degree 1 or 2 is solved for after the other coordinates
@@ -486,8 +539,11 @@ def _zero_point(key: tuple) -> _ZeroPoint | None:
     ints = [(mono, c.numerator * (common // c.denominator)) for mono, c in key]
     content = math.gcd(*(c for _, c in ints))
     f = [(mono, c // content % _P) for mono, c in ints]
-    size = len(key[0][0])
-    degrees = [max(mono[idx] for mono, _ in f) for idx in range(size)]
+    terms = [(exponent_pairs(mono, size), coeff) for mono, coeff in f]
+    degrees = [0] * size
+    for pairs, _ in terms:
+        for idx, e in pairs:
+            degrees[idx] = max(degrees[idx], e)
     solvable = [idx for d in (1, 2) for idx in range(size) if degrees[idx] == d]
     if not solvable:
         return None
@@ -497,11 +553,14 @@ def _zero_point(key: tuple) -> _ZeroPoint | None:
         point = [rng.randrange(_P) for _ in range(size)]
         # f = a*v^2 + b*v + c with a, b, c read at the drawn coordinates.
         abc = [0, 0, 0]
-        for mono, coeff in f:
-            for idx, e in enumerate(mono):
-                if e and idx != v:
+        for pairs, coeff in terms:
+            power = 0
+            for idx, e in pairs:
+                if idx == v:
+                    power = e
+                else:
                     coeff = coeff * pow(point[idx], e, _P) % _P
-            abc[mono[v]] += coeff
+            abc[power] += coeff
         c, b, a = (x % _P for x in abc)
         if a:
             disc = (b * b - 4 * a * c) % _P
@@ -533,7 +592,7 @@ def _divide_exact(dividend: Polynomial, divisor: Polynomial) -> Polynomial | Non
         return dividend
     zero = divisor._zero
     if zero is _UNSET:
-        zero = divisor._zero = _zero_point(divisor.key())
+        zero = divisor._zero = _zero_point(divisor.key(), divisor.table.size)
     if zero is not None and zero.residue(dividend.coeffs):
         return None
     return _long_division(dividend, divisor)
@@ -543,21 +602,26 @@ def _long_division(dividend: Polynomial, divisor: Polynomial) -> Polynomial | No
     """Plain multivariate long division by the lex-leading term over Q.
 
     The one division routine; None if the divisor does not divide evenly.
+    The lead divides mono iff no field of (mono | guard) - lead borrows from
+    its guard bit.
     """
     lead_mono, lead_coeff = divisor.leading()
+    guard = dividend.table.guard
     remainder = dict(dividend.coeffs)
     quotient: dict[Monomial, int | Fraction] = {}
     while remainder:
         mono = max(remainder)
-        diff = tuple(a - b for a, b in zip(mono, lead_mono))
-        if any(e < 0 for e in diff):
+        if ((mono | guard) - lead_mono) & guard != guard:
             return None
+        diff = mono - lead_mono
         q = remainder[mono]
         if lead_coeff != 1:
             q = _canonical(Fraction(q, lead_coeff))
         quotient[diff] = q
         for dm, dc in divisor.coeffs.items():
-            target = tuple(a + b for a, b in zip(diff, dm))
+            target = diff + dm
+            if target & guard:
+                raise UsageError(_OVERFLOW)
             acc = remainder.get(target, 0) - q * dc
             if acc:
                 remainder[target] = acc
@@ -883,9 +947,7 @@ def _render_scalar(value: int | Fraction, latex: bool) -> str:
 
 def _render_monomial(table: VariableTable, mono: Monomial, latex: bool) -> str:
     parts = []
-    for idx, e in enumerate(mono):
-        if not e:
-            continue
+    for idx, e in exponent_pairs(mono, table.size):
         name = table.render(idx, latex=latex)
         if e == 1:
             parts.append(name)

@@ -66,13 +66,13 @@ class Chart:
     def const(self, value) -> RationalFunction:
         return RationalFunction.constant(self.table, value)
 
-    def lift(self, value) -> RationalFunction:
-        """Coerce scalars/strings to constants; pass rational functions through."""
-        if isinstance(value, RationalFunction):
-            if value.table != self.table:
-                raise UsageError("rational function from a different chart")
-            return value
-        return self.const(value)
+    def lift(self, value: RationalFunction) -> RationalFunction:
+        """value itself, once checked to be a rational function over this chart."""
+        if not isinstance(value, RationalFunction):
+            raise UsageError(f"expected a rational function, got {type(value).__name__}")
+        if value.table != self.table:
+            raise UsageError("rational function from a different chart")
+        return value
 
 
 class ChartPoint:
@@ -279,7 +279,8 @@ def flow_point(X: ChartPoint, t) -> ChartPoint:
 
     Column 1 maps to x_{i1}/(1+t x11), column 2 to
     x_{i2} - t x12 x_{i1}/(1+t x11); the closed form is valid on all of U,
-    including x11 = 0.
+    including x11 = 0.  t is a rational number when X is numeric and a
+    RationalFunction over X's chart otherwise.
     """
     chart = X.chart
     if X.is_numeric and isinstance(t, (Fraction, int)):
@@ -323,7 +324,7 @@ def split_fixed_plus_rank1(X: ChartPoint) -> tuple[ChartPoint, ChartPoint]:
     return ChartPoint(chart, fixed), ChartPoint(chart, direction)
 
 
-def flow_point_split_form(X: ChartPoint, t) -> ChartPoint:
+def flow_point_split_form(X: ChartPoint, t: RationalFunction) -> ChartPoint:
     """Redundant flow formula X_f + z^t.X_d; defined only off x11 = 0.
 
     Cross-checks flow_point: the split form has x11 in denominators that
@@ -342,7 +343,7 @@ def flow_point_split_form(X: ChartPoint, t) -> ChartPoint:
 # -- holonomy and bundle actions ---------------------------------------------------
 
 
-def bundle_actions(X: ChartPoint, t) -> BundleActionMatrices:
+def bundle_actions(X: ChartPoint, t: RationalFunction) -> BundleActionMatrices:
     """Action matrices of z^t on E, E*, F, F* at basepoint X.
 
     on_e and on_f are exactly the E- and F-blocks of the holonomy factor;
@@ -390,7 +391,7 @@ def bundle_actions(X: ChartPoint, t) -> BundleActionMatrices:
     )
 
 
-def holonomy(X: ChartPoint, t) -> SymbolicMatrix:
+def holonomy(X: ChartPoint, t: RationalFunction) -> SymbolicMatrix:
     """The (n+2)x(n+2) holonomy factor p_t(X) = [[Id+tZX, tZ], [0, F-block]]."""
     chart = X.chart
     table = chart.table

@@ -19,6 +19,7 @@ from .exactalg import (
     Polynomial,
     RationalFunction,
     UsageError,
+    exponent_pairs,
     flat_index,
     render_polynomial,
     two_form_block,
@@ -109,22 +110,22 @@ class _IntegerPolynomials:
 
     def __init__(self, polys: Sequence[Polynomial], nvars: int):
         scale = lcm(*(c.denominator for p in polys for c in p.coeffs.values()))
-        monomials: dict[tuple[int, ...], int] = {}
+        monomials: dict[int, int] = {}
         terms = []
         for p in polys:
             row = []
             for mono, coeff in p.coeffs.items():
-                if any(mono[nvars:]):
-                    raise ValueError("a torsion polynomial uses a variable outside the chart")
-                idx = monomials.setdefault(mono[:nvars], len(monomials))
+                idx = monomials.setdefault(mono, len(monomials))
                 row.append((idx, coeff.numerator * (scale // coeff.denominator)))
             terms.append(tuple(row))
         self.terms = tuple(terms)
-        self.degree = max((sum(m) for m in monomials), default=0)
-        self.monomials = tuple(
-            (self.degree - sum(m), tuple((v, e) for v, e in enumerate(m) if e))
-            for m in monomials
-        )
+        size = polys[0].table.size if polys else 0
+        factors = [tuple(exponent_pairs(mono, size)) for mono in monomials]
+        if any(f and f[-1][0] >= nvars for f in factors):
+            raise ValueError("a torsion polynomial uses a variable outside the chart")
+        degrees = [sum(e for _, e in f) for f in factors]
+        self.degree = max(degrees, default=0)
+        self.monomials = tuple((self.degree - d, f) for d, f in zip(degrees, factors))
 
     def values(self, X: Sequence[int], D: int) -> list[int]:
         mono_values = []
@@ -149,7 +150,6 @@ class TorsionAssembler:
     """
 
     def __init__(self, phi: EndomorphismField):
-        self.phi = phi
         self.chart = phi.chart
         size = 2 * self.chart.n
         frame = pulled_frame(phi)

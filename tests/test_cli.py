@@ -174,7 +174,7 @@ def test_symbolic_n_above_maximum_exit_2(capsys, monkeypatch, command):
 
 def test_verify_accepts_n_at_maximum(capsys, monkeypatch):
     """MAX_SYMBOLIC_N itself passes the usage check and reaches the suite
-    (the real `verify --n 8` took 4.2-5.6 s in six runs on a 2-vCPU VM
+    (the real `verify --n 10` took 4.8-6.4 s in three runs on a 2-vCPU VM
     with CPython 3.11)."""
     seen = []
     monkeypatch.setattr(checks, "quick_suite", lambda n, seed: seen.append(n) or [])

@@ -18,8 +18,10 @@ from agdeform.exactalg import (
     RationalFunction,
     UsageError,
     VariableTable,
+    exponent_pairs,
     fd_check,
     flat_index,
+    pack_monomial,
     parse_rational,
     render_polynomial,
     render_rational_function,
@@ -48,7 +50,7 @@ def random_polynomial(rng, max_terms=4, max_degree=3):
         mono = [0] * nvars
         for _ in range(rng.randint(0, max_degree)):
             mono[rng.randrange(nvars)] += 1
-        coeffs[tuple(mono)] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        coeffs[pack_monomial(mono)] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
     return Polynomial(TABLE, coeffs)
 
 
@@ -311,7 +313,7 @@ def test_rational_entry_points_refuse_floats_and_bools():
         with pytest.raises(UsageError):
             TABLE.point(x=[[value, 0], [0, 0], [0, 0]])
     with pytest.raises(UsageError):
-        Polynomial(TABLE, {(0,) * TABLE.size: True})
+        Polynomial(TABLE, {pack_monomial((0,) * TABLE.size): True})
 
 
 @st.composite
@@ -323,7 +325,7 @@ def small_polys(draw):
         mono = [0] * nvars
         for _ in range(draw(st.integers(0, 2))):
             mono[draw(st.integers(0, nvars - 1))] += 1
-        coeffs[tuple(mono)] = Fraction(draw(st.integers(-4, 4)))
+        coeffs[pack_monomial(mono)] = Fraction(draw(st.integers(-4, 4)))
     return Polynomial(TABLE, coeffs)
 
 
@@ -388,7 +390,7 @@ def p_adic_polys(draw):
         for _ in range(draw(st.integers(0, 3))):
             mono[draw(st.integers(0, nvars - 1))] += 1
         den = draw(st.sampled_from((1, 1, 2, 3, P)))
-        coeffs[tuple(mono)] = Fraction(draw(st.integers(-6, 6)), den)
+        coeffs[pack_monomial(mono)] = Fraction(draw(st.integers(-6, 6)), den)
     return Polynomial(TABLE, coeffs)
 
 
@@ -404,9 +406,10 @@ def test_early_out_never_rejects_a_multiple_and_agrees_with_long_division(name, 
 
 def test_early_out_agrees_with_long_division_on_recorded_calls(monkeypatch):
     """Every trial division made while building Phi_c (symbolic c), the
-    torsion assembler and every entry of nabla2_phi at n = 3 returns what
-    plain long division returns, and most of them are decided by the
-    early-out."""
+    torsion assembler and every entry of nabla2_phi at n = 3, and while
+    running quick_suite(3), returns what plain long division returns; most
+    of them are decided by the early-out, and the divisor's cached residue
+    of each dividend equals one from a fresh zero with an empty cache."""
     calls = []
     fast = exactalg._divide_exact
 
@@ -415,25 +418,34 @@ def test_early_out_agrees_with_long_division_on_recorded_calls(monkeypatch):
         calls.append((dividend, divisor, result))
         return result
 
+    checks.artifacts.cache_clear()
     monkeypatch.setattr(exactalg, "_divide_exact", record)
-    phi = build_Phi(Chart(3))
-    TorsionAssembler(phi)
-    d2 = nabla2_phi(phi)
-    slots = [(p, k) for p in (1, 2) for k in range(1, 4)]
-    for (ip, j), (lp, m), (pp, o), (qp, r) in itertools.product(slots, repeat=4):
-        d2.entry(ip, j, lp, m, pp, o, qp, r)
-    monkeypatch.undo()
+    try:
+        phi = build_Phi(Chart(3))
+        TorsionAssembler(phi)
+        d2 = nabla2_phi(phi)
+        slots = [(p, k) for p in (1, 2) for k in range(1, 4)]
+        for (ip, j), (lp, m), (pp, o), (qp, r) in itertools.product(slots, repeat=4):
+            d2.entry(ip, j, lp, m, pp, o, qp, r)
+        assert all(r.status == checks.PASS for r in checks.quick_suite(3))
+    finally:
+        monkeypatch.undo()
+        checks.artifacts.cache_clear()
     skipped = 0
     for dividend, divisor, result in calls:
         assert result == exactalg._long_division(dividend, divisor)
-        zero = exactalg._zero_point(divisor.key())
-        skipped += zero is not None and bool(zero.residue(dividend.coeffs))
+        zero = exactalg._zero_point(divisor.key(), divisor.table.size)
+        if zero is None:
+            continue
+        residue = zero.residue(dividend.coeffs)
+        assert residue == exactalg._ZeroPoint(zero.point).residue(dividend.coeffs)
+        skipped += bool(residue)
     assert skipped > len(calls) // 2
 
 
 def _value_mod_p(f, point):
     total = 0
-    for mono, coeff in f.coeffs.items():
+    for mono, coeff in _tuples(f).items():
         term = coeff.numerator * pow(coeff.denominator, -1, P)
         for x, e in zip(point, mono):
             term = term * pow(x, e, P)
@@ -444,8 +456,8 @@ def _value_mod_p(f, point):
 @pytest.mark.parametrize("name", sorted(DIVISORS))
 def test_cached_zero_point_zeroes_its_divisor(name):
     f = DIVISORS[name]
-    zero = exactalg._zero_point(f.key())
-    point = [powers[1] for powers in zero.powers]
+    zero = exactalg._zero_point(f.key(), TABLE.size)
+    point = zero.point
     assert _value_mod_p(f, point) == 0
     shifted = f + Polynomial.constant(TABLE, 1)
     assert _value_mod_p(shifted, point) != 0
@@ -456,11 +468,11 @@ def test_cached_zero_point_zeroes_its_divisor(name):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_zero_point_of_q_and_none_for_its_powers(n):
     q = q_polynomial(Chart(n))
-    zero = exactalg._zero_point(q.key())
-    assert _value_mod_p(q, [powers[1] for powers in zero.powers]) == 0
+    zero = exactalg._zero_point(q.key(), q.table.size)
+    assert _value_mod_p(q, zero.point) == 0
     # The expanded q^2 and q^3 have degree 4 and 6 in every variable.
-    assert exactalg._zero_point((q * q).key()) is None
-    assert exactalg._zero_point((q * q * q).key()) is None
+    assert exactalg._zero_point((q * q).key(), q.table.size) is None
+    assert exactalg._zero_point((q * q * q).key(), q.table.size) is None
 
 
 def test_divisor_keeps_its_zero_point_outside_eq_and_hash():
@@ -470,7 +482,7 @@ def test_divisor_keeps_its_zero_point_outside_eq_and_hash():
     fresh = Polynomial(q.table, dict(q.coeffs))
     x11 = Polynomial.variable(q.table, 0)
     assert exactalg._divide_exact(q * x11, q) == x11
-    assert q._zero is exactalg._zero_point(q.key())
+    assert q._zero is exactalg._zero_point(q.key(), q.table.size)
     assert q._zero is not None
     assert fresh._zero is exactalg._UNSET
     assert q == fresh and hash(q) == hash(fresh)
@@ -575,38 +587,54 @@ def _is_canonical(coeff):
     return type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1)
 
 
-def _fraction_mul(p, r):
+# The tuple-keyed loops that packed monomials replaced, kept as oracles: each
+# takes and returns {exponent tuple: coefficient} maps, in Fractions.
+
+
+def _unpack(mono, size=TABLE.size):
+    exponents = [0] * size
+    for idx, e in exponent_pairs(mono, size):
+        exponents[idx] = e
+    return tuple(exponents)
+
+
+def _tuples(p):
+    """p's coefficient map keyed by exponent tuples."""
+    return {_unpack(mono, p.table.size): coeff for mono, coeff in p.coeffs.items()}
+
+
+def _tuple_mul(p, r):
     """The all-Fraction product loop, the oracle for Polynomial.__mul__."""
     out = {}
-    for m1, c1 in p.coeffs.items():
-        for m2, c2 in r.coeffs.items():
+    for m1, c1 in p.items():
+        for m2, c2 in r.items():
             mono = tuple(a + b for a, b in zip(m1, m2))
             out[mono] = out.get(mono, Fraction(0)) + Fraction(c1) * Fraction(c2)
     return {m: c for m, c in out.items() if c}
 
 
-def _fraction_add(p, r):
+def _tuple_add(p, r):
     """The all-Fraction sum loop, the oracle for Polynomial.__add__."""
-    out = {m: Fraction(c) for m, c in p.coeffs.items()}
-    for mono, coeff in r.coeffs.items():
+    out = {m: Fraction(c) for m, c in p.items()}
+    for mono, coeff in r.items():
         out[mono] = out.get(mono, Fraction(0)) + Fraction(coeff)
     return {m: c for m, c in out.items() if c}
 
 
-def _fraction_differentiate(p, idx):
+def _tuple_differentiate(p, idx):
     out = {}
-    for mono, coeff in p.coeffs.items():
+    for mono, coeff in p.items():
         if mono[idx]:
             lowered = mono[:idx] + (mono[idx] - 1,) + mono[idx + 1:]
             out[lowered] = out.get(lowered, Fraction(0)) + Fraction(coeff) * mono[idx]
     return {m: c for m, c in out.items() if c}
 
 
-def _fraction_divide(dividend, divisor):
+def _tuple_divide(dividend, divisor):
     """Long division with true division of Fractions; None if not exact."""
-    lead_mono = max(divisor.coeffs)
-    lead = Fraction(divisor.coeffs[lead_mono])
-    remainder = {m: Fraction(c) for m, c in dividend.coeffs.items()}
+    lead_mono = max(divisor)
+    lead = Fraction(divisor[lead_mono])
+    remainder = {m: Fraction(c) for m, c in dividend.items()}
     quotient = {}
     while remainder:
         mono = max(remainder)
@@ -614,7 +642,7 @@ def _fraction_divide(dividend, divisor):
         if any(e < 0 for e in diff):
             return None
         q = quotient[diff] = remainder[mono] / lead
-        for dm, dc in divisor.coeffs.items():
+        for dm, dc in divisor.items():
             target = tuple(a + b for a, b in zip(diff, dm))
             acc = remainder.get(target, Fraction(0)) - q * Fraction(dc)
             if acc:
@@ -622,6 +650,48 @@ def _fraction_divide(dividend, divisor):
             else:
                 remainder.pop(target, None)
     return quotient
+
+
+def _tuple_evaluate(p, point):
+    total = Fraction(0)
+    for mono, coeff in p.items():
+        term = Fraction(coeff)
+        for x, e in zip(point, mono):
+            term *= x**e
+        total += term
+    return total
+
+
+def _tuple_substitute(p, mapping):
+    """Each monomial's unmapped variables times the powers of the mapped values."""
+    total = RationalFunction.zero(TABLE)
+    for mono, coeff in p.items():
+        kept = [0 if idx in mapping else e for idx, e in enumerate(mono)]
+        term = RationalFunction.from_polynomial(Polynomial(TABLE, {pack_monomial(kept): coeff}))
+        for idx, e in enumerate(mono):
+            if e and idx in mapping:
+                term = term * mapping[idx] ** e
+        total = total + term
+    return total
+
+
+def _tuple_residue(p, point):
+    """The residue loop over a tuple-keyed map of canonical coefficients: the
+    value mod p at point as one fraction num/den, returned as num, or None if
+    a denominator is divisible by p; the oracle for _ZeroPoint.residue."""
+    num, den = 0, 1
+    for mono, coeff in p.items():
+        integral = type(coeff) is int
+        term = coeff if integral else coeff.numerator
+        for x, e in zip(point, mono):
+            term = term * pow(x, e, P) % P
+        if integral:
+            num = (num + term * den) % P
+        else:
+            d = coeff.denominator
+            num = (num * d + term * den) % P
+            den = den * d % P
+    return num if den else None
 
 
 @st.composite
@@ -633,10 +703,18 @@ def fractional_polys(draw):
         mono = [0] * nvars
         for _ in range(draw(st.integers(0, 2))):
             mono[draw(st.integers(0, nvars - 1))] += 1
-        coeffs[tuple(mono)] = Fraction(
+        coeffs[pack_monomial(mono)] = Fraction(
             draw(st.integers(-4, 4)), draw(st.sampled_from((1, 2, 3)))
         )
     return Polynomial(TABLE, coeffs)
+
+
+#: Evaluation points for the sampled polynomials: every variable bound.
+_POINTS = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    min_size=TABLE.size,
+    max_size=TABLE.size,
+)
 
 
 @settings(max_examples=150, deadline=None)
@@ -645,22 +723,45 @@ def fractional_polys(draw):
     fractional_polys(),
     st.integers(0, len(TABLE.names) - 1),
     st.sampled_from(("3q/2", "fractional")),
+    _POINTS,
 )
-def test_mixed_coefficients_match_the_fraction_oracle(p, r, var, name):
+def test_mixed_coefficients_match_the_fraction_oracle(p, r, var, name, point):
+    """Packed products, sums, derivatives, divisions, values, substitutions
+    and residues equal the tuple-keyed Fraction loops above after unpacking."""
     f = DIVISORS[name]
+    tp, tr, tf = _tuples(p), _tuples(r), _tuples(f)
     results = [
-        (p * r, _fraction_mul(p, r)),
-        (p + r, _fraction_add(p, r)),
-        (p.differentiate(var), _fraction_differentiate(p, var)),
-        (exactalg._divide_exact(p * f, f), _fraction_divide(p * f, f)),
-        (exactalg._divide_exact(p, f), _fraction_divide(p, f)),
+        (p * r, _tuple_mul(tp, tr)),
+        (p + r, _tuple_add(tp, tr)),
+        (p.differentiate(var), _tuple_differentiate(tp, var)),
+        (exactalg._divide_exact(p * f, f), _tuple_divide(_tuple_mul(tp, tf), tf)),
+        (exactalg._divide_exact(p, f), _tuple_divide(tp, tf)),
+        (exactalg._long_division(p, f), _tuple_divide(tp, tf)),
+        (exactalg._long_division(p * r, r) if r.coeffs else None,
+         _tuple_divide(_tuple_mul(tp, tr), tr) if tr else None),
     ]
     for got, oracle in results:
         if oracle is None:
             assert got is None
             continue
-        assert got.coeffs == oracle
+        assert _tuples(got) == oracle
         assert all(_is_canonical(c) for c in got.coeffs.values())
+    assert p.evaluate(point) == _tuple_evaluate(tp, point)
+    mapping = {var: RationalFunction.from_polynomial(r) / RationalFunction.from_polynomial(f),
+               TABLE.x_index(1, 1): RationalFunction.from_polynomial(f)}
+    assert p.substitute(mapping) == _tuple_substitute(tp, mapping)
+    zero = exactalg._zero_point(f.key(), TABLE.size)
+    for g in (p, r, p * r, p.scale(Fraction(1, P))):
+        assert zero.residue(g.coeffs) == _tuple_residue(_tuples(g), zero.point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 127), min_size=TABLE.size, max_size=TABLE.size)))
+def test_pack_round_trips_and_keeps_lex_order(exponent_lists):
+    monos = [pack_monomial(e) for e in exponent_lists]
+    assert [_unpack(m) for m in monos] == [tuple(e) for e in exponent_lists]
+    assert [_unpack(m) for m in sorted(monos)] == sorted(map(tuple, exponent_lists))
+    assert all(m & TABLE.guard == 0 for m in monos)
 
 
 def test_quick_suite_stores_only_canonical_coefficients(monkeypatch):
@@ -684,7 +785,7 @@ def test_quick_suite_stores_only_canonical_coefficients(monkeypatch):
         checks.artifacts.cache_clear()
     assert sum(built) > 10_000
     assert bad == []
-    mono = (0,) * TABLE.size
+    mono = pack_monomial((0,) * TABLE.size)
     for value in (0.5, 0.0, True, "1"):
         with pytest.raises(UsageError):
             Polynomial(TABLE, {mono: value})
@@ -709,3 +810,37 @@ def test_integral_fraction_and_int_coefficients_are_one_value():
         assert exactalg._divide_exact(dividend, divisor) == _poly_var("x21")
     assert exactalg._zero_point.cache_info().hits > hits
     assert from_fraction._zero is from_int._zero is not None
+
+
+# -- the guard bits of packed monomials ------------------------------------------
+
+
+@pytest.mark.parametrize("idx", range(TABLE.size))
+def test_exponent_limit_raises_and_never_carries(idx):
+    """Every variable reaches exponent 127; a product or power that would
+    reach 128 raises, rather than carrying into the next field."""
+    v = Polynomial.variable(TABLE, idx)
+    top = v**127
+    assert _tuples(top) == {tuple(127 if k == idx else 0 for k in range(TABLE.size)): 1}
+    assert top.differentiate(idx) == (v**126).scale(127)
+    with pytest.raises(UsageError):
+        top * v
+    with pytest.raises(UsageError):
+        v**128
+    with pytest.raises(UsageError):
+        (v**64) * (v**64 + Polynomial.constant(TABLE, 1))
+    with pytest.raises(UsageError):
+        pack_monomial([128 if k == idx else 0 for k in range(TABLE.size)])
+
+
+def test_long_division_refuses_a_borrow_from_a_lower_field():
+    """x11^2 is lex-above x11*x12, and x11^2 - x11*x12 is a positive int, but
+    the x12 field would borrow, so x11*x12 does not divide x11^2; the same
+    for every pair of fields."""
+    for hi in range(TABLE.size):
+        for lo in range(hi + 1, TABLE.size):
+            x_hi, x_lo = (Polynomial.variable(TABLE, k) for k in (hi, lo))
+            dividend, divisor = x_hi * x_hi + x_lo, x_hi * x_lo
+            assert exactalg._long_division(dividend, divisor) is None
+            assert _tuple_divide(_tuples(dividend), _tuples(divisor)) is None
+            assert exactalg._long_division(divisor * x_hi, divisor) == x_hi

@@ -106,7 +106,8 @@ def test_split_undefined_on_h0():
 def test_split_form_matches_flow():
     X = ChartPoint.parse(CHART, "2,3;4,-1;0,5")
     t = Fraction(1, 5)
-    assert flow_point_split_form(X, t).entries == flow_point(X, t).lifted_entries()
+    split = flow_point_split_form(X, CHART.const(t))
+    assert split.entries == flow_point(X, t).lifted_entries()
 
 
 def test_bundle_actions_dual_consistency():
@@ -159,7 +160,7 @@ def test_volume_compatibility():
 
 def test_holonomy_cocycle_numeric():
     X = ChartPoint.parse(CHART, "1,2;0,1;3,-1")
-    s, t = Fraction(1, 2), Fraction(1, 3)
+    s, t = CHART.const(Fraction(1, 2)), CHART.const(Fraction(1, 3))
     lhs = holonomy(X, s + t)
     rhs = holonomy(flow_point(X, t), s) * holonomy(X, t)
     assert lhs == rhs
@@ -167,7 +168,19 @@ def test_holonomy_cocycle_numeric():
 
 def test_holonomy_identity_at_zero():
     X = ChartPoint.parse(CHART, "1,2;0,1;3,-1")
-    assert holonomy(X, 0) == SymbolicMatrix.identity(CHART.table, 5)
+    assert holonomy(X, CHART.const(0)) == SymbolicMatrix.identity(CHART.table, 5)
+
+
+def test_lift_accepts_only_rational_functions_of_its_chart():
+    x11 = CHART.x(1, 1)
+    assert CHART.lift(x11) is x11
+    for value in (0, Fraction(1, 2), "1/2"):
+        with pytest.raises(UsageError):
+            CHART.lift(value)
+    with pytest.raises(UsageError):
+        Chart(2).lift(x11)
+    with pytest.raises(UsageError):
+        ChartPoint(CHART, [[x11, 0], [0, 0], [0, 0]])
 
 
 def test_evaluation_vector_binds_parameters():

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from .exactalg import RationalFunction, UsageError
+from .exactalg import RationalFunction, UsageError, flat_index
 from .linalg import Subspace, span_subspace, membership
 from .model import Chart, ChartPoint
 from .deform import EndomorphismField, build_q
@@ -25,31 +25,28 @@ class SecondDerivativeTensor:
     """entry(ip, j, lp, m, pp, o, qp, r) = nabla^j_{i'} nabla^m_{l'} Phi^{p'o}_{q'r}.
 
     Primed indices and the unprimed j, m, o, r are all 1-based.  Entries are
-    built on first read and memoised, each first derivative per
-    (l', m, p', o, q', r) and each second derivative per key, so a check
-    that reads a few entries builds only those.  Both derivative orders are
-    computed independently; the mixed-partial symmetry (i',j) <-> (l',m) is
-    a checkable property, not an assumption.
+    built on first read and memoised per key in second, so a check that
+    reads a few entries builds only those.  The inner first derivative is
+    read from phi's shared table (EndomorphismField.derivative), which the
+    degree ledger and the torsion brackets fill too.  Both derivative orders
+    are still taken independently; the mixed-partial symmetry
+    (i',j) <-> (l',m) is a checkable property, not an assumption.
     """
 
-    __slots__ = ("phi", "chart", "first", "second")
+    __slots__ = ("phi", "chart", "second")
 
     def __init__(self, phi: EndomorphismField):
         self.phi = phi
         self.chart = phi.chart
-        self.first: dict[tuple, RationalFunction] = {}
         self.second: dict[tuple, RationalFunction] = {}
 
     def entry(self, ip: int, j: int, lp: int, m: int, pp: int, o: int, qp: int, r: int) -> RationalFunction:
         key = (ip, j, lp, m, pp, o, qp, r)
         value = self.second.get(key)
         if value is None:
-            inner_key = key[2:]
-            inner = self.first.get(inner_key)
             x_index = self.chart.table.x_index
-            if inner is None:
-                inner = self.phi.coefficient(pp, o, qp, r).differentiate(x_index(m, lp))
-                self.first[inner_key] = inner
+            # Phi^{p'o}_{q'r} is entry [flat_index(r, p'), flat_index(o, q')].
+            inner = self.phi.derivative(flat_index(r, pp), flat_index(o, qp), x_index(m, lp))
             value = self.second[key] = inner.differentiate(x_index(j, ip))
         return value
 

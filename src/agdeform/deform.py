@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import Polynomial, RationalFunction, UsageError, flat_index
+from .exactalg import Polynomial, RationalFunction, UsageError, VariableTable, flat_index
 from .model import Chart, ChartPoint, SymbolicMatrix, bundle_actions, flow_point
 
 
@@ -188,9 +188,25 @@ class EndomorphismField(SymbolicMatrix):
     (self o other)^{i'l}_{j'k} = sum_{a',b} self^{i'b}_{a'k} other^{a'l}_{j'b}
     is the matrix product, and the action on a section with flat components
     psi, (Phi psi)^{i'}_k = sum_{j',l} Phi^{i'l}_{j'k} psi^{j'}_l, is apply.
+
+    derivatives is the one table of first derivatives of the entries, keyed
+    (row, col, idx) and filled by derivative on first read; the degree
+    ledger, the curvature tensor and the torsion brackets all read it.
     """
 
-    __slots__ = ()
+    __slots__ = ("derivatives",)
+
+    def __init__(self, table: VariableTable, rows: Sequence[Sequence[RationalFunction]]):
+        super().__init__(table, rows)
+        self.derivatives: dict[tuple[int, int, int], RationalFunction] = {}
+
+    def derivative(self, row: int, col: int, idx: int) -> RationalFunction:
+        """The derivative of entry [row, col] by variable idx, built once."""
+        key = (row, col, idx)
+        value = self.derivatives.get(key)
+        if value is None:
+            value = self.derivatives[key] = self.rows[row][col].differentiate(idx)
+        return value
 
     @property
     def chart(self) -> Chart:

@@ -798,28 +798,31 @@ class RationalFunction:
     # -- calculus, evaluation, composition -----------------------------------------
 
     def differentiate(self, idx: int) -> "RationalFunction":
+        """The quotient rule in one pass: d(num / prod f_i^e_i) has numerator
+        num' prod f_i - num sum_i e_i f_i' prod_{j != i} f_j over
+        prod f_i^(e_i + 1), where factors with f_i' = 0 drop out of the sum.
+        """
         if not (0 <= idx < self.table.size):
             raise UsageError(f"variable index {idx} out of range")
+        new_num = self.num.differentiate(idx)
         if not self.den:
-            return RationalFunction(self.num.differentiate(idx), ())
-        # d(num / prod f_i^e_i) has numerator
-        #   num' * prod f_i  -  num * sum_i e_i f_i' prod_{j != i} f_j
-        # over prod f_i^(e_i + 1): each exponent grows by at most one.
-        table = self.table
+            return RationalFunction(new_num, ())
         factors = [f for f, _ in self.den]
-        all_prod = Polynomial.constant(table, 1)
-        for f in factors:
-            all_prod = all_prod * f
-        correction = Polynomial.zero(table)
+        for factor in factors:
+            new_num = new_num * factor
+        correction = None
         for i, (factor, exponent) in enumerate(self.den):
-            partial = Polynomial.constant(table, exponent)
+            term = factor.differentiate(idx)
+            if term.is_zero():
+                continue
+            term = term.scale(exponent)
             for j, other in enumerate(factors):
                 if j != i:
-                    partial = partial * other
-            correction = correction + partial * factor.differentiate(idx)
-        new_num = self.num.differentiate(idx) * all_prod - self.num * correction
-        new_den = tuple((f, e + 1) for f, e in self.den)
-        return RationalFunction(new_num, new_den)
+                    term = term * other
+            correction = term if correction is None else correction + term
+        if correction is not None:
+            new_num = new_num - self.num * correction
+        return RationalFunction(new_num, tuple((f, e + 1) for f, e in self.den))
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         point = tuple(point)
@@ -832,10 +835,32 @@ class RationalFunction:
         return self.num.evaluate(point) / value
 
     def substitute(self, mapping: Mapping[int, "RationalFunction"]) -> "RationalFunction":
-        result = self.num.substitute(mapping)
-        for factor, exponent in self.den:
-            result = result * factor.substitute(mapping).inverse() ** exponent
+        """Composition with mapping (see substitute_all, a batch of one)."""
+        (result,) = substitute_all((self,), mapping)
         return result
+
+
+def substitute_all(
+    values: Iterable[RationalFunction], mapping: Mapping[int, RationalFunction]
+) -> list[RationalFunction]:
+    """Each value with the variables of mapping replaced (composition).
+
+    The numerator is substituted and each denominator factor f^e becomes
+    (f substituted)^(-1) ** e; every distinct factor is substituted and
+    inverted once for the whole batch, so a matrix over one denominator
+    substitutes it once.
+    """
+    inverses: dict[Polynomial, RationalFunction] = {}
+    out = []
+    for value in values:
+        result = value.num.substitute(mapping)
+        for factor, exponent in value.den:
+            inverse = inverses.get(factor)
+            if inverse is None:
+                inverse = inverses[factor] = factor.substitute(mapping).inverse()
+            result = result * inverse**exponent
+        out.append(result)
+    return out
 
 
 RawTerm = tuple[Polynomial, Iterable[tuple[Polynomial, int]]]

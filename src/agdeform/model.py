@@ -22,6 +22,7 @@ from .exactalg import (
     dot,
     parse_rational,
     render_rational_function,
+    substitute_all,
 )
 
 
@@ -245,8 +246,12 @@ class SymbolicMatrix:
         )
 
     def substitute(self, mapping) -> "SymbolicMatrix":
+        """Every entry with mapping substituted, as one exactalg.substitute_all
+        batch: each distinct denominator factor is substituted and inverted
+        once per matrix, not once per entry."""
+        values = iter(substitute_all([v for row in self.rows for v in row], mapping))
         return type(self)(
-            self.table, [[v.substitute(mapping) for v in row] for row in self.rows]
+            self.table, [[next(values) for _ in row] for row in self.rows]
         )
 
     def render(self, latex: bool = False) -> str:

@@ -33,7 +33,8 @@ Components = tuple[RationalFunction, ...]
 
 
 def lie_bracket(xi: Components, eta: Components) -> Components:
-    """[xi, eta]^b = sum_a (xi^a d_a eta^b - eta^a d_a xi^b).
+    """[xi, eta]^b = sum_a (xi^a d_a eta^b - eta^a d_a xi^b), each derivative
+    taken afresh; TorsionAssembler brackets its frame pairs with it.
 
     Chart coordinate a is table variable a, so differentiation is by flat
     index directly.
@@ -67,6 +68,36 @@ def pulled_frame(phi: EndomorphismField) -> tuple[Components, ...]:
     return tuple(zip(*inverse.rows))
 
 
+def frame_bracket(
+    phi: EndomorphismField, frame: Sequence[Components], f: int, g: int
+) -> Components:
+    """[E~_f, E~_g]^b = sum_a (E~_f^a d_a E~_g^b - E~_g^a d_a E~_f^b) for
+    the pulled frame of phi (see pulled_frame) at flat indices f and g.
+
+    E~_f^b is delta^b_f - Phi[b, f], so d_a E~_f^b = -d_a Phi[b, f] is read
+    from phi's shared table of first derivatives rather than taken again.
+    Chart coordinate a is table variable a.  Each component is a pairwise
+    sum in the order of lie_bracket, and equals it, stored form and all.
+    """
+    xi, eta = frame[f], frame[g]
+    size = len(xi)
+    zero = RationalFunction.zero(phi.table)
+    out = []
+    for b in range(size):
+        acc = zero
+        for a in range(size):
+            if not xi[a].is_zero():
+                d = phi.derivative(b, g, a)
+                if not d.is_zero():
+                    acc = acc - xi[a] * d
+            if not eta[a].is_zero():
+                d = phi.derivative(b, f, a)
+                if not d.is_zero():
+                    acc = acc + eta[a] * d
+        out.append(acc)
+    return tuple(out)
+
+
 def _structure_map(phi: EndomorphismField, bracket: Components) -> Components:
     """(Id + Phi) theta(-bracket) on the flat basis, computed as psi + Phi psi.
 
@@ -94,8 +125,7 @@ def torsion_component(phi: EndomorphismField, s: int) -> TorsionComponent:
     chart = phi.chart
     if not (2 <= s <= chart.n):
         raise UsageError(f"component index s must be in 2..{chart.n}")
-    frame = pulled_frame(phi)
-    bracket = lie_bracket(frame[flat_index(s, 2)], frame[flat_index(1, 2)])
+    bracket = frame_bracket(phi, pulled_frame(phi), flat_index(s, 2), flat_index(1, 2))
     return TorsionComponent(bracket=bracket, d=_structure_map(phi, bracket))
 
 

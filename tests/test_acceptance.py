@@ -24,6 +24,10 @@ REPORTS_SHA256 = "0d159727832117c4552d864ff20657ac53c291d4d43206fc32e1ae86ba4d4f
 #: kappa triple (1, 1, 1) alone, so its bytes are pinned separately.
 VERIFY_N5_SHA256 = "52431afdf8977ac14af5e126c65aff9072d57fbee08342f4811f3efbab3338b5"
 
+#: sha256 of the stdout of `agdeform verify --n 6 --format json`, the
+#: largest n pinned: every n reads Phi's table of first derivatives.
+VERIFY_N6_SHA256 = "25bd4f545d0db57da603d416079dc24e9632c058c18db3e853e3da03a4b6b01c"
+
 #: sha256 of the `--format json` stdout of the command behind each benchmark
 #: workload (perfbench/workloads.py, which adds --timings), so the tier-1
 #: suite byte-checks the code they run.
@@ -179,6 +183,12 @@ def test_verify_n5_output_byte_identical(capsys):
     assert cli.main(["verify", "--n", "5", "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_N5_SHA256
+
+
+def test_verify_n6_output_byte_identical(capsys):
+    assert cli.main(["verify", "--n", "6", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_N6_SHA256
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOAD_SHA256))

@@ -1,5 +1,6 @@
 """The per-n artifact cache: each shared object is built once per process."""
 
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from agdeform import checks, cli
 from agdeform import curvature as curvature_mod
 from agdeform import reptheory as rep_mod
+from agdeform.exactalg import RationalFunction
 
 
 @pytest.fixture
@@ -37,6 +39,30 @@ def test_quick_suite_builds_symbolic_phi_once(monkeypatch, fresh_cache):
     reports = checks.quick_suite(3)
     assert all(r.status == checks.PASS for r in reports)
     assert len(symbolic) == 1
+
+
+def test_quick_suite_differentiates_each_phi_entry_once(monkeypatch, fresh_cache):
+    """No (entry, variable) of the shared symbolic Phi is differentiated twice
+    in quick_suite(4): the degree ledger, the torsion components' brackets
+    and the curvature tensor all read Phi's one table of first derivatives."""
+    phi = checks.artifacts(4).phi
+    positions = {
+        id(v): (row, col) for row, values in enumerate(phi.rows) for col, v in enumerate(values)
+    }
+    assert len(positions) == phi.nrows * phi.ncols
+    seen = Counter()
+    real = RationalFunction.differentiate
+
+    def counted(self, idx):
+        if id(self) in positions:
+            seen[positions[id(self)], idx] += 1
+        return real(self, idx)
+
+    monkeypatch.setattr(RationalFunction, "differentiate", counted)
+    reports = checks.quick_suite(4)
+    assert all(r.status == checks.PASS for r in reports)
+    assert seen and max(seen.values()) == 1
+    assert set(seen) == {(key[:2], key[2]) for key in phi.derivatives}
 
 
 def test_reptheory_command_builds_partial1_once(monkeypatch, capsys, fresh_cache):

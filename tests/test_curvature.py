@@ -213,7 +213,7 @@ def test_curvature_suite_builds_few_second_derivatives(monkeypatch):
     assert [r.status for r in reports] == [checks.PASS] * 4
     (d2,), (projection,) = tensors, projections
     assert 0 < len(d2.second) <= 4 * n
-    assert 0 < len(d2.first) <= 4 * n
+    assert 0 < len(d2.phi.derivatives) <= 4 * n
     assert sorted(projection.values) == [((1, 1, 1), r) for r in range(1, n + 1)]
 
 

@@ -580,6 +580,74 @@ def test_dot_and_substitute_skip_zero_terms():
     assert _stored(out) == _stored(q.inverse() * q.inverse() + rf_var(2, 1))
 
 
+# -- the quotient rule -------------------------------------------------------
+
+
+def _seeded_differentiate(f, idx):
+    """Oracle: the constant-seeded quotient rule that RationalFunction.differentiate
+    used before, num' prod f_i - num sum_i e_i f_i' prod_{j != i} f_j over
+    prod f_i^(e_i + 1), with every factor in the sum, zero or not."""
+    table = f.table
+    if not f.den:
+        return RationalFunction(f.num.differentiate(idx), ())
+    factors = [g for g, _ in f.den]
+    all_prod = Polynomial.constant(table, 1)
+    for g in factors:
+        all_prod = all_prod * g
+    correction = Polynomial.zero(table)
+    for i, (factor, exponent) in enumerate(f.den):
+        partial = Polynomial.constant(table, exponent)
+        for j, other in enumerate(factors):
+            if j != i:
+                partial = partial * other
+        correction = correction + partial * factor.differentiate(idx)
+    new_num = f.num.differentiate(idx) * all_prod - f.num * correction
+    return RationalFunction(new_num, tuple((g, e + 1) for g, e in f.den))
+
+
+#: Distinct monic denominator factors; each misses most variables, so most
+#: draws differentiate by a variable that some factor does not depend on.
+QUOTIENT_FACTORS = (
+    q_rf().num,
+    Polynomial.constant(TABLE, 1) + _poly_var("t") * _poly_var("x11"),
+    _poly_var("x11"),
+    _poly_var("x21") * _poly_var("x32") + _poly_var("c2"),
+    _poly_var("x12") * _poly_var("x12") + Polynomial.constant(TABLE, 3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    small_polys(),
+    st.lists(
+        st.tuples(st.sampled_from(QUOTIENT_FACTORS), st.integers(1, 3)),
+        max_size=3,
+        unique_by=lambda entry: entry[0].key(),
+    ),
+    st.integers(0, TABLE.size - 1),
+)
+def test_quotient_rule_matches_seeded_formula(num, den, idx):
+    """The seed-free quotient rule gives the value and the stored form of
+    the constant-seeded one, for 0-3 distinct factors with exponents 1-3 and
+    every variable."""
+    f = RationalFunction(num, den)
+    got = f.differentiate(idx)
+    want = _seeded_differentiate(f, idx)
+    assert got == want
+    assert _stored(got) == _stored(want)
+
+
+def test_quotient_rule_skips_factors_free_of_the_variable():
+    """A factor that does not depend on the variable only gains one power,
+    which trial division takes back."""
+    f = RationalFunction(rf_var(2, 1).num, ((q_rf().num, 1), (_poly_var("x11"), 2)))
+    assert f.differentiate(TABLE.x_index(2, 2)).is_zero()
+    got = f.differentiate(TABLE.x_index(3, 1))
+    assert got == _seeded_differentiate(f, TABLE.x_index(3, 1))
+    assert _stored(got) == _stored(_seeded_differentiate(f, TABLE.x_index(3, 1)))
+    assert sorted(e for _, e in got.den) == [2, 2]
+
+
 # -- canonical coefficients: int when integral, Fraction otherwise ---------------
 
 

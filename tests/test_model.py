@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from agdeform.exactalg import PoleAtPoint, UsageError
+from agdeform.deform import EndomorphismField, build_Phi, q_polynomial
+from agdeform.exactalg import PoleAtPoint, Polynomial, UsageError
 from agdeform.model import (
     Chart,
     ChartPoint,
@@ -203,3 +204,31 @@ def test_symbolic_matrix_algebra():
     assert m.transpose()[1, 0] == t
     vec = m.apply((CHART.const(2), CHART.const(3)))
     assert vec[0] == CHART.const(2) + t * CHART.const(3)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_matrix_substitute_matches_entrywise(n, monkeypatch):
+    """Phi at the generically flowed point: the batch substitution equals
+    entry-wise RationalFunction.substitute, stored form and all, and
+    substitutes q once for the whole matrix."""
+    chart = Chart(n)
+    phi = build_Phi(chart)
+    flowed = flow_point(ChartPoint.generic(chart), chart.param("t")).substitution()
+    q = q_polynomial(chart)
+    substituted = []
+    real = Polynomial.substitute
+
+    def counted(self, mapping):
+        substituted.append(self)
+        return real(self, mapping)
+
+    monkeypatch.setattr(Polynomial, "substitute", counted)
+    batch = phi.substitute(flowed)
+    monkeypatch.undo()
+    assert sum(p == q for p in substituted) == 1
+    assert type(batch) is EndomorphismField
+    for got_row, row in zip(batch.rows, phi.rows):
+        for got, entry in zip(got_row, row):
+            want = entry.substitute(flowed)
+            assert got == want
+            assert (got.num, got.den) == (want.num, want.den)

@@ -21,6 +21,7 @@ from agdeform.torsion import (
     TorsionAssembler,
     _IntegerPolynomials,
     _structure_map,
+    frame_bracket,
     lemma_criterion,
     lie_bracket,
     pulled_frame,
@@ -77,6 +78,47 @@ def test_lie_bracket_properties():
         )
         # componentwise sum of the three cyclic terms
         assert all((x + y + z).is_zero() for x, y, z in jacobi)
+
+
+@pytest.mark.parametrize("c", [None, (Fraction(2), Fraction(-3))], ids=["symbolic", "c2_m3"])
+def test_frame_bracket_matches_lie_bracket_n3(c):
+    """The table-reading bracket equals the generic oracle on every pair of
+    pulled-frame fields at n = 3, stored form and all."""
+    phi = build_Phi(CHART, c)
+    frame = pulled_frame(phi)
+    size = 2 * CHART.n
+    for f in range(size):
+        for g in range(f + 1, size):
+            got = frame_bracket(phi, frame, f, g)
+            want = lie_bracket(frame[f], frame[g])
+            assert got == want, (f, g)
+            assert [(v.num, v.den) for v in got] == [(v.num, v.den) for v in want]
+
+
+def test_frame_bracket_matches_lie_bracket_n4_components():
+    """The torsion components' brackets [E~^2'_s, E~^2'_1] at n = 4 equal the oracle."""
+    chart = Chart(4)
+    phi = build_Phi(chart)
+    frame = pulled_frame(phi)
+    for s in range(2, 5):
+        f, g = flat_index(s, 2), flat_index(1, 2)
+        want = lie_bracket(frame[f], frame[g])
+        assert frame_bracket(phi, frame, f, g) == want
+        assert torsion_component(phi, s).bracket == want
+
+
+def test_derivative_table_is_fresh_and_shared():
+    """Every derivative(row, col, idx) equals a fresh differentiate, and a
+    repeat read returns the same object."""
+    phi = build_Phi(CHART)
+    size = 2 * CHART.n
+    for row in range(size):
+        for col in range(size):
+            for idx in range(CHART.table.size):
+                first = phi.derivative(row, col, idx)
+                assert first == phi.rows[row][col].differentiate(idx)
+                assert phi.derivative(row, col, idx) is first
+    assert len(phi.derivatives) == size * size * CHART.table.size
 
 
 def test_pulled_frame_matches_coefficients():

@@ -4,9 +4,9 @@ Every check runs one mathematical claim to ground and returns a CheckReport.
 Symbolic checks compare rational functions with tolerance zero; numeric
 checks evaluate at deterministic sampled points.  Check ids are stable
 strings, so report streams sort reproducibly.  The per-n objects the checks
-share (the chart, q, the symbolic Phi_c, its second derivatives and partial1)
-come from one process-wide cache, artifacts(n), so each is built once per
-process.
+share (the chart, q, the symbolic Phi_c, its torsion and second derivatives,
+the eigen laws and partial1) come from one process-wide cache, artifacts(n),
+so each is built once per process, inside the first check that reads it.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from . import curvature as curvature_mod
 from . import reptheory as rep_mod
 from .deform import (
     EndomorphismField,
+    TransformationLaw,
     build_Phi,
     build_q,
     invariance_check,
@@ -34,7 +35,7 @@ from .exactalg import UsageError, fd_check, flat_index
 from .linalg import membership, span_subspace
 from .model import Chart, ChartPoint, flow_point, flow_point_split_form, holonomy
 from .sampling import ball_sweep, generic_off_singular, sample_points
-from .torsion import TorsionAssembler, lemma_components, lemma_criterion, torsion_component
+from .torsion import TorsionAssembler, lemma_components, lemma_criterion
 
 PASS = "pass"
 FAIL = "fail"
@@ -98,9 +99,10 @@ def sort_reports(reports: Sequence[CheckReport]) -> list[CheckReport]:
 
 class Artifacts:
     """The per-n objects that several suites share, each built on first use:
-    chart, q, phi, second_derivatives, kappa, spec, partial1 and
-    trace_vectors.  second_derivatives and kappa are lazy in turn, so each
-    of their entries is built inside the first check that reads it.
+    chart, q, phi, laws, torsion, second_derivatives, kappa, spec, partial1
+    and trace_vectors.  torsion, second_derivatives and kappa are lazy in
+    turn, so each of their entries is built inside the first check that
+    reads it.
     """
 
     def __init__(self, n: int):
@@ -118,6 +120,16 @@ class Artifacts:
     def phi(self) -> EndomorphismField:
         """Phi_c with the parameters c kept symbolic."""
         return build_Phi(self.chart)
+
+    @functools.cached_property
+    def laws(self) -> tuple[TransformationLaw, ...]:
+        """The eigen-section transformation laws, symbolic t."""
+        return transformation_check(self.chart)
+
+    @functools.cached_property
+    def torsion(self) -> TorsionAssembler:
+        """The torsion of the pulled frame of the symbolic phi."""
+        return TorsionAssembler(self.phi)
 
     @functools.cached_property
     def second_derivatives(self) -> curvature_mod.SecondDerivativeTensor:
@@ -210,12 +222,11 @@ def _law_family(name: str) -> str:
 def eigen_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
     reports = []
     for n in ns:
-        # Built inside the first check that reads it, and shared with the rest.
-        laws = functools.cache(functools.partial(transformation_check, artifacts(n).chart))
+        art = artifacts(n)
         for family in ("v", "iota", "v_tilde", "iota_tilde", "w", "kappa", "w_tilde", "kappa_tilde"):
 
-            def law_check(laws=laws, family=family):
-                group = [law for law in laws() if _law_family(law.name) == family]
+            def law_check(art=art, family=family):
+                group = [law for law in art.laws if _law_family(law.name) == family]
                 if not group:
                     return False, f"no laws found for family {family}", None
                 bad = [law.name for law in group if not law.holds]
@@ -251,9 +262,9 @@ def phi_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
     for n in ns:
         art = artifacts(n)
         chart = art.chart
-        phi = art.phi
 
-        def coefficients(chart=chart, phi=phi, n=n):
+        def coefficients(art=art, chart=chart, n=n):
+            phi = art.phi
             expected = _expected_coefficients(chart)
             for ip in (1, 2):
                 for jp in (1, 2):
@@ -273,14 +284,16 @@ def phi_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
                 None,
             )
 
-        def nilpotent(phi=phi):
+        def nilpotent(art=art):
+            phi = art.phi
             return (
                 (phi * phi).is_zero(),
                 "Phi o Phi = 0 with symbolic c",
                 None,
             )
 
-        def traces(phi=phi, n=n):
+        def traces(art=art, n=n):
+            phi = art.phi
             for l in range(1, n + 1):
                 for k in range(1, n + 1):
                     if not phi.partial_trace_primed(l, k).num.is_zero():
@@ -291,7 +304,8 @@ def phi_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
                         return False, f"unprimed partial trace ({ip},{jp}) nonzero", None
             return True, "both partial traces vanish identically, symbolic c", None
 
-        def inverse(phi=phi):
+        def inverse(art=art):
+            phi = art.phi
             # (Id + Phi)(Id - Phi) = Id - Phi o Phi, so this fails unless Phi
             # is nilpotent of order two, the claim of deform.nilpotent.
             ident = EndomorphismField.identity(phi.table, phi.nrows)
@@ -302,9 +316,9 @@ def phi_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
                 None,
             )
 
-        def invariance(phi=phi):
+        def invariance(art=art):
             return (
-                invariance_check(phi),
+                invariance_check(art.phi),
                 "conjugation by the bundle actions returns Phi at the moved point, symbolic t and c",
                 None,
             )
@@ -319,7 +333,8 @@ def phi_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
                 None,
             )
 
-        def degree_ledger(phi=phi, art=art, n=n):
+        def degree_ledger(art=art, n=n):
+            phi = art.phi
             q_poly = art.q.num
             table = art.chart.table
             checked = 0
@@ -383,17 +398,18 @@ def torsion_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
     reports = []
     for n in ns:
         art = artifacts(n)
-        chart, phi, q = art.chart, art.phi, art.q
+        chart = art.chart
         x11 = chart.x(1, 1)
         x12 = chart.x(1, 2)
         for s in range(2, n + 1):
-            # Built inside the first check that reads it, so its time is
-            # reported, and shared with the second.
-            component = functools.cache(functools.partial(torsion_component, phi, s))
+            # T(E~^2'_s, E~^2'_1) and its bracket, built inside the first
+            # check that reads them and shared with the second.
+            f, g = flat_index(s, 2), flat_index(1, 2)
             cs = chart.param(f"c{s}")
 
-            def bracket_matches(component=component, cs=cs, n=n, chart=chart, q=q, x11=x11, x12=x12):
-                comp = component()
+            def bracket_matches(art=art, f=f, g=g, cs=cs, n=n, chart=chart, x11=x11, x12=x12):
+                got, _ = art.torsion.pair(f, g)
+                q = art.q
                 factor = cs * x11 * x11 / q
                 expected = [chart.const(0)] * (2 * n)
                 for k in range(1, n + 1):
@@ -401,7 +417,6 @@ def torsion_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
                     inner = chart.const(2) * xk1 * x12 / q
                     expected[flat_index(k, 2)] = factor * (xk1 - inner * x12)
                     expected[flat_index(k, 1)] = factor * (-(inner * x11))
-                got = comp.bracket
                 if tuple(expected) != tuple(got):
                     return False, "bracket differs from the closed form", None
                 return (
@@ -411,16 +426,16 @@ def torsion_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
                     None,
                 )
 
-            def d_expansion(component=component, cs=cs, n=n, chart=chart, q=q, x11=x11, x12=x12):
-                comp = component()
+            def d_expansion(art=art, f=f, g=g, cs=cs, n=n, chart=chart, x11=x11, x12=x12):
+                _, d = art.torsion.pair(f, g)
                 two = chart.const(2)
-                qi = q.inverse()
+                qi = art.q.inverse()
                 qi2 = qi * qi
                 for k in range(1, n + 1):
                     xk1 = chart.x(k, 1)
                     lead = two * cs * x11 * x11 * x11 * x12 * xk1 * qi2
-                    d1 = comp.d[flat_index(k, 1)]
-                    d2 = comp.d[flat_index(k, 2)]
+                    d1 = d[flat_index(k, 1)]
+                    d2 = d[flat_index(k, 2)]
                     want2 = -(cs * x11 * x11 * xk1) * qi + two * cs * x11 * x11 * x12 * x12 * xk1 * qi2
                     if d1 != lead or d2 != want2:
                         return False, f"D component k={k} differs", None
@@ -477,8 +492,10 @@ def density_check(
     A request that cannot sample a meaningful point raises UsageError before
     any check runs, so it is never reported as a FAIL or a vacuous PASS.
     Both verdicts are unchanged by a positive scale of the torsion vector, so
-    they run on the integer vector of TorsionAssembler.evaluate_scaled; its
-    tables and the annihilator of Im(partial1) are built inside the check.
+    they run on the integer vector of TorsionAssembler.evaluate_scaled.  Phi
+    at c, its torsion pairs (which read Phi's one table of first
+    derivatives), the integer tables and the annihilator of Im(partial1) are
+    all built inside the check.
     """
     validate_sweep(n, c, s, ball_count)
     records: list[dict] = []

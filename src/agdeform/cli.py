@@ -131,17 +131,25 @@ def _emit(args, reports: list[checks.CheckReport], extras: dict, text_lines=()) 
 #: that set this bound, and `verify --n 11` 7.4-8.1 s (three runs, 52/52
 #: pass), above it.
 MAX_SYMBOLIC_N = 10
+#: The largest n accepted by flow, by the same rule: `flow --n 480` takes
+#: 6.0-6.2 s (three runs, every check passing, 92 MiB peak RSS) and
+#: `flow --n 500` 6.4-7.4 s.
+MAX_FLOW_N = 480
+#: The largest n accepted by reptheory, by the same rule: `reptheory --n 13`
+#: takes 4.3-4.6 s (three runs, every check passing) and `reptheory --n 14`
+#: 6.8-8.1 s.
+MAX_REPTHEORY_N = 13
 
 
-def _require_n(n: int, minimum: int = 2, maximum: int | None = None) -> None:
+def _require_n(n: int, maximum: int, minimum: int = 2) -> None:
     if n < minimum:
-        raise UsageError(f"n must be at least {minimum}")
-    if maximum is not None and n > maximum:
-        raise UsageError(f"n must be at most {maximum} for a symbolic build")
+        raise UsageError(f"this command needs n >= {minimum}")
+    if n > maximum:
+        raise UsageError(f"n must be at most {maximum}")
 
 
 def _cmd_flow(args) -> int:
-    _require_n(args.n)
+    _require_n(args.n, MAX_FLOW_N)
     chart = Chart(args.n)
     if args.point is not None:
         point = ChartPoint.parse(chart, args.point)
@@ -154,7 +162,7 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_phi(args) -> int:
-    _require_n(args.n, maximum=MAX_SYMBOLIC_N)
+    _require_n(args.n, MAX_SYMBOLIC_N, 3)
     chart = Chart(args.n)
     reports = checks.phi_suite((args.n,)) + checks.eigen_suite((args.n,))
     extras: dict = {}
@@ -171,7 +179,7 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_torsion(args) -> int:
-    _require_n(args.n, 3, maximum=MAX_SYMBOLIC_N)
+    _require_n(args.n, MAX_SYMBOLIC_N, 3)
     chart = Chart(args.n)
     if args.c is None:
         c = tuple(
@@ -195,7 +203,7 @@ def _cmd_torsion(args) -> int:
 
 
 def _cmd_curvature(args) -> int:
-    _require_n(args.n, 3, maximum=MAX_SYMBOLIC_N)
+    _require_n(args.n, MAX_SYMBOLIC_N, 3)
     chart = Chart(args.n)
     if not (2 <= args.r <= args.n):
         raise UsageError(f"r must be in 2..{args.n}")
@@ -220,7 +228,7 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_reptheory(args) -> int:
-    _require_n(args.n)
+    _require_n(args.n, MAX_REPTHEORY_N)
     if args.check == "surjective":
         report = checks.surjective_check(args.n)
         return _emit(args, [report], {"rank": checks.rank_certificate(args.n)})
@@ -233,7 +241,7 @@ def _cmd_reptheory(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _require_n(args.n, maximum=MAX_SYMBOLIC_N)
+    _require_n(args.n, MAX_SYMBOLIC_N)
     if args.all:
         reports = checks.acceptance_suite(args.seed, args.sample_balls)
     else:

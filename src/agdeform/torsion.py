@@ -9,7 +9,6 @@ identification theta sends the coordinate field d/dx_{k p'} to E^{p'}_k.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -32,31 +31,6 @@ from .model import ChartPoint
 Components = tuple[RationalFunction, ...]
 
 
-def lie_bracket(xi: Components, eta: Components) -> Components:
-    """[xi, eta]^b = sum_a (xi^a d_a eta^b - eta^a d_a xi^b), each derivative
-    taken afresh; TorsionAssembler brackets its frame pairs with it.
-
-    Chart coordinate a is table variable a, so differentiation is by flat
-    index directly.
-    """
-    size = len(xi)
-    zero = RationalFunction.zero(xi[0].table)
-    out = []
-    for b in range(size):
-        acc = zero
-        for a in range(size):
-            if not xi[a].is_zero():
-                d = eta[b].differentiate(a)
-                if not d.is_zero():
-                    acc = acc + xi[a] * d
-            if not eta[a].is_zero():
-                d = xi[b].differentiate(a)
-                if not d.is_zero():
-                    acc = acc - eta[a] * d
-        out.append(acc)
-    return tuple(out)
-
-
 def pulled_frame(phi: EndomorphismField) -> tuple[Components, ...]:
     """The 2n fields E-tilde^{j'}_i = theta^{-1} (Id+Phi)^{-1} E^{j'}_i.
 
@@ -77,7 +51,9 @@ def frame_bracket(
     E~_f^b is delta^b_f - Phi[b, f], so d_a E~_f^b = -d_a Phi[b, f] is read
     from phi's shared table of first derivatives rather than taken again.
     Chart coordinate a is table variable a.  Each component is a pairwise
-    sum in the order of lie_bracket, and equals it, stored form and all.
+    sum in the order of the generic bracket that differentiates every
+    entry afresh (the tests' oracle for this one), and equals it, stored
+    form and all.
     """
     xi, eta = frame[f], frame[g]
     size = len(xi)
@@ -107,26 +83,6 @@ def _structure_map(phi: EndomorphismField, bracket: Components) -> Components:
     """
     psi = tuple(-f for f in bracket)
     return tuple(a + b for a, b in zip(psi, phi.apply(psi)))
-
-
-@dataclass(frozen=True)
-class TorsionComponent:
-    """The section-level data of one torsion component T(E-tilde^{2'}_s, E-tilde^{2'}_1).
-
-    bracket holds the flat components of the raw Lie bracket; d holds those
-    of D = (Id+Phi) theta(-bracket), so D(E_{j'})_k = d[flat_index(k, j')].
-    """
-
-    bracket: Components
-    d: Components
-
-
-def torsion_component(phi: EndomorphismField, s: int) -> TorsionComponent:
-    chart = phi.chart
-    if not (2 <= s <= chart.n):
-        raise UsageError(f"component index s must be in 2..{chart.n}")
-    bracket = frame_bracket(phi, pulled_frame(phi), flat_index(s, 2), flat_index(1, 2))
-    return TorsionComponent(bracket=bracket, d=_structure_map(phi, bracket))
 
 
 class _IntegerPolynomials:
@@ -168,10 +124,14 @@ class _IntegerPolynomials:
 
 
 class TorsionAssembler:
-    """Precomputes the symbolic torsion once; evaluates per point.
+    """The torsion of the pulled frame of phi, built as it is read;
+    evaluates per point.
 
-    symbolic is the torsion in pair-major order: T(m_a, m_b) for the pulled
-    frame fields m_a, m_b at flat indices a < b, in the flat basis, starts at
+    pair(f, g) is the bracket [m_f, m_g] of the pulled-frame fields at flat
+    indices f and g and the torsion T(m_f, m_g) = (Id + Phi) theta(-bracket),
+    both in flat components, built on first read and kept in pairs.
+    symbolic is the torsion in pair-major order, built from the pairs on
+    first read: T(m_a, m_b) for a < b, in the flat basis, starts at
     two_form_block(a, b, 2n)[0].  Evaluation at many sample points only costs
     rational-function evaluation, not re-differentiation.  evaluate gives the
     exact torsion vector; evaluate_scaled gives a positive multiple of it in
@@ -180,14 +140,24 @@ class TorsionAssembler:
     """
 
     def __init__(self, phi: EndomorphismField):
+        self.phi = phi
         self.chart = phi.chart
+        self.frame = pulled_frame(phi)
+        self.pairs: dict[tuple[int, int], tuple[Components, Components]] = {}
+
+    def pair(self, f: int, g: int) -> tuple[Components, Components]:
+        """([m_f, m_g], T(m_f, m_g)) in flat components, built on first read."""
+        value = self.pairs.get((f, g))
+        if value is None:
+            bracket = frame_bracket(self.phi, self.frame, f, g)
+            value = self.pairs[f, g] = (bracket, _structure_map(self.phi, bracket))
+        return value
+
+    @functools.cached_property
+    def symbolic(self) -> tuple[RationalFunction, ...]:
         size = 2 * self.chart.n
-        frame = pulled_frame(phi)
-        self.symbolic: tuple[RationalFunction, ...] = tuple(
-            f
-            for a in range(size)
-            for b in range(a + 1, size)
-            for f in _structure_map(phi, lie_bracket(frame[a], frame[b]))
+        return tuple(
+            f for a in range(size) for b in range(a + 1, size) for f in self.pair(a, b)[1]
         )
 
     def evaluate(

@@ -1,14 +1,19 @@
 """The per-n artifact cache: each shared object is built once per process."""
 
+import functools
+import sys
 from collections import Counter
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from agdeform import checks, cli
+from agdeform import checks, cli, deform
 from agdeform import curvature as curvature_mod
 from agdeform import reptheory as rep_mod
-from agdeform.exactalg import RationalFunction
+from agdeform import torsion as torsion_mod
+from agdeform.deform import EndomorphismField
+from agdeform.exactalg import RationalFunction, flat_index
 
 
 @pytest.fixture
@@ -100,21 +105,54 @@ def test_curvature_objects_are_built_once_per_process(monkeypatch, fresh_cache):
     assert len(projections) == 1
 
 
-def test_torsion_suite_builds_each_component_once_inside_checks(monkeypatch, fresh_cache):
-    calls = counting(monkeypatch, checks, "torsion_component")
-    reports = checks.torsion_suite((3,))
+def test_quick_suite_builds_only_the_torsion_s_pairs(fresh_cache):
+    """The torsion checks of quick_suite(4) build the n - 1 pairs
+    ((s, 2'), (1, 2')) of the one torsion object of the symbolic Phi, and
+    no other pair."""
+    reports = checks.quick_suite(4)
     assert all(r.status == checks.PASS for r in reports)
-    assert sorted(s for _, s in calls) == [2, 3]
+    assert sorted(checks.artifacts(4).torsion.pairs) == [
+        (flat_index(s, 2), flat_index(1, 2)) for s in range(2, 5)
+    ]
 
 
-def test_torsion_component_error_is_a_fail_report(monkeypatch, fresh_cache):
-    def broken(phi, s):
-        raise ZeroDivisionError("bracket blew up")
+def test_density_check_differentiates_only_its_phi_table(monkeypatch, fresh_cache):
+    """The sweep's torsion reads the table of first derivatives of the
+    sweep's Phi: during density_check every differentiate call is the first
+    read of an (entry, variable) of that table, so no pulled-frame entry is
+    differentiated at all."""
+    built = []
+    reading = []
+    calls = []
+    real_build, real_derivative = checks.build_Phi, EndomorphismField.derivative
+    real_differentiate = RationalFunction.differentiate
 
-    monkeypatch.setattr(checks, "torsion_component", broken)
-    reports = checks.torsion_suite((3,))
-    assert len(reports) == 4
-    assert all(r.status == checks.FAIL and "bracket blew up" in r.detail for r in reports)
+    def build_Phi(*args):
+        built.append(real_build(*args))
+        return built[-1]
+
+    def derivative(self, row, col, idx):
+        reading.append((self, row, col, (row, col, idx) not in self.derivatives))
+        try:
+            return real_derivative(self, row, col, idx)
+        finally:
+            reading.pop()
+
+    def differentiate(self, idx):
+        calls.append((self, reading[-1] if reading else None))
+        return real_differentiate(self, idx)
+
+    monkeypatch.setattr(checks, "build_Phi", build_Phi)
+    monkeypatch.setattr(EndomorphismField, "derivative", derivative)
+    monkeypatch.setattr(RationalFunction, "differentiate", differentiate)
+    report, _ = checks.density_check(3, (Fraction(2), Fraction(-3)), 2, 1, 1)
+    assert report.status == checks.PASS, report.detail
+    (phi,) = built
+    assert calls
+    for entry, read in calls:
+        assert read is not None, "a differentiate call outside Phi's table"
+        field, row, col, first = read
+        assert field is phi and first and entry is phi.rows[row][col]
 
 
 def test_curvature_suite_builds_second_derivatives_once(monkeypatch, fresh_cache):
@@ -152,6 +190,98 @@ def test_reptheory_suite_passes_at_n6(fresh_cache):
     assert all(r.status == checks.PASS for r in reports), [r.detail for r in reports]
 
 
+#: The per-n builders, each of which must run inside a timed check.
+BUILDERS = (
+    (deform, "build_Phi"),
+    (deform, "build_q"),
+    (deform, "transformation_check"),
+    (torsion_mod, "pulled_frame"),
+    (torsion_mod, "frame_bracket"),
+    (curvature_mod, "nabla2_phi"),
+    (curvature_mod, "project_kappa"),
+    (rep_mod, "build_partial1"),
+    (rep_mod, "trace_embedding_vectors"),
+)
+
+
+@pytest.fixture
+def builders_outside_checks(monkeypatch):
+    """The list of builder calls made while no checks._run is active.
+
+    The curvature command prints kappa_closed_form, which builds its own q
+    on purpose (an expected value independent of artifacts(n).q); that
+    display is output, not a check, so builders may run inside it too.
+    """
+    active = [0]
+    outside = []
+
+    def entered(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            active[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                active[0] -= 1
+
+        return wrapper
+
+    def guarded(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            if not active[0]:
+                outside.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(checks, "_run", entered(checks._run))
+    monkeypatch.setattr(cli, "kappa_closed_form", entered(cli.kappa_closed_form))
+    for owner, name in BUILDERS:
+        original = getattr(owner, name)
+        wrapper = guarded(name, original)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("agdeform.") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    spec = rep_mod.GradedAlgebraSpec
+    monkeypatch.setattr(spec, "__init__", guarded("GradedAlgebraSpec", spec.__init__))
+    return outside
+
+
+@pytest.mark.parametrize(
+    "suite",
+    [lambda: checks.quick_suite(4), lambda: checks.acceptance_suite(0, ball_count=1)],
+    ids=["quick_suite_n4", "acceptance"],
+)
+def test_suite_builders_run_only_inside_checks(builders_outside_checks, fresh_cache, suite):
+    """Every per-n builder runs inside the check that first reads it, so its
+    time is reported as check time, not setup."""
+    reports = suite()
+    assert all(r.status == checks.PASS for r in reports)
+    assert not builders_outside_checks, builders_outside_checks
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flow"],
+        ["phi"],
+        ["torsion", "--sample-balls", "1"],
+        ["curvature"],
+        ["reptheory"],
+        ["reptheory", "--n", "2", "--check", "surjective"],
+        ["verify"],
+    ],
+    ids=lambda argv: "_".join(a.strip("-") for a in argv),
+)
+def test_command_builders_run_only_inside_checks(builders_outside_checks, capsys, fresh_cache, argv):
+    """Each subcommand (without --emit) builds its per-n objects inside its
+    checks only."""
+    assert cli.main([*argv, "--format", "json"]) == 0
+    capsys.readouterr()
+    assert not builders_outside_checks, builders_outside_checks
+
+
 def _broken(*args):
     raise ZeroDivisionError("builder blew up")
 
@@ -164,8 +294,10 @@ def _broken(*args):
          lambda: checks.curvature_suite((3,)) + checks.curvature_numeric_suite(3, 0), 6),
         (rep_mod, "build_partial1", lambda: checks.reptheory_suite((3,)), 7),
         (checks, "transformation_check", lambda: checks.eigen_suite((3,)), 8),
+        (checks, "build_Phi", lambda: checks.phi_suite((3,)), 6),
+        (checks, "TorsionAssembler", lambda: checks.torsion_suite((3,)), 4),
     ],
-    ids=["curvature", "curvature_numeric", "reptheory", "eigen"],
+    ids=["curvature", "curvature_numeric", "reptheory", "eigen", "phi", "torsion"],
 )
 def test_builder_error_is_a_fail_report(monkeypatch, fresh_cache, module, name, suite, failing):
     """A per-n builder runs inside the checks that read it, so an exception

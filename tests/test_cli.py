@@ -184,6 +184,28 @@ def test_verify_accepts_n_at_maximum(capsys, monkeypatch):
     assert seen == [cli.MAX_SYMBOLIC_N]
 
 
+@pytest.mark.parametrize("command, bound", [("flow", "MAX_FLOW_N"), ("reptheory", "MAX_REPTHEORY_N")])
+def test_flow_and_reptheory_n_bounds(capsys, monkeypatch, command, bound):
+    """flow and reptheory refuse an n one above their measured bound before
+    any check runs, and accept the bound itself (stubbed suites: the real
+    runs take several seconds)."""
+    maximum = getattr(cli, bound)
+    seen = []
+    monkeypatch.setattr(checks, "flow_suite", lambda ns: seen.append(ns) or [])
+    monkeypatch.setattr(checks, "reptheory_suite", lambda ns, seed: seen.append(ns) or [])
+    monkeypatch.setattr(checks, "dimension_table", lambda n: {"n": n})
+    monkeypatch.setattr(checks, "rank_certificate", lambda n: {})
+    code, out, err = run_cli(capsys, command, "--n", str(maximum + 1))
+    assert code == 2
+    assert out == ""
+    assert f"at most {maximum}" in err
+    assert seen == []
+    code, _, err = run_cli(capsys, command, "--n", str(maximum))
+    assert code == 0
+    assert err == ""
+    assert seen == [(maximum,)]
+
+
 def test_reptheory_has_no_symbolic_maximum(capsys, monkeypatch):
     monkeypatch.setattr(checks, "reptheory_suite", lambda ns, seed: [])
     monkeypatch.setattr(checks, "dimension_table", lambda n: {"n": n})

@@ -23,12 +23,40 @@ from agdeform.torsion import (
     _structure_map,
     frame_bracket,
     lemma_criterion,
-    lie_bracket,
     pulled_frame,
-    torsion_component,
 )
 
 CHART = Chart(3)
+
+
+def lie_bracket(xi, eta):
+    """[xi, eta]^b = sum_a (xi^a d_a eta^b - eta^a d_a xi^b), each derivative
+    taken afresh: the oracle for torsion.frame_bracket, which reads Phi's
+    table of first derivatives instead.
+
+    Chart coordinate a is table variable a, so differentiation is by flat
+    index directly.
+    """
+    size = len(xi)
+    zero = RationalFunction.zero(xi[0].table)
+    out = []
+    for b in range(size):
+        acc = zero
+        for a in range(size):
+            if not xi[a].is_zero():
+                d = eta[b].differentiate(a)
+                if not d.is_zero():
+                    acc = acc + xi[a] * d
+            if not eta[a].is_zero():
+                d = xi[b].differentiate(a)
+                if not d.is_zero():
+                    acc = acc - eta[a] * d
+        out.append(acc)
+    return tuple(out)
+
+
+def _stored(components):
+    return [(v.num, v.den) for v in components]
 
 
 def _coordinate(i, j_prime):
@@ -96,15 +124,60 @@ def test_frame_bracket_matches_lie_bracket_n3(c):
 
 
 def test_frame_bracket_matches_lie_bracket_n4_components():
-    """The torsion components' brackets [E~^2'_s, E~^2'_1] at n = 4 equal the oracle."""
+    """The brackets [E~^2'_s, E~^2'_1] of the torsion checks at n = 4 equal
+    the oracle, directly and as the assembler's pairs, stored form and all."""
     chart = Chart(4)
     phi = build_Phi(chart)
     frame = pulled_frame(phi)
+    assembler = TorsionAssembler(phi)
     for s in range(2, 5):
         f, g = flat_index(s, 2), flat_index(1, 2)
         want = lie_bracket(frame[f], frame[g])
         assert frame_bracket(phi, frame, f, g) == want
-        assert torsion_component(phi, s).bracket == want
+        bracket, torsion = assembler.pair(f, g)
+        assert _stored(bracket) == _stored(want)
+        assert _stored(torsion) == _stored(_structure_map(phi, want))
+
+
+@pytest.mark.parametrize("c", [None, (Fraction(2), Fraction(-3))], ids=["symbolic", "c2_m3"])
+def test_pair_matches_oracle_n3(c):
+    """pair(f, g) is ([E~_f, E~_g], T(E~_f, E~_g)) for every ordered pair
+    f != g at n = 3: the bracket equals the oracle and the torsion equals the
+    structure map of the oracle, stored form and all.  A repeat read
+    returns the same object."""
+    phi = build_Phi(CHART, c)
+    frame = pulled_frame(phi)
+    assembler = TorsionAssembler(phi)
+    size = 2 * CHART.n
+    for f in range(size):
+        for g in range(size):
+            if f == g:
+                continue
+            want = lie_bracket(frame[f], frame[g])
+            got = assembler.pair(f, g)
+            assert _stored(got[0]) == _stored(want), (f, g)
+            assert _stored(got[1]) == _stored(_structure_map(phi, want)), (f, g)
+            assert assembler.pair(f, g) is got
+    assert len(assembler.pairs) == size * (size - 1)
+
+
+def test_symbolic_matches_eager_construction():
+    """symbolic, read through the pairs, equals the eager pair-major
+    construction over the oracle bracket at c = (2, -3), stored form and all,
+    so the sweep's integer tables are the same as before."""
+    phi = build_Phi(CHART, (Fraction(2), Fraction(-3)))
+    frame = pulled_frame(phi)
+    size = 2 * CHART.n
+    eager = [
+        f
+        for a in range(size)
+        for b in range(a + 1, size)
+        for f in _structure_map(phi, lie_bracket(frame[a], frame[b]))
+    ]
+    assembler = TorsionAssembler(phi)
+    assert not assembler.pairs
+    assert _stored(assembler.symbolic) == _stored(eager)
+    assert sorted(assembler.pairs) == [(a, b) for a in range(size) for b in range(a + 1, size)]
 
 
 def test_derivative_table_is_fresh_and_shared():
@@ -141,25 +214,22 @@ def test_pulled_frame_matches_coefficients():
 def test_torsion_component_closed_forms():
     """D = psi exactly: the Phi-correction annihilates the bracket section."""
     phi = build_Phi(CHART)
+    assembler = TorsionAssembler(phi)
     q = build_q(CHART)
     x11, x12 = CHART.x(1, 1), CHART.x(1, 2)
     for s in (2, 3):
-        comp = torsion_component(phi, s)
+        bracket, d = assembler.pair(flat_index(s, 2), flat_index(1, 2))
         cs = CHART.param(f"c{s}")
-        assert all(f.is_zero() for f in phi.apply(comp.bracket))
+        assert all(f.is_zero() for f in phi.apply(bracket))
         for k in range(1, 4):
             xk1 = CHART.x(k, 1)
-            assert comp.d[flat_index(k, 1)] == (
+            assert d[flat_index(k, 1)] == (
                 CHART.const(2) * cs * x11 ** 3 * x12 * xk1 / (q * q)
             )
-            assert comp.d[flat_index(k, 2)] == (
+            assert d[flat_index(k, 2)] == (
                 -cs * x11 * x11 * xk1 / q
                 + CHART.const(2) * cs * x11 * x11 * x12 * x12 * xk1 / (q * q)
             )
-    with pytest.raises(UsageError):
-        torsion_component(phi, 1)
-    with pytest.raises(UsageError):
-        torsion_component(phi, 4)
 
 
 def test_structure_map_matches_id_plus_phi():
@@ -186,7 +256,8 @@ def test_evaluate_block_is_minus_d():
     phi = build_Phi(CHART)
     c = (Fraction(2), Fraction(-3))
     point = ChartPoint.parse(CHART, "1,2;3,4;5,6")
-    values = TorsionAssembler(phi).evaluate(point, c=c)
+    assembler = TorsionAssembler(phi)
+    values = assembler.evaluate(point, c=c)
     size = 2 * CHART.n
     assert len(values) == (size * (size - 1) // 2) * size
     vec = point.evaluation_vector(c=c)
@@ -194,7 +265,8 @@ def test_evaluate_block_is_minus_d():
         base = two_form_block(flat_index(1, 2), flat_index(s, 2), size)[0]
         block = values[base : base + size]
         assert any(block)
-        assert block == tuple(-f.evaluate(vec) for f in torsion_component(phi, s).d)
+        _, d = assembler.pair(flat_index(s, 2), flat_index(1, 2))
+        assert block == tuple(-f.evaluate(vec) for f in d)
 
 
 def test_assembler_matches_one_shot():

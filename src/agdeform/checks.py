@@ -494,8 +494,8 @@ def density_check(
     Both verdicts are unchanged by a positive scale of the torsion vector, so
     they run on the integer vector of TorsionAssembler.evaluate_scaled.  Phi
     at c, its torsion pairs (which read Phi's one table of first
-    derivatives), the integer tables and the annihilator of Im(partial1) are
-    all built inside the check.
+    derivatives), the integer tables and the column index of the residual
+    functionals of Im(partial1) are all built inside the check.
     """
     validate_sweep(n, c, s, ball_count)
     records: list[dict] = []

@@ -126,19 +126,23 @@ def _emit(args, reports: list[checks.CheckReport], extras: dict, text_lines=()) 
 
 
 #: The largest n accepted by the commands that build Phi_c symbolically
-#: (phi, torsion, curvature, verify): `verify --n 10` takes 4.8-6.4 s on a
-#: 2-vCPU VM with CPython 3.11 (three runs, 50/50 pass), inside the 5.6-7.0 s
-#: that set this bound, and `verify --n 11` 7.4-8.1 s (three runs, 52/52
-#: pass), above it.
-MAX_SYMBOLIC_N = 10
+#: (phi, torsion, curvature, verify): the slowest of the four at n, after
+#: `python -m compileall src`, takes at most the 5.6-7.0 s that first set
+#: this bound, and at n + 1 it takes more.  On a 2-vCPU VM with CPython
+#: 3.11 (three runs each, every check passing): `torsion --n 12` takes
+#: 5.2-5.8 s (47 MiB peak RSS) and `verify --n 12` 3.8-5.0 s (53 MiB);
+#: at n = 13 `verify` takes 4.9-5.3 s but `torsion` 7.1-9.3 s, and
+#: `verify --n 14` 7.1-7.2 s.
+MAX_SYMBOLIC_N = 12
 #: The largest n accepted by flow, by the same rule: `flow --n 480` takes
 #: 6.0-6.2 s (three runs, every check passing, 92 MiB peak RSS) and
 #: `flow --n 500` 6.4-7.4 s.
 MAX_FLOW_N = 480
-#: The largest n accepted by reptheory, by the same rule: `reptheory --n 13`
-#: takes 4.3-4.6 s (three runs, every check passing) and `reptheory --n 14`
-#: 6.8-8.1 s.
-MAX_REPTHEORY_N = 13
+#: The largest n accepted by reptheory, by the same rule: `reptheory --n 26`
+#: takes 5.4-6.4 s (three runs, every check passing, 89 MiB peak RSS; the
+#: `--check surjective` form 0.6 s, 75 MiB) and `reptheory --n 27`
+#: 6.6-8.0 s.
+MAX_REPTHEORY_N = 26
 
 
 def _require_n(n: int, maximum: int, minimum: int = 2) -> None:

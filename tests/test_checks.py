@@ -190,6 +190,34 @@ def test_reptheory_suite_passes_at_n6(fresh_cache):
     assert all(r.status == checks.PASS for r in reports), [r.detail for r in reports]
 
 
+def test_every_membership_verdict_equals_the_fraction_oracle(monkeypatch, fresh_cache):
+    """Every membership call made by quick_suite(4), by one sweep and by
+    curvature.not_pure_trace.n3 answers as Subspace.contains does; the
+    calls give both answers (trace vectors in Im(partial1), sweep torsion
+    and kappa slices outside), so each branch has its control."""
+    verdicts = Counter()
+    real = checks.membership
+
+    def checked(subspace, vector):
+        verdict = real(subspace, vector)
+        assert verdict is subspace.contains(vector), vector
+        verdicts[verdict] += 1
+        return verdict
+
+    monkeypatch.setattr(checks, "membership", checked)
+    monkeypatch.setattr(curvature_mod, "membership", checked)
+    reports = checks.quick_suite(4)
+    report, records = checks.density_check(3, (Fraction(2), Fraction(-3)), 2, 0, 1)
+    reports.append(report)
+    reports += [
+        r for r in checks.curvature_numeric_suite(3) if r.check_id == "curvature.not_pure_trace.n3"
+    ]
+    assert all(r.status == checks.PASS for r in reports), [r.check_id for r in reports if r.status != checks.PASS]
+    assert verdicts[True] >= len(checks.artifacts(4).trace_vectors)
+    assert verdicts[False] >= len(records) + checks.KAPPA_SAMPLES
+    assert not any(rec["membershipVerdict"] for rec in records)
+
+
 #: The per-n builders, each of which must run inside a timed check.
 BUILDERS = (
     (deform, "build_Phi"),

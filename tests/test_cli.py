@@ -174,8 +174,8 @@ def test_symbolic_n_above_maximum_exit_2(capsys, monkeypatch, command):
 
 def test_verify_accepts_n_at_maximum(capsys, monkeypatch):
     """MAX_SYMBOLIC_N itself passes the usage check and reaches the suite
-    (the real `verify --n 10` took 4.8-6.4 s in three runs on a 2-vCPU VM
-    with CPython 3.11)."""
+    (the real `verify --n 12` took 3.8-5.0 s and `torsion --n 12` 5.2-5.8 s
+    in three runs each on a 2-vCPU VM with CPython 3.11)."""
     seen = []
     monkeypatch.setattr(checks, "quick_suite", lambda n, seed: seen.append(n) or [])
     code, _, err = run_cli(capsys, "verify", "--n", str(cli.MAX_SYMBOLIC_N))
@@ -188,7 +188,8 @@ def test_verify_accepts_n_at_maximum(capsys, monkeypatch):
 def test_flow_and_reptheory_n_bounds(capsys, monkeypatch, command, bound):
     """flow and reptheory refuse an n one above their measured bound before
     any check runs, and accept the bound itself (stubbed suites: the real
-    runs take several seconds)."""
+    runs take several seconds, `flow --n 480` 6.0-6.2 s and
+    `reptheory --n 26` 5.4-6.4 s)."""
     maximum = getattr(cli, bound)
     seen = []
     monkeypatch.setattr(checks, "flow_suite", lambda ns: seen.append(ns) or [])

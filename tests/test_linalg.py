@@ -2,7 +2,7 @@
 the dense rref oracle, spans, membership, sparse rank."""
 
 import random
-from collections.abc import Hashable
+from collections.abc import Hashable, Mapping
 from fractions import Fraction
 
 import pytest
@@ -18,7 +18,8 @@ from agdeform.linalg import (
     sparse_rank,
     sparse_rref,
 )
-from agdeform.exactalg import flat_index, two_form_block
+from agdeform.exactalg import UsageError, flat_index, two_form_block
+from agdeform.reptheory import GradedAlgebraSpec, build_partial1
 from agdeform.torsion import lemma_criterion
 
 
@@ -32,6 +33,16 @@ def _dense_rows(space):
         tuple(space.basis[p].get(j, Fraction(0)) for j in range(space.ambient_dim))
         for p in space.pivot_columns
     )
+
+
+def _functional_rows(space):
+    """The residual functionals of a Subspace as {free column: {column:
+    coefficient}}, read back from its column index."""
+    rows = {}
+    for i, pairs in space.functionals.items():
+        for j, coeff in pairs:
+            rows.setdefault(j, {})[i] = coeff
+    return rows
 
 
 def random_matrix(rng, nrows, ncols, lo=-4, hi=4):
@@ -130,17 +141,24 @@ def test_contains_matches_residual_on_random_vectors():
 
 
 def test_annihilator_rows_are_integer_residuals():
-    """Row j pairs with any vector to a positive multiple of its residual at j."""
+    """The functional of free column j, read back from the column index,
+    has int coefficients, a positive one at j and none at another free
+    column, and pairs with any vector to that coefficient times the
+    residual at j."""
     rng = random.Random(5)
     vectors = [tuple(Fraction(rng.randint(-3, 3), 2) for _ in range(6)) for _ in range(3)]
     space = span_subspace(vectors, 6)
-    assert len(space.annihilator) == 6 - space.dim
+    rows = _functional_rows(space)
+    assert sorted(rows) == list(space.free_columns)
+    assert len(rows) == 6 - space.dim
+    for j, row in rows.items():
+        assert row[j] > 0
+        assert all(type(c) is int and c for c in row.values())
+        assert all(i == j or i in space.basis for i in row)
     for _ in range(10):
         v = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(6)]
-        for row, j, res in zip(space.annihilator, space.free_columns, space.residual(v)):
-            assert row[0] == (j, row[0][1]) and row[0][1] > 0
-            assert all(isinstance(c, int) for _, c in row)
-            assert sum(c * v[i] for i, c in row) == row[0][1] * res
+        for j, res in zip(space.free_columns, space.residual(v)):
+            assert sum(c * v[i] for i, c in rows[j].items()) == rows[j][j] * res
 
 
 def test_image_subspace():
@@ -187,20 +205,51 @@ _RATIONALS = st.builds(
     Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 1, 2, 3])
 )
 
+#: Entries of the three other kinds of row set: plain ints, and Fractions
+#: over large pairwise coprime denominators.
+_INTEGERS = st.integers(-9, 9)
+_COPRIME = st.builds(
+    Fraction,
+    st.integers(-10**6, 10**6),
+    st.sampled_from([1, 999_983, 1_000_003, 2**31 - 1, 10**9 + 7]),
+)
+
+
+def _echelon_rows(draw, ncols):
+    """Rows whose leads ascend, each nonzero at its lead and random to its
+    right: every new pivot column is held by the pivot rows before it, so
+    the eliminator clears it from them (back-elimination) at every step."""
+    leads = sorted(draw(st.sets(st.integers(0, ncols - 1), min_size=1)))
+    nonzero = _RATIONALS.filter(bool)
+    return [
+        [Fraction(0)] * lead
+        + [draw(nonzero)]
+        + draw(st.lists(_RATIONALS, min_size=ncols - lead - 1, max_size=ncols - lead - 1))
+        for lead in leads
+    ]
+
 
 @st.composite
 def _row_sets(draw):
-    """Random rational rows with zero rows and repeats, each given dense or
-    sparse; returns (dense rows, the mixed input, ncols)."""
+    """Random rows with zero rows and repeats, each given dense or sparse;
+    returns (dense rows, the mixed input, ncols).  The entries are small
+    rationals, ints or Fractions over large coprime denominators, or the
+    rows are in echelon form with ascending leads."""
     ncols = draw(st.integers(1, 7))
-    row = st.lists(_RATIONALS, min_size=ncols, max_size=ncols)
-    rows = draw(st.lists(row, min_size=1, max_size=7))
+    kind = draw(st.sampled_from(["rational", "integer", "coprime", "echelon"]))
+    if kind == "echelon":
+        rows = _echelon_rows(draw, ncols)
+    else:
+        entry = {"rational": _RATIONALS, "integer": _INTEGERS, "coprime": _COPRIME}[kind]
+        row = st.lists(entry, min_size=ncols, max_size=ncols)
+        rows = draw(st.lists(row, min_size=1, max_size=7))
     if draw(st.booleans()):
         rows.append([Fraction(0)] * ncols)
     for _ in range(draw(st.integers(0, 2))):
         rows.append(list(draw(st.sampled_from(rows))))
-    order = draw(st.permutations(range(len(rows))))
-    rows = [rows[i] for i in order]
+    if kind != "echelon":
+        order = draw(st.permutations(range(len(rows))))
+        rows = [rows[i] for i in order]
     mixed = []
     for r in rows:
         if draw(st.booleans()):
@@ -210,19 +259,21 @@ def _row_sets(draw):
     return rows, mixed, ncols
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(_row_sets())
 def test_sparse_rref_matches_dense_oracle(case):
-    """Basis, pivot columns and annihilator of the sparse eliminator equal
-    those read off the dense rref, for dense, sparse and mixed input."""
+    """Basis, pivot columns and functionals of the integer sparse eliminator
+    equal those read off the dense Fraction rref, for dense, sparse and
+    mixed input; int-only rows, rows over large coprime denominators and
+    echelon rows that force back-elimination included."""
     rows, mixed, ncols = case
     oracle, dense = _oracle_subspace(rows, ncols)
     space = span_subspace(mixed, ncols)
     assert space == oracle
     assert _dense_rows(space) == dense
     assert space.pivot_columns == oracle.pivot_columns
-    assert space.annihilator == oracle.annihilator
-    assert all(isinstance(v, Fraction) for row in space.basis.values() for v in row.values())
+    assert space.functionals == oracle.functionals
+    assert all(type(v) is Fraction for row in space.basis.values() for v in row.values())
     sparse_in = [{j: v for j, v in enumerate(r) if v} for r in rows]
     before = [dict(r) for r in sparse_in]
     reduced = sparse_rref(sparse_in)
@@ -342,3 +393,84 @@ def test_subspace_equality_is_equality_of_spaces_and_it_is_unhashable():
     assert not isinstance(space, Hashable)
     with pytest.raises(TypeError):
         hash(space)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 0.0, 0.5])
+def test_bool_and_float_entries_are_refused(bad):
+    """A bool or a float value, zero or not, dense or sparse, is a
+    UsageError in membership and in span_subspace: True is not read as 1."""
+    space = span_subspace([(1, 1, 0)], 3)
+    for vector in ([bad, 1, 0], (1, bad, 0), {0: bad, 1: 1}, {2: bad}):
+        with pytest.raises(UsageError):
+            membership(space, vector)
+        with pytest.raises(UsageError):
+            span_subspace([vector], 3)
+    with pytest.raises(UsageError):
+        membership(space, [True, True, False])
+
+
+@pytest.mark.parametrize("vector", [{True: 1}, {False: Fraction(1), 1: 2}, {True: 1, 1: 1}])
+def test_bool_index_is_refused(vector):
+    """A bool index of a sparse vector is a UsageError in membership and in
+    span_subspace: True is not read as index 1."""
+    space = span_subspace([(1, 1, 0)], 3)
+    with pytest.raises(UsageError):
+        membership(space, vector)
+    with pytest.raises(UsageError):
+        span_subspace([vector], 3)
+
+
+class _ReadRecorder(Mapping):
+    """A read-only view of a functional index that records each key read."""
+
+    def __init__(self, index):
+        self.index = index
+        self.read = []
+
+    def __getitem__(self, key):
+        self.read.append(key)
+        return self.index[key]
+
+    def __iter__(self):
+        return iter(self.index)
+
+    def __len__(self):
+        return len(self.index)
+
+
+def test_membership_touches_only_the_functionals_that_meet_the_support():
+    """membership reads the column index at the vector's nonzero columns
+    only, and so pairs it with exactly the functionals that have a nonzero
+    coefficient there: a unit vector at a free column meets one functional
+    of the 24 of Im(partial1) at n = 3, however many the subspace has."""
+    p1 = build_partial1(GradedAlgebraSpec(3))
+    image = p1.image
+    index = image.functionals
+    rows = _functional_rows(image)
+    assert len(rows) == 24
+    rng = random.Random(8)
+    pivot, free = image.pivot_columns, image.free_columns
+    vectors = [{free[0]: 1}, {pivot[0]: Fraction(1, 2)}, {free[3]: 2, pivot[-1]: -1}]
+    vectors += [
+        {j: rng.randint(-3, 3) or 1 for j in rng.sample(range(p1.target_dim), 4)}
+        for _ in range(20)
+    ]
+    vectors.append(dict(image.basis[pivot[5]]))
+    verdicts, touched_counts = set(), []
+    for vector in vectors:
+        recorder = _ReadRecorder(index)
+        image.__dict__["functionals"] = recorder
+        try:
+            verdict = membership(image, vector)
+        finally:
+            image.__dict__["functionals"] = index
+        support = set(vector)
+        assert set(recorder.read) == support
+        touched = {j for i in recorder.read for j, _ in index.get(i, ())}
+        assert touched == {j for j, row in rows.items() if support & set(row)}
+        assert verdict is image.contains(vector)
+        verdicts.add(verdict)
+        touched_counts.append(len(touched))
+    assert touched_counts[0] == 1
+    assert max(touched_counts) < len(rows)
+    assert verdicts == {True, False}

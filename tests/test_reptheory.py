@@ -358,10 +358,11 @@ def _dense_rows(space):
     return tuple(_dense(space.basis[p], space.ambient_dim) for p in space.pivot_columns)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_image_matches_dense_rref(n):
-    """Im(partial1) from the sparse eliminator has the basis and pivot
-    columns of the dense rref of the columns of partial1."""
+    """Im(partial1) from the integer sparse eliminator has the basis and
+    pivot columns of the dense Fraction rref of the columns of partial1,
+    for n = 2..6."""
     p1 = build_partial1(GradedAlgebraSpec(n))
     columns = [[Fraction(0)] * p1.target_dim for _ in range(p1.domain_dim)]
     for (r, col), value in p1.entries.items():
@@ -382,21 +383,25 @@ def test_trace_span_matches_dense_rref(n):
 
 
 def test_image_certified_at_n6():
-    """At n = 6, past the reach of the dense oracle, the image is certified
-    on its own: every annihilator row pairs to zero with every column of
-    partial1, and the dimension is the closed-form rank 2n(n^2 + 3) - 2n."""
+    """At n = 6 the image is also certified on its own, with no oracle:
+    every residual functional pairs to zero with every column of partial1,
+    and the dimension is the closed-form rank 2n(n^2 + 3) - 2n."""
     n = 6
     p1 = build_partial1(GradedAlgebraSpec(n))
     image = p1.image
     assert p1.image is image
     assert image.dim == p1.rank == 2 * n * (n * n + 3) - 2 * n
-    assert len(image.annihilator) == p1.target_dim - image.dim
+    functionals: dict[int, dict[int, int]] = {}
+    for i, pairs in image.functionals.items():
+        for j, coeff in pairs:
+            functionals.setdefault(j, {})[i] = coeff
+    assert sorted(functionals) == list(image.free_columns)
+    assert len(functionals) == p1.target_dim - image.dim
     columns: dict[int, dict[int, int]] = {}
     for (r, col), value in p1.entries.items():
         columns.setdefault(col, {})[r] = value
     assert len(columns) == p1.domain_dim
-    for row in image.annihilator:
-        functional = dict(row)
+    for functional in functionals.values():
         for column in columns.values():
             assert sum(functional.get(r, 0) * v for r, v in column.items()) == 0
     # the cached image is not a field: it takes no part in == or repr

@@ -31,7 +31,7 @@ from .deform import (
     transformation_check,
     unscaled_flow_factor_check,
 )
-from .exactalg import UsageError, fd_check, flat_index
+from .exactalg import Dual, UsageError, eps_part, flat_index
 from .linalg import membership, span_subspace
 from .model import Chart, ChartPoint, flow_point, flow_point_split_form, holonomy
 from .sampling import ball_sweep, generic_off_singular, sample_points
@@ -51,9 +51,6 @@ PER_RADIUS = 100
 EQUIVARIANCE_NS = (2, 3)
 #: Points at which curvature.not_pure_trace evaluates the kappa slice.
 KAPPA_SAMPLES = 25
-#: Sampled triples and the relative-error bound of the finite-difference oracle.
-FD_TRIPLES = 200
-FD_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -846,68 +843,55 @@ def curvature_numeric_suite(n: int, seed: int = 0) -> list[CheckReport]:
     ]
 
 
-# -- finite-difference oracle ----------------------------------------------------------
+# -- derivative oracle -----------------------------------------------------------------
 
 
-def fd_oracle_suite(n: int = 3, seed: int = 0) -> list[CheckReport]:
-    """Central-difference agreement on sampled (coefficient, variable, point) triples.
+def derivative_oracle_suite(n: int = 3, seed: int = 0) -> list[CheckReport]:
+    """Phi's derivatives against exact forward-mode evaluation, by equality.
 
-    Points have dyadic coordinates with magnitude in [1/4, 1], and triples
-    where the exact derivative is smaller than 1/4 are redrawn: the relative
-    metric is only meaningful away from zero crossings of the derivative,
-    and a wrong symbolic derivative would still differ by order one there.
+    Each chart-variable key (row, col, idx) of art.phi's shared table of
+    first derivatives, and each of the three displayed second derivatives of
+    art.second_derivatives for r = 2..n, is evaluated at its own sampled
+    point, with no zero coordinate, and compared with the dual or hyper-dual
+    value of its entry of Phi there (see exactalg.Dual).  That value never
+    calls differentiate, so a wrong table entry or quotient rule shows.
     """
-    chart = artifacts(n).chart
     c_values = [Fraction(1), Fraction(2)] + [Fraction(1)] * (n - 3)
-    step = Fraction(1, 10_000)
-    floor = Fraction(1, 4)
-
-    def draw_coord(rng):
-        mag = Fraction(rng.randint(8, 32), 32)
-        return mag if rng.random() < 0.5 else -mag
+    # (ip, j, lp, m, pp, o, qp) of the three displays, as in curvature.displays
+    displays = ((2, 1, 1, 1, 1, 1, 1), (2, 1, 2, 1, 2, 1, 1), (1, 1, 1, 1, 1, 1, 2))
 
     def oracle():
-        phi = build_Phi(chart, c_values)
-        rng = random.Random(seed)
-        worst = 0.0
-        worst_where = None
-        count = 0
-        attempts = 0
-        while count < FD_TRIPLES:
-            attempts += 1
-            if attempts > 100 * FD_TRIPLES:
-                return False, "conditioning filter rejects too many triples", None
-            point = ChartPoint(
-                chart, [[draw_coord(rng) for _ in range(2)] for _ in range(n)]
-            )
+        art = artifacts(n)
+        phi, d2, table = art.phi, art.second_derivatives, art.chart.table
+        xs = [table.x_index(i, j) for i in range(1, n + 1) for j in (1, 2)]
+        keys = [(row, col, idx) for row in range(2 * n) for col in range(2 * n) for idx in xs]
+        first = len(keys)
+        keys += [(*display, r) for r in range(2, n + 1) for display in displays]
+        points = sample_points(art.chart, 1, len(keys), random.Random(seed), lambda e: all(map(all, e)))
+        for key, point in zip(keys, points):
             vec = point.evaluation_vector(c=c_values)
-            ip = rng.randint(1, 2)
-            jp = rng.randint(1, 2)
-            l = rng.randint(1, n)
-            k = rng.randint(1, n)
-            var = chart.table.x_index(rng.randint(1, n), rng.randint(1, 2))
-            f = phi.coefficient(ip, l, jp, k)
-            if abs(f.differentiate(var).evaluate(vec)) < floor:
-                continue
-            rel_error = fd_check(f, var, vec, step)
-            if rel_error > worst:
-                worst = rel_error
-                worst_where = point.format()
-            if rel_error >= FD_TOLERANCE:
-                return (
-                    False,
-                    f"relative error {rel_error:.3e} exceeds {FD_TOLERANCE:.0e}",
-                    point.format(),
-                )
-            count += 1
+            seeded = list(vec)
+            if len(key) == 3:
+                row, col, idx = key
+                seeded[idx] = Dual(vec[idx], 1)
+                want, got = phi.derivative(*key), eps_part(phi.rows[row][col].evaluate(seeded))
+            else:
+                ip, j, lp, m, pp, o, qp, r = key
+                a, b = table.x_index(j, ip), table.x_index(m, lp)
+                seeded[a] = Dual(Dual(vec[a], 1), 0)
+                seeded[b] = seeded[b] + Dual(0, 1)
+                entry = phi.rows[flat_index(r, pp)][flat_index(o, qp)]
+                want, got = d2.entry(*key), eps_part(eps_part(entry.evaluate(seeded)))
+            if want.evaluate(vec) != got:
+                return False, f"derivative {key} of Phi differs from its dual value", point.format()
         return (
             True,
-            f"central differences match exact derivatives on {FD_TRIPLES} triples;"
-            f" worst relative error {worst:.3e}",
-            worst_where,
+            f"{first} first and {len(keys) - first} displayed second derivatives of"
+            " Phi equal their dual and hyper-dual values, one sampled point each, c = (1, 2, ...)",
+            None,
         )
 
-    return [_run(f"exactalg.fd_oracle.n{n}", NUMERIC, oracle)]
+    return [_run(f"exactalg.derivative_oracle.n{n}", ORACLE, oracle)]
 
 
 # -- assembled suites ------------------------------------------------------------------
@@ -927,7 +911,7 @@ def acceptance_suite(seed: int = 0, ball_count: int = 8) -> list[CheckReport]:
     reports += reptheory_suite((2, 3, 4, 5), seed)
     reports += curvature_suite((3, 4))
     reports += curvature_numeric_suite(3, seed)
-    reports += fd_oracle_suite(3, seed)
+    reports += derivative_oracle_suite(3, seed)
     return sort_reports(reports)
 
 

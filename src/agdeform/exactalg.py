@@ -180,17 +180,17 @@ class VariableTable:
         values = [_ZERO] * self.size
         for i, row in enumerate(x):
             for j, entry in enumerate(row):
-                values[2 * i + j] = _coerce(entry)
-        values[self.t_index] = _coerce(t)
+                values[2 * i + j] = coerce_rational(entry)
+        values[self.t_index] = coerce_rational(t)
         if c is not None:
             if len(c) != self.n - 1:
                 raise UsageError(f"expected {self.n - 1} deformation parameters")
             for k, entry in enumerate(c):
-                values[2 * self.n + 2 + k] = _coerce(entry)
+                values[2 * self.n + 2 + k] = coerce_rational(entry)
         return tuple(values)
 
 
-def _coerce(value: Fraction | int | str) -> Fraction:
+def coerce_rational(value: Fraction | int | str) -> Fraction:
     """An exact rational from a Fraction, an int or a literal; a bool or a
     float raises UsageError."""
     if isinstance(value, Fraction):
@@ -277,7 +277,7 @@ class Polynomial:
 
     @staticmethod
     def constant(table: VariableTable, value: Fraction | int | str) -> "Polynomial":
-        value = _coerce(value)
+        value = coerce_rational(value)
         if not value:
             return Polynomial.zero(table)
         return Polynomial(table, {0: value})
@@ -764,7 +764,7 @@ class RationalFunction:
 
     def scale(self, value: Fraction | int | str) -> "RationalFunction":
         """Multiply by a rational constant without re-normalizing factors."""
-        value = _coerce(value)
+        value = coerce_rational(value)
         if not value:
             return RationalFunction.zero(self.table)
         return RationalFunction._raw(self.num.scale(value), self.den)
@@ -929,33 +929,69 @@ def dot(
     )
 
 
-def fd_check(
-    f: RationalFunction,
-    idx: int,
-    point: Sequence[Fraction],
-    step: Fraction,
-) -> float:
-    """The relative error of a central finite difference against the exact
-    derivative of f by variable idx at point; the absolute value of the
-    difference quotient where the derivative vanishes.
+class Dual:
+    """value + eps*e with e^2 = 0, for exact forward-mode derivatives
+    (Griewank and Walther, Evaluating Derivatives, SIAM 2008).
 
-    The stencil values f(point +/- step e_idx) are computed exactly and the
-    difference quotient is formed in floats only at the end, so the error is
-    pure truncation error of order step**2.
+    It has only the operations the evaluators apply, so Polynomial.evaluate
+    or RationalFunction.evaluate at a point whose coordinate idx is
+    Dual(p_idx, 1) gives df/dx_idx(p) as eps part, without differentiate.
+    A Dual of Duals is hyper-dual (Fike and Alonso, AIAA 2011-886): seed x_i
+    in the inner e and x_j in the outer, and the eps of the eps is
+    d^2 f/dx_i dx_j(p).  bool reads the value, so a pole raises PoleAtPoint.
+    An operand other than a Dual, an int or a Fraction is NotImplemented.
     """
-    step = _coerce(step)
-    if not step:
-        raise UsageError("finite-difference step must be nonzero")
-    point = tuple(point)
-    symbolic = f.differentiate(idx).evaluate(point)
-    plus = list(point)
-    minus = list(point)
-    plus[idx] = point[idx] + step
-    minus[idx] = point[idx] - step
-    quotient = (f.evaluate(plus) - f.evaluate(minus)) / (2 * step)
-    if symbolic:
-        return abs(float((quotient - symbolic) / symbolic))
-    return abs(float(quotient))
+
+    __slots__ = ("value", "eps")
+
+    def __init__(self, value, eps):
+        self.value, self.eps = value, eps
+
+    def __bool__(self) -> bool:
+        return bool(self.value)
+
+    def __neg__(self) -> "Dual":
+        return Dual(-self.value, -self.eps)
+
+    def __add__(self, other):
+        o = _dual(other)
+        return NotImplemented if o is None else Dual(self.value + o.value, self.eps + o.eps)
+
+    def __mul__(self, other):
+        o = _dual(other)
+        return NotImplemented if o is None else Dual(self.value * o.value, self.value * o.eps + self.eps * o.value)
+
+    def __truediv__(self, other):
+        o = _dual(other)
+        if o is None:
+            return NotImplemented
+        quotient = self.value / o.value
+        return Dual(quotient, (self.eps + -(quotient * o.eps)) / o.value)
+
+    def __rtruediv__(self, other):
+        o = _dual(other)
+        return NotImplemented if o is None else o / self
+
+    def __pow__(self, exponent: int):
+        if type(exponent) is not int or exponent < 0:
+            return NotImplemented
+        head = self.value ** (exponent - 1) if exponent else _ZERO
+        return Dual(self.value**exponent, exponent * head * self.eps)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _dual(value) -> Dual | None:
+    """value as a Dual, a scalar with eps 0; None for any other type."""
+    if isinstance(value, Dual):
+        return value
+    return Dual(value, 0) if type(value) in (int, Fraction) else None
+
+
+def eps_part(value: Dual | int | Fraction):
+    """The eps part of an evaluator's result: 0 for the scalar it returns
+    when no Dual reached it."""
+    return value.eps if isinstance(value, Dual) else 0
 
 
 # -- rendering -----------------------------------------------------------------

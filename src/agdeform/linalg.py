@@ -341,6 +341,7 @@ def sparse_rref(rows: Iterable[Mapping[int, Fraction | int]]) -> dict[int, dict[
         for j in row:
             if j != lead:
                 holders.setdefault(j, set()).add(lead)
+    del holders  # so that it and the Fraction rows are never alive together
     return {
         p: {j: Fraction(v, row[p]) for j, v in row.items()} for p, row in pivots.items()
     }

@@ -19,6 +19,7 @@ from .exactalg import (
     RationalFunction,
     UsageError,
     VariableTable,
+    coerce_rational,
     dot,
     parse_rational,
     render_rational_function,
@@ -79,9 +80,10 @@ class Chart:
 class ChartPoint:
     """An element X of the chart: n x 2 entries, numeric or symbolic.
 
-    Numeric points hold Fractions; symbolic points hold RationalFunctions
-    over the chart's table.  The text form is semicolon-separated rows of
-    comma-separated rationals, e.g. "1,3;2,0;0,0".
+    Numeric points hold Fractions (coerce_rational refuses a bool entry);
+    symbolic points hold RationalFunctions over the chart's table.  The
+    text form is semicolon-separated rows of comma-separated rationals,
+    e.g. "1,3;2,0;0,0".
     """
 
     __slots__ = ("chart", "entries", "is_numeric")
@@ -96,7 +98,7 @@ class ChartPoint:
         self.is_numeric = numeric
         if numeric:
             self.entries = tuple(
-                tuple(Fraction(v) for v in row) for row in entries
+                tuple(coerce_rational(v) for v in row) for row in entries
             )
         else:
             self.entries = tuple(
@@ -289,7 +291,7 @@ def flow_point(X: ChartPoint, t) -> ChartPoint:
     """
     chart = X.chart
     if X.is_numeric and isinstance(t, (Fraction, int)):
-        t = Fraction(t)
+        t = coerce_rational(t)
         u = 1 + t * X.entries[0][0]
         if not u:
             point = chart.table.point(x=X.entries, t=t)

@@ -225,14 +225,24 @@ def lemma_criterion(t_vec: Vector, s: int, n: int) -> bool:
     return s in lemma_components(t_vec, n)
 
 
+@functools.cache
+def _lemma_columns(n: int) -> dict[int, int]:
+    """{column: s} over the E_k outputs, k outside {1, s}, of the pair of
+    frame values at flat indices (1,2') and (s,2'), for s in 2..n: the
+    columns that lemma_criterion reads.  Each pair is its own block."""
+    return {
+        two_form_block(flat_index(1, 2), flat_index(s, 2), 2 * n)[0] + flat_index(k, 1): s
+        for s in range(2, n + 1)
+        for k in range(2, n + 1)
+        if k != s
+    }
+
+
 def lemma_components(t_vec: Vector, n: int) -> tuple[int, ...]:
     """The indices s in 2..n, ascending, at which lemma_criterion(t_vec, s, n)
-    holds; t_vec is validated once for all of them."""
-    size = 2 * n
-    entries = nonzero_entries(t_vec, n * (2 * n - 1) * size)
-    hits = []
-    for s in range(2, n + 1):
-        base, _ = two_form_block(flat_index(1, 2), flat_index(s, 2), size)
-        if any(base + flat_index(k, 1) in entries for k in range(2, n + 1) if k != s):
-            hits.append(s)
-    return tuple(hits)
+    holds; t_vec is validated once for all of them, and the columns of
+    _lemma_columns meet its nonzero entries in one key intersection, which
+    iterates the smaller of the two."""
+    columns = _lemma_columns(n)
+    entries = nonzero_entries(t_vec, n * (2 * n - 1) * 2 * n)
+    return tuple(sorted({columns[j] for j in columns.keys() & entries.keys()}))

@@ -1,10 +1,11 @@
 """Acceptance gate: eleven numbered criteria over the full check suite.
 
-The suite is exact rational arithmetic throughout; every criterion except the
-finite-difference oracle (11) is a zero-tolerance identity or integer
-dimension count.  Criterion 11 compares symbolic derivatives against central
-differences at rel. error < 1e-6.  One test per criterion keeps the -v output
-at one line each.
+The suite is exact rational arithmetic throughout: every criterion is a
+zero-tolerance identity, an exact comparison at sampled rational points or
+an integer dimension count.  Criterion 11 compares Phi's shared table of
+first derivatives, and its displayed second derivatives, with exact dual
+and hyper-dual evaluation by equality.  One test per criterion keeps the -v
+output at one line each.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ from agdeform import checks, cli
 #: sha256 of json.dumps([r.as_dict() for r in reports], indent=2,
 #: sort_keys=True) for the fixture below.  A refactor must keep these bytes;
 #: a change to a check id, verdict or detail text must update the digest.
-REPORTS_SHA256 = "0d159727832117c4552d864ff20657ac53c291d4d43206fc32e1ae86ba4d4f87"
+REPORTS_SHA256 = "9252adeb64c37a99dea5d46dba63fe985051ced358932ea03bfa4b96a26a0d90"
 
 #: sha256 of the stdout of `agdeform verify --n 5 --format json`.  The
 #: fixture runs curvature at n = 3 and 4 only; at n = 5 the checks read the
@@ -96,8 +97,8 @@ CRITERIA = {
          "curvature.kappa.", "curvature.not_pure_trace.", "curvature.mixed_partials.")),
     10: ("homogeneity degree ledger of the deformation",
          ("deform.degree_ledger.",)),
-    11: ("finite-difference derivative oracle",
-         ("exactalg.fd_oracle.",)),
+    11: ("exact dual-number derivative oracle",
+         ("exactalg.derivative_oracle.",)),
 }
 
 
@@ -158,7 +159,7 @@ def test_criterion_10_degree_ledger(reports):
     _criterion(reports, 10)
 
 
-def test_criterion_11_fd_oracle(reports):
+def test_criterion_11_derivative_oracle(reports):
     _criterion(reports, 11)
 
 

@@ -1,6 +1,7 @@
 """The per-n artifact cache: each shared object is built once per process."""
 
 import functools
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -163,22 +164,69 @@ def test_curvature_suite_builds_second_derivatives_once(monkeypatch, fresh_cache
 
 
 def test_acceptance_suite_builds_n3_second_derivatives_once(monkeypatch, fresh_cache):
-    """verify --all runs the symbolic and the numeric curvature checks at
-    n = 3 on one build of nabla2_phi.  The other suites and the n = 4 curvature
-    checks are stubbed out to keep the test small."""
+    """verify --all runs the symbolic and the numeric curvature checks and
+    the derivative oracle at n = 3 on one build of Phi and one of
+    nabla2_phi.  The other suites and the n = 4 curvature checks are stubbed
+    out to keep the test small."""
     stub = checks.CheckReport("stub", checks.PASS, checks.NUMERIC, "")
     for name in ("flow_suite", "eigen_suite", "phi_suite", "torsion_suite",
-                 "torsion_zero_suite", "reptheory_suite", "fd_oracle_suite"):
+                 "torsion_zero_suite", "reptheory_suite"):
         monkeypatch.setattr(checks, name, lambda *args: [])
     monkeypatch.setattr(checks, "density_check", lambda *args: (stub, []))
     real_suite = checks.curvature_suite
     monkeypatch.setattr(checks, "curvature_suite", lambda ns: real_suite([n for n in ns if n != 4]))
     calls = counting(monkeypatch, curvature_mod, "nabla2_phi")
+    phis = counting(monkeypatch, checks, "build_Phi")
     reports = [r for r in checks.acceptance_suite() if r is not stub]
     assert len(calls) == 1
+    assert len(phis) == 1
     names = ("displays", "trace_free", "reduction", "kappa", "not_pure_trace", "mixed_partials")
-    assert sorted(r.check_id for r in reports) == sorted(f"curvature.{x}.n3" for x in names)
+    assert sorted(r.check_id for r in reports) == sorted(
+        [f"curvature.{x}.n3" for x in names] + ["exactalg.derivative_oracle.n3"]
+    )
     assert all(r.status == checks.PASS for r in reports)
+
+
+def test_derivative_oracle_fails_on_a_negated_table_entry(fresh_cache):
+    """Positive control: one negated entry of Phi's shared table of first
+    derivatives fails the oracle, which reads that table."""
+    phi = checks.artifacts(3).phi
+    key = (0, 0, 0)
+    assert not phi.derivative(*key).is_zero()
+    phi.derivatives[key] = -phi.derivatives[key]
+    (report,) = checks.derivative_oracle_suite(3, 0)
+    assert report.status == checks.FAIL
+    assert report.detail == "derivative (0, 0, 0) of Phi differs from its dual value"
+    phi.derivatives[key] = -phi.derivatives[key]
+    (report,) = checks.derivative_oracle_suite(3, 0)
+    assert report.status == checks.PASS
+
+
+def test_derivative_oracle_fails_on_a_flipped_quotient_rule(monkeypatch, fresh_cache):
+    """Positive control: with the sign of the quotient rule's correction
+    term flipped, num'/D + num D'/D^2 in place of num'/D - num D'/D^2,
+    Phi's table no longer equals the dual slopes, which never call
+    differentiate."""
+    real = RationalFunction.differentiate
+
+    def flipped(self, idx):
+        return RationalFunction(self.num.differentiate(idx), self.den).scale(2) - real(self, idx)
+
+    monkeypatch.setattr(RationalFunction, "differentiate", flipped)
+    (report,) = checks.derivative_oracle_suite(3, 0)
+    assert report.status == checks.FAIL
+    assert re.fullmatch(r"derivative \(\d+, \d+, \d+\) of Phi differs from its dual value", report.detail)
+
+
+def test_derivative_oracle_fails_on_a_negated_second_derivative(fresh_cache):
+    """Positive control for the hyper-dual half: one negated displayed
+    second derivative fails the oracle."""
+    d2 = checks.artifacts(3).second_derivatives
+    key = (2, 1, 1, 1, 1, 1, 1, 3)
+    d2.second[key] = -d2.entry(*key)
+    (report,) = checks.derivative_oracle_suite(3, 0)
+    assert report.status == checks.FAIL
+    assert report.detail == f"derivative {key} of Phi differs from its dual value"
 
 
 def test_reptheory_suite_passes_at_n6(fresh_cache):

@@ -1,6 +1,7 @@
 """Exact rational-function arithmetic: ring laws, calculus, degree facts."""
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -18,8 +19,9 @@ from agdeform.exactalg import (
     RationalFunction,
     UsageError,
     VariableTable,
+    Dual,
+    eps_part,
     exponent_pairs,
-    fd_check,
     flat_index,
     pack_monomial,
     parse_rational,
@@ -257,29 +259,148 @@ def test_degree_info_inhomogeneous():
     assert inhomogeneous.chart_degree_range() == (1, 2)
 
 
+def dual_slope(f, idx, point):
+    """The eps part of f at point with coordinate idx seeded as Dual(p, 1)."""
+    seeded = list(point)
+    seeded[idx] = Dual(point[idx], 1)
+    return eps_part(f.evaluate(seeded))
+
+
+def hyper_dual_second(f, a, b, point):
+    """The eps-eps part of f at point with a seeded in the inner and b in
+    the outer Dual, as in checks.derivative_oracle_suite."""
+    seeded = list(point)
+    seeded[a] = Dual(Dual(point[a], 1), 0)
+    seeded[b] = seeded[b] + Dual(0, 1)
+    return eps_part(eps_part(f.evaluate(seeded)))
+
+
+def fd_check(f, idx, point, step):
+    """The relative error of a central finite difference against the dual
+    slope of f by variable idx at point; the absolute value of the
+    difference quotient where the slope vanishes.
+
+    The float sanity oracle for Dual: the stencil values f(point +/- step
+    e_idx) are exact and the quotient is formed in floats only at the end,
+    so the error is pure truncation error of order step**2.
+    """
+    point = tuple(point)
+    slope = dual_slope(f, idx, point)
+    plus, minus = list(point), list(point)
+    plus[idx] = point[idx] + step
+    minus[idx] = point[idx] - step
+    quotient = (f.evaluate(plus) - f.evaluate(minus)) / (2 * step)
+    if slope:
+        return abs(float((quotient - slope) / slope))
+    return abs(float(quotient))
+
+
 def test_fd_check_on_q():
+    """On q the dual slope equals differentiate exactly, and the central
+    difference agrees with it to truncation error."""
     q = q_rf()
     point = list(Fraction(0) for _ in TABLE.names)
     point[TABLE.x_index(1, 1)] = Fraction(2)
     point[TABLE.x_index(1, 2)] = Fraction(1)
-    assert q.differentiate(TABLE.x_index(1, 1)).evaluate(tuple(point)) == Fraction(4)
-    assert fd_check(q, TABLE.x_index(1, 1), tuple(point), Fraction(1, 10_000)) < 1e-6
+    idx = TABLE.x_index(1, 1)
+    assert q.differentiate(idx).evaluate(tuple(point)) == Fraction(4)
+    assert dual_slope(q, idx, point) == Fraction(4)
+    assert fd_check(q, idx, tuple(point), Fraction(1, 10_000)) < 1e-6
+    assert fd_check(q.inverse(), idx, tuple(point), Fraction(1, 10_000)) < 1e-6
 
 
 def test_fd_check_constant():
     f = RationalFunction.constant(TABLE, 5)
     point = tuple(Fraction(1) for _ in TABLE.names)
-    # a zero derivative: the error is the difference quotient itself
+    assert dual_slope(f, TABLE.x_index(1, 1), point) == 0
+    # a zero slope: the error is the difference quotient itself
     assert fd_check(f, TABLE.x_index(1, 1), point, Fraction(1, 100)) == 0.0
 
 
 def test_fd_check_pole_in_stencil():
+    """A pole in the stencil raises PoleAtPoint, and so does a dual
+    evaluation at a pole, however nonzero its eps part: bool reads the
+    value part only."""
     q = q_rf()
     f = RationalFunction.constant(TABLE, 1) / q
     point = list(Fraction(0) for _ in TABLE.names)
     point[TABLE.x_index(1, 1)] = Fraction(1, 10_000)
     with pytest.raises(PoleAtPoint):
         fd_check(f, TABLE.x_index(1, 1), tuple(point), Fraction(1, 10_000))
+    assert not Dual(Fraction(0), 1) and Dual(Fraction(0), 1).eps == 1
+    point[TABLE.x_index(1, 1)] = Fraction(0)
+    with pytest.raises(PoleAtPoint):
+        dual_slope(f, TABLE.x_index(1, 1), point)
+
+
+def test_dual_slopes_equal_differentiate_on_random_rationals():
+    """First and second derivatives by Dual and hyper-Dual equal those of
+    differentiate at random points, for every variable (c and t included),
+    and the central difference agrees with the dual slope."""
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(25):
+        f = random_rational(rng)
+        point = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in TABLE.names)
+        a, b = rng.randrange(len(TABLE.names)), rng.randrange(len(TABLE.names))
+        try:
+            f.evaluate(point)
+            want = f.differentiate(a).evaluate(point)
+        except PoleAtPoint:
+            continue
+        assert dual_slope(f, a, point) == want
+        assert hyper_dual_second(f, a, b, point) == f.differentiate(a).differentiate(b).evaluate(point)
+        assert hyper_dual_second(f, a, a, point) == f.differentiate(a).differentiate(a).evaluate(point)
+        if want:
+            assert fd_check(f, a, point, Fraction(1, 10**6)) < 1e-3
+        checked += 1
+    assert checked >= 15
+
+
+def test_dual_slopes_equal_phi_table():
+    """Every first derivative of the symbolic Phi at n = 3, and each
+    second derivative by x11 and x12, at one point with symbolic c bound."""
+    chart = Chart(3)
+    phi = build_Phi(chart)
+    point = chart.table.point(
+        x=[[Fraction(1, 3), Fraction(-2, 5)], [Fraction(3, 7), Fraction(1, 2)], [Fraction(-1, 4), 2]],
+        c=[Fraction(3, 2), Fraction(-1)],
+    )
+    xs = [chart.table.x_index(i, j) for i in (1, 2, 3) for j in (1, 2)]
+    nonzero = 0
+    for row in range(6):
+        for col in range(6):
+            f = phi.rows[row][col]
+            for idx in xs:
+                want = phi.derivative(row, col, idx).evaluate(point)
+                assert dual_slope(f, idx, point) == want
+                nonzero += bool(want)
+            for a in xs[:2]:
+                for b in xs[:2]:
+                    want = f.differentiate(a).differentiate(b).evaluate(point)
+                    assert hyper_dual_second(f, a, b, point) == want
+    assert nonzero > 100
+
+
+def test_dual_refuses_floats_bools_and_negative_powers():
+    d = Dual(Fraction(1, 2), 3)
+    for bad in (0.5, True, "1"):
+        for op in (operator.add, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(d, bad)
+            with pytest.raises(TypeError):
+                op(bad, d)
+    with pytest.raises(TypeError):
+        d ** -1
+    with pytest.raises(TypeError):
+        d ** True
+    assert (d ** 0).value == 1 and (d ** 0).eps == 0
+    cube = d ** 3
+    assert (cube.value, cube.eps) == (Fraction(1, 8), 3 * Fraction(1, 4) * 3)
+    quotient = 1 / d
+    assert (quotient.value, quotient.eps) == (2, -12)
+    negated = -d
+    assert (negated.value, negated.eps) == (Fraction(-1, 2), -3)
 
 
 def test_render_plain_and_latex():

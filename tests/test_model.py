@@ -40,6 +40,25 @@ def test_chart_point_parse_errors():
         ChartPoint.parse(CHART, "1,x;2,0;0,0")
 
 
+def test_numeric_point_refuses_bools_and_floats():
+    """A numeric entry is an int or a Fraction: a bool is refused as
+    VariableTable.point refuses it (not read as 1 or 0), and so is a float,
+    in a point and as the flow time of a numeric point."""
+    ints = [[1, 0], [0, 1], [1, 1]]
+    assert ChartPoint(CHART, ints).format() == "1,0;0,1;1,1"
+    for bad in (True, False, 0.5, 1.0):
+        entries = [row[:] for row in ints]
+        entries[0][0] = bad
+        with pytest.raises(UsageError, match="cannot interpret"):
+            CHART.table.point(x=entries)
+        with pytest.raises(UsageError):
+            ChartPoint(CHART, entries)
+        with pytest.raises(UsageError):
+            flow_point(ChartPoint(CHART, ints), bad)
+    with pytest.raises(UsageError, match="cannot interpret"):
+        ChartPoint(CHART, [[True, 0], [0, 1], [1, 1]])
+
+
 def test_generic_point_is_symbolic():
     X = ChartPoint.generic(CHART)
     assert not X.is_numeric

@@ -547,7 +547,7 @@ def test_rank_one_span_on_random_image_elements():
             assert not lemma_criterion(vec, s, n)
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 6])
 def test_lemma_criterion_matches_two_form_oracle(n):
     """The one-block lemma criterion equals the general two-form evaluation
     on seeded sparse integer vectors, with both verdicts reached for every s,

@@ -3,7 +3,8 @@ imports is a stdlib module or agdeform itself.  The dense linear algebra
 of linalg is the tests' oracle only: no runtime code uses it.  And every
 other public name in src/agdeform has a runtime reference, every parameter
 default is passed by some runtime call, and every dataclass field is read
-by some runtime code."""
+by some runtime code.  No float enters the runtime: no float constant, no
+float() call and no .random() draw."""
 
 import ast
 import sys
@@ -278,3 +279,27 @@ def test_every_dataclass_field_is_read_at_runtime():
 def test_unread_fields_allowlist_is_current():
     """Each allowlisted field is still defined and still unread."""
     assert set(UNREAD_FIELDS_ALLOWED) <= {entry for _, entry in _unread_fields()}
+
+
+def _float_uses(tree):
+    """(line, what) for each float constant, float(...) call and .random()
+    call in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            yield node.lineno, repr(node.value)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            yield node.lineno, "float(...)"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "random":
+            yield node.lineno, ".random()"
+
+
+def test_runtime_is_float_free():
+    """Every verdict is exact: src/agdeform holds no float constant, calls
+    float() nowhere and draws no float from a generator (.random()), so no
+    tolerance or float comparison can enter a check."""
+    uses = [
+        (path_name, line, what)
+        for path_name, tree in _trees().items()
+        for line, what in _float_uses(tree)
+    ]
+    assert not uses, uses

@@ -31,7 +31,7 @@ from .deform import (
     transformation_check,
     unscaled_flow_factor_check,
 )
-from .exactalg import Dual, UsageError, eps_part, flat_index
+from .exactalg import Dual, UsageError, coerce_rational, eps_part, flat_index
 from .linalg import membership, span_subspace
 from .model import Chart, ChartPoint, flow_point, flow_point_split_form, holonomy
 from .sampling import ball_sweep, generic_off_singular, sample_points
@@ -240,8 +240,9 @@ def eigen_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
 
 def _expected_coefficients(chart: Chart):
     """(i', l, j', k) -> Sum_i c_i phi'[i'][j'] phi_i[k][l] / q, assembled
-    from the displays, which are built once per call."""
-    q = artifacts(chart.n).q
+    from the displays, which are built once per call, over the q of
+    Chart.sf_sum."""
+    q = chart.sf_sum()
     mprime = phi_prime_matrix(chart)
     terms = [(chart.param(f"c{i}"), phi_i_matrix(chart, i)) for i in range(2, chart.n + 1)]
 
@@ -399,14 +400,14 @@ def torsion_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
         x11 = chart.x(1, 1)
         x12 = chart.x(1, 2)
         for s in range(2, n + 1):
-            # T(E~^2'_s, E~^2'_1) and its bracket, built inside the first
-            # check that reads them and shared with the second.
+            # [E~^2'_s, E~^2'_1], built inside the first check that reads it
+            # and shared with the second; the torsion is its negation.
             f, g = flat_index(s, 2), flat_index(1, 2)
             cs = chart.param(f"c{s}")
 
             def bracket_matches(art=art, f=f, g=g, cs=cs, n=n, chart=chart, x11=x11, x12=x12):
-                got, _ = art.torsion.pair(f, g)
-                q = art.q
+                got = art.torsion.pair(f, g)
+                q = chart.sf_sum()
                 factor = cs * x11 * x11 / q
                 expected = [chart.const(0)] * (2 * n)
                 for k in range(1, n + 1):
@@ -424,9 +425,9 @@ def torsion_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
                 )
 
             def d_expansion(art=art, f=f, g=g, cs=cs, n=n, chart=chart, x11=x11, x12=x12):
-                _, d = art.torsion.pair(f, g)
+                d = [-v for v in art.torsion.pair(f, g)]
                 two = chart.const(2)
-                qi = art.q.inverse()
+                qi = chart.sf_sum().inverse()
                 qi2 = qi * qi
                 for k in range(1, n + 1):
                     xk1 = chart.x(k, 1)
@@ -446,6 +447,32 @@ def torsion_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
 
             reports.append(_run(f"torsion.bracket.n{n}.s{s}", SYMBOLIC, bracket_matches))
             reports.append(_run(f"torsion.d_expansion.n{n}.s{s}", SYMBOLIC, d_expansion))
+    return reports
+
+
+def phi_kills_brackets_suite(ns: Sequence[int]) -> list[CheckReport]:
+    """Phi theta[E~_a, E~_b] = 0 for every pair a < b of pulled-frame fields,
+    symbolic c: the identity by which TorsionAssembler reads the torsion
+    (Id + Phi) theta(-bracket) as the negated bracket.  It builds all
+    n(2n - 1) pairs, so only acceptance_suite runs it."""
+    reports = []
+    for n in ns:
+        art = artifacts(n)
+
+        def kills(art=art, n=n):
+            phi, size = art.phi, 2 * n
+            pairs = [(a, b) for a in range(size) for b in range(a + 1, size)]
+            for a, b in pairs:
+                if not all(v.is_zero() for v in phi.apply(art.torsion.pair(a, b))):
+                    return False, f"Phi theta[E~_{a}, E~_{b}] is nonzero (flat indices)", None
+            return (
+                True,
+                f"Phi theta[E~_a, E~_b] = 0 for all {len(pairs)} pairs a < b of"
+                " pulled-frame fields, symbolic c",
+                None,
+            )
+
+        reports.append(_run(f"torsion.phi_kills_brackets.n{n}", SYMBOLIC, kills))
     return reports
 
 
@@ -470,15 +497,20 @@ def _c_tag(c: Sequence[Fraction]) -> str:
     return "_".join(str(v).replace("/", "over").replace("-", "m") for v in c)
 
 
-def validate_sweep(n: int, c: Sequence[Fraction], s: int, ball_count: int) -> None:
-    """Raise UsageError unless the sweep can sample a meaningful point:
-    2 <= s <= n, c_s != 0, and at least one radius."""
+def validate_sweep(n: int, c: Sequence[Fraction], s: int, ball_count: int) -> tuple[Fraction, ...]:
+    """c as exact rationals; raise UsageError unless the sweep can sample a
+    meaningful point: n - 1 exact rationals in c, 2 <= s <= n, c_s != 0,
+    and at least one radius."""
+    if len(c) != n - 1:
+        raise UsageError(f"expected {n - 1} deformation parameters, got {len(c)}")
+    c = tuple(coerce_rational(v) for v in c)
     if not (2 <= s <= n):
         raise UsageError(f"s must be in 2..{n}")
     if c[s - 2] == 0:
         raise UsageError("the sweep needs c_s != 0")
     if ball_count < 1:
         raise UsageError("the sweep needs at least one radius")
+    return c
 
 
 def density_check(
@@ -494,7 +526,7 @@ def density_check(
     derivatives), the integer tables and the column index of the residual
     functionals of Im(partial1) are all built inside the check.
     """
-    validate_sweep(n, c, s, ball_count)
+    c = validate_sweep(n, c, s, ball_count)
     records: list[dict] = []
 
     def sweep():
@@ -504,9 +536,7 @@ def density_check(
         failures = 0
         first_bad = None
         total = 0
-        for radius_exp, point in ball_sweep(
-            art.chart, s, PER_RADIUS, range(1, ball_count + 1), seed
-        ):
+        for point in ball_sweep(art.chart, s, PER_RADIUS, range(1, ball_count + 1), seed):
             vector = assembler.evaluate_scaled(point)
             lemma = lemma_criterion(vector, s, n)
             member = membership(image, vector)
@@ -694,9 +724,10 @@ def dimension_table(n: int) -> dict:
 
 
 def _display_second_derivatives(chart: Chart, r: int):
-    """The three printed second-derivative formulas, built independently."""
+    """The three printed second-derivative formulas, built independently,
+    over the q of Chart.sf_sum."""
     n = chart.n
-    qi = artifacts(n).q.inverse()
+    qi = chart.sf_sum().inverse()
     qi2 = qi * qi
     qi3 = qi2 * qi
     x11 = chart.x(1, 1)
@@ -904,6 +935,7 @@ def acceptance_suite(seed: int = 0, ball_count: int = 8) -> list[CheckReport]:
     reports += eigen_suite((3, 4))
     reports += phi_suite((3, 4))
     reports += torsion_suite((3, 4))
+    reports += phi_kills_brackets_suite((3, 4))
     reports += torsion_zero_suite((3,))
     for c in ([Fraction(1), Fraction(0)], [Fraction(2), Fraction(-3)]):
         report, _ = density_check(3, c, 2, seed, ball_count)

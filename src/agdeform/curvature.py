@@ -18,7 +18,7 @@ from typing import Sequence
 from .exactalg import RationalFunction, UsageError, flat_index
 from .linalg import Subspace, span_subspace, membership
 from .model import Chart, ChartPoint
-from .deform import EndomorphismField, build_q
+from .deform import EndomorphismField
 
 
 class SecondDerivativeTensor:
@@ -152,13 +152,13 @@ def kappa_closed_form(chart: Chart, r: int) -> RationalFunction:
     """Sum over i > 1 of c_i x_{i1} x_{r1} (3/q - 7(x11^2+x12^2)/q^2 + 4(x11^2+x12^2)^2/q^3).
 
     The closed form of kappa^{111}_{2'1'r} for r >= 2 only; at r = 1 the
-    derivative variables collide with x_{r1} and it does not apply.
+    derivative variables collide with x_{r1} and it does not apply.  q is
+    Chart.sf_sum, not the q that Phi is built from.
     """
     n = chart.n
     if not (2 <= r <= n):
         raise UsageError(f"index r must be in 2..{n}")
-    q = build_q(chart)
-    qinv = q.inverse()
+    qinv = chart.sf_sum().inverse()
     e = chart.x(1, 1) * chart.x(1, 1) + chart.x(1, 2) * chart.x(1, 2)
     shape = (
         chart.const(3) * qinv

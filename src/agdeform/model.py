@@ -68,6 +68,17 @@ class Chart:
     def const(self, value) -> RationalFunction:
         return RationalFunction.constant(self.table, value)
 
+    def sf_sum(self) -> RationalFunction:
+        """x12^2 + x11^2 + ... + xn1^2, the sum of the squares of the
+        coordinates whose common zero set is the singular set SF.
+
+        The closed forms that the checks compare with are built over this
+        q, apart from deform.q_polynomial, the q that Phi is built from, so
+        a wrong q in the construction fails them.
+        """
+        coords = [self.x(1, 2)] + [self.x(i, 1) for i in range(1, self.n + 1)]
+        return sum((v * v for v in coords[1:]), coords[0] * coords[0])
+
     def lift(self, value: RationalFunction) -> RationalFunction:
         """value itself, once checked to be a rational function over this chart."""
         if not isinstance(value, RationalFunction):

@@ -68,10 +68,10 @@ def ball_sweep(
     per_radius: int,
     radii: Sequence[int],
     seed: int,
-) -> Iterator[tuple[int, ChartPoint]]:
-    """Deterministic (radius_exp, point) stream over all requested balls."""
+) -> Iterator[ChartPoint]:
+    """Deterministic point stream over all requested balls, per_radius
+    points in each, ball by ball in the order of radii."""
     rng = random.Random(seed)
     accept = lambda entries: generic_off_singular(entries, s)
     for radius_exp in radii:
-        for point in sample_points(chart, radius_exp, per_radius, rng, accept):
-            yield radius_exp, point
+        yield from sample_points(chart, radius_exp, per_radius, rng, accept)

@@ -1,9 +1,12 @@
 """Deformed parallel frame, Lie brackets, and the torsion of the deformed structure.
 
 The pulled-back frame fields E-tilde^{j'}_i are parallel for the pullback of
-the flat connection, so the torsion reduces to minus their Lie brackets,
-re-expressed through the deformed structure map (Id + Phi) o theta.  The flat
-identification theta sends the coordinate field d/dx_{k p'} to E^{p'}_k.
+the flat connection, so the torsion is minus their Lie brackets, carried by
+the deformed structure map (Id + Phi) o theta.  The flat identification theta
+sends the coordinate field d/dx_{k p'} to E^{p'}_k, so theta(-bracket) has
+the bracket's flat components negated.  Phi annihilates theta of every
+pulled-frame bracket (the check torsion.phi_kills_brackets), so the torsion
+is the negated bracket itself.
 """
 
 from __future__ import annotations
@@ -74,17 +77,6 @@ def frame_bracket(
     return tuple(out)
 
 
-def _structure_map(phi: EndomorphismField, bracket: Components) -> Components:
-    """(Id + Phi) theta(-bracket) on the flat basis, computed as psi + Phi psi.
-
-    theta sends the coefficient of d^{p'}_k to the section slot (k, p'),
-    which has the same flat index, so psi is the flat components of -bracket.
-    Adding psi skips building Id + Phi and multiplying psi by its diagonal.
-    """
-    psi = tuple(-f for f in bracket)
-    return tuple(a + b for a, b in zip(psi, phi.apply(psi)))
-
-
 class _IntegerPolynomials:
     """Polynomials in the chart variables, evaluated in integer arithmetic.
 
@@ -128,10 +120,11 @@ class TorsionAssembler:
     evaluates per point.
 
     pair(f, g) is the bracket [m_f, m_g] of the pulled-frame fields at flat
-    indices f and g and the torsion T(m_f, m_g) = (Id + Phi) theta(-bracket),
-    both in flat components, built on first read and kept in pairs.
-    symbolic is the torsion in pair-major order, built from the pairs on
-    first read: T(m_a, m_b) for a < b, in the flat basis, starts at
+    indices f and g in flat components, built on first read and kept in
+    pairs.  The torsion T(m_f, m_g) = (Id + Phi) theta(-bracket) is minus
+    it, as Phi theta(bracket) = 0 (see the module docstring).  symbolic is
+    the torsion in pair-major order, built from the pairs on first read:
+    T(m_a, m_b) = -pair(a, b) for a < b, in the flat basis, starts at
     two_form_block(a, b, 2n)[0].  Evaluation at many sample points only costs
     rational-function evaluation, not re-differentiation.  evaluate gives the
     exact torsion vector; evaluate_scaled gives a positive multiple of it in
@@ -143,21 +136,21 @@ class TorsionAssembler:
         self.phi = phi
         self.chart = phi.chart
         self.frame = pulled_frame(phi)
-        self.pairs: dict[tuple[int, int], tuple[Components, Components]] = {}
+        self.pairs: dict[tuple[int, int], Components] = {}
 
-    def pair(self, f: int, g: int) -> tuple[Components, Components]:
-        """([m_f, m_g], T(m_f, m_g)) in flat components, built on first read."""
+    def pair(self, f: int, g: int) -> Components:
+        """[m_f, m_g] in flat components, built on first read; the torsion
+        T(m_f, m_g) is its negation."""
         value = self.pairs.get((f, g))
         if value is None:
-            bracket = frame_bracket(self.phi, self.frame, f, g)
-            value = self.pairs[f, g] = (bracket, _structure_map(self.phi, bracket))
+            value = self.pairs[f, g] = frame_bracket(self.phi, self.frame, f, g)
         return value
 
     @functools.cached_property
     def symbolic(self) -> tuple[RationalFunction, ...]:
         size = 2 * self.chart.n
         return tuple(
-            f for a in range(size) for b in range(a + 1, size) for f in self.pair(a, b)[1]
+            -f for a in range(size) for b in range(a + 1, size) for f in self.pair(a, b)
         )
 
     def evaluate(

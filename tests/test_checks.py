@@ -14,7 +14,7 @@ from agdeform import curvature as curvature_mod
 from agdeform import reptheory as rep_mod
 from agdeform import torsion as torsion_mod
 from agdeform.deform import EndomorphismField
-from agdeform.exactalg import RationalFunction, flat_index
+from agdeform.exactalg import Polynomial, RationalFunction, UsageError, flat_index
 
 
 @pytest.fixture
@@ -170,7 +170,7 @@ def test_acceptance_suite_builds_n3_second_derivatives_once(monkeypatch, fresh_c
     out to keep the test small."""
     stub = checks.CheckReport("stub", checks.PASS, checks.NUMERIC, "")
     for name in ("flow_suite", "eigen_suite", "phi_suite", "torsion_suite",
-                 "torsion_zero_suite", "reptheory_suite"):
+                 "phi_kills_brackets_suite", "torsion_zero_suite", "reptheory_suite"):
         monkeypatch.setattr(checks, name, lambda *args: [])
     monkeypatch.setattr(checks, "density_check", lambda *args: (stub, []))
     real_suite = checks.curvature_suite
@@ -229,6 +229,88 @@ def test_derivative_oracle_fails_on_a_negated_second_derivative(fresh_cache):
     assert report.detail == f"derivative {key} of Phi differs from its dual value"
 
 
+def test_phi_kills_every_bracket_at_n5(fresh_cache):
+    """verify --n 5..12 and torsion --n >= 5 read the torsion as the negated
+    pulled-frame bracket.  verify --all checks the identity behind that at
+    n = 3 and 4; here it holds for all 45 pairs at n = 5, symbolic c."""
+    (report,) = checks.phi_kills_brackets_suite((5,))
+    assert report.status == checks.PASS, report.detail
+    assert report.detail == (
+        "Phi theta[E~_a, E~_b] = 0 for all 45 pairs a < b of pulled-frame fields, symbolic c"
+    )
+    assert len(checks.artifacts(5).torsion.pairs) == 45
+
+
+def test_phi_kills_brackets_fails_on_an_extra_phi_entry(monkeypatch, fresh_cache):
+    """Positive control: Phi with an extra x22 term in one entry no longer
+    annihilates the brackets of its own pulled frame."""
+    real = checks.build_Phi
+
+    def perturbed(chart, c=None):
+        phi = real(chart, c)
+        rows = [list(row) for row in phi.rows]
+        rows[0][0] = rows[0][0] + chart.x(2, 2)
+        return EndomorphismField(phi.table, rows)
+
+    monkeypatch.setattr(checks, "build_Phi", perturbed)
+    (report,) = checks.phi_kills_brackets_suite((3,))
+    assert report.status == checks.FAIL
+    assert report.detail == "Phi theta[E~_0, E~_1] is nonzero (flat indices)"
+
+
+def test_closed_forms_fail_on_a_wrong_q(monkeypatch, fresh_cache):
+    """The expected values of the coefficients, the bracket, D, the displays
+    and kappa are built over Chart.sf_sum, not over the q that Phi is built
+    from, so Phi built over q - x_n1^2 fails each of them at n = 3."""
+    real = deform.q_polynomial
+
+    def mutant(chart):
+        xn1 = Polynomial.variable(chart.table, chart.table.x_index(chart.n, 1))
+        return real(chart) - xn1 * xn1
+
+    monkeypatch.setattr(deform, "q_polynomial", mutant)
+    reports = checks.phi_suite((3,)) + checks.torsion_suite((3,)) + checks.curvature_suite((3,))
+    failed = sorted(r.check_id for r in reports if r.status == checks.FAIL)
+    assert failed == [
+        "curvature.displays.n3",
+        "curvature.kappa.n3",
+        "deform.coefficients.n3",
+        "deform.degree_ledger.n3",
+        "torsion.bracket.n3.s2",
+        "torsion.bracket.n3.s3",
+        "torsion.d_expansion.n3.s2",
+        "torsion.d_expansion.n3.s3",
+    ]
+
+
+@pytest.mark.parametrize(
+    "c, s",
+    [([1], 3), ([1, 2, 5], 2), ([1.5, 2], 2), ([True, 2], 2)],
+    ids=["too_few", "too_many", "float", "bool"],
+)
+def test_sweep_refuses_a_bad_c_before_any_check(monkeypatch, fresh_cache, c, s):
+    """c must hold n - 1 exact rationals: a wrong count or a float is a
+    usage error raised before any check runs, never an IndexError or a FAIL
+    report."""
+
+    def refuse(*args):
+        raise AssertionError("a check ran before the usage check")
+
+    monkeypatch.setattr(checks, "_run", refuse)
+    with pytest.raises(UsageError):
+        checks.density_check(3, c, s, 0, 1)
+
+
+def test_sweep_coerces_c_to_fractions(monkeypatch, fresh_cache):
+    """Integer and literal entries of c reach the sweep as Fractions."""
+    built = counting(monkeypatch, checks, "build_Phi")
+    report, _ = checks.density_check(3, [2, "-3"], 2, 1, 1)
+    assert report.status == checks.PASS, report.detail
+    assert report.check_id == "torsion.density.n3.s2.c2_m3"
+    ((_, c),) = built
+    assert c == (Fraction(2), Fraction(-3)) and all(type(v) is Fraction for v in c)
+
+
 def test_reptheory_suite_passes_at_n6(fresh_cache):
     """Rank, kernel, cokernel, trace membership, trace span and lemma_image
     at n = 6, which the sparse eliminator makes cheap enough for tier 1."""
@@ -282,12 +364,7 @@ BUILDERS = (
 
 @pytest.fixture
 def builders_outside_checks(monkeypatch):
-    """The list of builder calls made while no checks._run is active.
-
-    The curvature command prints kappa_closed_form, which builds its own q
-    on purpose (an expected value independent of artifacts(n).q); that
-    display is output, not a check, so builders may run inside it too.
-    """
+    """The list of builder calls made while no checks._run is active."""
     active = [0]
     outside = []
 
@@ -312,7 +389,6 @@ def builders_outside_checks(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(checks, "_run", entered(checks._run))
-    monkeypatch.setattr(cli, "kappa_closed_form", entered(cli.kappa_closed_form))
     for owner, name in BUILDERS:
         original = getattr(owner, name)
         wrapper = guarded(name, original)

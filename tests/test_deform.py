@@ -38,6 +38,17 @@ def test_q_polynomial():
     assert q.chart_degree_range() == (2, 2)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_sf_sum_is_q_in_stored_form(n):
+    """The closed forms' q, Chart.sf_sum, is the q that Phi is built from,
+    numerator and denominator factors both, so switching the expected
+    values to it keeps every pinned byte."""
+    chart = Chart(n)
+    got, want = chart.sf_sum(), build_q(chart)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert got.num.coeffs == want.num.coeffs
+
+
 def test_eigen_sections_components():
     sections = eigen_sections(CHART)
     x11, x12 = CHART.x(1, 1), CHART.x(1, 2)

@@ -573,7 +573,7 @@ def test_lemma_criterion_on_sweep_vectors():
     chart = Chart(3)
     assembler = TorsionAssembler(build_Phi(chart, [Fraction(2), Fraction(-3)]))
     for s in (2, 3):
-        for _, point in ball_sweep(chart, s, 5, range(1, 4), seed=s):
+        for point in ball_sweep(chart, s, 5, range(1, 4), seed=s):
             vector = assembler.evaluate_scaled(point)
             assert lemma_criterion(vector, s, 3)
             assert _lemma_oracle(vector, s, 3)

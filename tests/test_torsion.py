@@ -20,7 +20,6 @@ from agdeform.sampling import ball_sweep
 from agdeform.torsion import (
     TorsionAssembler,
     _IntegerPolynomials,
-    _structure_map,
     frame_bracket,
     lemma_criterion,
     pulled_frame,
@@ -57,6 +56,13 @@ def lie_bracket(xi, eta):
 
 def _stored(components):
     return [(v.num, v.den) for v in components]
+
+
+def _torsion_oracle(phi, bracket):
+    """(Id + Phi) theta(-bracket) in flat components: theta keeps the flat
+    index, so this is (Id + Phi) applied to the negated components."""
+    forward = EndomorphismField.identity(phi.table, phi.nrows) + phi
+    return forward.apply(tuple(-f for f in bracket))
 
 
 def _coordinate(i, j_prime):
@@ -125,7 +131,8 @@ def test_frame_bracket_matches_lie_bracket_n3(c):
 
 def test_frame_bracket_matches_lie_bracket_n4_components():
     """The brackets [E~^2'_s, E~^2'_1] of the torsion checks at n = 4 equal
-    the oracle, directly and as the assembler's pairs, stored form and all."""
+    the oracle, directly and as the assembler's pairs, stored form and all;
+    their negations are the torsion (Id + Phi) theta(-bracket)."""
     chart = Chart(4)
     phi = build_Phi(chart)
     frame = pulled_frame(phi)
@@ -134,17 +141,17 @@ def test_frame_bracket_matches_lie_bracket_n4_components():
         f, g = flat_index(s, 2), flat_index(1, 2)
         want = lie_bracket(frame[f], frame[g])
         assert frame_bracket(phi, frame, f, g) == want
-        bracket, torsion = assembler.pair(f, g)
+        bracket = assembler.pair(f, g)
         assert _stored(bracket) == _stored(want)
-        assert _stored(torsion) == _stored(_structure_map(phi, want))
+        assert _stored(-v for v in bracket) == _stored(_torsion_oracle(phi, want))
 
 
 @pytest.mark.parametrize("c", [None, (Fraction(2), Fraction(-3))], ids=["symbolic", "c2_m3"])
 def test_pair_matches_oracle_n3(c):
-    """pair(f, g) is ([E~_f, E~_g], T(E~_f, E~_g)) for every ordered pair
-    f != g at n = 3: the bracket equals the oracle and the torsion equals the
-    structure map of the oracle, stored form and all.  A repeat read
-    returns the same object."""
+    """pair(f, g) is [E~_f, E~_g] for every ordered pair f != g at n = 3,
+    and its negation is the torsion (Id + Phi) theta(-bracket) of the
+    oracle bracket, stored form and all.  A repeat read returns the same
+    object."""
     phi = build_Phi(CHART, c)
     frame = pulled_frame(phi)
     assembler = TorsionAssembler(phi)
@@ -155,16 +162,17 @@ def test_pair_matches_oracle_n3(c):
                 continue
             want = lie_bracket(frame[f], frame[g])
             got = assembler.pair(f, g)
-            assert _stored(got[0]) == _stored(want), (f, g)
-            assert _stored(got[1]) == _stored(_structure_map(phi, want)), (f, g)
+            assert _stored(got) == _stored(want), (f, g)
+            assert _stored(-v for v in got) == _stored(_torsion_oracle(phi, want)), (f, g)
             assert assembler.pair(f, g) is got
     assert len(assembler.pairs) == size * (size - 1)
 
 
 def test_symbolic_matches_eager_construction():
     """symbolic, read through the pairs, equals the eager pair-major
-    construction over the oracle bracket at c = (2, -3), stored form and all,
-    so the sweep's integer tables are the same as before."""
+    construction of (Id + Phi) theta(-bracket) over the oracle bracket at
+    c = (2, -3), stored form and all, so the sweep's integer tables are
+    the same as when the torsion was built through Id + Phi."""
     phi = build_Phi(CHART, (Fraction(2), Fraction(-3)))
     frame = pulled_frame(phi)
     size = 2 * CHART.n
@@ -172,7 +180,7 @@ def test_symbolic_matches_eager_construction():
         f
         for a in range(size)
         for b in range(a + 1, size)
-        for f in _structure_map(phi, lie_bracket(frame[a], frame[b]))
+        for f in _torsion_oracle(phi, lie_bracket(frame[a], frame[b]))
     ]
     assembler = TorsionAssembler(phi)
     assert not assembler.pairs
@@ -212,13 +220,14 @@ def test_pulled_frame_matches_coefficients():
 
 
 def test_torsion_component_closed_forms():
-    """D = psi exactly: the Phi-correction annihilates the bracket section."""
+    """D = -bracket exactly: Phi annihilates the bracket section."""
     phi = build_Phi(CHART)
     assembler = TorsionAssembler(phi)
     q = build_q(CHART)
     x11, x12 = CHART.x(1, 1), CHART.x(1, 2)
     for s in (2, 3):
-        bracket, d = assembler.pair(flat_index(s, 2), flat_index(1, 2))
+        bracket = assembler.pair(flat_index(s, 2), flat_index(1, 2))
+        d = [-f for f in bracket]
         cs = CHART.param(f"c{s}")
         assert all(f.is_zero() for f in phi.apply(bracket))
         for k in range(1, 4):
@@ -233,20 +242,22 @@ def test_torsion_component_closed_forms():
 
 
 def test_structure_map_matches_id_plus_phi():
-    """psi + Phi psi equals (Id + Phi) applied to psi = -field, stored form
-    and all, on fields that Phi does not annihilate (the coordinate fields)
-    and on the pulled-frame brackets (which it does)."""
-    phi = build_Phi(CHART, [2, -3])
-    forward = EndomorphismField.identity(CHART.table, 2 * CHART.n) + phi
-    frame = pulled_frame(phi)
-    fields = [_coordinate(i, jp) for i in range(1, 4) for jp in (1, 2)]
-    fields.append(lie_bracket(frame[flat_index(2, 2)], frame[flat_index(1, 2)]))
-    assert not all(f.is_zero() for f in phi.apply(fields[0]))
-    for field in fields:
-        got = _structure_map(phi, field)
-        want = forward.apply(tuple(-f for f in field))
-        assert got == want
-        assert [f.den for f in got] == [f.den for f in want]
+    """The torsion block of every pair a < b at n = 3 is the deformed
+    structure map (Id + Phi) theta applied to minus the oracle bracket,
+    stored form and all, with c symbolic and at c = (2, -3); Phi kills each
+    bracket, so that is the negated bracket."""
+    size = 2 * CHART.n
+    for c in (None, (Fraction(2), Fraction(-3))):
+        phi = build_Phi(CHART, c)
+        frame = pulled_frame(phi)
+        assembler = TorsionAssembler(phi)
+        for a in range(size):
+            for b in range(a + 1, size):
+                bracket = lie_bracket(frame[a], frame[b])
+                assert all(f.is_zero() for f in phi.apply(bracket)), (a, b)
+                base = two_form_block(a, b, size)[0]
+                got = assembler.symbolic[base : base + size]
+                assert _stored(got) == _stored(_torsion_oracle(phi, bracket)), (c, a, b)
 
 
 def test_evaluate_block_is_minus_d():
@@ -265,8 +276,9 @@ def test_evaluate_block_is_minus_d():
         base = two_form_block(flat_index(1, 2), flat_index(s, 2), size)[0]
         block = values[base : base + size]
         assert any(block)
-        _, d = assembler.pair(flat_index(s, 2), flat_index(1, 2))
-        assert block == tuple(-f.evaluate(vec) for f in d)
+        # T(E~_s, E~_1) = -[E~_s, E~_1], so its negation is the bracket.
+        bracket = assembler.pair(flat_index(s, 2), flat_index(1, 2))
+        assert block == tuple(f.evaluate(vec) for f in bracket)
 
 
 def test_assembler_matches_one_shot():
@@ -329,7 +341,7 @@ def test_evaluate_scaled_matches_exact(n, s, c, per_radius):
     sweep points, and the lemma criterion gives the same verdict on both."""
     assembler = _numeric_assembler(n, c)
     chart = assembler.chart
-    for _, point in ball_sweep(chart, s, per_radius, range(1, 4), seed=n + s):
+    for point in ball_sweep(chart, s, per_radius, range(1, 4), seed=n + s):
         exact = assembler.evaluate(point)
         scaled = assembler.evaluate_scaled(point)
         assert all(isinstance(v, int) for v in scaled)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -53,14 +52,24 @@ EQUIVARIANCE_NS = (2, 3)
 KAPPA_SAMPLES = 25
 
 
-@dataclass(frozen=True)
 class CheckReport:
-    check_id: str
-    status: str
-    kind: str
-    detail: str
-    point: str | None = None
-    elapsed_ms: int = 0
+    __slots__ = ("check_id", "status", "kind", "detail", "point", "elapsed_ms")
+
+    def __init__(
+        self,
+        check_id: str,
+        status: str,
+        kind: str,
+        detail: str,
+        point: str | None = None,
+        elapsed_ms: int = 0,
+    ):
+        self.check_id = check_id
+        self.status = status
+        self.kind = kind
+        self.detail = detail
+        self.point = point
+        self.elapsed_ms = elapsed_ms
 
     def as_dict(self, timings: bool = False) -> dict:
         out = {

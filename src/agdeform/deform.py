@@ -16,18 +16,23 @@ Id + Phi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import Polynomial, RationalFunction, UsageError, VariableTable, flat_index
+from .exactalg import (
+    Polynomial,
+    RationalFunction,
+    UsageError,
+    VariableTable,
+    flat_index,
+    parse_rational,
+)
 from .model import Chart, ChartPoint, SymbolicMatrix, bundle_actions, flow_point
 
 
 # -- eigen-sections ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class EigenSections:
     """Component vectors of the flow eigen-sections at the generic point.
 
@@ -37,14 +42,27 @@ class EigenSections:
     (position i-2).
     """
 
-    v: tuple[RationalFunction, ...]
-    iota: tuple[RationalFunction, ...]
-    v_tilde: tuple[RationalFunction, ...]
-    iota_tilde: tuple[RationalFunction, ...]
-    w: tuple[RationalFunction, ...]
-    kappa: tuple[tuple[RationalFunction, ...], ...]
-    w_tilde: tuple[RationalFunction, ...]
-    kappa_tilde: tuple[tuple[RationalFunction, ...], ...]
+    __slots__ = ("v", "iota", "v_tilde", "iota_tilde", "w", "kappa", "w_tilde", "kappa_tilde")
+
+    def __init__(
+        self,
+        v: tuple[RationalFunction, ...],
+        iota: tuple[RationalFunction, ...],
+        v_tilde: tuple[RationalFunction, ...],
+        iota_tilde: tuple[RationalFunction, ...],
+        w: tuple[RationalFunction, ...],
+        kappa: tuple[tuple[RationalFunction, ...], ...],
+        w_tilde: tuple[RationalFunction, ...],
+        kappa_tilde: tuple[tuple[RationalFunction, ...], ...],
+    ):
+        self.v = v
+        self.iota = iota
+        self.v_tilde = v_tilde
+        self.iota_tilde = iota_tilde
+        self.w = w
+        self.kappa = kappa
+        self.w_tilde = w_tilde
+        self.kappa_tilde = kappa_tilde
 
 
 def eigen_sections(chart: Chart) -> EigenSections:
@@ -75,12 +93,14 @@ def eigen_sections(chart: Chart) -> EigenSections:
     )
 
 
-@dataclass(frozen=True)
 class TransformationLaw:
     """Whether one eigen-section law action . sec(X) = factor . sec(z^t X) holds."""
 
-    name: str
-    holds: bool
+    __slots__ = ("name", "holds")
+
+    def __init__(self, name: str, holds: bool):
+        self.name = name
+        self.holds = holds
 
 
 def transformation_check(chart: Chart) -> tuple[TransformationLaw, ...]:
@@ -341,6 +361,4 @@ def parse_c(chart: Chart, text: str) -> tuple[Fraction, ...]:
         raise UsageError(
             f"expected {chart.n - 1} comma-separated values for c, got {len(parts)}"
         )
-    from .exactalg import parse_rational
-
     return tuple(parse_rational(p) for p in parts)

@@ -30,7 +30,6 @@ eliminator, kept here because the benchmark's tracer wraps `rref` and
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -108,11 +107,13 @@ class MatrixQ:
         )
 
 
-@dataclass(frozen=True)
 class RrefResult:
-    reduced: MatrixQ
-    rank: int
-    pivot_columns: tuple[int, ...]
+    __slots__ = ("reduced", "rank", "pivot_columns")
+
+    def __init__(self, reduced: MatrixQ, rank: int, pivot_columns: tuple[int, ...]):
+        self.reduced = reduced
+        self.rank = rank
+        self.pivot_columns = pivot_columns
 
 
 def rref(matrix: MatrixQ) -> RrefResult:
@@ -141,7 +142,6 @@ def rref(matrix: MatrixQ) -> RrefResult:
     return RrefResult(MatrixQ(rows), r, tuple(pivots))
 
 
-@dataclass(frozen=True)
 class Subspace:
     """Subspace of Q^ambient_dim with its canonical RREF basis.
 
@@ -151,8 +151,15 @@ class Subspace:
     unique, so two Subspace objects describe the same space iff they are ==.
     """
 
-    ambient_dim: int
-    basis: dict[int, dict[int, Fraction]]
+    # No __slots__: the cached functionals live in the instance __dict__.
+    def __init__(self, ambient_dim: int, basis: dict[int, dict[int, Fraction]]):
+        self.ambient_dim = ambient_dim
+        self.basis = basis
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
 
     # The basis is a dict, so there is no hash to agree with __eq__.
     __hash__ = None

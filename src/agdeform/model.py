@@ -10,7 +10,6 @@ paths work directly on Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -274,7 +273,6 @@ class SymbolicMatrix:
         ) + "]"
 
 
-@dataclass(frozen=True)
 class BundleActionMatrices:
     """The flow's actions on E, E*, F, F* in the standard frames at X.
 
@@ -283,10 +281,19 @@ class BundleActionMatrices:
     on_fstar = (on_f^{-1})^T, so their transposes act on row covectors.
     """
 
-    on_e: SymbolicMatrix
-    on_estar: SymbolicMatrix
-    on_f: SymbolicMatrix
-    on_fstar: SymbolicMatrix
+    __slots__ = ("on_e", "on_estar", "on_f", "on_fstar")
+
+    def __init__(
+        self,
+        on_e: SymbolicMatrix,
+        on_estar: SymbolicMatrix,
+        on_f: SymbolicMatrix,
+        on_fstar: SymbolicMatrix,
+    ):
+        self.on_e = on_e
+        self.on_estar = on_estar
+        self.on_f = on_f
+        self.on_fstar = on_fstar
 
 
 # -- the flow -------------------------------------------------------------------

@@ -17,7 +17,6 @@ exactalg.flat_index and exactalg.two_form_block only.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -151,14 +150,28 @@ def _block_grades(mat: Block) -> set[int]:
     return {(c >= 2) - (r >= 2) for r, c in mat}
 
 
-@dataclass(frozen=True)
 class Partial1Map:
     """The differential as sparse integer entries {(row, col): value}; its
     image is reduced once, on first use, and the rank read off it."""
 
-    entries: dict[tuple[int, int], int]
-    domain_dim: int
-    target_dim: int
+    # No __slots__: the cached image lives in the instance __dict__.
+    def __init__(self, entries: dict[tuple[int, int], int], domain_dim: int, target_dim: int):
+        self.entries = entries
+        self.domain_dim = domain_dim
+        self.target_dim = target_dim
+
+    def __eq__(self, other: object) -> bool:
+        """The same map: the cached image takes no part."""
+        if not isinstance(other, Partial1Map):
+            return NotImplemented
+        return (
+            self.entries == other.entries
+            and self.domain_dim == other.domain_dim
+            and self.target_dim == other.target_dim
+        )
+
+    # The entries are a dict, so there is no hash to agree with __eq__.
+    __hash__ = None
 
     @functools.cached_property
     def image(self) -> Subspace:
@@ -212,15 +225,30 @@ def build_partial1(spec: GradedAlgebraSpec) -> Partial1Map:
     )
 
 
-@dataclass(frozen=True)
 class DecompositionDims:
     """Dimension bookkeeping of the two-form decomposition at a given n."""
 
-    lambda_split: tuple[int, int]
-    torsion_module_dim: int
-    trace_family_dims: tuple[int, int]
-    trace_overlap_dim: int
-    trace_span_dim: int
+    __slots__ = (
+        "lambda_split",
+        "torsion_module_dim",
+        "trace_family_dims",
+        "trace_overlap_dim",
+        "trace_span_dim",
+    )
+
+    def __init__(
+        self,
+        lambda_split: tuple[int, int],
+        torsion_module_dim: int,
+        trace_family_dims: tuple[int, int],
+        trace_overlap_dim: int,
+        trace_span_dim: int,
+    ):
+        self.lambda_split = lambda_split
+        self.torsion_module_dim = torsion_module_dim
+        self.trace_family_dims = trace_family_dims
+        self.trace_overlap_dim = trace_overlap_dim
+        self.trace_span_dim = trace_span_dim
 
 
 def decomposition_dims(n: int) -> DecompositionDims:

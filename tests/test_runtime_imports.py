@@ -1,16 +1,21 @@
 """The runtime is pure standard library: every module that src/agdeform
-imports is a stdlib module or agdeform itself.  The dense linear algebra
-of linalg is the tests' oracle only: no runtime code uses it.  And every
-other public name in src/agdeform has a runtime reference, every parameter
-default is passed by some runtime call, and every dataclass field is read
-by some runtime code.  No float enters the runtime: no float constant, no
-float() call and no .random() draw."""
+imports is a stdlib module or agdeform itself, and importing the CLI loads
+neither dataclasses nor inspect.  The dense linear algebra of linalg is the
+tests' oracle only: no runtime code uses it.  And every other public name
+in src/agdeform has a runtime reference, every parameter default is passed
+by some runtime call, and every field of a value class (a class whose
+__init__ only stores its parameters) is read by some runtime code.  No
+float enters the runtime: no float constant, no float() call and no
+.random() draw."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "agdeform").glob("*.py"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted((SRC / "agdeform").glob("*.py"))
 
 
 def _top_level_imports(path):
@@ -31,6 +36,33 @@ def test_runtime_imports_only_stdlib():
         if name != "agdeform" and name not in sys.stdlib_module_names
     }
     assert not outside, sorted(outside)
+
+
+#: Modules that every CLI process would pay for at start-up, and that no
+#: runtime code needs: dataclasses imports inspect, which imports ast, dis
+#: and tokenize.
+NOT_LOADED_BY_CLI = {"dataclasses", "inspect"}
+
+
+def _loaded_modules(statement):
+    """The names in sys.modules after statement runs in a fresh interpreter
+    with src/ on the path.  -S keeps site and what it imports out."""
+    code = f"{statement}\nimport sys\nprint(*sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return set(result.stdout.split())
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """`import agdeform.cli` adds neither module to those a bare
+    interpreter starts with."""
+    baseline = _loaded_modules("pass")
+    loaded = _loaded_modules("import agdeform.cli")
+    assert "agdeform.cli" in loaded
+    assert not NOT_LOADED_BY_CLI & baseline, "the bare interpreter loads them itself"
+    assert not NOT_LOADED_BY_CLI & loaded, sorted(loaded - baseline)
 
 
 #: Kept in linalg as the tests' oracle for the sparse eliminator; the runtime
@@ -242,36 +274,99 @@ def test_unpassed_defaults_allowlist_is_current():
     assert set(UNPASSED_DEFAULTS_ALLOWED) <= {entry for _, entry in _unpassed_defaults()}
 
 
-#: Dataclass fields that no code in src/agdeform reads, and why each stays.
+#: The value classes of src/agdeform, as _value_class_fields finds them.
+VALUE_CLASSES = {
+    "Artifacts",
+    "BundleActionMatrices",
+    "CheckReport",
+    "DecompositionDims",
+    "EigenSections",
+    "Partial1Map",
+    "RrefResult",
+    "Subspace",
+    "TransformationLaw",
+}
+
+#: Value-class fields that no code in src/agdeform reads, and why each stays.
 UNREAD_FIELDS_ALLOWED: dict[str, str] = {}
 
 
+def _stored_parameter(statement, parameters):
+    """The attribute name if statement is `self.p = p` for a parameter p, else None."""
+    if (
+        isinstance(statement, ast.Assign)
+        and len(statement.targets) == 1
+        and isinstance(target := statement.targets[0], ast.Attribute)
+        and isinstance(target.value, ast.Name)
+        and target.value.id == "self"
+        and isinstance(statement.value, ast.Name)
+        and statement.value.id == target.attr
+        and target.attr in parameters
+    ):
+        return target.attr
+    return None
+
+
+def _value_class_fields(node):
+    """The fields of a module-level class whose __init__ does nothing but
+    store each of its parameters under the parameter's name: the attributes
+    its __init__ stores and the names its __slots__ lists.  None for any
+    other class."""
+    inits = [sub for sub in node.body if isinstance(sub, ast.FunctionDef) and sub.name == "__init__"]
+    if not inits:
+        return None
+    spec = inits[0].args
+    parameters = {arg.arg for arg in (spec.posonlyargs + spec.args)[1:] + spec.kwonlyargs}
+    stored = [_stored_parameter(statement, parameters) for statement in inits[0].body]
+    if None in stored or set(stored) != parameters:
+        return None
+    slots = [
+        element.value
+        for sub in node.body
+        if isinstance(sub, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == "__slots__" for target in sub.targets)
+        for element in ast.walk(sub.value)
+        if isinstance(element, ast.Constant) and isinstance(element.value, str)
+    ]
+    return set(stored) | set(slots)
+
+
+def _value_classes():
+    """(file name, class name, fields) for each value class in src/agdeform."""
+    for path_name, tree in _trees().items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                fields = _value_class_fields(node)
+                if fields is not None:
+                    yield path_name, node.name, fields
+
+
 def _unread_fields():
-    trees = _trees()
     reads = {
         node.attr
-        for tree in trees.values()
+        for tree in _trees().values()
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
     return [
-        (path_name, f"{node.name}.{field.target.id}")
-        for path_name, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, ast.ClassDef)
-        and node.name not in ORACLE_ONLY
-        and "dataclass" in map(_name, node.decorator_list)
-        for field in node.body
-        if isinstance(field, ast.AnnAssign)
-        and isinstance(field.target, ast.Name)
-        and field.target.id not in reads
+        (path_name, f"{class_name}.{field}")
+        for path_name, class_name, fields in _value_classes()
+        if class_name not in ORACLE_ONLY
+        for field in sorted(fields)
+        if field not in reads
     ]
 
 
-def test_every_dataclass_field_is_read_at_runtime():
-    """No dataclass field lives only for the tests: every field of a
-    dataclass in src/agdeform, outside the ORACLE_ONLY types, is read as an
-    attribute by some code in src/agdeform.  The match is by name."""
+def test_value_classes_are_found():
+    """The field rule below sees every value class: a class that gains other
+    work in its __init__ drops out of VALUE_CLASSES, and a new one joins it."""
+    assert {class_name for _, class_name, _ in _value_classes()} == VALUE_CLASSES
+
+
+def test_every_value_class_field_is_read_at_runtime():
+    """No field lives only for the tests: every field of a value class in
+    src/agdeform, outside the ORACLE_ONLY types, is read as an attribute by
+    some code in src/agdeform.  The match is by name."""
     unread = [entry for entry in _unread_fields() if entry[1] not in UNREAD_FIELDS_ALLOWED]
     assert not unread, unread
 

@@ -530,10 +530,10 @@ def density_check(
     A request that cannot sample a meaningful point raises UsageError before
     any check runs, so it is never reported as a FAIL or a vacuous PASS.
     Both verdicts are unchanged by a positive scale of the torsion vector, so
-    they run on the integer vector of TorsionAssembler.evaluate_scaled.  Phi
-    at c, its torsion pairs (which read Phi's one table of first
-    derivatives), the integer tables and the column index of the residual
-    functionals of Im(partial1) are all built inside the check.
+    they run on the integer vector of TorsionAssembler.evaluate.  Phi at c,
+    its torsion pairs (which read Phi's one table of first derivatives), the
+    integer evaluator and the column index of the residual functionals of
+    Im(partial1) are all built inside the check.
     """
     c = validate_sweep(n, c, s, ball_count)
     records: list[dict] = []
@@ -546,7 +546,7 @@ def density_check(
         first_bad = None
         total = 0
         for point in ball_sweep(art.chart, s, PER_RADIUS, range(1, ball_count + 1), seed):
-            vector = assembler.evaluate_scaled(point)
+            vector = assembler.evaluate(point)
             lemma = lemma_criterion(vector, s, n)
             member = membership(image, vector)
             records.append(
@@ -850,13 +850,13 @@ def curvature_numeric_suite(n: int, seed: int = 0) -> list[CheckReport]:
         return generic_off_singular(entries, 2) and entries[1][0] != 0
 
     def not_pure_trace_samples():
-        kappa = art.kappa
+        slice_values = art.kappa.slice_values
         subspace = curvature_mod.trace_subspace(n)
         rng = random.Random(seed)
         checked = 0
         for radius_exp in range(1, 6):
             for point in sample_points(art.chart, radius_exp, KAPPA_SAMPLES // 5, rng, accept):
-                values = kappa.evaluate_slice(point, c=c_unit)
+                values = slice_values.at(point.evaluation_vector(c=c_unit))
                 if not curvature_mod.not_pure_trace(values, subspace):
                     return (
                         False,

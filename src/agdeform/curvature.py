@@ -6,18 +6,21 @@ differentiation along d/dx_{j i'}.  The harmonic-curvature candidate is
 obtained from the full second-derivative tensor by contracting one primed
 pair, skew-symmetrizing the remaining primed pair, and symmetrizing the three
 unprimed covariant slots; trace removal is handled as a membership test
-against the explicitly embedded trace subspace of S^3 R^{n*} (x) R^n.
+against the explicitly embedded trace subspace of S^3 R^{n*} (x) R^n.  A
+membership verdict does not change under a positive scale, so the sampled
+check reads the slice at a point as one positive integer multiple of its
+value (KappaProjection.slice_values, an exactalg.ScaledValues).
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import permutations
-from typing import Sequence
 
-from .exactalg import RationalFunction, UsageError, flat_index
-from .linalg import Subspace, span_subspace, membership
-from .model import Chart, ChartPoint
+from .exactalg import RationalFunction, ScaledValues, UsageError, flat_index
+from .linalg import Subspace, Vector, span_subspace, membership
+from .model import Chart
 from .deform import EndomorphismField
 
 
@@ -99,8 +102,7 @@ class KappaProjection:
     read and memoised.
     """
 
-    __slots__ = ("d2", "chart", "values")
-
+    # No __slots__: the cached slice evaluator lives in the instance __dict__.
     def __init__(self, d2: SecondDerivativeTensor):
         self.d2 = d2
         self.chart = d2.chart
@@ -131,15 +133,14 @@ class KappaProjection:
             value = self.values[key] = acc.scale(_SIXTH)
         return value
 
-    def evaluate_slice(
-        self, point: ChartPoint, c: Sequence[Fraction] | None = None
-    ) -> tuple[tuple[Fraction, ...], ...]:
-        """Numeric symmetric slice [triple index][r-1] at a chart point."""
-        vec = point.evaluation_vector(c=c)
+    @functools.cached_property
+    def slice_values(self) -> ScaledValues:
+        """The integer evaluator of the symmetric slice, built on first use:
+        the value at (triple, r) is entry k * n + r - 1 for the k-th triple
+        of sorted_triples(n), the coordinates of trace_subspace(n)."""
         n = self.chart.n
-        return tuple(
-            tuple(self.value(triple, r).evaluate(vec) for r in range(1, n + 1))
-            for triple in sorted_triples(n)
+        return ScaledValues(
+            [self.value(triple, r) for triple in sorted_triples(n) for r in range(1, n + 1)]
         )
 
 
@@ -198,16 +199,12 @@ def trace_subspace(n: int) -> Subspace:
     return span_subspace(vectors, ambient)
 
 
-def not_pure_trace(
-    slice_values: Sequence[Sequence[Fraction]], subspace: Subspace
-) -> bool:
-    """True iff the evaluated symmetric slice lies outside subspace, the
-    trace subspace that trace_subspace(n) builds.
+def not_pure_trace(values: Vector, subspace: Subspace) -> bool:
+    """True iff the slice values, in the order of
+    KappaProjection.slice_values or any positive multiple of them, lie
+    outside subspace, the trace subspace that trace_subspace(n) builds.
 
     A zero slice returns False: it lies in every subspace, so nothing is
-    certified.  slice_values comes from KappaProjection.evaluate_slice.
+    certified.
     """
-    flat = [value for row in slice_values for value in row]
-    if len(flat) != subspace.ambient_dim:
-        raise UsageError("slice shape does not match the trace subspace")
-    return not membership(subspace, flat)
+    return not membership(subspace, values)

@@ -65,7 +65,6 @@ class PoleAtPoint(ArithmeticError):
     """A denominator factor vanishes at the requested evaluation point."""
 
     def __init__(self, factor_text: str, point: tuple[Fraction, ...]):
-        self.factor_text = factor_text
         self.point = point
         super().__init__(f"denominator factor {factor_text} vanishes at point")
 
@@ -927,6 +926,75 @@ def dot(
         table,
         [(a.num * b.num, a.den + b.den) for a, b in pairs if a.num.coeffs and b.num.coeffs],
     )
+
+
+class ScaledValues:
+    """Rational functions over one table, evaluated at many points in ints.
+
+    On construction the functions are brought over the lcm Q of their
+    denominators once (see _align), and each numerator and each factor of
+    Q becomes a row of int coefficients over one table of monomials, all
+    rows cleared by one positive scale.  at(point) writes the point as
+    X / D with ints X and D > 0 and evaluates a monomial of total degree d
+    as D**(degree - d) * X**e, with degree the largest total degree in the
+    table, so each row reads scale * D**degree times its polynomial at the
+    point.  The numerators, negated when Q is negative there, are then one
+    positive multiple of the function values: all that a verdict which a
+    positive scale does not change needs.
+    """
+
+    __slots__ = ("size", "monomials", "numerators", "factors")
+
+    def __init__(self, functions: Sequence[RationalFunction]):
+        table = functions[0].table
+        if any(f.table != table for f in functions):
+            raise MismatchedTables("functions use different variable tables")
+        aligned, den = _align([(f.num, f.den) for f in functions if f.num.coeffs])
+        aligned = iter(aligned)
+        polys = [next(aligned) if f.num.coeffs else f.num for f in functions]
+        polys += [factor for factor, _ in den]
+        scale = math.lcm(*(c.denominator for p in polys for c in p.coeffs.values()))
+        index: dict[Monomial, int] = {}
+        rows = [
+            tuple(
+                (index.setdefault(mono, len(index)), c.numerator * (scale // c.denominator))
+                for mono, c in p.coeffs.items()
+            )
+            for p in polys
+        ]
+        self.size = table.size
+        pairs = [exponent_pairs(mono, table.size) for mono in index]
+        degrees = [sum(e for _, e in p) for p in pairs]
+        degree = max(degrees, default=0)
+        self.monomials = tuple((degree - d, p) for d, p in zip(degrees, pairs))
+        self.numerators = tuple(rows[: len(functions)])
+        self.factors = tuple(
+            (factor, exponent % 2 == 1, row)
+            for (factor, exponent), row in zip(den, rows[len(functions) :])
+        )
+
+    def at(self, point: Sequence[Fraction]) -> tuple[int, ...]:
+        """One positive multiple of the values of the functions at point, a
+        full evaluation vector, as ints; a vanishing denominator factor
+        raises PoleAtPoint."""
+        if len(point) != self.size:
+            raise UsageError("evaluation point does not bind every variable")
+        D = math.lcm(*(v.denominator for v in point))
+        X = [v.numerator * (D // v.denominator) for v in point]
+        values = []
+        for d_power, pairs in self.monomials:
+            value = D**d_power
+            for idx, e in pairs:
+                value *= X[idx] ** e
+            values.append(value)
+        negative = False
+        for factor, odd, row in self.factors:
+            value = sum(c * values[i] for i, c in row)
+            if not value:
+                raise PoleAtPoint(render_polynomial(factor), tuple(point))
+            negative ^= odd and value < 0
+        sums = [sum(c * values[i] for i, c in row) for row in self.numerators]
+        return tuple(-v for v in sums) if negative else tuple(sums)
 
 
 class Dual:

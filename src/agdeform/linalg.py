@@ -12,19 +12,20 @@ The work is on integers from input to verdict.  There is one eliminator,
 1968, with division by the content of a row in place of his exact division
 by the previous pivot) on {column: value} rows, each cleared of
 denominators once and kept primitive with a positive pivot.  A column ->
-pivot-rows index finds the rows that a new pivot must be cleared from, and
-each row is divided by its pivot entry only at the end, which gives the
-canonical Fraction RREF.  A Subspace holds that basis as it comes, {pivot
-column: sparse row}; `span_subspace` and `sparse_rank` are thin entry
-points to the eliminator.  The integer residual functionals of a Subspace,
-one per free column, are built once and indexed by the columns they read
-(`Subspace.functionals`); `membership` clears the vector of denominators
-and pairs it only with the functionals that read one of its nonzero
-columns.  `Subspace.contains` and `Subspace.residual` stay as its Fraction
-oracles.  The dense `MatrixQ` and its Gauss-Jordan `rref` (with
+pivot-rows index finds the rows that a new pivot must be cleared from.  The
+pivot rows it returns are the canonical integer basis: each is the one
+primitive multiple, positive at its pivot, of a row of the reduced row
+echelon form.  A Subspace holds that basis as it comes, {pivot column:
+sparse int row}; `span_subspace` and `sparse_rank` are thin entry points to
+the eliminator.  The integer residual functionals of a Subspace, one per
+free column, are built once from those rows and indexed by the columns they
+read (`Subspace.functionals`); `membership` clears the vector of
+denominators and pairs it only with the functionals that read one of its
+nonzero columns.  The dense `MatrixQ` and its Gauss-Jordan `rref` (with
 `RrefResult`) have no caller at runtime: they are the tests' oracle for the
 eliminator, kept here because the benchmark's tracer wraps `rref` and
-`MatrixQ.__mul__` by name.
+`MatrixQ.__mul__` by name.  The Fraction membership oracle, elimination of
+the vector by the reduced basis, lives in the tests.
 """
 
 from __future__ import annotations
@@ -143,16 +144,17 @@ def rref(matrix: MatrixQ) -> RrefResult:
 
 
 class Subspace:
-    """Subspace of Q^ambient_dim with its canonical RREF basis.
+    """Subspace of Q^ambient_dim with its canonical integer basis.
 
-    basis is what `sparse_rref` returns: {pivot column: reduced row}, each
-    row a sparse {column: Fraction} dict that holds 1 at its own pivot and
-    nothing at any other pivot column.  The reduced basis of a space is
-    unique, so two Subspace objects describe the same space iff they are ==.
+    basis is what `sparse_rref` returns: {pivot column: row}, each row a
+    sparse {column: int} dict that is primitive, positive at its own pivot
+    and zero at every other pivot column.  Each row is the unique positive
+    multiple of a row of the reduced row echelon form with coprime int
+    entries, so two Subspace objects describe the same space iff they are ==.
     """
 
     # No __slots__: the cached functionals live in the instance __dict__.
-    def __init__(self, ambient_dim: int, basis: dict[int, dict[int, Fraction]]):
+    def __init__(self, ambient_dim: int, basis: dict[int, dict[int, int]]):
         self.ambient_dim = ambient_dim
         self.basis = basis
 
@@ -181,50 +183,33 @@ class Subspace:
         """The integer residual functionals, one per free column, indexed by
         the basis columns they read.
 
-        The functional of free column j is e_j - sum_p B[p][j] e_p over the
-        basis rows B[p], multiplied by the lcm of its denominators; it pairs
-        with a vector to a positive multiple of the vector's residual at j,
-        so a vector lies in the subspace iff every functional pairs with it
-        to zero.  Entry i of the index holds a (j, coefficient) pair for
-        each functional j with a nonzero coefficient at column i: at a free
+        With B[p] the basis row of pivot p, the functional of free column j
+        is e_j - sum_p (B[p][j] / B[p][p]) e_p, multiplied by the lcm of the
+        denominators of those ratios in lowest terms; it pairs with a vector
+        to a positive multiple of the vector's residual at j, so a vector
+        lies in the subspace iff every functional pairs with it to zero.
+        Entry i of the index holds a (j, coefficient) pair for each
+        functional j with a nonzero coefficient at column i: at a free
         column i only its own functional, at a pivot column p one for each
         free column in B[p].  Columns that no functional reads have no
         entry.  The index is read off in one pass over the nonzeros of the
         basis.
         """
-        terms: dict[int, list[tuple[int, Fraction]]] = {j: [] for j in self.free_columns}
+        terms: dict[int, list[tuple[int, int, int]]] = {j: [] for j in self.free_columns}
         for p in self.pivot_columns:
-            for j, v in self.basis[p].items():
+            row = self.basis[p]
+            lead = row[p]
+            for j, v in row.items():
                 if j != p:
-                    terms[j].append((p, -v))
+                    common = gcd(v, lead)
+                    terms[j].append((p, -v // common, lead // common))
         index: dict[int, list[tuple[int, int]]] = {}
         for j, row in terms.items():
-            scale = lcm(*(v.denominator for _, v in row))
+            scale = lcm(*(den for _, _, den in row))
             index.setdefault(j, []).append((j, scale))
-            for p, v in row:
-                index.setdefault(p, []).append((j, v.numerator * (scale // v.denominator)))
+            for p, num, den in row:
+                index.setdefault(p, []).append((j, num * (scale // den)))
         return {i: tuple(pairs) for i, pairs in index.items()}
-
-    def _reduce(self, vector: Vector) -> dict[int, Fraction]:
-        """The vector, dense or sparse, minus vector[p] times basis row p for
-        every pivot p: what is left is supported on the free columns."""
-        work = {j: Fraction(v) for j, v in nonzero_entries(vector, self.ambient_dim).items()}
-        for p, row in self.basis.items():
-            coeff = work.get(p)
-            if coeff:
-                _axpy(work, -coeff, row)
-        return work
-
-    def residual(self, vector: Vector) -> tuple[Fraction, ...]:
-        """Coordinates, on the free columns, of vector - (its projection
-        onto the basis rows); the vector lies in the subspace iff they all
-        vanish."""
-        left = self._reduce(vector)
-        return tuple(left.get(j, _ZERO) for j in self.free_columns)
-
-    def contains(self, vector: Vector) -> bool:
-        """Exact membership in Fractions, the oracle for `membership`."""
-        return not self._reduce(vector)
 
 
 #: A vector in either of its two forms: dense, or sparse {index: value}.
@@ -258,16 +243,6 @@ def nonzero_entries(vector: Vector, dim: int) -> dict[int, Fraction | int]:
         bad = next(v for v in values if type(v) not in _EXACT)
         raise UsageError(f"vector entry {bad!r} is not an int or a Fraction")
     return {j: v for j, v in items if v}
-
-
-def _axpy(target: dict[int, Fraction], factor: Fraction, source: Mapping[int, Fraction]) -> None:
-    """target += factor * source in place, dropping the zeros."""
-    for j, v in source.items():
-        acc = target.get(j, 0) + factor * v
-        if acc:
-            target[j] = acc
-        else:
-            del target[j]
 
 
 def _cleared(entries: Mapping[int, Fraction | int]) -> dict[int, int]:
@@ -306,9 +281,9 @@ def _eliminate(target: dict[int, int], col: int, source: Mapping[int, int]) -> N
             del target[j]
 
 
-def sparse_rref(rows: Iterable[Mapping[int, Fraction | int]]) -> dict[int, dict[int, Fraction]]:
-    """Fraction-free sparse Gauss-Jordan over Q: the reduced row echelon
-    form of the rows, as {pivot column: reduced row}.
+def sparse_rref(rows: Iterable[Mapping[int, Fraction | int]]) -> dict[int, dict[int, int]]:
+    """Fraction-free sparse Gauss-Jordan over Q: the canonical integer
+    basis of the row space, as {pivot column: row}.
 
     Each incoming {column: value} row is cleared of denominators once and
     reduced, on integers, by the pivot rows so far.  What is left, if
@@ -316,10 +291,10 @@ def sparse_rref(rows: Iterable[Mapping[int, Fraction | int]]) -> dict[int, dict[
     column, its pivot, holds a positive entry; that column is then cleared
     from the earlier pivot rows that hold it, which a column -> pivot-rows
     index finds without a scan.  Every pivot row is primitive, positive at
-    its pivot and 0 at every other pivot column, so each divided by its
-    pivot entry, once at the end, gives the canonical RREF basis of the row
-    space, in Fractions, the same one the dense rref gives.  The input is
-    not changed.
+    its pivot and 0 at every other pivot column, so it is the one such
+    multiple of a row of the reduced row echelon form: divided by its pivot
+    entry, each row gives the canonical RREF basis that the dense rref
+    gives.  The input is not changed.
     """
     pivots: dict[int, dict[int, int]] = {}
     # column -> the pivots whose rows have held a nonzero there; a row that
@@ -348,10 +323,7 @@ def sparse_rref(rows: Iterable[Mapping[int, Fraction | int]]) -> dict[int, dict[
         for j in row:
             if j != lead:
                 holders.setdefault(j, set()).add(lead)
-    del holders  # so that it and the Fraction rows are never alive together
-    return {
-        p: {j: Fraction(v, row[p]) for j, v in row.items()} for p, row in pivots.items()
-    }
+    return pivots
 
 
 def span_subspace(vectors: Sequence[Vector], ambient_dim: int) -> Subspace:
@@ -366,8 +338,8 @@ def membership(subspace: Subspace, vector: Vector) -> bool:
     span_subspace, is cleared of denominators and paired with the
     functionals of the subspace that read one of its nonzero columns.
 
-    A functional that reads none of them pairs with the vector to 0, so the
-    answer equals subspace.contains(vector) (the Fraction oracle).
+    A functional that reads none of them pairs with the vector to 0, so
+    the answer is that of all the functionals.
     """
     index = subspace.functionals
     sums: dict[int, int] = {}

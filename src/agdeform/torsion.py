@@ -7,25 +7,19 @@ sends the coordinate field d/dx_{k p'} to E^{p'}_k, so theta(-bracket) has
 the bracket's flat components negated.  Phi annihilates theta of every
 pulled-frame bracket (the check torsion.phi_kills_brackets), so the torsion
 is the negated bracket itself.
+
+The sampled sweep reads the torsion at a point as one positive integer
+multiple of its value (exactalg.ScaledValues): its two verdicts, the
+rank-one lemma criterion and membership in Im(partial1), do not change
+under a positive scale.
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
-from .exactalg import (
-    PoleAtPoint,
-    Polynomial,
-    RationalFunction,
-    UsageError,
-    exponent_pairs,
-    flat_index,
-    render_polynomial,
-    two_form_block,
-)
+from .exactalg import RationalFunction, ScaledValues, UsageError, flat_index, two_form_block
 from .deform import EndomorphismField
 from .linalg import Vector, nonzero_entries
 from .model import ChartPoint
@@ -77,44 +71,6 @@ def frame_bracket(
     return tuple(out)
 
 
-class _IntegerPolynomials:
-    """Polynomials in the chart variables, evaluated in integer arithmetic.
-
-    At a rational point x = X / D with integer X and D > 0, values(X, D) is
-    the list of integers scale * D**degree * p(x), where scale > 0 clears
-    every coefficient denominator and degree is the largest total degree:
-    one positive multiple of all the values p(x).
-    """
-
-    def __init__(self, polys: Sequence[Polynomial], nvars: int):
-        scale = lcm(*(c.denominator for p in polys for c in p.coeffs.values()))
-        monomials: dict[int, int] = {}
-        terms = []
-        for p in polys:
-            row = []
-            for mono, coeff in p.coeffs.items():
-                idx = monomials.setdefault(mono, len(monomials))
-                row.append((idx, coeff.numerator * (scale // coeff.denominator)))
-            terms.append(tuple(row))
-        self.terms = tuple(terms)
-        size = polys[0].table.size if polys else 0
-        factors = [tuple(exponent_pairs(mono, size)) for mono in monomials]
-        if any(f and f[-1][0] >= nvars for f in factors):
-            raise ValueError("a torsion polynomial uses a variable outside the chart")
-        degrees = [sum(e for _, e in f) for f in factors]
-        self.degree = max(degrees, default=0)
-        self.monomials = tuple((self.degree - d, f) for d, f in zip(degrees, factors))
-
-    def values(self, X: Sequence[int], D: int) -> list[int]:
-        mono_values = []
-        for d_power, factors in self.monomials:
-            value = D**d_power
-            for v, e in factors:
-                value *= X[v] ** e
-            mono_values.append(value)
-        return [sum(c * mono_values[i] for i, c in row) for row in self.terms]
-
-
 class TorsionAssembler:
     """The torsion of the pulled frame of phi, built as it is read;
     evaluates per point.
@@ -125,11 +81,10 @@ class TorsionAssembler:
     it, as Phi theta(bracket) = 0 (see the module docstring).  symbolic is
     the torsion in pair-major order, built from the pairs on first read:
     T(m_a, m_b) = -pair(a, b) for a < b, in the flat basis, starts at
-    two_form_block(a, b, 2n)[0].  Evaluation at many sample points only costs
-    rational-function evaluation, not re-differentiation.  evaluate gives the
-    exact torsion vector; evaluate_scaled gives a positive multiple of it in
-    integer arithmetic, which is all that the scale-invariant sweep verdicts
-    need.
+    two_form_block(a, b, 2n)[0].  evaluate gives a positive integer multiple
+    of the torsion vector at a point (exactalg.ScaledValues), which is all
+    that the scale-invariant sweep verdicts need; a sample point costs an
+    integer evaluation, not re-differentiation.
     """
 
     def __init__(self, phi: EndomorphismField):
@@ -153,53 +108,17 @@ class TorsionAssembler:
             -f for a in range(size) for b in range(a + 1, size) for f in self.pair(a, b)
         )
 
-    def evaluate(
-        self, point: ChartPoint, c: Sequence[Fraction] | None = None
-    ) -> tuple[Fraction, ...]:
-        """Torsion vector at a numeric point; q(point) = 0 raises PoleAtPoint."""
-        vec = point.evaluation_vector(c=c)
-        return tuple(comp.evaluate(vec) for comp in self.symbolic)
-
     @functools.cached_property
-    def _integer_tables(self):
-        """The shared denominator as (factor, exponent, integer form) triples,
-        and the numerators in symbolic order as one integer form.
+    def _values(self) -> ScaledValues:
+        """The integer evaluator of symbolic, built on the first evaluate:
+        an assembler whose c stays symbolic serves pair and symbolic only."""
+        return ScaledValues(self.symbolic)
 
-        Built on first use, not in __init__: an assembler whose c stays
-        symbolic has numerators in c and only serves evaluate.
-        """
-        nvars = 2 * self.chart.n
-        nonzero = [f for f in self.symbolic if not f.is_zero()]
-        shared = nonzero[0].den if nonzero else ()
-        if any(f.den != shared for f in nonzero):
-            raise ValueError("the torsion components do not share one denominator")
-        factors = tuple(
-            (factor, exponent, _IntegerPolynomials((factor,), nvars))
-            for factor, exponent in shared
-        )
-        return factors, _IntegerPolynomials([f.num for f in self.symbolic], nvars)
-
-    def evaluate_scaled(self, point: ChartPoint) -> tuple[int, ...]:
-        """A positive integer multiple of evaluate(point).
-
-        The point is cleared of its (dyadic) denominators, the numerators over
-        the shared denominator are evaluated in integers, and the sign of the
-        denominator is divided out; q(point) = 0 raises PoleAtPoint.
-        """
-        if not point.is_numeric:
-            raise UsageError("integer evaluation requires a numeric point")
-        factors, numerators = self._integer_tables
-        coords = [v for row in point.entries for v in row]
-        D = lcm(*(v.denominator for v in coords))
-        X = [v.numerator * (D // v.denominator) for v in coords]
-        negative = False
-        for factor, exponent, form in factors:
-            (value,) = form.values(X, D)
-            if not value:
-                raise PoleAtPoint(render_polynomial(factor), point.evaluation_vector())
-            negative ^= value < 0 and exponent % 2 == 1
-        values = numerators.values(X, D)
-        return tuple(-v for v in values) if negative else tuple(values)
+    def evaluate(self, point: ChartPoint) -> tuple[int, ...]:
+        """A positive integer multiple of the torsion vector at a numeric
+        point, where a c left symbolic reads 0 (ChartPoint.evaluation_vector);
+        q(point) = 0 raises PoleAtPoint."""
+        return self._values.at(point.evaluation_vector())
 
 
 def lemma_criterion(t_vec: Vector, s: int, n: int) -> bool:

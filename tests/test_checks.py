@@ -15,6 +15,7 @@ from agdeform import reptheory as rep_mod
 from agdeform import torsion as torsion_mod
 from agdeform.deform import EndomorphismField
 from agdeform.exactalg import Polynomial, RationalFunction, UsageError, flat_index
+from oracles import contains
 
 
 @pytest.fixture
@@ -322,15 +323,15 @@ def test_reptheory_suite_passes_at_n6(fresh_cache):
 
 def test_every_membership_verdict_equals_the_fraction_oracle(monkeypatch, fresh_cache):
     """Every membership call made by quick_suite(4), by one sweep and by
-    curvature.not_pure_trace.n3 answers as Subspace.contains does; the
-    calls give both answers (trace vectors in Im(partial1), sweep torsion
-    and kappa slices outside), so each branch has its control."""
+    curvature.not_pure_trace.n3 answers as the Fraction oracle contains
+    does; the calls give both answers (trace vectors in Im(partial1), sweep
+    torsion and kappa slices outside), so each branch has its control."""
     verdicts = Counter()
     real = checks.membership
 
     def checked(subspace, vector):
         verdict = real(subspace, vector)
-        assert verdict is subspace.contains(vector), vector
+        assert verdict is contains(subspace, vector), vector
         verdicts[verdict] += 1
         return verdict
 

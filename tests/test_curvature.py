@@ -19,6 +19,7 @@ from agdeform.deform import build_Phi, build_q
 from agdeform.exactalg import RationalFunction, UsageError
 from agdeform.linalg import MatrixQ, rref
 from agdeform.model import Chart, ChartPoint
+from oracles import assert_positive_multiple, reduced_dense_rows
 
 CHART = Chart(3)
 
@@ -238,17 +239,29 @@ def test_trace_subspace_matches_dense_rref(n, monkeypatch):
     (vectors, ambient), = seen
     dense = [[Fraction(v.get(j, 0)) for j in range(ambient)] for v in vectors]
     result = rref(MatrixQ(dense))
-    rows = tuple(tuple(sub.basis[p].get(j, 0) for j in range(ambient)) for p in sub.pivot_columns)
-    assert rows == result.reduced.rows[: result.rank]
+    assert reduced_dense_rows(sub) == result.reduced.rows[: result.rank]
     assert sub.pivot_columns == result.pivot_columns
     assert sub.dim == n * (n + 1) // 2
+
+
+def test_slice_values_are_a_positive_multiple_of_the_slice():
+    """KappaProjection.slice_values reads the values (triple, r) in slice
+    order, as one positive integer multiple of their Fraction values, at
+    points where c is bound by the point."""
+    n = CHART.n
+    order = [(triple, r) for triple in sorted_triples(n) for r in range(1, n + 1)]
+    for text, c in (("2,1;1,0;2,0", (1, 0)), ("1/2,-1/3;3/4,1;-2,1/5", (Fraction(2, 3), -1))):
+        vec = ChartPoint.parse(CHART, text).evaluation_vector(c=c)
+        exact = [PROJ.value(triple, r).evaluate(vec) for triple, r in order]
+        assert any(exact)
+        assert_positive_multiple(PROJ.slice_values.at(vec), exact)
 
 
 def test_not_pure_trace():
     n = 3
     sub = trace_subspace(n)
     triples = sorted_triples(n)
-    zero_slice = [[Fraction(0)] * n for _ in triples]
+    zero_slice = [Fraction(0)] * (n * len(triples))
     assert not not_pure_trace(zero_slice, sub)
 
     # a manufactured pure-trace slice must stay inside the subspace
@@ -259,19 +272,17 @@ def test_not_pure_trace():
         return s_matrix[tuple(sorted((a, b)))]
 
     trace_slice = [
-        [
-            s_val(j, m) * (1 if o == r else 0)
-            + s_val(j, o) * (1 if m == r else 0)
-            + s_val(m, o) * (1 if j == r else 0)
-            for r in range(1, n + 1)
-        ]
+        s_val(j, m) * (1 if o == r else 0)
+        + s_val(j, o) * (1 if m == r else 0)
+        + s_val(m, o) * (1 if j == r else 0)
         for (j, m, o) in triples
+        for r in range(1, n + 1)
     ]
     assert not not_pure_trace(trace_slice, sub)
 
     point = ChartPoint.parse(CHART, "2,1;1,0;2,0")
-    generic_slice = PROJ.evaluate_slice(point, c=(Fraction(1), Fraction(0)))
+    generic_slice = PROJ.slice_values.at(point.evaluation_vector(c=(Fraction(1), Fraction(0))))
     assert not_pure_trace(generic_slice, sub)
 
     with pytest.raises(UsageError):
-        not_pure_trace([[Fraction(0)]], sub)
+        not_pure_trace([Fraction(0)], sub)

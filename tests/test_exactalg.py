@@ -17,6 +17,7 @@ from agdeform.exactalg import (
     PoleAtPoint,
     Polynomial,
     RationalFunction,
+    ScaledValues,
     UsageError,
     VariableTable,
     Dual,
@@ -30,6 +31,7 @@ from agdeform.exactalg import (
 )
 from agdeform.model import Chart
 from agdeform.torsion import TorsionAssembler
+from oracles import assert_positive_multiple
 
 TABLE = VariableTable(3)
 
@@ -238,6 +240,94 @@ def test_pole_at_point():
     with pytest.raises(PoleAtPoint) as err:
         f.evaluate(origin)
     assert "x11^2 + x12^2 + x21^2 + x31^2" in str(err.value)
+
+
+def _variable(name):
+    return Polynomial.variable(TABLE, TABLE.index(name))
+
+
+def _constant(value):
+    return Polynomial.constant(TABLE, value)
+
+
+#: Denominator factors that mix chart and non-chart variables, of degree 1
+#: and 2; x11 - 3 is negative near the origin.
+SCALED_FACTORS = (
+    q_rf().num,
+    _constant(1) + _variable("t") * _variable("x11"),
+    _variable("x11") - _constant(3),
+    _variable("x21").scale(Fraction(2, 3)) + _variable("c2") - _constant(Fraction(1, 5)),
+)
+
+
+def _random_point(rng):
+    return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in TABLE.names)
+
+
+def _scaled_against_oracle(functions, point):
+    """ScaledValues(functions).at(point) against the Fraction values: a
+    positive multiple of them, or PoleAtPoint where the oracle has a pole."""
+    values = ScaledValues(functions)
+    try:
+        exact = [f.evaluate(point) for f in functions]
+    except PoleAtPoint:
+        with pytest.raises(PoleAtPoint):
+            values.at(point)
+        return None
+    scaled = values.at(point)
+    assert_positive_multiple(scaled, exact)
+    return scaled
+
+
+def test_scaled_values_match_the_fraction_oracle_on_random_functions():
+    """Seeded random numerators with Fraction coefficients, in every
+    variable (t, s and c bound by the point too), over random products of
+    powers of mixed factors, zero functions among them: at() is one
+    positive multiple of the Fraction values."""
+    rng = random.Random(25)
+    evaluated = 0
+    for _ in range(60):
+        functions = []
+        for _ in range(rng.randint(1, 5)):
+            factors = rng.sample(SCALED_FACTORS, rng.randint(0, 3))
+            den = [(factor, rng.randint(1, 3)) for factor in factors]
+            functions.append(RationalFunction(random_polynomial(rng), den))
+        for _ in range(3):
+            evaluated += _scaled_against_oracle(functions, _random_point(rng)) is not None
+    assert evaluated > 150
+
+
+def test_scaled_values_signs_zeros_and_symbolic_c():
+    """A factor negative at the point with an odd exponent flips the sign
+    of the multiple and with an even one does not; zero functions, and a
+    function that vanishes at the point, read 0; a symbolic c bound by the
+    point counts like any other variable."""
+    x11, c2 = _variable("x11"), _variable("c2")
+    odd = RationalFunction(_constant(1), [(x11 - _constant(3), 1)])
+    even = RationalFunction(_constant(1), [(x11 - _constant(3), 2)])
+    in_c = RationalFunction(c2 * x11 + _constant(Fraction(1, 2)), [(x11 - _constant(3), 3)])
+    zero = RationalFunction.zero(TABLE)
+    vanishing = RationalFunction(x11 - _constant(1), [(q_rf().num, 1)])
+    point = TABLE.point(x=[[1, 2], [3, 4], [5, 6]], c=[2, Fraction(-5, 7)])
+    scaled = _scaled_against_oracle([odd, even, in_c, zero, vanishing], point)
+    assert scaled[0] < 0 < scaled[1] and scaled[2] < 0
+    assert scaled[3] == scaled[4] == 0
+    assert _scaled_against_oracle([zero], point) == (0,)
+
+
+def test_scaled_values_pole_and_usage():
+    """A vanishing denominator factor raises PoleAtPoint naming it; a point
+    that does not bind every variable and functions over two tables are
+    usage errors."""
+    f = RationalFunction(_constant(1), [(q_rf().num, 2)])
+    origin = tuple(Fraction(0) for _ in TABLE.names)
+    with pytest.raises(PoleAtPoint) as err:
+        ScaledValues([f, RationalFunction.zero(TABLE)]).at(origin)
+    assert "x11^2 + x12^2 + x21^2 + x31^2" in str(err.value)
+    with pytest.raises(UsageError):
+        ScaledValues([f]).at(origin[:-1])
+    with pytest.raises(MismatchedTables):
+        ScaledValues([f, RationalFunction.zero(VariableTable(2))])
 
 
 def test_degree_info():

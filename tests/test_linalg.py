@@ -4,6 +4,7 @@ the dense rref oracle, spans, membership, sparse rank."""
 import random
 from collections.abc import Hashable, Mapping
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -21,18 +22,11 @@ from agdeform.linalg import (
 from agdeform.exactalg import UsageError, flat_index, two_form_block
 from agdeform.reptheory import GradedAlgebraSpec, build_partial1
 from agdeform.torsion import lemma_criterion
+from oracles import contains, reduced_dense_rows, residual
 
 
 def _matrix(rows):
     return MatrixQ([[Fraction(v) for v in row] for row in rows])
-
-
-def _dense_rows(space):
-    """The sparse RREF basis of a Subspace as dense rows, in pivot order."""
-    return tuple(
-        tuple(space.basis[p].get(j, Fraction(0)) for j in range(space.ambient_dim))
-        for p in space.pivot_columns
-    )
 
 
 def _functional_rows(space):
@@ -111,19 +105,20 @@ def test_membership_and_residual():
     assert membership(space, (Fraction(2), Fraction(3), Fraction(5)))
     assert not membership(space, (Fraction(0), Fraction(0), Fraction(1)))
     with pytest.raises(ValueError):
-        space.contains((Fraction(1), Fraction(0)))
+        contains(space, (Fraction(1), Fraction(0)))
 
 
 def test_contains_matches_residual_on_random_vectors():
     """The integer functionals agree with contains and residual, also on
-    vectors with denominators and on a basis with denominators."""
+    vectors with denominators and on a basis whose RREF has denominators
+    (integer rows with a pivot entry above 1)."""
     rng = random.Random(31)
     vectors = [
         tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(8))
         for _ in range(4)
     ]
     space = span_subspace(vectors, 8)
-    assert any(v.denominator > 1 for row in space.basis.values() for v in row.values())
+    assert any(row[p] > 1 for p, row in space.basis.items())
     members = 0
     for _ in range(60):
         if rng.random() < 0.5:
@@ -134,8 +129,8 @@ def test_contains_matches_residual_on_random_vectors():
         else:
             candidate = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(8))
         verdict = membership(space, candidate)
-        assert verdict is space.contains(candidate)
-        assert verdict == (not any(space.residual(candidate)))
+        assert verdict is contains(space, candidate)
+        assert verdict == (not any(residual(space, candidate)))
         members += verdict
     assert 0 < members < 60
 
@@ -157,7 +152,7 @@ def test_annihilator_rows_are_integer_residuals():
         assert all(i == j or i in space.basis for i in row)
     for _ in range(10):
         v = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(6)]
-        for j, res in zip(space.free_columns, space.residual(v)):
+        for j, res in zip(space.free_columns, residual(space, v)):
             assert sum(c * v[i] for i, c in rows[j].items()) == rows[j][j] * res
 
 
@@ -190,12 +185,22 @@ def test_sparse_rank_agrees_with_dense():
         sparse_rank({(0, -1): 1}, 2, 2)
 
 
+def _primitive_row(row):
+    """A Fraction RREF row as the primitive int row with its positive pivot
+    entry: times the lcm of its denominators, over the gcd of the result."""
+    scale = lcm(*(v.denominator for v in row.values()))
+    ints = {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
+    content = gcd(*ints.values())
+    return {j: v // content for j, v in ints.items()}
+
+
 def _oracle_subspace(rows, ncols):
-    """The Subspace read off the dense rref of the rows, and its dense rows."""
+    """The Subspace read off the dense rref of the rows, each row made
+    primitive, and the dense rref rows."""
     result = rref(_matrix(rows))
     dense = result.reduced.rows[: result.rank]
     basis = {
-        p: {j: v for j, v in enumerate(row) if v}
+        p: _primitive_row({j: v for j, v in enumerate(row) if v})
         for p, row in zip(result.pivot_columns, dense)
     }
     return Subspace(ncols, basis), dense
@@ -265,21 +270,57 @@ def test_sparse_rref_matches_dense_oracle(case):
     """Basis, pivot columns and functionals of the integer sparse eliminator
     equal those read off the dense Fraction rref, for dense, sparse and
     mixed input; int-only rows, rows over large coprime denominators and
-    echelon rows that force back-elimination included."""
+    echelon rows that force back-elimination included.  Each basis row is
+    the primitive int multiple of its rref row, positive at its pivot and
+    zero at every other pivot column."""
     rows, mixed, ncols = case
     oracle, dense = _oracle_subspace(rows, ncols)
     space = span_subspace(mixed, ncols)
     assert space == oracle
-    assert _dense_rows(space) == dense
+    assert reduced_dense_rows(space) == dense
     assert space.pivot_columns == oracle.pivot_columns
     assert space.functionals == oracle.functionals
-    assert all(type(v) is Fraction for row in space.basis.values() for v in row.values())
+    for p, row in space.basis.items():
+        assert all(type(v) is int and v for v in row.values())
+        assert gcd(*row.values()) == 1 and row[p] > 0
+        assert not set(row) & set(space.basis) - {p}
     sparse_in = [{j: v for j, v in enumerate(r) if v} for r in rows]
     before = [dict(r) for r in sparse_in]
     reduced = sparse_rref(sparse_in)
     assert sparse_in == before
     assert tuple(sorted(reduced)) == oracle.pivot_columns
     assert reduced == oracle.basis
+
+
+def test_two_spanning_sets_give_identical_integer_rows():
+    """The integer basis is canonical: rows with denominators, and as many
+    random rational combinations of them of the same rank, span equal
+    Subspaces with the same int rows, each primitive, positive at its pivot
+    and zero at every other pivot column, and each over its pivot entry the
+    dense rref row."""
+    rng = random.Random(12)
+    for _ in range(20):
+        ncols = rng.randint(2, 8)
+        rows = [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(ncols)]
+            for _ in range(rng.randint(1, 5))
+        ]
+        rank = rref(_matrix(rows)).rank
+        while True:
+            weights = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in rows] for _ in rows]
+            combos = [
+                [sum(w * r[j] for w, r in zip(ws, rows)) for j in range(ncols)] for ws in weights
+            ]
+            if rref(_matrix(combos)).rank == rank:
+                break
+        space, other = span_subspace(rows, ncols), span_subspace(combos, ncols)
+        assert space == other and space.basis == other.basis
+        for p, row in space.basis.items():
+            assert all(type(v) is int and v for v in row.values())
+            assert gcd(*row.values()) == 1 and row[p] > 0
+            assert not set(row) & set(space.basis) - {p}
+        result = rref(_matrix(rows))
+        assert reduced_dense_rows(space) == result.reduced.rows[:rank]
 
 
 def test_span_guards_dimension_on_dense_and_sparse_rows():
@@ -294,7 +335,7 @@ def test_span_guards_dimension_on_dense_and_sparse_rows():
             span_subspace([{0: 1}, bad], 3)
     space = span_subspace([{2: 5}, (0, 1, 0)], 3)
     assert space.ambient_dim == 3
-    assert _dense_rows(space) == ((0, 1, 0), (0, 0, 1))
+    assert reduced_dense_rows(space) == ((0, 1, 0), (0, 0, 1))
     assert space.pivot_columns == (1, 2)
 
 
@@ -306,9 +347,10 @@ def test_subspace_pivot_structure():
     space = span_subspace(vectors, 4)
     assert space.pivot_columns == (1, 3)
     assert space.free_columns == (0, 2)
-    # rows are reduced: each pivot column holds 1 in its own row, 0 elsewhere
+    # the rows divided by their pivots are reduced: each pivot column holds
+    # 1 in its own row, 0 elsewhere
     for k, p in enumerate(space.pivot_columns):
-        for row_idx, row in enumerate(_dense_rows(space)):
+        for row_idx, row in enumerate(reduced_dense_rows(space)):
             assert row[p] == (Fraction(1) if row_idx == k else Fraction(0))
 
 
@@ -317,23 +359,23 @@ def test_subspace_pivot_structure():
 def test_membership_on_dense_and_sparse_vectors_matches_contains(case, data):
     """membership on the dense and on the sparse form of a member, of a
     random rational vector and of a random integer vector equals
-    Subspace.contains; the sparse form may carry explicit zeros."""
+    the Fraction oracle contains; the sparse form may carry explicit zeros."""
     rows, mixed, ncols = case
     space = span_subspace(mixed, ncols)
     coeffs = data.draw(st.lists(_RATIONALS, min_size=len(rows), max_size=len(rows)))
     member = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0)) for j in range(ncols)]
     other = data.draw(st.lists(_RATIONALS, min_size=ncols, max_size=ncols))
     ints = data.draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))
-    assert space.contains(member)
+    assert contains(space, member)
     for dense in (member, other, ints):
         keep_zeros = data.draw(st.booleans())
         sparse = {j: v for j, v in enumerate(dense) if v or keep_zeros}
-        expected = space.contains(dense)
+        expected = contains(space, dense)
         assert membership(space, dense) is expected
         assert membership(space, tuple(dense)) is expected
         assert membership(space, sparse) is expected
-        assert space.contains(sparse) is expected
-        assert space.residual(sparse) == space.residual(dense)
+        assert contains(space, sparse) is expected
+        assert residual(space, sparse) == residual(space, dense)
 
 
 @st.composite
@@ -468,7 +510,7 @@ def test_membership_touches_only_the_functionals_that_meet_the_support():
         assert set(recorder.read) == support
         touched = {j for i in recorder.read for j, _ in index.get(i, ())}
         assert touched == {j for j, row in rows.items() if support & set(row)}
-        assert verdict is image.contains(vector)
+        assert verdict is contains(image, vector)
         verdicts.add(verdict)
         touched_counts.append(len(touched))
     assert touched_counts[0] == 1

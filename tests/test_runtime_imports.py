@@ -6,7 +6,8 @@ in src/agdeform has a runtime reference, every parameter default is passed
 by some runtime call, and every field of a value class (a class whose
 __init__ only stores its parameters) is read by some runtime code.  No
 float enters the runtime: no float constant, no float() call and no
-.random() draw."""
+.random() draw.  And exactalg is the one owner of the packed-monomial
+format: no other module reads Polynomial.coeffs or names its helpers."""
 
 import ast
 import os
@@ -109,8 +110,6 @@ def test_dense_oracle_types_have_no_runtime_use():
 
 #: Public names that no code in src/agdeform refers to, and why each stays.
 UNREFERENCED_ALLOWED = {
-    "contains": "Subspace.contains, the elimination oracle for linalg.membership",
-    "residual": "Subspace.residual, the elimination oracle for linalg.membership",
     "rref": "a perfbench tracer target (linalg.rref) and the tests' dense oracle",
     "sparse_rank": "a perfbench tracer target (linalg.sparse_rank)",
 }
@@ -234,10 +233,6 @@ def _passed_arguments(trees):
 #: Parameters with a default that no call in src/agdeform passes, and why each stays.
 UNPASSED_DEFAULTS_ALLOWED = {
     "main(argv)": "cli.main is the console-script entry point: argv None reads sys.argv",
-    "TorsionAssembler.evaluate(c)": (
-        "evaluate is the tests' Fraction oracle for evaluate_scaled at a numeric c,"
-        " and a perfbench tracer target (torsion.assembler_eval)"
-    ),
 }
 
 
@@ -396,5 +391,38 @@ def test_runtime_is_float_free():
         (path_name, line, what)
         for path_name, tree in _trees().items()
         for line, what in _float_uses(tree)
+    ]
+    assert not uses, uses
+
+
+#: The names through which code reads the packed-monomial format: the
+#: {monomial: coefficient} map of a Polynomial and the two helpers that
+#: pack and unpack a monomial.
+PACKED_FORMAT = {"coeffs", "exponent_pairs", "pack_monomial"}
+
+
+def _packed_format_uses(tree):
+    """(line, name) for each attribute read, name or imported name in tree
+    that is one of PACKED_FORMAT."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Attribute, ast.Name, ast.alias)):
+            for name in _names(node):
+                if name in PACKED_FORMAT:
+                    yield getattr(node, "lineno", None), name
+
+
+def test_exactalg_owns_the_packed_monomial_format():
+    """Only exactalg.py reads .coeffs or names exponent_pairs or
+    pack_monomial, so a change of the monomial format touches one module;
+    evaluation elsewhere goes through exactalg (Polynomial.evaluate,
+    RationalFunction.evaluate, ScaledValues)."""
+    trees = _trees()
+    # the rule sees every one of the names where they are used
+    assert {name for _, name in _packed_format_uses(trees["exactalg.py"])} == PACKED_FORMAT
+    uses = [
+        (path_name, line, name)
+        for path_name, tree in trees.items()
+        if path_name != "exactalg.py"
+        for line, name in _packed_format_uses(tree)
     ]
     assert not uses, uses

@@ -9,8 +9,8 @@ import pytest
 from agdeform.deform import EndomorphismField, build_Phi, build_q
 from agdeform.exactalg import (
     PoleAtPoint,
-    Polynomial,
     RationalFunction,
+    ScaledValues,
     UsageError,
     flat_index,
     two_form_block,
@@ -19,11 +19,11 @@ from agdeform.model import Chart, ChartPoint
 from agdeform.sampling import ball_sweep
 from agdeform.torsion import (
     TorsionAssembler,
-    _IntegerPolynomials,
     frame_bracket,
     lemma_criterion,
     pulled_frame,
 )
+from oracles import assert_positive_multiple
 
 CHART = Chart(3)
 
@@ -260,6 +260,13 @@ def test_structure_map_matches_id_plus_phi():
                 assert _stored(got) == _stored(_torsion_oracle(phi, bracket)), (c, a, b)
 
 
+def _exact(assembler, point, c=None):
+    """The torsion vector at point in Fractions, c bound if given: the
+    oracle for TorsionAssembler.evaluate."""
+    vec = point.evaluation_vector(c=c)
+    return tuple(f.evaluate(vec) for f in assembler.symbolic)
+
+
 def test_evaluate_block_is_minus_d():
     """Pair-major layout: the block of the pair ((1,2'), (s,2')) holds
     T(E~^2'_1, E~^2'_s), which is -D for the component bracket taken in the
@@ -268,7 +275,7 @@ def test_evaluate_block_is_minus_d():
     c = (Fraction(2), Fraction(-3))
     point = ChartPoint.parse(CHART, "1,2;3,4;5,6")
     assembler = TorsionAssembler(phi)
-    values = assembler.evaluate(point, c=c)
+    values = _exact(assembler, point, c)
     size = 2 * CHART.n
     assert len(values) == (size * (size - 1) // 2) * size
     vec = point.evaluation_vector(c=c)
@@ -282,13 +289,17 @@ def test_evaluate_block_is_minus_d():
 
 
 def test_assembler_matches_one_shot():
-    """Symbolic c bound at evaluation agrees with Phi built at the numeric c."""
+    """The symbolic-c torsion, evaluated in integers with c bound by the
+    point, is a positive multiple of the integer torsion of Phi built at the
+    numeric c, and in Fractions the two agree exactly."""
     assembler = TorsionAssembler(build_Phi(CHART))
+    values = ScaledValues(assembler.symbolic)
     c = (Fraction(2), Fraction(-3))
     one_shot = TorsionAssembler(build_Phi(CHART, c))
-    for text in ("1,2;3,4;5,6", "1,1;1,0;0,1"):
+    for text in ("1,2;3,4;5,6", "1,1;1,0;0,1", "1/2,-1/3;3/4,0;-2,1/5"):
         point = ChartPoint.parse(CHART, text)
-        assert assembler.evaluate(point, c=c) == one_shot.evaluate(point)
+        assert_positive_multiple(values.at(point.evaluation_vector(c=c)), one_shot.evaluate(point))
+        assert _exact(assembler, point, c) == _exact(one_shot, point)
 
 
 def test_zero_deformation_torsion_free():
@@ -299,7 +310,7 @@ def test_zero_deformation_torsion_free():
 def test_lemma_criterion():
     assembler = TorsionAssembler(build_Phi(CHART))
     point = ChartPoint.parse(CHART, "1,2;3,4;5,6")
-    value = assembler.evaluate(point, c=(Fraction(1), Fraction(0)))
+    value = _exact(assembler, point, (Fraction(1), Fraction(0)))
     assert lemma_criterion(value, 2, 3)
     for s in (1, 4):
         with pytest.raises(UsageError):
@@ -308,16 +319,21 @@ def test_lemma_criterion():
         lemma_criterion(value[:-1], 2, 3)
     with pytest.raises(UsageError):
         lemma_criterion(value, 2, 4)
-    flat_value = assembler.evaluate(point, c=(Fraction(0), Fraction(0)))
+    flat_value = _exact(assembler, point, (Fraction(0), Fraction(0)))
     assert not any(flat_value)
     assert not lemma_criterion(flat_value, 2, 3)
 
 
 def test_pole_on_singular_set():
-    phi = build_Phi(CHART)
+    """The symbolic-c torsion has a pole where q = 0, in Fractions and in
+    integers alike."""
+    assembler = TorsionAssembler(build_Phi(CHART))
     point = ChartPoint.parse(CHART, "0,0;0,1;0,1")  # q = 0 there
+    c = (Fraction(1), Fraction(0))
     with pytest.raises(PoleAtPoint):
-        TorsionAssembler(phi).evaluate(point, c=(Fraction(1), Fraction(0)))
+        _exact(assembler, point, c)
+    with pytest.raises(PoleAtPoint):
+        ScaledValues(assembler.symbolic).at(point.evaluation_vector(c=c))
 
 
 @functools.cache
@@ -337,18 +353,15 @@ def _numeric_assembler(n, c):
     ],
 )
 def test_evaluate_scaled_matches_exact(n, s, c, per_radius):
-    """The integer vector is a positive multiple of the exact one at seeded
-    sweep points, and the lemma criterion gives the same verdict on both."""
+    """The integer vector of evaluate is a positive multiple of the exact
+    one at seeded sweep points, and the lemma criterion gives the same
+    verdict on both."""
     assembler = _numeric_assembler(n, c)
     chart = assembler.chart
     for point in ball_sweep(chart, s, per_radius, range(1, 4), seed=n + s):
-        exact = assembler.evaluate(point)
-        scaled = assembler.evaluate_scaled(point)
-        assert all(isinstance(v, int) for v in scaled)
-        pivot = next(i for i, v in enumerate(exact) if v)
-        factor = scaled[pivot] / exact[pivot]
-        assert factor > 0
-        assert scaled == tuple(factor * v for v in exact)
+        exact = _exact(assembler, point)
+        scaled = assembler.evaluate(point)
+        assert_positive_multiple(scaled, exact)
         assert lemma_criterion(scaled, s, n) == lemma_criterion(exact, s, n)
 
 
@@ -356,32 +369,6 @@ def test_scaled_pole_on_singular_set():
     assembler = _numeric_assembler(3, (1, 0))
     point = ChartPoint.parse(CHART, "0,0;0,1;0,1")  # q = 0 there
     with pytest.raises(PoleAtPoint):
-        assembler.evaluate(point)
+        _exact(assembler, point)
     with pytest.raises(PoleAtPoint):
-        assembler.evaluate_scaled(point)
-
-
-def test_scaled_needs_numeric_c():
-    """Numerators in a symbolic c have no integer value at a chart point."""
-    point = ChartPoint.parse(CHART, "1,2;3,4;5,6")
-    with pytest.raises(ValueError):
-        TorsionAssembler(build_Phi(CHART)).evaluate_scaled(point)
-
-
-def test_integer_polynomials_scale_mixed_degrees():
-    """values(X, D) = scale * D**degree * p(X / D) with one scale for all p,
-    also when the degrees and coefficient denominators differ."""
-    table = CHART.table
-    x11 = Polynomial.variable(table, flat_index(1, 1))
-    x21 = Polynomial.variable(table, flat_index(2, 1))
-    polys = [
-        x11 * x11 * x21 + Polynomial.constant(table, Fraction(1, 3)),
-        x21.scale(Fraction(5, 2)),
-    ]
-    form = _IntegerPolynomials(polys, 2 * CHART.n)
-    X, D = [3, 0, -4, 0, 0, 0], 8
-    point = table.point(x=[[Fraction(3, 8), 0], [Fraction(-4, 8), 0], [0, 0]])
-    values = form.values(X, D)
-    exact = [p.evaluate(point) for p in polys]
-    factor = values[0] / exact[0]
-    assert factor > 0 and values == [factor * v for v in exact]
+        assembler.evaluate(point)

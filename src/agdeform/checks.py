@@ -30,7 +30,7 @@ from .deform import (
     transformation_check,
     unscaled_flow_factor_check,
 )
-from .exactalg import Dual, UsageError, coerce_rational, eps_part, flat_index
+from .exactalg import Dual, UsageError, coerce_rational, dot, eps_part, flat_index, substitute_all
 from .linalg import membership, span_subspace
 from .model import Chart, ChartPoint, flow_point, flow_point_split_form, holonomy
 from .sampling import ball_sweep, generic_off_singular, sample_points
@@ -485,17 +485,44 @@ def phi_kills_brackets_suite(ns: Sequence[int]) -> list[CheckReport]:
     return reports
 
 
-def torsion_zero_suite(ns: Sequence[int] = (3,)) -> list[CheckReport]:
+def frame_quadratic_cancels_suite(ns: Sequence[int]) -> list[CheckReport]:
+    """sum_a (Phi[a, f] d_a Phi[b, g] - Phi[a, g] d_a Phi[b, f]) = 0 for every
+    b and every pair f < g, symbolic c: the Phi dPhi part of the pulled-frame
+    bracket cancels, so with phi_kills_brackets the torsion is minus the
+    antisymmetrised derivative of Phi that TorsionAssembler.pair reads.  It
+    sums over all n(2n - 1) pairs, so only acceptance_suite runs it."""
     reports = []
     for n in ns:
-        chart = artifacts(n).chart
+        art = artifacts(n)
 
-        def zero_deformation(chart=chart, n=n):
-            phi = build_Phi(chart, [0] * (n - 1))
-            assembler = TorsionAssembler(phi)
-            for component in assembler.symbolic:
-                if not component.num.is_zero():
-                    return False, "a torsion entry is nonzero at c = 0", None
+        def cancels(art=art, n=n):
+            phi, size = art.phi, 2 * n
+            support = [[(a, v) for a, v in enumerate(c) if not v.is_zero()] for c in zip(*phi.rows)]
+            pairs = [(f, g) for f in range(size) for g in range(f + 1, size)]
+            for f, g in pairs:
+                for b in range(size):
+                    terms = [(v, phi.derivative(b, g, a)) for a, v in support[f]]
+                    terms += [(-v, phi.derivative(b, f, a)) for a, v in support[g]]
+                    if not dot(phi.table, terms).is_zero():
+                        detail = f"the Phi dPhi term of [E~_{f}, E~_{g}] is nonzero (flat indices)"
+                        return False, detail, None
+            detail = "sum_a (Phi[a,f] d_a Phi[b,g] - Phi[a,g] d_a Phi[b,f]) = 0 for all"
+            return True, f"{detail} {len(pairs)} pairs f < g, symbolic c", None
+
+        reports.append(_run(f"torsion.frame_quadratic_cancels.n{n}", SYMBOLIC, cancels))
+    return reports
+
+
+def torsion_zero_suite(ns: Sequence[int] = (3,)) -> list[CheckReport]:
+    """The torsion of the symbolic Phi with every c_i set to 0 vanishes."""
+    reports = []
+    for n in ns:
+        art = artifacts(n)
+
+        def zero_deformation(art=art, n=n):
+            zero = {art.chart.table.c_index(i): art.chart.const(0) for i in range(2, n + 1)}
+            if not all(v.is_zero() for v in substitute_all(art.torsion.symbolic, zero)):
+                return False, "a torsion entry is nonzero at c = 0", None
             return True, "c = 0 gives identically zero torsion in the pulled frame", None
 
         reports.append(_run(f"torsion.zero_deformation.n{n}", SYMBOLIC, zero_deformation))
@@ -945,6 +972,7 @@ def acceptance_suite(seed: int = 0, ball_count: int = 8) -> list[CheckReport]:
     reports += phi_suite((3, 4))
     reports += torsion_suite((3, 4))
     reports += phi_kills_brackets_suite((3, 4))
+    reports += frame_quadratic_cancels_suite((3, 4))
     reports += torsion_zero_suite((3,))
     for c in ([Fraction(1), Fraction(0)], [Fraction(2), Fraction(-3)]):
         report, _ = density_check(3, c, 2, seed, ball_count)

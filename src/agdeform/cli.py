@@ -129,10 +129,9 @@ def _emit(args, reports: list[checks.CheckReport], extras: dict, text_lines=()) 
 #: (phi, torsion, curvature, verify): the slowest of the four at n, after
 #: `python -m compileall src`, takes at most the 5.6-7.0 s that first set
 #: this bound, and at n + 1 it takes more.  On a 2-vCPU VM with CPython
-#: 3.11 (three runs each, every check passing): `torsion --n 12` takes
-#: 5.2-5.8 s (47 MiB peak RSS) and `verify --n 12` 3.8-5.0 s (53 MiB);
-#: at n = 13 `verify` takes 4.9-5.3 s but `torsion` 7.1-9.3 s, and
-#: `verify --n 14` 7.1-7.2 s.
+#: 3.11.7 (two runs each, every check passing): `torsion --n 12` takes
+#: 6.6-7.5 s (47 MiB peak RSS) and `verify --n 12` 4.2 s (49 MiB); at
+#: n = 13 `verify` takes 4.6-5.8 s but `torsion` 8.5 s (55 MiB).
 MAX_SYMBOLIC_N = 12
 #: The largest n accepted by flow, by the same rule: `flow --n 480` takes
 #: 6.0-6.2 s (three runs, every check passing, 92 MiB peak RSS) and

@@ -464,6 +464,10 @@ class Polynomial:
             terms.append((num, den))
         return _sum_terms(table, terms)
 
+    def variables(self) -> set[int]:
+        """The indices of the variables that occur in self."""
+        return {idx for mono in self.coeffs for idx, _ in exponent_pairs(mono, self.table.size)}
+
     # -- degree bookkeeping ----------------------------------------------------
 
     def chart_degree_range(self) -> tuple[int, int] | None:

@@ -1,12 +1,16 @@
-"""Deformed parallel frame, Lie brackets, and the torsion of the deformed structure.
+"""The torsion of the deformed structure, read from Phi's first derivatives.
 
-The pulled-back frame fields E-tilde^{j'}_i are parallel for the pullback of
-the flat connection, so the torsion is minus their Lie brackets, carried by
-the deformed structure map (Id + Phi) o theta.  The flat identification theta
-sends the coordinate field d/dx_{k p'} to E^{p'}_k, so theta(-bracket) has
-the bracket's flat components negated.  Phi annihilates theta of every
-pulled-frame bracket (the check torsion.phi_kills_brackets), so the torsion
-is the negated bracket itself.
+The pulled-back frame fields E~_f = (Id - Phi) e_f are parallel for the
+pullback of the flat connection, so the torsion is minus their Lie brackets,
+carried by the deformed structure map (Id + Phi) o theta.  The flat
+identification theta sends the coordinate field d/dx_{k p'} to E^{p'}_k, so
+theta(-bracket) has the bracket's flat components negated.  Phi annihilates
+theta of every pulled-frame bracket (the check torsion.phi_kills_brackets),
+so the torsion is the negated bracket itself.  As E~_f^b = delta^b_f -
+Phi[b, f], the bracket [E~_f, E~_g]^b is d_g Phi[b, f] - d_f Phi[b, g] plus
+sum_a (Phi[a, f] d_a Phi[b, g] - Phi[a, g] d_a Phi[b, f]), and that sum
+vanishes for Phi_c (the check torsion.frame_quadratic_cancels): the bracket
+is the antisymmetrised derivative of Phi.
 
 The sampled sweep reads the torsion at a point as one positive integer
 multiple of its value (exactalg.ScaledValues): its two verdicts, the
@@ -17,7 +21,6 @@ under a positive scale.
 from __future__ import annotations
 
 import functools
-from typing import Sequence
 
 from .exactalg import RationalFunction, ScaledValues, UsageError, flat_index, two_form_block
 from .deform import EndomorphismField
@@ -28,96 +31,55 @@ from .model import ChartPoint
 Components = tuple[RationalFunction, ...]
 
 
-def pulled_frame(phi: EndomorphismField) -> tuple[Components, ...]:
-    """The 2n fields E-tilde^{j'}_i = theta^{-1} (Id+Phi)^{-1} E^{j'}_i.
-
-    Since Phi is nilpotent of order two, (Id+Phi)^{-1} = Id - Phi, and the
-    field at flat_index(i, j') is that column of its matrix:
-    E-tilde^{j'}_i = d^{j'}_i - sum_{p',k} Phi^{p'i}_{j'k} d^{p'}_k.
-    """
-    inverse = EndomorphismField.identity(phi.table, phi.nrows) - phi
-    return tuple(zip(*inverse.rows))
-
-
-def frame_bracket(
-    phi: EndomorphismField, frame: Sequence[Components], f: int, g: int
-) -> Components:
-    """[E~_f, E~_g]^b = sum_a (E~_f^a d_a E~_g^b - E~_g^a d_a E~_f^b) for
-    the pulled frame of phi (see pulled_frame) at flat indices f and g.
-
-    E~_f^b is delta^b_f - Phi[b, f], so d_a E~_f^b = -d_a Phi[b, f] is read
-    from phi's shared table of first derivatives rather than taken again.
-    Chart coordinate a is table variable a.  Each component is a pairwise
-    sum in the order of the generic bracket that differentiates every
-    entry afresh (the tests' oracle for this one), and equals it, stored
-    form and all.
-    """
-    xi, eta = frame[f], frame[g]
-    size = len(xi)
-    zero = RationalFunction.zero(phi.table)
-    out = []
-    for b in range(size):
-        acc = zero
-        for a in range(size):
-            if not xi[a].is_zero():
-                d = phi.derivative(b, g, a)
-                if not d.is_zero():
-                    acc = acc - xi[a] * d
-            if not eta[a].is_zero():
-                d = phi.derivative(b, f, a)
-                if not d.is_zero():
-                    acc = acc + eta[a] * d
-        out.append(acc)
-    return tuple(out)
-
-
 class TorsionAssembler:
     """The torsion of the pulled frame of phi, built as it is read;
     evaluates per point.
 
-    pair(f, g) is the bracket [m_f, m_g] of the pulled-frame fields at flat
-    indices f and g in flat components, built on first read and kept in
-    pairs.  The torsion T(m_f, m_g) = (Id + Phi) theta(-bracket) is minus
-    it, as Phi theta(bracket) = 0 (see the module docstring).  symbolic is
-    the torsion in pair-major order, built from the pairs on first read:
-    T(m_a, m_b) = -pair(a, b) for a < b, in the flat basis, starts at
-    two_form_block(a, b, 2n)[0].  evaluate gives a positive integer multiple
-    of the torsion vector at a point (exactalg.ScaledValues), which is all
-    that the scale-invariant sweep verdicts need; a sample point costs an
-    integer evaluation, not re-differentiation.
+    pair(f, g) is the bracket [E~_f, E~_g] at flat indices f and g in flat
+    components, the tuple d_g Phi[b, f] - d_f Phi[b, g] over b (see the
+    module docstring), built on first read and kept in pairs; the torsion
+    T(E~_f, E~_g) is minus it.  symbolic is the torsion in pair-major order,
+    built from the pairs on first read: T(E~_a, E~_b) = -pair(a, b) for
+    a < b, in the flat basis, starts at two_form_block(a, b, 2n)[0].
+    evaluate gives a positive integer multiple of the torsion vector at a
+    point (exactalg.ScaledValues), which is all that the scale-invariant
+    sweep verdicts need.
     """
 
     def __init__(self, phi: EndomorphismField):
         self.phi = phi
-        self.chart = phi.chart
-        self.frame = pulled_frame(phi)
         self.pairs: dict[tuple[int, int], Components] = {}
 
     def pair(self, f: int, g: int) -> Components:
-        """[m_f, m_g] in flat components, built on first read; the torsion
-        T(m_f, m_g) is its negation."""
+        """[E~_f, E~_g] in flat components, built on first read; the torsion
+        T(E~_f, E~_g) is its negation."""
         value = self.pairs.get((f, g))
         if value is None:
-            value = self.pairs[f, g] = frame_bracket(self.phi, self.frame, f, g)
+            d = self.phi.derivative
+            value = self.pairs[f, g] = tuple(d(b, f, g) - d(b, g, f) for b in range(self.phi.nrows))
         return value
 
     @functools.cached_property
     def symbolic(self) -> tuple[RationalFunction, ...]:
-        size = 2 * self.chart.n
+        size = self.phi.nrows
         return tuple(
             -f for a in range(size) for b in range(a + 1, size) for f in self.pair(a, b)
         )
 
     @functools.cached_property
     def _values(self) -> ScaledValues:
-        """The integer evaluator of symbolic, built on the first evaluate:
-        an assembler whose c stays symbolic serves pair and symbolic only."""
+        """The integer evaluator of symbolic, built on the first evaluate.
+        An assembler whose phi still has some c_i in it serves pair and
+        symbolic only: a point would bind that c_i to 0."""
+        c_variables = set(range(self.phi.table.c_index(2), self.phi.table.size))
+        polys = {p for row in self.phi.rows for v in row for p in (v.num, *dict(v.den))}
+        if any(p.variables() & c_variables for p in polys):
+            raise UsageError("evaluate needs Phi at numeric c, not symbolic c")
         return ScaledValues(self.symbolic)
 
     def evaluate(self, point: ChartPoint) -> tuple[int, ...]:
         """A positive integer multiple of the torsion vector at a numeric
-        point, where a c left symbolic reads 0 (ChartPoint.evaluation_vector);
-        q(point) = 0 raises PoleAtPoint."""
+        point, for phi at numeric c; q(point) = 0 raises PoleAtPoint."""
         return self._values.at(point.evaluation_vector())
 
 

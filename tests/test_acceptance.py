@@ -18,7 +18,7 @@ from agdeform import checks, cli
 #: sha256 of json.dumps([r.as_dict() for r in reports], indent=2,
 #: sort_keys=True) for the fixture below.  A refactor must keep these bytes;
 #: a change to a check id, verdict or detail text must update the digest.
-REPORTS_SHA256 = "1ff446d7f8340ca1684e2ebee91dc7aa2c2ebc8ba3fb02ef39406c7e7d1b71d9"
+REPORTS_SHA256 = "18dd102e488b25063626a9f626da5cbbc0c6fda1b8d1bda0e0c465d06b2178da"
 
 #: sha256 of the stdout of `agdeform verify --n 5 --format json`.  The
 #: fixture runs curvature at n = 3 and 4 only; at n = 5 the checks read the
@@ -86,8 +86,10 @@ CRITERIA = {
          "deform.inverse.")),
     5: ("flow invariance of the deformation family",
         ("deform.invariance.", "deform.unscaled_factor.")),
-    6: ("torsion bracket closed form, D-expansion, Phi kills every bracket",
-        ("torsion.bracket.", "torsion.d_expansion.", "torsion.phi_kills_brackets.")),
+    6: ("torsion bracket closed form, D-expansion, Phi kills every bracket,"
+        " the Phi dPhi part of every bracket cancels",
+        ("torsion.bracket.", "torsion.d_expansion.", "torsion.phi_kills_brackets.",
+         "torsion.frame_quadratic_cancels.")),
     7: ("nonvanishing torsion class on shrinking ball sweeps",
         ("torsion.density.", "torsion.zero_deformation.")),
     8: ("graded module ranks, kernels, trace span, equivariance",

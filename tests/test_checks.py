@@ -14,7 +14,7 @@ from agdeform import curvature as curvature_mod
 from agdeform import reptheory as rep_mod
 from agdeform import torsion as torsion_mod
 from agdeform.deform import EndomorphismField
-from agdeform.exactalg import Polynomial, RationalFunction, UsageError, flat_index
+from agdeform.exactalg import Polynomial, RationalFunction, UsageError
 from oracles import contains
 
 
@@ -107,15 +107,24 @@ def test_curvature_objects_are_built_once_per_process(monkeypatch, fresh_cache):
     assert len(projections) == 1
 
 
-def test_quick_suite_builds_only_the_torsion_s_pairs(fresh_cache):
-    """The torsion checks of quick_suite(4) build the n - 1 pairs
-    ((s, 2'), (1, 2')) of the one torsion object of the symbolic Phi, and
-    no other pair."""
+def test_quick_suite_builds_one_torsion_object(monkeypatch, fresh_cache):
+    """quick_suite(4) constructs TorsionAssembler once, as
+    artifacts(4).torsion, and every pair its checks read comes from that
+    object."""
+    built = counting(monkeypatch, checks, "TorsionAssembler")
+    readers = []
+    real_pair = torsion_mod.TorsionAssembler.pair
+
+    def pair(self, f, g):
+        readers.append(self)
+        return real_pair(self, f, g)
+
+    monkeypatch.setattr(torsion_mod.TorsionAssembler, "pair", pair)
     reports = checks.quick_suite(4)
     assert all(r.status == checks.PASS for r in reports)
-    assert sorted(checks.artifacts(4).torsion.pairs) == [
-        (flat_index(s, 2), flat_index(1, 2)) for s in range(2, 5)
-    ]
+    assert len(built) == 1
+    torsion = checks.artifacts(4).torsion
+    assert readers and all(reader is torsion for reader in readers)
 
 
 def test_density_check_differentiates_only_its_phi_table(monkeypatch, fresh_cache):
@@ -171,7 +180,8 @@ def test_acceptance_suite_builds_n3_second_derivatives_once(monkeypatch, fresh_c
     out to keep the test small."""
     stub = checks.CheckReport("stub", checks.PASS, checks.NUMERIC, "")
     for name in ("flow_suite", "eigen_suite", "phi_suite", "torsion_suite",
-                 "phi_kills_brackets_suite", "torsion_zero_suite", "reptheory_suite"):
+                 "phi_kills_brackets_suite", "frame_quadratic_cancels_suite",
+                 "torsion_zero_suite", "reptheory_suite"):
         monkeypatch.setattr(checks, name, lambda *args: [])
     monkeypatch.setattr(checks, "density_check", lambda *args: (stub, []))
     real_suite = checks.curvature_suite
@@ -242,21 +252,79 @@ def test_phi_kills_every_bracket_at_n5(fresh_cache):
     assert len(checks.artifacts(5).torsion.pairs) == 45
 
 
-def test_phi_kills_brackets_fails_on_an_extra_phi_entry(monkeypatch, fresh_cache):
-    """Positive control: Phi with an extra x22 term in one entry no longer
-    annihilates the brackets of its own pulled frame."""
+def _perturb_phi(monkeypatch, row, col, term, symbolic_only=False):
+    """Make checks.build_Phi add term(chart) to entry [row, col] of every Phi
+    it builds, or of the symbolic-c Phi only."""
     real = checks.build_Phi
 
     def perturbed(chart, c=None):
         phi = real(chart, c)
-        rows = [list(row) for row in phi.rows]
-        rows[0][0] = rows[0][0] + chart.x(2, 2)
+        if symbolic_only and c is not None:
+            return phi
+        rows = [list(r) for r in phi.rows]
+        rows[row][col] = rows[row][col] + term(chart)
         return EndomorphismField(phi.table, rows)
 
     monkeypatch.setattr(checks, "build_Phi", perturbed)
+
+
+def test_phi_kills_brackets_fails_on_an_extra_phi_entry(monkeypatch, fresh_cache):
+    """Positive control: Phi with an extra x22 term in one entry no longer
+    annihilates the brackets of its own pulled frame, and the Phi dPhi part
+    of those brackets no longer cancels."""
+    _perturb_phi(monkeypatch, 0, 0, lambda chart: chart.x(2, 2))
     (report,) = checks.phi_kills_brackets_suite((3,))
     assert report.status == checks.FAIL
     assert report.detail == "Phi theta[E~_0, E~_1] is nonzero (flat indices)"
+    (report,) = checks.frame_quadratic_cancels_suite((3,))
+    assert report.status == checks.FAIL
+    assert report.detail == "the Phi dPhi term of [E~_0, E~_1] is nonzero (flat indices)"
+
+
+def test_frame_quadratic_cancels_at_n5(fresh_cache):
+    """verify --n 5..12 and torsion --n >= 5 read each pulled-frame bracket
+    as the antisymmetrised derivative of Phi.  verify --all checks that the
+    Phi dPhi part cancels at n = 3 and 4; here it cancels for all 45 pairs
+    at n = 5, symbolic c."""
+    (report,) = checks.frame_quadratic_cancels_suite((5,))
+    assert report.status == checks.PASS, report.detail
+    assert report.check_id == "torsion.frame_quadratic_cancels.n5"
+    assert report.detail == (
+        "sum_a (Phi[a,f] d_a Phi[b,g] - Phi[a,g] d_a Phi[b,f]) = 0 for all 45 pairs f < g,"
+        " symbolic c"
+    )
+
+
+@pytest.mark.parametrize(
+    "row, col, term, pair",
+    [
+        (0, 0, lambda chart: chart.x(2, 2) * chart.x(2, 2), (0, 1)),
+        (1, 3, lambda chart: chart.x(1, 1) * chart.x(2, 1), (0, 3)),
+    ],
+    ids=["x22_squared_at_0_0", "x11_x21_at_1_3"],
+)
+def test_frame_quadratic_cancels_fails_on_an_extra_phi_entry(
+    monkeypatch, fresh_cache, row, col, term, pair
+):
+    """Positive controls: a quadratic term added to one entry of Phi leaves
+    a nonzero Phi dPhi part, and the report names the first pair it
+    meets."""
+    _perturb_phi(monkeypatch, row, col, term)
+    (report,) = checks.frame_quadratic_cancels_suite((3,))
+    assert report.status == checks.FAIL
+    f, g = pair
+    assert report.detail == f"the Phi dPhi term of [E~_{f}, E~_{g}] is nonzero (flat indices)"
+
+
+def test_zero_deformation_fails_on_a_c_free_phi_term(monkeypatch, fresh_cache):
+    """Positive control: the symbolic-c Phi with a c-free x22 term in one
+    entry keeps torsion at c = 0.  The check substitutes c = 0 into the
+    torsion of that shared Phi, so it fails; a Phi built apart at c = 0
+    would not carry the term."""
+    _perturb_phi(monkeypatch, 0, 0, lambda chart: chart.x(2, 2), symbolic_only=True)
+    (report,) = checks.torsion_zero_suite((3,))
+    assert report.status == checks.FAIL
+    assert report.detail == "a torsion entry is nonzero at c = 0"
 
 
 def test_closed_forms_fail_on_a_wrong_q(monkeypatch, fresh_cache):
@@ -354,8 +422,6 @@ BUILDERS = (
     (deform, "build_Phi"),
     (deform, "build_q"),
     (deform, "transformation_check"),
-    (torsion_mod, "pulled_frame"),
-    (torsion_mod, "frame_bracket"),
     (curvature_mod, "nabla2_phi"),
     (curvature_mod, "project_kappa"),
     (rep_mod, "build_partial1"),

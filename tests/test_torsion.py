@@ -17,21 +17,27 @@ from agdeform.exactalg import (
 )
 from agdeform.model import Chart, ChartPoint
 from agdeform.sampling import ball_sweep
-from agdeform.torsion import (
-    TorsionAssembler,
-    frame_bracket,
-    lemma_criterion,
-    pulled_frame,
-)
+from agdeform.torsion import TorsionAssembler, lemma_criterion
 from oracles import assert_positive_multiple
 
 CHART = Chart(3)
 
 
+def pulled_frame(phi):
+    """The 2n fields E-tilde^{j'}_i = theta^{-1} (Id+Phi)^{-1} E^{j'}_i.
+
+    Since Phi is nilpotent of order two, (Id+Phi)^{-1} = Id - Phi, and the
+    field at flat_index(i, j') is that column of its matrix:
+    E-tilde^{j'}_i = d^{j'}_i - sum_{p',k} Phi^{p'i}_{j'k} d^{p'}_k.
+    """
+    inverse = EndomorphismField.identity(phi.table, phi.nrows) - phi
+    return tuple(zip(*inverse.rows))
+
+
 def lie_bracket(xi, eta):
     """[xi, eta]^b = sum_a (xi^a d_a eta^b - eta^a d_a xi^b), each derivative
-    taken afresh: the oracle for torsion.frame_bracket, which reads Phi's
-    table of first derivatives instead.
+    taken afresh: with pulled_frame, the oracle for TorsionAssembler.pair,
+    which reads two entries of Phi's table of first derivatives instead.
 
     Chart coordinate a is table variable a, so differentiation is by flat
     index directly.
@@ -116,22 +122,24 @@ def test_lie_bracket_properties():
 
 @pytest.mark.parametrize("c", [None, (Fraction(2), Fraction(-3))], ids=["symbolic", "c2_m3"])
 def test_frame_bracket_matches_lie_bracket_n3(c):
-    """The table-reading bracket equals the generic oracle on every pair of
-    pulled-frame fields at n = 3, stored form and all."""
+    """The antisymmetrised derivative that pair reads equals the generic
+    bracket of every pair of pulled-frame fields at n = 3, stored form and
+    all: the Phi dPhi part of the bracket cancels."""
     phi = build_Phi(CHART, c)
     frame = pulled_frame(phi)
+    assembler = TorsionAssembler(phi)
     size = 2 * CHART.n
     for f in range(size):
         for g in range(f + 1, size):
-            got = frame_bracket(phi, frame, f, g)
+            got = assembler.pair(f, g)
             want = lie_bracket(frame[f], frame[g])
             assert got == want, (f, g)
             assert [(v.num, v.den) for v in got] == [(v.num, v.den) for v in want]
 
 
 def test_frame_bracket_matches_lie_bracket_n4_components():
-    """The brackets [E~^2'_s, E~^2'_1] of the torsion checks at n = 4 equal
-    the oracle, directly and as the assembler's pairs, stored form and all;
+    """The brackets [E~^2'_s, E~^2'_1] of the torsion checks at n = 4,
+    read as the assembler's pairs, equal the oracle, stored form and all;
     their negations are the torsion (Id + Phi) theta(-bracket)."""
     chart = Chart(4)
     phi = build_Phi(chart)
@@ -140,7 +148,6 @@ def test_frame_bracket_matches_lie_bracket_n4_components():
     for s in range(2, 5):
         f, g = flat_index(s, 2), flat_index(1, 2)
         want = lie_bracket(frame[f], frame[g])
-        assert frame_bracket(phi, frame, f, g) == want
         bracket = assembler.pair(f, g)
         assert _stored(bracket) == _stored(want)
         assert _stored(-v for v in bracket) == _stored(_torsion_oracle(phi, want))
@@ -302,6 +309,22 @@ def test_assembler_matches_one_shot():
         assert _exact(assembler, point, c) == _exact(one_shot, point)
 
 
+def test_evaluate_refuses_a_phi_with_symbolic_c():
+    """evaluate binds every variable the point does not give to 0, so an
+    assembler whose Phi still has some c_i in it, even in one entry, raises
+    rather than read the torsion of the zero deformation; at numeric c it
+    evaluates."""
+    point = ChartPoint.parse(CHART, "1,2;3,4;5,6")
+    with pytest.raises(UsageError, match="numeric c"):
+        TorsionAssembler(build_Phi(CHART)).evaluate(point)
+    phi = build_Phi(CHART, (Fraction(1), Fraction(0)))
+    rows = [list(row) for row in phi.rows]
+    rows[2][1] = rows[2][1] + CHART.param("c3") * CHART.x(1, 1)
+    with pytest.raises(UsageError, match="numeric c"):
+        TorsionAssembler(EndomorphismField(phi.table, rows)).evaluate(point)
+    assert any(TorsionAssembler(phi).evaluate(point))
+
+
 def test_zero_deformation_torsion_free():
     assembler = TorsionAssembler(build_Phi(CHART, [0, 0]))
     assert all(f.is_zero() for f in assembler.symbolic)
@@ -357,7 +380,7 @@ def test_evaluate_scaled_matches_exact(n, s, c, per_radius):
     one at seeded sweep points, and the lemma criterion gives the same
     verdict on both."""
     assembler = _numeric_assembler(n, c)
-    chart = assembler.chart
+    chart = assembler.phi.chart
     for point in ball_sweep(chart, s, per_radius, range(1, 4), seed=n + s):
         exact = _exact(assembler, point)
         scaled = assembler.evaluate(point)

@@ -30,7 +30,7 @@ from .deform import (
     transformation_check,
     unscaled_flow_factor_check,
 )
-from .exactalg import Dual, UsageError, coerce_rational, dot, eps_part, flat_index, substitute_all
+from .exactalg import Dual, UsageError, coerce_rational, dot, eps_part, flat_index
 from .linalg import membership, span_subspace
 from .model import Chart, ChartPoint, flow_point, flow_point_split_form, holonomy
 from .sampling import ball_sweep, generic_off_singular, sample_points
@@ -514,14 +514,16 @@ def frame_quadratic_cancels_suite(ns: Sequence[int]) -> list[CheckReport]:
 
 
 def torsion_zero_suite(ns: Sequence[int] = (3,)) -> list[CheckReport]:
-    """The torsion of the symbolic Phi with every c_i set to 0 vanishes."""
+    """The torsion of the symbolic Phi with every c_i set to 0 vanishes: the
+    sweep's own path at c = 0, TorsionAssembler over the substituted Phi,
+    so the symbolic-c torsion is never built."""
     reports = []
     for n in ns:
         art = artifacts(n)
 
         def zero_deformation(art=art, n=n):
-            zero = {art.chart.table.c_index(i): art.chart.const(0) for i in range(2, n + 1)}
-            if not all(v.is_zero() for v in substitute_all(art.torsion.symbolic, zero)):
+            flat = TorsionAssembler(art.phi.substitute(art.chart.c_substitution([0] * (n - 1))))
+            if not all(v.is_zero() for v in flat.symbolic):
                 return False, "a torsion entry is nonzero at c = 0", None
             return True, "c = 0 gives identically zero torsion in the pulled frame", None
 
@@ -535,10 +537,9 @@ def _c_tag(c: Sequence[Fraction]) -> str:
 
 def validate_sweep(n: int, c: Sequence[Fraction], s: int, ball_count: int) -> tuple[Fraction, ...]:
     """c as exact rationals; raise UsageError unless the sweep can sample a
-    meaningful point: n - 1 exact rationals in c, 2 <= s <= n, c_s != 0,
-    and at least one radius."""
-    if len(c) != n - 1:
-        raise UsageError(f"expected {n - 1} deformation parameters, got {len(c)}")
+    meaningful point: n - 1 exact rationals in c (Chart.c_substitution),
+    2 <= s <= n, c_s != 0, and at least one radius."""
+    Chart(n).c_substitution(c)
     c = tuple(coerce_rational(v) for v in c)
     if not (2 <= s <= n):
         raise UsageError(f"s must be in 2..{n}")
@@ -557,17 +558,18 @@ def density_check(
     A request that cannot sample a meaningful point raises UsageError before
     any check runs, so it is never reported as a FAIL or a vacuous PASS.
     Both verdicts are unchanged by a positive scale of the torsion vector, so
-    they run on the integer vector of TorsionAssembler.evaluate.  Phi at c,
-    its torsion pairs (which read Phi's one table of first derivatives), the
-    integer evaluator and the column index of the residual functionals of
-    Im(partial1) are all built inside the check.
+    they run on the integer vector of TorsionAssembler.evaluate.  Phi at c
+    (the shared symbolic Phi with Chart.c_substitution(c) substituted), its
+    torsion pairs (which read that Phi's one table of first derivatives),
+    the integer evaluator and the column index of the residual functionals
+    of Im(partial1) are all built inside the check.
     """
     c = validate_sweep(n, c, s, ball_count)
     records: list[dict] = []
 
     def sweep():
         art = artifacts(n)
-        assembler = TorsionAssembler(build_Phi(art.chart, c))
+        assembler = TorsionAssembler(art.phi.substitute(art.chart.c_substitution(c)))
         image = art.partial1.image
         failures = 0
         first_bad = None

@@ -128,10 +128,13 @@ def _emit(args, reports: list[checks.CheckReport], extras: dict, text_lines=()) 
 #: The largest n accepted by the commands that build Phi_c symbolically
 #: (phi, torsion, curvature, verify): the slowest of the four at n, after
 #: `python -m compileall src`, takes at most the 5.6-7.0 s that first set
-#: this bound, and at n + 1 it takes more.  On a 2-vCPU VM with CPython
-#: 3.11.7 (two runs each, every check passing): `torsion --n 12` takes
-#: 6.6-7.5 s (47 MiB peak RSS) and `verify --n 12` 4.2 s (49 MiB); at
-#: n = 13 `verify` takes 4.6-5.8 s but `torsion` 8.5 s (55 MiB).
+#: this bound, and at n + 1 it takes more.  The host's speed drifts by up
+#: to 1.6x, so the seconds are read against runs, alternated with these,
+#: of the last tree that applied the rule, whose `torsion --n 12` took
+#: 4.2-4.7 s.  On a 2-vCPU VM with CPython 3.11.7 (three runs each, every
+#: check passing): `torsion --n 12` takes 3.3-3.7 s (30 MiB peak RSS) and
+#: `verify --n 12` 2.2-2.6 s (43 MiB); at n = 13 `verify` takes 2.9-3.4 s
+#: (49 MiB) but `torsion` 4.1-5.7 s (33 MiB), not clearly within 4.2-4.7 s.
 MAX_SYMBOLIC_N = 12
 #: The largest n accepted by flow, by the same rule: `flow --n 480` takes
 #: 6.0-6.2 s (three runs, every check passing, 92 MiB peak RSS) and
@@ -212,14 +215,7 @@ def _cmd_curvature(args) -> int:
         raise UsageError(f"r must be in 2..{args.n}")
     kappa = kappa_closed_form(chart, args.r)
     if args.c is not None:
-        values = parse_c(chart, args.c)
-        table = chart.table
-        kappa = kappa.substitute(
-            {
-                table.c_index(i): chart.const(values[i - 2])
-                for i in range(2, chart.n + 1)
-            }
-        )
+        kappa = kappa.substitute(chart.c_substitution(parse_c(chart, args.c)))
     reports = checks.curvature_suite((args.n,))
     kappa_info = {"r": args.r, "text": render_rational_function(kappa)}
     if args.emit == "latex":

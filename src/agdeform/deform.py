@@ -251,25 +251,15 @@ class EndomorphismField(SymbolicMatrix):
         return acc
 
 
-def build_Phi(chart: Chart, c: Sequence | None = None) -> EndomorphismField:
-    """Phi_c = sum_{i=2..n} c_i (1/q) phi' (x) phi_i.
-
-    c is the vector (c_2, ..., c_n): length n-1, entries rational scalars
-    (or strings); None keeps the parameters symbolic.  Requires n >= 3.
+def build_Phi(chart: Chart) -> EndomorphismField:
+    """Phi_c = sum_{i=2..n} c_i (1/q) phi' (x) phi_i with the parameters
+    c_2, ..., c_n symbolic; phi.substitute(chart.c_substitution(c)) binds
+    them to numbers.  Requires n >= 3.
     """
     n = chart.n
     if n < 3:
         raise UsageError("the deformation family needs n >= 3")
     table = chart.table
-    if c is None:
-        c_polys = [
-            Polynomial.variable(table, table.c_index(i)) for i in range(2, n + 1)
-        ]
-    else:
-        if len(c) != n - 1:
-            raise UsageError(f"expected {n - 1} deformation parameters, got {len(c)}")
-        c_polys = [Polynomial.constant(table, value) for value in c]
-
     x = lambda i, j: Polynomial.variable(table, table.x_index(i, j))
     x11 = x(1, 1)
     x12 = x(1, 2)
@@ -278,9 +268,8 @@ def build_Phi(chart: Chart, c: Sequence | None = None) -> EndomorphismField:
     q = q_polynomial(chart)
 
     nums = [[Polynomial.zero(table)] * (2 * n) for _ in range(2 * n)]
-    for i, ci in enumerate(c_polys, start=2):
-        if ci.is_zero():
-            continue
+    for i in range(2, n + 1):
+        ci = Polynomial.variable(table, table.c_index(i))
         xi1 = x(i, 1)
         for k in range(1, n + 1):
             xk1 = x(k, 1)

@@ -67,6 +67,15 @@ class Chart:
     def const(self, value) -> RationalFunction:
         return RationalFunction.constant(self.table, value)
 
+    def c_substitution(self, c: Sequence[Fraction | int | str]) -> dict[int, RationalFunction]:
+        """{c_index(i): c_i} for i = 2..n, the one map that binds the
+        deformation parameters to numbers.  c holds n - 1 exact rationals:
+        a wrong count raises UsageError, and so does an entry that const
+        refuses (coerce_rational: a bool or a float)."""
+        if len(c) != self.n - 1:
+            raise UsageError(f"expected {self.n - 1} deformation parameters, got {len(c)}")
+        return {self.table.c_index(i): self.const(v) for i, v in enumerate(c, start=2)}
+
     def sf_sum(self) -> RationalFunction:
         """x12^2 + x11^2 + ... + xn1^2, the sum of the squares of the
         coordinates whose common zero set is the singular set SF.

@@ -7,12 +7,20 @@ integer functionals; these read the same rows divided by their pivot
 entries and answer the same questions in Fractions, by another route.
 
 And the check that an integer evaluation (exactalg.ScaledValues) is one
-positive multiple of the exact Fraction values.
+positive multiple of the exact Fraction values, and Phi_c at a numeric c
+as the program builds it.
 """
 
 from fractions import Fraction
 
+from agdeform.deform import build_Phi
 from agdeform.linalg import nonzero_entries
+
+
+def phi_at(chart, c):
+    """Phi_c at numeric c: the symbolic Phi with chart.c_substitution(c)
+    substituted, the one way the program binds c."""
+    return build_Phi(chart).substitute(chart.c_substitution(c))
 
 
 def reduced_dense_rows(space):

@@ -56,6 +56,14 @@ CURVATURE_C_SHA256 = {
         "d3ddf7bac91827a914aa5c7c57662a31742017123d748e62296ef017dd127dbd",
 }
 
+#: sha256 of the `--format json` stdout of a sweep at n > 3 whose c has a
+#: zero and a fractional entry, both bound by substitution into the
+#: symbolic Phi.
+TORSION_C_SHA256 = {
+    "torsion --n 5 --c=1,0,-1/2,2 --sample-balls 1":
+        "5af0dab2729495058b0878a58fea73168fc45d4d863f2d85b40d0d49cba3b381",
+}
+
 #: sha256 of the text-mode stdout (no --format) of commands whose text
 #: output has its own layout: the flowed point, the emitted expressions,
 #: the sweep summary line and the check lines with their tally.
@@ -207,6 +215,13 @@ def test_curvature_c_output_byte_identical(capsys, command):
     assert cli.main([*command.split(), "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CURVATURE_C_SHA256[command]
+
+
+@pytest.mark.parametrize("command", sorted(TORSION_C_SHA256))
+def test_torsion_c_output_byte_identical(capsys, command):
+    assert cli.main([*command.split(), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TORSION_C_SHA256[command]
 
 
 @pytest.mark.parametrize("command", sorted(TEXT_SHA256))

@@ -14,7 +14,7 @@ from agdeform import curvature as curvature_mod
 from agdeform import reptheory as rep_mod
 from agdeform import torsion as torsion_mod
 from agdeform.deform import EndomorphismField
-from agdeform.exactalg import Polynomial, RationalFunction, UsageError
+from agdeform.exactalg import Polynomial, RationalFunction, UsageError, flat_index
 from oracles import contains
 
 
@@ -40,12 +40,10 @@ def counting(monkeypatch, module, name, keep=lambda *args, **kwargs: True):
 
 
 def test_quick_suite_builds_symbolic_phi_once(monkeypatch, fresh_cache):
-    symbolic = counting(
-        monkeypatch, checks, "build_Phi", lambda chart, c=None: c is None
-    )
+    built = counting(monkeypatch, checks, "build_Phi")
     reports = checks.quick_suite(3)
     assert all(r.status == checks.PASS for r in reports)
-    assert len(symbolic) == 1
+    assert len(built) == 1
 
 
 def test_quick_suite_differentiates_each_phi_entry_once(monkeypatch, fresh_cache):
@@ -107,39 +105,47 @@ def test_curvature_objects_are_built_once_per_process(monkeypatch, fresh_cache):
     assert len(projections) == 1
 
 
-def test_quick_suite_builds_one_torsion_object(monkeypatch, fresh_cache):
-    """quick_suite(4) constructs TorsionAssembler once, as
-    artifacts(4).torsion, and every pair its checks read comes from that
-    object."""
+def test_quick_suite_builds_one_torsion_object_per_phi(monkeypatch, fresh_cache):
+    """quick_suite(4) constructs TorsionAssembler once per Phi: as
+    artifacts(4).torsion over the symbolic Phi, whose (s, 2'), (1, 2')
+    pairs the bracket and D checks read, and once over that Phi at c = 0,
+    whose every pair the zero check reads.  The symbolic-c torsion vector
+    is never built."""
     built = counting(monkeypatch, checks, "TorsionAssembler")
-    readers = []
+    readers = set()
     real_pair = torsion_mod.TorsionAssembler.pair
 
     def pair(self, f, g):
-        readers.append(self)
+        readers.add(self)
         return real_pair(self, f, g)
 
     monkeypatch.setattr(torsion_mod.TorsionAssembler, "pair", pair)
     reports = checks.quick_suite(4)
     assert all(r.status == checks.PASS for r in reports)
-    assert len(built) == 1
-    torsion = checks.artifacts(4).torsion
-    assert readers and all(reader is torsion for reader in readers)
+    art = checks.artifacts(4)
+    ((symbolic,), (flat,)) = sorted(built, key=lambda args: args[0] is not art.phi)
+    assert symbolic is art.phi and flat.is_zero()
+    torsion = art.torsion
+    (zero,) = readers - {torsion}
+    assert zero.phi is flat and len(zero.pairs) == 28
+    assert sorted(torsion.pairs) == sorted((flat_index(s, 2), flat_index(1, 2)) for s in (2, 3, 4))
+    assert "symbolic" not in vars(torsion)
 
 
 def test_density_check_differentiates_only_its_phi_table(monkeypatch, fresh_cache):
     """The sweep's torsion reads the table of first derivatives of the
-    sweep's Phi: during density_check every differentiate call is the first
-    read of an (entry, variable) of that table, so no pulled-frame entry is
-    differentiated at all."""
+    sweep's Phi, the shared symbolic Phi with c substituted: during
+    density_check every differentiate call is the first read of an (entry,
+    variable) of that table, so no pulled-frame entry, and no entry of the
+    symbolic Phi, is differentiated at all."""
     built = []
     reading = []
     calls = []
-    real_build, real_derivative = checks.build_Phi, EndomorphismField.derivative
+    real_substitute, real_derivative = EndomorphismField.substitute, EndomorphismField.derivative
     real_differentiate = RationalFunction.differentiate
 
-    def build_Phi(*args):
-        built.append(real_build(*args))
+    def substitute(self, mapping):
+        built.append(real_substitute(self, mapping))
         return built[-1]
 
     def derivative(self, row, col, idx):
@@ -153,7 +159,7 @@ def test_density_check_differentiates_only_its_phi_table(monkeypatch, fresh_cach
         calls.append((self, reading[-1] if reading else None))
         return real_differentiate(self, idx)
 
-    monkeypatch.setattr(checks, "build_Phi", build_Phi)
+    monkeypatch.setattr(EndomorphismField, "substitute", substitute)
     monkeypatch.setattr(EndomorphismField, "derivative", derivative)
     monkeypatch.setattr(RationalFunction, "differentiate", differentiate)
     report, _ = checks.density_check(3, (Fraction(2), Fraction(-3)), 2, 1, 1)
@@ -252,15 +258,13 @@ def test_phi_kills_every_bracket_at_n5(fresh_cache):
     assert len(checks.artifacts(5).torsion.pairs) == 45
 
 
-def _perturb_phi(monkeypatch, row, col, term, symbolic_only=False):
-    """Make checks.build_Phi add term(chart) to entry [row, col] of every Phi
-    it builds, or of the symbolic-c Phi only."""
+def _perturb_phi(monkeypatch, row, col, term):
+    """Make checks.build_Phi add term(chart) to entry [row, col] of the
+    symbolic Phi, which every Phi at numeric c is substituted from."""
     real = checks.build_Phi
 
-    def perturbed(chart, c=None):
-        phi = real(chart, c)
-        if symbolic_only and c is not None:
-            return phi
+    def perturbed(chart):
+        phi = real(chart)
         rows = [list(r) for r in phi.rows]
         rows[row][col] = rows[row][col] + term(chart)
         return EndomorphismField(phi.table, rows)
@@ -318,10 +322,10 @@ def test_frame_quadratic_cancels_fails_on_an_extra_phi_entry(
 
 def test_zero_deformation_fails_on_a_c_free_phi_term(monkeypatch, fresh_cache):
     """Positive control: the symbolic-c Phi with a c-free x22 term in one
-    entry keeps torsion at c = 0.  The check substitutes c = 0 into the
-    torsion of that shared Phi, so it fails; a Phi built apart at c = 0
-    would not carry the term."""
-    _perturb_phi(monkeypatch, 0, 0, lambda chart: chart.x(2, 2), symbolic_only=True)
+    entry keeps torsion at c = 0.  The check substitutes c = 0 into that
+    shared Phi, so it fails; a Phi built apart at c = 0 would not carry the
+    term."""
+    _perturb_phi(monkeypatch, 0, 0, lambda chart: chart.x(2, 2))
     (report,) = checks.torsion_zero_suite((3,))
     assert report.status == checks.FAIL
     assert report.detail == "a torsion entry is nonzero at c = 0"
@@ -371,12 +375,17 @@ def test_sweep_refuses_a_bad_c_before_any_check(monkeypatch, fresh_cache, c, s):
 
 
 def test_sweep_coerces_c_to_fractions(monkeypatch, fresh_cache):
-    """Integer and literal entries of c reach the sweep as Fractions."""
-    built = counting(monkeypatch, checks, "build_Phi")
+    """Integer and literal entries of c reach the sweep as Fractions: the
+    sweep's Phi is the shared symbolic Phi with c bound to (2, -3)."""
+    built = counting(monkeypatch, EndomorphismField, "substitute")
     report, _ = checks.density_check(3, [2, "-3"], 2, 1, 1)
     assert report.status == checks.PASS, report.detail
     assert report.check_id == "torsion.density.n3.s2.c2_m3"
-    ((_, c),) = built
+    art = checks.artifacts(3)
+    ((phi, mapping),) = built
+    assert phi is art.phi
+    assert mapping == art.chart.c_substitution((Fraction(2), Fraction(-3)))
+    c = checks.validate_sweep(3, [2, "-3"], 2, 1)
     assert c == (Fraction(2), Fraction(-3)) and all(type(v) is Fraction for v in c)
 
 

@@ -19,7 +19,7 @@ from agdeform.deform import build_Phi, build_q
 from agdeform.exactalg import RationalFunction, UsageError
 from agdeform.linalg import MatrixQ, rref
 from agdeform.model import Chart, ChartPoint
-from oracles import assert_positive_multiple, reduced_dense_rows
+from oracles import assert_positive_multiple, phi_at, reduced_dense_rows
 
 CHART = Chart(3)
 
@@ -174,7 +174,7 @@ def test_kappa_spot_values():
 
 
 def test_projection_zero_at_zero_deformation():
-    proj0 = project_kappa(nabla2_phi(build_Phi(CHART, [0, 0])))
+    proj0 = project_kappa(nabla2_phi(phi_at(CHART, [0, 0])))
     assert all(proj0.value(t, r).is_zero() for t in sorted_triples(3) for r in (1, 2, 3))
 
 

@@ -22,7 +22,8 @@ from agdeform.deform import (
     unscaled_flow_factor_check,
 )
 from agdeform.exactalg import UsageError, flat_index
-from agdeform.model import Chart
+from agdeform.model import Chart, ChartPoint
+from oracles import phi_at
 
 CHART = Chart(3)
 
@@ -94,15 +95,41 @@ def test_phi_prime_and_phi_i_displays():
 def test_build_phi_guards():
     with pytest.raises(UsageError):
         build_Phi(Chart(2))
+
+
+@pytest.mark.parametrize(
+    "n, c", [(3, (0, Fraction(-1, 2))), (4, (Fraction(3, 2), 0, -2))], ids=["n3", "n4"]
+)
+def test_c_substitution_matches_symbolic_phi_with_c_bound(n, c):
+    """Each entry of the symbolic Phi with c substituted, a zero c_i and a
+    fractional one among them, equals at sampled points the symbolic entry
+    evaluated in Fractions with c bound by the point."""
+    chart = Chart(n)
+    phi = build_Phi(chart)
+    bound = phi.substitute(chart.c_substitution(c))
+    rng = random.Random(n)
+    for _ in range(3):
+        entries = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2)] for _ in range(n)]
+        entries[0][0] += 10  # q(point) > 0
+        point = ChartPoint(chart, entries)
+        for got, symbolic in zip(bound.rows, phi.rows):
+            for g, f in zip(got, symbolic):
+                assert g.evaluate(point.evaluation_vector()) == f.evaluate(point.evaluation_vector(c=c))
+    assert not bound.is_zero()
+
+
+@pytest.mark.parametrize(
+    "c", [[1], [1, 2, 3], [1.5, 2], [True, 2], [1, False]],
+    ids=["too_few", "too_many", "float", "bool", "bool_zero"],
+)
+def test_c_substitution_refuses_a_bad_c(c):
     with pytest.raises(UsageError):
-        build_Phi(CHART, [1])
-    with pytest.raises(UsageError):
-        build_Phi(CHART, [1, 2, 3])
+        CHART.c_substitution(c)
 
 
 def test_phi_rank_one_structure():
     """Each coefficient factors through the phi' and phi_i displays."""
-    phi = build_Phi(CHART, [Fraction(5), Fraction(-2)])
+    phi = phi_at(CHART, [Fraction(5), Fraction(-2)])
     q = build_q(CHART)
     mprime = phi_prime_matrix(CHART)
     for ip in (1, 2):
@@ -186,7 +213,7 @@ def test_nilpotency_and_traces_symbolic():
 
 
 def test_deformed_theta_inverse():
-    phi = build_Phi(CHART, [Fraction(1), Fraction(2)])
+    phi = phi_at(CHART, [Fraction(1), Fraction(2)])
     ident = _identity()
     assert (ident + phi) * (ident - phi) == ident
     assert (ident - phi) * (ident + phi) == ident
@@ -235,14 +262,13 @@ def test_parse_c():
 
 
 def test_substitute_specializes_c():
-    phi = build_Phi(CHART)
+    """c_substitution binds c_i at c_index(i), in order, to exact constants."""
     table = CHART.table
     mapping = {
         table.c_index(2): CHART.const(1),
         table.c_index(3): CHART.const(0),
     }
-    specialized = phi.substitute(mapping)
-    assert specialized == build_Phi(CHART, [1, 0])
+    assert CHART.c_substitution([1, "0"]) == mapping
 
 
 @settings(max_examples=15, deadline=None)
@@ -253,7 +279,7 @@ def test_substitute_specializes_c():
     )
 )
 def test_nilpotency_and_inverse_random_c(c):
-    phi = build_Phi(CHART, list(c))
+    phi = phi_at(CHART, list(c))
     assert (phi * phi).is_zero()
     ident = _identity()
     assert (ident + phi) * (ident - phi) == ident

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from agdeform import checks
-from agdeform.deform import build_Phi
 from agdeform.exactalg import UsageError, flat_index, two_form_block
 from agdeform.linalg import MatrixQ, membership, rref, span_subspace, sparse_rank
 from agdeform.model import Chart
@@ -22,7 +21,7 @@ from agdeform.reptheory import (
 )
 from agdeform.sampling import ball_sweep
 from agdeform.torsion import TorsionAssembler, lemma_components, lemma_criterion
-from oracles import contains, reduced_dense_rows
+from oracles import contains, phi_at, reduced_dense_rows
 
 
 def test_pair_index_bijection():
@@ -567,7 +566,7 @@ def test_lemma_criterion_matches_two_form_oracle(n):
 def test_lemma_criterion_on_sweep_vectors():
     """Positive control: the sweep's torsion vectors leave span{E_1, E_s}."""
     chart = Chart(3)
-    assembler = TorsionAssembler(build_Phi(chart, [Fraction(2), Fraction(-3)]))
+    assembler = TorsionAssembler(phi_at(chart, [Fraction(2), Fraction(-3)]))
     for s in (2, 3):
         for point in ball_sweep(chart, s, 5, range(1, 4), seed=s):
             vector = assembler.evaluate(point)

@@ -18,7 +18,7 @@ from agdeform.exactalg import (
 from agdeform.model import Chart, ChartPoint
 from agdeform.sampling import ball_sweep
 from agdeform.torsion import TorsionAssembler, lemma_criterion
-from oracles import assert_positive_multiple
+from oracles import assert_positive_multiple, phi_at
 
 CHART = Chart(3)
 
@@ -125,7 +125,7 @@ def test_frame_bracket_matches_lie_bracket_n3(c):
     """The antisymmetrised derivative that pair reads equals the generic
     bracket of every pair of pulled-frame fields at n = 3, stored form and
     all: the Phi dPhi part of the bracket cancels."""
-    phi = build_Phi(CHART, c)
+    phi = build_Phi(CHART) if c is None else phi_at(CHART, c)
     frame = pulled_frame(phi)
     assembler = TorsionAssembler(phi)
     size = 2 * CHART.n
@@ -159,7 +159,7 @@ def test_pair_matches_oracle_n3(c):
     and its negation is the torsion (Id + Phi) theta(-bracket) of the
     oracle bracket, stored form and all.  A repeat read returns the same
     object."""
-    phi = build_Phi(CHART, c)
+    phi = build_Phi(CHART) if c is None else phi_at(CHART, c)
     frame = pulled_frame(phi)
     assembler = TorsionAssembler(phi)
     size = 2 * CHART.n
@@ -180,7 +180,7 @@ def test_symbolic_matches_eager_construction():
     construction of (Id + Phi) theta(-bracket) over the oracle bracket at
     c = (2, -3), stored form and all, so the sweep's integer tables are
     the same as when the torsion was built through Id + Phi."""
-    phi = build_Phi(CHART, (Fraction(2), Fraction(-3)))
+    phi = phi_at(CHART, (Fraction(2), Fraction(-3)))
     frame = pulled_frame(phi)
     size = 2 * CHART.n
     eager = [
@@ -210,7 +210,7 @@ def test_derivative_table_is_fresh_and_shared():
 
 
 def test_pulled_frame_matches_coefficients():
-    phi = build_Phi(CHART, [1, 0])
+    phi = phi_at(CHART, [1, 0])
     frame = pulled_frame(phi)
     slots = [(i, jp) for i in range(1, 4) for jp in (1, 2)]
     for i, jp in slots:
@@ -221,7 +221,7 @@ def test_pulled_frame_matches_coefficients():
                 expected = expected + CHART.const(1)
             assert field[flat_index(k, pp)] == expected
 
-    trivial = pulled_frame(build_Phi(CHART, [0, 0]))
+    trivial = pulled_frame(phi_at(CHART, [0, 0]))
     for i, jp in slots:
         assert trivial[flat_index(i, jp)] == _coordinate(i, jp)
 
@@ -255,7 +255,7 @@ def test_structure_map_matches_id_plus_phi():
     bracket, so that is the negated bracket."""
     size = 2 * CHART.n
     for c in (None, (Fraction(2), Fraction(-3))):
-        phi = build_Phi(CHART, c)
+        phi = build_Phi(CHART) if c is None else phi_at(CHART, c)
         frame = pulled_frame(phi)
         assembler = TorsionAssembler(phi)
         for a in range(size):
@@ -297,12 +297,12 @@ def test_evaluate_block_is_minus_d():
 
 def test_assembler_matches_one_shot():
     """The symbolic-c torsion, evaluated in integers with c bound by the
-    point, is a positive multiple of the integer torsion of Phi built at the
-    numeric c, and in Fractions the two agree exactly."""
+    point, is a positive multiple of the integer torsion of Phi with the
+    numeric c substituted, and in Fractions the two agree exactly."""
     assembler = TorsionAssembler(build_Phi(CHART))
     values = ScaledValues(assembler.symbolic)
     c = (Fraction(2), Fraction(-3))
-    one_shot = TorsionAssembler(build_Phi(CHART, c))
+    one_shot = TorsionAssembler(phi_at(CHART, c))
     for text in ("1,2;3,4;5,6", "1,1;1,0;0,1", "1/2,-1/3;3/4,0;-2,1/5"):
         point = ChartPoint.parse(CHART, text)
         assert_positive_multiple(values.at(point.evaluation_vector(c=c)), one_shot.evaluate(point))
@@ -317,7 +317,7 @@ def test_evaluate_refuses_a_phi_with_symbolic_c():
     point = ChartPoint.parse(CHART, "1,2;3,4;5,6")
     with pytest.raises(UsageError, match="numeric c"):
         TorsionAssembler(build_Phi(CHART)).evaluate(point)
-    phi = build_Phi(CHART, (Fraction(1), Fraction(0)))
+    phi = phi_at(CHART, (Fraction(1), Fraction(0)))
     rows = [list(row) for row in phi.rows]
     rows[2][1] = rows[2][1] + CHART.param("c3") * CHART.x(1, 1)
     with pytest.raises(UsageError, match="numeric c"):
@@ -326,7 +326,9 @@ def test_evaluate_refuses_a_phi_with_symbolic_c():
 
 
 def test_zero_deformation_torsion_free():
-    assembler = TorsionAssembler(build_Phi(CHART, [0, 0]))
+    """The symbolic Phi with c = 0 substituted has no torsion; a c-free
+    term of Phi with a nonzero derivative would leave some."""
+    assembler = TorsionAssembler(phi_at(CHART, [0, 0]))
     assert all(f.is_zero() for f in assembler.symbolic)
 
 
@@ -361,7 +363,7 @@ def test_pole_on_singular_set():
 
 @functools.cache
 def _numeric_assembler(n, c):
-    return TorsionAssembler(build_Phi(Chart(n), [Fraction(v) for v in c]))
+    return TorsionAssembler(phi_at(Chart(n), [Fraction(v) for v in c]))
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,16 @@ from .deform import (
     transformation_check,
     unscaled_flow_factor_check,
 )
-from .exactalg import Dual, UsageError, coerce_rational, dot, eps_part, flat_index
+from .exactalg import (
+    Dual,
+    ScaledValues,
+    UsageError,
+    coerce_rational,
+    dot,
+    eps_part,
+    flat_index,
+    substitute_all,
+)
 from .linalg import membership, span_subspace
 from .model import Chart, ChartPoint, flow_point, flow_point_split_form, holonomy
 from .sampling import ball_sweep, generic_off_singular, sample_points
@@ -169,7 +178,7 @@ def artifacts(n: int) -> Artifacts:
 # -- flow ------------------------------------------------------------------------------
 
 
-def flow_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
+def flow_suite(ns: Sequence[int]) -> list[CheckReport]:
     reports = []
     for n in ns:
         art = artifacts(n)
@@ -225,7 +234,7 @@ def _law_family(name: str) -> str:
     return name
 
 
-def eigen_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
+def eigen_suite(ns: Sequence[int]) -> list[CheckReport]:
     reports = []
     for n in ns:
         art = artifacts(n)
@@ -264,7 +273,7 @@ def _expected_coefficients(chart: Chart):
     return expected
 
 
-def phi_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
+def phi_suite(ns: Sequence[int]) -> list[CheckReport]:
     reports = []
     for n in ns:
         art = artifacts(n)
@@ -401,7 +410,7 @@ def phi_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
 # -- torsion bracket and the operator D ------------------------------------------------
 
 
-def torsion_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
+def torsion_suite(ns: Sequence[int]) -> list[CheckReport]:
     reports = []
     for n in ns:
         art = artifacts(n)
@@ -513,7 +522,7 @@ def frame_quadratic_cancels_suite(ns: Sequence[int]) -> list[CheckReport]:
     return reports
 
 
-def torsion_zero_suite(ns: Sequence[int] = (3,)) -> list[CheckReport]:
+def torsion_zero_suite(ns: Sequence[int]) -> list[CheckReport]:
     """The torsion of the symbolic Phi with every c_i set to 0 vanishes: the
     sweep's own path at c = 0, TorsionAssembler over the substituted Phi,
     so the symbolic-c torsion is never built."""
@@ -537,10 +546,10 @@ def _c_tag(c: Sequence[Fraction]) -> str:
 
 def validate_sweep(n: int, c: Sequence[Fraction], s: int, ball_count: int) -> tuple[Fraction, ...]:
     """c as exact rationals; raise UsageError unless the sweep can sample a
-    meaningful point: n - 1 exact rationals in c (Chart.c_substitution),
-    2 <= s <= n, c_s != 0, and at least one radius."""
-    Chart(n).c_substitution(c)
+    meaningful point: n - 1 exact rationals in c (Chart.c_substitution
+    counts them), 2 <= s <= n, c_s != 0, and at least one radius."""
     c = tuple(coerce_rational(v) for v in c)
+    Chart(n).c_substitution(c)
     if not (2 <= s <= n):
         raise UsageError(f"s must be in 2..{n}")
     if c[s - 2] == 0:
@@ -551,7 +560,7 @@ def validate_sweep(n: int, c: Sequence[Fraction], s: int, ball_count: int) -> tu
 
 
 def density_check(
-    n: int, c: Sequence[Fraction], s: int, seed: int = 0, ball_count: int = 8
+    n: int, c: Sequence[Fraction], s: int, seed: int, ball_count: int
 ) -> tuple[CheckReport, list[dict]]:
     """Sampled nonvanishing sweep; also returns the per-point verdict table.
 
@@ -606,7 +615,7 @@ def density_check(
 # -- representation theory -------------------------------------------------------------
 
 
-def reptheory_suite(ns: Sequence[int] = (2, 3, 4, 5), seed: int = 0) -> list[CheckReport]:
+def reptheory_suite(ns: Sequence[int], seed: int) -> list[CheckReport]:
     reports = []
     for n in ns:
         # spec and partial1 are built inside the first check that reads them.
@@ -795,7 +804,7 @@ def _display_second_derivatives(chart: Chart, r: int):
     return a, b, cc
 
 
-def curvature_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
+def curvature_suite(ns: Sequence[int]) -> list[CheckReport]:
     reports = []
     for n in ns:
         art = artifacts(n)
@@ -869,23 +878,23 @@ def curvature_suite(ns: Sequence[int] = (3, 4)) -> list[CheckReport]:
     return reports
 
 
-def curvature_numeric_suite(n: int, seed: int = 0) -> list[CheckReport]:
+def curvature_numeric_suite(n: int, seed: int) -> list[CheckReport]:
     """The sampled not-pure-trace check and the mixed-partial symmetry at n,
     on the second derivatives and kappa that curvature_suite reads."""
     art = artifacts(n)
-    c_unit = [Fraction(1)] + [Fraction(0)] * (n - 2)
 
     def accept(entries):
         return generic_off_singular(entries, 2) and entries[1][0] != 0
 
     def not_pure_trace_samples():
-        slice_values = art.kappa.slice_values
+        c_unit = art.chart.c_substitution([1] + [0] * (n - 2))
+        slice_values = ScaledValues(substitute_all(art.kappa.flat_slice(), c_unit))
         subspace = curvature_mod.trace_subspace(n)
         rng = random.Random(seed)
         checked = 0
         for radius_exp in range(1, 6):
             for point in sample_points(art.chart, radius_exp, KAPPA_SAMPLES // 5, rng, accept):
-                values = slice_values.at(point.evaluation_vector(c=c_unit))
+                values = slice_values.at(point.evaluation_vector())
                 if not curvature_mod.not_pure_trace(values, subspace):
                     return (
                         False,
@@ -915,7 +924,7 @@ def curvature_numeric_suite(n: int, seed: int = 0) -> list[CheckReport]:
 # -- derivative oracle -----------------------------------------------------------------
 
 
-def derivative_oracle_suite(n: int = 3, seed: int = 0) -> list[CheckReport]:
+def derivative_oracle_suite(n: int, seed: int) -> list[CheckReport]:
     """Phi's derivatives against exact forward-mode evaluation, by equality.
 
     Each chart-variable key (row, col, idx) of art.phi's shared table of
@@ -923,34 +932,40 @@ def derivative_oracle_suite(n: int = 3, seed: int = 0) -> list[CheckReport]:
     art.second_derivatives for r = 2..n, is evaluated at its own sampled
     point, with no zero coordinate, and compared with the dual or hyper-dual
     value of its entry of Phi there (see exactalg.Dual).  That value never
-    calls differentiate, so a wrong table entry or quotient rule shows.
+    calls differentiate, so a wrong table entry or quotient rule shows.  c =
+    (1, 2, 1, ...) is bound by Chart.c_substitution, substituted into Phi
+    and into the compared table entries, one batch each.
     """
-    c_values = [Fraction(1), Fraction(2)] + [Fraction(1)] * (n - 3)
     # (ip, j, lp, m, pp, o, qp) of the three displays, as in curvature.displays
     displays = ((2, 1, 1, 1, 1, 1, 1), (2, 1, 2, 1, 2, 1, 1), (1, 1, 1, 1, 1, 1, 2))
 
     def oracle():
         art = artifacts(n)
-        phi, d2, table = art.phi, art.second_derivatives, art.chart.table
+        d2, table = art.second_derivatives, art.chart.table
+        c_values = art.chart.c_substitution([1, 2] + [1] * (n - 3))
+        phi = art.phi.substitute(c_values)
         xs = [table.x_index(i, j) for i in range(1, n + 1) for j in (1, 2)]
         keys = [(row, col, idx) for row in range(2 * n) for col in range(2 * n) for idx in xs]
         first = len(keys)
         keys += [(*display, r) for r in range(2, n + 1) for display in displays]
+        wants = substitute_all(
+            [art.phi.derivative(*key) if len(key) == 3 else d2.entry(*key) for key in keys], c_values
+        )
         points = sample_points(art.chart, 1, len(keys), random.Random(seed), lambda e: all(map(all, e)))
-        for key, point in zip(keys, points):
-            vec = point.evaluation_vector(c=c_values)
+        for key, want, point in zip(keys, wants, points):
+            vec = point.evaluation_vector()
             seeded = list(vec)
             if len(key) == 3:
                 row, col, idx = key
                 seeded[idx] = Dual(vec[idx], 1)
-                want, got = phi.derivative(*key), eps_part(phi.rows[row][col].evaluate(seeded))
+                got = eps_part(phi.rows[row][col].evaluate(seeded))
             else:
                 ip, j, lp, m, pp, o, qp, r = key
                 a, b = table.x_index(j, ip), table.x_index(m, lp)
                 seeded[a] = Dual(Dual(vec[a], 1), 0)
                 seeded[b] = seeded[b] + Dual(0, 1)
                 entry = phi.rows[flat_index(r, pp)][flat_index(o, qp)]
-                want, got = d2.entry(*key), eps_part(eps_part(entry.evaluate(seeded)))
+                got = eps_part(eps_part(entry.evaluate(seeded)))
             if want.evaluate(vec) != got:
                 return False, f"derivative {key} of Phi differs from its dual value", point.format()
         return (
@@ -966,7 +981,7 @@ def derivative_oracle_suite(n: int = 3, seed: int = 0) -> list[CheckReport]:
 # -- assembled suites ------------------------------------------------------------------
 
 
-def acceptance_suite(seed: int = 0, ball_count: int = 8) -> list[CheckReport]:
+def acceptance_suite(seed: int, ball_count: int) -> list[CheckReport]:
     """Every check backing the acceptance gate, in deterministic order."""
     reports: list[CheckReport] = []
     reports += flow_suite((3, 4))
@@ -986,7 +1001,7 @@ def acceptance_suite(seed: int = 0, ball_count: int = 8) -> list[CheckReport]:
     return sort_reports(reports)
 
 
-def quick_suite(n: int, seed: int = 0) -> list[CheckReport]:
+def quick_suite(n: int, seed: int) -> list[CheckReport]:
     """Symbolic checks plus small samples for a single n (verify without --all)."""
     reports: list[CheckReport] = []
     reports += flow_suite((n,))

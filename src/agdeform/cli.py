@@ -192,7 +192,7 @@ def _cmd_torsion(args) -> int:
             Fraction(1) if i == 0 else Fraction(0) for i in range(chart.n - 1)
         )
     else:
-        c = parse_c(chart, args.c)
+        c = parse_c(args.c)
     checks.validate_sweep(args.n, c, args.sindex, args.sample_balls)
     reports = checks.torsion_suite((args.n,)) + checks.torsion_zero_suite((args.n,))
     density_report, records = checks.density_check(
@@ -213,9 +213,10 @@ def _cmd_curvature(args) -> int:
     chart = Chart(args.n)
     if not (2 <= args.r <= args.n):
         raise UsageError(f"r must be in 2..{args.n}")
+    c_values = None if args.c is None else chart.c_substitution(parse_c(args.c))
     kappa = kappa_closed_form(chart, args.r)
-    if args.c is not None:
-        kappa = kappa.substitute(chart.c_substitution(parse_c(chart, args.c)))
+    if c_values is not None:
+        kappa = kappa.substitute(c_values)
     reports = checks.curvature_suite((args.n,))
     kappa_info = {"r": args.r, "text": render_rational_function(kappa)}
     if args.emit == "latex":

@@ -9,16 +9,16 @@ unprimed covariant slots; trace removal is handled as a membership test
 against the explicitly embedded trace subspace of S^3 R^{n*} (x) R^n.  A
 membership verdict does not change under a positive scale, so the sampled
 check reads the slice at a point as one positive integer multiple of its
-value (KappaProjection.slice_values, an exactalg.ScaledValues).
+value: an exactalg.ScaledValues over KappaProjection.flat_slice with c
+bound by Chart.c_substitution, since a point binds x only.
 """
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from itertools import permutations
 
-from .exactalg import RationalFunction, ScaledValues, UsageError, flat_index
+from .exactalg import RationalFunction, UsageError, flat_index
 from .linalg import Subspace, Vector, span_subspace, membership
 from .model import Chart
 from .deform import EndomorphismField
@@ -102,7 +102,8 @@ class KappaProjection:
     read and memoised.
     """
 
-    # No __slots__: the cached slice evaluator lives in the instance __dict__.
+    __slots__ = ("d2", "chart", "values")
+
     def __init__(self, d2: SecondDerivativeTensor):
         self.d2 = d2
         self.chart = d2.chart
@@ -133,15 +134,12 @@ class KappaProjection:
             value = self.values[key] = acc.scale(_SIXTH)
         return value
 
-    @functools.cached_property
-    def slice_values(self) -> ScaledValues:
-        """The integer evaluator of the symmetric slice, built on first use:
-        the value at (triple, r) is entry k * n + r - 1 for the k-th triple
-        of sorted_triples(n), the coordinates of trace_subspace(n)."""
+    def flat_slice(self) -> list[RationalFunction]:
+        """The symmetric slice, flat: the value at (triple, r) is entry
+        k * n + r - 1 for the k-th triple of sorted_triples(n), the
+        coordinates of trace_subspace(n)."""
         n = self.chart.n
-        return ScaledValues(
-            [self.value(triple, r) for triple in sorted_triples(n) for r in range(1, n + 1)]
-        )
+        return [self.value(triple, r) for triple in sorted_triples(n) for r in range(1, n + 1)]
 
 
 def project_kappa(d2: SecondDerivativeTensor) -> KappaProjection:
@@ -201,7 +199,7 @@ def trace_subspace(n: int) -> Subspace:
 
 def not_pure_trace(values: Vector, subspace: Subspace) -> bool:
     """True iff the slice values, in the order of
-    KappaProjection.slice_values or any positive multiple of them, lie
+    KappaProjection.flat_slice or any positive multiple of them, lie
     outside subspace, the trace subspace that trace_subspace(n) builds.
 
     A zero slice returns False: it lies in every subspace, so nothing is

@@ -343,11 +343,7 @@ def unscaled_flow_factor_check(chart: Chart, i: int) -> bool:
     return conjugated == scaled
 
 
-def parse_c(chart: Chart, text: str) -> tuple[Fraction, ...]:
-    """Parse the CLI form of c: comma-separated rationals, e.g. "1,0,0"."""
-    parts = [p for p in text.split(",")]
-    if len(parts) != chart.n - 1:
-        raise UsageError(
-            f"expected {chart.n - 1} comma-separated values for c, got {len(parts)}"
-        )
-    return tuple(parse_rational(p) for p in parts)
+def parse_c(text: str) -> tuple[Fraction, ...]:
+    """Parse the CLI form of c: comma-separated rationals, e.g. "1,0,0".
+    Chart.c_substitution checks the count."""
+    return tuple(parse_rational(p) for p in text.split(","))

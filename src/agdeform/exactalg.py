@@ -64,8 +64,7 @@ class MismatchedTables(UsageError):
 class PoleAtPoint(ArithmeticError):
     """A denominator factor vanishes at the requested evaluation point."""
 
-    def __init__(self, factor_text: str, point: tuple[Fraction, ...]):
-        self.point = point
+    def __init__(self, factor_text: str):
         super().__init__(f"denominator factor {factor_text} vanishes at point")
 
 
@@ -150,10 +149,6 @@ class VariableTable:
             raise UsageError(f"coordinate x[{i}][{j}] outside n x 2 chart")
         return flat_index(i, j)
 
-    @property
-    def t_index(self) -> int:
-        return 2 * self.n
-
     def c_index(self, i: int) -> int:
         if not (2 <= i <= self.n):
             raise UsageError(f"deformation parameter c{i} outside c2..c{self.n}")
@@ -166,27 +161,6 @@ class VariableTable:
         head = name.rstrip("0123456789")
         tail = name[len(head):]
         return f"{head}_{{{tail}}}" if tail else head
-
-    def point(
-        self,
-        x: Sequence[Sequence[Fraction | int | str]],
-        t: Fraction | int | str = 0,
-        c: Sequence[Fraction | int | str] | None = None,
-    ) -> tuple[Fraction, ...]:
-        """Build a full evaluation vector; s, and c unless given, are 0."""
-        if len(x) != self.n or any(len(row) != 2 for row in x):
-            raise UsageError(f"point must have shape {self.n} x 2")
-        values = [_ZERO] * self.size
-        for i, row in enumerate(x):
-            for j, entry in enumerate(row):
-                values[2 * i + j] = coerce_rational(entry)
-        values[self.t_index] = coerce_rational(t)
-        if c is not None:
-            if len(c) != self.n - 1:
-                raise UsageError(f"expected {self.n - 1} deformation parameters")
-            for k, entry in enumerate(c):
-                values[2 * self.n + 2 + k] = coerce_rational(entry)
-        return tuple(values)
 
 
 def coerce_rational(value: Fraction | int | str) -> Fraction:
@@ -463,10 +437,6 @@ class Polynomial:
                 num = num * factor
             terms.append((num, den))
         return _sum_terms(table, terms)
-
-    def variables(self) -> set[int]:
-        """The indices of the variables that occur in self."""
-        return {idx for mono in self.coeffs for idx, _ in exponent_pairs(mono, self.table.size)}
 
     # -- degree bookkeeping ----------------------------------------------------
 
@@ -828,12 +798,11 @@ class RationalFunction:
         return RationalFunction(new_num, tuple((f, e + 1) for f, e in self.den))
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        point = tuple(point)
         value = _ONE
         for factor, exponent in self.den:
             fval = factor.evaluate(point)
             if not fval:
-                raise PoleAtPoint(render_polynomial(factor), point)
+                raise PoleAtPoint(render_polynomial(factor))
             value = value * fval**exponent
         return self.num.evaluate(point) / value
 
@@ -945,6 +914,10 @@ class ScaledValues:
     point.  The numerators, negated when Q is negative there, are then one
     positive multiple of the function values: all that a verdict which a
     positive scale does not change needs.
+
+    A point binds the chart coordinates only, so a function in which t, s
+    or some c_i occurs raises UsageError; c is bound by substitution
+    (model.Chart.c_substitution) before the functions come here.
     """
 
     __slots__ = ("size", "monomials", "numerators", "factors")
@@ -968,6 +941,8 @@ class ScaledValues:
         ]
         self.size = table.size
         pairs = [exponent_pairs(mono, table.size) for mono in index]
+        if any(p and p[-1][0] >= 2 * table.n for p in pairs):
+            raise UsageError("ScaledValues takes functions of x only; substitute t, s and c first")
         degrees = [sum(e for _, e in p) for p in pairs]
         degree = max(degrees, default=0)
         self.monomials = tuple((degree - d, p) for d, p in zip(degrees, pairs))
@@ -995,7 +970,7 @@ class ScaledValues:
         for factor, odd, row in self.factors:
             value = sum(c * values[i] for i, c in row)
             if not value:
-                raise PoleAtPoint(render_polynomial(factor), tuple(point))
+                raise PoleAtPoint(render_polynomial(factor))
             negative ^= odd and value < 0
         sums = [sum(c * values[i] for i, c in row) for row in self.numerators]
         return tuple(-v for v in sums) if negative else tuple(sums)

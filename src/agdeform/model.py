@@ -181,13 +181,14 @@ class ChartPoint:
                 out[table.x_index(i + 1, j + 1)] = lifted[i][j]
         return out
 
-    def evaluation_vector(
-        self, c: Sequence | None = None
-    ) -> tuple[Fraction, ...]:
-        """Full evaluation point for exactalg at t = s = 0, binding c if given."""
+    def evaluation_vector(self) -> tuple[Fraction, ...]:
+        """The full evaluation point for exactalg: the entries in the chart
+        variable order, then 0 for t, s and every c_i.  A point binds x
+        only; c is bound by substituting Chart.c_substitution(c) first."""
         if not self.is_numeric:
             raise UsageError("evaluation vector requires a numeric point")
-        return self.chart.table.point(x=self.entries, c=c)
+        zeros = (Fraction(0),) * (self.chart.table.size - 2 * self.chart.n)
+        return tuple(v for row in self.entries for v in row) + zeros
 
 
 class SymbolicMatrix:
@@ -321,8 +322,7 @@ def flow_point(X: ChartPoint, t) -> ChartPoint:
         t = coerce_rational(t)
         u = 1 + t * X.entries[0][0]
         if not u:
-            point = chart.table.point(x=X.entries, t=t)
-            raise PoleAtPoint("x11*t + 1", point)
+            raise PoleAtPoint("x11*t + 1")
         x12 = X.entries[0][1]
         rows = [
             [xi1 / u, xi2 - t * x12 * xi1 / u] for xi1, xi2 in X.entries

@@ -15,7 +15,8 @@ is the antisymmetrised derivative of Phi.
 The sampled sweep reads the torsion at a point as one positive integer
 multiple of its value (exactalg.ScaledValues): its two verdicts, the
 rank-one lemma criterion and membership in Im(partial1), do not change
-under a positive scale.
+under a positive scale.  A point binds x only, so the sweep's Phi has c
+bound by Chart.c_substitution before its torsion is evaluated.
 """
 
 from __future__ import annotations
@@ -68,18 +69,14 @@ class TorsionAssembler:
 
     @functools.cached_property
     def _values(self) -> ScaledValues:
-        """The integer evaluator of symbolic, built on the first evaluate.
-        An assembler whose phi still has some c_i in it serves pair and
-        symbolic only: a point would bind that c_i to 0."""
-        c_variables = set(range(self.phi.table.c_index(2), self.phi.table.size))
-        polys = {p for row in self.phi.rows for v in row for p in (v.num, *dict(v.den))}
-        if any(p.variables() & c_variables for p in polys):
-            raise UsageError("evaluate needs Phi at numeric c, not symbolic c")
+        """The integer evaluator of symbolic, built on the first evaluate."""
         return ScaledValues(self.symbolic)
 
     def evaluate(self, point: ChartPoint) -> tuple[int, ...]:
         """A positive integer multiple of the torsion vector at a numeric
-        point, for phi at numeric c; q(point) = 0 raises PoleAtPoint."""
+        point; q(point) = 0 raises PoleAtPoint.  phi must have c bound (a
+        point binds x only, so ScaledValues refuses a torsion with some c_i
+        in it)."""
         return self._values.at(point.evaluation_vector())
 
 

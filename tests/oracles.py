@@ -7,14 +7,31 @@ integer functionals; these read the same rows divided by their pivot
 entries and answer the same questions in Fractions, by another route.
 
 And the check that an integer evaluation (exactalg.ScaledValues) is one
-positive multiple of the exact Fraction values, and Phi_c at a numeric c
-as the program builds it.
+positive multiple of the exact Fraction values, Phi_c at a numeric c as
+the program builds it, and a Fraction evaluation point that binds t and c
+as well as x, for the Fraction oracles (RationalFunction.evaluate).
 """
 
 from fractions import Fraction
 
 from agdeform.deform import build_Phi
+from agdeform.exactalg import UsageError, coerce_rational
 from agdeform.linalg import nonzero_entries
+
+
+def evaluation_point(table, x, t=0, c=None):
+    """The full evaluation vector of table at x (n rows of 2), t and c (n - 1
+    values); s, and c unless given, are 0.  The program's points bind x only
+    (ChartPoint.evaluation_vector) and bind c by substitution."""
+    n = table.n
+    if len(x) != n or any(len(row) != 2 for row in x):
+        raise UsageError(f"point must have shape {n} x 2")
+    values = [coerce_rational(v) for row in x for v in row] + [coerce_rational(t), Fraction(0)]
+    if c is None:
+        return tuple(values + [Fraction(0)] * (n - 1))
+    if len(c) != n - 1:
+        raise UsageError(f"expected {n - 1} deformation parameters")
+    return tuple(values + [coerce_rational(v) for v in c])
 
 
 def phi_at(chart, c):

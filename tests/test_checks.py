@@ -41,7 +41,7 @@ def counting(monkeypatch, module, name, keep=lambda *args, **kwargs: True):
 
 def test_quick_suite_builds_symbolic_phi_once(monkeypatch, fresh_cache):
     built = counting(monkeypatch, checks, "build_Phi")
-    reports = checks.quick_suite(3)
+    reports = checks.quick_suite(3, 0)
     assert all(r.status == checks.PASS for r in reports)
     assert len(built) == 1
 
@@ -64,7 +64,7 @@ def test_quick_suite_differentiates_each_phi_entry_once(monkeypatch, fresh_cache
         return real(self, idx)
 
     monkeypatch.setattr(RationalFunction, "differentiate", counted)
-    reports = checks.quick_suite(4)
+    reports = checks.quick_suite(4, 0)
     assert all(r.status == checks.PASS for r in reports)
     assert seen and max(seen.values()) == 1
     assert set(seen) == {(key[:2], key[2]) for key in phi.derivatives}
@@ -98,8 +98,8 @@ def test_curvature_objects_are_built_once_per_process(monkeypatch, fresh_cache):
     tensors = counting(monkeypatch, curvature_mod, "nabla2_phi")
     projections = counting(monkeypatch, curvature_mod, "project_kappa")
     reports = checks.curvature_suite((3,))
-    reports += checks.curvature_numeric_suite(3)
-    reports += checks.quick_suite(3)
+    reports += checks.curvature_numeric_suite(3, 0)
+    reports += checks.quick_suite(3, 0)
     assert all(r.status == checks.PASS for r in reports)
     assert len(tensors) == 1
     assert len(projections) == 1
@@ -120,7 +120,7 @@ def test_quick_suite_builds_one_torsion_object_per_phi(monkeypatch, fresh_cache)
         return real_pair(self, f, g)
 
     monkeypatch.setattr(torsion_mod.TorsionAssembler, "pair", pair)
-    reports = checks.quick_suite(4)
+    reports = checks.quick_suite(4, 0)
     assert all(r.status == checks.PASS for r in reports)
     art = checks.artifacts(4)
     ((symbolic,), (flat,)) = sorted(built, key=lambda args: args[0] is not art.phi)
@@ -194,7 +194,7 @@ def test_acceptance_suite_builds_n3_second_derivatives_once(monkeypatch, fresh_c
     monkeypatch.setattr(checks, "curvature_suite", lambda ns: real_suite([n for n in ns if n != 4]))
     calls = counting(monkeypatch, curvature_mod, "nabla2_phi")
     phis = counting(monkeypatch, checks, "build_Phi")
-    reports = [r for r in checks.acceptance_suite() if r is not stub]
+    reports = [r for r in checks.acceptance_suite(0, 8) if r is not stub]
     assert len(calls) == 1
     assert len(phis) == 1
     names = ("displays", "trace_free", "reduction", "kappa", "not_pure_trace", "mixed_partials")
@@ -331,6 +331,16 @@ def test_zero_deformation_fails_on_a_c_free_phi_term(monkeypatch, fresh_cache):
     assert report.detail == "a torsion entry is nonzero at c = 0"
 
 
+def test_zero_deformation_fails_on_a_c_free_quadratic_term(monkeypatch, fresh_cache):
+    """Positive control: x22^2 in one entry of the symbolic-c Phi, which
+    leaves kappa at c = 0 zero (tests/test_curvature.py), keeps torsion at
+    c = 0, so the check fails."""
+    _perturb_phi(monkeypatch, 0, 0, lambda chart: chart.x(2, 2) * chart.x(2, 2))
+    (report,) = checks.torsion_zero_suite((3,))
+    assert report.status == checks.FAIL
+    assert report.detail == "a torsion entry is nonzero at c = 0"
+
+
 def test_closed_forms_fail_on_a_wrong_q(monkeypatch, fresh_cache):
     """The expected values of the coefficients, the bracket, D, the displays
     and kappa are built over Chart.sf_sum, not over the q that Phi is built
@@ -392,7 +402,7 @@ def test_sweep_coerces_c_to_fractions(monkeypatch, fresh_cache):
 def test_reptheory_suite_passes_at_n6(fresh_cache):
     """Rank, kernel, cokernel, trace membership, trace span and lemma_image
     at n = 6, which the sparse eliminator makes cheap enough for tier 1."""
-    reports = checks.reptheory_suite((6,))
+    reports = checks.reptheory_suite((6,), 0)
     names = {r.check_id.split(".")[1] for r in reports}
     assert {"rank", "kernel", "complement", "trace_membership", "trace_span", "lemma_image"} <= names
     assert all(r.status == checks.PASS for r in reports), [r.detail for r in reports]
@@ -414,11 +424,11 @@ def test_every_membership_verdict_equals_the_fraction_oracle(monkeypatch, fresh_
 
     monkeypatch.setattr(checks, "membership", checked)
     monkeypatch.setattr(curvature_mod, "membership", checked)
-    reports = checks.quick_suite(4)
+    reports = checks.quick_suite(4, 0)
     report, records = checks.density_check(3, (Fraction(2), Fraction(-3)), 2, 0, 1)
     reports.append(report)
     reports += [
-        r for r in checks.curvature_numeric_suite(3) if r.check_id == "curvature.not_pure_trace.n3"
+        r for r in checks.curvature_numeric_suite(3, 0) if r.check_id == "curvature.not_pure_trace.n3"
     ]
     assert all(r.status == checks.PASS for r in reports), [r.check_id for r in reports if r.status != checks.PASS]
     assert verdicts[True] >= len(checks.artifacts(4).trace_vectors)
@@ -478,7 +488,7 @@ def builders_outside_checks(monkeypatch):
 
 @pytest.mark.parametrize(
     "suite",
-    [lambda: checks.quick_suite(4), lambda: checks.acceptance_suite(0, ball_count=1)],
+    [lambda: checks.quick_suite(4, 0), lambda: checks.acceptance_suite(0, ball_count=1)],
     ids=["quick_suite_n4", "acceptance"],
 )
 def test_suite_builders_run_only_inside_checks(builders_outside_checks, fresh_cache, suite):
@@ -520,7 +530,7 @@ def _broken(*args):
         (curvature_mod, "nabla2_phi", lambda: checks.curvature_suite((3,)), 4),
         (curvature_mod, "nabla2_phi",
          lambda: checks.curvature_suite((3,)) + checks.curvature_numeric_suite(3, 0), 6),
-        (rep_mod, "build_partial1", lambda: checks.reptheory_suite((3,)), 7),
+        (rep_mod, "build_partial1", lambda: checks.reptheory_suite((3,), 0), 7),
         (checks, "transformation_check", lambda: checks.eigen_suite((3,)), 8),
         (checks, "build_Phi", lambda: checks.phi_suite((3,)), 6),
         (checks, "TorsionAssembler", lambda: checks.torsion_suite((3,)), 4),

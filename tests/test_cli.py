@@ -153,6 +153,24 @@ def test_bad_sweep_request_exit_2(capsys, monkeypatch, argv):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("command", ["torsion", "curvature"], ids=lambda c: f"{c}_c_wrong_length")
+def test_c_wrong_length_exit_2(capsys, monkeypatch, command):
+    """A c of the wrong length is a usage error, refused by
+    Chart.c_substitution, the one count check, before any symbolic work
+    starts."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("symbolic work started before the usage check")
+
+    for name in ("torsion_suite", "torsion_zero_suite", "density_check", "curvature_suite"):
+        monkeypatch.setattr(checks, name, refuse)
+    monkeypatch.setattr(cli, "kappa_closed_form", refuse)
+    code, out, err = run_cli(capsys, command, "--n", "3", "--c=1,0,0")
+    assert code == 2
+    assert out == ""
+    assert "expected 2 deformation parameters, got 3" in err
+
+
 @pytest.mark.parametrize("command", ["phi", "torsion", "curvature", "verify"])
 def test_symbolic_n_above_maximum_exit_2(capsys, monkeypatch, command):
     """An n above MAX_SYMBOLIC_N is a usage error, refused before any

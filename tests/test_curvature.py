@@ -15,11 +15,11 @@ from agdeform.curvature import (
     sorted_triples,
     trace_subspace,
 )
-from agdeform.deform import build_Phi, build_q
-from agdeform.exactalg import RationalFunction, UsageError
+from agdeform.deform import EndomorphismField, build_Phi, build_q
+from agdeform.exactalg import RationalFunction, ScaledValues, UsageError, substitute_all
 from agdeform.linalg import MatrixQ, rref
 from agdeform.model import Chart, ChartPoint
-from oracles import assert_positive_multiple, phi_at, reduced_dense_rows
+from oracles import assert_positive_multiple, evaluation_point, reduced_dense_rows
 
 CHART = Chart(3)
 
@@ -165,17 +165,41 @@ def test_kappa_closed_form_identity():
 def test_kappa_spot_values():
     formula = kappa_closed_form(CHART, 2)
     c = (Fraction(1), Fraction(0))
-    generic = ChartPoint.parse(CHART, "2,1;1,0;2,0")
-    assert formula.evaluate(generic.evaluation_vector(c=c)) == Fraction(1, 20)
+    generic = evaluation_point(CHART.table, [[2, 1], [1, 0], [2, 0]], c=c)
+    assert formula.evaluate(generic) == Fraction(1, 20)
     # x21 = 0 kills every term when c = (1, 0)
-    degenerate = ChartPoint.parse(CHART, "2,1;0,0;2,0")
-    assert formula.evaluate(degenerate.evaluation_vector(c=c)) == 0
-    assert PROJ.value((1, 1, 1), 2).evaluate(degenerate.evaluation_vector(c=c)) == 0
+    degenerate = evaluation_point(CHART.table, [[2, 1], [0, 0], [2, 0]], c=c)
+    assert formula.evaluate(degenerate) == 0
+    assert PROJ.value((1, 1, 1), 2).evaluate(degenerate) == 0
+
+
+def _kappa_at_zero_deformation(term=None):
+    """Every kappa value, keyed (triple, r), of the symbolic Phi with term
+    added to entry [0, 0] if given, and c = 0 substituted."""
+    phi = build_Phi(CHART)
+    if term is not None:
+        rows = [list(row) for row in phi.rows]
+        rows[0][0] = rows[0][0] + term
+        phi = EndomorphismField(phi.table, rows)
+    proj = project_kappa(nabla2_phi(phi.substitute(CHART.c_substitution([0, 0]))))
+    return {(t, r): proj.value(t, r) for t in sorted_triples(3) for r in (1, 2, 3)}
 
 
 def test_projection_zero_at_zero_deformation():
-    proj0 = project_kappa(nabla2_phi(phi_at(CHART, [0, 0])))
-    assert all(proj0.value(t, r).is_zero() for t in sorted_triples(3) for r in (1, 2, 3))
+    """kappa of the symbolic Phi at c = 0 vanishes.  kappa reads second
+    derivatives, so a c-free linear term of Phi cannot show here, and nor
+    can one like x22^2, which the contraction drops; the check
+    torsion.zero_deformation catches both (tests/test_checks.py)."""
+    assert all(v.is_zero() for v in _kappa_at_zero_deformation().values())
+
+
+def test_projection_zero_at_zero_deformation_fails_on_a_c_free_term():
+    """Positive control: x11*x22 in entry [0, 0] of the symbolic Phi leaves
+    one kappa value nonzero at c = 0; x22^2 there leaves every one zero."""
+    x11, x22 = CHART.x(1, 1), CHART.x(2, 2)
+    values = _kappa_at_zero_deformation(x11 * x22)
+    assert [key for key, v in values.items() if not v.is_zero()] == [((1, 1, 2), 1)]
+    assert all(v.is_zero() for v in _kappa_at_zero_deformation(x22 * x22).values())
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -245,16 +269,20 @@ def test_trace_subspace_matches_dense_rref(n, monkeypatch):
 
 
 def test_slice_values_are_a_positive_multiple_of_the_slice():
-    """KappaProjection.slice_values reads the values (triple, r) in slice
-    order, as one positive integer multiple of their Fraction values, at
-    points where c is bound by the point."""
+    """KappaProjection.flat_slice holds the values (triple, r) in slice
+    order, and ScaledValues over it with c substituted, as the sampled
+    check builds it, reads one positive integer multiple of their Fraction
+    values with c bound by the point."""
     n = CHART.n
     order = [(triple, r) for triple in sorted_triples(n) for r in range(1, n + 1)]
+    assert PROJ.flat_slice() == [PROJ.value(triple, r) for triple, r in order]
     for text, c in (("2,1;1,0;2,0", (1, 0)), ("1/2,-1/3;3/4,1;-2,1/5", (Fraction(2, 3), -1))):
-        vec = ChartPoint.parse(CHART, text).evaluation_vector(c=c)
+        point = ChartPoint.parse(CHART, text)
+        vec = evaluation_point(CHART.table, point.entries, c=c)
         exact = [PROJ.value(triple, r).evaluate(vec) for triple, r in order]
         assert any(exact)
-        assert_positive_multiple(PROJ.slice_values.at(vec), exact)
+        values = ScaledValues(substitute_all(PROJ.flat_slice(), CHART.c_substitution(c)))
+        assert_positive_multiple(values.at(point.evaluation_vector()), exact)
 
 
 def test_not_pure_trace():
@@ -281,7 +309,8 @@ def test_not_pure_trace():
     assert not not_pure_trace(trace_slice, sub)
 
     point = ChartPoint.parse(CHART, "2,1;1,0;2,0")
-    generic_slice = PROJ.slice_values.at(point.evaluation_vector(c=(Fraction(1), Fraction(0))))
+    values = ScaledValues(substitute_all(PROJ.flat_slice(), CHART.c_substitution((1, 0))))
+    generic_slice = values.at(point.evaluation_vector())
     assert not_pure_trace(generic_slice, sub)
 
     with pytest.raises(UsageError):

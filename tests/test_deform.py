@@ -23,7 +23,7 @@ from agdeform.deform import (
 )
 from agdeform.exactalg import UsageError, flat_index
 from agdeform.model import Chart, ChartPoint
-from oracles import phi_at
+from oracles import evaluation_point, phi_at
 
 CHART = Chart(3)
 
@@ -114,7 +114,8 @@ def test_c_substitution_matches_symbolic_phi_with_c_bound(n, c):
         point = ChartPoint(chart, entries)
         for got, symbolic in zip(bound.rows, phi.rows):
             for g, f in zip(got, symbolic):
-                assert g.evaluate(point.evaluation_vector()) == f.evaluate(point.evaluation_vector(c=c))
+                vec = evaluation_point(chart.table, entries, c=c)
+                assert g.evaluate(point.evaluation_vector()) == f.evaluate(vec)
     assert not bound.is_zero()
 
 
@@ -253,12 +254,14 @@ def test_unscaled_flow_factor():
 
 
 def test_parse_c():
-    assert parse_c(CHART, "1,0") == (Fraction(1), Fraction(0))
-    assert parse_c(CHART, "-1/2,3") == (Fraction(-1, 2), Fraction(3))
+    """parse_c only parses; Chart.c_substitution refuses a wrong count."""
+    assert parse_c("1,0") == (Fraction(1), Fraction(0))
+    assert parse_c("-1/2,3") == (Fraction(-1, 2), Fraction(3))
+    assert parse_c("1") == (Fraction(1),)
     with pytest.raises(UsageError):
-        parse_c(CHART, "1")
+        CHART.c_substitution(parse_c("1"))
     with pytest.raises(UsageError):
-        parse_c(CHART, "1,zzz")
+        parse_c("1,zzz")
 
 
 def test_substitute_specializes_c():

@@ -29,9 +29,9 @@ from agdeform.exactalg import (
     render_polynomial,
     render_rational_function,
 )
-from agdeform.model import Chart
+from agdeform.model import Chart, ChartPoint
 from agdeform.torsion import TorsionAssembler
-from oracles import assert_positive_multiple
+from oracles import assert_positive_multiple, evaluation_point
 
 TABLE = VariableTable(3)
 
@@ -47,11 +47,11 @@ def q_rf():
     return out
 
 
-def random_polynomial(rng, max_terms=4, max_degree=3):
+def random_polynomial(rng, max_terms=4, max_degree=3, nvars=TABLE.size):
+    """A random polynomial in the first nvars variables of TABLE."""
     coeffs = {}
-    nvars = len(TABLE.names)
     for _ in range(rng.randint(0, max_terms)):
-        mono = [0] * nvars
+        mono = [0] * TABLE.size
         for _ in range(rng.randint(0, max_degree)):
             mono[rng.randrange(nvars)] += 1
         coeffs[pack_monomial(mono)] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
@@ -81,14 +81,14 @@ def test_variable_table_layout():
     assert table.x_index(1, 1) == 0
     assert table.x_index(1, 2) == 1
     assert table.x_index(3, 2) == 5
-    assert table.t_index == 6
+    assert table.index("t") == 6
     assert table.index("s") == 7
     assert table.c_index(2) == 8
     assert table.c_index(3) == 9
     assert [table.render(i) for i in range(6)] == [
         "x11", "x12", "x21", "x22", "x31", "x32",
     ]
-    assert table.chart_weights[0] == 1 and table.chart_weights[table.t_index] == 0
+    assert table.chart_weights[0] == 1 and table.chart_weights[table.index("t")] == 0
 
 
 def test_flat_index_matches_chart_order():
@@ -250,18 +250,23 @@ def _constant(value):
     return Polynomial.constant(TABLE, value)
 
 
-#: Denominator factors that mix chart and non-chart variables, of degree 1
-#: and 2; x11 - 3 is negative near the origin.
+#: Denominator factors in the chart variables, of degree 1 and 2; x11 - 3
+#: is negative near the origin.
 SCALED_FACTORS = (
     q_rf().num,
-    _constant(1) + _variable("t") * _variable("x11"),
+    _constant(1) + _variable("x12") * _variable("x11"),
     _variable("x11") - _constant(3),
-    _variable("x21").scale(Fraction(2, 3)) + _variable("c2") - _constant(Fraction(1, 5)),
+    _variable("x21").scale(Fraction(2, 3)) + _variable("x32") - _constant(Fraction(1, 5)),
 )
+
+#: The chart variables x11..x32 of TABLE, which come first.
+CHART_VARIABLES = 2 * TABLE.n
 
 
 def _random_point(rng):
-    return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in TABLE.names)
+    """A random chart point as a full evaluation vector: t, s and c are 0."""
+    x = [Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(CHART_VARIABLES)]
+    return tuple(x) + (Fraction(0),) * (TABLE.size - CHART_VARIABLES)
 
 
 def _scaled_against_oracle(functions, point):
@@ -280,10 +285,10 @@ def _scaled_against_oracle(functions, point):
 
 
 def test_scaled_values_match_the_fraction_oracle_on_random_functions():
-    """Seeded random numerators with Fraction coefficients, in every
-    variable (t, s and c bound by the point too), over random products of
-    powers of mixed factors, zero functions among them: at() is one
-    positive multiple of the Fraction values."""
+    """Seeded random numerators with Fraction coefficients, in every chart
+    variable, over random products of powers of mixed factors, zero
+    functions among them: at() is one positive multiple of the Fraction
+    values."""
     rng = random.Random(25)
     evaluated = 0
     for _ in range(60):
@@ -291,28 +296,45 @@ def test_scaled_values_match_the_fraction_oracle_on_random_functions():
         for _ in range(rng.randint(1, 5)):
             factors = rng.sample(SCALED_FACTORS, rng.randint(0, 3))
             den = [(factor, rng.randint(1, 3)) for factor in factors]
-            functions.append(RationalFunction(random_polynomial(rng), den))
+            num = random_polynomial(rng, nvars=CHART_VARIABLES)
+            functions.append(RationalFunction(num, den))
         for _ in range(3):
             evaluated += _scaled_against_oracle(functions, _random_point(rng)) is not None
     assert evaluated > 150
 
 
-def test_scaled_values_signs_zeros_and_symbolic_c():
+def test_scaled_values_signs_and_zeros():
     """A factor negative at the point with an odd exponent flips the sign
     of the multiple and with an even one does not; zero functions, and a
-    function that vanishes at the point, read 0; a symbolic c bound by the
-    point counts like any other variable."""
-    x11, c2 = _variable("x11"), _variable("c2")
+    function that vanishes at the point, read 0."""
+    x11, x22 = _variable("x11"), _variable("x22")
     odd = RationalFunction(_constant(1), [(x11 - _constant(3), 1)])
     even = RationalFunction(_constant(1), [(x11 - _constant(3), 2)])
-    in_c = RationalFunction(c2 * x11 + _constant(Fraction(1, 2)), [(x11 - _constant(3), 3)])
+    cubed = RationalFunction(x22 * x11 + _constant(Fraction(1, 2)), [(x11 - _constant(3), 3)])
     zero = RationalFunction.zero(TABLE)
     vanishing = RationalFunction(x11 - _constant(1), [(q_rf().num, 1)])
-    point = TABLE.point(x=[[1, 2], [3, 4], [5, 6]], c=[2, Fraction(-5, 7)])
-    scaled = _scaled_against_oracle([odd, even, in_c, zero, vanishing], point)
+    point = ChartPoint.parse(Chart(3), "1,2;3,4;5,6").evaluation_vector()
+    scaled = _scaled_against_oracle([odd, even, cubed, zero, vanishing], point)
     assert scaled[0] < 0 < scaled[1] and scaled[2] < 0
     assert scaled[3] == scaled[4] == 0
     assert _scaled_against_oracle([zero], point) == (0,)
+
+
+def test_scaled_values_refuse_t_s_and_c():
+    """A point binds x only, so a function in which t, s or some c_i occurs,
+    in a numerator or in a denominator factor, is refused on construction,
+    among chart-variable functions too; c is bound by substitution first."""
+    x11 = _variable("x11")
+    chart_only = RationalFunction(x11, [(x11 - _constant(3), 1)])
+    for name in ("t", "s", "c2", "c3"):
+        v = _variable(name)
+        for bad in (RationalFunction(v * x11, []), RationalFunction(x11, [(_constant(1) + v * x11, 2)])):
+            with pytest.raises(UsageError, match="substitute t, s and c"):
+                ScaledValues([chart_only, bad])
+    in_c = RationalFunction.variable(TABLE, TABLE.c_index(2)) * chart_only
+    bound = in_c.substitute({TABLE.c_index(2): RationalFunction.constant(TABLE, 5)})
+    point = ChartPoint.parse(Chart(3), "1,2;3,4;5,6").evaluation_vector()
+    assert _scaled_against_oracle([bound], point) is not None
 
 
 def test_scaled_values_pole_and_usage():
@@ -452,8 +474,9 @@ def test_dual_slopes_equal_phi_table():
     second derivative by x11 and x12, at one point with symbolic c bound."""
     chart = Chart(3)
     phi = build_Phi(chart)
-    point = chart.table.point(
-        x=[[Fraction(1, 3), Fraction(-2, 5)], [Fraction(3, 7), Fraction(1, 2)], [Fraction(-1, 4), 2]],
+    point = evaluation_point(
+        chart.table,
+        [[Fraction(1, 3), Fraction(-2, 5)], [Fraction(3, 7), Fraction(1, 2)], [Fraction(-1, 4), 2]],
         c=[Fraction(3, 2), Fraction(-1)],
     )
     xs = [chart.table.x_index(i, j) for i in (1, 2, 3) for j in (1, 2)]
@@ -522,7 +545,7 @@ def test_rational_entry_points_refuse_floats_and_bools():
         with pytest.raises(UsageError):
             RationalFunction.constant(TABLE, value)
         with pytest.raises(UsageError):
-            TABLE.point(x=[[value, 0], [0, 0], [0, 0]])
+            ChartPoint(Chart(3), [[value, 0], [0, 0], [0, 0]])
     with pytest.raises(UsageError):
         Polynomial(TABLE, {pack_monomial((0,) * TABLE.size): True})
 
@@ -638,7 +661,7 @@ def test_early_out_agrees_with_long_division_on_recorded_calls(monkeypatch):
         slots = [(p, k) for p in (1, 2) for k in range(1, 4)]
         for (ip, j), (lp, m), (pp, o), (qp, r) in itertools.product(slots, repeat=4):
             d2.entry(ip, j, lp, m, pp, o, qp, r)
-        assert all(r.status == checks.PASS for r in checks.quick_suite(3))
+        assert all(r.status == checks.PASS for r in checks.quick_suite(3, 0))
     finally:
         monkeypatch.undo()
         checks.artifacts.cache_clear()
@@ -768,7 +791,7 @@ def test_sum_terms_matches_pairwise_on_recorded_calls(monkeypatch):
     checks.artifacts.cache_clear()
     monkeypatch.setattr(exactalg, "_sum_terms", record)
     try:
-        assert all(r.status == checks.PASS for r in checks.quick_suite(3))
+        assert all(r.status == checks.PASS for r in checks.quick_suite(3, 0))
     finally:
         monkeypatch.undo()
         checks.artifacts.cache_clear()
@@ -1058,7 +1081,7 @@ def test_quick_suite_stores_only_canonical_coefficients(monkeypatch):
     checks.artifacts.cache_clear()
     monkeypatch.setattr(Polynomial, "__init__", record)
     try:
-        assert all(r.status == checks.PASS for r in checks.quick_suite(3))
+        assert all(r.status == checks.PASS for r in checks.quick_suite(3, 0))
     finally:
         monkeypatch.undo()
         checks.artifacts.cache_clear()

@@ -17,6 +17,7 @@ from agdeform.model import (
     holonomy,
     split_fixed_plus_rank1,
 )
+from oracles import evaluation_point
 
 CHART = Chart(3)
 
@@ -42,15 +43,13 @@ def test_chart_point_parse_errors():
 
 def test_numeric_point_refuses_bools_and_floats():
     """A numeric entry is an int or a Fraction: a bool is refused as
-    VariableTable.point refuses it (not read as 1 or 0), and so is a float,
-    in a point and as the flow time of a numeric point."""
+    exactalg.coerce_rational refuses it (not read as 1 or 0), and so is a
+    float, in a point and as the flow time of a numeric point."""
     ints = [[1, 0], [0, 1], [1, 1]]
     assert ChartPoint(CHART, ints).format() == "1,0;0,1;1,1"
     for bad in (True, False, 0.5, 1.0):
         entries = [row[:] for row in ints]
         entries[0][0] = bad
-        with pytest.raises(UsageError, match="cannot interpret"):
-            CHART.table.point(x=entries)
         with pytest.raises(UsageError):
             ChartPoint(CHART, entries)
         with pytest.raises(UsageError):
@@ -70,6 +69,17 @@ def test_generic_point_is_symbolic():
 def test_flow_worked_example():
     X = ChartPoint.parse(CHART, "1,3;2,0;0,0")
     assert flow_point(X, 1).format() == "1/2,3/2;1,-3;0,0"
+
+
+def test_flow_symbolic_time_matches_numeric():
+    """The flow of the generic point at symbolic t, evaluated in Fractions
+    with x and t bound, is the numeric flow of the point."""
+    flowed = flow_point(ChartPoint.generic(CHART), CHART.param("t"))
+    for text, t in (("1,3;2,0;0,0", 1), ("2,-1/3;1/2,4;-3,5", Fraction(-2, 7))):
+        X = ChartPoint.parse(CHART, text)
+        vec = evaluation_point(CHART.table, X.entries, t=t)
+        values = [[v.evaluate(vec) for v in row] for row in flowed.entries]
+        assert ChartPoint(CHART, values) == flow_point(X, t)
 
 
 def test_flow_fixes_time_zero_and_strongly_fixed_points():
@@ -203,14 +213,18 @@ def test_lift_accepts_only_rational_functions_of_its_chart():
         ChartPoint(CHART, [[x11, 0], [0, 0], [0, 0]])
 
 
-def test_evaluation_vector_binds_parameters():
+def test_evaluation_vector_binds_x_only():
+    """The entries in the chart variable order, then 0 for t, s and every
+    c_i: c is bound by Chart.c_substitution, never by a point."""
     point = ChartPoint.parse(CHART, "1,2;3,4;5,6")
-    vec = point.evaluation_vector(c=[Fraction(8), Fraction(9)])
+    vec = point.evaluation_vector()
     table = CHART.table
+    assert vec == (1, 2, 3, 4, 5, 6, 0, 0, 0, 0) and len(vec) == table.size
+    assert all(type(v) is Fraction for v in vec)
     assert vec[table.x_index(2, 2)] == 4
-    assert vec[table.t_index] == vec[table.index("s")] == 0
-    assert vec[table.c_index(2)] == 8
-    assert vec[table.c_index(3)] == 9
+    assert vec[table.index("t")] == vec[table.index("s")] == vec[table.c_index(3)] == 0
+    with pytest.raises(TypeError):
+        point.evaluation_vector(c=[Fraction(8), Fraction(9)])
     with pytest.raises(UsageError):
         ChartPoint.generic(CHART).evaluation_vector()
 

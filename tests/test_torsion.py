@@ -13,12 +13,13 @@ from agdeform.exactalg import (
     ScaledValues,
     UsageError,
     flat_index,
+    substitute_all,
     two_form_block,
 )
 from agdeform.model import Chart, ChartPoint
 from agdeform.sampling import ball_sweep
 from agdeform.torsion import TorsionAssembler, lemma_criterion
-from oracles import assert_positive_multiple, phi_at
+from oracles import assert_positive_multiple, evaluation_point, phi_at
 
 CHART = Chart(3)
 
@@ -268,9 +269,9 @@ def test_structure_map_matches_id_plus_phi():
 
 
 def _exact(assembler, point, c=None):
-    """The torsion vector at point in Fractions, c bound if given: the
-    oracle for TorsionAssembler.evaluate."""
-    vec = point.evaluation_vector(c=c)
+    """The torsion vector at point in Fractions, c bound by the point if
+    given: the oracle for TorsionAssembler.evaluate."""
+    vec = evaluation_point(point.chart.table, point.entries, c=c)
     return tuple(f.evaluate(vec) for f in assembler.symbolic)
 
 
@@ -285,7 +286,7 @@ def test_evaluate_block_is_minus_d():
     values = _exact(assembler, point, c)
     size = 2 * CHART.n
     assert len(values) == (size * (size - 1) // 2) * size
-    vec = point.evaluation_vector(c=c)
+    vec = evaluation_point(CHART.table, point.entries, c=c)
     for s in (2, 3):
         base = two_form_block(flat_index(1, 2), flat_index(s, 2), size)[0]
         block = values[base : base + size]
@@ -296,31 +297,32 @@ def test_evaluate_block_is_minus_d():
 
 
 def test_assembler_matches_one_shot():
-    """The symbolic-c torsion, evaluated in integers with c bound by the
-    point, is a positive multiple of the integer torsion of Phi with the
-    numeric c substituted, and in Fractions the two agree exactly."""
+    """The symbolic-c torsion with the numeric c substituted, evaluated in
+    integers, is a positive multiple of the integer torsion of Phi with
+    that c substituted, and in Fractions, with c bound by the point, the
+    two agree exactly."""
     assembler = TorsionAssembler(build_Phi(CHART))
-    values = ScaledValues(assembler.symbolic)
     c = (Fraction(2), Fraction(-3))
+    values = ScaledValues(substitute_all(assembler.symbolic, CHART.c_substitution(c)))
     one_shot = TorsionAssembler(phi_at(CHART, c))
     for text in ("1,2;3,4;5,6", "1,1;1,0;0,1", "1/2,-1/3;3/4,0;-2,1/5"):
         point = ChartPoint.parse(CHART, text)
-        assert_positive_multiple(values.at(point.evaluation_vector(c=c)), one_shot.evaluate(point))
+        assert_positive_multiple(values.at(point.evaluation_vector()), one_shot.evaluate(point))
         assert _exact(assembler, point, c) == _exact(one_shot, point)
 
 
 def test_evaluate_refuses_a_phi_with_symbolic_c():
-    """evaluate binds every variable the point does not give to 0, so an
-    assembler whose Phi still has some c_i in it, even in one entry, raises
-    rather than read the torsion of the zero deformation; at numeric c it
-    evaluates."""
+    """A point binds x only, so evaluate on an assembler whose Phi still
+    has some c_i in it, even in one entry, raises (exactalg.ScaledValues
+    refuses the torsion) rather than read the torsion of the zero
+    deformation; at numeric c it evaluates."""
     point = ChartPoint.parse(CHART, "1,2;3,4;5,6")
-    with pytest.raises(UsageError, match="numeric c"):
+    with pytest.raises(UsageError, match="substitute t, s and c"):
         TorsionAssembler(build_Phi(CHART)).evaluate(point)
     phi = phi_at(CHART, (Fraction(1), Fraction(0)))
     rows = [list(row) for row in phi.rows]
     rows[2][1] = rows[2][1] + CHART.param("c3") * CHART.x(1, 1)
-    with pytest.raises(UsageError, match="numeric c"):
+    with pytest.raises(UsageError, match="substitute t, s and c"):
         TorsionAssembler(EndomorphismField(phi.table, rows)).evaluate(point)
     assert any(TorsionAssembler(phi).evaluate(point))
 
@@ -350,15 +352,17 @@ def test_lemma_criterion():
 
 
 def test_pole_on_singular_set():
-    """The symbolic-c torsion has a pole where q = 0, in Fractions and in
-    integers alike."""
+    """The symbolic-c torsion has a pole where q = 0, in Fractions with c
+    bound by the point and in integers with c substituted alike."""
     assembler = TorsionAssembler(build_Phi(CHART))
     point = ChartPoint.parse(CHART, "0,0;0,1;0,1")  # q = 0 there
     c = (Fraction(1), Fraction(0))
     with pytest.raises(PoleAtPoint):
         _exact(assembler, point, c)
     with pytest.raises(PoleAtPoint):
-        ScaledValues(assembler.symbolic).at(point.evaluation_vector(c=c))
+        ScaledValues(substitute_all(assembler.symbolic, CHART.c_substitution(c))).at(
+            point.evaluation_vector()
+        )
 
 
 @functools.cache

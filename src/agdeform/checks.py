@@ -7,6 +7,11 @@ strings, so report streams sort reproducibly.  The per-n objects the checks
 share (the chart, q, the symbolic Phi_c, its torsion and second derivatives,
 the eigen laws and partial1) come from one process-wide cache, artifacts(n),
 so each is built once per process, inside the first check that reads it.
+
+Every suite takes one n; acceptance_suite and quick_suite hold the lists of
+n values.  The eigen laws come grouped by family, and eigen_suite reports
+each family apart.  The sampled kappa check tests the slice against the
+trace subspace with linalg.membership.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from . import curvature as curvature_mod
 from . import reptheory as rep_mod
 from .deform import (
     EndomorphismField,
-    TransformationLaw,
     build_Phi,
     build_q,
     invariance_check,
@@ -95,7 +99,10 @@ class CheckReport:
 
 
 def _run(check_id: str, kind: str, fn: Callable[[], tuple]) -> CheckReport:
-    """Time fn and convert its (ok, detail, point) result into a report."""
+    """Time fn and convert its (ok, detail, point) result into a report.
+
+    fn runs before _run returns, so a check closure defined in a loop reads
+    the loop's variables as they are in that iteration."""
     start = time.perf_counter_ns()
     try:
         ok, detail, point = fn()
@@ -137,8 +144,9 @@ class Artifacts:
         return build_Phi(self.chart)
 
     @functools.cached_property
-    def laws(self) -> tuple[TransformationLaw, ...]:
-        """The eigen-section transformation laws, symbolic t."""
+    def laws(self) -> dict[str, dict[str, bool]]:
+        """The eigen-section transformation laws, symbolic t, as
+        {family: {law name: holds}}."""
         return transformation_check(self.chart)
 
     @functools.cached_property
@@ -178,78 +186,67 @@ def artifacts(n: int) -> Artifacts:
 # -- flow ------------------------------------------------------------------------------
 
 
-def flow_suite(ns: Sequence[int]) -> list[CheckReport]:
-    reports = []
-    for n in ns:
-        art = artifacts(n)
-        chart = art.chart
-        X = ChartPoint.generic(chart)
-        t = chart.param("t")
-        s = chart.param("s")
+def flow_suite(n: int) -> list[CheckReport]:
+    art = artifacts(n)
+    X = ChartPoint.generic(art.chart)
+    t = art.chart.param("t")
+    s = art.chart.param("s")
 
-        def group_law(X=X, t=t, s=s):
-            lhs = flow_point(flow_point(X, t), s)
-            rhs = flow_point(X, s + t)
-            return lhs == rhs, "z^s(z^t X) = z^(s+t) X with symbolic s, t", None
+    def group_law():
+        lhs = flow_point(flow_point(X, t), s)
+        rhs = flow_point(X, s + t)
+        return lhs == rhs, "z^s(z^t X) = z^(s+t) X with symbolic s, t", None
 
-        def cocycle(X=X, t=t, s=s):
-            lhs = holonomy(X, s + t)
-            rhs = holonomy(flow_point(X, t), s) * holonomy(X, t)
-            return lhs == rhs, "p_(s+t)(X) = p_s(z^t X) p_t(X) with symbolic s, t", None
+    def cocycle():
+        lhs = holonomy(X, s + t)
+        rhs = holonomy(flow_point(X, t), s) * holonomy(X, t)
+        return lhs == rhs, "p_(s+t)(X) = p_s(z^t X) p_t(X) with symbolic s, t", None
 
-        def split_agreement(X=X, t=t):
-            lhs = flow_point(X, t)
-            rhs = flow_point_split_form(X, t)
-            return (
-                lhs == rhs,
-                "matrix flow formula agrees with the fixed-plus-rank-one form off x11 = 0",
-                None,
-            )
+    def split_agreement():
+        lhs = flow_point(X, t)
+        rhs = flow_point_split_form(X, t)
+        return (
+            lhs == rhs,
+            "matrix flow formula agrees with the fixed-plus-rank-one form off x11 = 0",
+            None,
+        )
 
-        def q_transformation(art=art, X=X, t=t):
-            chart, q = art.chart, art.q
-            u = chart.const(1) + t * chart.x(1, 1)
-            moved = q.substitute(flow_point(X, t).substitution())
-            return (
-                moved * u * u == q,
-                "q(z^t X) (1 + t x11)^2 = q(X) with symbolic t",
-                None,
-            )
+    def q_transformation():
+        chart, q = art.chart, art.q
+        u = chart.const(1) + t * chart.x(1, 1)
+        moved = q.substitute(flow_point(X, t).substitution())
+        return (
+            moved * u * u == q,
+            "q(z^t X) (1 + t x11)^2 = q(X) with symbolic t",
+            None,
+        )
 
-        reports.append(_run(f"flow.group_law.n{n}", SYMBOLIC, group_law))
-        reports.append(_run(f"flow.holonomy_cocycle.n{n}", SYMBOLIC, cocycle))
-        reports.append(_run(f"flow.split_form_agreement.n{n}", SYMBOLIC, split_agreement))
-        reports.append(_run(f"flow.q_transformation.n{n}", SYMBOLIC, q_transformation))
-    return reports
+    return [
+        _run(f"flow.group_law.n{n}", SYMBOLIC, group_law),
+        _run(f"flow.holonomy_cocycle.n{n}", SYMBOLIC, cocycle),
+        _run(f"flow.split_form_agreement.n{n}", SYMBOLIC, split_agreement),
+        _run(f"flow.q_transformation.n{n}", SYMBOLIC, q_transformation),
+    ]
 
 
 # -- eigen-section transformation laws -------------------------------------------------
 
 
-def _law_family(name: str) -> str:
-    """kappa_i and kappa_tilde^i fall into one family each over i."""
-    for family in ("kappa_tilde", "kappa"):
-        if name.startswith(family):
-            return family
-    return name
-
-
-def eigen_suite(ns: Sequence[int]) -> list[CheckReport]:
+def eigen_suite(n: int) -> list[CheckReport]:
+    art = artifacts(n)
     reports = []
-    for n in ns:
-        art = artifacts(n)
-        for family in ("v", "iota", "v_tilde", "iota_tilde", "w", "kappa", "w_tilde", "kappa_tilde"):
+    for family in ("v", "iota", "v_tilde", "iota_tilde", "w", "kappa", "w_tilde", "kappa_tilde"):
 
-            def law_check(art=art, family=family):
-                group = [law for law in art.laws if _law_family(law.name) == family]
-                if not group:
-                    return False, f"no laws found for family {family}", None
-                bad = [law.name for law in group if not law.holds]
-                if bad:
-                    return False, "law fails for: " + ", ".join(bad), None
-                return True, f"{len(group)} law(s) hold with symbolic t", None
+        def law_check():
+            group = art.laws[family]
+            if not group:
+                return False, f"no laws found for family {family}", None
+            bad = [name for name, holds in group.items() if not holds]
+            if bad:
+                return False, "law fails for: " + ", ".join(bad), None
+            return True, f"{len(group)} law(s) hold with symbolic t", None
 
-            reports.append(_run(f"eigen.law.{family}.n{n}", SYMBOLIC, law_check))
+        reports.append(_run(f"eigen.law.{family}.n{n}", SYMBOLIC, law_check))
     return reports
 
 
@@ -273,271 +270,260 @@ def _expected_coefficients(chart: Chart):
     return expected
 
 
-def phi_suite(ns: Sequence[int]) -> list[CheckReport]:
-    reports = []
-    for n in ns:
-        art = artifacts(n)
-        chart = art.chart
+def phi_suite(n: int) -> list[CheckReport]:
+    art = artifacts(n)
+    chart = art.chart
 
-        def coefficients(art=art, chart=chart, n=n):
-            phi = art.phi
-            expected = _expected_coefficients(chart)
-            for ip in (1, 2):
-                for jp in (1, 2):
-                    for l in range(1, n + 1):
-                        for k in range(1, n + 1):
-                            got = phi.coefficient(ip, l, jp, k)
-                            want = expected(ip, l, jp, k)
-                            if got != want:
-                                return (
-                                    False,
-                                    f"coefficient ({ip}'{l}, {jp}'{k}) differs from the displayed expansion",
-                                    None,
-                                )
-            return (
-                True,
-                "all 4n^2 coefficients match (1/q) phi' (x) sum_i c_i phi_i, symbolic c",
-                None,
-            )
+    def coefficients():
+        phi = art.phi
+        expected = _expected_coefficients(chart)
+        for ip in (1, 2):
+            for jp in (1, 2):
+                for l in range(1, n + 1):
+                    for k in range(1, n + 1):
+                        got = phi.coefficient(ip, l, jp, k)
+                        want = expected(ip, l, jp, k)
+                        if got != want:
+                            return (
+                                False,
+                                f"coefficient ({ip}'{l}, {jp}'{k}) differs from the displayed expansion",
+                                None,
+                            )
+        return (
+            True,
+            "all 4n^2 coefficients match (1/q) phi' (x) sum_i c_i phi_i, symbolic c",
+            None,
+        )
 
-        def nilpotent(art=art):
-            phi = art.phi
-            return (
-                (phi * phi).is_zero(),
-                "Phi o Phi = 0 with symbolic c",
-                None,
-            )
+    def nilpotent():
+        phi = art.phi
+        return (
+            (phi * phi).is_zero(),
+            "Phi o Phi = 0 with symbolic c",
+            None,
+        )
 
-        def traces(art=art, n=n):
-            phi = art.phi
-            for l in range(1, n + 1):
-                for k in range(1, n + 1):
-                    if not phi.partial_trace_primed(l, k).num.is_zero():
-                        return False, f"primed partial trace ({l},{k}) nonzero", None
-            for ip in (1, 2):
-                for jp in (1, 2):
-                    if not phi.partial_trace_unprimed(ip, jp).num.is_zero():
-                        return False, f"unprimed partial trace ({ip},{jp}) nonzero", None
-            return True, "both partial traces vanish identically, symbolic c", None
+    def traces():
+        phi = art.phi
+        for l in range(1, n + 1):
+            for k in range(1, n + 1):
+                if not phi.partial_trace_primed(l, k).num.is_zero():
+                    return False, f"primed partial trace ({l},{k}) nonzero", None
+        for ip in (1, 2):
+            for jp in (1, 2):
+                if not phi.partial_trace_unprimed(ip, jp).num.is_zero():
+                    return False, f"unprimed partial trace ({ip},{jp}) nonzero", None
+        return True, "both partial traces vanish identically, symbolic c", None
 
-        def inverse(art=art):
-            phi = art.phi
-            # (Id + Phi)(Id - Phi) = Id - Phi o Phi, so this fails unless Phi
-            # is nilpotent of order two, the claim of deform.nilpotent.
-            ident = EndomorphismField.identity(phi.table, phi.nrows)
-            forward, backward = ident + phi, ident - phi
-            return (
-                forward * backward == ident and backward * forward == ident,
-                "(Id + Phi)(Id - Phi) = Id in both orders, symbolic c",
-                None,
-            )
+    def inverse():
+        phi = art.phi
+        # (Id + Phi)(Id - Phi) = Id - Phi o Phi, so this fails unless Phi
+        # is nilpotent of order two, the claim of deform.nilpotent.
+        ident = EndomorphismField.identity(phi.table, phi.nrows)
+        forward, backward = ident + phi, ident - phi
+        return (
+            forward * backward == ident and backward * forward == ident,
+            "(Id + Phi)(Id - Phi) = Id in both orders, symbolic c",
+            None,
+        )
 
-        def invariance(art=art):
-            return (
-                invariance_check(art.phi),
-                "conjugation by the bundle actions returns Phi at the moved point, symbolic t and c",
-                None,
-            )
+    def invariance():
+        return (
+            invariance_check(art.phi),
+            "conjugation by the bundle actions returns Phi at the moved point, symbolic t and c",
+            None,
+        )
 
-        def unscaled(chart=chart, n=n):
-            for i in range(2, n + 1):
-                if not unscaled_flow_factor_check(chart, i):
-                    return False, f"unscaled generator {i} fails the (1+t x11)^2 law", None
-            return (
-                True,
-                "unscaled generators transform with factor (1 + t x11)^2, symbolic t",
-                None,
-            )
+    def unscaled():
+        for i in range(2, n + 1):
+            if not unscaled_flow_factor_check(chart, i):
+                return False, f"unscaled generator {i} fails the (1+t x11)^2 law", None
+        return (
+            True,
+            "unscaled generators transform with factor (1 + t x11)^2, symbolic t",
+            None,
+        )
 
-        def degree_ledger(art=art, n=n):
-            phi = art.phi
-            q_poly = art.q.num
-            table = art.chart.table
-            checked = 0
-            zero_derivatives = 0
-            for ip in (1, 2):
-                for jp in (1, 2):
-                    for l in range(1, n + 1):
-                        for k in range(1, n + 1):
-                            row, col = flat_index(k, ip), flat_index(l, jp)
-                            f = phi.rows[row][col]
-                            if not (
-                                f.num.chart_degree_range() == (4, 4)
-                                and len(f.den) == 1
-                                and f.den[0][1] == 1
-                                and f.den[0][0] == q_poly
-                            ):
-                                return (
-                                    False,
-                                    f"coefficient ({ip}'{l}, {jp}'{k}) is not homogeneous degree 4 over q",
-                                    None,
-                                )
-                            for i in range(1, n + 1):
-                                for j in (1, 2):
-                                    d = phi.derivative(row, col, table.x_index(i, j))
-                                    if d.num.is_zero():
-                                        zero_derivatives += 1
-                                        continue
-                                    if not (
-                                        d.num.chart_degree_range() == (5, 5)
-                                        and len(d.den) == 1
-                                        and d.den[0][1] == 2
-                                        and d.den[0][0] == q_poly
-                                    ):
-                                        return (
-                                            False,
-                                            f"derivative of ({ip}'{l}, {jp}'{k}) by x{i}{j} not degree 5 over q^2",
-                                            None,
-                                        )
-                                    checked += 1
-            return (
-                True,
-                f"{checked} nonzero first derivatives are homogeneous degree 5 over q^2 "
-                f"({zero_derivatives} vanish); all coefficients degree 4 over q",
-                None,
-            )
+    def degree_ledger():
+        phi = art.phi
+        q_poly = art.q.num
+        table = art.chart.table
+        checked = 0
+        zero_derivatives = 0
+        for ip in (1, 2):
+            for jp in (1, 2):
+                for l in range(1, n + 1):
+                    for k in range(1, n + 1):
+                        row, col = flat_index(k, ip), flat_index(l, jp)
+                        f = phi.rows[row][col]
+                        if not (
+                            f.num.chart_degree_range() == (4, 4)
+                            and len(f.den) == 1
+                            and f.den[0][1] == 1
+                            and f.den[0][0] == q_poly
+                        ):
+                            return (
+                                False,
+                                f"coefficient ({ip}'{l}, {jp}'{k}) is not homogeneous degree 4 over q",
+                                None,
+                            )
+                        for i in range(1, n + 1):
+                            for j in (1, 2):
+                                d = phi.derivative(row, col, table.x_index(i, j))
+                                if d.num.is_zero():
+                                    zero_derivatives += 1
+                                    continue
+                                if not (
+                                    d.num.chart_degree_range() == (5, 5)
+                                    and len(d.den) == 1
+                                    and d.den[0][1] == 2
+                                    and d.den[0][0] == q_poly
+                                ):
+                                    return (
+                                        False,
+                                        f"derivative of ({ip}'{l}, {jp}'{k}) by x{i}{j} not degree 5 over q^2",
+                                        None,
+                                    )
+                                checked += 1
+        return (
+            True,
+            f"{checked} nonzero first derivatives are homogeneous degree 5 over q^2 "
+            f"({zero_derivatives} vanish); all coefficients degree 4 over q",
+            None,
+        )
 
-        reports.append(_run(f"deform.coefficients.n{n}", SYMBOLIC, coefficients))
-        reports.append(_run(f"deform.nilpotent.n{n}", SYMBOLIC, nilpotent))
-        reports.append(_run(f"deform.partial_traces.n{n}", SYMBOLIC, traces))
-        reports.append(_run(f"deform.inverse.n{n}", SYMBOLIC, inverse))
-        reports.append(_run(f"deform.invariance.n{n}", SYMBOLIC, invariance))
-        reports.append(_run(f"deform.unscaled_factor.n{n}", SYMBOLIC, unscaled))
-        reports.append(_run(f"deform.degree_ledger.n{n}", SYMBOLIC, degree_ledger))
-    return reports
+    return [
+        _run(f"deform.coefficients.n{n}", SYMBOLIC, coefficients),
+        _run(f"deform.nilpotent.n{n}", SYMBOLIC, nilpotent),
+        _run(f"deform.partial_traces.n{n}", SYMBOLIC, traces),
+        _run(f"deform.inverse.n{n}", SYMBOLIC, inverse),
+        _run(f"deform.invariance.n{n}", SYMBOLIC, invariance),
+        _run(f"deform.unscaled_factor.n{n}", SYMBOLIC, unscaled),
+        _run(f"deform.degree_ledger.n{n}", SYMBOLIC, degree_ledger),
+    ]
 
 
 # -- torsion bracket and the operator D ------------------------------------------------
 
 
-def torsion_suite(ns: Sequence[int]) -> list[CheckReport]:
+def torsion_suite(n: int) -> list[CheckReport]:
+    art = artifacts(n)
+    chart = art.chart
+    x11 = chart.x(1, 1)
+    x12 = chart.x(1, 2)
     reports = []
-    for n in ns:
-        art = artifacts(n)
-        chart = art.chart
-        x11 = chart.x(1, 1)
-        x12 = chart.x(1, 2)
-        for s in range(2, n + 1):
-            # [E~^2'_s, E~^2'_1], built inside the first check that reads it
-            # and shared with the second; the torsion is its negation.
-            f, g = flat_index(s, 2), flat_index(1, 2)
-            cs = chart.param(f"c{s}")
+    for s in range(2, n + 1):
+        # [E~^2'_s, E~^2'_1], built inside the first check that reads it
+        # and shared with the second; the torsion is its negation.
+        f, g = flat_index(s, 2), flat_index(1, 2)
+        cs = chart.param(f"c{s}")
 
-            def bracket_matches(art=art, f=f, g=g, cs=cs, n=n, chart=chart, x11=x11, x12=x12):
-                got = art.torsion.pair(f, g)
-                q = chart.sf_sum()
-                factor = cs * x11 * x11 / q
-                expected = [chart.const(0)] * (2 * n)
-                for k in range(1, n + 1):
-                    xk1 = chart.x(k, 1)
-                    inner = chart.const(2) * xk1 * x12 / q
-                    expected[flat_index(k, 2)] = factor * (xk1 - inner * x12)
-                    expected[flat_index(k, 1)] = factor * (-(inner * x11))
-                if tuple(expected) != tuple(got):
-                    return False, "bracket differs from the closed form", None
-                return (
-                    True,
-                    "[E~^2'_s, E~^2'_1] = (c_s x11^2/q) sum_k (x_k1 d^2'_k"
-                    " - (2 x_k1 x12/q)(x11 d^1'_k + x12 d^2'_k))",
-                    None,
-                )
+        def bracket_matches():
+            got = art.torsion.pair(f, g)
+            q = chart.sf_sum()
+            factor = cs * x11 * x11 / q
+            expected = [chart.const(0)] * (2 * n)
+            for k in range(1, n + 1):
+                xk1 = chart.x(k, 1)
+                inner = chart.const(2) * xk1 * x12 / q
+                expected[flat_index(k, 2)] = factor * (xk1 - inner * x12)
+                expected[flat_index(k, 1)] = factor * (-(inner * x11))
+            if tuple(expected) != tuple(got):
+                return False, "bracket differs from the closed form", None
+            return (
+                True,
+                "[E~^2'_s, E~^2'_1] = (c_s x11^2/q) sum_k (x_k1 d^2'_k"
+                " - (2 x_k1 x12/q)(x11 d^1'_k + x12 d^2'_k))",
+                None,
+            )
 
-            def d_expansion(art=art, f=f, g=g, cs=cs, n=n, chart=chart, x11=x11, x12=x12):
-                d = [-v for v in art.torsion.pair(f, g)]
-                two = chart.const(2)
-                qi = chart.sf_sum().inverse()
-                qi2 = qi * qi
-                for k in range(1, n + 1):
-                    xk1 = chart.x(k, 1)
-                    lead = two * cs * x11 * x11 * x11 * x12 * xk1 * qi2
-                    d1 = d[flat_index(k, 1)]
-                    d2 = d[flat_index(k, 2)]
-                    want2 = -(cs * x11 * x11 * xk1) * qi + two * cs * x11 * x11 * x12 * x12 * xk1 * qi2
-                    if d1 != lead or d2 != want2:
-                        return False, f"D component k={k} differs", None
-                return (
-                    True,
-                    "D(E_1')_k = 2 c_s x11^3 x12 x_k1 / q^2 exactly (remainder vanishes, so"
-                    " every higher term trivially has net degree >= 3);"
-                    " D(E_2')_k = -c_s x11^2 x_k1/q + 2 c_s x11^2 x12^2 x_k1/q^2",
-                    None,
-                )
+        def d_expansion():
+            d = [-v for v in art.torsion.pair(f, g)]
+            two = chart.const(2)
+            qi = chart.sf_sum().inverse()
+            qi2 = qi * qi
+            for k in range(1, n + 1):
+                xk1 = chart.x(k, 1)
+                lead = two * cs * x11 * x11 * x11 * x12 * xk1 * qi2
+                d1 = d[flat_index(k, 1)]
+                d2 = d[flat_index(k, 2)]
+                want2 = -(cs * x11 * x11 * xk1) * qi + two * cs * x11 * x11 * x12 * x12 * xk1 * qi2
+                if d1 != lead or d2 != want2:
+                    return False, f"D component k={k} differs", None
+            return (
+                True,
+                "D(E_1')_k = 2 c_s x11^3 x12 x_k1 / q^2 exactly (remainder vanishes, so"
+                " every higher term trivially has net degree >= 3);"
+                " D(E_2')_k = -c_s x11^2 x_k1/q + 2 c_s x11^2 x12^2 x_k1/q^2",
+                None,
+            )
 
-            reports.append(_run(f"torsion.bracket.n{n}.s{s}", SYMBOLIC, bracket_matches))
-            reports.append(_run(f"torsion.d_expansion.n{n}.s{s}", SYMBOLIC, d_expansion))
+        reports.append(_run(f"torsion.bracket.n{n}.s{s}", SYMBOLIC, bracket_matches))
+        reports.append(_run(f"torsion.d_expansion.n{n}.s{s}", SYMBOLIC, d_expansion))
     return reports
 
 
-def phi_kills_brackets_suite(ns: Sequence[int]) -> list[CheckReport]:
+def phi_kills_brackets_suite(n: int) -> list[CheckReport]:
     """Phi theta[E~_a, E~_b] = 0 for every pair a < b of pulled-frame fields,
     symbolic c: the identity by which TorsionAssembler reads the torsion
     (Id + Phi) theta(-bracket) as the negated bracket.  It builds all
     n(2n - 1) pairs, so only acceptance_suite runs it."""
-    reports = []
-    for n in ns:
-        art = artifacts(n)
+    art = artifacts(n)
 
-        def kills(art=art, n=n):
-            phi, size = art.phi, 2 * n
-            pairs = [(a, b) for a in range(size) for b in range(a + 1, size)]
-            for a, b in pairs:
-                if not all(v.is_zero() for v in phi.apply(art.torsion.pair(a, b))):
-                    return False, f"Phi theta[E~_{a}, E~_{b}] is nonzero (flat indices)", None
-            return (
-                True,
-                f"Phi theta[E~_a, E~_b] = 0 for all {len(pairs)} pairs a < b of"
-                " pulled-frame fields, symbolic c",
-                None,
-            )
+    def kills():
+        phi, size = art.phi, 2 * n
+        pairs = [(a, b) for a in range(size) for b in range(a + 1, size)]
+        for a, b in pairs:
+            if not all(v.is_zero() for v in phi.apply(art.torsion.pair(a, b))):
+                return False, f"Phi theta[E~_{a}, E~_{b}] is nonzero (flat indices)", None
+        return (
+            True,
+            f"Phi theta[E~_a, E~_b] = 0 for all {len(pairs)} pairs a < b of"
+            " pulled-frame fields, symbolic c",
+            None,
+        )
 
-        reports.append(_run(f"torsion.phi_kills_brackets.n{n}", SYMBOLIC, kills))
-    return reports
+    return [_run(f"torsion.phi_kills_brackets.n{n}", SYMBOLIC, kills)]
 
 
-def frame_quadratic_cancels_suite(ns: Sequence[int]) -> list[CheckReport]:
+def frame_quadratic_cancels_suite(n: int) -> list[CheckReport]:
     """sum_a (Phi[a, f] d_a Phi[b, g] - Phi[a, g] d_a Phi[b, f]) = 0 for every
     b and every pair f < g, symbolic c: the Phi dPhi part of the pulled-frame
     bracket cancels, so with phi_kills_brackets the torsion is minus the
     antisymmetrised derivative of Phi that TorsionAssembler.pair reads.  It
     sums over all n(2n - 1) pairs, so only acceptance_suite runs it."""
-    reports = []
-    for n in ns:
-        art = artifacts(n)
+    art = artifacts(n)
 
-        def cancels(art=art, n=n):
-            phi, size = art.phi, 2 * n
-            support = [[(a, v) for a, v in enumerate(c) if not v.is_zero()] for c in zip(*phi.rows)]
-            pairs = [(f, g) for f in range(size) for g in range(f + 1, size)]
-            for f, g in pairs:
-                for b in range(size):
-                    terms = [(v, phi.derivative(b, g, a)) for a, v in support[f]]
-                    terms += [(-v, phi.derivative(b, f, a)) for a, v in support[g]]
-                    if not dot(phi.table, terms).is_zero():
-                        detail = f"the Phi dPhi term of [E~_{f}, E~_{g}] is nonzero (flat indices)"
-                        return False, detail, None
-            detail = "sum_a (Phi[a,f] d_a Phi[b,g] - Phi[a,g] d_a Phi[b,f]) = 0 for all"
-            return True, f"{detail} {len(pairs)} pairs f < g, symbolic c", None
+    def cancels():
+        phi, size = art.phi, 2 * n
+        support = [[(a, v) for a, v in enumerate(c) if not v.is_zero()] for c in zip(*phi.rows)]
+        pairs = [(f, g) for f in range(size) for g in range(f + 1, size)]
+        for f, g in pairs:
+            for b in range(size):
+                terms = [(v, phi.derivative(b, g, a)) for a, v in support[f]]
+                terms += [(-v, phi.derivative(b, f, a)) for a, v in support[g]]
+                if not dot(phi.table, terms).is_zero():
+                    detail = f"the Phi dPhi term of [E~_{f}, E~_{g}] is nonzero (flat indices)"
+                    return False, detail, None
+        detail = "sum_a (Phi[a,f] d_a Phi[b,g] - Phi[a,g] d_a Phi[b,f]) = 0 for all"
+        return True, f"{detail} {len(pairs)} pairs f < g, symbolic c", None
 
-        reports.append(_run(f"torsion.frame_quadratic_cancels.n{n}", SYMBOLIC, cancels))
-    return reports
+    return [_run(f"torsion.frame_quadratic_cancels.n{n}", SYMBOLIC, cancels)]
 
 
-def torsion_zero_suite(ns: Sequence[int]) -> list[CheckReport]:
+def torsion_zero_suite(n: int) -> list[CheckReport]:
     """The torsion of the symbolic Phi with every c_i set to 0 vanishes: the
     sweep's own path at c = 0, TorsionAssembler over the substituted Phi,
     so the symbolic-c torsion is never built."""
-    reports = []
-    for n in ns:
-        art = artifacts(n)
+    art = artifacts(n)
 
-        def zero_deformation(art=art, n=n):
-            flat = TorsionAssembler(art.phi.substitute(art.chart.c_substitution([0] * (n - 1))))
-            if not all(v.is_zero() for v in flat.symbolic):
-                return False, "a torsion entry is nonzero at c = 0", None
-            return True, "c = 0 gives identically zero torsion in the pulled frame", None
+    def zero_deformation():
+        flat = TorsionAssembler(art.phi.substitute(art.chart.c_substitution([0] * (n - 1))))
+        if not all(v.is_zero() for v in flat.symbolic):
+            return False, "a torsion entry is nonzero at c = 0", None
+        return True, "c = 0 gives identically zero torsion in the pulled frame", None
 
-        reports.append(_run(f"torsion.zero_deformation.n{n}", SYMBOLIC, zero_deformation))
-    return reports
+    return [_run(f"torsion.zero_deformation.n{n}", SYMBOLIC, zero_deformation)]
 
 
 def _c_tag(c: Sequence[Fraction]) -> str:
@@ -615,114 +601,114 @@ def density_check(
 # -- representation theory -------------------------------------------------------------
 
 
-def reptheory_suite(ns: Sequence[int], seed: int) -> list[CheckReport]:
-    reports = []
-    for n in ns:
-        # spec and partial1 are built inside the first check that reads them.
-        art = artifacts(n)
-        dims = rep_mod.decomposition_dims(n)
+def reptheory_suite(n: int, seed: int) -> list[CheckReport]:
+    # spec and partial1 are built inside the first check that reads them.
+    art = artifacts(n)
+    dims = rep_mod.decomposition_dims(n)
 
-        def grading(art=art):
-            return (
-                art.spec.verify_grading(),
-                "[g_i, g_j] lands in g_(i+j) for all basis pairs",
-                None,
-            )
+    def grading():
+        return (
+            art.spec.verify_grading(),
+            "[g_i, g_j] lands in g_(i+j) for all basis pairs",
+            None,
+        )
 
-        def rank_value(art=art, n=n):
-            p1 = art.partial1
-            expected = 2 * n * (n * n + 3) - 2 * n
-            return (
-                p1.rank == expected,
-                f"rank(partial1) = {p1.rank} = dim domain - 2n",
-                None,
-            )
+    def rank_value():
+        p1 = art.partial1
+        expected = 2 * n * (n * n + 3) - 2 * n
+        return (
+            p1.rank == expected,
+            f"rank(partial1) = {p1.rank} = dim domain - 2n",
+            None,
+        )
 
-        def kernel(art=art, n=n):
-            p1 = art.partial1
-            return (
-                p1.kernel_dim == 2 * n,
-                f"ker(partial1) has dimension {p1.kernel_dim} = 2n (the first prolongation)",
-                None,
-            )
+    def kernel():
+        p1 = art.partial1
+        return (
+            p1.kernel_dim == 2 * n,
+            f"ker(partial1) has dimension {p1.kernel_dim} = 2n (the first prolongation)",
+            None,
+        )
 
-        def complement(art=art, dims=dims):
-            p1 = art.partial1
-            got = p1.target_dim - p1.rank
-            return (
-                got == dims.torsion_module_dim,
-                f"coker(partial1) has dimension {got} = 2n(n-2)(n+1)",
-                None,
-            )
+    def complement():
+        p1 = art.partial1
+        got = p1.target_dim - p1.rank
+        return (
+            got == dims.torsion_module_dim,
+            f"coker(partial1) has dimension {got} = 2n(n-2)(n+1)",
+            None,
+        )
 
-        def split_sum(dims=dims, n=n):
-            a, b = dims.lambda_split
-            return (
-                a + b == n * (2 * n - 1)
-                and a == n * (n + 1) // 2
-                and b == 3 * n * (n - 1) // 2,
-                f"Lambda^2 splits as {a} + {b} = {n * (2 * n - 1)}",
-                None,
-            )
+    def split_sum():
+        a, b = dims.lambda_split
+        return (
+            a + b == n * (2 * n - 1)
+            and a == n * (n + 1) // 2
+            and b == 3 * n * (n - 1) // 2,
+            f"Lambda^2 splits as {a} + {b} = {n * (2 * n - 1)}",
+            None,
+        )
 
-        def trace_members(art=art):
-            image = art.partial1.image
-            vectors = art.trace_vectors
-            for idx, vec in enumerate(vectors):
-                if not membership(image, vec):
-                    return False, f"trace embedding vector {idx} escapes Im(partial1)", None
-            return (
-                True,
-                f"all {len(vectors)} trace-embedding vectors lie in Im(partial1)",
-                None,
-            )
+    def trace_members():
+        image = art.partial1.image
+        vectors = art.trace_vectors
+        for idx, vec in enumerate(vectors):
+            if not membership(image, vec):
+                return False, f"trace embedding vector {idx} escapes Im(partial1)", None
+        return (
+            True,
+            f"all {len(vectors)} trace-embedding vectors lie in Im(partial1)",
+            None,
+        )
 
-        def trace_span(art=art, dims=dims):
-            span = span_subspace(art.trace_vectors, art.partial1.target_dim)
-            return (
-                span.dim == dims.trace_span_dim,
-                f"trace embeddings span dimension {span.dim} = n(n^2 - n + 4)",
-                None,
-            )
+    def trace_span():
+        span = span_subspace(art.trace_vectors, art.partial1.target_dim)
+        return (
+            span.dim == dims.trace_span_dim,
+            f"trace embeddings span dimension {span.dim} = n(n^2 - n + 4)",
+            None,
+        )
 
-        def lemma_image(art=art, n=n):
-            image = art.partial1.image
-            for row in image.basis.values():
-                hits = lemma_components(row, n)
-                if hits:
-                    return False, f"an Im(partial1) basis vector violates the span property (s={hits[0]})", None
-            return (
-                True,
-                f"all {image.dim} image basis vectors keep T(xi,eta)E_1' in span(E_1, E_s)",
-                None,
-            )
+    def lemma_image():
+        image = art.partial1.image
+        for row in image.basis.values():
+            hits = lemma_components(row, n)
+            if hits:
+                return False, f"an Im(partial1) basis vector violates the span property (s={hits[0]})", None
+        return (
+            True,
+            f"all {image.dim} image basis vectors keep T(xi,eta)E_1' in span(E_1, E_s)",
+            None,
+        )
 
-        def equivariance(art=art, n=n, seed=seed):
-            spec, p1 = art.spec, art.partial1
-            rng = random.Random(seed + n)
-            dim0 = spec.dim_gzero
-            domain_dim = p1.domain_dim
-            for trial in range(20):
-                a_idx = rng.randrange(dim0)
-                f_vec = [Fraction(rng.randint(-3, 3)) for _ in range(domain_dim)]
-                lhs = p1.apply(rep_mod.act_on_domain(spec, a_idx, f_vec))
-                rhs = rep_mod.act_on_target(spec, a_idx, p1.apply(f_vec))
-                if tuple(lhs) != tuple(rhs):
-                    return False, f"equivariance fails for basis element {a_idx}", None
-            return True, "partial1(a.f) = a.partial1(f) on 20 sampled pairs", None
+    def equivariance():
+        spec, p1 = art.spec, art.partial1
+        rng = random.Random(seed + n)
+        dim0 = spec.dim_gzero
+        domain_dim = p1.domain_dim
+        for trial in range(20):
+            a_idx = rng.randrange(dim0)
+            f_vec = [Fraction(rng.randint(-3, 3)) for _ in range(domain_dim)]
+            lhs = p1.apply(rep_mod.act_on_domain(spec, a_idx, f_vec))
+            rhs = rep_mod.act_on_target(spec, a_idx, p1.apply(f_vec))
+            if tuple(lhs) != tuple(rhs):
+                return False, f"equivariance fails for basis element {a_idx}", None
+        return True, "partial1(a.f) = a.partial1(f) on 20 sampled pairs", None
 
-        reports.append(_run(f"reptheory.grading.n{n}", SYMBOLIC, grading))
-        reports.append(_run(f"reptheory.rank.n{n}", DIMENSION, rank_value))
-        reports.append(_run(f"reptheory.kernel.n{n}", DIMENSION, kernel))
-        reports.append(_run(f"reptheory.complement.n{n}", DIMENSION, complement))
-        reports.append(_run(f"reptheory.lambda_split.n{n}", DIMENSION, split_sum))
-        reports.append(_run(f"reptheory.trace_membership.n{n}", DIMENSION, trace_members))
-        reports.append(_run(f"reptheory.trace_span.n{n}", DIMENSION, trace_span))
-        reports.append(_run(f"reptheory.lemma_image.n{n}", ORACLE, lemma_image))
-        if n in EQUIVARIANCE_NS:
-            reports.append(_run(f"reptheory.equivariance.n{n}", ORACLE, equivariance))
-        if n == 2:
-            reports.append(surjective_check(n))
+    reports = [
+        _run(f"reptheory.grading.n{n}", SYMBOLIC, grading),
+        _run(f"reptheory.rank.n{n}", DIMENSION, rank_value),
+        _run(f"reptheory.kernel.n{n}", DIMENSION, kernel),
+        _run(f"reptheory.complement.n{n}", DIMENSION, complement),
+        _run(f"reptheory.lambda_split.n{n}", DIMENSION, split_sum),
+        _run(f"reptheory.trace_membership.n{n}", DIMENSION, trace_members),
+        _run(f"reptheory.trace_span.n{n}", DIMENSION, trace_span),
+        _run(f"reptheory.lemma_image.n{n}", ORACLE, lemma_image),
+    ]
+    if n in EQUIVARIANCE_NS:
+        reports.append(_run(f"reptheory.equivariance.n{n}", ORACLE, equivariance))
+    if n == 2:
+        reports.append(surjective_check(n))
     return reports
 
 
@@ -804,78 +790,77 @@ def _display_second_derivatives(chart: Chart, r: int):
     return a, b, cc
 
 
-def curvature_suite(ns: Sequence[int]) -> list[CheckReport]:
-    reports = []
-    for n in ns:
-        art = artifacts(n)
+def curvature_suite(n: int) -> list[CheckReport]:
+    art = artifacts(n)
 
-        def displays(art=art, n=n):
-            d2 = art.second_derivatives
-            for r in range(2, n + 1):
-                a_want, b_want, c_want = _display_second_derivatives(art.chart, r)
-                a_got = d2.entry(2, 1, 1, 1, 1, 1, 1, r)
-                b_got = d2.entry(2, 1, 2, 1, 2, 1, 1, r)
-                c_got = d2.entry(1, 1, 1, 1, 1, 1, 2, r)
-                if a_got != a_want:
-                    return False, f"grad^1_2' grad^1_1' Phi^1'1_1'r differs at r={r}", None
-                if b_got != b_want:
-                    return False, f"(grad^1_2')^2 Phi^2'1_1'r differs at r={r}", None
-                if c_got != c_want:
-                    return False, f"(grad^1_1')^2 Phi^1'1_2'r differs at r={r}", None
-            return (
-                True,
-                "the three displayed second-derivative formulas hold for r = 2..n, symbolic c",
-                None,
-            )
+    def displays():
+        d2 = art.second_derivatives
+        for r in range(2, n + 1):
+            a_want, b_want, c_want = _display_second_derivatives(art.chart, r)
+            a_got = d2.entry(2, 1, 1, 1, 1, 1, 1, r)
+            b_got = d2.entry(2, 1, 2, 1, 2, 1, 1, r)
+            c_got = d2.entry(1, 1, 1, 1, 1, 1, 2, r)
+            if a_got != a_want:
+                return False, f"grad^1_2' grad^1_1' Phi^1'1_1'r differs at r={r}", None
+            if b_got != b_want:
+                return False, f"(grad^1_2')^2 Phi^2'1_1'r differs at r={r}", None
+            if c_got != c_want:
+                return False, f"(grad^1_1')^2 Phi^1'1_2'r differs at r={r}", None
+        return (
+            True,
+            "the three displayed second-derivative formulas hold for r = 2..n, symbolic c",
+            None,
+        )
 
-        def trace_free(art=art, n=n):
-            d2 = art.second_derivatives
-            for r in range(1, n + 1):
-                lhs = d2.entry(2, 1, 1, 1, 1, 1, 1, r)
-                rhs = -d2.entry(1, 1, 2, 1, 2, 1, 2, r)
-                if lhs != rhs:
-                    return False, f"trace-freeness identity fails at r={r}", None
-            return (
-                True,
-                "grad^1_2' grad^1_1' Phi^1'1_1'r = -grad^1_1' grad^1_2' Phi^2'1_2'r for all r",
-                None,
-            )
+    def trace_free():
+        d2 = art.second_derivatives
+        for r in range(1, n + 1):
+            lhs = d2.entry(2, 1, 1, 1, 1, 1, 1, r)
+            rhs = -d2.entry(1, 1, 2, 1, 2, 1, 2, r)
+            if lhs != rhs:
+                return False, f"trace-freeness identity fails at r={r}", None
+        return (
+            True,
+            "grad^1_2' grad^1_1' Phi^1'1_1'r = -grad^1_1' grad^1_2' Phi^2'1_2'r for all r",
+            None,
+        )
 
-        def reduction(art=art, n=n):
-            d2, kappa = art.second_derivatives, art.kappa
-            half = Fraction(1, 2)
-            for r in range(1, n + 1):
-                a = d2.entry(2, 1, 1, 1, 1, 1, 1, r)
-                b = d2.entry(2, 1, 2, 1, 2, 1, 1, r)
-                cc = d2.entry(1, 1, 1, 1, 1, 1, 2, r)
-                want = (a + a + b - cc).scale(half)
-                if kappa.value((1, 1, 1), r) != want:
-                    detail = f"projected component differs from (1/2)(2A + B - C) at r={r}"
-                    return False, detail, None
-            return (
-                True,
-                "kappa^111_2'1'r = (1/2)(2A + B - C) for all r after steps 1-3",
-                None,
-            )
+    def reduction():
+        d2, kappa = art.second_derivatives, art.kappa
+        half = Fraction(1, 2)
+        for r in range(1, n + 1):
+            a = d2.entry(2, 1, 1, 1, 1, 1, 1, r)
+            b = d2.entry(2, 1, 2, 1, 2, 1, 1, r)
+            cc = d2.entry(1, 1, 1, 1, 1, 1, 2, r)
+            want = (a + a + b - cc).scale(half)
+            if kappa.value((1, 1, 1), r) != want:
+                detail = f"projected component differs from (1/2)(2A + B - C) at r={r}"
+                return False, detail, None
+        return (
+            True,
+            "kappa^111_2'1'r = (1/2)(2A + B - C) for all r after steps 1-3",
+            None,
+        )
 
-        def kappa_match(art=art, n=n):
-            kappa = art.kappa
-            for r in range(2, n + 1):
-                want = curvature_mod.kappa_closed_form(art.chart, r)
-                if kappa.value((1, 1, 1), r) != want:
-                    return False, f"kappa closed form fails at r={r}", None
-            return (
-                True,
-                "kappa^111_2'1'r = sum_i c_i x_i1 x_r1 (3/q - 7e/q^2 + 4e^2/q^3),"
-                " e = x11^2 + x12^2, for r = 2..n",
-                None,
-            )
+    def kappa_match():
+        kappa = art.kappa
+        for r in range(2, n + 1):
+            want = curvature_mod.kappa_closed_form(art.chart, r)
+            if kappa.value((1, 1, 1), r) != want:
+                return False, f"kappa closed form fails at r={r}", None
+        return (
+            True,
+            "kappa^111_2'1'r = sum_i c_i x_i1 x_r1 (3/q - 7e/q^2 + 4e^2/q^3),"
+            " e = x11^2 + x12^2, for r = 2..n",
+            None,
+        )
 
-        reports.append(_run(f"curvature.displays.n{n}", SYMBOLIC, displays))
-        reports.append(_run(f"curvature.trace_free.n{n}", SYMBOLIC, trace_free))
-        reports.append(_run(f"curvature.reduction.n{n}", SYMBOLIC, reduction))
-        reports.append(_run(f"curvature.kappa.n{n}", SYMBOLIC, kappa_match))
-    return reports
+    return [
+        _run(f"curvature.displays.n{n}", SYMBOLIC, displays),
+        _run(f"curvature.trace_free.n{n}", SYMBOLIC, trace_free),
+        _run(f"curvature.reduction.n{n}", SYMBOLIC, reduction),
+        _run(f"curvature.kappa.n{n}", SYMBOLIC, kappa_match),
+    ]
 
 
 def curvature_numeric_suite(n: int, seed: int) -> list[CheckReport]:
@@ -895,7 +880,7 @@ def curvature_numeric_suite(n: int, seed: int) -> list[CheckReport]:
         for radius_exp in range(1, 6):
             for point in sample_points(art.chart, radius_exp, KAPPA_SAMPLES // 5, rng, accept):
                 values = slice_values.at(point.evaluation_vector())
-                if not curvature_mod.not_pure_trace(values, subspace):
+                if membership(subspace, values):
                     return (
                         False,
                         "evaluated kappa slice sits inside the trace subspace",
@@ -984,18 +969,24 @@ def derivative_oracle_suite(n: int, seed: int) -> list[CheckReport]:
 def acceptance_suite(seed: int, ball_count: int) -> list[CheckReport]:
     """Every check backing the acceptance gate, in deterministic order."""
     reports: list[CheckReport] = []
-    reports += flow_suite((3, 4))
-    reports += eigen_suite((3, 4))
-    reports += phi_suite((3, 4))
-    reports += torsion_suite((3, 4))
-    reports += phi_kills_brackets_suite((3, 4))
-    reports += frame_quadratic_cancels_suite((3, 4))
-    reports += torsion_zero_suite((3,))
+    for suite in (
+        flow_suite,
+        eigen_suite,
+        phi_suite,
+        torsion_suite,
+        phi_kills_brackets_suite,
+        frame_quadratic_cancels_suite,
+    ):
+        for n in (3, 4):
+            reports += suite(n)
+    reports += torsion_zero_suite(3)
     for c in ([Fraction(1), Fraction(0)], [Fraction(2), Fraction(-3)]):
         report, _ = density_check(3, c, 2, seed, ball_count)
         reports.append(report)
-    reports += reptheory_suite((2, 3, 4, 5), seed)
-    reports += curvature_suite((3, 4))
+    for n in (2, 3, 4, 5):
+        reports += reptheory_suite(n, seed)
+    for n in (3, 4):
+        reports += curvature_suite(n)
     reports += curvature_numeric_suite(3, seed)
     reports += derivative_oracle_suite(3, seed)
     return sort_reports(reports)
@@ -1003,13 +994,8 @@ def acceptance_suite(seed: int, ball_count: int) -> list[CheckReport]:
 
 def quick_suite(n: int, seed: int) -> list[CheckReport]:
     """Symbolic checks plus small samples for a single n (verify without --all)."""
-    reports: list[CheckReport] = []
-    reports += flow_suite((n,))
-    reports += eigen_suite((n,))
+    reports = flow_suite(n) + eigen_suite(n)
     if n >= 3:
-        reports += phi_suite((n,))
-        reports += torsion_suite((n,))
-        reports += torsion_zero_suite((n,))
-        reports += curvature_suite((n,))
-    reports += reptheory_suite((n,), seed)
+        reports += phi_suite(n) + torsion_suite(n) + torsion_zero_suite(n) + curvature_suite(n)
+    reports += reptheory_suite(n, seed)
     return sort_reports(reports)

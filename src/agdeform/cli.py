@@ -164,13 +164,13 @@ def _cmd_flow(args) -> int:
             moved = flow_point(moved, parse_rational(args.s))
         flowed = moved.format()
         return _emit(args, [], {"flowed": flowed}, [flowed])
-    return _emit(args, checks.flow_suite((args.n,)), {})
+    return _emit(args, checks.flow_suite(args.n), {})
 
 
 def _cmd_phi(args) -> int:
     _require_n(args.n, MAX_SYMBOLIC_N, 3)
     chart = Chart(args.n)
-    reports = checks.phi_suite((args.n,)) + checks.eigen_suite((args.n,))
+    reports = checks.phi_suite(args.n) + checks.eigen_suite(args.n)
     extras: dict = {}
     if args.emit == "latex":
         latex = True
@@ -186,19 +186,16 @@ def _cmd_phi(args) -> int:
 
 def _cmd_torsion(args) -> int:
     _require_n(args.n, MAX_SYMBOLIC_N, 3)
-    chart = Chart(args.n)
     if args.c is None:
-        c = tuple(
-            Fraction(1) if i == 0 else Fraction(0) for i in range(chart.n - 1)
-        )
+        c = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(args.n - 1))
     else:
         c = parse_c(args.c)
-    checks.validate_sweep(args.n, c, args.sindex, args.sample_balls)
-    reports = checks.torsion_suite((args.n,)) + checks.torsion_zero_suite((args.n,))
+    # density_check refuses a request the sweep cannot sample before any
+    # check runs, so it goes first.
     density_report, records = checks.density_check(
         args.n, c, args.sindex, args.seed, args.sample_balls
     )
-    reports.append(density_report)
+    reports = [density_report] + checks.torsion_suite(args.n) + checks.torsion_zero_suite(args.n)
     extras = {"points": records}
     text_lines = [
         f"sampled {len(records)} points; "
@@ -217,7 +214,7 @@ def _cmd_curvature(args) -> int:
     kappa = kappa_closed_form(chart, args.r)
     if c_values is not None:
         kappa = kappa.substitute(c_values)
-    reports = checks.curvature_suite((args.n,))
+    reports = checks.curvature_suite(args.n)
     kappa_info = {"r": args.r, "text": render_rational_function(kappa)}
     if args.emit == "latex":
         kappa_info["latex"] = render_rational_function(kappa, latex=True)
@@ -232,7 +229,7 @@ def _cmd_reptheory(args) -> int:
     if args.check == "surjective":
         report = checks.surjective_check(args.n)
         return _emit(args, [report], {"rank": checks.rank_certificate(args.n)})
-    reports = checks.reptheory_suite((args.n,), args.seed)
+    reports = checks.reptheory_suite(args.n, args.seed)
     extras = {
         "dimensions": checks.dimension_table(args.n),
         "rank": checks.rank_certificate(args.n),

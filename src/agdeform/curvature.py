@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .exactalg import RationalFunction, UsageError, flat_index
-from .linalg import Subspace, Vector, span_subspace, membership
+from .linalg import Subspace, span_subspace
 from .model import Chart
 from .deform import EndomorphismField
 
@@ -196,13 +196,3 @@ def trace_subspace(n: int) -> Subspace:
             vectors.append(vec)
     return span_subspace(vectors, ambient)
 
-
-def not_pure_trace(values: Vector, subspace: Subspace) -> bool:
-    """True iff the slice values, in the order of
-    KappaProjection.flat_slice or any positive multiple of them, lie
-    outside subspace, the trace subspace that trace_subspace(n) builds.
-
-    A zero slice returns False: it lies in every subspace, so nothing is
-    certified.
-    """
-    return not membership(subspace, values)

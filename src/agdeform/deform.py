@@ -33,39 +33,14 @@ from .model import Chart, ChartPoint, SymbolicMatrix, bundle_actions, flow_point
 # -- eigen-sections ------------------------------------------------------------------
 
 
-class EigenSections:
-    """Component vectors of the flow eigen-sections at the generic point.
+def eigen_sections(chart: Chart) -> dict[str, dict[str, tuple[RationalFunction, ...]]]:
+    """Component vectors of the flow eigen-sections at the generic point,
+    as {family: {law name: components}}.
 
     E-frame {E_1', E_2'} for v, iota; E*-frame {E^1', E^2'} for v_tilde,
-    iota_tilde; F-frame {E_1..E_n} for w and kappa[i]; F*-frame for w_tilde
-    and kappa_tilde[i].  kappa and kappa_tilde are indexed by i = 2..n
-    (position i-2).
+    iota_tilde; F-frame {E_1..E_n} for w and the kappa_i; F*-frame for
+    w_tilde and the kappa_tilde^i, i = 2..n.
     """
-
-    __slots__ = ("v", "iota", "v_tilde", "iota_tilde", "w", "kappa", "w_tilde", "kappa_tilde")
-
-    def __init__(
-        self,
-        v: tuple[RationalFunction, ...],
-        iota: tuple[RationalFunction, ...],
-        v_tilde: tuple[RationalFunction, ...],
-        iota_tilde: tuple[RationalFunction, ...],
-        w: tuple[RationalFunction, ...],
-        kappa: tuple[tuple[RationalFunction, ...], ...],
-        w_tilde: tuple[RationalFunction, ...],
-        kappa_tilde: tuple[tuple[RationalFunction, ...], ...],
-    ):
-        self.v = v
-        self.iota = iota
-        self.v_tilde = v_tilde
-        self.iota_tilde = iota_tilde
-        self.w = w
-        self.kappa = kappa
-        self.w_tilde = w_tilde
-        self.kappa_tilde = kappa_tilde
-
-
-def eigen_sections(chart: Chart) -> EigenSections:
     n = chart.n
     zero = chart.const(0)
     one = chart.const(1)
@@ -73,38 +48,27 @@ def eigen_sections(chart: Chart) -> EigenSections:
     def unit(size: int, idx: int) -> tuple[RationalFunction, ...]:
         return tuple(one if k == idx else zero for k in range(size))
 
-    w = tuple(chart.x(k, 1) for k in range(1, n + 1))
-    kappa = tuple(unit(n, i - 1) for i in range(2, n + 1))
-    kappa_tilde = []
-    for i in range(2, n + 1):
+    def kappa_tilde(i: int) -> tuple[RationalFunction, ...]:
         comp = [zero] * n
         comp[0] = -chart.x(i, 1)
         comp[i - 1] = chart.x(1, 1)
-        kappa_tilde.append(tuple(comp))
-    return EigenSections(
-        v=(-chart.x(1, 2), chart.x(1, 1)),
-        iota=unit(2, 0),
-        v_tilde=unit(2, 1),
-        iota_tilde=(chart.x(1, 1), chart.x(1, 2)),
-        w=w,
-        kappa=kappa,
-        w_tilde=unit(n, 0),
-        kappa_tilde=tuple(kappa_tilde),
-    )
+        return tuple(comp)
+
+    return {
+        "v": {"v": (-chart.x(1, 2), chart.x(1, 1))},
+        "iota": {"iota": unit(2, 0)},
+        "v_tilde": {"v_tilde": unit(2, 1)},
+        "iota_tilde": {"iota_tilde": (chart.x(1, 1), chart.x(1, 2))},
+        "w": {"w": tuple(chart.x(k, 1) for k in range(1, n + 1))},
+        "kappa": {f"kappa_{i}": unit(n, i - 1) for i in range(2, n + 1)},
+        "w_tilde": {"w_tilde": unit(n, 0)},
+        "kappa_tilde": {f"kappa_tilde^{i}": kappa_tilde(i) for i in range(2, n + 1)},
+    }
 
 
-class TransformationLaw:
-    """Whether one eigen-section law action . sec(X) = factor . sec(z^t X) holds."""
-
-    __slots__ = ("name", "holds")
-
-    def __init__(self, name: str, holds: bool):
-        self.name = name
-        self.holds = holds
-
-
-def transformation_check(chart: Chart) -> tuple[TransformationLaw, ...]:
-    """Verify all eight transformation laws as exact identities in x and a
+def transformation_check(chart: Chart) -> dict[str, dict[str, bool]]:
+    """Whether each eigen-section law action . sec(X) = factor . sec(z^t X)
+    holds, as {family: {law name: holds}}: exact identities in x and a
     symbolic flow time t.
 
     E-sections transform by the E action, dual sections by the stored
@@ -113,38 +77,31 @@ def transformation_check(chart: Chart) -> tuple[TransformationLaw, ...]:
     kappa_i.
     """
     t = chart.param("t")
-    sections = eigen_sections(chart)
     generic = ChartPoint.generic(chart)
     actions = bundle_actions(generic, t)
     flowed = flow_point(generic, t).substitution()
     one = chart.const(1)
     u = one + t * chart.x(1, 1)
+    moves: dict[str, tuple[SymbolicMatrix, RationalFunction]] = {
+        "v": (actions.on_e, u),
+        "iota": (actions.on_e, u),
+        "v_tilde": (actions.on_estar, one),
+        "iota_tilde": (actions.on_estar, one),
+        "w": (actions.on_f, one),
+        "kappa": (actions.on_f, one),
+        "w_tilde": (actions.on_fstar, u),
+        "kappa_tilde": (actions.on_fstar, u),
+    }
 
-    cases: list[tuple[str, SymbolicMatrix, tuple[RationalFunction, ...], RationalFunction]] = [
-        ("v", actions.on_e, sections.v, u),
-        ("iota", actions.on_e, sections.iota, u),
-        ("v_tilde", actions.on_estar, sections.v_tilde, one),
-        ("iota_tilde", actions.on_estar, sections.iota_tilde, one),
-        ("w", actions.on_f, sections.w, one),
-        ("w_tilde", actions.on_fstar, sections.w_tilde, u),
-    ]
-    for i in range(2, chart.n + 1):
-        cases.append((f"kappa_{i}", actions.on_f, sections.kappa[i - 2], one))
-        cases.append(
-            (f"kappa_tilde^{i}", actions.on_fstar, sections.kappa_tilde[i - 2], u)
-        )
-
-    laws = []
-    for name, matrix, components, factor in cases:
-        moved = matrix.apply(components)
-        target = tuple(factor * comp.substitute(flowed) for comp in components)
-        laws.append(
-            TransformationLaw(
-                name=name,
-                holds=all(a == b for a, b in zip(moved, target)),
-            )
-        )
-    return tuple(laws)
+    laws: dict[str, dict[str, bool]] = {}
+    for family, sections in eigen_sections(chart).items():
+        matrix, factor = moves[family]
+        laws[family] = {}
+        for name, components in sections.items():
+            moved = matrix.apply(components)
+            target = tuple(factor * comp.substitute(flowed) for comp in components)
+            laws[family][name] = all(a == b for a, b in zip(moved, target))
+    return laws
 
 
 # -- q and the endomorphism fields ----------------------------------------------------

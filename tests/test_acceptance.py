@@ -20,6 +20,11 @@ from agdeform import checks, cli
 #: a change to a check id, verdict or detail text must update the digest.
 REPORTS_SHA256 = "18dd102e488b25063626a9f626da5cbbc0c6fda1b8d1bda0e0c465d06b2178da"
 
+#: sha256 of the stdout of `agdeform verify --n 2 --format json`, the one
+#: pinned output that runs the flow and eigen checks at n = 2, where each
+#: kappa family holds one law.
+VERIFY_N2_SHA256 = "fcee074d5aeb0076920fbe5835b647a858e8493e7d88266c721f7d5cc3445f85"
+
 #: sha256 of the stdout of `agdeform verify --n 5 --format json`.  The
 #: fixture runs curvature at n = 3 and 4 only; at n = 5 the checks read the
 #: kappa triple (1, 1, 1) alone, so its bytes are pinned separately.
@@ -188,6 +193,12 @@ def test_every_check_green(reports):
 def test_reports_byte_identical(reports):
     text = json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == REPORTS_SHA256
+
+
+def test_verify_n2_output_byte_identical(capsys):
+    assert cli.main(["verify", "--n", "2", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_N2_SHA256
 
 
 def test_verify_n5_output_byte_identical(capsys):

@@ -87,7 +87,7 @@ def test_reptheory_command_builds_trace_embeddings_once(monkeypatch, capsys, fre
 def test_curvature_numeric_suite_builds_second_derivatives_once(monkeypatch, fresh_cache):
     """The symbolic and the numeric curvature checks at n = 3 share one build."""
     calls = counting(monkeypatch, curvature_mod, "nabla2_phi")
-    reports = checks.curvature_suite((3,)) + checks.curvature_numeric_suite(3, 0)
+    reports = checks.curvature_suite(3) + checks.curvature_numeric_suite(3, 0)
     assert len(reports) == 6
     assert all(r.status == checks.PASS for r in reports)
     assert len(calls) == 1
@@ -97,7 +97,7 @@ def test_curvature_objects_are_built_once_per_process(monkeypatch, fresh_cache):
     """Three suites in a row at n = 3 read one tensor and one projection."""
     tensors = counting(monkeypatch, curvature_mod, "nabla2_phi")
     projections = counting(monkeypatch, curvature_mod, "project_kappa")
-    reports = checks.curvature_suite((3,))
+    reports = checks.curvature_suite(3)
     reports += checks.curvature_numeric_suite(3, 0)
     reports += checks.quick_suite(3, 0)
     assert all(r.status == checks.PASS for r in reports)
@@ -174,7 +174,7 @@ def test_density_check_differentiates_only_its_phi_table(monkeypatch, fresh_cach
 
 def test_curvature_suite_builds_second_derivatives_once(monkeypatch, fresh_cache):
     calls = counting(monkeypatch, curvature_mod, "nabla2_phi")
-    reports = checks.curvature_suite((3,))
+    reports = checks.curvature_suite(3)
     assert all(r.status == checks.PASS for r in reports)
     assert len(calls) == 1
 
@@ -191,7 +191,7 @@ def test_acceptance_suite_builds_n3_second_derivatives_once(monkeypatch, fresh_c
         monkeypatch.setattr(checks, name, lambda *args: [])
     monkeypatch.setattr(checks, "density_check", lambda *args: (stub, []))
     real_suite = checks.curvature_suite
-    monkeypatch.setattr(checks, "curvature_suite", lambda ns: real_suite([n for n in ns if n != 4]))
+    monkeypatch.setattr(checks, "curvature_suite", lambda n: [] if n == 4 else real_suite(n))
     calls = counting(monkeypatch, curvature_mod, "nabla2_phi")
     phis = counting(monkeypatch, checks, "build_Phi")
     reports = [r for r in checks.acceptance_suite(0, 8) if r is not stub]
@@ -250,7 +250,7 @@ def test_phi_kills_every_bracket_at_n5(fresh_cache):
     """verify --n 5..12 and torsion --n >= 5 read the torsion as the negated
     pulled-frame bracket.  verify --all checks the identity behind that at
     n = 3 and 4; here it holds for all 45 pairs at n = 5, symbolic c."""
-    (report,) = checks.phi_kills_brackets_suite((5,))
+    (report,) = checks.phi_kills_brackets_suite(5)
     assert report.status == checks.PASS, report.detail
     assert report.detail == (
         "Phi theta[E~_a, E~_b] = 0 for all 45 pairs a < b of pulled-frame fields, symbolic c"
@@ -277,10 +277,10 @@ def test_phi_kills_brackets_fails_on_an_extra_phi_entry(monkeypatch, fresh_cache
     annihilates the brackets of its own pulled frame, and the Phi dPhi part
     of those brackets no longer cancels."""
     _perturb_phi(monkeypatch, 0, 0, lambda chart: chart.x(2, 2))
-    (report,) = checks.phi_kills_brackets_suite((3,))
+    (report,) = checks.phi_kills_brackets_suite(3)
     assert report.status == checks.FAIL
     assert report.detail == "Phi theta[E~_0, E~_1] is nonzero (flat indices)"
-    (report,) = checks.frame_quadratic_cancels_suite((3,))
+    (report,) = checks.frame_quadratic_cancels_suite(3)
     assert report.status == checks.FAIL
     assert report.detail == "the Phi dPhi term of [E~_0, E~_1] is nonzero (flat indices)"
 
@@ -290,7 +290,7 @@ def test_frame_quadratic_cancels_at_n5(fresh_cache):
     as the antisymmetrised derivative of Phi.  verify --all checks that the
     Phi dPhi part cancels at n = 3 and 4; here it cancels for all 45 pairs
     at n = 5, symbolic c."""
-    (report,) = checks.frame_quadratic_cancels_suite((5,))
+    (report,) = checks.frame_quadratic_cancels_suite(5)
     assert report.status == checks.PASS, report.detail
     assert report.check_id == "torsion.frame_quadratic_cancels.n5"
     assert report.detail == (
@@ -314,10 +314,31 @@ def test_frame_quadratic_cancels_fails_on_an_extra_phi_entry(
     a nonzero Phi dPhi part, and the report names the first pair it
     meets."""
     _perturb_phi(monkeypatch, row, col, term)
-    (report,) = checks.frame_quadratic_cancels_suite((3,))
+    (report,) = checks.frame_quadratic_cancels_suite(3)
     assert report.status == checks.FAIL
     f, g = pair
     assert report.detail == f"the Phi dPhi term of [E~_{f}, E~_{g}] is nonzero (flat indices)"
+
+
+def test_eigen_suite_reports_each_family_apart(monkeypatch, fresh_cache):
+    """Positive control of the family grouping: one failing law fails its
+    own family only, and an empty family fails as missing."""
+    real = deform.transformation_check
+
+    def tampered(chart):
+        laws = real(chart)
+        laws["kappa_tilde"]["kappa_tilde^3"] = False
+        laws["kappa"] = {}
+        return laws
+
+    monkeypatch.setattr(checks, "transformation_check", tampered)
+    reports = {r.check_id: r for r in checks.eigen_suite(3)}
+    failed = {check_id: r.detail for check_id, r in reports.items() if r.status == checks.FAIL}
+    assert failed == {
+        "eigen.law.kappa_tilde.n3": "law fails for: kappa_tilde^3",
+        "eigen.law.kappa.n3": "no laws found for family kappa",
+    }
+    assert len(reports) == 8
 
 
 def test_zero_deformation_fails_on_a_c_free_phi_term(monkeypatch, fresh_cache):
@@ -326,7 +347,7 @@ def test_zero_deformation_fails_on_a_c_free_phi_term(monkeypatch, fresh_cache):
     shared Phi, so it fails; a Phi built apart at c = 0 would not carry the
     term."""
     _perturb_phi(monkeypatch, 0, 0, lambda chart: chart.x(2, 2))
-    (report,) = checks.torsion_zero_suite((3,))
+    (report,) = checks.torsion_zero_suite(3)
     assert report.status == checks.FAIL
     assert report.detail == "a torsion entry is nonzero at c = 0"
 
@@ -336,7 +357,7 @@ def test_zero_deformation_fails_on_a_c_free_quadratic_term(monkeypatch, fresh_ca
     leaves kappa at c = 0 zero (tests/test_curvature.py), keeps torsion at
     c = 0, so the check fails."""
     _perturb_phi(monkeypatch, 0, 0, lambda chart: chart.x(2, 2) * chart.x(2, 2))
-    (report,) = checks.torsion_zero_suite((3,))
+    (report,) = checks.torsion_zero_suite(3)
     assert report.status == checks.FAIL
     assert report.detail == "a torsion entry is nonzero at c = 0"
 
@@ -352,7 +373,7 @@ def test_closed_forms_fail_on_a_wrong_q(monkeypatch, fresh_cache):
         return real(chart) - xn1 * xn1
 
     monkeypatch.setattr(deform, "q_polynomial", mutant)
-    reports = checks.phi_suite((3,)) + checks.torsion_suite((3,)) + checks.curvature_suite((3,))
+    reports = checks.phi_suite(3) + checks.torsion_suite(3) + checks.curvature_suite(3)
     failed = sorted(r.check_id for r in reports if r.status == checks.FAIL)
     assert failed == [
         "curvature.displays.n3",
@@ -402,7 +423,7 @@ def test_sweep_coerces_c_to_fractions(monkeypatch, fresh_cache):
 def test_reptheory_suite_passes_at_n6(fresh_cache):
     """Rank, kernel, cokernel, trace membership, trace span and lemma_image
     at n = 6, which the sparse eliminator makes cheap enough for tier 1."""
-    reports = checks.reptheory_suite((6,), 0)
+    reports = checks.reptheory_suite(6, 0)
     names = {r.check_id.split(".")[1] for r in reports}
     assert {"rank", "kernel", "complement", "trace_membership", "trace_span", "lemma_image"} <= names
     assert all(r.status == checks.PASS for r in reports), [r.detail for r in reports]
@@ -423,7 +444,6 @@ def test_every_membership_verdict_equals_the_fraction_oracle(monkeypatch, fresh_
         return verdict
 
     monkeypatch.setattr(checks, "membership", checked)
-    monkeypatch.setattr(curvature_mod, "membership", checked)
     reports = checks.quick_suite(4, 0)
     report, records = checks.density_check(3, (Fraction(2), Fraction(-3)), 2, 0, 1)
     reports.append(report)
@@ -527,13 +547,13 @@ def _broken(*args):
 @pytest.mark.parametrize(
     "module, name, suite, failing",
     [
-        (curvature_mod, "nabla2_phi", lambda: checks.curvature_suite((3,)), 4),
+        (curvature_mod, "nabla2_phi", lambda: checks.curvature_suite(3), 4),
         (curvature_mod, "nabla2_phi",
-         lambda: checks.curvature_suite((3,)) + checks.curvature_numeric_suite(3, 0), 6),
-        (rep_mod, "build_partial1", lambda: checks.reptheory_suite((3,), 0), 7),
-        (checks, "transformation_check", lambda: checks.eigen_suite((3,)), 8),
-        (checks, "build_Phi", lambda: checks.phi_suite((3,)), 6),
-        (checks, "TorsionAssembler", lambda: checks.torsion_suite((3,)), 4),
+         lambda: checks.curvature_suite(3) + checks.curvature_numeric_suite(3, 0), 6),
+        (rep_mod, "build_partial1", lambda: checks.reptheory_suite(3, 0), 7),
+        (checks, "transformation_check", lambda: checks.eigen_suite(3), 8),
+        (checks, "build_Phi", lambda: checks.phi_suite(3), 6),
+        (checks, "TorsionAssembler", lambda: checks.torsion_suite(3), 4),
     ],
     ids=["curvature", "curvature_numeric", "reptheory", "eigen", "phi", "torsion"],
 )

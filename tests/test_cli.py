@@ -157,12 +157,12 @@ def test_bad_sweep_request_exit_2(capsys, monkeypatch, argv):
 def test_c_wrong_length_exit_2(capsys, monkeypatch, command):
     """A c of the wrong length is a usage error, refused by
     Chart.c_substitution, the one count check, before any symbolic work
-    starts."""
+    starts: torsion refuses it inside density_check, before any check runs."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("symbolic work started before the usage check")
 
-    for name in ("torsion_suite", "torsion_zero_suite", "density_check", "curvature_suite"):
+    for name in ("_run", "torsion_suite", "torsion_zero_suite", "curvature_suite"):
         monkeypatch.setattr(checks, name, refuse)
     monkeypatch.setattr(cli, "kappa_closed_form", refuse)
     code, out, err = run_cli(capsys, command, "--n", "3", "--c=1,0,0")
@@ -210,8 +210,8 @@ def test_flow_and_reptheory_n_bounds(capsys, monkeypatch, command, bound):
     `reptheory --n 26` 5.4-6.4 s)."""
     maximum = getattr(cli, bound)
     seen = []
-    monkeypatch.setattr(checks, "flow_suite", lambda ns: seen.append(ns) or [])
-    monkeypatch.setattr(checks, "reptheory_suite", lambda ns, seed: seen.append(ns) or [])
+    monkeypatch.setattr(checks, "flow_suite", lambda n: seen.append(n) or [])
+    monkeypatch.setattr(checks, "reptheory_suite", lambda n, seed: seen.append(n) or [])
     monkeypatch.setattr(checks, "dimension_table", lambda n: {"n": n})
     monkeypatch.setattr(checks, "rank_certificate", lambda n: {})
     code, out, err = run_cli(capsys, command, "--n", str(maximum + 1))
@@ -222,11 +222,11 @@ def test_flow_and_reptheory_n_bounds(capsys, monkeypatch, command, bound):
     code, _, err = run_cli(capsys, command, "--n", str(maximum))
     assert code == 0
     assert err == ""
-    assert seen == [(maximum,)]
+    assert seen == [maximum]
 
 
 def test_reptheory_has_no_symbolic_maximum(capsys, monkeypatch):
-    monkeypatch.setattr(checks, "reptheory_suite", lambda ns, seed: [])
+    monkeypatch.setattr(checks, "reptheory_suite", lambda n, seed: [])
     monkeypatch.setattr(checks, "dimension_table", lambda n: {"n": n})
     monkeypatch.setattr(checks, "rank_certificate", lambda n: {})
     code, _, err = run_cli(capsys, "reptheory", "--n", str(cli.MAX_SYMBOLIC_N + 1))

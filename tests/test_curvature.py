@@ -10,14 +10,13 @@ from agdeform import curvature as curvature_mod
 from agdeform.curvature import (
     kappa_closed_form,
     nabla2_phi,
-    not_pure_trace,
     project_kappa,
     sorted_triples,
     trace_subspace,
 )
 from agdeform.deform import EndomorphismField, build_Phi, build_q
 from agdeform.exactalg import RationalFunction, ScaledValues, UsageError, substitute_all
-from agdeform.linalg import MatrixQ, rref
+from agdeform.linalg import MatrixQ, membership, rref
 from agdeform.model import Chart, ChartPoint
 from oracles import assert_positive_multiple, evaluation_point, reduced_dense_rows
 
@@ -234,7 +233,7 @@ def test_curvature_suite_builds_few_second_derivatives(monkeypatch):
             return seen[-1]
 
         monkeypatch.setattr(curvature_mod, name, keep)
-    reports = checks.curvature_suite((n,))
+    reports = checks.curvature_suite(n)
     assert [r.status for r in reports] == [checks.PASS] * 4
     (d2,), (projection,) = tensors, projections
     assert 0 < len(d2.second) <= 4 * n
@@ -286,11 +285,15 @@ def test_slice_values_are_a_positive_multiple_of_the_slice():
 
 
 def test_not_pure_trace():
+    """The membership verdict that curvature.not_pure_trace reads: a zero
+    slice and a pure-trace slice lie in the trace subspace, the kappa slice
+    at a generic point does not, and a slice of the wrong length is a usage
+    error."""
     n = 3
     sub = trace_subspace(n)
     triples = sorted_triples(n)
     zero_slice = [Fraction(0)] * (n * len(triples))
-    assert not not_pure_trace(zero_slice, sub)
+    assert membership(sub, zero_slice)
 
     # a manufactured pure-trace slice must stay inside the subspace
     s_matrix = {(1, 1): Fraction(2), (1, 2): Fraction(-1), (2, 2): Fraction(3),
@@ -306,12 +309,12 @@ def test_not_pure_trace():
         for (j, m, o) in triples
         for r in range(1, n + 1)
     ]
-    assert not not_pure_trace(trace_slice, sub)
+    assert membership(sub, trace_slice)
 
     point = ChartPoint.parse(CHART, "2,1;1,0;2,0")
     values = ScaledValues(substitute_all(PROJ.flat_slice(), CHART.c_substitution((1, 0))))
     generic_slice = values.at(point.evaluation_vector())
-    assert not_pure_trace(generic_slice, sub)
+    assert not membership(sub, generic_slice)
 
     with pytest.raises(UsageError):
-        not_pure_trace([Fraction(0)], sub)
+        membership(sub, [Fraction(0)])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agdeform import checks
+from agdeform import checks, deform
 from agdeform.deform import (
     EndomorphismField,
     build_Phi,
@@ -22,10 +22,11 @@ from agdeform.deform import (
     unscaled_flow_factor_check,
 )
 from agdeform.exactalg import UsageError, flat_index
-from agdeform.model import Chart, ChartPoint
+from agdeform.model import BundleActionMatrices, Chart, ChartPoint
 from oracles import evaluation_point, phi_at
 
 CHART = Chart(3)
+FAMILIES = ("v", "iota", "v_tilde", "iota_tilde", "w", "kappa", "w_tilde", "kappa_tilde")
 
 
 def test_q_polynomial():
@@ -54,23 +55,47 @@ def test_eigen_sections_components():
     sections = eigen_sections(CHART)
     x11, x12 = CHART.x(1, 1), CHART.x(1, 2)
     one, zero = CHART.const(1), CHART.const(0)
-    assert sections.v == (-x12, x11)
-    assert sections.iota == (one, zero)
-    assert sections.v_tilde == (zero, one)
-    assert sections.iota_tilde == (x11, x12)
-    assert sections.w == (CHART.x(1, 1), CHART.x(2, 1), CHART.x(3, 1))
-    assert sections.w_tilde == (one, zero, zero)
-    assert sections.kappa[0] == (zero, one, zero)
-    assert sections.kappa_tilde[0] == (-CHART.x(2, 1), x11, zero)
-    assert sections.kappa_tilde[1] == (-CHART.x(3, 1), zero, x11)
+    assert list(sections) == list(FAMILIES)
+    assert sections["v"] == {"v": (-x12, x11)}
+    assert sections["iota"] == {"iota": (one, zero)}
+    assert sections["v_tilde"] == {"v_tilde": (zero, one)}
+    assert sections["iota_tilde"] == {"iota_tilde": (x11, x12)}
+    assert sections["w"] == {"w": (CHART.x(1, 1), CHART.x(2, 1), CHART.x(3, 1))}
+    assert sections["w_tilde"] == {"w_tilde": (one, zero, zero)}
+    assert sections["kappa"] == {"kappa_2": (zero, one, zero), "kappa_3": (zero, zero, one)}
+    assert sections["kappa_tilde"] == {
+        "kappa_tilde^2": (-CHART.x(2, 1), x11, zero),
+        "kappa_tilde^3": (-CHART.x(3, 1), zero, x11),
+    }
 
 
 def test_transformation_laws_hold_with_expected_factors():
-    """Each law holds with the factor of transformation_check's docstring;
-    a wrong factor would make it fail."""
-    laws = {law.name: law for law in transformation_check(CHART)}
-    assert all(law.holds for law in laws.values())
-    assert len(laws) == 6 + 2 * (CHART.n - 1)
+    """Each law holds with the factor of transformation_check's docstring,
+    grouped by family like eigen_sections; a wrong action would make it
+    fail (see the next test)."""
+    laws = transformation_check(CHART)
+    assert {family: list(group) for family, group in laws.items()} == {
+        family: list(group) for family, group in eigen_sections(CHART).items()
+    }
+    assert all(holds for group in laws.values() for holds in group.values())
+    assert sum(len(group) for group in laws.values()) == 6 + 2 * (CHART.n - 1)
+
+
+def test_transformation_laws_fail_under_a_swapped_action(monkeypatch):
+    """Positive control: with the actions on E and E* swapped, the four
+    families on E and E* fail and the four on F and F* still hold."""
+    real = deform.bundle_actions
+
+    def swapped(X, t):
+        actions = real(X, t)
+        return BundleActionMatrices(actions.on_estar, actions.on_e, actions.on_f, actions.on_fstar)
+
+    monkeypatch.setattr(deform, "bundle_actions", swapped)
+    laws = transformation_check(CHART)
+    failing = {family for family, group in laws.items() if not any(group.values())}
+    holding = {family for family, group in laws.items() if all(group.values())}
+    assert failing == {"v", "iota", "v_tilde", "iota_tilde"}
+    assert holding == {"w", "kappa", "w_tilde", "kappa_tilde"}
 
 
 def test_phi_prime_and_phi_i_displays():
@@ -233,7 +258,7 @@ def test_inverse_check_fails_for_non_nilpotent_field(monkeypatch):
     )
     monkeypatch.setattr(checks, "build_Phi", lambda chart: diagonal)
     try:
-        reports = {r.check_id: r for r in checks.phi_suite((3,))}
+        reports = {r.check_id: r for r in checks.phi_suite(3)}
     finally:
         checks.artifacts.cache_clear()
     assert reports["deform.nilpotent.n3"].status == checks.FAIL

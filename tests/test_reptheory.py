@@ -605,7 +605,7 @@ def test_equivariance_check_rejects_a_flipped_structure_constant(fresh_artifacts
     table = next(t for t in spec.structure_constants[a_idx] if t)
     m = next(iter(table))
     table[m] = -table[m]
-    reports = {r.check_id: r.status for r in checks.reptheory_suite((n,), 0)}
+    reports = {r.check_id: r.status for r in checks.reptheory_suite(n, 0)}
     assert reports.pop(f"reptheory.equivariance.n{n}") == checks.FAIL
     assert set(reports.values()) == {checks.PASS}
 

@@ -275,11 +275,9 @@ VALUE_CLASSES = {
     "BundleActionMatrices",
     "CheckReport",
     "DecompositionDims",
-    "EigenSections",
     "Partial1Map",
     "RrefResult",
     "Subspace",
-    "TransformationLaw",
 }
 
 #: Value-class fields that no code in src/agdeform reads, and why each stays.

@@ -12,7 +12,6 @@ from collections.abc import Hashable
 import pytest
 
 from agdeform import checks
-from agdeform.deform import eigen_sections, transformation_check
 from agdeform.linalg import MatrixQ, rref, span_subspace
 from agdeform.model import Chart, ChartPoint, bundle_actions
 from agdeform.reptheory import GradedAlgebraSpec, build_partial1, decomposition_dims
@@ -23,8 +22,6 @@ CHART = Chart(3)
 #: A builder of one instance of each value class that compares by identity.
 IDENTITY_VALUED = {
     "CheckReport": lambda: checks.CheckReport("stub", checks.PASS, checks.NUMERIC, ""),
-    "EigenSections": lambda: eigen_sections(CHART),
-    "TransformationLaw": lambda: transformation_check(CHART)[0],
     "RrefResult": lambda: rref(MatrixQ.identity(2)),
     "BundleActionMatrices": lambda: bundle_actions(ChartPoint.generic(CHART), CHART.param("t")),
     "DecompositionDims": lambda: decomposition_dims(3),

@@ -8,10 +8,10 @@ share (the chart, q, the symbolic Phi_c, its torsion and second derivatives,
 the eigen laws and partial1) come from one process-wide cache, artifacts(n),
 so each is built once per process, inside the first check that reads it.
 
-Every suite takes one n; acceptance_suite and quick_suite hold the lists of
-n values.  The eigen laws come grouped by family, and eigen_suite reports
-each family apart.  The sampled kappa check tests the slice against the
-trace subspace with linalg.membership.
+Every suite takes one n; _suite_table gives each its n values under
+verify --all and under verify --n.  eigen_suite reports each family of
+deform.EIGEN_FAMILIES apart.  The sampled kappa check tests the slice
+against the trace subspace with linalg.membership.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 from . import curvature as curvature_mod
 from . import reptheory as rep_mod
 from .deform import (
+    EIGEN_FAMILIES,
     EndomorphismField,
     build_Phi,
     build_q,
@@ -61,7 +62,7 @@ NUMERIC = "numeric"
 PER_RADIUS = 100
 #: Chart sizes at which reptheory_suite checks the equivariance of partial1.
 EQUIVARIANCE_NS = (2, 3)
-#: Points at which curvature.not_pure_trace evaluates the kappa slice.
+#: Points at which the check curvature.not_pure_trace.n{n} evaluates the kappa slice.
 KAPPA_SAMPLES = 25
 
 
@@ -235,10 +236,10 @@ def flow_suite(n: int) -> list[CheckReport]:
 def eigen_suite(n: int) -> list[CheckReport]:
     art = artifacts(n)
     reports = []
-    for family in ("v", "iota", "v_tilde", "iota_tilde", "w", "kappa", "w_tilde", "kappa_tilde"):
+    for family in EIGEN_FAMILIES:
 
         def law_check():
-            group = art.laws[family]
+            group = art.laws.get(family)
             if not group:
                 return False, f"no laws found for family {family}", None
             bad = [name for name, holds in group.items() if not holds]
@@ -467,7 +468,7 @@ def phi_kills_brackets_suite(n: int) -> list[CheckReport]:
     """Phi theta[E~_a, E~_b] = 0 for every pair a < b of pulled-frame fields,
     symbolic c: the identity by which TorsionAssembler reads the torsion
     (Id + Phi) theta(-bracket) as the negated bracket.  It builds all
-    n(2n - 1) pairs, so only acceptance_suite runs it."""
+    n(2n - 1) pairs."""
     art = artifacts(n)
 
     def kills():
@@ -491,7 +492,7 @@ def frame_quadratic_cancels_suite(n: int) -> list[CheckReport]:
     b and every pair f < g, symbolic c: the Phi dPhi part of the pulled-frame
     bracket cancels, so with phi_kills_brackets the torsion is minus the
     antisymmetrised derivative of Phi that TorsionAssembler.pair reads.  It
-    sums over all n(2n - 1) pairs, so only acceptance_suite runs it."""
+    sums over all n(2n - 1) pairs."""
     art = artifacts(n)
 
     def cancels():
@@ -530,10 +531,23 @@ def _c_tag(c: Sequence[Fraction]) -> str:
     return "_".join(str(v).replace("/", "over").replace("-", "m") for v in c)
 
 
-def validate_sweep(n: int, c: Sequence[Fraction], s: int, ball_count: int) -> tuple[Fraction, ...]:
-    """c as exact rationals; raise UsageError unless the sweep can sample a
-    meaningful point: n - 1 exact rationals in c (Chart.c_substitution
-    counts them), 2 <= s <= n, c_s != 0, and at least one radius."""
+def density_check(
+    n: int, c: Sequence[Fraction], s: int, seed: int, ball_count: int
+) -> tuple[CheckReport, list[dict]]:
+    """Sampled nonvanishing sweep; also returns the per-point verdict table.
+
+    c is coerced to exact rationals.  Unless c holds n - 1 exact rationals
+    (Chart.c_substitution counts them), 2 <= s <= n, c_s != 0 and there is
+    at least one radius, UsageError is raised before any check runs, so a
+    request that cannot sample a meaningful point is never reported as a
+    FAIL or a vacuous PASS.  Both verdicts are unchanged by a positive scale
+    of the torsion vector, so they run on the integer vector of
+    TorsionAssembler.evaluate.  Phi at c (the shared symbolic Phi with
+    Chart.c_substitution(c) substituted), its torsion pairs (which read that
+    Phi's one table of first derivatives), the integer evaluator and the
+    column index of the residual functionals of Im(partial1) are all built
+    inside the check.
+    """
     c = tuple(coerce_rational(v) for v in c)
     Chart(n).c_substitution(c)
     if not (2 <= s <= n):
@@ -542,24 +556,6 @@ def validate_sweep(n: int, c: Sequence[Fraction], s: int, ball_count: int) -> tu
         raise UsageError("the sweep needs c_s != 0")
     if ball_count < 1:
         raise UsageError("the sweep needs at least one radius")
-    return c
-
-
-def density_check(
-    n: int, c: Sequence[Fraction], s: int, seed: int, ball_count: int
-) -> tuple[CheckReport, list[dict]]:
-    """Sampled nonvanishing sweep; also returns the per-point verdict table.
-
-    A request that cannot sample a meaningful point raises UsageError before
-    any check runs, so it is never reported as a FAIL or a vacuous PASS.
-    Both verdicts are unchanged by a positive scale of the torsion vector, so
-    they run on the integer vector of TorsionAssembler.evaluate.  Phi at c
-    (the shared symbolic Phi with Chart.c_substitution(c) substituted), its
-    torsion pairs (which read that Phi's one table of first derivatives),
-    the integer evaluator and the column index of the residual functionals
-    of Im(partial1) are all built inside the check.
-    """
-    c = validate_sweep(n, c, s, ball_count)
     records: list[dict] = []
 
     def sweep():
@@ -966,36 +962,35 @@ def derivative_oracle_suite(n: int, seed: int) -> list[CheckReport]:
 # -- assembled suites ------------------------------------------------------------------
 
 
+def _suite_table(seed: int, ball_count: int | None = None):
+    """Rows (suite of n, n values under verify --all, least n under verify
+    --n or None for never) with the seed, the sweep's c values and radii
+    bound; quick_suite never runs the sweep, so it gives no ball_count.
+    Built per call, so a suite patched by name in this module is run."""
+    return (
+        (flow_suite, (3, 4), 2),
+        (eigen_suite, (3, 4), 2),
+        (phi_suite, (3, 4), 3),
+        (torsion_suite, (3, 4), 3),
+        (phi_kills_brackets_suite, (3, 4), None),
+        (frame_quadratic_cancels_suite, (3, 4), None),
+        (torsion_zero_suite, (3,), 3),
+        (lambda n: [density_check(n, c, 2, seed, ball_count)[0] for c in ((1, 0), (2, -3))], (3,), None),
+        (lambda n: reptheory_suite(n, seed), (2, 3, 4, 5), 2),
+        (curvature_suite, (3, 4), 3),
+        (lambda n: curvature_numeric_suite(n, seed), (3,), None),
+        (lambda n: derivative_oracle_suite(n, seed), (3,), None),
+    )
+
+
 def acceptance_suite(seed: int, ball_count: int) -> list[CheckReport]:
-    """Every check backing the acceptance gate, in deterministic order."""
-    reports: list[CheckReport] = []
-    for suite in (
-        flow_suite,
-        eigen_suite,
-        phi_suite,
-        torsion_suite,
-        phi_kills_brackets_suite,
-        frame_quadratic_cancels_suite,
-    ):
-        for n in (3, 4):
-            reports += suite(n)
-    reports += torsion_zero_suite(3)
-    for c in ([Fraction(1), Fraction(0)], [Fraction(2), Fraction(-3)]):
-        report, _ = density_check(3, c, 2, seed, ball_count)
-        reports.append(report)
-    for n in (2, 3, 4, 5):
-        reports += reptheory_suite(n, seed)
-    for n in (3, 4):
-        reports += curvature_suite(n)
-    reports += curvature_numeric_suite(3, seed)
-    reports += derivative_oracle_suite(3, seed)
-    return sort_reports(reports)
+    """Every check backing the acceptance gate: each suite of _suite_table
+    over its verify --all n values before the next."""
+    rows = _suite_table(seed, ball_count)
+    return sort_reports([r for suite, ns, _ in rows for n in ns for r in suite(n)])
 
 
 def quick_suite(n: int, seed: int) -> list[CheckReport]:
-    """Symbolic checks plus small samples for a single n (verify without --all)."""
-    reports = flow_suite(n) + eigen_suite(n)
-    if n >= 3:
-        reports += phi_suite(n) + torsion_suite(n) + torsion_zero_suite(n) + curvature_suite(n)
-    reports += reptheory_suite(n, seed)
-    return sort_reports(reports)
+    """verify without --all: each suite of _suite_table from its least n on."""
+    rows = [(suite, least) for suite, _, least in _suite_table(seed) if least is not None]
+    return sort_reports([r for suite, least in rows if least <= n for r in suite(n)])

@@ -33,6 +33,20 @@ from .model import Chart, ChartPoint, SymbolicMatrix, bundle_actions, flow_point
 # -- eigen-sections ------------------------------------------------------------------
 
 
+#: Each family of eigen_sections: the model.BundleActionMatrices field that
+#: moves it, and whether its law carries the factor (1 + t x11) (else 1).
+EIGEN_FAMILIES: dict[str, tuple[str, bool]] = {
+    "v": ("on_e", True),
+    "iota": ("on_e", True),
+    "v_tilde": ("on_estar", False),
+    "iota_tilde": ("on_estar", False),
+    "w": ("on_f", False),
+    "kappa": ("on_f", False),
+    "w_tilde": ("on_fstar", True),
+    "kappa_tilde": ("on_fstar", True),
+}
+
+
 def eigen_sections(chart: Chart) -> dict[str, dict[str, tuple[RationalFunction, ...]]]:
     """Component vectors of the flow eigen-sections at the generic point,
     as {family: {law name: components}}.
@@ -72,9 +86,8 @@ def transformation_check(chart: Chart) -> dict[str, dict[str, bool]]:
     symbolic flow time t.
 
     E-sections transform by the E action, dual sections by the stored
-    column-convention dual matrices.  The scale factors are (1 + t x11) for
-    v, iota, w_tilde, kappa_tilde^i and 1 for v_tilde, iota_tilde, w,
-    kappa_i.
+    column-convention dual matrices; EIGEN_FAMILIES gives each family's
+    action and factor, and a family it lacks raises KeyError.
     """
     t = chart.param("t")
     generic = ChartPoint.generic(chart)
@@ -82,20 +95,10 @@ def transformation_check(chart: Chart) -> dict[str, dict[str, bool]]:
     flowed = flow_point(generic, t).substitution()
     one = chart.const(1)
     u = one + t * chart.x(1, 1)
-    moves: dict[str, tuple[SymbolicMatrix, RationalFunction]] = {
-        "v": (actions.on_e, u),
-        "iota": (actions.on_e, u),
-        "v_tilde": (actions.on_estar, one),
-        "iota_tilde": (actions.on_estar, one),
-        "w": (actions.on_f, one),
-        "kappa": (actions.on_f, one),
-        "w_tilde": (actions.on_fstar, u),
-        "kappa_tilde": (actions.on_fstar, u),
-    }
-
     laws: dict[str, dict[str, bool]] = {}
     for family, sections in eigen_sections(chart).items():
-        matrix, factor = moves[family]
+        field, scaled = EIGEN_FAMILIES[family]
+        matrix, factor = getattr(actions, field), u if scaled else one
         laws[family] = {}
         for name, components in sections.items():
             moved = matrix.apply(components)

@@ -204,6 +204,29 @@ def test_acceptance_suite_builds_n3_second_derivatives_once(monkeypatch, fresh_c
     assert all(r.status == checks.PASS for r in reports)
 
 
+def test_acceptance_suite_runs_every_suite_at_each_n_of_its_row(monkeypatch):
+    """Every *_suite of checks but the two readers has a row in
+    _suite_table, and acceptance_suite(0, 1) calls it at each n of that row:
+    a suite left out of the table would never run under verify --all.  Each
+    suite is stubbed with a recorder."""
+    readers = ("acceptance_suite", "quick_suite")
+    names = [name for name in dir(checks) if name.endswith("_suite") and name not in readers]
+    calls = []
+    for name in names:
+        monkeypatch.setattr(checks, name, lambda n, *args, name=name: calls.append((name, n)) or [])
+    stub = checks.CheckReport("stub", checks.PASS, checks.NUMERIC, "")
+    monkeypatch.setattr(checks, "density_check", lambda n, *args: calls.append(("density_check", n)) or (stub, []))
+    rows = {}
+    for suite, ns, _ in checks._suite_table(0, 1):
+        calls.clear()
+        suite(ns[0])
+        rows.update(dict.fromkeys({name for name, _ in calls}, ns))
+    assert not set(names) - set(rows), "suites with no row in _suite_table"
+    calls.clear()
+    checks.acceptance_suite(0, 1)
+    assert set(calls) == {(name, n) for name, ns in rows.items() for n in ns}
+
+
 def test_derivative_oracle_fails_on_a_negated_table_entry(fresh_cache):
     """Positive control: one negated entry of Phi's shared table of first
     derivatives fails the oracle, which reads that table."""
@@ -341,6 +364,45 @@ def test_eigen_suite_reports_each_family_apart(monkeypatch, fresh_cache):
     assert len(reports) == 8
 
 
+def _with_v_copy(monkeypatch, sections: bool, table: bool):
+    """Add a family v_copy, a copy of v, to deform.eigen_sections, to
+    deform.EIGEN_FAMILIES, or to both."""
+    real = deform.eigen_sections
+
+    def with_copy(chart):
+        got = real(chart)
+        return {**got, "v_copy": {"v_copy": got["v"]["v"]}}
+
+    if sections:
+        monkeypatch.setattr(deform, "eigen_sections", with_copy)
+    if table:
+        monkeypatch.setitem(deform.EIGEN_FAMILIES, "v_copy", deform.EIGEN_FAMILIES["v"])
+
+
+@pytest.mark.parametrize(
+    "sections, table, count, failed",
+    [
+        (True, True, 9, {}),
+        (False, True, 9, {"v_copy": "no laws found for family v_copy"}),
+        (True, False, 8, dict.fromkeys(deform.EIGEN_FAMILIES, "error: 'v_copy'")),
+    ],
+    ids=["both_tables", "table_only", "sections_only"],
+)
+def test_eigen_suite_follows_the_family_table(monkeypatch, fresh_cache, sections, table, count, failed):
+    """Positive controls of deform.EIGEN_FAMILIES: a ninth family in both
+    tables is reported as its own check; one in the table alone fails as
+    missing; one in eigen_sections alone makes transformation_check raise,
+    so every eigen check fails naming it."""
+    _with_v_copy(monkeypatch, sections, table)
+    reports = {r.check_id: r for r in checks.eigen_suite(3)}
+    assert len(reports) == count
+    assert {
+        check_id.split(".")[2]: r.detail for check_id, r in reports.items() if r.status == checks.FAIL
+    } == failed
+    if not failed:
+        assert reports["eigen.law.v_copy.n3"].detail == "1 law(s) hold with symbolic t"
+
+
 def test_zero_deformation_fails_on_a_c_free_phi_term(monkeypatch, fresh_cache):
     """Positive control: the symbolic-c Phi with a c-free x22 term in one
     entry keeps torsion at c = 0.  The check substitutes c = 0 into that
@@ -416,8 +478,8 @@ def test_sweep_coerces_c_to_fractions(monkeypatch, fresh_cache):
     ((phi, mapping),) = built
     assert phi is art.phi
     assert mapping == art.chart.c_substitution((Fraction(2), Fraction(-3)))
-    c = checks.validate_sweep(3, [2, "-3"], 2, 1)
-    assert c == (Fraction(2), Fraction(-3)) and all(type(v) is Fraction for v in c)
+    report, _ = checks.density_check(3, ["4/2", "-6/2"], 2, 1, 1)
+    assert report.check_id == "torsion.density.n3.s2.c2_m3", report.check_id
 
 
 def test_reptheory_suite_passes_at_n6(fresh_cache):

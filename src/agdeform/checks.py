@@ -754,7 +754,8 @@ def dimension_table(n: int) -> dict:
 
 def _display_second_derivatives(chart: Chart, r: int):
     """The three printed second-derivative formulas, built independently,
-    over the q of Chart.sf_sum."""
+    over the q of Chart.sf_sum.  Each is sum_i c_i x_i1 x_r1 times a shape
+    free of i, summed by one dot."""
     n = chart.n
     qi = chart.sf_sum().inverse()
     qi2 = qi * qi
@@ -763,27 +764,19 @@ def _display_second_derivatives(chart: Chart, r: int):
     x12 = chart.x(1, 2)
     xr1 = chart.x(r, 1)
     e = x11 * x11 + x12 * x12
-    zero = chart.const(0)
-    a = zero
-    b = zero
-    cc = zero
-    for i in range(2, n + 1):
-        ci = chart.param(f"c{i}")
-        base = ci * chart.x(i, 1) * xr1
-        a = a + base * (
-            qi - chart.const(2) * e * qi2 + chart.const(8) * x12 * x12 * x11 * x11 * qi3
-        )
-        b = b + base * (
-            chart.const(2) * qi
-            - chart.const(10) * x12 * x12 * qi2
-            + chart.const(8) * x12 * x12 * x12 * x12 * qi3
-        )
-        cc = cc - base * (
+    shapes = (
+        qi - chart.const(2) * e * qi2 + chart.const(8) * x12 * x12 * x11 * x11 * qi3,
+        chart.const(2) * qi
+        - chart.const(10) * x12 * x12 * qi2
+        + chart.const(8) * x12 * x12 * x12 * x12 * qi3,
+        -(
             chart.const(2) * qi
             - chart.const(10) * x11 * x11 * qi2
             + chart.const(8) * x11 * x11 * x11 * x11 * qi3
-        )
-    return a, b, cc
+        ),
+    )
+    bases = [chart.param(f"c{i}") * chart.x(i, 1) * xr1 for i in range(2, n + 1)]
+    return tuple(dot(chart.table, [(base, shape) for base in bases]) for shape in shapes)
 
 
 def curvature_suite(n: int) -> list[CheckReport]:

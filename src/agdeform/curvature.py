@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .exactalg import RationalFunction, UsageError, flat_index
+from .exactalg import RationalFunction, UsageError, dot, flat_index
 from .linalg import Subspace, span_subspace
 from .model import Chart
 from .deform import EndomorphismField
@@ -88,8 +88,8 @@ def sorted_triples(n: int) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-_HALF = Fraction(1, 2)
-_SIXTH = Fraction(1, 6)
+#: The 1/2 of the skew step times the 1/6 of the symmetrisation.
+_TWELFTH = Fraction(1, 12)
 
 
 class KappaProjection:
@@ -120,18 +120,15 @@ class KappaProjection:
         if value is None:
             table = self.chart.table
             entry = self.d2.entry
-
-            def contracted(ip: int, j: int, m: int, o: int, qp: int) -> RationalFunction:
-                acc = RationalFunction.zero(table)
-                for lp in (1, 2):
-                    acc = acc + entry(ip, j, lp, m, lp, o, qp, r)
-                return acc
-
-            acc = RationalFunction.zero(table)
-            for j, m, o in permutations(triple):
-                skew = contracted(2, j, m, o, 1) - contracted(1, j, m, o, 2)
-                acc = acc + skew.scale(_HALF)
-            value = self.values[key] = acc.scale(_SIXTH)
+            plus, minus = RationalFunction.constant(table, 1), RationalFunction.constant(table, -1)
+            # The 24 signed entries, summed and normalised once by dot.
+            signed = [
+                (entry(ip, j, lp, m, lp, o, qp, r), sign)
+                for j, m, o in permutations(triple)
+                for ip, qp, sign in ((2, 1, plus), (1, 2, minus))
+                for lp in (1, 2)
+            ]
+            value = self.values[key] = dot(table, signed).scale(_TWELFTH)
         return value
 
     def flat_slice(self) -> list[RationalFunction]:
@@ -164,10 +161,8 @@ def kappa_closed_form(chart: Chart, r: int) -> RationalFunction:
         - chart.const(7) * e * qinv * qinv
         + chart.const(4) * e * e * qinv * qinv * qinv
     )
-    acc = RationalFunction.zero(chart.table)
-    for i in range(2, n + 1):
-        acc = acc + chart.param(f"c{i}") * chart.x(i, 1) * chart.x(r, 1) * shape
-    return acc
+    tail = chart.x(r, 1) * shape
+    return dot(chart.table, [(chart.param(f"c{i}") * chart.x(i, 1), tail) for i in range(2, n + 1)])
 
 
 def trace_subspace(n: int) -> Subspace:

@@ -27,6 +27,16 @@ a Fraction only when its denominator is above 1.  Most coefficients are
 integers, so the hot loops run on ints; equal values compare and hash
 alike either way (hash(2) == hash(Fraction(2))).
 
+Each value is normalised once, by RationalFunction._reduce: it merges the
+denominator factors, sorts them and trial-divides.  The public constructor
+checks its factors and makes them monic before it calls _reduce; products,
+derivatives and sums, whose factors are canonical already, call it through
+_from_monic and skip those checks.  A sum of raw terms (_sum_terms) adds
+every numerator into one coefficient map and reduces once; dot hands it
+each pair a * b unexpanded, and when every pair shares one factorization
+the pair is multiplied straight into that map, so no product polynomial is
+built.
+
 A monomial is one packed int (after Monagan and Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
 2007): each variable owns an 8-bit field whose top bit is a guard, so an
@@ -623,7 +633,7 @@ class RationalFunction:
             self.num = num
             self.den = ()
             return
-        merged: dict[Polynomial, list] = {}
+        factors: list[tuple[Polynomial, int]] = []
         scale = 1
         for factor, exponent in den:
             if factor.table != table:
@@ -641,15 +651,30 @@ class RationalFunction:
             if lead != 1:
                 factor = factor.scale(Fraction(1, lead))
                 scale = scale * lead**exponent
+            factors.append((factor, exponent))
+        if scale != 1:
+            num = num.scale(Fraction(1, scale))
+        self._reduce(num, factors)
+
+    def _reduce(self, num: Polynomial, den: Iterable[tuple[Polynomial, int]]) -> None:
+        """Store num over den in canonical form: the one reduction routine.
+
+        den lists monic, non-constant factors over num's table with positive
+        exponents, which may repeat.  Equal factors are merged, the factors
+        sorted by key(), and each is trial-divided out of num as often as
+        it goes: the only reduction performed, and enough to reach canonical
+        zero because equality testing never relies on it.
+        """
+        if not num.coeffs:
+            self.num, self.den = num, ()
+            return
+        merged: dict[Polynomial, list] = {}
+        for factor, exponent in den:
             entry = merged.get(factor)
             if entry is None:
                 merged[factor] = [factor, exponent]
             else:
                 entry[1] += exponent
-        if scale != 1:
-            num = num.scale(Fraction(1, scale))
-        # Trial division: the only reduction performed, and enough to reach
-        # canonical zero because equality testing never relies on it.
         factors: list[list] = sorted(merged.values(), key=lambda e: e[0].key())
         for entry in factors:
             factor = entry[0]
@@ -679,6 +704,16 @@ class RationalFunction:
     @staticmethod
     def from_polynomial(num: Polynomial) -> "RationalFunction":
         return RationalFunction(num, ())
+
+    @classmethod
+    def _from_monic(
+        cls, num: Polynomial, den: Iterable[tuple[Polynomial, int]]
+    ) -> "RationalFunction":
+        """num over factors already monic, non-constant and over num's table
+        (see _reduce); skips the checks and the monic scaling of __init__."""
+        out = object.__new__(cls)
+        out._reduce(num, den)
+        return out
 
     @classmethod
     def _raw(cls, num: Polynomial, den: DenominatorFactors) -> "RationalFunction":
@@ -749,7 +784,7 @@ class RationalFunction:
         self._check(other)
         if self.is_zero() or other.is_zero():
             return RationalFunction.zero(self.table)
-        return RationalFunction(self.num * other.num, self.den + other.den)
+        return RationalFunction._from_monic(self.num * other.num, self.den + other.den)
 
     def inverse(self) -> "RationalFunction":
         if self.is_zero():
@@ -779,7 +814,7 @@ class RationalFunction:
             raise UsageError(f"variable index {idx} out of range")
         new_num = self.num.differentiate(idx)
         if not self.den:
-            return RationalFunction(new_num, ())
+            return RationalFunction._from_monic(new_num, ())
         factors = [f for f, _ in self.den]
         for factor in factors:
             new_num = new_num * factor
@@ -795,7 +830,7 @@ class RationalFunction:
             correction = term if correction is None else correction + term
         if correction is not None:
             new_num = new_num - self.num * correction
-        return RationalFunction(new_num, tuple((f, e + 1) for f, e in self.den))
+        return RationalFunction._from_monic(new_num, [(f, e + 1) for f, e in self.den])
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         value = _ONE
@@ -835,16 +870,21 @@ def substitute_all(
     return out
 
 
-RawTerm = tuple[Polynomial, Iterable[tuple[Polynomial, int]]]
+#: A numerator and its denominator factors.  The numerator is a Polynomial,
+#: or an unexpanded pair of Polynomials whose product it is (see dot).
+RawTerm = tuple[Polynomial | tuple[Polynomial, Polynomial], Iterable[tuple[Polynomial, int]]]
 
 
-def _align(terms: Sequence[RawTerm]) -> tuple[list[Polynomial], DenominatorFactors]:
+def _align(terms: Sequence[RawTerm]) -> tuple[list, DenominatorFactors]:
     """Every numerator over the lcm of the terms' factorizations, and the lcm.
 
-    A term is a numerator and its monic, non-constant denominator factors,
-    which may repeat (a raw product lists both operands' factors).  The lcm
-    lists the factors in order of first appearance and keeps the first
-    object seen for each; each power f**k is built once per call.
+    A term is a raw term: its denominator factors are monic and
+    non-constant, and may repeat (a raw product lists both operands'
+    factors).  The lcm lists the factors in order of first appearance and
+    keeps the first object seen for each.  When every term has the lcm's
+    factorization, the numerators come back unchanged, pairs unexpanded;
+    otherwise each pair is expanded and each power f**k is built once per
+    call.
     """
     owned: list[dict[Polynomial, int]] = []
     lcm: dict[Polynomial, int] = {}
@@ -856,9 +896,13 @@ def _align(terms: Sequence[RawTerm]) -> tuple[list[Polynomial], DenominatorFacto
             if lcm.get(factor, 0) < exponent:
                 lcm[factor] = exponent
         owned.append(mine)
+    if all(mine == lcm for mine in owned):
+        return [num for num, _ in terms], tuple(lcm.items())
     powers: dict[tuple[Polynomial, int], Polynomial] = {}
     numerators = []
     for (num, _), mine in zip(terms, owned):
+        if type(num) is tuple:
+            num = num[0] * num[1]
         for factor, exponent in lcm.items():
             lack = exponent - mine.get(factor, 0)
             if lack:
@@ -874,21 +918,38 @@ def _sum_terms(table: VariableTable, terms: Iterable[RawTerm]) -> RationalFuncti
     """The sum of raw terms (see _align), normalized once.
 
     The numerators are brought over the lcm and added into one coefficient
-    map, so trial division runs once for the whole sum rather than once per
-    term and once per partial sum.
+    map, a pair multiplied straight into it, so trial division runs once
+    for the whole sum rather than once per term and once per partial sum.
+    A pair's factors are taken to be nonzero, as dot passes them.
     """
-    terms = [term for term in terms if term[0].coeffs]
+    terms = [term for term in terms if type(term[0]) is tuple or term[0].coeffs]
     if not terms:
         return RationalFunction.zero(table)
     numerators, lcm = _align(terms)
     total: dict[Monomial, int | Fraction] = {}
+    get = total.get
     for num in numerators:
-        if num.table != table:
-            raise MismatchedTables("terms use different variable tables")
-        for mono, coeff in num.coeffs.items():
-            acc = total.get(mono)
-            total[mono] = coeff if acc is None else acc + coeff
-    return RationalFunction(Polynomial(table, total), lcm)
+        if type(num) is tuple:
+            left, right = num
+            if left.table != table or right.table != table:
+                raise MismatchedTables("terms use different variable tables")
+            for m1, c1 in left.coeffs.items():
+                for m2, c2 in right.coeffs.items():
+                    mono = m1 + m2
+                    acc = get(mono)
+                    total[mono] = c1 * c2 if acc is None else acc + c1 * c2
+        else:
+            if num.table != table:
+                raise MismatchedTables("terms use different variable tables")
+            for mono, coeff in num.coeffs.items():
+                acc = get(mono)
+                total[mono] = coeff if acc is None else acc + coeff
+    # As in Polynomial.__mul__: no field of a pair's product carries, and a
+    # monomial whose guard bit is set has reached the limit.  Zero sums are
+    # still keys here, so a product that cancels is caught too.
+    if functools.reduce(operator.or_, total, 0) & table.guard:
+        raise UsageError(_OVERFLOW)
+    return RationalFunction._from_monic(Polynomial(table, total), lcm)
 
 
 def dot(
@@ -897,7 +958,7 @@ def dot(
     """The sum of a * b over the pairs, normalized once (see _sum_terms)."""
     return _sum_terms(
         table,
-        [(a.num * b.num, a.den + b.den) for a, b in pairs if a.num.coeffs and b.num.coeffs],
+        [((a.num, b.num), a.den + b.den) for a, b in pairs if a.num.coeffs and b.num.coeffs],
     )
 
 

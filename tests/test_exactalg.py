@@ -734,10 +734,13 @@ def test_divisor_keeps_its_zero_point_outside_eq_and_hash():
 
 
 def _pairwise_sum(table, terms):
-    """The oracle for exactalg._sum_terms: normalize every term, then add
-    the terms one at a time, each partial sum normalized again."""
+    """The oracle for exactalg._sum_terms: expand every pair, normalize every
+    term, then add the terms one at a time, each partial sum normalized
+    again."""
     acc = RationalFunction.zero(table)
     for num, den in terms:
+        if isinstance(num, tuple):
+            num = num[0] * num[1]
         acc = acc + RationalFunction(num, den)
     return acc
 
@@ -777,8 +780,9 @@ def test_sum_terms_matches_pairwise_accumulation(terms):
 
 def test_sum_terms_matches_pairwise_on_recorded_calls(monkeypatch):
     """Every fused sum that quick_suite(3) makes (matrix products and
-    applications, substitution, and + itself) has the stored form of the
-    pairwise accumulation of the same terms."""
+    applications through dot, with their pairs unexpanded, substitution, and
+    + itself) has the stored form of the pairwise accumulation of the same
+    terms."""
     calls = []
     fused = exactalg._sum_terms
 
@@ -796,8 +800,52 @@ def test_sum_terms_matches_pairwise_on_recorded_calls(monkeypatch):
         monkeypatch.undo()
         checks.artifacts.cache_clear()
     assert sum(len(terms) > 2 for _, terms, _ in calls) > 100
+    assert sum(isinstance(num, tuple) for _, terms, _ in calls for num, _ in terms) > 1000
     for table, terms, result in calls:
         assert _stored(result) == _stored(_pairwise_sum(table, terms))
+
+
+@st.composite
+def monic_factor_lists(draw):
+    """Factors of KERNEL_FACTORS in any order, repeats allowed, with
+    exponents 1-3, and a numerator that some of them divide."""
+    den = draw(
+        st.lists(st.tuples(st.sampled_from(KERNEL_FACTORS), st.integers(1, 3)), max_size=5)
+    )
+    num = draw(small_polys())
+    for factor in draw(st.lists(st.sampled_from(KERNEL_FACTORS), max_size=3)):
+        num = num * factor
+    return num, den
+
+
+@settings(max_examples=200, deadline=None)
+@given(monic_factor_lists())
+def test_internal_constructor_matches_the_checked_one(num_den):
+    """RationalFunction._from_monic, which skips the checks and the monic
+    scaling, stores what the public constructor stores."""
+    num, den = num_den
+    fast = RationalFunction._from_monic(num, den)
+    assert _stored(fast) == _stored(RationalFunction(num, den))
+    assert _stored(fast) == _stored(RationalFunction(num, list(reversed(den))))
+
+
+def test_dot_matches_pairwise_on_shared_and_mixed_denominators():
+    """A dot whose pairs all share one factorization is summed with its
+    pairs unexpanded; one with mixed denominators goes over the lcm; both
+    have the stored form of the pairwise sum of the expanded products."""
+    q = q_rf()
+    x11, x21, t = rf_var(1, 1), rf_var(2, 1), RationalFunction.variable(TABLE, TABLE.index("t"))
+    qi = q.inverse()
+    shared = [(x11 * qi, x21), (x21, x11 * x11 * qi), (q * qi * qi, t), (x11 * qi, -x11)]
+    mixed = [(x11 * qi, x21 * qi), (x21, x11), (q, t * qi), (x11 * qi, x11 * x21)]
+    for pairs, unexpanded in ((shared, True), (mixed, False)):
+        terms = [((a.num, b.num), a.den + b.den) for a, b in pairs]
+        numerators, _ = exactalg._align(terms)
+        assert all(isinstance(num, tuple) for num in numerators) is unexpanded
+        got = exactalg.dot(TABLE, pairs)
+        want = _pairwise_sum(TABLE, [(a.num * b.num, a.den + b.den) for a, b in pairs])
+        assert got == want
+        assert _stored(got) == _stored(want)
 
 
 def test_dot_and_substitute_skip_zero_terms():
@@ -1066,27 +1114,54 @@ def test_pack_round_trips_and_keeps_lex_order(exponent_lists):
     assert all(m & TABLE.guard == 0 for m in monos)
 
 
+def _canonical_den(den):
+    """Monic, non-constant factors with positive int exponents, sorted by
+    key() without repeats: what RationalFunction._from_monic takes on trust
+    from every stored den."""
+    keys = [factor.key() for factor, _ in den]
+    return all(
+        not factor.is_constant() and factor.leading()[1] == 1 and type(e) is int and e > 0
+        for factor, e in den
+    ) and all(a < b for a, b in zip(keys, keys[1:]))
+
+
 def test_quick_suite_stores_only_canonical_coefficients(monkeypatch):
-    """No polynomial built during quick_suite(3) stores a float, a bool or an
-    integral Fraction; a float coefficient is refused."""
+    """No polynomial built during quick_suite(3) and quick_suite(4) stores a
+    float, a bool or an integral Fraction, and every rational function built
+    stores a canonical den; a float coefficient is refused."""
     built = []
     bad = []
-    init = Polynomial.__init__
+    dens = []
+    init, reduce, raw = Polynomial.__init__, RationalFunction._reduce, RationalFunction._raw
 
     def record(self, table, coeffs):
         init(self, table, coeffs)
         built.append(len(self.coeffs))
         bad.extend(c for c in self.coeffs.values() if not _is_canonical(c))
 
+    def record_reduce(self, num, den):
+        reduce(self, num, den)
+        dens.append(self.den)
+
+    def record_raw(num, den):
+        out = raw(num, den)
+        dens.append(out.den)
+        return out
+
     checks.artifacts.cache_clear()
     monkeypatch.setattr(Polynomial, "__init__", record)
+    monkeypatch.setattr(RationalFunction, "_reduce", record_reduce)
+    monkeypatch.setattr(RationalFunction, "_raw", staticmethod(record_raw))
     try:
-        assert all(r.status == checks.PASS for r in checks.quick_suite(3, 0))
+        for n in (3, 4):
+            assert all(r.status == checks.PASS for r in checks.quick_suite(n, 0))
     finally:
         monkeypatch.undo()
         checks.artifacts.cache_clear()
     assert sum(built) > 10_000
     assert bad == []
+    assert sum(len(den) for den in dens) > 1_000
+    assert [den for den in dens if not _canonical_den(den)] == []
     mono = pack_monomial((0,) * TABLE.size)
     for value in (0.5, 0.0, True, "1"):
         with pytest.raises(UsageError):
@@ -1131,6 +1206,9 @@ def test_exponent_limit_raises_and_never_carries(idx):
         v**128
     with pytest.raises(UsageError):
         (v**64) * (v**64 + Polynomial.constant(TABLE, 1))
+    half = RationalFunction.from_polynomial(v**64)
+    with pytest.raises(UsageError):
+        exactalg.dot(TABLE, [(half, half)])
     with pytest.raises(UsageError):
         pack_monomial([128 if k == idx else 0 for k in range(TABLE.size)])
 

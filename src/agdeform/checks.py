@@ -967,7 +967,7 @@ def _suite_table(seed: int, ball_count: int | None = None):
         (torsion_suite, (3, 4), 3),
         (phi_kills_brackets_suite, (3, 4), None),
         (frame_quadratic_cancels_suite, (3, 4), None),
-        (torsion_zero_suite, (3,), 3),
+        (torsion_zero_suite, (3, 4), 3),
         (lambda n: [density_check(n, c, 2, seed, ball_count)[0] for c in ((1, 0), (2, -3))], (3,), None),
         (lambda n: reptheory_suite(n, seed), (2, 3, 4, 5), 2),
         (curvature_suite, (3, 4), 3),

@@ -18,7 +18,9 @@ from agdeform import checks, cli
 #: sha256 of json.dumps([r.as_dict() for r in reports], indent=2,
 #: sort_keys=True) for the fixture below.  A refactor must keep these bytes;
 #: a change to a check id, verdict or detail text must update the digest.
-REPORTS_SHA256 = "18dd102e488b25063626a9f626da5cbbc0c6fda1b8d1bda0e0c465d06b2178da"
+#: With torsion.zero_deformation.n4 filtered out, the reports hash to the
+#: digest before that id joined the acceptance suite, 18dd102e....
+REPORTS_SHA256 = "0c304437d26148dc7cd794b93c1fa88662ba12104f83b044b1c40f65e8047e8d"
 
 #: sha256 of the stdout of `agdeform verify --n 2 --format json`, the one
 #: pinned output that runs the flow and eigen checks at n = 2, where each

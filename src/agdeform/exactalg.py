@@ -320,7 +320,8 @@ class Polynomial:
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other: "Polynomial") -> None:
-        if self.table != other.table:
+        # Identity first: the values of one chart share its table object.
+        if self.table is not other.table and self.table != other.table:
             raise MismatchedTables("operands use different variable tables")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -756,7 +757,7 @@ class RationalFunction:
     # -- arithmetic ---------------------------------------------------------------
 
     def _check(self, other: "RationalFunction") -> None:
-        if self.table != other.table:
+        if self.table is not other.table and self.table != other.table:
             raise MismatchedTables("operands use different variable tables")
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
@@ -782,8 +783,10 @@ class RationalFunction:
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return RationalFunction.zero(self.table)
+        if self.is_zero():
+            return self
+        if other.is_zero():
+            return other
         return RationalFunction._from_monic(self.num * other.num, self.den + other.den)
 
     def inverse(self) -> "RationalFunction":
@@ -858,14 +861,18 @@ def substitute_all(
     substitutes it once.
     """
     inverses: dict[Polynomial, RationalFunction] = {}
+    powers: dict[tuple[Polynomial, int], RationalFunction] = {}
     out = []
     for value in values:
         result = value.num.substitute(mapping)
         for factor, exponent in value.den:
-            inverse = inverses.get(factor)
-            if inverse is None:
-                inverse = inverses[factor] = factor.substitute(mapping).inverse()
-            result = result * inverse**exponent
+            power = powers.get((factor, exponent))
+            if power is None:
+                inverse = inverses.get(factor)
+                if inverse is None:
+                    inverse = inverses[factor] = factor.substitute(mapping).inverse()
+                power = powers[factor, exponent] = inverse**exponent
+            result = result * power
         out.append(result)
     return out
 
@@ -931,7 +938,9 @@ def _sum_terms(table: VariableTable, terms: Iterable[RawTerm]) -> RationalFuncti
     for num in numerators:
         if type(num) is tuple:
             left, right = num
-            if left.table != table or right.table != table:
+            if (left.table is not table and left.table != table) or (
+                right.table is not table and right.table != table
+            ):
                 raise MismatchedTables("terms use different variable tables")
             for m1, c1 in left.coeffs.items():
                 for m2, c2 in right.coeffs.items():
@@ -939,7 +948,7 @@ def _sum_terms(table: VariableTable, terms: Iterable[RawTerm]) -> RationalFuncti
                     acc = get(mono)
                     total[mono] = c1 * c2 if acc is None else acc + c1 * c2
         else:
-            if num.table != table:
+            if num.table is not table and num.table != table:
                 raise MismatchedTables("terms use different variable tables")
             for mono, coeff in num.coeffs.items():
                 acc = get(mono)

@@ -102,9 +102,20 @@ def test_flat_index_matches_chart_order():
 
 
 def test_mismatched_tables_rejected():
+    """Values over different tables do not combine, in +, * or either path
+    of dot; an equal table that is another object does."""
     other = VariableTable(4)
+    x, y = RationalFunction.variable(TABLE, 0), RationalFunction.variable(other, 0)
     with pytest.raises(MismatchedTables):
-        RationalFunction.variable(TABLE, 0) + RationalFunction.variable(other, 0)
+        x + y
+    with pytest.raises(MismatchedTables):
+        x * y
+    q = q_rf()
+    for pairs in ([(x, y)], [(x / q, y), (x, x)]):
+        with pytest.raises(MismatchedTables):
+            exactalg.dot(TABLE, pairs)
+    same = RationalFunction.variable(VariableTable(3), 0)
+    assert exactalg.dot(TABLE, [(x, same)]) == x * x == x * same
 
 
 def test_ring_laws_randomized():

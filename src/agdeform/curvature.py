@@ -110,10 +110,12 @@ class KappaProjection:
         self.values: dict[tuple, RationalFunction] = {}
 
     def value(self, triple: tuple[int, int, int], r: int) -> RationalFunction:
-        """The (2', 1') component on a sorted triple, steps 1..3 in order.
+        """The (2', 1') component on a sorted triple, after steps 1..3.
 
         (1) contract p' with l'; (2) skew-symmetrize (i', q') with factor 1/2;
         (3) symmetrize (j, m, o) by averaging over all six permutations.
+        The three steps are linear, so they are one signed sum of 24
+        entries times 1/12.
         """
         key = (triple, r)
         value = self.values.get(key)
@@ -121,7 +123,6 @@ class KappaProjection:
             table = self.chart.table
             entry = self.d2.entry
             plus, minus = RationalFunction.constant(table, 1), RationalFunction.constant(table, -1)
-            # The 24 signed entries, summed and normalised once by dot.
             signed = [
                 (entry(ip, j, lp, m, lp, o, qp, r), sign)
                 for j, m, o in permutations(triple)

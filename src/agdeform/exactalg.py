@@ -857,8 +857,8 @@ def substitute_all(
 
     The numerator is substituted and each denominator factor f^e becomes
     (f substituted)^(-1) ** e; every distinct factor is substituted and
-    inverted once for the whole batch, so a matrix over one denominator
-    substitutes it once.
+    inverted, and each power of that inverse built, once for the whole
+    batch, so a matrix over one denominator substitutes it once.
     """
     inverses: dict[Polynomial, RationalFunction] = {}
     powers: dict[tuple[Polynomial, int], RationalFunction] = {}

@@ -4,9 +4,10 @@ Every check runs one mathematical claim to ground and returns a CheckReport.
 Symbolic checks compare rational functions with tolerance zero; numeric
 checks evaluate at deterministic sampled points.  Check ids are stable
 strings, so report streams sort reproducibly.  The per-n objects the checks
-share (the chart, q, the symbolic Phi_c, its torsion and second derivatives,
-the eigen laws and partial1) come from one process-wide cache, artifacts(n),
-so each is built once per process, inside the first check that reads it.
+share (the chart, q, the generic flow frame, the symbolic Phi_c, its torsion
+and second derivatives, the eigen laws and partial1) come from one
+process-wide cache, artifacts(n), so each is built once per process, inside
+the first check that reads it.
 
 Every suite takes one n; _suite_table gives each its n values under
 verify --all and under verify --n.  eigen_suite reports each family of
@@ -46,7 +47,7 @@ from .exactalg import (
     substitute_all,
 )
 from .linalg import membership, span_subspace
-from .model import Chart, ChartPoint, flow_point, flow_point_split_form, holonomy
+from .model import Chart, GenericFlow, flow_point, flow_point_split_form, holonomy
 from .sampling import ball_sweep, generic_off_singular, sample_points
 from .torsion import TorsionAssembler, lemma_components, lemma_criterion
 
@@ -122,10 +123,10 @@ def sort_reports(reports: Sequence[CheckReport]) -> list[CheckReport]:
 
 class Artifacts:
     """The per-n objects that several suites share, each built on first use:
-    chart, q, phi, laws, torsion, second_derivatives, kappa, spec, partial1
-    and trace_vectors.  torsion, second_derivatives and kappa are lazy in
-    turn, so each of their entries is built inside the first check that
-    reads it.
+    chart, q, flow, phi, laws, torsion, second_derivatives, kappa, spec,
+    partial1 and trace_vectors.  flow, torsion, second_derivatives and kappa
+    are lazy in turn, so each of their members is built inside the first
+    check that reads it.
     """
 
     def __init__(self, n: int):
@@ -140,6 +141,12 @@ class Artifacts:
         return build_q(self.chart)
 
     @functools.cached_property
+    def flow(self) -> GenericFlow:
+        """z^t at the generic point, t symbolic: the one frame that the
+        flow checks, the eigen laws and the invariance checks read."""
+        return GenericFlow(self.chart)
+
+    @functools.cached_property
     def phi(self) -> EndomorphismField:
         """Phi_c with the parameters c kept symbolic."""
         return build_Phi(self.chart)
@@ -148,7 +155,7 @@ class Artifacts:
     def laws(self) -> dict[str, dict[str, bool]]:
         """The eigen-section transformation laws, symbolic t, as
         {family: {law name: holds}}."""
-        return transformation_check(self.chart)
+        return transformation_check(self.flow)
 
     @functools.cached_property
     def torsion(self) -> TorsionAssembler:
@@ -189,23 +196,25 @@ def artifacts(n: int) -> Artifacts:
 
 def flow_suite(n: int) -> list[CheckReport]:
     art = artifacts(n)
-    X = ChartPoint.generic(art.chart)
-    t = art.chart.param("t")
     s = art.chart.param("s")
 
     def group_law():
-        lhs = flow_point(flow_point(X, t), s)
-        rhs = flow_point(X, s + t)
+        flow = art.flow
+        lhs = flow_point(flow.moved, s)
+        rhs = flow_point(flow.point, s + flow.t)
         return lhs == rhs, "z^s(z^t X) = z^(s+t) X with symbolic s, t", None
 
     def cocycle():
+        flow = art.flow
+        X, t = flow.point, flow.t
         lhs = holonomy(X, s + t)
-        rhs = holonomy(flow_point(X, t), s) * holonomy(X, t)
+        rhs = holonomy(flow.moved, s) * holonomy(X, t)
         return lhs == rhs, "p_(s+t)(X) = p_s(z^t X) p_t(X) with symbolic s, t", None
 
     def split_agreement():
-        lhs = flow_point(X, t)
-        rhs = flow_point_split_form(X, t)
+        flow = art.flow
+        lhs = flow.moved
+        rhs = flow_point_split_form(flow.point, flow.t)
         return (
             lhs == rhs,
             "matrix flow formula agrees with the fixed-plus-rank-one form off x11 = 0",
@@ -213,9 +222,9 @@ def flow_suite(n: int) -> list[CheckReport]:
         )
 
     def q_transformation():
-        chart, q = art.chart, art.q
-        u = chart.const(1) + t * chart.x(1, 1)
-        moved = q.substitute(flow_point(X, t).substitution())
+        chart, q, flow = art.chart, art.q, art.flow
+        u = chart.const(1) + flow.t * chart.x(1, 1)
+        moved = q.substitute(flow.substitution)
         return (
             moved * u * u == q,
             "q(z^t X) (1 + t x11)^2 = q(X) with symbolic t",
@@ -330,14 +339,14 @@ def phi_suite(n: int) -> list[CheckReport]:
 
     def invariance():
         return (
-            invariance_check(art.phi),
+            invariance_check(art.phi, art.flow),
             "conjugation by the bundle actions returns Phi at the moved point, symbolic t and c",
             None,
         )
 
     def unscaled():
         for i in range(2, n + 1):
-            if not unscaled_flow_factor_check(chart, i):
+            if not unscaled_flow_factor_check(art.flow, i):
                 return False, f"unscaled generator {i} fails the (1+t x11)^2 law", None
         return (
             True,

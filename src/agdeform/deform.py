@@ -27,7 +27,7 @@ from .exactalg import (
     flat_index,
     parse_rational,
 )
-from .model import Chart, ChartPoint, SymbolicMatrix, bundle_actions, flow_point
+from .model import Chart, GenericFlow, SymbolicMatrix
 
 
 # -- eigen-sections ------------------------------------------------------------------
@@ -80,21 +80,18 @@ def eigen_sections(chart: Chart) -> dict[str, dict[str, tuple[RationalFunction, 
     }
 
 
-def transformation_check(chart: Chart) -> dict[str, dict[str, bool]]:
+def transformation_check(flow: GenericFlow) -> dict[str, dict[str, bool]]:
     """Whether each eigen-section law action . sec(X) = factor . sec(z^t X)
-    holds, as {family: {law name: holds}}: exact identities in x and a
-    symbolic flow time t.
+    holds, as {family: {law name: holds}}: exact identities in x and the
+    symbolic flow time t of the frame flow.
 
     E-sections transform by the E action, dual sections by the stored
     column-convention dual matrices; EIGEN_FAMILIES gives each family's
     action and factor, and a family it lacks raises KeyError.
     """
-    t = chart.param("t")
-    generic = ChartPoint.generic(chart)
-    actions = bundle_actions(generic, t)
-    flowed = flow_point(generic, t).substitution()
+    chart, actions = flow.chart, flow.actions
     one = chart.const(1)
-    u = one + t * chart.x(1, 1)
+    u = one + flow.t * chart.x(1, 1)
     laws: dict[str, dict[str, bool]] = {}
     for family, sections in eigen_sections(chart).items():
         field, scaled = EIGEN_FAMILIES[family]
@@ -102,7 +99,7 @@ def transformation_check(chart: Chart) -> dict[str, dict[str, bool]]:
         laws[family] = {}
         for name, components in sections.items():
             moved = matrix.apply(components)
-            target = tuple(factor * comp.substitute(flowed) for comp in components)
+            target = tuple(factor * comp.substitute(flow.substitution) for comp in components)
             laws[family][name] = all(a == b for a, b in zip(moved, target))
     return laws
 
@@ -249,58 +246,41 @@ def build_Phi(chart: Chart) -> EndomorphismField:
 # -- flow invariance ---------------------------------------------------------------
 
 
-def _kron(e_part: SymbolicMatrix, f_part: SymbolicMatrix) -> SymbolicMatrix:
-    """A (x) B on E* (x) F in the flat basis: entry [(k, i'), (l, j')] = A[i', j'] B[k, l]."""
-    n = f_part.nrows
-    return SymbolicMatrix(
-        e_part.table,
-        [
-            [e_part[ip, jp] * f_part[k, l] for l in range(n) for jp in range(2)]
-            for k in range(n)
-            for ip in range(2)
-        ],
-    )
+def invariance_check(phi: EndomorphismField, flow: GenericFlow) -> bool:
+    """Exact identity (A (x) B) Phi(X) (A (x) B)^{-1} = Phi(z^t X) in x, t, c.
 
-
-def _generic_flow(
-    chart: Chart, field: SymbolicMatrix, t: RationalFunction
-) -> tuple[SymbolicMatrix, SymbolicMatrix]:
-    """(A (x) B) M (A (x) B)^{-1} and M(z^t X) at the generic point X, for
-    the bundle actions A = on_estar and B = on_f of z^t.
-
-    The inverses come from the stored duals: on_estar^{-1} = on_e^T and
-    on_f^{-1} = on_fstar^T, so no symbolic matrix inversion is needed.
+    Phi is the object under test, so it is conjugated as a full 2n x 2n
+    matrix: its Kronecker form is not assumed.
     """
-    generic = ChartPoint.generic(chart)
-    actions = bundle_actions(generic, t)
-    t_mat = _kron(actions.on_estar, actions.on_f)
-    t_inv = _kron(actions.on_e.transpose(), actions.on_fstar.transpose())
-    flowed = flow_point(generic, t).substitution()
-    return t_mat * field * t_inv, field.substitute(flowed)
+    conjugated = flow.conjugator * phi * flow.conjugator_inverse
+    return conjugated == phi.substitute(flow.substitution)
 
 
-def invariance_check(phi: EndomorphismField) -> bool:
-    """Exact identity (A (x) B) Phi(X) (A (x) B)^{-1} = Phi(z^t X) in x, t, c."""
-    chart = phi.chart
-    conjugated, moved = _generic_flow(chart, phi, chart.param("t"))
-    return conjugated == moved
+#: The power of (1 + t x11) in the law of the unscaled generators.
+UNSCALED_LAW_POWER = 2
 
 
-def unscaled_flow_factor_check(chart: Chart, i: int) -> bool:
+def unscaled_flow_factor_check(flow: GenericFlow, i: int) -> bool:
     """(z^t)_* (phi' (x) phi_i)(X) = (1 + t x11)^2 (phi' (x) phi_i)(z^t X).
 
     This is the intermediate law behind invariance: the (1+t x11)^2 factor
-    cancels against q(z^t X) = (1 + t x11)^{-2} q(X); t is symbolic.
+    cancels against q(z^t X) = (1 + t x11)^{-2} q(X); t is symbolic.  Each
+    factor is conjugated on its own (GenericFlow.conjugate_factors), and
+    the two sides are compared entry by entry over all 4n^2 entries.
     """
-    t = chart.param("t")
-    unscaled = _kron(phi_prime_matrix(chart), phi_i_matrix(chart, i))
-    conjugated, moved = _generic_flow(chart, unscaled, t)
-    u = chart.const(1) + t * chart.x(1, 1)
-    factor = u * u
-    scaled = SymbolicMatrix(
-        chart.table, [[factor * v for v in row] for row in moved.rows]
+    chart = flow.chart
+    e_part, f_part = phi_prime_matrix(chart), phi_i_matrix(chart, i)
+    e_conj, f_conj = flow.conjugate_factors(e_part, f_part)
+    factor = (chart.const(1) + flow.t * chart.x(1, 1)) ** UNSCALED_LAW_POWER
+    e_moved = [[factor * v for v in row] for row in e_part.substitute(flow.substitution).rows]
+    f_moved = f_part.substitute(flow.substitution).rows
+    return all(
+        e_conj[ip, jp] * f_conj[k, l] == e_moved[ip][jp] * f_moved[k][l]
+        for ip in range(2)
+        for jp in range(2)
+        for k in range(chart.n)
+        for l in range(chart.n)
     )
-    return conjugated == scaled
 
 
 def parse_c(text: str) -> tuple[Fraction, ...]:

@@ -117,7 +117,7 @@ class VariableTable:
     weight 0 (degrees are counted in chart variables only).
     """
 
-    __slots__ = ("n", "names", "size", "chart_weights", "guard", "_index")
+    __slots__ = ("n", "names", "size", "guard", "_index")
 
     def __init__(self, n: int):
         if n < 2:
@@ -133,7 +133,6 @@ class VariableTable:
             names.append(f"c{i}")
         self.names = tuple(names)
         self.size = len(names)
-        self.chart_weights = tuple(1 if k < 2 * n else 0 for k in range(self.size))
         #: The guard bit of every field of a packed monomial (see pack_monomial).
         self.guard = int.from_bytes(bytes([_GUARD_BIT]) * self.size, "big")
         self._index = {name: k for k, name in enumerate(names)}
@@ -452,14 +451,15 @@ class Polynomial:
     # -- degree bookkeeping ----------------------------------------------------
 
     def chart_degree_range(self) -> tuple[int, int] | None:
-        """(min, max) total degree in chart variables, or None for zero."""
+        """(min, max) total degree in chart variables, or None for zero.
+
+        The chart variables own the leading 2n fields of a packed monomial,
+        so a monomial's chart degree is the byte sum of those fields."""
         if self.is_zero():
             return None
-        weights, size = self.table.chart_weights, self.table.size
-        degrees = [
-            sum(e * weights[idx] for idx, e in exponent_pairs(mono, size))
-            for mono in self.coeffs
-        ]
+        count = 2 * self.table.n
+        shift = _shift(self.table, count - 1)
+        degrees = [sum((mono >> shift).to_bytes(count, "big")) for mono in self.coeffs]
         return min(degrees), max(degrees)
 
 
@@ -623,17 +623,15 @@ class RationalFunction:
     Factors are kept monic (leading coefficient 1 in lex order) and sorted
     canonically; scalars are folded into the numerator.  The represented
     value is num / prod(f**e); two values compare equal by
-    cross-multiplication, which is decidable without gcd.
+    cross-multiplication, which is decidable without gcd.  The constructor
+    refuses a factor over another table, a negative exponent and the zero
+    factor whatever the numerator, zero included.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Polynomial, den: Iterable[tuple[Polynomial, int]] = ()):
         table = num.table
-        if num.is_zero():
-            self.num = num
-            self.den = ()
-            return
         factors: list[tuple[Polynomial, int]] = []
         scale = 1
         for factor, exponent in den:

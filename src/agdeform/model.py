@@ -5,11 +5,14 @@ into F, column index j' = 1',2' into E).  The flow z^t = Id + t Z with
 Z = e^1 (x) e_{1'} acts by X |-> X (Id_2 + t Z X)^{-1}; this closed form is
 used everywhere, including on the hyperplane x11 = 0 where the split form
 is undefined.  All symbolic results are exact rational functions; numeric
-paths work directly on Fractions.
+paths work directly on Fractions.  GenericFlow is the flow at the generic
+point with t symbolic, the one frame per chart that every flow, eigen-law
+and invariance check reads.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Sequence
 
@@ -442,3 +445,76 @@ def holonomy(X: ChartPoint, t: RationalFunction) -> SymbolicMatrix:
     for i in range(n):
         rows.append([zero, zero] + list(actions.on_f.rows[i]))
     return SymbolicMatrix(table, rows)
+
+
+def kron(e_part: SymbolicMatrix, f_part: SymbolicMatrix) -> SymbolicMatrix:
+    """A (x) B on E* (x) F in the flat basis: entry [(k, i'), (l, j')] = A[i', j'] B[k, l]."""
+    n = f_part.nrows
+    return SymbolicMatrix(
+        e_part.table,
+        [
+            [e_part[ip, jp] * f_part[k, l] for l in range(n) for jp in range(2)]
+            for k in range(n)
+            for ip in range(2)
+        ],
+    )
+
+
+class GenericFlow:
+    """z^t at the generic point X of one chart, with t symbolic.
+
+    Each member is built on first read and then kept: t, the point X, the
+    moved point z^t X, its substitution map (M.substitute(substitution) is
+    M(z^t X)), the bundle actions of z^t at X and the two Kronecker
+    conjugators on E* (x) F.  A reader of z^t X alone builds no bundle
+    actions.
+    """
+
+    def __init__(self, chart: Chart):
+        self.chart = chart
+
+    @functools.cached_property
+    def t(self) -> RationalFunction:
+        return self.chart.param("t")
+
+    @functools.cached_property
+    def point(self) -> ChartPoint:
+        return ChartPoint.generic(self.chart)
+
+    @functools.cached_property
+    def moved(self) -> ChartPoint:
+        return flow_point(self.point, self.t)
+
+    @functools.cached_property
+    def substitution(self) -> dict[int, RationalFunction]:
+        return self.moved.substitution()
+
+    @functools.cached_property
+    def actions(self) -> BundleActionMatrices:
+        return bundle_actions(self.point, self.t)
+
+    @functools.cached_property
+    def conjugator(self) -> SymbolicMatrix:
+        """A (x) B for A = on_estar and B = on_f."""
+        return kron(self.actions.on_estar, self.actions.on_f)
+
+    @functools.cached_property
+    def conjugator_inverse(self) -> SymbolicMatrix:
+        """(A (x) B)^{-1} = on_e^T (x) on_fstar^T, read off the stored duals,
+        so no symbolic matrix inversion is needed."""
+        return kron(self.actions.on_e.transpose(), self.actions.on_fstar.transpose())
+
+    def conjugate_factors(
+        self, e_part: SymbolicMatrix, f_part: SymbolicMatrix
+    ) -> tuple[SymbolicMatrix, SymbolicMatrix]:
+        """(A P A^{-1}, B Q B^{-1}) for P = e_part on E* and Q = f_part on F.
+
+        By the mixed-product rule their Kronecker product is the conjugate
+        (A (x) B)(P (x) Q)(A (x) B)^{-1}, built here without any 2n x 2n
+        product.
+        """
+        actions = self.actions
+        return (
+            actions.on_estar * e_part * actions.on_e.transpose(),
+            actions.on_f * f_part * actions.on_fstar.transpose(),
+        )

@@ -36,6 +36,10 @@ VERIFY_N5_SHA256 = "52431afdf8977ac14af5e126c65aff9072d57fbee08342f4811f3efbab33
 #: largest n pinned: every n reads Phi's table of first derivatives.
 VERIFY_N6_SHA256 = "25bd4f545d0db57da603d416079dc24e9632c058c18db3e853e3da03a4b6b01c"
 
+#: sha256 of the stdout of `agdeform flow --n 4 --format json`: the four
+#: flow checks alone, which read the generic flow frame at n = 4.
+FLOW_N4_SHA256 = "e5537d6c7800c0de733bd97a2809dea72673d9680b85b34e338ab57e0c30dd65"
+
 #: sha256 of the `--format json` stdout of the command behind each benchmark
 #: workload (perfbench/workloads.py, which adds --timings), so the tier-1
 #: suite byte-checks the code they run.
@@ -213,6 +217,12 @@ def test_verify_n6_output_byte_identical(capsys):
     assert cli.main(["verify", "--n", "6", "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_N6_SHA256
+
+
+def test_flow_n4_output_byte_identical(capsys):
+    assert cli.main(["flow", "--n", "4", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FLOW_N4_SHA256
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOAD_SHA256))

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from agdeform import checks, cli, deform
+from agdeform import checks, cli, deform, model
 from agdeform import curvature as curvature_mod
 from agdeform import reptheory as rep_mod
 from agdeform import torsion as torsion_mod
@@ -42,6 +42,15 @@ def counting(monkeypatch, module, name, keep=lambda *args, **kwargs: True):
 def test_quick_suite_builds_symbolic_phi_once(monkeypatch, fresh_cache):
     built = counting(monkeypatch, checks, "build_Phi")
     reports = checks.quick_suite(3, 0)
+    assert all(r.status == checks.PASS for r in reports)
+    assert len(built) == 1
+
+
+def test_quick_suite_builds_one_flow_frame(monkeypatch, fresh_cache):
+    """The four flow checks, the eigen laws and the invariance and
+    unscaled-factor checks at n = 4 all read one GenericFlow."""
+    built = counting(monkeypatch, checks, "GenericFlow")
+    reports = checks.quick_suite(4, 0)
     assert all(r.status == checks.PASS for r in reports)
     assert len(built) == 1
 
@@ -308,6 +317,35 @@ def test_phi_kills_brackets_fails_on_an_extra_phi_entry(monkeypatch, fresh_cache
     assert report.detail == "the Phi dPhi term of [E~_0, E~_1] is nonzero (flat indices)"
 
 
+def test_invariance_fails_on_an_extra_phi_entry(monkeypatch, fresh_cache):
+    """Positive control: Phi with an extra x22 term at [0, 0] is no longer
+    flow invariant; the unscaled generators do not read Phi and still pass."""
+    _perturb_phi(monkeypatch, 0, 0, lambda chart: chart.x(2, 2))
+    reports = {r.check_id: r for r in checks.phi_suite(3)}
+    assert reports["deform.invariance.n3"].status == checks.FAIL
+    assert reports["deform.unscaled_factor.n3"].status == checks.PASS
+
+
+def test_unscaled_factor_fails_on_an_extra_phi_i_entry(monkeypatch, fresh_cache):
+    """Positive control: a phi_i with an extra x22 x11 term at [1, 1] fails
+    deform.unscaled_factor at its first generator; Phi, built apart from
+    phi_i_matrix, keeps its invariance."""
+    real = deform.phi_i_matrix
+
+    def perturbed(chart, i):
+        rows = [list(row) for row in real(chart, i).rows]
+        rows[1][1] = rows[1][1] + chart.x(2, 2) * chart.x(1, 1)
+        return model.SymbolicMatrix(chart.table, rows)
+
+    monkeypatch.setattr(deform, "phi_i_matrix", perturbed)
+    reports = {r.check_id: r for r in checks.phi_suite(3)}
+    assert reports["deform.unscaled_factor.n3"].status == checks.FAIL
+    assert reports["deform.unscaled_factor.n3"].detail == (
+        "unscaled generator 2 fails the (1+t x11)^2 law"
+    )
+    assert reports["deform.invariance.n3"].status == checks.PASS
+
+
 def test_frame_quadratic_cancels_at_n5(fresh_cache):
     """verify --n 5..12 and torsion --n >= 5 read each pulled-frame bracket
     as the antisymmetrised derivative of Phi.  verify --all checks that the
@@ -348,8 +386,8 @@ def test_eigen_suite_reports_each_family_apart(monkeypatch, fresh_cache):
     own family only, and an empty family fails as missing."""
     real = deform.transformation_check
 
-    def tampered(chart):
-        laws = real(chart)
+    def tampered(flow):
+        laws = real(flow)
         laws["kappa_tilde"]["kappa_tilde^3"] = False
         laws["kappa"] = {}
         return laws
@@ -520,6 +558,7 @@ def test_every_membership_verdict_equals_the_fraction_oracle(monkeypatch, fresh_
 
 #: The per-n builders, each of which must run inside a timed check.
 BUILDERS = (
+    (model, "GenericFlow"),
     (deform, "build_Phi"),
     (deform, "build_q"),
     (deform, "transformation_check"),
@@ -616,8 +655,10 @@ def _broken(*args):
         (checks, "transformation_check", lambda: checks.eigen_suite(3), 8),
         (checks, "build_Phi", lambda: checks.phi_suite(3), 6),
         (checks, "TorsionAssembler", lambda: checks.torsion_suite(3), 4),
+        (checks, "GenericFlow",
+         lambda: checks.flow_suite(3) + checks.eigen_suite(3) + checks.phi_suite(3), 14),
     ],
-    ids=["curvature", "curvature_numeric", "reptheory", "eigen", "phi", "torsion"],
+    ids=["curvature", "curvature_numeric", "reptheory", "eigen", "phi", "torsion", "flow_frame"],
 )
 def test_builder_error_is_a_fail_report(monkeypatch, fresh_cache, module, name, suite, failing):
     """A per-n builder runs inside the checks that read it, so an exception

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agdeform import checks, deform
+from agdeform import checks, deform, model
 from agdeform.deform import (
     EndomorphismField,
     build_Phi,
@@ -22,7 +22,14 @@ from agdeform.deform import (
     unscaled_flow_factor_check,
 )
 from agdeform.exactalg import UsageError, flat_index
-from agdeform.model import BundleActionMatrices, Chart, ChartPoint
+from agdeform.model import (
+    BundleActionMatrices,
+    Chart,
+    ChartPoint,
+    GenericFlow,
+    SymbolicMatrix,
+    kron,
+)
 from oracles import evaluation_point, phi_at
 
 CHART = Chart(3)
@@ -73,7 +80,7 @@ def test_transformation_laws_hold_with_expected_factors():
     """Each law holds with the factor of transformation_check's docstring,
     grouped by family like eigen_sections; a wrong action would make it
     fail (see the next test)."""
-    laws = transformation_check(CHART)
+    laws = transformation_check(GenericFlow(CHART))
     assert {family: list(group) for family, group in laws.items()} == {
         family: list(group) for family, group in eigen_sections(CHART).items()
     }
@@ -84,14 +91,14 @@ def test_transformation_laws_hold_with_expected_factors():
 def test_transformation_laws_fail_under_a_swapped_action(monkeypatch):
     """Positive control: with the actions on E and E* swapped, the four
     families on E and E* fail and the four on F and F* still hold."""
-    real = deform.bundle_actions
+    real = model.bundle_actions
 
     def swapped(X, t):
         actions = real(X, t)
         return BundleActionMatrices(actions.on_estar, actions.on_e, actions.on_f, actions.on_fstar)
 
-    monkeypatch.setattr(deform, "bundle_actions", swapped)
-    laws = transformation_check(CHART)
+    monkeypatch.setattr(model, "bundle_actions", swapped)
+    laws = transformation_check(GenericFlow(CHART))
     failing = {family for family, group in laws.items() if not any(group.values())}
     holding = {family for family, group in laws.items() if all(group.values())}
     assert failing == {"v", "iota", "v_tilde", "iota_tilde"}
@@ -268,14 +275,80 @@ def test_inverse_check_fails_for_non_nilpotent_field(monkeypatch):
 
 def test_invariance_symbolic_and_numeric_t():
     phi = build_Phi(CHART)
-    assert invariance_check(phi)
+    assert invariance_check(phi, GenericFlow(CHART))
 
 
 def test_unscaled_flow_factor():
-    assert unscaled_flow_factor_check(CHART, 2)
-    assert unscaled_flow_factor_check(CHART, 3)
+    flow = GenericFlow(CHART)
+    assert unscaled_flow_factor_check(flow, 2)
+    assert unscaled_flow_factor_check(flow, 3)
     with pytest.raises(UsageError):
-        unscaled_flow_factor_check(CHART, 1)
+        unscaled_flow_factor_check(flow, 1)
+
+
+def _unscaled_kron(chart, i):
+    """phi' (x) phi_i as one 2n x 2n matrix, read through the deform module
+    so a patched phi_i_matrix is seen."""
+    return kron(deform.phi_prime_matrix(chart), deform.phi_i_matrix(chart, i))
+
+
+def _oracle_unscaled_law(flow, i):
+    """The slow route of deform.unscaled_flow_factor_check: the 2n x 2n
+    conjugation (A (x) B)(phi' (x) phi_i)(A (x) B)^{-1} against
+    (1 + t x11)^UNSCALED_LAW_POWER (phi' (x) phi_i)(z^t X)."""
+    chart = flow.chart
+    unscaled = _unscaled_kron(chart, i)
+    conjugated = flow.conjugator * unscaled * flow.conjugator_inverse
+    factor = (chart.const(1) + flow.t * chart.x(1, 1)) ** deform.UNSCALED_LAW_POWER
+    moved = unscaled.substitute(flow.substitution)
+    scaled = SymbolicMatrix(chart.table, [[factor * v for v in row] for row in moved.rows])
+    return conjugated == scaled
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_factor_conjugation_matches_the_kronecker_conjugation(n):
+    """The mixed-product rule behind unscaled_flow_factor_check: for every
+    i, (A P A^{-1}) (x) (B Q B^{-1}) equals the full 2n x 2n conjugation of
+    P (x) Q entry by entry, and both routes find the law."""
+    chart = Chart(n)
+    flow = GenericFlow(chart)
+    for i in range(2, n + 1):
+        full = flow.conjugator * _unscaled_kron(chart, i) * flow.conjugator_inverse
+        by_factor = kron(*flow.conjugate_factors(phi_prime_matrix(chart), phi_i_matrix(chart, i)))
+        assert (full.nrows, full.ncols) == (by_factor.nrows, by_factor.ncols) == (2 * n, 2 * n)
+        for row_full, row_factor in zip(full.rows, by_factor.rows):
+            for a, b in zip(row_full, row_factor):
+                assert a == b
+        assert _oracle_unscaled_law(flow, i)
+        assert unscaled_flow_factor_check(flow, i)
+
+
+def _phi_i_with_x22_x11(monkeypatch):
+    """Make deform.phi_i_matrix add x22 x11 to entry [1, 1] of every phi_i."""
+    real = deform.phi_i_matrix
+
+    def perturbed(chart, i):
+        rows = [list(row) for row in real(chart, i).rows]
+        rows[1][1] = rows[1][1] + chart.x(2, 2) * chart.x(1, 1)
+        return SymbolicMatrix(chart.table, rows)
+
+    monkeypatch.setattr(deform, "phi_i_matrix", perturbed)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_phi_i_with_x22_x11, lambda monkeypatch: monkeypatch.setattr(deform, "UNSCALED_LAW_POWER", 1)],
+    ids=["phi_i_with_x22_x11", "factor_to_the_first_power"],
+)
+def test_unscaled_law_fails_on_a_mutant(monkeypatch, mutate):
+    """Positive controls: a phi_i with an extra x22 x11 term, or the factor
+    (1 + t x11) in place of its square, fails the law for every i, on the
+    factor-by-factor route and on the 2n x 2n oracle alike."""
+    mutate(monkeypatch)
+    flow = GenericFlow(CHART)
+    for i in range(2, CHART.n + 1):
+        assert not unscaled_flow_factor_check(flow, i)
+        assert not _oracle_unscaled_law(flow, i)
 
 
 def test_parse_c():

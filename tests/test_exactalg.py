@@ -88,7 +88,6 @@ def test_variable_table_layout():
     assert [table.render(i) for i in range(6)] == [
         "x11", "x12", "x21", "x22", "x31", "x32",
     ]
-    assert table.chart_weights[0] == 1 and table.chart_weights[table.index("t")] == 0
 
 
 def test_flat_index_matches_chart_order():
@@ -116,6 +115,24 @@ def test_mismatched_tables_rejected():
             exactalg.dot(TABLE, pairs)
     same = RationalFunction.variable(VariableTable(3), 0)
     assert exactalg.dot(TABLE, [(x, same)]) == x * x == x * same
+
+
+@pytest.mark.parametrize(
+    "num", [Polynomial.zero(TABLE), Polynomial.variable(TABLE, 0)], ids=["zero", "x11"]
+)
+def test_constructor_checks_every_factor_whatever_the_numerator(num):
+    """A zero numerator is checked like any other: the zero factor and a
+    negative exponent are usage errors, and a factor over another table is
+    MismatchedTables, even with exponent -3."""
+    zero, x21 = Polynomial.zero(TABLE), Polynomial.variable(TABLE, 2)
+    foreign = Polynomial.variable(VariableTable(4), 0)
+    for den in ([(zero, 1)], [(x21, 1), (zero, 2)], [(x21, -3)]):
+        with pytest.raises(UsageError) as err:
+            RationalFunction(num, den)
+        assert type(err.value) is UsageError
+    for exponent in (1, -3):
+        with pytest.raises(MismatchedTables):
+            RationalFunction(num, [(foreign, exponent)])
 
 
 def test_ring_laws_randomized():
@@ -375,6 +392,31 @@ def test_degree_info():
         param = _poly_var(name)
         assert param.chart_degree_range() == (0, 0)
         assert (param * _poly_var("x11") + _poly_var("x12")).chart_degree_range() == (1, 1)
+
+
+def _chart_degree_range_oracle(p):
+    """chart_degree_range by the exponent_pairs of each monomial, the route
+    the packed byte sum replaced."""
+    if p.is_zero():
+        return None
+    n, size = p.table.n, p.table.size
+    degrees = [sum(e for idx, e in exponent_pairs(mono, size) if idx < 2 * n) for mono in p.coeffs]
+    return min(degrees), max(degrees)
+
+
+def test_chart_degree_range_matches_exponent_pairs():
+    """Over random polynomials in every variable of TABLE, and over each
+    entry of Phi and its derivatives by x11 and c2 at n = 3 and 4."""
+    rng = random.Random(11)
+    polys = [random_polynomial(rng, max_terms=6, max_degree=8) for _ in range(300)]
+    for n in (3, 4):
+        table = VariableTable(n)
+        phi = build_Phi(Chart(n))
+        for f in (v for row in phi.rows for v in row):
+            polys += [f.num, f.differentiate(0).num, f.differentiate(table.c_index(2)).num]
+    assert sum(not p.is_zero() for p in polys) > 300
+    for p in polys:
+        assert p.chart_degree_range() == _chart_degree_range_oracle(p)
 
 
 def test_degree_info_inhomogeneous():

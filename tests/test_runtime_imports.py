@@ -275,6 +275,7 @@ VALUE_CLASSES = {
     "BundleActionMatrices",
     "CheckReport",
     "DecompositionDims",
+    "GenericFlow",
     "Partial1Map",
     "RrefResult",
     "Subspace",

@@ -40,6 +40,16 @@ VERIFY_N6_SHA256 = "25bd4f545d0db57da603d416079dc24e9632c058c18db3e853e3da03a4b6
 #: flow checks alone, which read the generic flow frame at n = 4.
 FLOW_N4_SHA256 = "e5537d6c7800c0de733bd97a2809dea72673d9680b85b34e338ab57e0c30dd65"
 
+#: sha256 of the `--format json` stdout of two more flow commands: the four
+#: flow checks at n = 12, and a numeric point with fractional and zero
+#: entries flowed by two rational times, the closed form on exact rationals.
+FLOW_SHA256 = {
+    "flow --n 12":
+        "54e4db584683216321fa758b0ffc9964d092a95a0773549b6ad82ec808723027",
+    "flow --n 5 --point 1/2,-3;0,2/7;1,1;0,0;3,-1 --t 2/3 --s=-1/4":
+        "80f76ed22b615541138d0f4074778fc92cb21dbdaa26a52d7ccf875305c0672a",
+}
+
 #: sha256 of the `--format json` stdout of the command behind each benchmark
 #: workload (perfbench/workloads.py, which adds --timings), so the tier-1
 #: suite byte-checks the code they run.
@@ -223,6 +233,13 @@ def test_flow_n4_output_byte_identical(capsys):
     assert cli.main(["flow", "--n", "4", "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == FLOW_N4_SHA256
+
+
+@pytest.mark.parametrize("command", sorted(FLOW_SHA256))
+def test_flow_output_byte_identical(capsys, command):
+    assert cli.main([*command.split(), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FLOW_SHA256[command]
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOAD_SHA256))

@@ -47,7 +47,7 @@ from .exactalg import (
     substitute_all,
 )
 from .linalg import membership, span_subspace
-from .model import Chart, GenericFlow, flow_point, flow_point_split_form, holonomy
+from .model import Chart, GenericFlow, flow_matrix, flow_point_split_form, holonomy
 from .sampling import ball_sweep, generic_off_singular, sample_points
 from .torsion import TorsionAssembler, lemma_components, lemma_criterion
 
@@ -200,8 +200,8 @@ def flow_suite(n: int) -> list[CheckReport]:
 
     def group_law():
         flow = art.flow
-        lhs = flow_point(flow.moved, s)
-        rhs = flow_point(flow.point, s + flow.t)
+        lhs = flow_matrix(flow.moved, s)
+        rhs = flow_matrix(flow.point, s + flow.t)
         return lhs == rhs, "z^s(z^t X) = z^(s+t) X with symbolic s, t", None
 
     def cocycle():
@@ -910,14 +910,15 @@ def curvature_numeric_suite(n: int, seed: int) -> list[CheckReport]:
 def derivative_oracle_suite(n: int, seed: int) -> list[CheckReport]:
     """Phi's derivatives against exact forward-mode evaluation, by equality.
 
-    Each chart-variable key (row, col, idx) of art.phi's shared table of
-    first derivatives, and each of the three displayed second derivatives of
-    art.second_derivatives for r = 2..n, is evaluated at its own sampled
-    point, with no zero coordinate, and compared with the dual or hyper-dual
-    value of its entry of Phi there (see exactalg.Dual).  That value never
-    calls differentiate, so a wrong table entry or quotient rule shows.  c =
-    (1, 2, 1, ...) is bound by Chart.c_substitution, substituted into Phi
-    and into the compared table entries, one batch each.
+    Each chart-variable key (row, col, idx) of art.phi's one derivative
+    table, and the key (row, col, idx, idx2) there of each of the three
+    displayed second derivatives (art.second_derivatives.key) for r = 2..n,
+    is evaluated at its own sampled point, with no zero coordinate, and
+    compared with the dual or hyper-dual value of its entry of Phi there
+    (see exactalg.Dual).  That value never calls differentiate, so a wrong
+    table entry or quotient rule shows.  c = (1, 2, 1, ...) is bound by
+    Chart.c_substitution, substituted into Phi and into the compared table
+    entries, one batch each.
     """
     # (ip, j, lp, m, pp, o, qp) of the three displays, as in curvature.displays
     displays = ((2, 1, 1, 1, 1, 1, 1), (2, 1, 2, 1, 2, 1, 1), (1, 1, 1, 1, 1, 1, 2))
@@ -930,25 +931,21 @@ def derivative_oracle_suite(n: int, seed: int) -> list[CheckReport]:
         xs = [table.x_index(i, j) for i in range(1, n + 1) for j in (1, 2)]
         keys = [(row, col, idx) for row in range(2 * n) for col in range(2 * n) for idx in xs]
         first = len(keys)
-        keys += [(*display, r) for r in range(2, n + 1) for display in displays]
-        wants = substitute_all(
-            [art.phi.derivative(*key) if len(key) == 3 else d2.entry(*key) for key in keys], c_values
-        )
+        keys += [d2.key(*display, r) for r in range(2, n + 1) for display in displays]
+        wants = substitute_all([art.phi.derivative(*key) for key in keys], c_values)
         points = sample_points(art.chart, 1, len(keys), random.Random(seed), lambda e: all(map(all, e)))
         for key, want, point in zip(keys, wants, points):
             vec = point.evaluation_vector()
             seeded = list(vec)
-            if len(key) == 3:
-                row, col, idx = key
-                seeded[idx] = Dual(vec[idx], 1)
+            row, col, *idx = key
+            if len(idx) == 1:
+                seeded[idx[0]] = Dual(vec[idx[0]], 1)
                 got = eps_part(phi.rows[row][col].evaluate(seeded))
             else:
-                ip, j, lp, m, pp, o, qp, r = key
-                a, b = table.x_index(j, ip), table.x_index(m, lp)
+                b, a = idx
                 seeded[a] = Dual(Dual(vec[a], 1), 0)
                 seeded[b] = seeded[b] + Dual(0, 1)
-                entry = phi.rows[flat_index(r, pp)][flat_index(o, qp)]
-                got = eps_part(eps_part(entry.evaluate(seeded)))
+                got = eps_part(eps_part(phi.rows[row][col].evaluate(seeded)))
             if want.evaluate(vec) != got:
                 return False, f"derivative {key} of Phi differs from its dual value", point.format()
         return (

@@ -27,50 +27,43 @@ from .deform import EndomorphismField
 class SecondDerivativeTensor:
     """entry(ip, j, lp, m, pp, o, qp, r) = nabla^j_{i'} nabla^m_{l'} Phi^{p'o}_{q'r}.
 
-    Primed indices and the unprimed j, m, o, r are all 1-based.  Entries are
-    built on first read and memoised per key in second, so a check that
-    reads a few entries builds only those.  The inner first derivative is
-    read from phi's shared table (EndomorphismField.derivative), which the
-    degree ledger and the torsion brackets fill too.  Both derivative orders
-    are still taken independently; the mixed-partial symmetry
-    (i',j) <-> (l',m) is a checkable property, not an assumption.
+    Primed indices and the unprimed j, m, o, r are all 1-based.  The tensor
+    keeps no table of its own: key translates the paper's indices into the
+    key (row, col, x_{m l'}, x_{j i'}) of phi's one derivative table
+    (EndomorphismField.derivative), which builds each entry on first read,
+    from the first derivative that the degree ledger and the torsion
+    brackets read too.  The two derivative orders are taken independently,
+    so the mixed-partial symmetry is a checkable property, not an
+    assumption.
     """
 
-    __slots__ = ("phi", "chart", "second")
+    __slots__ = ("phi",)
 
     def __init__(self, phi: EndomorphismField):
         self.phi = phi
-        self.chart = phi.chart
-        self.second: dict[tuple, RationalFunction] = {}
+
+    def key(self, ip: int, j: int, lp: int, m: int, pp: int, o: int, qp: int, r: int) -> tuple[int, int, int, int]:
+        """The key of entry(ip, j, lp, m, pp, o, qp, r) in phi's derivative table."""
+        x_index = self.phi.table.x_index
+        # Phi^{p'o}_{q'r} is entry [flat_index(r, p'), flat_index(o, q')].
+        return flat_index(r, pp), flat_index(o, qp), x_index(m, lp), x_index(j, ip)
 
     def entry(self, ip: int, j: int, lp: int, m: int, pp: int, o: int, qp: int, r: int) -> RationalFunction:
-        key = (ip, j, lp, m, pp, o, qp, r)
-        value = self.second.get(key)
-        if value is None:
-            x_index = self.chart.table.x_index
-            # Phi^{p'o}_{q'r} is entry [flat_index(r, p'), flat_index(o, q')].
-            inner = self.phi.derivative(flat_index(r, pp), flat_index(o, qp), x_index(m, lp))
-            value = self.second[key] = inner.differentiate(x_index(j, ip))
-        return value
+        return self.phi.derivative(*self.key(ip, j, lp, m, pp, o, qp, r))
 
     def swap_symmetric(self) -> bool:
-        """Exact (i',j) <-> (l',m) symmetry over every index combination."""
-        n = self.chart.n
-        for ip in (1, 2):
-            for j in range(1, n + 1):
-                for lp in (1, 2):
-                    for m in range(1, n + 1):
-                        if (ip, j) >= (lp, m):
-                            continue
-                        for pp in (1, 2):
-                            for o in range(1, n + 1):
-                                for qp in (1, 2):
-                                    for r in range(1, n + 1):
-                                        a = self.entry(ip, j, lp, m, pp, o, qp, r)
-                                        b = self.entry(lp, m, ip, j, pp, o, qp, r)
-                                        if not (a == b):
-                                            return False
-        return True
+        """Exact d(row, col, a, b) = d(row, col, b, a) for every entry and
+        every pair a < b of chart variables."""
+        phi = self.phi
+        d = phi.derivative
+        xs = range(2 * phi.table.n)  # the chart variables, in exactalg.flat_index order
+        return all(
+            d(row, col, a, b) == d(row, col, b, a)
+            for row in range(phi.nrows)
+            for col in range(phi.ncols)
+            for a in xs
+            for b in xs[a + 1:]
+        )
 
 
 def nabla2_phi(phi: EndomorphismField) -> SecondDerivativeTensor:
@@ -102,11 +95,10 @@ class KappaProjection:
     read and memoised.
     """
 
-    __slots__ = ("d2", "chart", "values")
+    __slots__ = ("d2", "values")
 
     def __init__(self, d2: SecondDerivativeTensor):
         self.d2 = d2
-        self.chart = d2.chart
         self.values: dict[tuple, RationalFunction] = {}
 
     def value(self, triple: tuple[int, int, int], r: int) -> RationalFunction:
@@ -120,7 +112,7 @@ class KappaProjection:
         key = (triple, r)
         value = self.values.get(key)
         if value is None:
-            table = self.chart.table
+            table = self.d2.phi.table
             entry = self.d2.entry
             plus, minus = RationalFunction.constant(table, 1), RationalFunction.constant(table, -1)
             signed = [
@@ -136,7 +128,7 @@ class KappaProjection:
         """The symmetric slice, flat: the value at (triple, r) is entry
         k * n + r - 1 for the k-th triple of sorted_triples(n), the
         coordinates of trace_subspace(n)."""
-        n = self.chart.n
+        n = self.d2.phi.table.n
         return [self.value(triple, r) for triple in sorted_triples(n) for r in range(1, n + 1)]
 
 

@@ -166,28 +166,29 @@ class EndomorphismField(SymbolicMatrix):
     is the matrix product, and the action on a section with flat components
     psi, (Phi psi)^{i'}_k = sum_{j',l} Phi^{i'l}_{j'k} psi^{j'}_l, is apply.
 
-    derivatives is the one table of first derivatives of the entries, keyed
-    (row, col, idx) and filled by derivative on first read; the degree
-    ledger, the curvature tensor and the torsion brackets all read it.
+    derivatives is the one table of the derivatives of the entries, of
+    every order, keyed (row, col, *idx) and filled by derivative on first
+    read; the degree ledger, the torsion brackets and the curvature tensor
+    all read it.
     """
 
     __slots__ = ("derivatives",)
 
     def __init__(self, table: VariableTable, rows: Sequence[Sequence[RationalFunction]]):
         super().__init__(table, rows)
-        self.derivatives: dict[tuple[int, int, int], RationalFunction] = {}
+        self.derivatives: dict[tuple[int, ...], RationalFunction] = {}
 
-    def derivative(self, row: int, col: int, idx: int) -> RationalFunction:
-        """The derivative of entry [row, col] by variable idx, built once."""
-        key = (row, col, idx)
+    def derivative(self, row: int, col: int, *idx: int) -> RationalFunction:
+        """Entry [row, col] differentiated by each variable of idx in turn:
+        the entry itself for no idx, else the key without its last variable
+        differentiated once by that variable, each key built once."""
+        if not idx:
+            return self.rows[row][col]
+        key = (row, col, *idx)
         value = self.derivatives.get(key)
         if value is None:
-            value = self.derivatives[key] = self.rows[row][col].differentiate(idx)
+            value = self.derivatives[key] = self.derivative(row, col, *idx[:-1]).differentiate(idx[-1])
         return value
-
-    @property
-    def chart(self) -> Chart:
-        return Chart(self.table.n)
 
     def coefficient(self, i_prime: int, ell: int, j_prime: int, k: int) -> RationalFunction:
         """Coefficient of E^{i'l}_{j'k}; all arguments 1-based."""

@@ -4,10 +4,12 @@ The chart U is Hom(R^2, R^n) with coordinates x_{ij'} (row index i = 1..n
 into F, column index j' = 1',2' into E).  The flow z^t = Id + t Z with
 Z = e^1 (x) e_{1'} acts by X |-> X (Id_2 + t Z X)^{-1}; this closed form is
 used everywhere, including on the hyperplane x11 = 0 where the split form
-is undefined.  All symbolic results are exact rational functions; numeric
-paths work directly on Fractions.  GenericFlow is the flow at the generic
-point with t symbolic, the one frame per chart that every flow, eigen-law
-and invariance check reads.
+is undefined.  Each point has one form: a numeric point is a ChartPoint
+of exact rationals, which flow_point moves at a rational time, and a
+symbolic point is an n x 2 SymbolicMatrix of rational functions, which
+flow_matrix moves at a symbolic time.  GenericFlow is the flow at the
+generic point with t symbolic, the one frame per chart that every flow,
+eigen-law and invariance check reads.
 """
 
 from __future__ import annotations
@@ -90,50 +92,31 @@ class Chart:
         coords = [self.x(1, 2)] + [self.x(i, 1) for i in range(1, self.n + 1)]
         return sum((v * v for v in coords[1:]), coords[0] * coords[0])
 
-    def lift(self, value: RationalFunction) -> RationalFunction:
-        """value itself, once checked to be a rational function over this chart."""
-        if not isinstance(value, RationalFunction):
-            raise UsageError(f"expected a rational function, got {type(value).__name__}")
-        if value.table != self.table:
-            raise UsageError("rational function from a different chart")
-        return value
+
+def _exact(value) -> Fraction:
+    """value as a Fraction: an int or a Fraction only, so a str, a float or
+    a RationalFunction raises UsageError, and so does a bool
+    (coerce_rational refuses it)."""
+    if not isinstance(value, (int, Fraction)):
+        raise UsageError(f"expected an int or a Fraction, got {type(value).__name__}")
+    return coerce_rational(value)
 
 
 class ChartPoint:
-    """An element X of the chart: n x 2 entries, numeric or symbolic.
+    """A numeric element X of the chart: n x 2 exact rationals.
 
-    Numeric points hold Fractions (coerce_rational refuses a bool entry);
-    symbolic points hold RationalFunctions over the chart's table.  The
-    text form is semicolon-separated rows of comma-separated rationals,
-    e.g. "1,3;2,0;0,0".
+    Entries are ints or Fractions, stored as Fractions.  The text form is
+    semicolon-separated rows of comma-separated rationals, e.g.
+    "1,3;2,0;0,0".  A symbolic point is an n x 2 SymbolicMatrix.
     """
 
-    __slots__ = ("chart", "entries", "is_numeric")
+    __slots__ = ("chart", "entries")
 
-    def __init__(self, chart: Chart, entries: Sequence[Sequence]):
+    def __init__(self, chart: Chart, entries: Sequence[Sequence[Fraction | int]]):
         if len(entries) != chart.n or any(len(row) != 2 for row in entries):
             raise UsageError(f"chart point must be {chart.n} x 2")
         self.chart = chart
-        numeric = all(
-            isinstance(v, (Fraction, int)) for row in entries for v in row
-        )
-        self.is_numeric = numeric
-        if numeric:
-            self.entries = tuple(
-                tuple(coerce_rational(v) for v in row) for row in entries
-            )
-        else:
-            self.entries = tuple(
-                tuple(chart.lift(v) for v in row) for row in entries
-            )
-
-    @staticmethod
-    def generic(chart: Chart) -> "ChartPoint":
-        """The fully symbolic point with entries x_{ij'}."""
-        return ChartPoint(
-            chart,
-            [[chart.x(i, 1), chart.x(i, 2)] for i in range(1, chart.n + 1)],
-        )
+        self.entries = tuple(tuple(_exact(v) for v in row) for row in entries)
 
     @staticmethod
     def parse(chart: Chart, text: str) -> "ChartPoint":
@@ -151,8 +134,6 @@ class ChartPoint:
         return ChartPoint(chart, entries)
 
     def format(self) -> str:
-        if not self.is_numeric:
-            raise UsageError("only numeric points have a text form")
         return ";".join(",".join(str(v) for v in row) for row in self.entries)
 
     def __eq__(self, other: object) -> bool:
@@ -163,33 +144,12 @@ class ChartPoint:
         )
 
     def __repr__(self) -> str:
-        if self.is_numeric:
-            return f"ChartPoint({self.format()!r})"
-        return f"ChartPoint(symbolic, n={self.chart.n})"
-
-    def lifted_entries(self) -> tuple[tuple[RationalFunction, ...], ...]:
-        """Entries as rational functions regardless of mode."""
-        if not self.is_numeric:
-            return self.entries
-        chart = self.chart
-        return tuple(tuple(chart.const(v) for v in row) for row in self.entries)
-
-    def substitution(self) -> dict[int, RationalFunction]:
-        """Variable-index map sending x_{ij'} to this point's entries."""
-        table = self.chart.table
-        out = {}
-        lifted = self.lifted_entries()
-        for i in range(self.chart.n):
-            for j in range(2):
-                out[table.x_index(i + 1, j + 1)] = lifted[i][j]
-        return out
+        return f"ChartPoint({self.format()!r})"
 
     def evaluation_vector(self) -> tuple[Fraction, ...]:
         """The full evaluation point for exactalg: the entries in the chart
         variable order, then 0 for t, s and every c_i.  A point binds x
         only; c is bound by substituting Chart.c_substitution(c) first."""
-        if not self.is_numeric:
-            raise UsageError("evaluation vector requires a numeric point")
         zeros = (Fraction(0),) * (self.chart.table.size - 2 * self.chart.n)
         return tuple(v for row in self.entries for v in row) + zeros
 
@@ -226,10 +186,11 @@ class SymbolicMatrix:
     def __mul__(self, other: "SymbolicMatrix") -> "SymbolicMatrix":
         if self.ncols != other.nrows:
             raise UsageError("shape mismatch")
-        cols = list(zip(*other.rows))
-        return type(self)(
-            self.table, [[dot(self.table, zip(row, col)) for col in cols] for row in self.rows]
-        )
+        rows = []
+        for row in self.rows:
+            support = [(a, other.rows[k]) for k, a in enumerate(row) if not a.is_zero()]
+            rows.append([dot(self.table, [(a, b[j]) for a, b in support]) for j in range(other.ncols)])
+        return type(self)(self.table, rows)
 
     def __add__(self, other: "SymbolicMatrix") -> "SymbolicMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -312,90 +273,74 @@ class BundleActionMatrices:
 # -- the flow -------------------------------------------------------------------
 
 
-def flow_point(X: ChartPoint, t) -> ChartPoint:
-    """z^t . X = X (Id_2 + t Z X)^{-1}.
+def flow_point(X: ChartPoint, t: Fraction | int) -> ChartPoint:
+    """z^t . X = X (Id_2 + t Z X)^{-1} at a numeric point and time.
 
     Column 1 maps to x_{i1}/(1+t x11), column 2 to
     x_{i2} - t x12 x_{i1}/(1+t x11); the closed form is valid on all of U,
-    including x11 = 0.  t is a rational number when X is numeric and a
-    RationalFunction over X's chart otherwise.
+    including x11 = 0.  t is an int or a Fraction, and 1 + t x11 = 0
+    raises PoleAtPoint.  flow_matrix is the same map on a SymbolicMatrix.
     """
-    chart = X.chart
-    if X.is_numeric and isinstance(t, (Fraction, int)):
-        t = coerce_rational(t)
-        u = 1 + t * X.entries[0][0]
-        if not u:
-            raise PoleAtPoint("x11*t + 1")
-        x12 = X.entries[0][1]
-        rows = [
-            [xi1 / u, xi2 - t * x12 * xi1 / u] for xi1, xi2 in X.entries
-        ]
-        return ChartPoint(chart, rows)
-    t = chart.lift(t)
-    entries = X.lifted_entries()
-    u = chart.const(1) + t * entries[0][0]
-    u_inv = u.inverse()
-    x12 = entries[0][1]
-    rows = [
-        [xi1 * u_inv, xi2 - t * x12 * xi1 * u_inv] for xi1, xi2 in entries
-    ]
-    return ChartPoint(chart, rows)
+    t = _exact(t)
+    u = 1 + t * X.entries[0][0]
+    if not u:
+        raise PoleAtPoint("x11*t + 1")
+    x12 = X.entries[0][1]
+    return ChartPoint(X.chart, [[xi1 / u, xi2 - t * x12 * xi1 / u] for xi1, xi2 in X.entries])
 
 
-def split_fixed_plus_rank1(X: ChartPoint) -> tuple[ChartPoint, ChartPoint]:
+def flow_matrix(X: SymbolicMatrix, t: RationalFunction) -> SymbolicMatrix:
+    """z^t . X for an n x 2 SymbolicMatrix X and a rational function t, by
+    the closed form of flow_point."""
+    u_inv = (RationalFunction.constant(X.table, 1) + t * X[0, 0]).inverse()
+    x12 = X[0, 1]
+    return SymbolicMatrix(
+        X.table, [[xi1 * u_inv, xi2 - t * x12 * xi1 * u_inv] for xi1, xi2 in X.rows]
+    )
+
+
+def split_fixed_plus_rank1(X: SymbolicMatrix) -> tuple[SymbolicMatrix, SymbolicMatrix]:
     """X = X_f + X_d with X_f strongly fixed and X_d of rank one.
 
     X_f has zero first column and second column x_{i2} - (x12/x11) x_{i1};
     X_d has columns (x_{i1}) and ((x12/x11) x_{i1}).  Undefined on x11 = 0.
-    Both parts are symbolic: a numeric X enters as constant entries.
     """
-    chart = X.chart
-    entries = X.lifted_entries()
-    x11 = entries[0][0]
+    x11 = X[0, 0]
     if x11.is_zero():
         raise NotDecomposable("split undefined on x11 = 0")
-    ratio = entries[0][1] * x11.inverse()
-    zero = chart.const(0)
-    fixed = [[zero, xi2 - ratio * xi1] for xi1, xi2 in entries]
-    direction = [[xi1, ratio * xi1] for xi1, xi2 in entries]
-    return ChartPoint(chart, fixed), ChartPoint(chart, direction)
+    ratio = X[0, 1] * x11.inverse()
+    zero = RationalFunction.zero(X.table)
+    fixed = [[zero, xi2 - ratio * xi1] for xi1, xi2 in X.rows]
+    direction = [[xi1, ratio * xi1] for xi1, xi2 in X.rows]
+    return SymbolicMatrix(X.table, fixed), SymbolicMatrix(X.table, direction)
 
 
-def flow_point_split_form(X: ChartPoint, t: RationalFunction) -> ChartPoint:
+def flow_point_split_form(X: SymbolicMatrix, t: RationalFunction) -> SymbolicMatrix:
     """Redundant flow formula X_f + z^t.X_d; defined only off x11 = 0.
 
-    Cross-checks flow_point: the split form has x11 in denominators that
+    Cross-checks flow_matrix: the split form has x11 in denominators that
     cancel in the closed form.
     """
-    chart = X.chart
     X_f, X_d = split_fixed_plus_rank1(X)
-    moved = flow_point(X_d, t)
-    entries = [
-        [a + b for a, b in zip(row_f, row_m)]
-        for row_f, row_m in zip(X_f.entries, moved.entries)
-    ]
-    return ChartPoint(chart, entries)
+    return X_f + flow_matrix(X_d, t)
 
 
 # -- holonomy and bundle actions ---------------------------------------------------
 
 
-def bundle_actions(X: ChartPoint, t: RationalFunction) -> BundleActionMatrices:
-    """Action matrices of z^t on E, E*, F, F* at basepoint X.
+def bundle_actions(X: SymbolicMatrix, t: RationalFunction) -> BundleActionMatrices:
+    """Action matrices of z^t on E, E*, F, F* at the n x 2 basepoint X.
 
     on_e and on_f are exactly the E- and F-blocks of the holonomy factor;
     the stored duals are transpose-inverses (column convention), so the
     row-covector matrices are their transposes.
     """
-    chart = X.chart
-    table = chart.table
-    n = chart.n
-    t = chart.lift(t)
-    entries = X.lifted_entries()
-    one = chart.const(1)
-    zero = chart.const(0)
-    x11 = entries[0][0]
-    x12 = entries[0][1]
+    table = X.table
+    n = X.nrows
+    one = RationalFunction.constant(table, 1)
+    zero = RationalFunction.zero(table)
+    x11 = X[0, 0]
+    x12 = X[0, 1]
     u = one + t * x11
     u_inv = u.inverse()
 
@@ -405,7 +350,7 @@ def bundle_actions(X: ChartPoint, t: RationalFunction) -> BundleActionMatrices:
     f_rows = []
     for i in range(n):
         row = [zero] * n
-        row[0] = u_inv if i == 0 else -t * entries[i][0] * u_inv
+        row[0] = u_inv if i == 0 else -t * X[i, 0] * u_inv
         if i > 0:
             row[i] = one
         f_rows.append(row)
@@ -417,7 +362,7 @@ def bundle_actions(X: ChartPoint, t: RationalFunction) -> BundleActionMatrices:
         if i == 0:
             row[0] = u
             for k in range(1, n):
-                row[k] = t * entries[k][0]
+                row[k] = t * X[k, 0]
         else:
             row[i] = one
         fstar_rows.append(row)
@@ -428,13 +373,10 @@ def bundle_actions(X: ChartPoint, t: RationalFunction) -> BundleActionMatrices:
     )
 
 
-def holonomy(X: ChartPoint, t: RationalFunction) -> SymbolicMatrix:
+def holonomy(X: SymbolicMatrix, t: RationalFunction) -> SymbolicMatrix:
     """The (n+2)x(n+2) holonomy factor p_t(X) = [[Id+tZX, tZ], [0, F-block]]."""
-    chart = X.chart
-    table = chart.table
-    n = chart.n
-    t = chart.lift(t)
-    zero = chart.const(0)
+    n = X.nrows
+    zero = RationalFunction.zero(X.table)
     actions = bundle_actions(X, t)
     rows = []
     for i in range(2):
@@ -444,7 +386,7 @@ def holonomy(X: ChartPoint, t: RationalFunction) -> SymbolicMatrix:
         rows.append(row)
     for i in range(n):
         rows.append([zero, zero] + list(actions.on_f.rows[i]))
-    return SymbolicMatrix(table, rows)
+    return SymbolicMatrix(X.table, rows)
 
 
 def kron(e_part: SymbolicMatrix, f_part: SymbolicMatrix) -> SymbolicMatrix:
@@ -478,16 +420,20 @@ class GenericFlow:
         return self.chart.param("t")
 
     @functools.cached_property
-    def point(self) -> ChartPoint:
-        return ChartPoint.generic(self.chart)
+    def point(self) -> SymbolicMatrix:
+        """The n x 2 matrix of the coordinates x_{ij'}."""
+        chart = self.chart
+        return SymbolicMatrix(chart.table, [[chart.x(i, 1), chart.x(i, 2)] for i in range(1, chart.n + 1)])
 
     @functools.cached_property
-    def moved(self) -> ChartPoint:
-        return flow_point(self.point, self.t)
+    def moved(self) -> SymbolicMatrix:
+        return flow_matrix(self.point, self.t)
 
     @functools.cached_property
     def substitution(self) -> dict[int, RationalFunction]:
-        return self.moved.substitution()
+        """x_{ij'} |-> the entry (i, j') of z^t X."""
+        x_index = self.chart.table.x_index
+        return {x_index(i, j): v for i, row in enumerate(self.moved.rows, 1) for j, v in enumerate(row, 1)}
 
     @functools.cached_property
     def actions(self) -> BundleActionMatrices:

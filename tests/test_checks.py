@@ -157,10 +157,10 @@ def test_density_check_differentiates_only_its_phi_table(monkeypatch, fresh_cach
         built.append(real_substitute(self, mapping))
         return built[-1]
 
-    def derivative(self, row, col, idx):
-        reading.append((self, row, col, (row, col, idx) not in self.derivatives))
+    def derivative(self, row, col, *idx):
+        reading.append((self, row, col, (row, col, *idx) not in self.derivatives))
         try:
-            return real_derivative(self, row, col, idx)
+            return real_derivative(self, row, col, *idx)
         finally:
             reading.pop()
 
@@ -269,13 +269,28 @@ def test_derivative_oracle_fails_on_a_flipped_quotient_rule(monkeypatch, fresh_c
 
 def test_derivative_oracle_fails_on_a_negated_second_derivative(fresh_cache):
     """Positive control for the hyper-dual half: one negated displayed
-    second derivative fails the oracle."""
-    d2 = checks.artifacts(3).second_derivatives
-    key = (2, 1, 1, 1, 1, 1, 1, 3)
-    d2.second[key] = -d2.entry(*key)
+    second derivative, stored under its flat key in Phi's one derivative
+    table, fails the oracle."""
+    art = checks.artifacts(3)
+    key = art.second_derivatives.key(2, 1, 1, 1, 1, 1, 1, 3)
+    assert key == (flat_index(3, 1), flat_index(1, 1), flat_index(1, 1), flat_index(1, 2))
+    art.phi.derivatives[key] = -art.phi.derivative(*key)
     (report,) = checks.derivative_oracle_suite(3, 0)
     assert report.status == checks.FAIL
     assert report.detail == f"derivative {key} of Phi differs from its dual value"
+
+
+def test_mixed_partials_fail_on_a_perturbed_second_derivative(fresh_cache):
+    """Positive control: one stored d(row, col, a, b) with a constant added
+    fails curvature.mixed_partials, which compares it with d(row, col, b, a)."""
+    art = checks.artifacts(3)
+    key = (0, 1, flat_index(1, 2), flat_index(2, 1))
+    art.phi.derivatives[key] = art.phi.derivative(*key) + art.chart.const(1)
+    reports = {r.check_id: r for r in checks.curvature_numeric_suite(3, 0)}
+    assert reports["curvature.mixed_partials.n3"].status == checks.FAIL
+    assert reports["curvature.not_pure_trace.n3"].status == checks.PASS
+    del art.phi.derivatives[key]
+    assert art.second_derivatives.swap_symmetric()
 
 
 def test_phi_kills_every_bracket_at_n5(fresh_cache):

@@ -1,5 +1,6 @@
 """Second chart derivatives, the projection to kappa, and trace-part tests."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -26,9 +27,8 @@ CHART = Chart(3)
 def eager_nabla2_phi(phi):
     """Oracle: every second derivative of phi, built up front from every
     first derivative, keyed (ip, j, lp, m, pp, o, qp, r) like entry()."""
-    chart = phi.chart
-    n = chart.n
-    table = chart.table
+    table = phi.table
+    n = table.n
     slots = [(p, k) for p in (1, 2) for k in range(1, n + 1)]
     first = {}
     for (pp, o), (qp, r), (lp, m) in product(slots, repeat=3):
@@ -212,9 +212,9 @@ def test_lazy_tensor_and_projection_match_eager_oracle(n):
     lazy = nabla2_phi(phi)
     for key, value in components.items():
         assert lazy.entry(*key) == value, key
-    # A fresh tensor under the projection, so its entries are built on
-    # demand by the projection itself.
-    projection = project_kappa(nabla2_phi(phi))
+    # A fresh Phi under the projection, so the entries of its one
+    # derivative table are built on demand by the projection itself.
+    projection = project_kappa(nabla2_phi(build_Phi(chart)))
     for (triple, r), value in eager_project_kappa(components, chart).items():
         assert projection.value(triple, r) == value, (triple, r)
 
@@ -236,8 +236,10 @@ def test_curvature_suite_builds_few_second_derivatives(monkeypatch):
     reports = checks.curvature_suite(n)
     assert [r.status for r in reports] == [checks.PASS] * 4
     (d2,), (projection,) = tensors, projections
-    assert 0 < len(d2.second) <= 4 * n
-    assert 0 < len(d2.phi.derivatives) <= 4 * n
+    orders = Counter(len(key) - 2 for key in d2.phi.derivatives)
+    assert set(orders) == {1, 2}
+    assert 0 < orders[2] <= 4 * n
+    assert 0 < orders[1] <= 4 * n
     assert sorted(projection.values) == [((1, 1, 1), r) for r in range(1, n + 1)]
 
 

@@ -1,6 +1,7 @@
 """Deformation family Phi_c: eigen-sections, nilpotency, flow invariance."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from agdeform.deform import (
     transformation_check,
     unscaled_flow_factor_check,
 )
-from agdeform.exactalg import UsageError, flat_index
+from agdeform.exactalg import RationalFunction, UsageError, flat_index
 from agdeform.model import (
     BundleActionMatrices,
     Chart,
@@ -122,6 +123,33 @@ def test_phi_prime_and_phi_i_displays():
         phi_i_matrix(CHART, 1)
     with pytest.raises(UsageError):
         phi_i_matrix(CHART, 4)
+
+
+def test_derivative_table_builds_each_key_once(monkeypatch):
+    """derivative(row, col) is the entry itself and stores nothing; each
+    further variable differentiates the key one variable shorter, once, and
+    a second read returns the stored object."""
+    phi = build_Phi(CHART)
+    assert phi.derivative(0, 1) is phi.rows[0][1]
+    assert not phi.derivatives
+    a, b = flat_index(1, 1), flat_index(2, 1)
+    calls = Counter()
+    real = RationalFunction.differentiate
+
+    def counted(self, idx):
+        calls[id(self), idx] += 1
+        return real(self, idx)
+
+    monkeypatch.setattr(RationalFunction, "differentiate", counted)
+    second = phi.derivative(0, 1, a, b)
+    assert phi.derivative(0, 1, a, b) is second
+    assert phi.derivative(0, 1, a) is phi.derivatives[0, 1, a]
+    swapped = phi.derivative(0, 1, b, a)
+    assert sorted(phi.derivatives) == [(0, 1, a), (0, 1, a, b), (0, 1, b), (0, 1, b, a)]
+    assert len(calls) == 4 and max(calls.values()) == 1
+    monkeypatch.undo()
+    assert second == swapped == phi.rows[0][1].differentiate(a).differentiate(b)
+    assert not second.is_zero()
 
 
 def test_build_phi_guards():

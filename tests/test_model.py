@@ -5,26 +5,36 @@ from fractions import Fraction
 import pytest
 
 from agdeform.deform import EndomorphismField, build_Phi, q_polynomial
-from agdeform.exactalg import PoleAtPoint, Polynomial, UsageError
+from agdeform.exactalg import MismatchedTables, PoleAtPoint, Polynomial, UsageError
 from agdeform.model import (
     Chart,
     ChartPoint,
+    GenericFlow,
     NotDecomposable,
     SymbolicMatrix,
     bundle_actions,
+    flow_matrix,
     flow_point,
     flow_point_split_form,
     holonomy,
     split_fixed_plus_rank1,
 )
-from oracles import evaluation_point
 
 CHART = Chart(3)
 
 
+def constant_matrix(point):
+    """The numeric point as an n x 2 SymbolicMatrix of constants."""
+    chart = point.chart
+    return SymbolicMatrix(chart.table, [[chart.const(v) for v in row] for row in point.entries])
+
+
+def parsed_matrix(text):
+    return constant_matrix(ChartPoint.parse(CHART, text))
+
+
 def test_chart_point_parse_format_roundtrip():
     point = ChartPoint.parse(CHART, "1,3;2,0;0,0")
-    assert point.is_numeric
     assert point.entries[0] == (Fraction(1), Fraction(3))
     assert point.format() == "1,3;2,0;0,0"
     fancy = ChartPoint.parse(CHART, "1/2,-3;0,2/7;1,1")
@@ -43,11 +53,13 @@ def test_chart_point_parse_errors():
 
 def test_numeric_point_refuses_bools_and_floats():
     """A numeric entry is an int or a Fraction: a bool is refused as
-    exactalg.coerce_rational refuses it (not read as 1 or 0), and so is a
-    float, in a point and as the flow time of a numeric point."""
+    exactalg.coerce_rational refuses it (not read as 1 or 0), and so are a
+    float, a string literal and a rational function, constant or not, in a
+    point and as the flow time of a numeric point."""
     ints = [[1, 0], [0, 1], [1, 1]]
     assert ChartPoint(CHART, ints).format() == "1,0;0,1;1,1"
-    for bad in (True, False, 0.5, 1.0):
+    assert ChartPoint(CHART, [[Fraction(1, 2), 0], [0, 1], [1, 1]]).format() == "1/2,0;0,1;1,1"
+    for bad in (True, False, 0.5, 1.0, "1/2", "1", CHART.const(1), CHART.x(1, 1)):
         entries = [row[:] for row in ints]
         entries[0][0] = bad
         with pytest.raises(UsageError):
@@ -59,11 +71,13 @@ def test_numeric_point_refuses_bools_and_floats():
 
 
 def test_generic_point_is_symbolic():
-    X = ChartPoint.generic(CHART)
-    assert not X.is_numeric
-    with pytest.raises(UsageError):
-        X.format()
-    assert X.entries[2][0] == CHART.x(3, 1)
+    """The generic point is the n x 2 SymbolicMatrix of the coordinates;
+    the symbolic flow refuses a time from another chart."""
+    X = GenericFlow(CHART).point
+    assert type(X) is SymbolicMatrix and (X.nrows, X.ncols) == (3, 2)
+    assert X[2, 0] == CHART.x(3, 1) and X[0, 1] == CHART.x(1, 2)
+    with pytest.raises(MismatchedTables):
+        flow_matrix(X, Chart(2).param("t"))
 
 
 def test_flow_worked_example():
@@ -72,14 +86,27 @@ def test_flow_worked_example():
 
 
 def test_flow_symbolic_time_matches_numeric():
-    """The flow of the generic point at symbolic t, evaluated in Fractions
-    with x and t bound, is the numeric flow of the point."""
-    flowed = flow_point(ChartPoint.generic(CHART), CHART.param("t"))
-    for text, t in (("1,3;2,0;0,0", 1), ("2,-1/3;1/2,4;-3,5", Fraction(-2, 7))):
+    """Oracle for the numeric closed form: flow_matrix of the generic point
+    at symbolic t, with the point and the time substituted, is flow_point
+    of the point, on and off x11 = 0.  At the pole 1 + t x11 = 0,
+    flow_point raises PoleAtPoint."""
+    flow = GenericFlow(CHART)
+    table = CHART.table
+    cases = (
+        ("1,3;2,0;0,0", 1),
+        ("2,-1/3;1/2,4;-3,5", Fraction(-2, 7)),
+        ("0,3;4,-1;0,5", Fraction(5, 3)),
+        ("-1/2,0;0,0;7,1/9", Fraction(1, 4)),
+        ("3,1;-2,2;1,-1", Fraction(-1, 6)),
+        ("1/3,-2/5;0,0;0,1", -4),
+    )
+    for text, t in cases:
         X = ChartPoint.parse(CHART, text)
-        vec = evaluation_point(CHART.table, X.entries, t=t)
-        values = [[v.evaluate(vec) for v in row] for row in flowed.entries]
-        assert ChartPoint(CHART, values) == flow_point(X, t)
+        mapping = {table.x_index(i, j): CHART.const(v) for i, row in enumerate(X.entries, 1) for j, v in enumerate(row, 1)}
+        mapping[table.index("t")] = CHART.const(t)
+        assert flow.moved.substitute(mapping) == constant_matrix(flow_point(X, t))
+    with pytest.raises(PoleAtPoint):
+        flow_point(ChartPoint.parse(CHART, "2,3;1,0;0,0"), Fraction(-1, 2))
 
 
 def test_flow_fixes_time_zero_and_strongly_fixed_points():
@@ -103,32 +130,32 @@ def test_flow_group_law_numeric():
 
 def test_flow_group_law_symbolic_n2():
     chart = Chart(2)
-    X = ChartPoint.generic(chart)
+    X = GenericFlow(chart).point
     t, s = chart.param("t"), chart.param("s")
-    assert flow_point(flow_point(X, t), s) == flow_point(X, s + t)
+    assert flow_matrix(flow_matrix(X, t), s) == flow_matrix(X, s + t)
 
 
 def test_split_fixed_plus_rank1():
-    X = ChartPoint.parse(CHART, "2,3;4,-1;0,5")
+    X = parsed_matrix("2,3;4,-1;0,5")
     fixed, direction = split_fixed_plus_rank1(X)
     zero = CHART.const(0)
     # strongly fixed: the first column and x12 vanish
-    assert all(row[0] == zero for row in fixed.entries)
-    assert fixed.entries[0][1] == zero
+    assert all(row[0] == zero for row in fixed.rows)
+    assert fixed[0, 1] == zero
     # direction has rank one: all 2x2 minors vanish
-    d = direction.entries
+    d = direction.rows
     for i in range(3):
         for j in range(i + 1, 3):
             assert d[i][0] * d[j][1] - d[i][1] * d[j][0] == zero
     recombined = tuple(
         tuple(a + b for a, b in zip(rf, rd))
-        for rf, rd in zip(fixed.entries, direction.entries)
+        for rf, rd in zip(fixed.rows, direction.rows)
     )
-    assert recombined == X.lifted_entries()
+    assert recombined == X.rows
 
 
 def test_split_undefined_on_h0():
-    X = ChartPoint.parse(CHART, "0,3;4,-1;0,5")
+    X = parsed_matrix("0,3;4,-1;0,5")
     with pytest.raises(NotDecomposable):
         split_fixed_plus_rank1(X)
 
@@ -136,13 +163,13 @@ def test_split_undefined_on_h0():
 def test_split_form_matches_flow():
     X = ChartPoint.parse(CHART, "2,3;4,-1;0,5")
     t = Fraction(1, 5)
-    split = flow_point_split_form(X, CHART.const(t))
-    assert split.entries == flow_point(X, t).lifted_entries()
+    split = flow_point_split_form(constant_matrix(X), CHART.const(t))
+    assert split.rows == constant_matrix(flow_point(X, t)).rows
 
 
 def test_bundle_actions_dual_consistency():
     """Stored duals are transpose-inverses of the primal actions."""
-    X = ChartPoint.generic(CHART)
+    X = GenericFlow(CHART).point
     t = CHART.param("t")
     actions = bundle_actions(X, t)
     ident2 = SymbolicMatrix.identity(CHART.table, 2)
@@ -153,7 +180,7 @@ def test_bundle_actions_dual_consistency():
 
 def test_bundle_actions_displayed_entries():
     """Row-covector action matrices (transposes of the stored duals)."""
-    X = ChartPoint.generic(CHART)
+    X = GenericFlow(CHART).point
     t = CHART.param("t")
     actions = bundle_actions(X, t)
     one = CHART.const(1)
@@ -174,7 +201,7 @@ def test_bundle_actions_displayed_entries():
 
 def test_volume_compatibility():
     """det on E is 1 + t x11 and det on F is its inverse, so the product is 1."""
-    X = ChartPoint.generic(CHART)
+    X = GenericFlow(CHART).point
     t = CHART.param("t")
     actions = bundle_actions(X, t)
     u = CHART.const(1) + t * CHART.x(1, 1)
@@ -189,28 +216,16 @@ def test_volume_compatibility():
 
 
 def test_holonomy_cocycle_numeric():
-    X = ChartPoint.parse(CHART, "1,2;0,1;3,-1")
+    X = parsed_matrix("1,2;0,1;3,-1")
     s, t = CHART.const(Fraction(1, 2)), CHART.const(Fraction(1, 3))
     lhs = holonomy(X, s + t)
-    rhs = holonomy(flow_point(X, t), s) * holonomy(X, t)
+    rhs = holonomy(flow_matrix(X, t), s) * holonomy(X, t)
     assert lhs == rhs
 
 
 def test_holonomy_identity_at_zero():
-    X = ChartPoint.parse(CHART, "1,2;0,1;3,-1")
+    X = parsed_matrix("1,2;0,1;3,-1")
     assert holonomy(X, CHART.const(0)) == SymbolicMatrix.identity(CHART.table, 5)
-
-
-def test_lift_accepts_only_rational_functions_of_its_chart():
-    x11 = CHART.x(1, 1)
-    assert CHART.lift(x11) is x11
-    for value in (0, Fraction(1, 2), "1/2"):
-        with pytest.raises(UsageError):
-            CHART.lift(value)
-    with pytest.raises(UsageError):
-        Chart(2).lift(x11)
-    with pytest.raises(UsageError):
-        ChartPoint(CHART, [[x11, 0], [0, 0], [0, 0]])
 
 
 def test_evaluation_vector_binds_x_only():
@@ -225,8 +240,6 @@ def test_evaluation_vector_binds_x_only():
     assert vec[table.index("t")] == vec[table.index("s")] == vec[table.c_index(3)] == 0
     with pytest.raises(TypeError):
         point.evaluation_vector(c=[Fraction(8), Fraction(9)])
-    with pytest.raises(UsageError):
-        ChartPoint.generic(CHART).evaluation_vector()
 
 
 def test_symbolic_matrix_algebra():
@@ -246,7 +259,7 @@ def test_matrix_substitute_matches_entrywise(n, monkeypatch):
     substitutes q once for the whole matrix."""
     chart = Chart(n)
     phi = build_Phi(chart)
-    flowed = flow_point(ChartPoint.generic(chart), chart.param("t")).substitution()
+    flowed = GenericFlow(chart).substitution
     q = q_polynomial(chart)
     substituted = []
     real = Polynomial.substitute

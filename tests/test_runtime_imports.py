@@ -278,6 +278,7 @@ VALUE_CLASSES = {
     "GenericFlow",
     "Partial1Map",
     "RrefResult",
+    "SecondDerivativeTensor",
     "Subspace",
 }
 

@@ -386,7 +386,7 @@ def test_evaluate_scaled_matches_exact(n, s, c, per_radius):
     one at seeded sweep points, and the lemma criterion gives the same
     verdict on both."""
     assembler = _numeric_assembler(n, c)
-    chart = assembler.phi.chart
+    chart = Chart(n)
     for point in ball_sweep(chart, s, per_radius, range(1, 4), seed=n + s):
         exact = _exact(assembler, point)
         scaled = assembler.evaluate(point)

@@ -12,8 +12,10 @@ from collections.abc import Hashable
 import pytest
 
 from agdeform import checks
+from agdeform.curvature import nabla2_phi
+from agdeform.deform import build_Phi
 from agdeform.linalg import MatrixQ, rref, span_subspace
-from agdeform.model import Chart, ChartPoint, bundle_actions
+from agdeform.model import Chart, GenericFlow
 from agdeform.reptheory import GradedAlgebraSpec, build_partial1, decomposition_dims
 
 CHART = Chart(3)
@@ -23,8 +25,9 @@ CHART = Chart(3)
 IDENTITY_VALUED = {
     "CheckReport": lambda: checks.CheckReport("stub", checks.PASS, checks.NUMERIC, ""),
     "RrefResult": lambda: rref(MatrixQ.identity(2)),
-    "BundleActionMatrices": lambda: bundle_actions(ChartPoint.generic(CHART), CHART.param("t")),
+    "BundleActionMatrices": lambda: GenericFlow(CHART).actions,
     "DecompositionDims": lambda: decomposition_dims(3),
+    "SecondDerivativeTensor": lambda: nabla2_phi(build_Phi(CHART)),
 }
 
 

@@ -136,10 +136,11 @@ def _emit(args, reports: list[checks.CheckReport], extras: dict, text_lines=()) 
 #: `verify --n 12` 2.2-2.6 s (43 MiB); at n = 13 `verify` takes 2.9-3.4 s
 #: (49 MiB) but `torsion` 4.1-5.7 s (33 MiB), not clearly within 4.2-4.7 s.
 MAX_SYMBOLIC_N = 12
-#: The largest n accepted by flow, by the same rule: `flow --n 480` takes
-#: 6.0-6.2 s (three runs, every check passing, 92 MiB peak RSS) and
-#: `flow --n 500` 6.4-7.4 s.
-MAX_FLOW_N = 480
+#: The largest n accepted by flow, by the same rule: `flow --n 740` takes
+#: 6.5-6.9 s (six runs in two rounds, every check passing, 185 MiB peak
+#: RSS) and `flow --n 760` 6.8-8.5 s (194 MiB); in the same rounds
+#: `flow --n 480` took 2.8-3.2 s (89 MiB).
+MAX_FLOW_N = 740
 #: The largest n accepted by reptheory, by the same rule: `reptheory --n 26`
 #: takes 5.4-6.4 s (three runs, every check passing, 89 MiB peak RSS; the
 #: `--check surjective` form 0.6 s, 75 MiB) and `reptheory --n 27`

@@ -37,6 +37,14 @@ each pair a * b unexpanded, and when every pair shares one factorization
 the pair is multiplied straight into that map, so no product polynomial is
 built.
 
+Most values have one denominator factor (every entry of Phi_c is N/q, every
+first derivative N'/q^2), so each step has a route for it.  _reduce stores
+a den of no factor at once and trial-divides a den of one factor directly,
+with no merge or sort; _align, when every term lists the first term's
+factors, takes the lcm from that term alone; and differentiate over f^e
+adds num' f - e num f' into one coefficient map.  Every other input takes
+the general route, and both routes store the same form.
+
 A monomial is one packed int (after Monagan and Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
 2007): each variable owns an 8-bit field whose top bit is a guard, so an
@@ -655,17 +663,30 @@ class RationalFunction:
             num = num.scale(Fraction(1, scale))
         self._reduce(num, factors)
 
-    def _reduce(self, num: Polynomial, den: Iterable[tuple[Polynomial, int]]) -> None:
+    def _reduce(self, num: Polynomial, den: Sequence[tuple[Polynomial, int]]) -> None:
         """Store num over den in canonical form: the one reduction routine.
 
         den lists monic, non-constant factors over num's table with positive
         exponents, which may repeat.  Equal factors are merged, the factors
         sorted by key(), and each is trial-divided out of num as often as
         it goes: the only reduction performed, and enough to reach canonical
-        zero because equality testing never relies on it.
+        zero because equality testing never relies on it.  An empty den is
+        stored at once, and a den of one entry is trial-divided directly,
+        with nothing to merge or sort.
         """
-        if not num.coeffs:
+        if not num.coeffs or not den:
             self.num, self.den = num, ()
+            return
+        if len(den) == 1:
+            ((factor, exponent),) = den
+            while exponent > 0:
+                quotient = _divide_exact(num, factor)
+                if quotient is None:
+                    break
+                num = quotient
+                exponent -= 1
+            self.num = num
+            self.den = ((factor, exponent),) if exponent > 0 else ()
             return
         merged: dict[Polynomial, list] = {}
         for factor, exponent in den:
@@ -706,7 +727,7 @@ class RationalFunction:
 
     @classmethod
     def _from_monic(
-        cls, num: Polynomial, den: Iterable[tuple[Polynomial, int]]
+        cls, num: Polynomial, den: Sequence[tuple[Polynomial, int]]
     ) -> "RationalFunction":
         """num over factors already monic, non-constant and over num's table
         (see _reduce); skips the checks and the monic scaling of __init__."""
@@ -810,12 +831,37 @@ class RationalFunction:
         """The quotient rule in one pass: d(num / prod f_i^e_i) has numerator
         num' prod f_i - num sum_i e_i f_i' prod_{j != i} f_j over
         prod f_i^(e_i + 1), where factors with f_i' = 0 drop out of the sum.
+
+        Over one factor f^e, the common case (each entry of Phi_c is N/q),
+        num' f - e num f' is added into one coefficient map, as _sum_terms
+        adds its terms, so no product polynomial is built.
         """
         if not (0 <= idx < self.table.size):
             raise UsageError(f"variable index {idx} out of range")
         new_num = self.num.differentiate(idx)
         if not self.den:
             return RationalFunction._from_monic(new_num, ())
+        if len(self.den) == 1:
+            ((factor, exponent),) = self.den
+            table = self.table
+            total: dict[Monomial, int | Fraction] = {}
+            get = total.get
+            for m1, c1 in new_num.coeffs.items():
+                for m2, c2 in factor.coeffs.items():
+                    mono = m1 + m2
+                    acc = get(mono)
+                    total[mono] = c1 * c2 if acc is None else acc + c1 * c2
+            for m2, c2 in factor.differentiate(idx).coeffs.items():
+                c2 = -exponent * c2
+                for m1, c1 in self.num.coeffs.items():
+                    mono = m1 + m2
+                    acc = get(mono)
+                    total[mono] = c1 * c2 if acc is None else acc + c1 * c2
+            # As in Polynomial.__mul__, with zero sums still keys, as in
+            # _sum_terms.
+            if functools.reduce(operator.or_, total, 0) & table.guard:
+                raise UsageError(_OVERFLOW)
+            return RationalFunction._from_monic(Polynomial(table, total), ((factor, exponent + 1),))
         factors = [f for f, _ in self.den]
         for factor in factors:
             new_num = new_num * factor
@@ -877,7 +923,7 @@ def substitute_all(
 
 #: A numerator and its denominator factors.  The numerator is a Polynomial,
 #: or an unexpanded pair of Polynomials whose product it is (see dot).
-RawTerm = tuple[Polynomial | tuple[Polynomial, Polynomial], Iterable[tuple[Polynomial, int]]]
+RawTerm = tuple[Polynomial | tuple[Polynomial, Polynomial], Sequence[tuple[Polynomial, int]]]
 
 
 def _align(terms: Sequence[RawTerm]) -> tuple[list, DenominatorFactors]:
@@ -889,8 +935,16 @@ def _align(terms: Sequence[RawTerm]) -> tuple[list, DenominatorFactors]:
     keeps the first object seen for each.  When every term has the lcm's
     factorization, the numerators come back unchanged, pairs unexpanded;
     otherwise each pair is expanded and each power f**k is built once per
-    call.
+    call.  When every term lists the first term's factors (==, which tests
+    each pair's identity first), the lcm is merged from the first term
+    alone: the same factors, objects and exponents, with no per-term dict.
     """
+    shared = terms[0][1] if terms else None
+    if shared is not None and all(factors == shared for _, factors in terms):
+        first: dict[Polynomial, int] = {}
+        for factor, exponent in shared:
+            first[factor] = first.get(factor, 0) + exponent
+        return [num for num, _ in terms], tuple(first.items())
     owned: list[dict[Polynomial, int]] = []
     lcm: dict[Polynomial, int] = {}
     for _, factors in terms:

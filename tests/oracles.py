@@ -10,12 +10,22 @@ And the check that an integer evaluation (exactalg.ScaledValues) is one
 positive multiple of the exact Fraction values, Phi_c at a numeric c as
 the program builds it, and a Fraction evaluation point that binds t and c
 as well as x, for the Fraction oracles (RationalFunction.evaluate).
+
+And the general routes of exactalg's normalisation, kept as the oracles of
+its one-factor fast paths: the merge, sort and trial-division of
+RationalFunction._reduce, the per-term dict route of _align, and the
+quotient rule built from Polynomial products.
 """
 
 from fractions import Fraction
 
 from agdeform.deform import build_Phi
-from agdeform.exactalg import UsageError, coerce_rational
+from agdeform.exactalg import (
+    RationalFunction,
+    UsageError,
+    _long_division,
+    coerce_rational,
+)
 from agdeform.linalg import nonzero_entries
 
 
@@ -94,3 +104,71 @@ def assert_positive_multiple(scaled, exact):
     factor = Fraction(scaled[pivot]) / Fraction(exact[pivot])
     assert factor > 0
     assert scaled == tuple(factor * v for v in exact)
+
+
+def reduce_reference(num, den):
+    """The oracle for RationalFunction._reduce: equal factors merged (the
+    first object kept), sorted by key(), and each divided out of num by long
+    division as often as it goes; (num, den) as _reduce stores them."""
+    if num.is_zero():
+        return num, ()
+    merged = {}
+    for factor, exponent in den:
+        merged[factor] = merged.get(factor, 0) + exponent
+    out = []
+    for factor in sorted(merged, key=lambda f: f.key()):
+        exponent = merged[factor]
+        while exponent:
+            quotient = _long_division(num, factor)
+            if quotient is None:
+                break
+            num, exponent = quotient, exponent - 1
+        if exponent:
+            out.append((factor, exponent))
+    return num, tuple(out)
+
+
+def align_reference(terms):
+    """The oracle for exactalg._align: each term's factors merged into a
+    dict, the lcm their largest exponents in order of first appearance (the
+    first object kept); the numerators unchanged when every term has the
+    lcm's factorization, else each pair expanded and every numerator
+    multiplied by the powers it lacks."""
+    owned, lcm = [], {}
+    for _, factors in terms:
+        mine = {}
+        for factor, exponent in factors:
+            mine[factor] = mine.get(factor, 0) + exponent
+        for factor, exponent in mine.items():
+            lcm[factor] = max(lcm.get(factor, 0), exponent)
+        owned.append(mine)
+    if all(mine == lcm for mine in owned):
+        return [num for num, _ in terms], tuple(lcm.items())
+    numerators = []
+    for (num, _), mine in zip(terms, owned):
+        if isinstance(num, tuple):
+            num = num[0] * num[1]
+        for factor, exponent in lcm.items():
+            lack = exponent - mine.get(factor, 0)
+            if lack:
+                num = num * factor**lack
+        numerators.append(num)
+    return numerators, tuple(lcm.items())
+
+
+def quotient_rule_reference(f, idx):
+    """The oracle for RationalFunction.differentiate: the general quotient
+    rule, num' prod f_i - num sum_i e_i f_i' prod_{j != i} f_j over
+    prod f_i^(e_i + 1), built from Polynomial products and stored by
+    reduce_reference."""
+    num = f.num.differentiate(idx)
+    factors = [g for g, _ in f.den]
+    for g in factors:
+        num = num * g
+    for i, (g, e) in enumerate(f.den):
+        term = g.differentiate(idx).scale(e)
+        for j, other in enumerate(factors):
+            if j != i:
+                term = term * other
+        num = num - f.num * term
+    return RationalFunction._raw(*reduce_reference(num, [(g, e + 1) for g, e in f.den]))

@@ -206,7 +206,7 @@ def test_verify_accepts_n_at_maximum(capsys, monkeypatch):
 def test_flow_and_reptheory_n_bounds(capsys, monkeypatch, command, bound):
     """flow and reptheory refuse an n one above their measured bound before
     any check runs, and accept the bound itself (stubbed suites: the real
-    runs take several seconds, `flow --n 480` 6.0-6.2 s and
+    runs take several seconds, `flow --n 740` 6.5-6.9 s and
     `reptheory --n 26` 5.4-6.4 s)."""
     maximum = getattr(cli, bound)
     seen = []

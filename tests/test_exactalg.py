@@ -31,7 +31,13 @@ from agdeform.exactalg import (
 )
 from agdeform.model import Chart, ChartPoint
 from agdeform.torsion import TorsionAssembler
-from oracles import assert_positive_multiple, evaluation_point
+from oracles import (
+    align_reference,
+    assert_positive_multiple,
+    evaluation_point,
+    quotient_rule_reference,
+    reduce_reference,
+)
 
 TABLE = VariableTable(3)
 
@@ -983,6 +989,117 @@ def test_quotient_rule_skips_factors_free_of_the_variable():
     assert sorted(e for _, e in got.den) == [2, 2]
 
 
+# -- the one-factor fast paths, each against its general route --------------------
+
+
+def _same_factors(got, want):
+    """Two denominators list the same factor objects with the same exponents."""
+    return len(got) == len(want) and all(
+        a is b and e == k for (a, e), (b, k) in zip(got, want)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(monic_factor_lists(), st.sampled_from((0, 1, None)))
+def test_reduce_matches_the_merge_sort_reference(num_den, cut):
+    """_reduce over no factor, one factor and several (cut) stores the
+    numerator, the factor objects and the exponents of the reference that
+    merges, sorts and divides by long division."""
+    num, den = num_den
+    den = den[:cut]
+    got = RationalFunction._from_monic(num, den)
+    want_num, want_den = reduce_reference(num, den)
+    assert got.num == want_num
+    assert _same_factors(got.den, want_den)
+
+
+def _swap_q(factors, swap):
+    """factors with q and its distinct equal copy exchanged where swap says."""
+    q, copy = KERNEL_FACTORS[0], KERNEL_FACTORS[3]
+    return tuple(
+        (copy if f is q else q if f is copy else f, e) if flip else (f, e)
+        for (f, e), flip in zip(factors, swap)
+    )
+
+
+@st.composite
+def align_terms(draw):
+    """Raw terms, numerators now and then unexpanded pairs, that either all
+    list one factorization (some as copies holding equal but distinct
+    objects) or each list their own."""
+    factor_lists = st.lists(
+        st.tuples(st.sampled_from(KERNEL_FACTORS), st.integers(1, 2)), max_size=3
+    ).map(tuple)
+    numerator = st.one_of(small_polys(), st.tuples(small_polys(), small_polys()))
+    count = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        shared = draw(factor_lists)
+        dens = [
+            _swap_q(shared, draw(st.lists(st.booleans(), min_size=3, max_size=3)))
+            for _ in range(count)
+        ]
+    else:
+        dens = [draw(factor_lists) for _ in range(count)]
+    return [(draw(numerator), den) for den in dens]
+
+
+@settings(max_examples=200, deadline=None)
+@given(align_terms())
+def test_align_matches_the_dict_route(terms):
+    """_align returns the numerators and the lcm of the per-term dict route:
+    the same factor objects and exponents, and, over a shared factorization,
+    the very numerator objects it was given, pairs unexpanded."""
+    numerators, lcm = exactalg._align(terms)
+    want_numerators, want_lcm = align_reference(terms)
+    assert _same_factors(lcm, want_lcm)
+    assert numerators == want_numerators
+    if all(den == terms[0][1] for _, den in terms):
+        assert all(got is num for got, (num, _) in zip(numerators, terms))
+    assert exactalg._align([]) == align_reference([]) == ([], ())
+
+
+#: Coprime to every factor of KERNEL_FACTORS, so over f^e * h the general
+#: quotient rule's numerator is h^2 times the one-factor rule's.
+_COPRIME = _poly_var("x32") + Polynomial.constant(TABLE, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    small_polys(),
+    st.sampled_from(KERNEL_FACTORS),
+    st.integers(1, 3),
+    st.lists(st.sampled_from(KERNEL_FACTORS), max_size=2),
+    st.integers(0, TABLE.size - 1),
+)
+def test_one_factor_quotient_rule_matches_the_general_rule(num, factor, exponent, extra, idx):
+    """The fused rule over f^e, with f dividing the numerator now and then,
+    stores what the general rule stores: the rule of differentiate over
+    f^e * h, whose h^2 trial division takes back, and the rule built from
+    Polynomial products (quotient_rule_reference)."""
+    for g in extra:
+        num = num * g
+    f = RationalFunction._raw(num, ((factor, exponent),))
+    got = f.differentiate(idx)
+    general = RationalFunction._raw(num * _COPRIME, ((factor, exponent), (_COPRIME, 1)))
+    for want in (general.differentiate(idx), quotient_rule_reference(f, idx)):
+        assert got == want
+        assert _stored(got) == _stored(want)
+        assert _same_factors(got.den, want.den)
+
+
+def test_one_factor_quotient_rule_refuses_an_exponent_overflow():
+    """d/dx12 of x11^127 x12 / (x11 + x12) has numerator x11^128, past the
+    packed-monomial limit, and the modular test would store it unnoticed:
+    the fused rule raises, as the general rule does."""
+    x11, x12 = _poly_var("x11"), _poly_var("x12")
+    num, factor = x11**127 * x12, x11 + x12
+    idx = TABLE.index("x12")
+    for den in (((factor, 1),), ((factor, 1), (_COPRIME, 1))):
+        f = RationalFunction._raw(num, den)
+        with pytest.raises(UsageError):
+            f.differentiate(idx)
+
+
 # -- canonical coefficients: int when integral, Fraction otherwise ---------------
 
 
@@ -1181,10 +1298,13 @@ def _canonical_den(den):
 def test_quick_suite_stores_only_canonical_coefficients(monkeypatch):
     """No polynomial built during quick_suite(3) and quick_suite(4) stores a
     float, a bool or an integral Fraction, and every rational function built
-    stores a canonical den; a float coefficient is refused."""
+    stores a canonical den, through every route of _reduce (a den of no
+    entry, of one, and the merge of several); a float coefficient is
+    refused."""
     built = []
     bad = []
     dens = []
+    routes = []
     init, reduce, raw = Polynomial.__init__, RationalFunction._reduce, RationalFunction._raw
 
     def record(self, table, coeffs):
@@ -1195,6 +1315,8 @@ def test_quick_suite_stores_only_canonical_coefficients(monkeypatch):
     def record_reduce(self, num, den):
         reduce(self, num, den)
         dens.append(self.den)
+        if num.coeffs:
+            routes.append(min(len(den), 2))
 
     def record_raw(num, den):
         out = raw(num, den)
@@ -1215,6 +1337,8 @@ def test_quick_suite_stores_only_canonical_coefficients(monkeypatch):
     assert bad == []
     assert sum(len(den) for den in dens) > 1_000
     assert [den for den in dens if not _canonical_den(den)] == []
+    # No factor, one factor, and the merge of several (576 at this writing).
+    assert routes.count(0) > 1_000 and routes.count(1) > 1_000 and routes.count(2) > 500
     mono = pack_monomial((0,) * TABLE.size)
     for value in (0.5, 0.0, True, "1"):
         with pytest.raises(UsageError):

@@ -9,16 +9,22 @@ Subcommands map onto the library modules:
   reptheory  dimension tables, rank certificates, trace embeddings
   verify     the assembled acceptance suite (--all) or a single-n quick pass
 
-Exit codes: 0 all selected checks pass, 1 some check fails, 2 usage error.
-With --format json the output is a single object validating against
+Exit codes: 0 all selected checks pass, 1 some check fails, 2 usage error
+or a report that cannot be written (a closed pipe, a full disk).  With
+--format json the output is a single object validating against
 schemas/report.schema.json; byte-identical across runs with equal flags
 (timings are only included under --timings).
+
+`main(argv)` is the in-process API and returns the exit code.  The
+`agdeform` console script and `python -m agdeform.cli` call `run()`, which
+ends the process without interpreter finalisation (see its docstring).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -98,8 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, reports: list[checks.CheckReport], extras: dict, text_lines=()) -> int:
-    """Write the reports in args.format; the exit code is 0 iff every
-    report passes."""
+    """Write the reports in args.format and flush stdout; the exit code is
+    0 iff every report passes, and 2 if the report cannot be written."""
     reports = checks.sort_reports(reports)
     if args.format == "json":
         payload = {
@@ -107,7 +113,7 @@ def _emit(args, reports: list[checks.CheckReport], extras: dict, text_lines=()) 
             "reports": [r.as_dict(args.timings) for r in reports],
         }
         payload.update(extras)
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(payload, indent=2, sort_keys=True)
     else:
         out = list(text_lines)
         for r in reports:
@@ -121,7 +127,18 @@ def _emit(args, reports: list[checks.CheckReport], extras: dict, text_lines=()) 
             passed = sum(r.status == checks.PASS for r in reports)
             failed = sum(r.status == checks.FAIL for r in reports)
             out.append(f"{len(reports)} checks: {passed} pass, {failed} fail")
-        sys.stdout.write("\n".join(out) + "\n")
+        text = "\n".join(out)
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        # The unwritten bytes stay in stdout's buffer, so every later flush
+        # would raise again: point the descriptor at /dev/null to drop them.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.stderr.write(f"error: cannot write the report: {exc.strerror}\n")
+        return 2
     return 0 if all(r.status == checks.PASS for r in reports) else 1
 
 
@@ -258,6 +275,8 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code; never ends the process
+    itself, so a caller can go on after it (see `run`)."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -267,5 +286,22 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry point: run `main`, flush stdout and stderr, and end
+    the process at once with main's exit code.
+
+    `os._exit` skips interpreter finalisation, which would only free what
+    the process loaded: `atexit` handlers do not run and streams other than
+    stdout and stderr are not flushed, so nothing in this package may rely
+    on either.  A `SystemExit` (argparse's usage errors, --help) or an
+    uncaught exception leaves through the normal interpreter path.  Callers
+    that go on after the command, such as tests, call `main` instead.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

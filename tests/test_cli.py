@@ -1,6 +1,11 @@
 """Command-line interface: outputs, exit codes, schema conformance, determinism."""
 
+import fcntl
+import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -8,9 +13,8 @@ import pytest
 
 from agdeform import checks, cli
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "src/agdeform/schemas/report.schema.json").read_text()
-)
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "src/agdeform/schemas/report.schema.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -330,3 +334,148 @@ def test_removed_flags_exit_2(capsys, argv):
         cli.main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+CLI = [sys.executable, "-m", "agdeform.cli"]
+
+
+def src_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.fixture(params=["buffered", "unbuffered"])
+def child_env(request):
+    """The environment of a CLI child process: with PYTHONUNBUFFERED
+    removed, a report left in stdout's buffer by the hard exit would be
+    lost, and with it set every write reaches the pipe at once."""
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if request.param == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def run_child(env, argv, **kwargs):
+    return subprocess.run([*CLI, *argv], env=env, cwd=ROOT, timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["reptheory", "--n", "2", "--check", "surjective"], 0),
+        (["reptheory", "--n", "3", "--check", "surjective", "--format", "json"], 1),
+        (["verify", "--n", "99"], 2),
+        (["frobnicate"], 2),
+    ],
+)
+def test_entry_point_matches_main(capsys, child_env, argv, expected):
+    """`python -m agdeform.cli` (through `cli.run`) exits with main's code
+    and writes, byte for byte, what main writes in-process; argparse's
+    SystemExit still leaves through the interpreter."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    child = run_child(child_env, argv, capture_output=True)
+    assert code == child.returncode == expected
+    assert child.stdout == captured.out.encode()
+    assert child.stderr == captured.err.encode()
+
+
+def test_report_larger_than_the_pipe_arrives_whole(capsys, child_env):
+    argv = ["torsion", "--n", "3", "--sample-balls", "6", "--format", "json"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    read_end, write_end = os.pipe()
+    try:
+        capacity = fcntl.fcntl(write_end, fcntl.F_GETPIPE_SZ)
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert len(expected) > capacity
+    child = run_child(child_env, argv, capture_output=True)
+    assert child.returncode == 0
+    assert child.stdout == expected
+
+
+def test_closed_stdout_is_an_error_not_a_verdict(child_env):
+    """A report that cannot be written exits 2 with one error line, not 1
+    (the code of a failed check) with a traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = run_child(
+            child_env,
+            ["reptheory", "--n", "2", "--check", "surjective"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert child.returncode == 2
+    assert child.stderr == b"error: cannot write the report: Broken pipe\n"
+
+
+def test_main_never_ends_the_process(capsys):
+    """perfbench/traced_cli.py writes its trace after cli.main returns, so
+    main must return; conftest.refuse_hard_exit turns an os._exit reached
+    from it into a failure."""
+    assert cli.main(["reptheory", "--n", "3", "--check", "surjective"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL")
+
+
+def test_run_flushes_both_streams_then_exits_with_mains_code(monkeypatch):
+    events = []
+
+    class Stream:
+        def __init__(self, name):
+            self.name = name
+
+        def flush(self):
+            events.append(f"flush {self.name}")
+
+    class HardExit(Exception):
+        pass
+
+    def hard_exit(code):
+        events.append(f"exit {code}")
+        raise HardExit
+
+    monkeypatch.setattr(cli, "main", lambda: 1)
+    monkeypatch.setattr(sys, "stdout", Stream("stdout"))
+    monkeypatch.setattr(sys, "stderr", Stream("stderr"))
+    monkeypatch.setattr(os, "_exit", hard_exit)
+    with pytest.raises(HardExit):
+        cli.run()
+    assert events == ["flush stdout", "flush stderr", "exit 1"]
+
+
+def test_nothing_registers_an_atexit_handler():
+    """The hard exit skips `atexit`, so importing the package and running
+    a command must register no handler."""
+    probe = (
+        "import atexit, sys\n"
+        "before = atexit._ncallbacks()\n"
+        "from agdeform import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, atexit._ncallbacks() - before, file=sys.stderr)\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", probe, "verify", "--n", "3"],
+        env=src_env(),
+        cwd=ROOT,
+        timeout=120,
+        capture_output=True,
+    )
+    assert child.returncode == 0
+    assert child.stderr == b"0 0\n"
+
+
+def test_console_script_is_run():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    module, name = project["scripts"]["agdeform"].split(":")
+    assert getattr(importlib.import_module(module), name) is cli.run

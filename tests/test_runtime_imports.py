@@ -232,7 +232,7 @@ def _passed_arguments(trees):
 
 #: Parameters with a default that no call in src/agdeform passes, and why each stays.
 UNPASSED_DEFAULTS_ALLOWED = {
-    "main(argv)": "cli.main is the console-script entry point: argv None reads sys.argv",
+    "main(argv)": "cli.run calls it without argv, so that it reads sys.argv",
 }
 
 
